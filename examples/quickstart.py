@@ -121,12 +121,6 @@ def running_on_a_cluster_backend(points, k, t) -> None:
       kind, which is what makes the paper's word counts comparable to
       byte-level transmission schemes.
 
-    ``async_rounds=True`` adds async round scheduling on any backend: site
-    tasks are dispatched as futures and the coordinator consumes each
-    completed site (allocation marginals, ledger charges) while the others
-    are still computing — site compute overlaps coordinator allocation,
-    the same latency-hiding idea as the tile prefetcher one level up.
-
     Resident state and state digests
     --------------------------------
     Everything that *lives* at a site stays at its site.  The immutable
@@ -156,9 +150,7 @@ def running_on_a_cluster_backend(points, k, t) -> None:
     """
     print("\ncluster backend (same seed => identical results, now with bytes)")
     serial = partial_kmedian(points, k=k, t=t, n_sites=3, seed=7)
-    clustered = partial_kmedian(
-        points, k=k, t=t, n_sites=3, seed=7, backend="cluster:3", async_rounds=True
-    )
+    clustered = partial_kmedian(points, k=k, t=t, n_sites=3, seed=7, backend="cluster:3")
     assert clustered.cost == serial.cost
     assert clustered.total_words == serial.total_words
     for label, result in (("serial", serial), ("cluster:3", clustered)):

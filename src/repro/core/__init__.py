@@ -18,6 +18,8 @@
 * :mod:`repro.core.subquadratic` — Theorem 3.10: sub-quadratic centralized
   ``(k, t)``-median/means by sequential simulation.
 * :mod:`repro.core.api` — convenience drivers over raw numpy point arrays.
+* :mod:`repro.core.run` — the run harness every driver shares; its
+  :func:`~repro.core.run.protocol_run` documents the run options.
 """
 
 from repro.core.convex_hull import CostProfile, lower_convex_hull

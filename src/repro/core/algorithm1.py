@@ -28,34 +28,21 @@ the whole protocol runs unchanged — and bit-identically — on any
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
 from repro.core.combine import combine_preclusters, summarize_local_solution
 from repro.core.preclustering import precluster_site
+from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    MemoryBudgetLike,
-    memmap_handle,
-    resolve_memory_budget,
-    shard_scratch,
-)
+from repro.metrics.blocked import memmap_handle
 from repro.metrics.cost_matrix import build_cost_matrix, validate_objective
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
 from repro.runtime.state import snapshot_site_state
 from repro.runtime.tasks import SiteTask, run_site_tasks
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -127,14 +114,7 @@ def distributed_partial_median(
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
     realize: bool = True,
-    backend: BackendLike = None,
-    transport: TransportLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **options: Any,
 ) -> DistributedResult:
     """Run Algorithm 1 on a distributed instance.
 
@@ -164,62 +144,11 @@ def distributed_partial_median(
         Extra keyword arguments for the site-local and coordinator solvers.
     realize:
         Also produce a full per-point assignment (output step, uncharged).
-    backend:
-        Execution backend for the per-site phases: ``None``/``"serial"``
-        (default), ``"thread"``, ``"process"``, ``"cluster"`` (one runner
-        process per host, payloads over real sockets with byte-accounted
-        frames — optionally with a host count, e.g. ``"cluster:3"``) or an
-        :class:`~repro.runtime.backends.ExecutionBackend` instance.  On the
-        cluster backend each site's shard, metric *and* mutable round state
-        (the precluster with its cached ``n_i x n_i`` cost matrix) stay
-        resident on the site's runner between rounds — only state digests
-        and epoch tokens cross the wire (see :mod:`repro.runtime.state`).
-        Results are bit-identical across backends for a fixed seed.
-    transport:
-        :class:`~repro.runtime.transport.TransportPolicy` (or name) applied
-        to payloads crossing the site/coordinator boundary.
-    memory_budget:
-        Byte cap (int or ``"64MB"``-style string) on any single distance/cost
-        block a party materialises.  Site cost matrices larger than the
-        budget are streamed from disk shards in a per-run scratch directory
-        (removed when the run completes).  ``None`` (default) keeps the
-        legacy dense behaviour; results are bit-identical for every setting.
-    prefetch:
-        Double-buffered background tile prefetch for memmap-backed cost
-        matrices (``None`` = auto: on exactly when a matrix streams from
-        disk); forwarded to the site solvers and the coordinator solve.
-        Never changes the result.
-    async_rounds:
-        Stream the round joins: the coordinator absorbs each completed
-        site's profile (and computes its allocation marginals) while the
-        remaining sites are still computing, instead of waiting at a
-        barrier.  Pure latency hiding — never changes any result.
-    trace:
-        ``True`` records spans, events and counters for the whole run on a
-        :class:`~repro.obs.trace.Tracer` attached to the result as
-        ``result.trace`` (coordinator and runner activity on one rebased
-        timeline; see :mod:`repro.obs`).  An existing tracer may be passed
-        to share one timeline across runs.  ``False`` (default) adds no
-        per-task work and leaves every result bit-identical.
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend: a runner death is
-        detected (socket error or heartbeat timeout), the dead host's sites
-        are re-pinned deterministically to survivors and their dispatch
-        logs replayed, and the run continues bit-identically — replay
-        traffic is accounted under ``replay_*`` wire kinds.  ``None``
-        (default) keeps fail-fast behaviour; in-process backends ignore the
-        policy (they have no hosts to lose).
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+    options:
+        Run options, documented once on :func:`repro.core.run.protocol_run`.
+        On the cluster backend each site's precluster, with its cached
+        ``n_i x n_i`` cost matrix, stays on the site's runner between the
+        two rounds.
     """
     objective = validate_objective(instance.objective)
     if objective == "center":
@@ -239,45 +168,15 @@ def distributed_partial_median(
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, network.n_sites)
     coord_rng = ensure_rng(generator)
-    local_kwargs = dict(local_solver_kwargs or {})
-    policy = resolve_transport(transport)
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
-    network.tracer = tracer if tracer.enabled else None
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm1", objective=objective
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
+    with protocol_run("algorithm1", objective, **options) as run:
+        network.tracer = run.trace
+        local_kwargs = run.local_kwargs(local_solver_kwargs)
+        with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1: local cost profiles.
             # --------------------------------------------------------------
             network.next_round()
-            marginals: list = [None] * network.n_sites
-
-            def _absorb_profile(result):
-                # Per-site allocation prep; under async_rounds this runs
-                # while later sites are still computing their profiles.
-                with network.coordinator.timer.measure("allocation"), tracer.span(
-                    "allocation", site=result.site_id
-                ):
-                    profile = network.coordinator.messages_from(
-                        result.site_id, "cost_profile"
-                    )[0].payload
-                    marginals[result.site_id] = profile.marginals()
-
             round1 = run_site_tasks(
                 network,
                 [
@@ -286,21 +185,22 @@ def distributed_partial_median(
                         _round1_task,
                         args=(
                             k, t, objective, rho, local_center_factor, local_kwargs,
-                            mem_budget, workdir,
+                            run.memory_budget, run.workdir,
                         ),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
-                consume=_absorb_profile,
+                backend=backend,
             )
             site_rngs = [r.rng for r in round1]
 
             # Coordinator: allocate the outlier budget.
-            with network.coordinator.timer.measure("allocation"), tracer.span("allocation"):
+            with network.coordinator.timer.measure("allocation"), run.tracer.span("allocation"):
+                marginals = [
+                    network.coordinator.messages_from(i, "cost_profile")[0].payload.marginals()
+                    for i in range(network.n_sites)
+                ]
                 budget = int(math.floor(rho * t))
                 allocation = allocate_outlier_budget(marginals, budget)
 
@@ -328,12 +228,10 @@ def distributed_partial_median(
                     )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
+                backend=backend,
             )
-            # Combine from the coordinator's inbox (not the task return values) so
-            # the transport policy's materialisation is what actually gets solved.
+            # Combine what the coordinator received (on the cluster backend,
+            # what actually crossed the wire), not the task return values.
             summaries = [
                 network.coordinator.messages_from(i, "local_solution")[0].payload
                 for i in range(network.n_sites)
@@ -345,7 +243,7 @@ def distributed_partial_median(
                 network.sites, ("t_i", "local_k", "cost_storage")
             )
 
-        with network.coordinator.timer.measure("final_solve"), tracer.span("final_solve"):
+        with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
                 metric,
                 summaries,
@@ -357,16 +255,16 @@ def distributed_partial_median(
                 rng=coord_rng,
                 realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
-                memory_budget=mem_budget,
-                prefetch=prefetch,
-                workdir=workdir,
+                memory_budget=run.memory_budget,
+                prefetch=run.prefetch,
+                workdir=run.workdir,
             )
 
         if relax == "outliers":
             outlier_budget = math.floor((1.0 + epsilon) * t + 1e-9)
         else:
             outlier_budget = float(t)
-        result = DistributedResult(
+        return DistributedResult(
             centers=combine.centers_global,
             outlier_budget=float(outlier_budget),
             objective=objective,
@@ -377,7 +275,7 @@ def distributed_partial_median(
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=run.trace,
             metadata={
                 "algorithm": "algorithm1",
                 "epsilon": float(epsilon),
@@ -391,13 +289,10 @@ def distributed_partial_median(
                 "realized_assignment": combine.realized_assignment,
                 "explicit_outliers": combine.explicit_outliers,
                 "local_k": [int(s["local_k"]) for s in site_meta],
-                "memory_budget": mem_budget,
+                "memory_budget": run.memory_budget,
                 "cost_matrix_storage": [s["cost_storage"] for s in site_meta],
-                "async_rounds": bool(async_rounds),
             },
         )
-        return result
-
 
 
 __all__ = ["distributed_partial_median"]

@@ -24,29 +24,20 @@ difference).
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.algorithm1 import _round1_task
 from repro.core.allocation import allocate_outlier_budget
 from repro.core.combine import combine_preclusters, summarize_local_solution
+from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget, shard_scratch
 from repro.metrics.cost_matrix import validate_objective
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
 from repro.runtime.state import snapshot_site_state
 from repro.runtime.tasks import SiteTask, run_site_tasks
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.sequential.assignment import assign_with_outliers
 from repro.sequential.solution import ClusterSolution
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -115,14 +106,7 @@ def distributed_partial_median_no_shipping(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
-    transport: TransportLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **options: Any,
 ) -> DistributedResult:
     """Run the Theorem 3.8 variant (no outlier points are ever transmitted).
 
@@ -136,45 +120,11 @@ def distributed_partial_median_no_shipping(
         Grid ratio parameter (``rho = 1 + delta``); smaller ``delta`` means a
         finer grid (more local solves, more profile words) but a smaller
         excess outlier budget.
-    backend, transport:
-        Execution backend and transport policy for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  On the
-        cluster backend the precluster state stays runner-resident between
-        rounds (digest/epoch-token wire protocol, see
-        :mod:`repro.runtime.state`) — this variant's whole point is small
-        communication, and the wire ledger now reflects it.
-    memory_budget:
-        Byte cap on any single distance/cost block (site cost matrices spill
-        to disk shards beyond it); ``None`` keeps the dense behaviour and the
-        result is bit-identical for every setting (see
-        :func:`repro.core.algorithm1.distributed_partial_median`).
-    prefetch:
-        Background tile prefetch knob for memmap-backed cost matrices
-        (``None`` = auto); never changes the result.
-    async_rounds:
-        Stream the round joins (the coordinator absorbs each completed
-        site's profile while others still compute); never changes the
-        result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+    options:
+        Run options, documented once on :func:`repro.core.run.protocol_run`.
+        As in Algorithm 1, the precluster stays runner-resident between
+        rounds on the cluster backend, so the wire ledger reflects this
+        variant's small communication.
     """
     objective = validate_objective(instance.objective)
     if objective == "center":
@@ -189,41 +139,13 @@ def distributed_partial_median_no_shipping(
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, network.n_sites)
-    local_kwargs = dict(local_solver_kwargs or {})
-    policy = resolve_transport(transport)
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
-    network.tracer = tracer if tracer.enabled else None
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm1_no_shipping", objective=objective
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
+    with protocol_run("algorithm1_no_shipping", objective, **options) as run:
+        network.tracer = run.trace
+        local_kwargs = run.local_kwargs(local_solver_kwargs)
+        with run.backend() as backend:
             # Round 1: profiles on the finer grid.
             network.next_round()
-            marginals: list = [None] * network.n_sites
-
-            def _absorb_profile(result):
-                with network.coordinator.timer.measure("allocation"), tracer.span(
-                    "allocation", site=result.site_id
-                ):
-                    profile = network.coordinator.messages_from(
-                        result.site_id, "cost_profile"
-                    )[0].payload
-                    marginals[result.site_id] = profile.marginals()
-
             round1 = run_site_tasks(
                 network,
                 [
@@ -232,20 +154,21 @@ def distributed_partial_median_no_shipping(
                         _round1_task,
                         args=(
                             k, t, objective, rho, local_center_factor, local_kwargs,
-                            mem_budget, workdir,
+                            run.memory_budget, run.workdir,
                         ),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
-                consume=_absorb_profile,
+                backend=backend,
             )
             site_rngs = [r.rng for r in round1]
 
-            with network.coordinator.timer.measure("allocation"), tracer.span("allocation"):
+            with network.coordinator.timer.measure("allocation"), run.tracer.span("allocation"):
+                marginals = [
+                    network.coordinator.messages_from(i, "cost_profile")[0].payload.marginals()
+                    for i in range(network.n_sites)
+                ]
                 budget = int(math.floor(rho * t))
                 allocation = allocate_outlier_budget(marginals, budget)
 
@@ -271,9 +194,7 @@ def distributed_partial_median_no_shipping(
                     )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
+                backend=backend,
             )
             summaries = [
                 network.coordinator.messages_from(i, "local_solution")[0].payload
@@ -285,7 +206,7 @@ def distributed_partial_median_no_shipping(
                 network.sites, ("t_i", "combined_4k", "cost_storage")
             )
 
-        with network.coordinator.timer.measure("final_solve"), tracer.span("final_solve"):
+        with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
                 metric,
                 summaries,
@@ -297,9 +218,9 @@ def distributed_partial_median_no_shipping(
                 rng=generator,
                 realize=True,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
-                memory_budget=mem_budget,
-                prefetch=prefetch,
-                workdir=workdir,
+                memory_budget=run.memory_budget,
+                prefetch=run.prefetch,
+                workdir=run.workdir,
             )
 
         total_preclustering_ignored = int(sum(s["t_i"] for s in site_meta))
@@ -315,7 +236,7 @@ def distributed_partial_median_no_shipping(
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=run.trace,
             metadata={
                 "algorithm": "algorithm1_no_shipping",
                 "epsilon": float(epsilon),
@@ -327,12 +248,10 @@ def distributed_partial_median_no_shipping(
                 "exceptional_site": allocation.exceptional_site,
                 "exceptional_combined_4k": [bool(s["combined_4k"]) for s in site_meta],
                 "n_coordinator_demands": int(combine.demand_points.size),
-                "memory_budget": mem_budget,
+                "memory_budget": run.memory_budget,
                 "cost_matrix_storage": [s["cost_storage"] for s in site_meta],
-                "async_rounds": bool(async_rounds),
             },
         )
-
 
 
 __all__ = ["distributed_partial_median_no_shipping", "combine_two_solutions"]

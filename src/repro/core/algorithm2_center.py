@@ -25,32 +25,19 @@ bit-identically on any :mod:`repro.runtime` execution backend.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
 from repro.core.combine import PreclusterSummary, combine_preclusters
 from repro.core.preclustering import precluster_site_center
+from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    MemoryBudgetLike,
-    argmin_per_row,
-    resolve_memory_budget,
-    shard_scratch,
-)
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
+from repro.metrics.blocked import argmin_per_row
 from repro.runtime.tasks import SiteTask, run_site_tasks
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
@@ -126,14 +113,7 @@ def distributed_partial_center(
     rng: RngLike = None,
     coordinator_solver_kwargs: Optional[dict] = None,
     realize: bool = True,
-    backend: BackendLike = None,
-    transport: TransportLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **options: Any,
 ) -> DistributedResult:
     """Run Algorithm 2 on a distributed instance with the center objective.
 
@@ -151,45 +131,12 @@ def distributed_partial_center(
         :func:`repro.sequential.kcenter_outliers.kcenter_with_outliers`.
     realize:
         Also produce a full per-point assignment (output step, uncharged).
-    backend, transport:
-        Execution backend and transport policy for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  On the
-        cluster backend the Gonzalez traversal stays runner-resident
-        between rounds as mutable site state (digest/epoch-token wire
-        protocol, see :mod:`repro.runtime.state`).
-    memory_budget:
-        Byte cap on any single distance block a party materialises (the
-        traversal sweeps, the nearest-candidate attachment and the
-        coordinator's weighted solve all run blocked); ``None`` keeps the
-        dense behaviour and the result is bit-identical for every setting.
-    prefetch:
-        Double-buffered background tile prefetch for memmap-backed blocks
-        (``None`` = auto: on exactly when a matrix streams from disk);
-        never changes the result.
-    async_rounds:
-        Stream the round joins (the coordinator absorbs each completed
-        site's witness curve while others still compute); never changes
-        the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+    options:
+        Run options, documented once on :func:`repro.core.run.protocol_run`.
+        On the cluster backend the Gonzalez traversal stays on the site's
+        runner between rounds; under a memory budget the traversal sweeps,
+        the nearest-candidate attachment and the coordinator's weighted
+        solve all run blocked.
     """
     if instance.objective != "center":
         raise ValueError("distributed_partial_center requires a center-objective instance")
@@ -202,52 +149,34 @@ def distributed_partial_center(
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, network.n_sites)
-    policy = resolve_transport(transport)
-    mem_budget = resolve_memory_budget(memory_budget)
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
-    network.tracer = tracer if tracer.enabled else None
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm2_center", objective="center"
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
+    with protocol_run("algorithm2_center", "center", **options) as run:
+        network.tracer = run.trace
+        with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1: Gonzalez traversals and witness curves.
             # --------------------------------------------------------------
             network.next_round()
-            marginals: list = [None] * network.n_sites
-
-            def _absorb_curve(result):
-                with network.coordinator.timer.measure("allocation"), tracer.span(
-                    "allocation", site=result.site_id
-                ):
-                    curve = network.coordinator.messages_from(
-                        result.site_id, "witness_curve"
-                    )[0].payload
-                    marginals[result.site_id] = curve.marginals_from_grid(t)
-
             round1 = run_site_tasks(
                 network,
                 [
-                    SiteTask(i, _round1_center_task, args=(k, t, rho, mem_budget), rng=site_rngs[i])
+                    SiteTask(
+                        i, _round1_center_task,
+                        args=(k, t, rho, run.memory_budget),
+                        rng=site_rngs[i],
+                    )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
-                consume=_absorb_curve,
+                backend=backend,
             )
             site_rngs = [r.rng for r in round1]
 
-            with network.coordinator.timer.measure("allocation"), tracer.span("allocation"):
+            with network.coordinator.timer.measure("allocation"), run.tracer.span("allocation"):
+                marginals = [
+                    network.coordinator.messages_from(i, "witness_curve")[0]
+                    .payload.marginals_from_grid(t)
+                    for i in range(network.n_sites)
+                ]
                 budget = int(math.floor(rho * t))
                 allocation = allocate_outlier_budget(marginals, budget)
 
@@ -268,21 +197,19 @@ def distributed_partial_center(
                 [
                     SiteTask(
                         i, _round2_center_task,
-                        args=(k, words_per_point, mem_budget, prefetch),
+                        args=(k, words_per_point, run.memory_budget, run.prefetch),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)
                 ],
-                backend=exec_backend,
-                transport=policy,
-                async_rounds=async_rounds,
+                backend=backend,
             )
             summaries = [
                 network.coordinator.messages_from(i, "local_solution")[0].payload
                 for i in range(network.n_sites)
             ]
 
-        with network.coordinator.timer.measure("final_solve"), tracer.span("final_solve"):
+        with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
                 metric,
                 summaries,
@@ -292,12 +219,12 @@ def distributed_partial_center(
                 rng=generator,
                 realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
-                memory_budget=mem_budget,
-                prefetch=prefetch,
-                workdir=workdir,
+                memory_budget=run.memory_budget,
+                prefetch=run.prefetch,
+                workdir=run.workdir,
             )
 
-        result = DistributedResult(
+        return DistributedResult(
             centers=combine.centers_global,
             outlier_budget=float(t),
             objective="center",
@@ -308,7 +235,7 @@ def distributed_partial_center(
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=run.trace,
             metadata={
                 "algorithm": "algorithm2_center",
                 "rho": float(rho),
@@ -317,12 +244,9 @@ def distributed_partial_center(
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),
                 "realized_assignment": combine.realized_assignment,
-                "memory_budget": mem_budget,
-                "async_rounds": bool(async_rounds),
+                "memory_budget": run.memory_budget,
             },
         )
-        return result
-
 
 
 __all__ = ["distributed_partial_center"]

@@ -21,30 +21,17 @@ order, keeping results and ledger word counts backend-invariant.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
 from repro.core.preclustering import precluster_site
+from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
 from repro.distributed.messages import CommunicationLedger, Message, COORDINATOR
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    MemoryBudgetLike,
-    materialize,
-    memmap_handle,
-    resolve_memory_budget,
-    shard_scratch,
-)
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
+from repro.metrics.blocked import materialize, memmap_handle
 from repro.runtime.tasks import run_tasks
 from repro.sequential.bicriteria import bicriteria_solve
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
@@ -185,13 +172,7 @@ def distributed_uncertain_clustering(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-median/means/center-pp (Theorem 5.6).
 
@@ -203,45 +184,11 @@ def distributed_uncertain_clustering(
         (interpreted as center-pp).
     epsilon, rho, local_center_factor:
         As in :func:`repro.core.algorithm1.distributed_partial_median`.
-    backend:
-        Execution backend for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  This
-        protocol manages its own coordinator-held per-site dicts through
-        structure-free :func:`~repro.runtime.run_tasks` payloads, so the
-        cluster backend's runner-resident *site* state
-        (:mod:`repro.runtime.state`) does not apply — its round payloads
-        are re-shipped per task, which the wire ledger reports honestly.
-    memory_budget:
-        Byte cap on any single compressed-cost block; site matrices larger
-        than the budget stream from disk shards (bit-identical results for
-        every setting).
-    prefetch:
-        Background tile prefetch knob for memmap-backed cost blocks
-        (``None`` = auto); never changes the result.
-    async_rounds:
-        Stream the round joins — the coordinator absorbs each completed
-        site's profile/summary (and its allocation marginals) while later
-        sites still compute; never changes the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+    options:
+        Run options, documented once on :func:`repro.core.run.protocol_run`.
+        The coordinator holds the per-site state and re-ships it with each
+        round's payload, so the cluster backend's runner-resident site state
+        does not apply here; the wire ledger reports that traffic honestly.
 
     Returns
     -------
@@ -263,48 +210,18 @@ def distributed_uncertain_clustering(
     s = instance.n_sites
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, s)
-    local_kwargs = dict(local_solver_kwargs or {})
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
-
     ledger = CommunicationLedger()
     site_timers = [Timer() for _ in range(s)]
     coord_timer = Timer()
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm3_uncertain", objective=objective
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
+    with protocol_run("algorithm3_uncertain", objective, **options) as run:
+        local_kwargs = run.local_kwargs(local_solver_kwargs)
+        mem_budget = run.memory_budget
+        with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1: collapse + compressed-graph preclustering profiles.
             # --------------------------------------------------------------
-            site_state: List[dict] = [None] * s
-            marginals: List = [None] * s
-
-            def _absorb_round1(i, out):
-                # Merged in site order; under async_rounds this runs while
-                # later sites still collapse/precluster.
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                profile = out["state"]["precluster"].profile
-                ledger.record(Message(i, COORDINATOR, 1, "cost_profile", profile.words, profile))
-                with coord_timer.measure("allocation"), tracer.span("allocation", site=i):
-                    marginals[i] = profile.marginals()
-
-            run_tasks(
+            round1 = run_tasks(
                 _uncertain_round1,
                 [
                     {
@@ -318,19 +235,25 @@ def distributed_uncertain_clustering(
                         "local_kwargs": local_kwargs,
                         "rng": site_rngs[i],
                         "memory_budget": mem_budget,
-                        "workdir": workdir,
+                        "workdir": run.workdir,
                     }
                     for i in range(s)
                 ],
-                backend=exec_backend,
+                backend=backend,
                 ledger=ledger,
                 round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_round1,
-                tracer=tracer,
+                tracer=run.tracer,
             )
+            site_state: List[dict] = []
+            for i, out in enumerate(round1):
+                site_state.append(out["state"])
+                site_timers[i].merge(out["timer"])
+                site_rngs[i] = out["rng"]
+                profile = out["state"]["precluster"].profile
+                ledger.record(Message(i, COORDINATOR, 1, "cost_profile", profile.words, profile))
 
-            with coord_timer.measure("allocation"), tracer.span("allocation"):
+            with coord_timer.measure("allocation"), run.tracer.span("allocation"):
+                marginals = [st["precluster"].profile.marginals() for st in site_state]
                 budget = int(math.floor(rho * t))
                 allocation = allocate_outlier_budget(marginals, budget)
 
@@ -341,22 +264,7 @@ def distributed_uncertain_clustering(
                 ledger.record(
                     Message(COORDINATOR, i, 2, "allocation", 3, {"t_i": int(allocation.t_allocated[i])})
                 )
-            demand_anchor: List[int] = []      # ground point each coordinator demand sits at
-            demand_offset: List[float] = []    # additive collapse offset of the demand
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []    # (site, kind, payload) for mapping back
-
-            def _absorb_round2(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_offset.extend(out["demand_offset"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
-
-            run_tasks(
+            round2 = run_tasks(
                 _uncertain_round2,
                 [
                     {
@@ -370,18 +278,29 @@ def distributed_uncertain_clustering(
                     }
                     for i in range(s)
                 ],
-                backend=exec_backend,
+                backend=backend,
                 ledger=ledger,
                 round_index=2,
-                async_rounds=async_rounds,
-                consume=_absorb_round2,
-                tracer=tracer,
+                tracer=run.tracer,
             )
+            demand_anchor: List[int] = []      # ground point each coordinator demand sits at
+            demand_offset: List[float] = []    # additive collapse offset of the demand
+            demand_weight: List[float] = []
+            demand_origin: List[tuple] = []    # (site, kind, payload) for mapping back
+            for i, out in enumerate(round2):
+                site_state[i] = out["state"]
+                site_timers[i].merge(out["timer"])
+                site_rngs[i] = out["rng"]
+                demand_anchor.extend(out["demand_anchor"])
+                demand_offset.extend(out["demand_offset"])
+                demand_weight.extend(out["demand_weight"])
+                demand_origin.extend(out["demand_origin"])
+                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
 
         # ------------------------------------------------------------------
         # Coordinator: weighted clustering on the received compressed summary.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), tracer.span("final_solve"):
+        with coord_timer.measure("final_solve"), run.tracer.span("final_solve"):
             demand_anchor_arr = np.asarray(demand_anchor, dtype=int)
             demand_offset_arr = np.asarray(demand_offset, dtype=float)
             demand_weight_arr = np.asarray(demand_weight, dtype=float)
@@ -395,14 +314,14 @@ def distributed_uncertain_clustering(
                     + demand_offset_arr[rs][:, None]
                 ),
                 memory_budget=mem_budget,
-                workdir=workdir,
+                workdir=run.workdir,
             )
 
             coordinator_kwargs = dict(coordinator_solver_kwargs or {})
             if objective == "center":
                 coordinator_solution = kcenter_with_outliers(
                     cost_matrix, k, t, weights=demand_weight_arr,
-                    memory_budget=mem_budget, prefetch=prefetch, **coordinator_kwargs
+                    memory_budget=mem_budget, prefetch=run.prefetch, **coordinator_kwargs
                 )
                 outlier_budget = float(t)
             else:
@@ -416,7 +335,7 @@ def distributed_uncertain_clustering(
                     weights=demand_weight_arr,
                     rng=generator,
                     memory_budget=mem_budget,
-                    prefetch=prefetch,
+                    prefetch=run.prefetch,
                     **coordinator_kwargs,
                 )
                 outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
@@ -469,7 +388,7 @@ def distributed_uncertain_clustering(
             site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
             coordinator_time=float(sum(coord_timer.totals.values())),
             coordinator_solution=coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=run.trace,
             metadata={
                 "algorithm": "algorithm3_uncertain",
                 "epsilon": float(epsilon),
@@ -481,10 +400,8 @@ def distributed_uncertain_clustering(
                 "collapse_cost_total": float(sum(float(st["collapse"].sum()) for st in site_state)),
                 "memory_budget": mem_budget,
                 "cost_matrix_storage": [st.get("cost_storage") for st in site_state],
-                "async_rounds": bool(async_rounds),
             },
         )
-
 
 
 __all__ = ["distributed_uncertain_clustering"]

@@ -6,11 +6,15 @@ cloud (or an :class:`repro.uncertain.UncertainInstance`), the budgets
 partitioning the data and running the appropriate distributed protocol.
 Everything they do can also be done explicitly through the lower-level
 modules (see ``examples/``).
+
+Every driver forwards its extra keyword arguments unchanged to the protocol
+driver it wraps: that driver's own algorithm parameters, and the run
+options documented once on :func:`repro.core.run.protocol_run`.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Any, Sequence, Union
 
 import numpy as np
 
@@ -25,11 +29,7 @@ from repro.distributed.partition import (
     partition_round_robin,
 )
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import MemoryBudgetLike
 from repro.metrics.euclidean import EuclideanMetric
-from repro.obs.live import TelemetryLike
-from repro.obs.trace import TraceLike
-from repro.runtime.backends import BackendLike
 from repro.uncertain.instance import UncertainInstance
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -80,14 +80,7 @@ def partial_kmedian(
     rho: float = 2.0,
     partition: Union[str, Sequence, callable] = "balanced",
     seed: RngLike = None,
-    backend: BackendLike = "serial",
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Union[None, bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
-    **kwargs,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed ``(k, (1+eps)t)``-median over a Euclidean point cloud.
 
@@ -106,75 +99,15 @@ def partial_kmedian(
         explicit list of index arrays, or a callable ``(n, s, rng) -> shards``.
     seed:
         Seed or generator for reproducibility.
-    backend:
-        Execution backend for site-local computation: ``"serial"``
-        (default), ``"thread"``, ``"process"``, ``"cluster"`` — one
-        long-lived runner process per host, payloads shipped over real
-        sockets, the ledger reporting wire bytes next to the semantic words
-        — any of those with a worker count (``"thread:4"``,
-        ``"cluster:3"``), or an
-        :class:`~repro.runtime.backends.ExecutionBackend` instance.  On
-        the cluster backend everything that lives at a site stays on its
-        runner between rounds — the shard, the metric, *and* the mutable
-        round state (only digests and epoch tokens cross the wire; see
-        :mod:`repro.runtime.state`).  The result is bit-identical across
-        backends for a fixed seed.
-    memory_budget:
-        Byte cap (int or ``"64MB"``-style string) on any single distance or
-        cost block a party materialises.  Site-local ``n_i x n_i`` cost
-        matrices larger than the budget stream from disk-backed shards
-        instead of RAM, so instances whose dense matrices would blow the
-        budget still run — with bit-identical centers, cost and ledger word
-        counts for every setting.  ``None`` (default) keeps the dense path.
-    prefetch:
-        Double-buffered background tile prefetch for disk-backed cost
-        matrices: ``None`` (default — auto: on exactly when a matrix
-        streams from a memmap shard), ``True`` or ``False``.  Purely a
-        wall-clock knob; results are bit-identical either way.
-    async_rounds:
-        Stream the round joins: the coordinator consumes each completed
-        site (allocation marginals, ledger charges) while the remaining
-        sites still compute, overlapping site compute with coordinator
-        allocation.  Purely a wall-clock knob; never changes any result.
-    trace:
-        ``True`` records the run end to end — spans for rounds, site tasks
-        and wire round-trips, plus cache/prefetch/byte counters — on a
-        :class:`~repro.obs.trace.Tracer` attached to the result as
-        ``result.trace`` (render it with
-        :func:`repro.obs.render_round_report` or export with
-        :func:`repro.obs.write_chrome_trace`).  ``False`` (default) adds
-        no per-task work and leaves every result bit-identical.
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` making the cluster
-        backend fault tolerant: when a runner process dies mid-round (crash
-        or heartbeat timeout), its sites are re-pinned deterministically to
-        surviving hosts, their dispatch logs are replayed (state epochs and
-        RNG streams carried over, replay verified against the state
-        digests) and the run completes bit-identically to a failure-free
-        run — only the wire ledger shows the extra ``replay_*`` bytes and a
-        recovery event.  ``None`` (default) keeps fail-fast behaviour: the
-        first runner death raises
-        :class:`~repro.cluster.recovery.DeadHostError`.  In-process
-        backends have no hosts to lose and ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` runs the
-        live-telemetry plane next to the run: coordinator and runner
-        resource sampling (runner samples ride heartbeat frames, accounted
-        under the ``hb`` wire kind), mid-run Prometheus/JSONL metric
-        snapshots, structured span-correlated logs, and an optional
-        run-history store (see :mod:`repro.obs.history`).  ``False``
-        (default) is the zero-allocation null object; results are
-        bit-identical either way.
-    kwargs:
-        Forwarded to :func:`repro.core.algorithm1.distributed_partial_median`
-        (e.g. ``transport=`` for a runtime transport policy).
+    options:
+        Forwarded to :func:`repro.core.algorithm1.distributed_partial_median`:
+        its algorithm parameters (``relax=``, ``local_solver_kwargs=``, ...)
+        and the run options of :func:`repro.core.run.protocol_run`.
     """
     generator = ensure_rng(seed)
     instance = _deterministic_instance(points, k, t, n_sites, "median", partition, generator)
     return distributed_partial_median(
-        instance, epsilon=epsilon, rho=rho, rng=generator, backend=backend,
-        memory_budget=memory_budget, prefetch=prefetch, async_rounds=async_rounds,
-        trace=trace, retry=retry, telemetry=telemetry, **kwargs
+        instance, epsilon=epsilon, rho=rho, rng=generator, **options
     )
 
 
@@ -188,14 +121,7 @@ def partial_kmeans(
     rho: float = 2.0,
     partition: Union[str, Sequence, callable] = "balanced",
     seed: RngLike = None,
-    backend: BackendLike = "serial",
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Union[None, bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
-    **kwargs,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed ``(k, (1+eps)t)``-means over a Euclidean point cloud.
 
@@ -205,9 +131,7 @@ def partial_kmeans(
     generator = ensure_rng(seed)
     instance = _deterministic_instance(points, k, t, n_sites, "means", partition, generator)
     return distributed_partial_median(
-        instance, epsilon=epsilon, rho=rho, rng=generator, backend=backend,
-        memory_budget=memory_budget, prefetch=prefetch, async_rounds=async_rounds,
-        trace=trace, retry=retry, telemetry=telemetry, **kwargs
+        instance, epsilon=epsilon, rho=rho, rng=generator, **options
     )
 
 
@@ -220,28 +144,16 @@ def partial_kcenter(
     rho: float = 2.0,
     partition: Union[str, Sequence, callable] = "balanced",
     seed: RngLike = None,
-    backend: BackendLike = "serial",
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Union[None, bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
-    **kwargs,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed ``(k, t)``-center over a Euclidean point cloud (Algorithm 2).
 
-    ``memory_budget`` bounds any single distance block a party materialises
-    and ``async_rounds`` streams the round joins (see
-    :func:`partial_kmedian`); results are bit-identical for every setting.
+    Same interface as :func:`partial_kmedian`; ``options`` go to
+    :func:`repro.core.algorithm2_center.distributed_partial_center`.
     """
     generator = ensure_rng(seed)
     instance = _deterministic_instance(points, k, t, n_sites, "center", partition, generator)
-    return distributed_partial_center(
-        instance, rho=rho, rng=generator, backend=backend,
-        memory_budget=memory_budget, prefetch=prefetch, async_rounds=async_rounds,
-        trace=trace, retry=retry, telemetry=telemetry, **kwargs
-    )
+    return distributed_partial_center(instance, rho=rho, rng=generator, **options)
 
 
 def _node_partition(n_nodes: int, n_sites: int, partition, rng) -> list:
@@ -259,14 +171,7 @@ def uncertain_partial_kmedian(
     rho: float = 2.0,
     partition: Union[str, Sequence, callable] = "balanced",
     seed: RngLike = None,
-    backend: BackendLike = "serial",
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Union[None, bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
-    **kwargs,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-median/means/center-pp (Algorithm 3).
 
@@ -276,22 +181,16 @@ def uncertain_partial_kmedian(
         The uncertain input (ground metric + node distributions).
     objective:
         ``"median"`` (default), ``"means"`` or ``"center"`` (center-pp).
-    backend:
-        Execution backend for site-local computation (see :func:`partial_kmedian`).
-    memory_budget:
-        Byte cap on any single compressed-cost block (see
-        :func:`partial_kmedian`); bit-identical results for every setting.
-    async_rounds:
-        Stream the round joins (see :func:`partial_kmedian`); never changes
-        the result.
+    options:
+        Forwarded to
+        :func:`repro.core.algorithm3_uncertain.distributed_uncertain_clustering`;
+        the other parameters are as in :func:`partial_kmedian`.
     """
     generator = ensure_rng(seed)
     shards = _node_partition(instance.n_nodes, n_sites, partition, generator)
     dist_instance = UncertainDistributedInstance.from_partition(instance, shards, k, t, objective)
     return distributed_uncertain_clustering(
-        dist_instance, epsilon=epsilon, rho=rho, rng=generator, backend=backend,
-        memory_budget=memory_budget, prefetch=prefetch, async_rounds=async_rounds,
-        trace=trace, retry=retry, telemetry=telemetry, **kwargs
+        dist_instance, epsilon=epsilon, rho=rho, rng=generator, **options
     )
 
 
@@ -305,28 +204,18 @@ def uncertain_partial_kcenter_g(
     rho: float = 2.0,
     partition: Union[str, Sequence, callable] = "balanced",
     seed: RngLike = None,
-    backend: BackendLike = "serial",
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Union[None, bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
-    **kwargs,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-center-g (Algorithm 4).
 
-    ``memory_budget`` bounds any single distance/cost block a party
-    materialises and ``async_rounds`` streams the round joins (see
-    :func:`partial_kmedian`); bit-identical results for every setting.
+    Same interface as :func:`uncertain_partial_kmedian`; ``options`` go to
+    :func:`repro.core.center_g.distributed_uncertain_center_g`.
     """
     generator = ensure_rng(seed)
     shards = _node_partition(instance.n_nodes, n_sites, partition, generator)
     dist_instance = UncertainDistributedInstance.from_partition(instance, shards, k, t, "center-g")
     return distributed_uncertain_center_g(
-        dist_instance, epsilon=epsilon, rho=rho, rng=generator, backend=backend,
-        memory_budget=memory_budget, prefetch=prefetch, async_rounds=async_rounds,
-        trace=trace, retry=retry, telemetry=telemetry, **kwargs
+        dist_instance, epsilon=epsilon, rho=rho, rng=generator, **options
     )
 
 

@@ -28,31 +28,18 @@ backends pay off most.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
 from repro.core.preclustering import precluster_site
+from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
 from repro.distributed.messages import COORDINATOR, CommunicationLedger, Message
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import (
-    DEFAULT_REDUCTION_BUDGET,
-    MemoryBudgetLike,
-    materialize_rows,
-    resolve_memory_budget,
-    shard_scratch,
-)
+from repro.metrics.blocked import DEFAULT_REDUCTION_BUDGET, materialize_rows
 from repro.metrics.plan import ReductionPlan
-from repro.obs.live import TelemetryLike, resolve_telemetry, telemetry_scope
-from repro.obs.trace import TraceLike, resolve_tracer, trace_run
-from repro.runtime.backends import (
-    BackendLike,
-    apply_retry_policy,
-    apply_telemetry,
-    backend_scope,
-)
 from repro.runtime.tasks import run_tasks
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -232,13 +219,7 @@ def distributed_uncertain_center_g(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    backend: BackendLike = None,
-    memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
-    async_rounds: bool = False,
-    trace: TraceLike = False,
-    retry: Optional["RetryPolicy"] = None,
-    telemetry: TelemetryLike = False,
+    **options: Any,
 ) -> DistributedResult:
     """Distributed uncertain ``(k, (1+eps)t)``-center-g (Theorem 5.14).
 
@@ -256,48 +237,11 @@ def distributed_uncertain_center_g(
     cost_budget_factor:
         The constant in the stopping rule ``sum_i Csol <= factor * tau``
         (``12`` in Lemma 5.10).
-    backend:
-        Execution backend for the per-site phases (see
-        :mod:`repro.runtime`); the result is backend-invariant.  The
-        per-``tau`` sweeps go through structure-free
-        :func:`~repro.runtime.run_tasks` payloads; on the cluster backend
-        the repeated components (shards, collapse matrices, round-1 state)
-        ship once as content-addressed digests
-        (:mod:`repro.cluster.payloads`) and the frames travel compressed
-        under the wire codec policy, so the wire ledger now prices this
-        protocol within the same bytes-per-word band as the others.
-    memory_budget:
-        Byte cap on any single distance/cost block (distance extremes, the
-        per-``tau`` sweep matrices and the coordinator solve all run
-        blocked, spilling to disk shards beyond the budget); results are
-        bit-identical for every setting.
-    prefetch:
-        Background tile prefetch knob for memmap-backed cost blocks
-        (``None`` = auto); never changes the result.
-    async_rounds:
-        Stream the round joins — the coordinator absorbs each completed
-        site's extremes / per-``tau`` profiles / summaries while later
-        sites still compute; never changes the result.
-    trace:
-        ``True`` attaches a :class:`~repro.obs.trace.Tracer` to the result
-        (``result.trace``) recording the run's spans, events and counters;
-        ``False`` (default) is the zero-overhead no-op (see :mod:`repro.obs`).
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` enabling
-        fault-tolerant rounds on the cluster backend (runner deaths are
-        recovered by deterministic re-pin and dispatch-log replay, results
-        stay bit-identical); ``None`` (default) keeps fail-fast behaviour
-        and in-process backends ignore the policy.
-    telemetry:
-        ``True`` or a :class:`~repro.obs.live.TelemetrySession` turns on the
-        live-telemetry plane for this run: background resource sampling on
-        the coordinator and (on the cluster backend, over heartbeat frames)
-        every runner, mid-run metric snapshots to the session's
-        Prometheus/JSONL sinks, and structured span-correlated logs in the
-        session's run log.  Telemetry implies tracing — an untraced run
-        gets a session-private tracer.  ``False`` (default) resolves to the
-        shared inert :data:`~repro.obs.live.NULL_TELEMETRY` — zero per-task
-        allocation, results bit-identical either way.
+    options:
+        Run options, documented once on :func:`repro.core.run.protocol_run`.
+        On the cluster backend the components each per-``tau`` round repeats
+        (shards, collapse matrices, round-1 state) ship once as
+        content-addressed digests (:mod:`repro.cluster.payloads`).
     """
     if epsilon <= 0 or rho <= 1:
         raise ValueError("epsilon must be positive and rho > 1")
@@ -308,74 +252,44 @@ def distributed_uncertain_center_g(
     s = instance.n_sites
     generator = ensure_rng(rng)
     site_rngs = spawn_rngs(generator, s)
-    local_kwargs = dict(local_solver_kwargs or {})
-    mem_budget = resolve_memory_budget(memory_budget)
-    if mem_budget is not None:
-        local_kwargs.setdefault("memory_budget", mem_budget)
-    if prefetch is not None:
-        local_kwargs.setdefault("prefetch", prefetch)
-
     ledger = CommunicationLedger()
     site_timers = [Timer() for _ in range(s)]
     coord_timer = Timer()
-    tracer = resolve_tracer(trace)
-    telemetry_session = resolve_telemetry(telemetry)
-    if telemetry_session.enabled:
-        # Telemetry implies tracing: gauges and samples live on a tracer.
-        tracer = telemetry_session.adopt_tracer(tracer)
 
-    with shard_scratch(mem_budget) as workdir, telemetry_scope(
-        telemetry_session
-    ), trace_run(
-        tracer, "run", algorithm="algorithm4_center_g", objective="center-g"
-    ):
-        with backend_scope(backend) as exec_backend:
-            apply_retry_policy(exec_backend, retry)
-            apply_telemetry(exec_backend, telemetry_session)
+    with protocol_run("algorithm4_center_g", "center-g", **options) as run:
+        local_kwargs = run.local_kwargs(local_solver_kwargs)
+        mem_budget = run.memory_budget
+        with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1a: every party reports its local distance extremes (O(s) words).
             # --------------------------------------------------------------
-            local_extremes: List[tuple] = [None] * s
-
-            def _absorb_extremes(i, out):
-                site_timers[i].merge(out["timer"])
-                local_extremes[i] = out["extremes"]
-                ledger.record(Message(i, COORDINATOR, 1, "extremes", 2, out["extremes"]))
-
-            run_tasks(
+            extremes = run_tasks(
                 _extremes_task,
                 [
                     {
                         "uncertain": uncertain,
                         "shard": instance.shard(i),
                         "memory_budget": mem_budget,
-                        "prefetch": prefetch,
+                        "prefetch": run.prefetch,
                     }
                     for i in range(s)
                 ],
-                backend=exec_backend,
+                backend=backend,
                 ledger=ledger,
                 round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_extremes,
-                tracer=tracer,
+                tracer=run.tracer,
             )
-            d_min = min(e[0] for e in local_extremes if e[0] > 0)
-            d_max = max(e[1] for e in local_extremes)
+            for i, out in enumerate(extremes):
+                site_timers[i].merge(out["timer"])
+                ledger.record(Message(i, COORDINATOR, 1, "extremes", 2, out["extremes"]))
+            d_min = min(out["extremes"][0] for out in extremes if out["extremes"][0] > 0)
+            d_max = max(out["extremes"][1] for out in extremes)
             taus = truncation_grid(d_min, d_max, base=tau_base)
 
             # --------------------------------------------------------------
             # Round 1b: per-tau compressed preclustering profiles.
             # --------------------------------------------------------------
-            site_state: List[dict] = [None] * s
-
-            def _absorb_sweep(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                ledger.record(Message(i, COORDINATOR, 1, "tau_profiles", out["words"], out["profiles"]))
-
-            run_tasks(
+            sweeps = run_tasks(
                 _tau_sweep_task,
                 [
                     {
@@ -389,20 +303,24 @@ def distributed_uncertain_center_g(
                         "local_kwargs": local_kwargs,
                         "rng": site_rngs[i],
                         "memory_budget": mem_budget,
-                        "workdir": workdir,
+                        "workdir": run.workdir,
                     }
                     for i in range(s)
                 ],
-                backend=exec_backend,
+                backend=backend,
                 ledger=ledger,
                 round_index=1,
-                async_rounds=async_rounds,
-                consume=_absorb_sweep,
-                tracer=tracer,
+                tracer=run.tracer,
             )
+            site_state: List[dict] = []
+            for i, out in enumerate(sweeps):
+                site_state.append(out["state"])
+                site_timers[i].merge(out["timer"])
+                site_rngs[i] = out["rng"]
+                ledger.record(Message(i, COORDINATOR, 1, "tau_profiles", out["words"], out["profiles"]))
 
             # Coordinator: parametric search for tau_hat (Algorithm 4, line 6).
-            with coord_timer.measure("tau_search"), tracer.span("tau_search"):
+            with coord_timer.measure("tau_search"), run.tracer.span("tau_search"):
                 budget = int(math.floor(rho * t))
                 tau_hat = float(taus[-1])
                 allocation_hat = None
@@ -429,24 +347,7 @@ def distributed_uncertain_center_g(
                     Message(COORDINATOR, i, 2, "allocation", 2,
                             {"tau": tau_hat, "t_i": int(allocation_hat.t_allocated[i])})
                 )
-            demand_anchor: List[int] = []
-            demand_node: List[Optional[int]] = []   # global node id when the demand is a shipped node
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []
-            facility_candidates: List[np.ndarray] = []
-
-            def _absorb_round2(i, out):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_node.extend(out["demand_node"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                facility_candidates.extend(out["facility_candidates"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
-
-            run_tasks(
+            round2 = run_tasks(
                 _center_g_round2,
                 [
                     {
@@ -460,22 +361,35 @@ def distributed_uncertain_center_g(
                         "local_kwargs": local_kwargs,
                         "rng": site_rngs[i],
                         "memory_budget": mem_budget,
-                        "workdir": workdir,
+                        "workdir": run.workdir,
                     }
                     for i in range(s)
                 ],
-                backend=exec_backend,
+                backend=backend,
                 ledger=ledger,
                 round_index=2,
-                async_rounds=async_rounds,
-                consume=_absorb_round2,
-                tracer=tracer,
+                tracer=run.tracer,
             )
+            demand_anchor: List[int] = []
+            demand_node: List[Optional[int]] = []   # global node id when the demand is a shipped node
+            demand_weight: List[float] = []
+            demand_origin: List[tuple] = []
+            facility_candidates: List[np.ndarray] = []
+            for i, out in enumerate(round2):
+                site_state[i] = out["state"]
+                site_timers[i].merge(out["timer"])
+                site_rngs[i] = out["rng"]
+                demand_anchor.extend(out["demand_anchor"])
+                demand_node.extend(out["demand_node"])
+                demand_weight.extend(out["demand_weight"])
+                demand_origin.extend(out["demand_origin"])
+                facility_candidates.extend(out["facility_candidates"])
+                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
 
         # ------------------------------------------------------------------
         # Coordinator: weighted (k, (1+eps)t)-center over what it received.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), tracer.span("final_solve"):
+        with coord_timer.measure("final_solve"), run.tracer.span("final_solve"):
             facility_points = np.unique(np.concatenate(facility_candidates))
             n_demands = len(demand_anchor)
 
@@ -494,13 +408,13 @@ def distributed_uncertain_center_g(
             # when the matrix exceeds the budget.
             cost_matrix = materialize_rows(
                 _demand_rows, n_demands, facility_points.size,
-                memory_budget=mem_budget, workdir=workdir,
+                memory_budget=mem_budget, workdir=run.workdir,
             )
             weights_arr = np.asarray(demand_weight, dtype=float)
             outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
             coordinator_solution = kcenter_with_outliers(
                 cost_matrix, k, outlier_budget, weights=weights_arr,
-                memory_budget=mem_budget, prefetch=prefetch,
+                memory_budget=mem_budget, prefetch=run.prefetch,
                 **dict(coordinator_solver_kwargs or {}),
             )
             centers_global = facility_points[coordinator_solution.centers]
@@ -547,7 +461,7 @@ def distributed_uncertain_center_g(
             site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
             coordinator_time=float(sum(coord_timer.totals.values())),
             coordinator_solution=coordinator_solution,
-            trace=tracer if tracer.enabled else None,
+            trace=run.trace,
             metadata={
                 "algorithm": "algorithm4_center_g",
                 "epsilon": float(epsilon),
@@ -561,10 +475,8 @@ def distributed_uncertain_center_g(
                 "node_assignment": node_assignment,
                 "n_coordinator_demands": int(n_demands),
                 "memory_budget": mem_budget,
-                "async_rounds": bool(async_rounds),
             },
         )
-
 
 
 __all__ = ["distributed_uncertain_center_g", "truncation_grid"]

@@ -445,16 +445,17 @@ def resolve_telemetry(telemetry: TelemetryLike) -> Any:
     """Resolve a ``telemetry=`` knob to a session.
 
     ``False``/``None`` → the shared :data:`NULL_TELEMETRY`; ``True`` → a
-    fresh default :class:`TelemetrySession`; an existing session (anything
-    with an ``enabled`` attribute) passes through.  Mirrors
-    :func:`~repro.obs.trace.resolve_tracer` exactly, including the
-    ``TypeError`` on unrecognised values.
+    fresh default :class:`TelemetrySession`; an existing
+    :class:`TelemetrySession`/:class:`NullTelemetry` passes through.
+    Mirrors :func:`~repro.obs.trace.resolve_tracer` exactly, including the
+    ``TypeError`` on anything else (a :class:`~repro.obs.trace.Tracer`
+    belongs on ``trace=``).
     """
     if telemetry is None or telemetry is False:
         return NULL_TELEMETRY
     if telemetry is True:
         return TelemetrySession()
-    if hasattr(telemetry, "enabled"):
+    if isinstance(telemetry, (TelemetrySession, NullTelemetry)):
         return telemetry
     raise TypeError(
         f"telemetry= expects bool, None, or a TelemetrySession; got {telemetry!r}"

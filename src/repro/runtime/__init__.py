@@ -11,11 +11,6 @@ steps synchronise.  This subsystem separates *what* a site computes from
   (shared memory, GIL-releasing numpy kernels run concurrently) and
   :class:`ProcessPoolBackend` (true parallelism; everything crosses the
   boundary through pickle).
-* :mod:`repro.runtime.transport` — :class:`TransportPolicy` controls how
-  payloads are materialised between parties.  :class:`PickleTransport`
-  gives the in-process backends the same honest message materialisation
-  the process backend gets for free, and counts the actual bytes a real
-  wire would carry (word accounting stays semantic and backend-invariant).
 * :mod:`repro.runtime.tasks` — :class:`SiteTask` / :class:`SiteContext` and
   the scheduler :func:`run_site_tasks`, which fans a round's site tasks out
   to a backend, joins deterministically in site order, and merges state,
@@ -30,13 +25,10 @@ steps synchronise.  This subsystem separates *what* a site computes from
   ``evict()`` for bulk control).  Protocol results are bit-identical
   either way.
 
-Every distributed protocol accepts ``backend=`` — ``"serial"`` (the
-default), ``"thread"``, ``"process"``, ``"cluster"`` (one spawned runner
-process per host, payloads over real sockets — see :mod:`repro.cluster`),
-any of those with a worker count (``"thread:4"``, ``"cluster:3"``), or an
-:class:`~repro.runtime.backends.ExecutionBackend` instance — and is
-bit-identical across backends for a fixed seed: same centers, same cost,
-same ledger word counts.  New backends plug in through
+Every distributed protocol accepts ``backend=`` (documented with the other
+run options on :func:`repro.core.run.protocol_run`) and is bit-identical
+across backends for a fixed seed: same centers, same cost, same ledger word
+counts.  New backends plug in through
 :func:`~repro.runtime.backends.register_backend`.  Pass an instance to
 share one warm pool across many runs::
 
@@ -46,11 +38,6 @@ share one warm pool across many runs::
     with ProcessPoolBackend(max_workers=4) as pool:
         for seed in range(10):
             partial_kmedian(points, k=3, t=30, seed=seed, backend=pool)
-
-Protocols also accept ``async_rounds=True``: round joins stream, so the
-coordinator consumes each completed site (allocation marginals, ledger
-charges) while the remaining sites are still computing.  Never changes any
-result — merge order stays the submission order.
 """
 
 from repro.runtime.backends import (
@@ -80,13 +67,6 @@ from repro.runtime.tasks import (
     run_site_tasks,
     run_tasks,
 )
-from repro.runtime.transport import (
-    PickleTransport,
-    ReferenceTransport,
-    TransportLike,
-    TransportPolicy,
-    resolve_transport,
-)
 
 __all__ = [
     "BackendFactory",
@@ -101,11 +81,6 @@ __all__ = [
     "default_worker_count",
     "effective_cpu_count",
     "resolve_backend",
-    "TransportLike",
-    "TransportPolicy",
-    "ReferenceTransport",
-    "PickleTransport",
-    "resolve_transport",
     "RemoteStateProxy",
     "materialize_state",
     "snapshot_site_state",

@@ -84,16 +84,13 @@ class ExecutionBackend(ABC):
     ) -> List["Future"]:
         """Submit every item, returning one future per item in input order.
 
-        The futures interface is what the async-round scheduler builds on: a
-        caller may consume completed results (in submission order) while
-        later items are still computing.  The base implementation delegates
-        to :meth:`map_ordered` — a subclass that only implements the
-        abstract batch contract (e.g. a third-party MPI pool) keeps its
-        parallelism and its failure semantics; truly incremental futures
-        come from the subclasses that override this (pools, cluster).  On a
-        batch failure every future carries the raised exception, so the
-        join sees it at the earliest index — before any result is consumed,
-        matching ``map_ordered``'s all-or-nothing contract.
+        The base implementation delegates to :meth:`map_ordered` — a
+        subclass that only implements the abstract batch contract (e.g. a
+        third-party MPI pool) keeps its parallelism and its failure
+        semantics; truly incremental futures come from the subclasses that
+        override this (pools, cluster).  On a batch failure every future
+        carries the raised exception, so the join sees it at the earliest
+        index, matching ``map_ordered``'s all-or-nothing contract.
         """
         items = list(items)
         futures: List[Future] = [Future() for _ in items]
@@ -284,45 +281,6 @@ def resolve_backend(backend: BackendLike) -> ExecutionBackend:
     raise TypeError(f"backend must be None, a name or an ExecutionBackend, got {backend!r}")
 
 
-def apply_retry_policy(backend: ExecutionBackend, retry: Any) -> ExecutionBackend:
-    """Install a fault-tolerance retry policy on backends that support one.
-
-    The hook protocol drivers use to thread their ``retry=`` parameter
-    through to the execution backend: a cluster backend (anything exposing
-    ``set_retry_policy``) adopts the policy.  In-process backends have no
-    hosts to lose — the fault-tolerance guarantee holds vacuously — so a
-    policy on a backend without the hook is a no-op, letting driver code
-    pass the same ``retry=`` regardless of which backend spec it resolves.
-    Returns the backend for chaining.
-    """
-    if retry is None:
-        return backend
-    setter = getattr(backend, "set_retry_policy", None)
-    if setter is not None:
-        setter(retry)
-    return backend
-
-
-def apply_telemetry(backend: ExecutionBackend, telemetry: Any) -> ExecutionBackend:
-    """Install a live-telemetry session on backends that support one.
-
-    Mirror of :func:`apply_retry_policy` for the ``telemetry=`` driver
-    parameter: a cluster backend (anything exposing ``set_telemetry``)
-    adopts the session — runner resource samples over heartbeats, runner
-    log forwarding.  In-process backends have nothing runner-side to
-    sample, so a session on a backend without the hook is a no-op (the
-    coordinator-side sampler and snapshot thread run regardless, inside
-    :func:`repro.obs.live.telemetry_scope`).  Disabled sessions are
-    skipped.  Returns the backend for chaining.
-    """
-    if telemetry is None or not getattr(telemetry, "enabled", False):
-        return backend
-    setter = getattr(backend, "set_telemetry", None)
-    if setter is not None:
-        setter(telemetry)
-    return backend
-
-
 @contextmanager
 def backend_scope(backend: BackendLike) -> Iterator[ExecutionBackend]:
     """Resolve a backend spec, closing the pool afterwards only if we made it.
@@ -351,8 +309,6 @@ __all__ = [
     "BackendFactory",
     "BackendLike",
     "CLUSTER_SERVICE_ENV",
-    "apply_retry_policy",
-    "apply_telemetry",
     "available_backends",
     "backend_scope",
     "ExecutionBackend",

@@ -17,13 +17,8 @@ fixed order, a protocol run is bit-identical across backends for a fixed
 seed: same centers, same costs, same ledger word counts.
 
 Dispatch is future-based: each backend returns one future per task
-(:meth:`~repro.runtime.backends.ExecutionBackend.submit_ordered`), and the
-join walks them in submission order.  With ``async_rounds=True`` the
-coordinator *streams* the join — site ``i``'s state, ledger charges and
-``consume`` callback run while sites ``i+1..`` are still computing, the
-latency-hiding idea of the tile prefetcher one level up.  The merge order is
-the submission order either way, so results are identical; only wall-clock
-overlap changes.
+(:meth:`~repro.runtime.backends.ExecutionBackend.submit_ordered`); the join
+waits for the whole round, then merges in submission order.
 
 On a :class:`~repro.cluster.backend.ClusterBackend` the pairs are shipped
 through :meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`
@@ -49,7 +44,7 @@ them to workers by pickling their qualified name).
 from __future__ import annotations
 
 from concurrent.futures import Future, wait as _wait_futures
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -57,7 +52,6 @@ import numpy as np
 from repro.distributed.messages import Message
 from repro.obs.trace import NULL_TRACER, TraceBuffer, collector_scope
 from repro.runtime.backends import BackendLike, backend_scope
-from repro.runtime.transport import TransportLike, resolve_transport
 from repro.utils.timing import Timer
 
 
@@ -189,9 +183,8 @@ def _execute_site_task(task_and_ctx: Tuple[SiteTask, SiteContext]) -> SiteTaskRe
 def _barrier_check(futures: Sequence[Future]) -> None:
     """Wait for every future; re-raise the earliest-submitted failure.
 
-    The synchronous (non-async) join semantics: nothing is merged into the
-    network until the whole round completed, and a failing round leaves the
-    network untouched.
+    Nothing is merged into the network until the whole round completed, so
+    a failing round leaves the network untouched.
     """
     _wait_futures(futures)
     for future in futures:
@@ -203,9 +196,6 @@ def run_site_tasks(
     tasks: Sequence[SiteTask],
     *,
     backend: BackendLike = None,
-    transport: TransportLike = None,
-    async_rounds: bool = False,
-    consume: Optional[Callable[[SiteTaskResult], None]] = None,
 ) -> List[SiteTaskResult]:
     """Fan site tasks out to a backend and merge the results into the network.
 
@@ -222,22 +212,6 @@ def run_site_tasks(
         ``None`` / a registered backend name (optionally ``"name:workers"``,
         e.g. ``"thread:4"`` or ``"cluster:3"``) or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance.
-    transport:
-        ``None`` / ``"reference"`` / ``"pickle"`` or a
-        :class:`~repro.runtime.transport.TransportPolicy`; applied to inbox
-        payloads entering a task and outbox payloads leaving it.
-    async_rounds:
-        ``False`` (default): barrier join — every site completes before any
-        result is merged.  ``True``: streaming join — each result is merged
-        (and handed to ``consume``) as soon as it *and all its predecessors*
-        completed, overlapping coordinator-side work with the still-running
-        sites.  Merge order is submission order either way, so results and
-        ledgers are identical.
-    consume:
-        Optional callback invoked once per merged result, in submission
-        order, right after the result's state and ledger charges landed —
-        the hook protocols use to overlap per-site coordinator work (e.g.
-        computing allocation marginals) with site compute.
 
     Returns
     -------
@@ -271,21 +245,19 @@ def run_site_tasks(
             raise ValueError(f"multiple tasks address site {task.site_id}")
         seen.add(task.site_id)
 
-    policy = resolve_transport(transport)
     tracer = getattr(network, "tracer", None) or NULL_TRACER
     round_index = network.current_round
 
     pairs: List[Tuple[SiteTask, SiteContext]] = []
     for task in tasks:
         site = network.sites[task.site_id]
-        inbox = [replace(m, payload=policy.roundtrip(m.payload)) for m in site.drain_inbox()]
         ctx = SiteContext(
             site_id=site.site_id,
             shard=site.shard,
             local_metric=site.local_metric,
             state=site.state,
             rng=task.rng,
-            inbox=inbox,
+            inbox=site.drain_inbox(),
             resident_key=getattr(site, "resident_key", None),
             trace=TraceBuffer(origin=f"site-{site.site_id}") if tracer.enabled else None,
         )
@@ -315,9 +287,7 @@ def run_site_tasks(
                 )
             else:
                 futures = exec_backend.submit_ordered(_execute_site_task, pairs)
-
-            if not async_rounds:
-                _barrier_check(futures)
+            _barrier_check(futures)
 
             results: List[SiteTaskResult] = []
             for future in futures:
@@ -342,13 +312,11 @@ def run_site_tasks(
                     network.send_to_coordinator(
                         result.site_id,
                         out.kind,
-                        policy.roundtrip(out.payload),
+                        out.payload,
                         out.words,
                         n_bytes=out.n_bytes,
                         n_bytes_encoded=out.n_bytes_encoded,
                     )
-                if consume is not None:
-                    consume(result)
                 results.append(result)
     return results
 
@@ -381,8 +349,6 @@ def run_tasks(
     backend: BackendLike = None,
     ledger=None,
     round_index: int = 0,
-    async_rounds: bool = False,
-    consume: Optional[Callable[[int, Any], None]] = None,
     tracer=None,
 ) -> List[Any]:
     """Evaluate ``fn`` over independent payloads on a backend, in order.
@@ -394,11 +360,9 @@ def run_tasks(
 
     ``ledger`` (a :class:`~repro.distributed.messages.CommunicationLedger`)
     and ``round_index`` give a wire-capable backend somewhere to account the
-    frames it exchanges; in-process backends ignore both.  ``async_rounds``
-    streams the join exactly as in :func:`run_site_tasks`, calling
-    ``consume(index, result)`` per completed payload in submission order.
-    ``tracer`` (a :class:`~repro.obs.trace.Tracer`) records a round span,
-    per-task spans and absorb events; ``None`` (the default) traces nothing.
+    frames it exchanges; in-process backends ignore both.  ``tracer`` (a
+    :class:`~repro.obs.trace.Tracer`) records a round span, per-task spans
+    and absorb events; ``None`` (the default) traces nothing.
     """
     payloads = list(payloads)
     tracer = tracer or NULL_TRACER
@@ -424,8 +388,7 @@ def run_tasks(
                 )
             else:
                 futures = exec_backend.submit_ordered(fn, payloads)
-            if not async_rounds:
-                _barrier_check(futures)
+            _barrier_check(futures)
             results: List[Any] = []
             for index, future in enumerate(futures):
                 result = future.result()
@@ -438,8 +401,6 @@ def run_tasks(
                     tracer.inc("progress.tasks_done")
                     tracer.gauge("progress.tasks_in_flight",
                                  len(payloads) - len(results) - 1)
-                if consume is not None:
-                    consume(index, result)
                 results.append(result)
             return results
 

@@ -69,8 +69,8 @@ def live_run(tmp_path_factory):
     )
     backend = ClusterBackend(n_hosts=3)
     # Installed before the first dispatch so runners spawn with heartbeat
-    # sampling in their environment (the driver path does the same via
-    # apply_telemetry inside backend_scope).
+    # sampling in their environment (the driver path does the same inside
+    # ProtocolRun.backend).
     backend.set_telemetry(session)
     tracer = session.adopt_tracer(None)  # telemetry implies a tracer
     ledger = CommunicationLedger()

@@ -77,3 +77,26 @@ class TestUncertainDrivers:
         result = uncertain_partial_kcenter_g(instance, 2, 3, n_sites=2, seed=0)
         assert result.objective == "center-g"
         assert result.rounds == 2
+
+
+FRONT_DOORS = [
+    partial_kmedian,
+    partial_kmeans,
+    partial_kcenter,
+    uncertain_partial_kmedian,
+    uncertain_partial_kcenter_g,
+]
+
+
+class TestRemovedKnobs:
+    @pytest.mark.parametrize("knob", [("async_rounds", True), ("transport", "pickle")],
+                             ids=lambda knob: knob[0])
+    @pytest.mark.parametrize("driver", FRONT_DOORS, ids=lambda driver: driver.__name__)
+    def test_removed_knob_raises(self, driver, knob, small_workload, small_uncertain_workload):
+        if driver.__name__.startswith("uncertain"):
+            data = small_uncertain_workload.instance
+        else:
+            data = small_workload.points
+        name, value = knob
+        with pytest.raises(TypeError, match=name):
+            driver(data, 2, 3, n_sites=2, seed=0, **{name: value})

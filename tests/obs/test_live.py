@@ -228,3 +228,5 @@ class TestNullTelemetry:
         assert resolve_telemetry(null) is null
         with pytest.raises(TypeError):
             resolve_telemetry("yes")
+        with pytest.raises(TypeError):
+            resolve_telemetry(Tracer())

@@ -30,6 +30,15 @@ def traced_kmedian(small_workload):
     return partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42, trace=True)
 
 
+@pytest.fixture
+def cluster_trace_path(small_workload, tmp_path):
+    """Chrome trace of a small traced ``cluster:2`` kmedian run, on disk."""
+    result = partial_kmedian(
+        small_workload.points, 3, 15, n_sites=3, seed=42, backend="cluster:2", trace=True
+    )
+    return write_chrome_trace(result.trace, str(tmp_path / "cluster_trace.json"))
+
+
 def _assert_same_result(base, other):
     np.testing.assert_array_equal(base.centers, other.centers)
     assert base.cost == other.cost
@@ -217,9 +226,10 @@ class TestChromeTraceSchema:
         coordinator = [s for pid, s in sids if pid == 1]
         assert coordinator and len(coordinator) == len(set(coordinator))
 
-    def test_committed_benchmark_trace_round_trips(self, tmp_path):
-        """The committed cluster-trace artifact still parses and validates."""
-        with open("benchmarks/BENCH_cluster_trace.json") as fh:
+    @pytest.mark.cluster
+    def test_cluster_trace_round_trips(self, cluster_trace_path, tmp_path):
+        """A traced cluster run's exported document parses and validates."""
+        with open(cluster_trace_path) as fh:
             doc = json.load(fh)
         validate_trace_events(doc)
         assert doc["displayTimeUnit"] == "ms"

@@ -55,13 +55,6 @@ class TestDeterministicProtocolParity:
         other = distributed_partial_median_no_shipping(small_instance, rng=42, backend=backend)
         _assert_same_result(base, other)
 
-    def test_pickle_transport_matches_reference(self, small_workload):
-        base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
-        other = partial_kmedian(
-            small_workload.points, 3, 15, n_sites=3, seed=42, transport="pickle"
-        )
-        _assert_same_result(base, other)
-
     def test_backend_instance_is_shared_across_runs(self, small_workload):
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
         with ThreadPoolBackend(max_workers=2) as pool:

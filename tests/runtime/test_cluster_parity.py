@@ -4,8 +4,7 @@ The acceptance bar for the cluster subsystem: for a fixed seed, all five
 distributed protocols return the same centers, cost, outliers and — down to
 the per-kind/per-round breakdown — the same word ledger on
 ``backend="cluster:3"`` as on ``"serial"``, while only the cluster run
-reports positive wire bytes (``total_bytes``).  Async round scheduling is a
-pure latency knob: enabling it changes no result either.
+reports positive wire bytes (``total_bytes``).
 
 One shared three-host backend serves the module (the runners are real
 subprocesses; spawning them once keeps the suite fast).  The accounting is
@@ -195,35 +194,3 @@ class TestRecoveryParity:
         )
         _assert_same_result(base, other)
         assert base.metadata["tau_hat"] == other.metadata["tau_hat"]
-
-
-class TestAsyncRounds:
-    def test_async_rounds_identical_on_cluster(self, small_workload, cluster3):
-        base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42, backend="serial")
-        streamed = partial_kmedian(
-            small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend=cluster3, async_rounds=True,
-        )
-        _assert_same_result(base, streamed)
-        _assert_cluster_bytes(base, streamed)
-        assert streamed.metadata["async_rounds"] is True
-
-    def test_async_rounds_identical_on_center_g_cluster(self, small_uncertain_workload, cluster3):
-        base = uncertain_partial_kcenter_g(
-            small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42, backend="serial"
-        )
-        streamed = uncertain_partial_kcenter_g(
-            small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42,
-            backend=cluster3, async_rounds=True,
-        )
-        _assert_same_result(base, streamed)
-
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
-    def test_async_rounds_identical_in_process(self, small_workload, backend):
-        base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
-        streamed = partial_kmedian(
-            small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend=backend, async_rounds=True,
-        )
-        _assert_same_result(base, streamed)
-        assert streamed.ledger.total_bytes() == 0

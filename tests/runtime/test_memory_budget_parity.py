@@ -137,11 +137,3 @@ class TestBudgetComposesWithRuntime:
         )
         _assert_same_result(base, other)
         assert other.metadata["cost_matrix_storage"] == ["memmap"] * 3
-
-    def test_pickle_transport_with_budget(self, small_workload):
-        base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
-        other = partial_kmedian(
-            small_workload.points, 3, 15, n_sites=3, seed=42,
-            transport="pickle", memory_budget=4096,
-        )
-        _assert_same_result(base, other)

@@ -6,7 +6,7 @@ import pytest
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
-from repro.runtime import PickleTransport, SiteTask, run_site_tasks, run_tasks
+from repro.runtime import SiteTask, run_site_tasks, run_tasks
 from repro.utils.rng import spawn_rngs
 
 ALL_BACKENDS = ["serial", "thread", "process"]
@@ -38,12 +38,6 @@ def _rng_task(ctx):
 
 def _echo_inbox_task(ctx):
     return [m.payload for m in ctx.messages("config")]
-
-
-def _mutate_inbox_task(ctx):
-    payload = ctx.messages("config")[0].payload
-    payload["mutated"] = True
-    return None
 
 
 def _boom_task(ctx):
@@ -125,20 +119,6 @@ class TestRunSiteTasks:
         network = _make_network()
         with pytest.raises(ValueError, match="multiple tasks"):
             run_site_tasks(network, [SiteTask(0, _rng_task), SiteTask(0, _rng_task)])
-
-    def test_pickle_transport_isolates_inbox_payloads(self):
-        network = _make_network()
-        network.next_round()
-        original = {"mutated": False}
-        network.send_to_site(0, "config", original, words=1)
-        run_site_tasks(
-            network,
-            [SiteTask(0, _mutate_inbox_task)],
-            backend="serial",
-            transport=PickleTransport(),
-        )
-        # The site mutated its materialized copy, not the coordinator's object.
-        assert original["mutated"] is False
 
 
 def _double(payload):
