@@ -279,7 +279,7 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
     recovery, honestly accounted: replay traffic under ``replay_*`` frame
     kinds, plus one ``RecoveryEvent`` (host, round, reason, re-pin map) in
     ``result.ledger.wire.summary()["recovery"]``, and ``recovery.*``
-    counters on a traced run.  With ``telemetry=`` on (see
+    counters on a traced run.  With ``trace=`` a telemetry session (see
     ``live_telemetry_and_run_history`` below) the same ``recovery.*``
     counters stream into every live Prometheus/JSONL snapshot, so a
     mid-run scrape shows a host death the moment it is handled.  When the
@@ -423,18 +423,19 @@ def fused_plans_and_prefetch(points, k, t) -> None:
     tiles are **double-buffered**: a background thread loads tile ``i+1``
     while the ops consume tile ``i``.  The knob is ``prefetch=`` — ``None``
     (auto: on exactly when the matrix streams from disk), ``True`` or
-    ``False`` — and it is accepted by every protocol driver next to
-    ``memory_budget``.  The k-center coordinator leans on both: a whole
-    batch of radius guesses is seeded from one fused pass and the greedy
-    then only re-reads newly covered rows, instead of re-streaming the
-    matrix ``k`` times per guess.  Results are bit-identical in every
+    ``False`` — on every sequential solver and reduction plan; a protocol
+    run leaves it on auto unless ``local_solver_kwargs`` or
+    ``coordinator_solver_kwargs`` set it.  The k-center coordinator leans
+    on both: a whole batch of radius guesses is seeded from one fused pass
+    and the greedy then only re-reads newly covered rows, instead of
+    re-streaming the matrix ``k`` times per guess.  Results are bit-identical in every
     configuration; the knobs trade only wall-clock.
     """
     print("\nfused plans + prefetch (same seed => identical results)")
     for prefetch in (False, True):
         result = partial_kcenter(
-            points, k=k, t=t, n_sites=4, seed=7,
-            memory_budget="64KB", prefetch=prefetch,
+            points, k=k, t=t, n_sites=4, seed=7, memory_budget="64KB",
+            coordinator_solver_kwargs={"prefetch": prefetch},
         )
         print(
             f"  prefetch={prefetch!s:<5}: cost {result.cost:9.1f}, "
@@ -495,9 +496,10 @@ def observability(points, k, t) -> None:
 def live_telemetry_and_run_history(points, k, t) -> None:
     """Live telemetry and run history.
 
-    ``trace=True`` records a run; ``telemetry=`` *watches* one.  Passing
-    ``telemetry=True`` (or a configured :class:`repro.obs.TelemetrySession`)
-    runs the live plane next to the protocol:
+    ``trace=True`` records a run; ``trace=`` a
+    :class:`repro.obs.TelemetrySession` records it the same way (each run
+    on its own fresh tracer, ``result.trace``) and also *watches* it,
+    running the live plane next to the protocol:
 
     * **resource sampling** — a background sampler on the coordinator and,
       on a cluster backend, on every runner.  Runner samples (RSS, CPU
@@ -507,9 +509,8 @@ def live_telemetry_and_run_history(points, k, t) -> None:
       equal to the trace's counters;
     * **streaming snapshots** — a snapshot thread publishes the tracer's
       counters and gauges mid-run to pluggable sinks: Prometheus text
-      exposition (``prometheus_path=`` file target, or ``prometheus_port=``
-      for a stdlib HTTP endpoint to point a scraper at) and JSON lines
-      (``jsonl_path=``).  Mid-run rows show live ``progress.round``,
+      exposition (``prometheus_path=``, a file for the node-exporter
+      textfile collector) and JSON lines (``jsonl_path=``).  Mid-run rows show live ``progress.round``,
       ``progress.tasks_in_flight``, ``wire.bytes`` and ``resource.*`` —
       and, on a recovered run, the ``recovery.*`` counters;
     * **structured logs** — span-correlated JSON-lines records
@@ -523,12 +524,10 @@ def live_telemetry_and_run_history(points, k, t) -> None:
           python -m repro.obs.history compare --baseline BENCH_cluster_bytes.json
 
       ``compare`` exits 1 when any tracked metric (bytes/word raw+encoded,
-      wall seconds) exceeds 2x its baseline — CI runs it as a smoke step
-      after appending its own benchmark rows.
+      wall seconds) exceeds 2x its baseline.
 
-    The default ``telemetry=False`` is the same null-object bargain as
-    ``trace=False``: one attribute read, zero per-task allocations,
-    bit-identical results.
+    The default ``trace=False`` starts none of it: one attribute read,
+    zero per-task allocations, bit-identical results.
     """
     import os
     import tempfile
@@ -549,7 +548,7 @@ def live_telemetry_and_run_history(points, k, t) -> None:
         start = time.perf_counter()
         result = partial_kmedian(
             points, k=k, t=t, n_sites=3, seed=7,
-            backend="cluster:3", telemetry=session,
+            backend="cluster:3", trace=session,
         )
         wall = time.perf_counter() - start
         snapshot = session.last_snapshot

@@ -265,7 +265,8 @@ class ClusterBackend(ExecutionBackend):
         #: the retry policy configures a timeout).
         self._monitor_timer: Optional[TimerHandle] = None
         self._recovery_threads: List[threading.Thread] = []
-        #: Telemetry session (``telemetry=`` driver argument); ``None`` when
+        #: Telemetry session of the current run (a driver's ``trace=``
+        #: session, installed for the run's backend scope); ``None`` when
         #: the live plane is off.  When set, runners are spawned with
         #: resource sampling on their heartbeats and runner log buffers are
         #: forwarded into the session's run log.
@@ -275,17 +276,17 @@ class ClusterBackend(ExecutionBackend):
         self._telemetry_by_job: Dict[str, Any] = {}
 
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Install a telemetry session (the ``telemetry=`` argument lands here).
+        """Install (or remove, with ``None``) a telemetry session.
 
-        Runner-side effects — heartbeat-piggybacked resource samples and the
-        heartbeat interval itself — are inherited through the child
-        environment at spawn time, so a session installed after the pool
-        started only gains the coordinator-side features for already-running
-        hosts; construct the backend before the first dispatch (or pass
-        ``telemetry=`` to the driver, which does) to sample runners too.
+        A driver given ``trace=`` a session installs it for the run's
+        backend scope and removes it at exit.  Runner-side effects —
+        heartbeat-piggybacked resource samples and the heartbeat interval
+        itself — are inherited through the child environment at spawn time,
+        so a session installed after the pool started only gains the
+        coordinator-side features for already-running hosts; install one
+        before the first dispatch (a driver run does) to sample runners too.
         """
-        self.telemetry = telemetry if (telemetry is not None
-                                       and getattr(telemetry, "enabled", False)) else None
+        self.telemetry = telemetry
 
     def set_job_telemetry(self, job: str, telemetry: Optional[Any]) -> None:
         """Install (or remove, with ``None``) one job's telemetry session.
@@ -296,7 +297,7 @@ class ClusterBackend(ExecutionBackend):
         job, so they land in every installed session (shared-infrastructure
         metrics, not job data).
         """
-        if telemetry is not None and getattr(telemetry, "enabled", False):
+        if telemetry is not None:
             self._telemetry_by_job[job] = telemetry
         else:
             self._telemetry_by_job.pop(job, None)

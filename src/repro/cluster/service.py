@@ -19,10 +19,11 @@ accounting and telemetry routing stay fully isolated between jobs:
   passes down — the service never mixes them; heartbeat accounting
   captured for one job is detached at that job's end only
   (:meth:`ClusterBackend.detach_run_accounting` with ``job=``).
-* **Telemetry** installed on a job's backend lands in a per-job session
-  (:meth:`ClusterBackend.set_job_telemetry`): the job's forwarded runner
-  logs reach its session only, while host-level resource samples — shared
-  infrastructure truth — fan out to every installed session.
+* **Telemetry**: a job run with ``trace=`` a telemetry session installs
+  it as a per-job session (:meth:`ClusterBackend.set_job_telemetry`) for
+  the run's backend scope: the job's forwarded runner logs reach its
+  session only, while host-level resource samples — shared infrastructure
+  truth — fan out to every installed session.
 
 Admission control is keyed on ``memory_budget`` (same grammar as the
 blocked-evaluation budgets: bytes, or strings like ``"64MB"`` — see

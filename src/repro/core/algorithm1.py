@@ -256,7 +256,6 @@ def distributed_partial_median(
                 realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
-                prefetch=run.prefetch,
                 workdir=run.workdir,
             )
 

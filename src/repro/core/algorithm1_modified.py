@@ -219,7 +219,6 @@ def distributed_partial_median_no_shipping(
                 realize=True,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
-                prefetch=run.prefetch,
                 workdir=run.workdir,
             )
 

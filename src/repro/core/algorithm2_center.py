@@ -42,7 +42,7 @@ from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
 def _center_summary(
-    site, traversal, k: int, t_i: int, memory_budget=None, prefetch=None
+    site, traversal, k: int, t_i: int, memory_budget=None
 ) -> PreclusterSummary:
     """Precluster of one site: the first ``k + t_i`` traversal points, weighted.
 
@@ -61,8 +61,7 @@ def _center_summary(
     candidates_local = traversal.ordering[:m]
     all_local = np.arange(n_local)
     nearest_dist, nearest = argmin_per_row(
-        site.local_metric, all_local, candidates_local,
-        memory_budget=memory_budget, prefetch=prefetch,
+        site.local_metric, all_local, candidates_local, memory_budget=memory_budget
     )
 
     centers_global = site.to_global(candidates_local)
@@ -93,12 +92,12 @@ def _round1_center_task(ctx, k, t, rho, memory_budget=None):
     ctx.send_to_coordinator("witness_curve", precluster, words=precluster.transmitted_words())
 
 
-def _round2_center_task(ctx, k, words_per_point, memory_budget=None, prefetch=None):
+def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
     """Site phase of round 2: ship the first ``k + t_i`` traversal points."""
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
         precluster = ctx.state["precluster"]
-        summary = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget, prefetch)
+        summary = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget)
     ctx.state["t_i"] = t_i
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
@@ -197,7 +196,7 @@ def distributed_partial_center(
                 [
                     SiteTask(
                         i, _round2_center_task,
-                        args=(k, words_per_point, run.memory_budget, run.prefetch),
+                        args=(k, words_per_point, run.memory_budget),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)
@@ -220,7 +219,6 @@ def distributed_partial_center(
                 realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
-                prefetch=run.prefetch,
                 workdir=run.workdir,
             )
 

@@ -321,7 +321,7 @@ def distributed_uncertain_clustering(
             if objective == "center":
                 coordinator_solution = kcenter_with_outliers(
                     cost_matrix, k, t, weights=demand_weight_arr,
-                    memory_budget=mem_budget, prefetch=run.prefetch, **coordinator_kwargs
+                    memory_budget=mem_budget, **coordinator_kwargs
                 )
                 outlier_budget = float(t)
             else:
@@ -335,7 +335,6 @@ def distributed_uncertain_clustering(
                     weights=demand_weight_arr,
                     rng=generator,
                     memory_budget=mem_budget,
-                    prefetch=run.prefetch,
                     **coordinator_kwargs,
                 )
                 outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))

@@ -75,8 +75,7 @@ def _extremes_task(payload: dict) -> dict:
     support = uncertain.support_union(shard)
     with timer.measure("extremes"):
         plan = ReductionPlan(
-            uncertain.ground_metric, support, support,
-            memory_budget=budget, prefetch=payload.get("prefetch"),
+            uncertain.ground_metric, support, support, memory_budget=budget
         )
         h_min = plan.add_min_positive()
         h_max = plan.add_max()
@@ -270,7 +269,6 @@ def distributed_uncertain_center_g(
                         "uncertain": uncertain,
                         "shard": instance.shard(i),
                         "memory_budget": mem_budget,
-                        "prefetch": run.prefetch,
                     }
                     for i in range(s)
                 ],
@@ -414,7 +412,7 @@ def distributed_uncertain_center_g(
             outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
             coordinator_solution = kcenter_with_outliers(
                 cost_matrix, k, outlier_budget, weights=weights_arr,
-                memory_budget=mem_budget, prefetch=run.prefetch,
+                memory_budget=mem_budget,
                 **dict(coordinator_solver_kwargs or {}),
             )
             centers_global = facility_points[coordinator_solution.centers]

@@ -165,7 +165,6 @@ def combine_preclusters(
     realize: bool = True,
     coordinator_solver_kwargs: Optional[dict] = None,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
     workdir: Optional[str] = None,
 ) -> CombineResult:
     """Solve the induced weighted problem at the coordinator and map back.
@@ -191,10 +190,6 @@ def combine_preclusters(
         Memory discipline for the coordinator's cost matrix (see
         :func:`repro.metrics.cost_matrix.build_cost_matrix`); results are
         bit-identical for every budget.
-    prefetch:
-        Background tile prefetch knob for the coordinator solve over a
-        memmap-backed cost matrix (``None`` = auto); never changes the
-        result.
     """
     obj = validate_objective(objective)
     solver_kwargs = dict(coordinator_solver_kwargs or {})
@@ -211,7 +206,7 @@ def combine_preclusters(
     if obj == "center":
         coordinator_solution = kcenter_with_outliers(
             cost_matrix, k, t, weights=demand_weights,
-            memory_budget=memory_budget, prefetch=prefetch, **solver_kwargs
+            memory_budget=memory_budget, **solver_kwargs
         )
     else:
         coordinator_solution = bicriteria_solve(
@@ -224,7 +219,6 @@ def combine_preclusters(
             weights=demand_weights,
             rng=rng,
             memory_budget=memory_budget,
-            prefetch=prefetch,
             **solver_kwargs,
         )
 

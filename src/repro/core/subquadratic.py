@@ -102,7 +102,6 @@ def subquadratic_partial_clustering(
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> SubquadraticResult:
     """Centralized ``(k, (1+eps)t)``-median/means (or ``(k, t)``-center) in sub-quadratic time.
 
@@ -124,10 +123,6 @@ def subquadratic_partial_clustering(
         Byte cap on any single distance/cost block of the simulation (piece
         matrices larger than the budget stream from disk shards); results
         are bit-identical for every setting.
-    prefetch:
-        Background tile prefetch knob for memmap-backed blocks (``None`` =
-        auto); never changes the result — it trades nothing but wall-clock,
-        which is exactly the quantity Theorem 3.10 is about.
     """
     obj = validate_objective(objective)
     n = len(metric)
@@ -149,7 +144,6 @@ def subquadratic_partial_clustering(
                 rng=generator,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=memory_budget,
-                prefetch=prefetch,
             )
         else:
             result = distributed_partial_median(
@@ -160,7 +154,6 @@ def subquadratic_partial_clustering(
                 local_solver_kwargs=local_solver_kwargs,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=memory_budget,
-                prefetch=prefetch,
             )
 
     return SubquadraticResult(

@@ -8,29 +8,24 @@ cross-checks trace-derived byte totals against the wire ledger, and a
 Chrome/Perfetto ``trace_event`` export.  Enable with ``trace=True`` on any
 protocol driver; the tracer is attached to the result as ``result.trace``.
 
-The live plane (PR 9) adds ``telemetry=`` on the same drivers: background
-resource sampling on the coordinator and (over heartbeat frames) every
-runner (:mod:`~repro.obs.sampler`), mid-run metric snapshots to
-Prometheus/JSONL sinks (:mod:`~repro.obs.live`), structured span-correlated
-JSON-lines logs (:mod:`~repro.obs.logs`), and a persistent run-history
-registry with a ``python -m repro.obs.history`` regression CLI
-(:mod:`~repro.obs.history`).
+``trace=`` is the one observability option.  Passing a
+:class:`~repro.obs.live.TelemetrySession` instead of ``True`` also watches
+the run live: background resource sampling on the coordinator and (over
+heartbeat frames) every runner (:mod:`~repro.obs.sampler`), mid-run metric
+snapshots to Prometheus/JSONL sinks (:mod:`~repro.obs.live`) and structured
+span-correlated JSON-lines logs (:mod:`~repro.obs.logs`).  A persistent
+run-history registry with a ``python -m repro.obs.history`` regression CLI
+(:mod:`~repro.obs.history`) records finished runs.
 """
 
 from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.live import (
-    NULL_TELEMETRY,
     JsonlSink,
     LiveMetrics,
-    NullTelemetry,
     PrometheusFileSink,
-    PrometheusHttpSink,
-    TelemetryLike,
     TelemetrySession,
     build_snapshot,
     prometheus_text,
-    resolve_telemetry,
-    telemetry_scope,
 )
 from repro.obs.logs import LogBuffer, LogRecord, RunLog, active_log, log, log_scope
 from repro.obs.report import (
@@ -81,7 +76,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "NULL_TELEMETRY",
     "NULL_TRACER",
     "RESOURCE_SAMPLE_ENV",
     "RUN_HISTORY_ENV",
@@ -92,15 +86,12 @@ __all__ = [
     "LogBuffer",
     "LogRecord",
     "MetricsRegistry",
-    "NullTelemetry",
     "NullTracer",
     "PrometheusFileSink",
-    "PrometheusHttpSink",
     "ResourceSampler",
     "RunHistory",
     "RunLog",
     "SpanRecord",
-    "TelemetryLike",
     "TelemetrySession",
     "TraceBuffer",
     "TraceLike",
@@ -119,12 +110,10 @@ __all__ = [
     "rebase_offset",
     "render_protocol_summary",
     "render_round_report",
-    "resolve_telemetry",
     "resolve_tracer",
     "resource_samples_enabled",
     "round_report",
     "summary_record",
-    "telemetry_scope",
     "to_chrome_trace",
     "trace_run",
     "write_chrome_trace",

@@ -17,8 +17,7 @@ reads it back:
     baseline (either another history store or the benchmark artifact's
     ``rows`` format), failing — exit status 1 — when any tracked metric
     (bytes/word raw+encoded, wall seconds) exceeds ``headroom``× its
-    baseline value.  CI runs this as a smoke step after appending its own
-    benchmark run.
+    baseline value.
 
 Set :data:`RUN_HISTORY_ENV` to a path to make the cluster benchmark append
 its rows automatically.
@@ -139,7 +138,7 @@ def load_baseline(path: str) -> Dict[str, Dict[str, Any]]:
     Accepts a history JSONL store (latest record per protocol wins) or the
     committed benchmark artifact (``BENCH_cluster_bytes.json``: a dict with
     ``rows`` of per-protocol metrics), so ``compare`` can gate directly
-    against the same file the byte-regression CI step already trusts.  The
+    against the same file the cluster benchmark's byte guard trusts.  The
     formats are told apart by parsing, not sniffing: a multi-record JSONL
     store is not one JSON document, and a single-record store is a dict
     without ``rows``.

@@ -1,6 +1,6 @@
 """Live metrics plane: mid-run snapshots, pluggable sinks, telemetry sessions.
 
-PR 6's tracer answers "what happened" after a run returns; this module makes
+The tracer answers "what happened" after a run returns; this module makes
 the same counters and gauges observable *while the run executes*:
 
 :func:`build_snapshot`
@@ -12,11 +12,8 @@ the same counters and gauges observable *while the run executes*:
 Sinks
     :class:`JsonlSink` appends each snapshot as one JSON line;
     :class:`PrometheusFileSink` atomically rewrites a text-exposition file
-    (node-exporter textfile-collector style); :class:`PrometheusHttpSink`
-    serves the latest exposition from a stdlib HTTP endpoint
-    (``port=0`` picks a free port — see :attr:`~PrometheusHttpSink.port`).
-    All sinks implement ``publish(snapshot)``/``close()``; anything with
-    that shape plugs in.
+    (node-exporter textfile-collector style).  Both implement
+    ``publish(snapshot)``/``close()``; anything with that shape plugs in.
 
 :class:`LiveMetrics`
     The snapshot thread: every ``interval`` seconds it builds a snapshot
@@ -24,12 +21,11 @@ Sinks
     snapshot so short runs still export a complete view.
 
 :class:`TelemetrySession`
-    The user-facing ``telemetry=`` knob's value: bundles a tracer, a
-    coordinator :class:`~repro.obs.sampler.ResourceSampler`, a
-    :class:`LiveMetrics` thread, a structured :class:`~repro.obs.logs.RunLog`
-    and an optional run-history store.  ``telemetry=False`` (the default on
-    every driver) resolves to the shared :data:`NULL_TELEMETRY` — the same
-    zero-per-task-allocation null-object guarantee as ``NULL_TRACER``.
+    The ``trace=`` value that watches runs live.  Each run records on a
+    fresh tracer, and :meth:`TelemetrySession.watch` runs a coordinator
+    :class:`~repro.obs.sampler.ResourceSampler`, a :class:`LiveMetrics`
+    thread and a structured :class:`~repro.obs.logs.RunLog` against it for
+    as long as the run lasts.
 """
 
 from __future__ import annotations
@@ -44,9 +40,6 @@ from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 from repro.obs.logs import RunLog, log_scope
 from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import Tracer
-
-#: ``telemetry=`` accepts bool / None / a session, mirroring ``TraceLike``.
-TelemetryLike = Any
 
 
 # ---------------------------------------------------------------------------
@@ -172,58 +165,6 @@ class PrometheusFileSink:
         pass
 
 
-class PrometheusHttpSink:
-    """Serves the latest snapshot as Prometheus text from a stdlib endpoint.
-
-    ``GET /metrics`` (or ``/``) returns the most recent exposition.  The
-    server is a daemon-threaded ``ThreadingHTTPServer`` bound to
-    ``(host, port)``; ``port=0`` binds a free port, readable from
-    :attr:`port` after construction.
-    """
-
-    def __init__(self, host: str = "127.0.0.1", port: int = 0):
-        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-        sink = self
-
-        class _Handler(BaseHTTPRequestHandler):
-            def do_GET(self) -> None:  # noqa: N802 - stdlib API
-                if self.path not in ("/", "/metrics"):
-                    self.send_error(404)
-                    return
-                body = sink._latest_text.encode("utf-8")
-                self.send_response(200)
-                self.send_header("Content-Type", "text/plain; version=0.0.4")
-                self.send_header("Content-Length", str(len(body)))
-                self.end_headers()
-                self.wfile.write(body)
-
-            def log_message(self, *args: Any) -> None:
-                pass  # scrape traffic must not spam the run's stderr
-
-        self._latest_text = "# no snapshot published yet\n"
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._server.daemon_threads = True
-        self.host = self._server.server_address[0]
-        self.port = int(self._server.server_address[1])
-        self._thread = threading.Thread(
-            target=self._server.serve_forever, name="repro-prom-http", daemon=True
-        )
-        self._thread.start()
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}/metrics"
-
-    def publish(self, snapshot: Dict[str, Any]) -> None:
-        self._latest_text = prometheus_text(snapshot)
-
-    def close(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-
 # ---------------------------------------------------------------------------
 # The snapshot thread
 # ---------------------------------------------------------------------------
@@ -292,27 +233,23 @@ class LiveMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Telemetry sessions: the ``telemetry=`` knob's value
+# Telemetry sessions: the ``trace=`` value that watches runs live
 # ---------------------------------------------------------------------------
 
 class TelemetrySession:
-    """Everything the live-telemetry plane runs for one (or several) runs.
+    """Everything the live-telemetry plane runs next to a protocol run.
 
-    Construct once, pass as ``telemetry=`` to any driver.  The session is
-    reusable across runs: each :func:`telemetry_scope` entry starts a fresh
-    coordinator sampler + snapshot thread against the session's tracer, and
-    exit stops them (publishing a final snapshot into
-    :attr:`last_snapshot`).  Cluster backends it is applied to additionally
-    ask runners for heartbeat-piggybacked resource samples and forward
-    runner log buffers into :attr:`run_log`.
+    Construct once and pass as ``trace=`` to any driver, once per run or
+    across many.  Each run records on a fresh tracer (its ``result.trace``)
+    that the session watches while the run lasts (:meth:`watch`).  On a
+    cluster backend the session also asks runners for heartbeat-piggybacked
+    resource samples and forwards runner log buffers into :attr:`run_log`.
 
     Parameters name the sinks declaratively so callers don't need to import
     sink classes: ``prometheus_path``/``jsonl_path`` for file sinks,
-    ``prometheus_port`` (0 = free port) to serve HTTP, ``log_path`` to
-    stream the structured log, plus ``sinks`` for anything custom.
+    ``log_path`` to stream the structured log, plus ``sinks`` for anything
+    custom.
     """
-
-    enabled = True
 
     def __init__(
         self,
@@ -321,78 +258,58 @@ class TelemetrySession:
         snapshot_interval: float = 0.25,
         sinks: Optional[Sequence[Any]] = None,
         prometheus_path: Optional[str] = None,
-        prometheus_port: Optional[int] = None,
         jsonl_path: Optional[str] = None,
         log_path: Optional[str] = None,
-        history: Optional[Any] = None,
         label: Optional[str] = None,
     ):
         self.sample_interval = float(sample_interval)
         self.snapshot_interval = float(snapshot_interval)
         self.label = label
-        self.history = history
         self.sinks: List[Any] = list(sinks or [])
         if jsonl_path is not None:
             self.sinks.append(JsonlSink(jsonl_path))
         if prometheus_path is not None:
             self.sinks.append(PrometheusFileSink(prometheus_path))
-        self.http_sink: Optional[PrometheusHttpSink] = None
-        if prometheus_port is not None:
-            self.http_sink = PrometheusHttpSink(port=prometheus_port)
-            self.sinks.append(self.http_sink)
         self._log_path = log_path
+        #: The most recently watched run's tracer and structured log.
         self.tracer: Optional[Tracer] = None
         self.run_log: Optional[RunLog] = None
-        self.sampler: Optional[ResourceSampler] = None
-        self.live: Optional[LiveMetrics] = None
+        #: That run's final snapshot and peak coordinator RSS (bytes).
         self.last_snapshot: Optional[Dict[str, Any]] = None
+        self.peak_rss = 0.0
 
-    # -- wiring --------------------------------------------------------------
+    @contextmanager
+    def watch(self, tracer: Tracer) -> Iterator[Tracer]:
+        """Watch one run's tracer for the duration of the block.
 
-    def adopt_tracer(self, tracer: Any) -> Any:
-        """Bind the session to the run's tracer (creating one if the run is
-        untraced) and return the tracer the driver should use.
-
-        Telemetry implies tracing: gauges and counters live on the tracer,
-        so a ``telemetry=session`` run with ``trace=False`` gets a private
-        enabled tracer.  Idempotent — re-adopting the same tracer (or
-        adopting while already bound) keeps the existing binding so one
-        session can watch several sequential runs on one timeline.
+        Binds :attr:`tracer` and a fresh :attr:`run_log` to it, starts a
+        coordinator resource sampler and the snapshot thread, and installs
+        the run log as the ambient structured-log sink.  On exit both
+        threads stop: the final snapshot lands in :attr:`last_snapshot` and
+        the coordinator's peak RSS in :attr:`peak_rss`.
         """
-        if getattr(tracer, "enabled", False):
-            if self.tracer is not tracer:
-                self.tracer = tracer
-                self.run_log = RunLog(tracer, path=self._log_path)
-        elif self.tracer is None:
-            self.tracer = Tracer()
-            self.run_log = RunLog(self.tracer, path=self._log_path)
-        return self.tracer
-
-    # -- lifecycle (driven by telemetry_scope) -------------------------------
-
-    def _start(self) -> None:
-        if self.tracer is None:
-            self.adopt_tracer(None)
-        self.sampler = ResourceSampler(
-            self.sample_interval, tracer=self.tracer, origin="coordinator"
-        ).start()
-        self.live = LiveMetrics(
-            self.tracer, self.sinks,
-            interval=self.snapshot_interval, label=self.label,
-        ).start()
-
-    def _stop(self) -> None:
-        if self.sampler is not None:
-            self.sampler.stop()
-            self.peak_rss = self.sampler.peak_rss()
-            self.sampler = None
-        if self.live is not None:
-            self.last_snapshot = self.live.stop()
-            self.live = None
+        self.tracer = tracer
+        self.run_log = RunLog(tracer, path=self._log_path)
+        # Both constructors validate their interval before either thread starts.
+        sampler = ResourceSampler(
+            self.sample_interval, tracer=tracer, origin="coordinator"
+        )
+        live = LiveMetrics(
+            tracer, self.sinks, interval=self.snapshot_interval, label=self.label
+        )
+        sampler.start()
+        live.start()
+        try:
+            with log_scope(self.run_log):
+                yield tracer
+        finally:
+            sampler.stop()
+            self.peak_rss = sampler.peak_rss()
+            self.last_snapshot = live.stop()
+            self.run_log.close()
 
     def close(self) -> None:
-        """Release every sink (idempotent); sessions are reusable until then."""
-        self._stop()
+        """Release every sink (idempotent)."""
         for sink in self.sinks:
             try:
                 sink.close()
@@ -401,100 +318,12 @@ class TelemetrySession:
         if self.run_log is not None:
             self.run_log.close()
 
-    #: Peak coordinator RSS over the most recent scoped run (bytes); 0.0
-    #: before any run completes.
-    peak_rss: float = 0.0
-
-
-class NullTelemetry:
-    """The ``telemetry=False`` object: inert, shared, allocation-free.
-
-    Same null-object standard as ``NULL_TRACER`` — every method is a cheap
-    no-op returning a fixed value, so the default path costs one attribute
-    read and zero allocations per call site.
-    """
-
-    enabled = False
-    tracer = None
-    run_log = None
-    sampler = None
-    live = None
-    history = None
-    last_snapshot = None
-    peak_rss = 0.0
-    sample_interval = 0.0
-
-    def adopt_tracer(self, tracer: Any) -> Any:
-        return tracer
-
-    def _start(self) -> None:
-        return None
-
-    def _stop(self) -> None:
-        return None
-
-    def close(self) -> None:
-        return None
-
-
-#: Shared inert session used whenever ``telemetry`` is off.
-NULL_TELEMETRY = NullTelemetry()
-
-
-def resolve_telemetry(telemetry: TelemetryLike) -> Any:
-    """Resolve a ``telemetry=`` knob to a session.
-
-    ``False``/``None`` → the shared :data:`NULL_TELEMETRY`; ``True`` → a
-    fresh default :class:`TelemetrySession`; an existing
-    :class:`TelemetrySession`/:class:`NullTelemetry` passes through.
-    Mirrors :func:`~repro.obs.trace.resolve_tracer` exactly, including the
-    ``TypeError`` on anything else (a :class:`~repro.obs.trace.Tracer`
-    belongs on ``trace=``).
-    """
-    if telemetry is None or telemetry is False:
-        return NULL_TELEMETRY
-    if telemetry is True:
-        return TelemetrySession()
-    if isinstance(telemetry, (TelemetrySession, NullTelemetry)):
-        return telemetry
-    raise TypeError(
-        f"telemetry= expects bool, None, or a TelemetrySession; got {telemetry!r}"
-    )
-
-
-@contextmanager
-def telemetry_scope(session: Any) -> Iterator[Any]:
-    """Run one driver body under a telemetry session.
-
-    Disabled sessions yield immediately (nothing started, nothing to stop).
-    Enabled sessions start a fresh coordinator sampler + snapshot thread,
-    install the session's :class:`~repro.obs.logs.RunLog` as the ambient
-    structured-log sink, and on exit stop both (the final snapshot lands in
-    ``session.last_snapshot``).  Appending to ``session.history`` stays the
-    caller's decision — drivers measure, they don't persist.
-    """
-    if not getattr(session, "enabled", False):
-        yield session
-        return
-    session._start()
-    try:
-        with log_scope(session.run_log):
-            yield session
-    finally:
-        session._stop()
-
 
 __all__ = [
     "JsonlSink",
     "LiveMetrics",
-    "NULL_TELEMETRY",
-    "NullTelemetry",
     "PrometheusFileSink",
-    "PrometheusHttpSink",
-    "TelemetryLike",
     "TelemetrySession",
     "build_snapshot",
     "prometheus_text",
-    "resolve_telemetry",
-    "telemetry_scope",
 ]

@@ -459,7 +459,10 @@ def resolve_tracer(trace: Any) -> Any:
         return Tracer()
     if isinstance(trace, (Tracer, NullTracer)):
         return trace
-    raise TypeError(f"trace must be a bool or a Tracer, got {type(trace).__name__}")
+    raise TypeError(
+        "trace must be a bool, a Tracer or a TelemetrySession, "
+        f"got {type(trace).__name__}"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """The live-telemetry plane on a real cluster: heartbeats, samples, parity.
 
-The acceptance bar for the telemetry tentpole: with ``telemetry=`` on, every
-protocol stays bit-identical to a plain serial run while (a) runner resource
+The acceptance bar for the live plane: with ``trace=`` a telemetry session,
+every protocol stays bit-identical to a plain serial run while (a) runner resource
 samples ride the heartbeat frames onto the coordinator timeline — zero extra
 round trips, every heartbeat byte accounted under the wire ledger's ``hb``
 kind in bit-for-bit trace/ledger agreement — and (b) the snapshot thread
 publishes live Prometheus/JSONL views whose mid-run rows carry nonzero
-round/task/wire gauges.  With telemetry off (the default), nothing changes.
+round/task/wire gauges.  With telemetry off (the default), nothing changes,
+and a session never outlives its run on a caller's warm pool.
 """
 
 import json
@@ -26,7 +27,8 @@ from repro.cluster import ClusterBackend
 from repro.core.algorithm1_modified import distributed_partial_median_no_shipping
 from repro.distributed.messages import CommunicationLedger
 from repro.obs import assert_byte_parity, byte_parity_diff
-from repro.obs.live import TelemetrySession, telemetry_scope
+from repro.obs.live import TelemetrySession
+from repro.obs.trace import Tracer
 from repro.runtime.tasks import run_tasks
 
 pytestmark = pytest.mark.cluster
@@ -72,10 +74,10 @@ def live_run(tmp_path_factory):
     # sampling in their environment (the driver path does the same inside
     # ProtocolRun.backend).
     backend.set_telemetry(session)
-    tracer = session.adopt_tracer(None)  # telemetry implies a tracer
+    tracer = Tracer()
     ledger = CommunicationLedger()
     try:
-        with telemetry_scope(session):
+        with session.watch(tracer):
             results = run_tasks(
                 _sleep_task, [(i, SLEEP_S) for i in range(3)],
                 backend=backend, ledger=ledger, round_index=1, tracer=tracer,
@@ -183,7 +185,7 @@ class TestTelemetryParity:
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
         live = partial_kmedian(
             small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend=backend, trace=True, telemetry=session,
+            backend=backend, trace=session,
         )
         _assert_same_result(base, live)
         assert_byte_parity(live, label="kmedian")
@@ -193,7 +195,7 @@ class TestTelemetryParity:
         base = partial_kcenter(small_workload.points, 3, 15, n_sites=3, seed=42)
         live = partial_kcenter(
             small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend=backend, trace=True, telemetry=session,
+            backend=backend, trace=session,
         )
         _assert_same_result(base, live)
         assert_byte_parity(live, label="kcenter")
@@ -202,7 +204,7 @@ class TestTelemetryParity:
         backend, session = telemetry_cluster
         base = distributed_partial_median_no_shipping(small_instance, rng=42)
         live = distributed_partial_median_no_shipping(
-            small_instance, rng=42, backend=backend, trace=True, telemetry=session,
+            small_instance, rng=42, backend=backend, trace=session,
         )
         _assert_same_result(base, live)
         assert_byte_parity(live, label="no_shipping")
@@ -214,7 +216,7 @@ class TestTelemetryParity:
         )
         live = uncertain_partial_kmedian(
             small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42,
-            backend=backend, trace=True, telemetry=session,
+            backend=backend, trace=session,
         )
         _assert_same_result(base, live)
         assert_byte_parity(live, label="uncertain_kmedian")
@@ -226,18 +228,18 @@ class TestTelemetryParity:
         )
         live = uncertain_partial_kcenter_g(
             small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42,
-            backend=backend, trace=True, telemetry=session,
+            backend=backend, trace=session,
         )
         _assert_same_result(base, live)
         assert_byte_parity(live, label="center_g")
 
     def test_telemetry_implies_trace(self, small_workload, telemetry_cluster):
-        """``telemetry=True`` alone still yields a private traced timeline."""
+        """A fresh session alone still yields a private traced timeline."""
         backend, _ = telemetry_cluster
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
         live = partial_kmedian(
             small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend=backend, telemetry=True,
+            backend=backend, trace=TelemetrySession(),
         )
         _assert_same_result(base, live)
         assert live.trace is not None and live.trace.enabled
@@ -258,3 +260,38 @@ class TestTelemetryOffIsInert:
             assert backend.telemetry is None
         finally:
             backend.close()
+
+
+def _resource_samples(tracer):
+    return sum(1 for event in tracer.events if event.name == "resource_sample")
+
+
+class TestSessionEndsWithTheRun:
+    def test_warm_backend_drops_the_session_when_the_run_ends(self, small_workload):
+        """A caller's warm pool outlives a run; the run's session must not.
+
+        After the run returns, idle heartbeat samples must not land on its
+        trace, and a later untelemetered run's runner logs must not land in
+        the session's log.
+        """
+        session = TelemetrySession(sample_interval=0.02, snapshot_interval=0.1)
+        backend = ClusterBackend(n_hosts=2)
+        try:
+            first = partial_kmedian(
+                small_workload.points, 3, 15, n_sites=3, seed=42,
+                backend=backend, trace=session,
+            )
+            assert backend.telemetry is None
+            samples = _resource_samples(first.trace)
+            logs = len(session.run_log)
+            assert samples > 0 and logs > 0
+            partial_kmedian(
+                small_workload.points, 3, 15, n_sites=3, seed=42,
+                backend=backend, trace=True,
+            )
+            time.sleep(0.5)
+            assert _resource_samples(first.trace) == samples
+            assert len(session.run_log) == logs
+        finally:
+            backend.close()
+            session.close()

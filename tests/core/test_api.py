@@ -89,8 +89,11 @@ FRONT_DOORS = [
 
 
 class TestRemovedKnobs:
-    @pytest.mark.parametrize("knob", [("async_rounds", True), ("transport", "pickle")],
-                             ids=lambda knob: knob[0])
+    @pytest.mark.parametrize(
+        "knob",
+        [("async_rounds", True), ("transport", "pickle"), ("telemetry", True), ("prefetch", False)],
+        ids=lambda knob: knob[0],
+    )
     @pytest.mark.parametrize("driver", FRONT_DOORS, ids=lambda driver: driver.__name__)
     def test_removed_knob_raises(self, driver, knob, small_workload, small_uncertain_workload):
         if driver.__name__.startswith("uncertain"):

@@ -2,23 +2,16 @@
 
 import json
 import threading
-import urllib.error
-import urllib.request
 
 import pytest
 
 from repro.obs.live import (
-    NULL_TELEMETRY,
     JsonlSink,
     LiveMetrics,
-    NullTelemetry,
     PrometheusFileSink,
-    PrometheusHttpSink,
     TelemetrySession,
     build_snapshot,
     prometheus_text,
-    resolve_telemetry,
-    telemetry_scope,
 )
 from repro.obs.logs import active_log
 from repro.obs.trace import NULL_TRACER, Tracer
@@ -110,20 +103,6 @@ class TestSinks:
         assert "repro_wire_bytes 1500" in open(path).read()
         sink.close()
 
-    def test_http_sink_serves_latest(self):
-        sink = PrometheusHttpSink(port=0)
-        try:
-            assert sink.port > 0
-            sink.publish(build_snapshot(make_tracer(), label="live"))
-            body = urllib.request.urlopen(sink.url, timeout=5).read().decode()
-            assert 'repro_wire_bytes{run="live"} 1000' in body
-            with pytest.raises(urllib.error.HTTPError):
-                urllib.request.urlopen(
-                    f"http://{sink.host}:{sink.port}/nope", timeout=5
-                )
-        finally:
-            sink.close()
-
 
 class TestLiveMetrics:
     def test_interval_validation(self):
@@ -153,19 +132,19 @@ class TestLiveMetrics:
 
 
 class TestTelemetrySession:
-    def test_adopt_tracer_creates_private_one(self):
-        session = TelemetrySession()
-        tracer = session.adopt_tracer(NULL_TRACER)
-        assert tracer.enabled and tracer is session.tracer
-        assert session.run_log is not None
-        # Idempotent: a second adoption keeps the binding.
-        assert session.adopt_tracer(NULL_TRACER) is tracer
-
-    def test_adopt_tracer_binds_run_tracer(self):
-        session = TelemetrySession()
-        run_tracer = Tracer()
-        assert session.adopt_tracer(run_tracer) is run_tracer
-        assert session.tracer is run_tracer
+    def test_watch_binds_the_run_tracer(self):
+        session = TelemetrySession(snapshot_interval=60.0)
+        first, second = Tracer(), Tracer()
+        with session.watch(first) as watched:
+            assert watched is first and session.tracer is first
+            first_log = session.run_log
+            assert first_log.tracer is first
+        # Each watched run gets its own structured log; the last one stays
+        # readable after the run.
+        with session.watch(second):
+            assert session.tracer is second and session.run_log is not first_log
+        assert session.tracer is second
+        session.close()
 
     def test_scope_runs_sampler_and_snapshots(self, tmp_path):
         session = TelemetrySession(
@@ -173,11 +152,12 @@ class TestTelemetrySession:
             snapshot_interval=0.01,
             jsonl_path=str(tmp_path / "s.jsonl"),
         )
-        with telemetry_scope(session) as scoped:
-            assert scoped is session
-            assert session.sampler is not None and session.live is not None
+        threads = {"repro-sampler-coordinator", "repro-live-metrics"}
+        with session.watch(Tracer()):
+            assert threads <= {t.name for t in threading.enumerate()}
             assert active_log() is session.run_log
-        assert session.sampler is None and session.live is None
+        assert not threads & {t.name for t in threading.enumerate()}
+        assert active_log() is None
         assert session.peak_rss > 0
         assert session.last_snapshot is not None
         gauges = session.last_snapshot["gauges"]
@@ -189,44 +169,8 @@ class TestTelemetrySession:
         session = TelemetrySession(
             prometheus_path=str(tmp_path / "m.prom"),
             jsonl_path=str(tmp_path / "s.jsonl"),
-            prometheus_port=0,
         )
         try:
-            assert len(session.sinks) == 3
-            assert session.http_sink is not None and session.http_sink.port > 0
+            assert [type(sink) for sink in session.sinks] == [JsonlSink, PrometheusFileSink]
         finally:
             session.close()
-
-
-class TestNullTelemetry:
-    """NULL_TELEMETRY holds the same null-object standard as NULL_TRACER."""
-
-    def test_shared_and_inert(self):
-        assert NULL_TELEMETRY.enabled is False
-        assert NULL_TELEMETRY.tracer is None
-        assert NULL_TELEMETRY.run_log is None
-        assert NULL_TELEMETRY.peak_rss == 0.0
-        tracer = Tracer()
-        assert NULL_TELEMETRY.adopt_tracer(tracer) is tracer
-        assert NULL_TELEMETRY.adopt_tracer(NULL_TRACER) is NULL_TRACER
-        NULL_TELEMETRY.close()  # no-op, never raises
-
-    def test_scope_yields_without_threads(self):
-        before = threading.active_count()
-        with telemetry_scope(NULL_TELEMETRY) as scoped:
-            assert scoped is NULL_TELEMETRY
-            assert threading.active_count() == before
-            assert active_log() is None
-
-    def test_resolve_telemetry_mapping(self):
-        assert resolve_telemetry(False) is NULL_TELEMETRY
-        assert resolve_telemetry(None) is NULL_TELEMETRY
-        fresh = resolve_telemetry(True)
-        assert isinstance(fresh, TelemetrySession) and fresh.enabled
-        assert resolve_telemetry(fresh) is fresh
-        null = NullTelemetry()
-        assert resolve_telemetry(null) is null
-        with pytest.raises(TypeError):
-            resolve_telemetry("yes")
-        with pytest.raises(TypeError):
-            resolve_telemetry(Tracer())
