@@ -4,8 +4,8 @@ Every benchmark module regenerates one table or figure of the paper (see the
 experiment index in ``DESIGN.md``): it measures wall-clock time through
 pytest-benchmark *and* records the quantities the paper actually reports
 (approximation ratios, communication words, rounds, per-party times) in
-``benchmark.extra_info`` so that ``EXPERIMENTS.md`` can be written from the
-saved benchmark JSON or from the printed tables (run with ``-s``).
+``benchmark.extra_info``, so each row of that index can be read back from
+the saved benchmark JSON or from the printed tables (run with ``-s``).
 """
 
 from __future__ import annotations

@@ -56,7 +56,7 @@ def record_rows(benchmark, experiment_id: str, rows, columns: Optional[Sequence[
 
     The printed table (visible with ``pytest -s``) and the
     ``benchmark.extra_info`` payload carry the same information; both are the
-    source for ``EXPERIMENTS.md``.
+    source for the experiment index in ``DESIGN.md``.
     """
     table = format_table(rows, columns, title=title or experiment_id)
     print("\n" + table)

@@ -55,8 +55,6 @@ from repro.cluster import ClusterBackend, FaultPlan, RetryPolicy
 from repro.core.algorithm1_modified import distributed_partial_median_no_shipping
 from repro.data import gaussian_mixture_with_outliers, uncertain_nodes_from_mixture
 from repro.distributed import DistributedInstance, partition_balanced
-from repro.obs import assert_byte_parity
-from repro.obs.history import RUN_HISTORY_ENV, RunHistory, summary_record
 from repro.obs.sampler import ResourceSampler
 
 K, T = 3, 15
@@ -147,15 +145,14 @@ def test_cluster_bytes_per_word(
             # One extra traced run per protocol: the byte measurements above
             # stay untraced (the committed baseline's frames), while the trace
             # supplies the cache/prefetch/state counters the report layer
-            # surfaces — and a bit-for-bit cross-check of the wire ledger on
-            # its own run.
+            # surfaces.
             traced = run(cluster_pool, trace=True)
         peak_rss[name] = sampler.peak_rss()
-        # Both columns of the raw/encoded split cross-check bit for bit
-        # (wire.bytes* counters carry pre-codec sizes, wire.bytes_encoded*
-        # what physically crossed the sockets); on mismatch the error names
-        # each disagreeing counter rather than a bare integer pair.
-        assert_byte_parity(traced, label=name)
+        # The trace's byte counters mirror its own run's wire ledger: raw
+        # sizes in wire.bytes, what crossed the sockets in wire.bytes_encoded.
+        traced_wire = traced.ledger.wire
+        assert traced.trace.counter("wire.bytes") == traced_wire.total_raw_bytes(), name
+        assert traced.trace.counter("wire.bytes_encoded") == traced_wire.total_bytes(), name
         trace_counters[name] = {
             counter: traced.trace.counter(counter) for counter in SUMMARY_COUNTERS
         }
@@ -257,20 +254,6 @@ def test_cluster_bytes_per_word(
 
     # Time one representative cluster run (pool already warm).
     benchmark.pedantic(lambda: runners[0][1](cluster_pool), rounds=1, iterations=1)
-
-    # Every green benchmark run becomes a regression datapoint: with a store
-    # configured (CI exports REPRO_RUN_HISTORY), append one record per
-    # protocol for ``python -m repro.obs.history report``/``compare`` —
-    # appended only after every assertion above passed, so the history never
-    # learns from a broken run.
-    history_path = os.environ.get(RUN_HISTORY_ENV)
-    if history_path:
-        history = RunHistory(history_path)
-        for row in rows:
-            history.append(
-                summary_record(row["protocol"], row,
-                               peak_rss_bytes=peak_rss[row["protocol"]])
-            )
 
     record_rows(
         benchmark,

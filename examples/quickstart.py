@@ -55,7 +55,7 @@ def main() -> None:
     memory_budgets_and_out_of_core_shards(workload.points, k, t)
     fused_plans_and_prefetch(workload.points, k, t)
     observability(workload.points, k, t)
-    live_telemetry_and_run_history(workload.points, k, t)
+    live_telemetry(workload.points, k, t)
 
 
 def choosing_a_backend(points, k, t) -> None:
@@ -280,11 +280,11 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
     kinds, plus one ``RecoveryEvent`` (host, round, reason, re-pin map) in
     ``result.ledger.wire.summary()["recovery"]``, and ``recovery.*``
     counters on a traced run.  With ``trace=`` a telemetry session (see
-    ``live_telemetry_and_run_history`` below) the same ``recovery.*``
-    counters stream into every live Prometheus/JSONL snapshot, so a
-    mid-run scrape shows a host death the moment it is handled.  When the
-    budget is exhausted (``max_retries`` host deaths already recovered),
-    the next death is a clean ``DeadHostError`` with full context.
+    ``live_telemetry`` below) the same ``recovery.*`` counters stream into
+    every live Prometheus/JSONL snapshot, so a mid-run scrape shows a host
+    death the moment it is handled.  When the budget is exhausted
+    (``max_retries`` host deaths already recovered), the next death is a
+    clean ``DeadHostError`` with full context.
 
     Deterministic fault injection — the harness the recovery tests use —
     is available to drills too: a ``FaultPlan`` (or the ``REPRO_FAULT_PLAN``
@@ -465,19 +465,18 @@ def observability(points, k, t) -> None:
         print(render_round_report(result))   # per (round, host): tasks,
                                              # task/rpc seconds, sent/recv
                                              # bytes, bytes by frame kind
-        protocol_summary(result)             # words, bytes (ledger AND
-                                             # trace, cross-checked), cache/
-                                             # prefetch/state counters
+        protocol_summary(result)             # words, wire bytes per word,
+                                             # cache/prefetch/state counters
         write_chrome_trace(result.trace, "trace.json")  # open in
                                              # chrome://tracing or
                                              # https://ui.perfetto.dev
 
-    On a cluster backend the tracer counts every frame's bytes itself and
-    ``protocol_summary`` asserts they equal the wire ledger bit for bit —
-    the trace is an independent witness of the byte accounting, not a copy
-    of it.  Counters surface what the lower layers did: ``cluster.resident_
-    hit/miss`` (runner-resident shard+metric), ``cluster.state_pulls`` (lazy
-    state faults), ``plan.executions``/``plan.tiles`` (fused passes),
+    On a cluster backend the wire ledger mirrors every frame it records into
+    the tracer's ``wire.bytes*`` counters (raw and encoded, per direction
+    and per frame kind), so mid-run snapshots see the bytes too.  Counters
+    surface what the lower layers did: ``cluster.resident_hit/miss``
+    (runner-resident shard+metric), ``cluster.state_pulls`` (lazy state
+    faults), ``plan.executions``/``plan.tiles`` (fused passes),
     ``prefetch.hit/miss`` (double-buffered tiles), ``blocked.spills``.
     """
     from repro.obs import protocol_summary, render_round_report
@@ -487,14 +486,13 @@ def observability(points, k, t) -> None:
     summary = protocol_summary(result)
     print(
         f"  spans {summary['n_spans']}, rounds {summary['rounds']}, "
-        f"words {summary['total_words']:.0f}, "
-        f"bytes match ledger: {summary['bytes_match']}"
+        f"words {summary['total_words']:.0f}"
     )
     print("\n".join("  " + line for line in render_round_report(result).splitlines()))
 
 
-def live_telemetry_and_run_history(points, k, t) -> None:
-    """Live telemetry and run history.
+def live_telemetry(points, k, t) -> None:
+    """Live telemetry.
 
     ``trace=True`` records a run; ``trace=`` a
     :class:`repro.obs.TelemetrySession` records it the same way (each run
@@ -505,38 +503,24 @@ def live_telemetry_and_run_history(points, k, t) -> None:
       on a cluster backend, on every runner.  Runner samples (RSS, CPU
       seconds, thread/fd counts) piggyback on the heartbeat frames that
       cross the sockets anyway — zero extra round trips, every heartbeat
-      byte accounted under the wire ledger's ``hb`` kind, still bit-for-bit
-      equal to the trace's counters;
+      byte accounted under the wire ledger's ``hb`` kind;
     * **streaming snapshots** — a snapshot thread publishes the tracer's
       counters and gauges mid-run to pluggable sinks: Prometheus text
       exposition (``prometheus_path=``, a file for the node-exporter
-      textfile collector) and JSON lines (``jsonl_path=``).  Mid-run rows show live ``progress.round``,
-      ``progress.tasks_in_flight``, ``wire.bytes`` and ``resource.*`` —
-      and, on a recovered run, the ``recovery.*`` counters;
-    * **structured logs** — span-correlated JSON-lines records
-      (``log_path=``), runner records forwarded over the wire and rebased
-      onto the coordinator timeline;
-    * **run history** — :class:`repro.obs.RunHistory` appends one summary
-      record per run to a persistent JSONL store, and the CLI reads it
-      back::
-
-          python -m repro.obs.history report
-          python -m repro.obs.history compare --baseline BENCH_cluster_bytes.json
-
-      ``compare`` exits 1 when any tracked metric (bytes/word raw+encoded,
-      wall seconds) exceeds 2x its baseline.
+      textfile collector) and JSON lines (``jsonl_path=``).  Mid-run rows
+      show live ``progress.round``, ``progress.tasks_in_flight``,
+      ``wire.bytes`` and ``resource.*`` — and, on a recovered run, the
+      ``recovery.*`` counters.
 
     The default ``trace=False`` starts none of it: one attribute read,
     zero per-task allocations, bit-identical results.
     """
     import os
     import tempfile
-    import time
 
     from repro.obs import TelemetrySession
-    from repro.obs.history import RunHistory
 
-    print("\nlive telemetry (snapshots + resource samples) and run history")
+    print("\nlive telemetry (snapshots + resource samples)")
     with tempfile.TemporaryDirectory(prefix="repro-quickstart-") as tmp:
         session = TelemetrySession(
             sample_interval=0.02,
@@ -545,12 +529,10 @@ def live_telemetry_and_run_history(points, k, t) -> None:
             jsonl_path=os.path.join(tmp, "snapshots.jsonl"),
             label="quickstart",
         )
-        start = time.perf_counter()
         result = partial_kmedian(
             points, k=k, t=t, n_sites=3, seed=7,
             backend="cluster:3", trace=session,
         )
-        wall = time.perf_counter() - start
         snapshot = session.last_snapshot
         gauges = snapshot["gauges"]
         runner_rss = [
@@ -568,14 +550,6 @@ def live_telemetry_and_run_history(points, k, t) -> None:
         print(f"  runner RSS via heartbeat: "
               + ", ".join(f"{host} {rss:.0f} MB" for host, rss in runner_rss))
         print(f"  heartbeat bytes (ledger): {hb_bytes} under kind 'hb'")
-
-        history = RunHistory(os.path.join(tmp, "RUN_HISTORY.jsonl"))
-        history.append_result(
-            "kmedian", result, wall_s=wall, peak_rss_bytes=session.peak_rss
-        )
-        latest = history.latest_by_protocol()["kmedian"]
-        print(f"  history record appended : kmedian "
-              f"{latest['bytes_per_word']:.0f} B/word, wall {latest['wall_s']:.2f}s")
         session.close()
 
 

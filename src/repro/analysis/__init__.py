@@ -5,7 +5,7 @@ turns them into the numbers the paper's tables talk about — realized
 objective values on the full data, approximation ratios against the
 centralized reference, communication totals and their scaling in ``s``, ``k``
 and ``t`` — and formats them as plain-text / markdown tables for the
-benchmark harness and ``EXPERIMENTS.md``.
+benchmark harness (indexed in ``DESIGN.md``).
 """
 
 from repro.analysis.evaluation import (

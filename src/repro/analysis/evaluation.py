@@ -3,8 +3,8 @@
 A protocol's headline output is a set of centers plus an outlier budget; the
 *realized* cost of that output is obtained by assigning every input point to
 its nearest returned center and excluding the budgeted number of most
-expensive points.  This is the quantity all approximation ratios in
-``EXPERIMENTS.md`` are computed from (it is exactly the objective of
+expensive points.  This is the quantity all approximation ratios the
+benchmarks record are computed from (it is exactly the objective of
 Definition 1.1 for the returned center set).
 """
 

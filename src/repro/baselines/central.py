@@ -4,10 +4,11 @@ The paper's guarantees are stated against the (intractable) optimum; the
 benchmarks use the best solution found by a beefed-up single-machine solver —
 several restarts of the outlier-aware local search (median/means) or the full
 Charikar greedy (center) on the complete data — as the practical stand-in for
-``Copt``.  Every measured "approximation ratio" in ``EXPERIMENTS.md`` is
-relative to this reference, so ratios below 1 are possible (the distributed
-algorithm may beat the reference) and ratios slightly above the paper's
-constants indicate heuristic slack rather than a broken bound.
+``Copt`` (see the Substitutions table in ``DESIGN.md``).  Every
+"approximation ratio" the benchmarks measure is relative to this reference,
+so ratios below 1 are possible (the distributed algorithm may beat the
+reference) and ratios slightly above the paper's constants indicate
+heuristic slack rather than a broken bound.
 """
 
 from __future__ import annotations

@@ -197,10 +197,9 @@ class _Host:
         #: ``(wire, tracer, round_index, job)`` captured atomically by the
         #: last dispatch to this host, so the event loop can account heartbeat
         #: frames against the same ledger/tracer pair every other frame of
-        #: the run uses — the hb accounting inherits the run's byte-parity
-        #: guarantee by construction.  ``(None, None, 0, "")`` until the
-        #: first dispatch: heartbeats before any run are liveness-only.  The
-        #: job slot lets a finishing job detach only its own accounting.
+        #: the run uses.  ``(None, None, 0, "")`` until the first dispatch:
+        #: heartbeats before any run are liveness-only.  The job slot lets a
+        #: finishing job detach only its own accounting.
         self.hb_account: Tuple[Optional[WireLedger], Optional[Any], int, str] = (
             None, None, 0, "",
         )
@@ -268,11 +267,10 @@ class ClusterBackend(ExecutionBackend):
         #: Telemetry session of the current run (a driver's ``trace=``
         #: session, installed for the run's backend scope); ``None`` when
         #: the live plane is off.  When set, runners are spawned with
-        #: resource sampling on their heartbeats and runner log buffers are
-        #: forwarded into the session's run log.
+        #: resource sampling on their heartbeats.
         self.telemetry: Optional[Any] = None
         #: job namespace -> telemetry session for runs admitted through the
-        #: cluster service; frames of a job report into *its* session only.
+        #: cluster service.
         self._telemetry_by_job: Dict[str, Any] = {}
 
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
@@ -291,22 +289,14 @@ class ClusterBackend(ExecutionBackend):
     def set_job_telemetry(self, job: str, telemetry: Optional[Any]) -> None:
         """Install (or remove, with ``None``) one job's telemetry session.
 
-        Result-frame extras of that job — forwarded runner logs — land in
-        *its* session's run log only, never a concurrent job's.  Runner
-        resource samples ride host-level heartbeats that belong to no single
-        job, so they land in every installed session (shared-infrastructure
-        metrics, not job data).
+        Runner resource samples ride host-level heartbeats that belong to no
+        single job, so they land in every installed session
+        (shared-infrastructure metrics, not job data).
         """
         if telemetry is not None:
             self._telemetry_by_job[job] = telemetry
         else:
             self._telemetry_by_job.pop(job, None)
-
-    def _session_for(self, job: str) -> Optional[Any]:
-        """The telemetry session one job's frames report into."""
-        if job:
-            return self._telemetry_by_job.get(job)
-        return self.telemetry
 
     def detach_run_accounting(self, job: Optional[str] = None) -> None:
         """Stop accounting heartbeats against the current run's ledger/tracer.
@@ -314,9 +304,9 @@ class ClusterBackend(ExecutionBackend):
         Called when a run's backend scope exits (see
         :func:`repro.runtime.backends.backend_scope`).  Taking each host
         lock makes this a barrier: a heartbeat being recorded concurrently
-        completes first, so after this returns the finished run's ledger and
-        trace byte totals are frozen — still bit-for-bit equal — while the
-        warm pool's later heartbeats go back to liveness-only.  With ``job``
+        completes first, so after this returns the finished run's ledger
+        (and the trace counters mirroring it) are frozen while the warm
+        pool's later heartbeats go back to liveness-only.  With ``job``
         given, only hosts whose captured accounting belongs to that job are
         detached — a finishing job on a shared service pool never freezes a
         concurrent job's heartbeat accounting.
@@ -1310,13 +1300,11 @@ class ClusterBackend(ExecutionBackend):
             # Unsolicited runner heartbeat.  Accounted against the
             # (ledger, tracer) pair the last dispatch to this host
             # captured atomically — the same pair every other frame of
-            # the run uses, so ledger/trace byte parity holds bit for
-            # bit with heartbeats on.  Heartbeats arriving before any
-            # dispatch (warm pool idling between runs) are liveness-only.
-            # Under the host lock so detach_run_accounting() can provide
-            # a barrier: once it returns, no heartbeat is being (or will
-            # be) recorded against the finished run's ledger/tracer, and
-            # their totals are frozen in agreement.
+            # the run uses.  Heartbeats arriving before any dispatch
+            # (warm pool idling between runs) are liveness-only.  Under
+            # the host lock so detach_run_accounting() can provide a
+            # barrier: once it returns, no heartbeat is being (or will
+            # be) recorded against the finished run's ledger/tracer.
             with host.lock:
                 hb_wire, hb_tracer, hb_round, _ = host.hb_account
                 if hb_wire is not None:
@@ -1324,14 +1312,8 @@ class ClusterBackend(ExecutionBackend):
                         round_index=hb_round, host=host.host_id,
                         direction="recv", kind="hb",
                         n_bytes=n_bytes, raw_bytes=raw_bytes, codec=codec,
+                        tracer=hb_tracer,
                     )
-                    if hb_tracer is not None:
-                        hb_tracer.inc("wire.bytes", raw_bytes)
-                        hb_tracer.inc("wire.bytes.recv", raw_bytes)
-                        hb_tracer.inc("wire.bytes.hb", raw_bytes)
-                        hb_tracer.inc("wire.bytes_encoded", n_bytes)
-                        hb_tracer.inc("wire.bytes_encoded.recv", n_bytes)
-                        hb_tracer.inc("wire.bytes_encoded.hb", n_bytes)
             if len(frame) > 3 and frame[3]:
                 self._absorb_resource_sample(host, frame[3])
             return
@@ -1364,21 +1346,8 @@ class ClusterBackend(ExecutionBackend):
                 round_index=entry.round_index, host=host.host_id,
                 direction="recv", kind=entry.kind + "_result",
                 n_bytes=n_bytes, raw_bytes=raw_bytes, codec=codec,
+                tracer=entry.tracer,
             )
-            if entry.tracer is not None:
-                # Mirror of the wire record: the trace's byte counters
-                # are bumped at exactly the ledger's recording points,
-                # so their totals match the WireLedger bit for bit —
-                # ``wire.bytes*`` against the raw column,
-                # ``wire.bytes_encoded*`` against the physical one.
-                entry.tracer.inc("wire.bytes", raw_bytes)
-                entry.tracer.inc("wire.bytes.recv", raw_bytes)
-                entry.tracer.inc(f"wire.bytes.{entry.kind}_result", raw_bytes)
-                entry.tracer.inc("wire.bytes_encoded", n_bytes)
-                entry.tracer.inc("wire.bytes_encoded.recv", n_bytes)
-                entry.tracer.inc(f"wire.bytes_encoded.{entry.kind}_result", n_bytes)
-                if entry.kind.startswith("replay"):
-                    entry.tracer.inc("recovery.replay_bytes", n_bytes)
         if entry.tracer is not None:
             entry.tracer.add_span(
                 "rpc", entry.t_send, t_recv, kind=entry.kind,
@@ -1439,18 +1408,6 @@ class ClusterBackend(ExecutionBackend):
                         buffer,
                         window=(entry.t_send, t_recv),
                         tags={"round": entry.round_index, "host": host.host_id},
-                    )
-            log_buffer = extras.get("log")
-            session = self._session_for(entry.job)
-            if log_buffer is not None and session is not None:
-                run_log = session.run_log
-                if run_log is not None:
-                    # Runner log records rebase into the same dispatch
-                    # window their TraceBuffer does, so a record and the
-                    # span it names land together on the timeline.
-                    run_log.absorb(
-                        log_buffer, window=(entry.t_send, t_recv),
-                        round=entry.round_index, host=host.host_id,
                     )
         try:
             if entry.convert is not None:
@@ -1583,20 +1540,8 @@ class ClusterBackend(ExecutionBackend):
                     round_index=round_index, host=host.host_id,
                     direction="send", kind=kind + "_dispatch",
                     n_bytes=frame.n_bytes, raw_bytes=frame.raw_bytes,
-                    codec=frame.codec,
+                    codec=frame.codec, tracer=entry.tracer,
                 )
-                if entry.tracer is not None:
-                    # Mirror of the wire record (see _handle_frame): counters
-                    # bump at the ledger's exact recording points — raw into
-                    # ``wire.bytes*``, physical into ``wire.bytes_encoded*``.
-                    entry.tracer.inc("wire.bytes", frame.raw_bytes)
-                    entry.tracer.inc("wire.bytes.send", frame.raw_bytes)
-                    entry.tracer.inc(f"wire.bytes.{kind}_dispatch", frame.raw_bytes)
-                    entry.tracer.inc("wire.bytes_encoded", frame.n_bytes)
-                    entry.tracer.inc("wire.bytes_encoded.send", frame.n_bytes)
-                    entry.tracer.inc(f"wire.bytes_encoded.{kind}_dispatch", frame.n_bytes)
-                    if kind.startswith("replay"):
-                        entry.tracer.inc("recovery.replay_bytes", frame.n_bytes)
             if not died:
                 # Queue the encoded bytes on the channel (still under the
                 # encode lock, so byte order matches cache order) and ask

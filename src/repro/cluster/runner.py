@@ -111,7 +111,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy, encode_payload
 from repro.cluster.payloads import PayloadCache
 from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
-from repro.obs.logs import LogBuffer, log_scope
 from repro.obs.sampler import read_resource_sample, resource_samples_enabled
 from repro.obs.trace import TraceBuffer, collector_scope
 from repro.runtime.state import STATE_DIGEST_TAG, is_state_token
@@ -138,16 +137,11 @@ def _execute_generic(
         payload = cache.decode(payload)
     if trace_on:
         buffer = TraceBuffer(origin=f"host-{host_id}")
-        logbuf = LogBuffer(origin=f"host-{host_id}")
-        with collector_scope(buffer), log_scope(logbuf):
+        with collector_scope(buffer):
             with buffer.span("task", fn=getattr(fn, "__name__", str(fn))):
-                logbuf.log("debug", "task_start",
-                           fn=getattr(fn, "__name__", str(fn)))
                 with frame_timer.measure("cluster:task"):
                     value = fn(payload)
         extras: Dict[str, Any] = {"timer": frame_timer, "trace": buffer}
-        if logbuf:
-            extras["log"] = logbuf
     else:
         with frame_timer.measure("cluster:task"):
             value = fn(payload)
@@ -230,7 +224,6 @@ def _execute_site(
 
     trace_on = bool(dyn.get("trace"))
     buffer = TraceBuffer(origin=f"host-{host_id}") if trace_on else None
-    logbuf = LogBuffer(origin=f"host-{host_id}") if trace_on else None
     frame_timer = Timer()
     ctx = SiteContext(
         site_id=dyn["site_id"],
@@ -242,9 +235,8 @@ def _execute_site(
         trace=buffer,
     )
     if buffer is not None:
-        with collector_scope(buffer), log_scope(logbuf):
+        with collector_scope(buffer):
             with buffer.span("site_task", site=ctx.site_id):
-                logbuf.log("debug", "site_task_start", site=ctx.site_id)
                 with frame_timer.measure("cluster:task"):
                     value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
     else:
@@ -297,8 +289,6 @@ def _execute_site(
     extras: Dict[str, Any] = {"timer": frame_timer}
     if buffer is not None:
         extras["trace"] = buffer
-    if logbuf:
-        extras["log"] = logbuf
     return ("site_res", seq, result, extras)
 
 

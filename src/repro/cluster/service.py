@@ -21,9 +21,8 @@ accounting and telemetry routing stay fully isolated between jobs:
   (:meth:`ClusterBackend.detach_run_accounting` with ``job=``).
 * **Telemetry**: a job run with ``trace=`` a telemetry session installs
   it as a per-job session (:meth:`ClusterBackend.set_job_telemetry`) for
-  the run's backend scope: the job's forwarded runner logs reach its
-  session only, while host-level resource samples — shared infrastructure
-  truth — fan out to every installed session.
+  the run's backend scope.  Host-level resource samples — shared
+  infrastructure truth — fan out to every installed session.
 
 Admission control is keyed on ``memory_budget`` (same grammar as the
 blocked-evaluation budgets: bytes, or strings like ``"64MB"`` — see

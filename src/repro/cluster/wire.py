@@ -17,14 +17,20 @@ aggregation stay the physical truth; the ``raw_*`` twins quantify what the
 codec layer saved, and :meth:`WireLedger.compression_by_kind` renders the
 benchmark's compression column.
 
+On a traced run :meth:`WireLedger.record` also mirrors each frame into the
+run tracer's ``wire.bytes*`` (raw) and ``wire.bytes_encoded*`` (encoded)
+counters, in total, per direction and per kind.  The ledger is the source
+of byte numbers; the counters make them visible to mid-run snapshots.
+
 This module is dependency-free on purpose: the communication ledger attaches
-a ``WireLedger`` lazily without importing the rest of the cluster machinery.
+a ``WireLedger`` lazily without importing the rest of the cluster machinery,
+and the tracer is duck-typed (anything with ``inc(name, value)``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
 #: Frame kinds a cluster run can record, per direction: every dispatch kind
 #: pairs with its ``*_result`` response.  ``state_pull`` frames exist only
@@ -166,8 +172,16 @@ class WireLedger:
         n_bytes: int,
         raw_bytes: Optional[int] = None,
         codec: str = "none",
+        tracer: Optional[Any] = None,
     ) -> WireRecord:
-        """Append one frame record and return it."""
+        """Append one frame record and return it.
+
+        With a ``tracer`` the record is mirrored into its counters: the raw
+        size into ``wire.bytes``, the encoded size into
+        ``wire.bytes_encoded``, each also under ``.<direction>`` and
+        ``.<kind>``, and the encoded size of a ``replay*`` frame into
+        ``recovery.replay_bytes``.
+        """
         rec = WireRecord(
             round_index=int(round_index),
             host=int(host),
@@ -178,6 +192,12 @@ class WireLedger:
             codec=str(codec),
         )
         self.records.append(rec)
+        if tracer is not None:
+            for suffix in ("", "." + rec.direction, "." + rec.kind):
+                tracer.inc("wire.bytes" + suffix, rec.raw_bytes)
+                tracer.inc("wire.bytes_encoded" + suffix, rec.n_bytes)
+            if rec.kind.startswith("replay"):
+                tracer.inc("recovery.replay_bytes", rec.n_bytes)
         return rec
 
     # ------------------------------------------------------------------

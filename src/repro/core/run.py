@@ -67,7 +67,7 @@ class ProtocolRun:
         shutdown and heartbeat accounting end with the last site round.
         The run's telemetry session is installed for this scope only: a
         caller's warm pool outlives the run, and its later heartbeat
-        samples and runner logs must not land on this run's books.
+        samples must not land on this run's books.
         """
         with backend_scope(self._backend) as backend:
             # Only cluster backends have hosts to lose and runners to
@@ -128,14 +128,15 @@ def protocol_run(
         the runners on one timeline, on a :class:`~repro.obs.trace.Tracer`
         attached to the result as ``result.trace`` (render it with
         :func:`repro.obs.render_round_report`, export it with
-        :func:`repro.obs.write_chrome_trace`).  Pass an existing tracer to
-        share one timeline across runs.  A
+        :func:`repro.obs.write_chrome_trace`).  On a cluster backend its
+        ``wire.bytes*`` counters mirror the wire ledger frame by frame.
+        Pass an existing tracer to share one timeline across runs.  A
         :class:`~repro.obs.live.TelemetrySession` records like ``True``
         (each run gets its own fresh tracer) and also watches the run live:
         coordinator and runner resource sampling (runner samples ride
-        heartbeat frames), mid-run Prometheus/JSONL snapshots and
-        structured span-correlated logs.  ``False`` (default) adds no
-        per-task work.  Any other value raises ``TypeError``.
+        heartbeat frames) and mid-run Prometheus/JSONL snapshots.
+        ``False`` (default) adds no per-task work.  Any other value raises
+        ``TypeError``.
     retry:
         A :class:`~repro.cluster.recovery.RetryPolicy` that makes the
         cluster backend fault tolerant.  When a runner dies mid-round

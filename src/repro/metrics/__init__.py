@@ -8,8 +8,12 @@ pair at a time or as vectorised blocks.  Concrete implementations cover
 * :class:`MatrixMetric` — an explicit pairwise distance matrix,
 * :class:`GraphMetric` — shortest-path distances on a weighted graph,
 * :class:`CompressedGraphMetric` — the clique-with-tentacles graph of
-  Definition 5.2 used to cluster uncertain data,
-* :class:`TruncatedDistance` — the ``L_tau`` distance of Definition 5.7.
+  Definition 5.2 used to cluster uncertain data.
+
+The truncated distance ``L_tau`` of Definition 5.7 is not a metric, so it
+has no class here: the center-g protocol reads its expected form
+``rho_tau`` from
+:meth:`repro.uncertain.UncertainNode.expected_truncated_distances`.
 
 :mod:`repro.metrics.blocked` adds the memory discipline: blocked iteration
 and reductions over any metric (or explicit cost matrix) under a byte
@@ -46,7 +50,6 @@ from repro.metrics.plan import (
 from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.matrix import MatrixMetric
 from repro.metrics.graph import GraphMetric
-from repro.metrics.truncated import TruncatedDistance, truncate_matrix
 from repro.metrics.compressed_graph import CompressedGraph, CompressedGraphMetric
 from repro.metrics.cost_matrix import build_cost_matrix, pairwise_distances
 
@@ -73,8 +76,6 @@ __all__ = [
     "EuclideanMetric",
     "MatrixMetric",
     "GraphMetric",
-    "TruncatedDistance",
-    "truncate_matrix",
     "CompressedGraph",
     "CompressedGraphMetric",
     "build_cost_matrix",

@@ -56,16 +56,11 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
 
     async_id = 0
     for span in tracer.spans:
-        args = _safe_tags(span.tags)
-        if span.sid:
-            # Correlates the rendered span with structured-log records
-            # carrying the same (origin, sid); 0 = pre-span-id record.
-            args["sid"] = span.sid
         base = {
             "name": span.name,
             "pid": pid_of[span.origin],
             "cat": span.origin,
-            "args": args,
+            "args": _safe_tags(span.tags),
         }
         ts = span.start * 1e6
         if span.flow == ASYNC:

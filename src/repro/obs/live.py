@@ -23,9 +23,8 @@ Sinks
 :class:`TelemetrySession`
     The ``trace=`` value that watches runs live.  Each run records on a
     fresh tracer, and :meth:`TelemetrySession.watch` runs a coordinator
-    :class:`~repro.obs.sampler.ResourceSampler`, a :class:`LiveMetrics`
-    thread and a structured :class:`~repro.obs.logs.RunLog` against it for
-    as long as the run lasts.
+    :class:`~repro.obs.sampler.ResourceSampler` and a :class:`LiveMetrics`
+    thread against it for as long as the run lasts.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, List, Optional, Sequence, TextIO
 
-from repro.obs.logs import RunLog, log_scope
 from repro.obs.sampler import ResourceSampler
 from repro.obs.trace import Tracer
 
@@ -243,12 +241,11 @@ class TelemetrySession:
     across many.  Each run records on a fresh tracer (its ``result.trace``)
     that the session watches while the run lasts (:meth:`watch`).  On a
     cluster backend the session also asks runners for heartbeat-piggybacked
-    resource samples and forwards runner log buffers into :attr:`run_log`.
+    resource samples.
 
     Parameters name the sinks declaratively so callers don't need to import
-    sink classes: ``prometheus_path``/``jsonl_path`` for file sinks,
-    ``log_path`` to stream the structured log, plus ``sinks`` for anything
-    custom.
+    sink classes: ``prometheus_path``/``jsonl_path`` for file sinks, plus
+    ``sinks`` for anything custom.
     """
 
     def __init__(
@@ -259,7 +256,6 @@ class TelemetrySession:
         sinks: Optional[Sequence[Any]] = None,
         prometheus_path: Optional[str] = None,
         jsonl_path: Optional[str] = None,
-        log_path: Optional[str] = None,
         label: Optional[str] = None,
     ):
         self.sample_interval = float(sample_interval)
@@ -270,10 +266,8 @@ class TelemetrySession:
             self.sinks.append(JsonlSink(jsonl_path))
         if prometheus_path is not None:
             self.sinks.append(PrometheusFileSink(prometheus_path))
-        self._log_path = log_path
-        #: The most recently watched run's tracer and structured log.
+        #: The most recently watched run's tracer.
         self.tracer: Optional[Tracer] = None
-        self.run_log: Optional[RunLog] = None
         #: That run's final snapshot and peak coordinator RSS (bytes).
         self.last_snapshot: Optional[Dict[str, Any]] = None
         self.peak_rss = 0.0
@@ -282,14 +276,12 @@ class TelemetrySession:
     def watch(self, tracer: Tracer) -> Iterator[Tracer]:
         """Watch one run's tracer for the duration of the block.
 
-        Binds :attr:`tracer` and a fresh :attr:`run_log` to it, starts a
-        coordinator resource sampler and the snapshot thread, and installs
-        the run log as the ambient structured-log sink.  On exit both
-        threads stop: the final snapshot lands in :attr:`last_snapshot` and
-        the coordinator's peak RSS in :attr:`peak_rss`.
+        Binds :attr:`tracer` and starts a coordinator resource sampler and
+        the snapshot thread.  On exit both threads stop: the final snapshot
+        lands in :attr:`last_snapshot` and the coordinator's peak RSS in
+        :attr:`peak_rss`.
         """
         self.tracer = tracer
-        self.run_log = RunLog(tracer, path=self._log_path)
         # Both constructors validate their interval before either thread starts.
         sampler = ResourceSampler(
             self.sample_interval, tracer=tracer, origin="coordinator"
@@ -300,13 +292,11 @@ class TelemetrySession:
         sampler.start()
         live.start()
         try:
-            with log_scope(self.run_log):
-                yield tracer
+            yield tracer
         finally:
             sampler.stop()
             self.peak_rss = sampler.peak_rss()
             self.last_snapshot = live.stop()
-            self.run_log.close()
 
     def close(self) -> None:
         """Release every sink (idempotent)."""
@@ -315,8 +305,6 @@ class TelemetrySession:
                 sink.close()
             except Exception:  # pragma: no cover
                 pass
-        if self.run_log is not None:
-            self.run_log.close()
 
 
 __all__ = [

@@ -9,10 +9,9 @@ attached to the result, the word-count
 backend) its physical :class:`~repro.cluster.wire.WireLedger` — and renders
 plain-text tables via :func:`repro.analysis.format_table`.
 
-The per-protocol summary doubles as a *cross-check*: the tracer counts wire
-bytes independently at the same instrumentation points the wire ledger
-records, so ``wire_bytes_trace == wire_bytes_ledger`` holds bit-for-bit on a
-healthy run and a mismatch means an unaccounted frame path.
+Byte figures come from the wire ledger; the trace's ``wire.bytes*``
+counters are that ledger's records, mirrored as each frame is recorded
+(:meth:`~repro.cluster.wire.WireLedger.record`).
 """
 
 from __future__ import annotations
@@ -46,89 +45,6 @@ def _wire_of(result: Any):
     return getattr(ledger, "wire", None)
 
 
-def byte_parity_diff(result: Any) -> List[str]:
-    """Per-counter diff of trace-counted vs ledger wire bytes.
-
-    Empty on a healthy run.  On a mismatch, each line names one
-    disagreeing pair — the raw/encoded totals, the per-direction splits
-    (``wire.bytes.send``/``.recv`` vs the ledger's direction sums) and the
-    per-kind splits (``wire.bytes.<kind>`` vs ``bytes_by_kind``) — so a CI
-    log shows *which* frame path went unaccounted, not just that one did.
-    """
-    tracer = getattr(result, "trace", None)
-    if tracer is None or not getattr(tracer, "enabled", False):
-        raise ValueError("result has no trace: run the protocol with trace=True")
-    wire = _wire_of(result)
-
-    def ledger_int(value: float) -> int:
-        return int(value)
-
-    pairs: List[tuple] = [
-        ("wire.bytes (raw total)", tracer.counter("wire.bytes"),
-         wire.total_raw_bytes() if wire is not None else 0),
-        ("wire.bytes_encoded (encoded total)", tracer.counter("wire.bytes_encoded"),
-         wire.total_bytes() if wire is not None else 0),
-    ]
-    by_direction = wire.bytes_by_direction() if wire is not None else {}
-    raw_by_direction: Dict[str, int] = {}
-    if wire is not None:
-        for rec in wire.records:
-            raw_by_direction[rec.direction] = (
-                raw_by_direction.get(rec.direction, 0) + rec.raw_bytes
-            )
-    for direction in ("send", "recv"):
-        pairs.append(
-            (f"wire.bytes.{direction}", tracer.counter(f"wire.bytes.{direction}"),
-             raw_by_direction.get(direction, 0))
-        )
-        pairs.append(
-            (f"wire.bytes_encoded.{direction}",
-             tracer.counter(f"wire.bytes_encoded.{direction}"),
-             by_direction.get(direction, 0))
-        )
-    if wire is not None:
-        raw_by_kind = wire.raw_bytes_by_kind()
-        by_kind = wire.bytes_by_kind()
-        tracked = sorted(set(raw_by_kind) | set(by_kind))
-        for kind in tracked:
-            trace_raw_kind = tracer.counter(f"wire.bytes.{kind}")
-            trace_enc_kind = tracer.counter(f"wire.bytes_encoded.{kind}")
-            # Per-kind tracer counters only exist for kinds recorded through
-            # instrumented paths; skip kinds the tracer never mirrored so
-            # the diff stays about *disagreement*, not coverage gaps.
-            if trace_raw_kind or trace_enc_kind:
-                pairs.append((f"wire.bytes.{kind}", trace_raw_kind,
-                              raw_by_kind.get(kind, 0)))
-                pairs.append((f"wire.bytes_encoded.{kind}", trace_enc_kind,
-                              by_kind.get(kind, 0)))
-
-    diff: List[str] = []
-    for name, traced, ledgered in pairs:
-        traced_i, ledgered_i = int(traced), ledger_int(ledgered)
-        if traced_i != ledgered_i:
-            diff.append(
-                f"{name}: trace={traced_i} ledger={ledgered_i} "
-                f"(delta {traced_i - ledgered_i:+d})"
-            )
-    return diff
-
-
-def assert_byte_parity(result: Any, *, label: str = "") -> None:
-    """Assert bit-for-bit trace/ledger byte parity with a diagnosable message.
-
-    Replaces bare ``assert trace == ledger`` checks: on mismatch the
-    ``AssertionError`` carries the full :func:`byte_parity_diff`, one line
-    per disagreeing counter, readable straight from a CI log.
-    """
-    diff = byte_parity_diff(result)
-    if diff:
-        prefix = f"[{label}] " if label else ""
-        raise AssertionError(
-            prefix + "trace/ledger wire byte mismatch "
-            f"({len(diff)} counter(s) disagree):\n  " + "\n  ".join(diff)
-        )
-
-
 def round_report(result: Any) -> List[Dict[str, Any]]:
     """Per ``(round, host)`` activity rows for a traced run.
 
@@ -136,8 +52,9 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
     kind, state pulls) with the trace's timing (tasks executed, runner
     busy-seconds from absorbed runner spans, wire round-trip seconds from
     the coordinator's rpc spans).  In-process traced runs have no wire or
-    hosts; their rows carry ``host=None`` with task counts and busy time
-    from the absorbed site-task spans.
+    hosts; their rows carry ``host="-"`` with task counts and busy time
+    from the absorbed site-task spans.  Rows are ordered by round, then by
+    host number, with a round's in-process row first.
     """
     tracer = getattr(result, "trace", None)
     if tracer is None or not getattr(tracer, "enabled", False):
@@ -191,7 +108,9 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
                 # of the task having run (no rpc span counts it).
                 r["tasks"] += 1
 
-    return [rows[key] for key in sorted(rows, key=lambda k: (k[0], str(k[1])))]
+    return [rows[key] for key in sorted(
+        rows, key=lambda k: (k[0], k[1] is not None, k[1] or 0)
+    )]
 
 
 def render_round_report(result: Any, *, title: Optional[str] = None) -> str:
@@ -217,19 +136,12 @@ def render_round_report(result: Any, *, title: Optional[str] = None) -> str:
 
 
 def protocol_summary(result: Any) -> Dict[str, Any]:
-    """One-run summary reproducing the bytes/word numbers from the trace.
+    """One-run summary: words, wire bytes per word, and the trace's counters.
 
-    The cross-check runs over *both* columns of the raw/encoded split:
-    ``wire_raw_trace`` (the tracer's ``wire.bytes`` counter) against
-    ``wire_raw_ledger`` (the wire ledger's pre-codec totals), and
-    ``wire_bytes_trace`` (``wire.bytes_encoded``) against
-    ``wire_bytes_ledger`` (the physically transmitted totals).
-    ``bytes_match`` flags bit-for-bit equality of both pairs (vacuously
-    true on in-process runs, where all four are zero) and ``bytes_diff``
-    carries the per-counter :func:`byte_parity_diff` lines (empty on a
-    healthy run) so a failing cross-check is diagnosable; ``compression`` is
-    the run's raw-over-encoded ratio.  The fixed :data:`SUMMARY_COUNTERS`
-    are always present.
+    ``wire_bytes_ledger`` is what physically crossed the sockets and
+    ``wire_raw_ledger`` the same frames before the codec (both zero on
+    in-process runs); ``compression`` is their ratio.  The fixed
+    :data:`SUMMARY_COUNTERS` are always present.
     """
     tracer = getattr(result, "trace", None)
     if tracer is None or not getattr(tracer, "enabled", False):
@@ -238,17 +150,11 @@ def protocol_summary(result: Any) -> Dict[str, Any]:
     wire = _wire_of(result)
     ledger_bytes = int(wire.total_bytes()) if wire is not None else 0
     ledger_raw = int(wire.total_raw_bytes()) if wire is not None else 0
-    trace_bytes = int(tracer.counter("wire.bytes_encoded"))
-    trace_raw = int(tracer.counter("wire.bytes"))
     total_words = float(ledger.total_words())
     summary: Dict[str, Any] = {
         "total_words": total_words,
         "wire_bytes_ledger": ledger_bytes,
-        "wire_bytes_trace": trace_bytes,
         "wire_raw_ledger": ledger_raw,
-        "wire_raw_trace": trace_raw,
-        "bytes_match": trace_bytes == ledger_bytes and trace_raw == ledger_raw,
-        "bytes_diff": byte_parity_diff(result),
         "bytes_per_word": (ledger_bytes / total_words) if total_words else 0.0,
         "raw_bytes_per_word": (ledger_raw / total_words) if total_words else 0.0,
         "compression": (ledger_raw / ledger_bytes) if ledger_bytes else 1.0,
@@ -275,7 +181,6 @@ def render_protocol_summary(results: Dict[str, Any], *, title: Optional[str] = N
                 "wire_bytes": summary["wire_bytes_ledger"],
                 "raw_bytes": summary["wire_raw_ledger"],
                 "compression": summary["compression"],
-                "match": summary["bytes_match"],
                 "bytes_per_word": summary["bytes_per_word"],
                 "resident_hit": summary["cluster.resident_hit"],
                 "resident_miss": summary["cluster.resident_miss"],
@@ -285,15 +190,11 @@ def render_protocol_summary(results: Dict[str, Any], *, title: Optional[str] = N
                 "prefetch_miss": summary["prefetch.miss"],
             }
         )
-    return format_table(
-        rows, title=title or "Per-protocol summary (trace vs. ledger cross-check)"
-    )
+    return format_table(rows, title=title or "Per-protocol summary")
 
 
 __all__ = [
     "SUMMARY_COUNTERS",
-    "assert_byte_parity",
-    "byte_parity_diff",
     "protocol_summary",
     "render_protocol_summary",
     "render_round_report",

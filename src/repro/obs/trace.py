@@ -6,7 +6,9 @@ for it (``Timer`` labels, the word-count ``CommunicationLedger``, the
 physical ``WireLedger``).  This module adds the layer that ties them
 together: a :class:`Tracer` records *spans* (named intervals with tags) and
 *events* on a single monotonic timeline, plus a :class:`MetricsRegistry` of
-counters and gauges, cheap enough to thread through every hot path.
+counters and gauges, cheap enough to thread through every hot path.  It
+does not count wire bytes itself: the ``WireLedger`` mirrors each frame it
+records into the tracer's ``wire.bytes*`` counters.
 
 Three design points carry the module:
 
@@ -41,7 +43,6 @@ Ambient collector
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
 from contextlib import contextmanager
@@ -64,11 +65,7 @@ class SpanRecord:
     :class:`TraceBuffer`.  ``origin`` names the party ("coordinator",
     "host-2", "site-0"); ``tid`` is the recording thread.  ``flow`` is
     :data:`SYNC` for stack-disciplined spans and :data:`ASYNC` for
-    explicit-endpoint spans that may overlap (wire round-trips).  ``sid`` is
-    the recorder-local span id structured log records correlate to
-    (:mod:`repro.obs.logs`); unique per recorder, so ``(origin, sid)``
-    identifies a span on the merged timeline.  ``0`` marks records from
-    before span ids existed.
+    explicit-endpoint spans that may overlap (wire round-trips).
     """
 
     name: str
@@ -78,7 +75,6 @@ class SpanRecord:
     tid: int
     tags: Dict[str, Any] = field(default_factory=dict)
     flow: str = SYNC
-    sid: int = 0
 
     @property
     def duration(self) -> float:
@@ -145,28 +141,19 @@ class TraceBuffer:
         self.spans: List[SpanRecord] = []
         self.events: List[EventRecord] = []
         self.metrics = MetricsRegistry()
-        self._sids = itertools.count(1)
-        self._sid_stack: List[int] = []
 
     # -- recording ----------------------------------------------------------
 
     @contextmanager
     def span(self, name: str, **tags: Any) -> Iterator[None]:
         start = time.perf_counter()
-        sid = next(self._sids)
-        self._sid_stack.append(sid)
         try:
             yield
         finally:
-            self._sid_stack.pop()
             self.spans.append(
                 SpanRecord(name, start, time.perf_counter(), self.origin,
-                           threading.get_ident(), tags, sid=sid)
+                           threading.get_ident(), tags)
             )
-
-    def current_span_id(self) -> int:
-        """Span id of the innermost open ``span()`` (0 outside any span)."""
-        return self._sid_stack[-1] if self._sid_stack else 0
 
     def event(self, name: str, **tags: Any) -> None:
         self.events.append(
@@ -210,14 +197,6 @@ class Tracer:
         self.spans: List[SpanRecord] = []
         self.events: List[EventRecord] = []
         self.metrics = MetricsRegistry()
-        self._sids = itertools.count(1)
-        self._sid_local = threading.local()
-
-    @property
-    def epoch(self) -> float:
-        """Raw ``perf_counter`` instant of the timeline's zero (read-only;
-        :class:`~repro.obs.logs.RunLog` rebases foreign buffers against it)."""
-        return self._epoch
 
     def clock(self) -> float:
         """Seconds since the tracer's epoch (monotonic)."""
@@ -225,31 +204,16 @@ class Tracer:
 
     # -- recording ----------------------------------------------------------
 
-    def _sid_stack(self) -> List[int]:
-        stack = getattr(self._sid_local, "stack", None)
-        if stack is None:
-            stack = self._sid_local.stack = []
-        return stack
-
     @contextmanager
     def span(self, name: str, *, origin: str = "coordinator", **tags: Any) -> Iterator[None]:
         start = self.clock()
-        sid = next(self._sids)
-        stack = self._sid_stack()
-        stack.append(sid)
         try:
             yield
         finally:
-            stack.pop()
             record = SpanRecord(name, start, self.clock(), origin,
-                                threading.get_ident(), tags, sid=sid)
+                                threading.get_ident(), tags)
             with self._lock:
                 self.spans.append(record)
-
-    def current_span_id(self) -> int:
-        """Span id of this thread's innermost open ``span()`` (0 outside)."""
-        stack = getattr(self._sid_local, "stack", None)
-        return stack[-1] if stack else 0
 
     def add_span(
         self,
@@ -262,8 +226,7 @@ class Tracer:
     ) -> None:
         """Record a span with explicit on-timeline endpoints (marked async —
         wire round-trips observed by a reader thread may overlap freely)."""
-        record = SpanRecord(name, start, end, origin, threading.get_ident(), tags,
-                            ASYNC, sid=next(self._sids))
+        record = SpanRecord(name, start, end, origin, threading.get_ident(), tags, ASYNC)
         with self._lock:
             self.spans.append(record)
 
@@ -307,14 +270,13 @@ class Tracer:
         """
         if buffer is None or not buffer:
             return
-        offset = rebase_offset(self._epoch, buffer.bounds(), window)
+        offset = _rebase_offset(self._epoch, buffer.bounds(), window)
         extra = tags or {}
         with self._lock:
             for span in buffer.spans:
                 self.spans.append(
                     SpanRecord(span.name, span.start + offset, span.end + offset,
-                               span.origin, span.tid, {**extra, **span.tags}, span.flow,
-                               sid=span.sid)
+                               span.origin, span.tid, {**extra, **span.tags}, span.flow)
                 )
             for ev in buffer.events:
                 self.events.append(
@@ -348,19 +310,17 @@ class Tracer:
         )
 
 
-def rebase_offset(
+def _rebase_offset(
     epoch: float,
     bounds: Optional[Tuple[float, float]],
     window: Optional[Tuple[float, float]],
 ) -> float:
     """Offset mapping a foreign buffer's raw clock onto a tracer timeline.
 
-    The rebase rule :meth:`Tracer.absorb` applies, shared with the log layer
-    (:class:`~repro.obs.logs.RunLog` rebases :class:`~repro.obs.logs.LogBuffer`
-    records identically): try ``-epoch`` first — exact when the recorder
-    shares this machine's ``perf_counter`` stream — and fall back to centring
-    the buffer inside the observed dispatch ``window`` when the resulting
-    instants fall outside it.
+    The rebase rule of :meth:`Tracer.absorb`: try ``-epoch`` first — exact
+    when the recorder shares this machine's ``perf_counter`` stream — and
+    fall back to centring the buffer inside the observed dispatch
+    ``window`` when the resulting instants fall outside it.
     """
     offset = -epoch
     if window is not None and bounds is not None:
@@ -410,9 +370,6 @@ class NullTracer:
 
     def span(self, name: str, **tags: Any) -> _NullSpan:
         return _NULL_SPAN
-
-    def current_span_id(self) -> int:
-        return 0
 
     def add_span(self, name: str, start: float, end: float, **tags: Any) -> None:
         return None
@@ -523,7 +480,6 @@ __all__ = [
     "Tracer",
     "active_collector",
     "collector_scope",
-    "rebase_offset",
     "resolve_tracer",
     "trace_run",
 ]

@@ -22,6 +22,7 @@ from repro.cluster.recovery import FAIL_FAST, resolve_retry_policy
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.runtime import SiteTask, run_site_tasks
+from tests.helpers import assert_counters_equal_ledger
 
 pytestmark = pytest.mark.cluster
 
@@ -200,7 +201,7 @@ class TestSiteRecovery:
             assert len(events) == 1
             assert events[0]["repin"] == {2: 0}
 
-    def test_replay_bytes_match_ledger_and_counters(self):
+    def test_replay_bytes_equal_ledger_and_counters(self):
         base = partial_kmedian(np.random.default_rng(1).normal(size=(90, 2)), 3, 9,
                                n_sites=3, seed=11)
         backend = ClusterBackend(
@@ -227,10 +228,7 @@ class TestSiteRecovery:
         assert result.trace.counter("recovery.digest_checks") >= 1
         events = wire.summary()["recovery"]
         assert len(events) == 1 and events[0]["host"] == 1
-        # The semantic word ledger never sees the failure.
-        from repro.obs.report import protocol_summary
-
-        assert protocol_summary(result)["bytes_match"]
+        assert_counters_equal_ledger(result)
 
     def test_proxy_fault_after_death_raises_dead_host_error(self):
         backend = ClusterBackend(n_hosts=1)

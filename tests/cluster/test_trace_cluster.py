@@ -1,8 +1,8 @@
-"""Tracing on the cluster backend: one timeline, bit-for-bit byte parity.
+"""Tracing on the cluster backend: one timeline, wire counters from the ledger.
 
 The acceptance bar for the observability layer: a ``trace=True`` run on
-``cluster:3`` yields (a) a tracer whose independently counted wire bytes
-equal the :class:`~repro.cluster.wire.WireLedger` exactly, (b) runner spans
+``cluster:3`` yields (a) a tracer whose wire byte counters equal the
+:class:`~repro.cluster.wire.WireLedger` exactly, (b) runner spans
 rebased onto the coordinator timeline inside the rpc windows that carried
 them, (c) resident-cache / state / prefetch counters per protocol — while
 ``trace=False`` stays bit-identical to an untraced serial run.  The runner
@@ -26,6 +26,7 @@ from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
 from repro.obs import protocol_summary, round_report, to_chrome_trace
 from repro.runtime import SiteTask, run_site_tasks
+from tests.helpers import assert_counters_equal_ledger
 
 pytestmark = pytest.mark.cluster
 
@@ -48,37 +49,9 @@ def _assert_same_result(base, other):
         np.testing.assert_array_equal(base.outliers, other.outliers)
 
 
-def _assert_trace_bytes_match(result):
-    """The tracer's wire counters mirror the WireLedger bit for bit.
-
-    Both columns of the raw/encoded split are cross-checked: ``wire.bytes*``
-    counters carry pre-codec sizes and must equal the ledger's ``raw_*``
-    totals, while ``wire.bytes_encoded*`` carry what physically crossed the
-    sockets and must equal ``total_bytes()``/``bytes_by_*``.
-    """
-    tracer = result.trace
-    wire = result.ledger.wire
-    assert int(tracer.counter("wire.bytes")) == wire.total_raw_bytes()
-    assert int(tracer.counter("wire.bytes_encoded")) == wire.total_bytes()
-    raw_by_direction = wire.raw_bytes_by_direction()
-    enc_by_direction = wire.bytes_by_direction()
-    assert int(tracer.counter("wire.bytes.send")) == raw_by_direction["send"]
-    assert int(tracer.counter("wire.bytes.recv")) == raw_by_direction["recv"]
-    assert int(tracer.counter("wire.bytes_encoded.send")) == enc_by_direction["send"]
-    assert int(tracer.counter("wire.bytes_encoded.recv")) == enc_by_direction["recv"]
-    for kind, raw_bytes in wire.raw_bytes_by_kind().items():
-        assert int(tracer.counter(f"wire.bytes.{kind}")) == raw_bytes
-    for kind, n_bytes in wire.bytes_by_kind().items():
-        assert int(tracer.counter(f"wire.bytes_encoded.{kind}")) == n_bytes
-    summary = protocol_summary(result)
-    assert summary["bytes_match"] is True
-    assert summary["wire_bytes_ledger"] == wire.total_bytes()
-    assert summary["wire_raw_ledger"] == wire.total_raw_bytes()
-    assert summary["compression"] >= 1.0
-
-
 class TestTracedClusterParity:
-    """Every protocol: traced on cluster:3 == untraced on serial, bytes match."""
+    """Every protocol: traced on cluster:3 == untraced on serial; counters
+    equal the wire ledger."""
 
     def test_kmedian(self, small_workload, cluster3):
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
@@ -87,7 +60,7 @@ class TestTracedClusterParity:
             backend=cluster3, trace=True,
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
         assert traced.trace.counter("cluster.resident_hit") > 0
         assert traced.trace.counter("cluster.resident_miss") > 0
         assert traced.trace.counter("cluster.state_pulls") > 0
@@ -99,7 +72,7 @@ class TestTracedClusterParity:
             backend=cluster3, trace=True,
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
 
     def test_no_shipping_variant(self, small_instance, cluster3):
         base = distributed_partial_median_no_shipping(small_instance, rng=42)
@@ -107,7 +80,7 @@ class TestTracedClusterParity:
             small_instance, rng=42, backend=cluster3, trace=True
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
 
     def test_uncertain_kmedian(self, small_uncertain_workload, cluster3):
         base = uncertain_partial_kmedian(
@@ -118,7 +91,7 @@ class TestTracedClusterParity:
             backend=cluster3, trace=True,
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
         # Structure-free tasks cross as task frames, counted all the same.
         assert traced.trace.counter("wire.bytes.task_dispatch") > 0
         assert traced.trace.counter("wire.bytes.task_result") > 0
@@ -132,7 +105,7 @@ class TestTracedClusterParity:
             backend=cluster3, trace=True,
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
         # The per-tau sweeps run fused reduction plans on every runner.
         assert traced.trace.counter("plan.executions") > 0
 
@@ -165,7 +138,7 @@ class TestClusterTimeline:
         assert len(pulls) == int(traced.trace.counter("cluster.state_pulls"))
         assert all(e.tags["keys"] >= 1 for e in pulls)
 
-    def test_round_report_bytes_match_wire(self, traced):
+    def test_round_report_bytes_equal_wire(self, traced):
         rows = round_report(traced)
         wire = traced.ledger.wire
         per_round_host = wire.bytes_by_round_host()
@@ -182,6 +155,13 @@ class TestClusterTimeline:
             for rnd, hosts in per_round_host.items()
             for host in hosts
         }
+
+    def test_protocol_summary_reads_the_wire_ledger(self, traced):
+        summary = protocol_summary(traced)
+        wire = traced.ledger.wire
+        assert summary["wire_bytes_ledger"] == wire.total_bytes()
+        assert summary["wire_raw_ledger"] == wire.total_raw_bytes()
+        assert summary["compression"] >= 1.0
 
     def test_chrome_export_carries_all_origins(self, traced):
         doc = to_chrome_trace(traced.trace)
@@ -203,7 +183,7 @@ class TestPrefetchCounters:
             memory_budget="8KB", backend=cluster3, trace=True,
         )
         _assert_same_result(base, traced)
-        _assert_trace_bytes_match(traced)
+        assert_counters_equal_ledger(traced)
         tracer = traced.trace
         assert tracer.counter("plan.executions") > 0
         assert tracer.counter("plan.tiles") > 0

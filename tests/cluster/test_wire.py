@@ -5,6 +5,7 @@ import pytest
 from repro.cluster.wire import WireLedger, WireRecord
 from repro.distributed import CommunicationLedger, Message
 from repro.distributed.messages import COORDINATOR
+from repro.obs.trace import Tracer
 
 
 def _msg(sender=0, receiver=COORDINATOR, round_index=1, kind="x", words=10.0, n_bytes=None):
@@ -107,6 +108,31 @@ class TestRawEncodedSplit:
         assert summary["raw_by_kind"]["site_dispatch"] == 250
         assert summary["compression_by_kind"]["task_dispatch"] == 2.0
         assert summary["raw_by_direction"] == {"send": 350, "recv": 40}
+
+    def test_record_mirrors_into_tracer_counters(self):
+        tracer = Tracer()
+        wire = WireLedger()
+        wire.record(round_index=1, host=0, direction="send", kind="site_dispatch",
+                    n_bytes=100, raw_bytes=250, codec="zlib", tracer=tracer)
+        wire.record(round_index=1, host=0, direction="recv", kind="site_result",
+                    n_bytes=40, tracer=tracer)
+        wire.record(round_index=2, host=1, direction="send", kind="replay_dispatch",
+                    n_bytes=30, raw_bytes=70, codec="zlib", tracer=tracer)
+        wire.record(round_index=2, host=1, direction="recv", kind="replay_task_result",
+                    n_bytes=20, tracer=tracer)
+        wire.record(round_index=2, host=1, direction="recv", kind="hb", n_bytes=9)
+        assert tracer.metrics.counters == {
+            "wire.bytes": 380, "wire.bytes_encoded": 190,
+            "wire.bytes.send": 320, "wire.bytes_encoded.send": 130,
+            "wire.bytes.recv": 60, "wire.bytes_encoded.recv": 60,
+            "wire.bytes.site_dispatch": 250, "wire.bytes_encoded.site_dispatch": 100,
+            "wire.bytes.site_result": 40, "wire.bytes_encoded.site_result": 40,
+            "wire.bytes.replay_dispatch": 70, "wire.bytes_encoded.replay_dispatch": 30,
+            "wire.bytes.replay_task_result": 20,
+            "wire.bytes_encoded.replay_task_result": 20,
+            # Encoded bytes of the replay* frames only.
+            "recovery.replay_bytes": 50,
+        }
 
     def test_merge_carries_raw_bytes(self):
         a, b = self._filled(), self._filled()

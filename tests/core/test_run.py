@@ -8,7 +8,6 @@ import pytest
 
 from repro.core.run import protocol_run
 from repro.obs.live import TelemetrySession
-from repro.obs.logs import active_log
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import SerialBackend
 
@@ -48,9 +47,8 @@ def test_trace_mapping():
     for off in (False, None):
         with protocol_run("algorithm1", "median", trace=off) as run:
             assert run.tracer is NULL_TRACER and run.trace is None
-            # Off starts no threads and installs no structured-log sink.
+            # Off starts no threads.
             assert set(threading.enumerate()) <= before
-            assert active_log() is None
 
     with protocol_run("algorithm1", "median", trace=True) as run:
         assert isinstance(run.tracer, Tracer) and run.trace is run.tracer
@@ -65,9 +63,7 @@ def test_trace_mapping():
         with protocol_run("algorithm1", "median", trace=session) as run:
             assert run.tracer.enabled and run.trace is run.tracer
             assert session.tracer is run.tracer
-            assert active_log() is session.run_log
             tracers.append(run.tracer)
-        assert active_log() is None
     assert tracers[0] is not tracers[1]
     assert session.peak_rss > 0 and session.last_snapshot is not None
     session.close()

@@ -13,7 +13,6 @@ from repro.obs.live import (
     build_snapshot,
     prometheus_text,
 )
-from repro.obs.logs import active_log
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
@@ -137,12 +136,10 @@ class TestTelemetrySession:
         first, second = Tracer(), Tracer()
         with session.watch(first) as watched:
             assert watched is first and session.tracer is first
-            first_log = session.run_log
-            assert first_log.tracer is first
-        # Each watched run gets its own structured log; the last one stays
+        # Each watched run rebinds the session; the last tracer stays
         # readable after the run.
         with session.watch(second):
-            assert session.tracer is second and session.run_log is not first_log
+            assert session.tracer is second
         assert session.tracer is second
         session.close()
 
@@ -155,9 +152,7 @@ class TestTelemetrySession:
         threads = {"repro-sampler-coordinator", "repro-live-metrics"}
         with session.watch(Tracer()):
             assert threads <= {t.name for t in threading.enumerate()}
-            assert active_log() is session.run_log
         assert not threads & {t.name for t in threading.enumerate()}
-        assert active_log() is None
         assert session.peak_rss > 0
         assert session.last_snapshot is not None
         gauges = session.last_snapshot["gauges"]

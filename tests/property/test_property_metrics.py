@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.metrics import CompressedGraph, EuclideanMetric, truncate_matrix
+from repro.metrics import CompressedGraph, EuclideanMetric
+from repro.uncertain import UncertainNode
 
 
 @st.composite
@@ -44,15 +45,22 @@ class TestEuclideanProperties:
         for m in np.unique(mids):
             assert np.all(mat <= mat[:, [m]] + mat[[m], :] + 1e-6)
 
-    @given(pts=point_clouds(), tau=st.floats(min_value=0.0, max_value=50.0))
+    @given(pts=point_clouds(), tau=st.floats(min_value=0.0, max_value=50.0), data=st.data())
     @settings(max_examples=80, deadline=None)
-    def test_truncation_bounded_by_original(self, pts, tau):
+    def test_truncation_bounded_by_original(self, pts, tau, data):
+        # For any uncertain node: max(E[d] - tau, 0) <= rho_tau <= E[d].
         metric = EuclideanMetric(pts)
-        mat = metric.full_matrix()
-        trunc = truncate_matrix(mat, tau)
-        assert np.all(trunc <= mat + 1e-12)
-        assert np.all(trunc >= mat - tau - 1e-9)
-        assert np.all(trunc >= 0)
+        n = len(metric)
+        support = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1),
+                                     min_size=1, max_size=n, unique=True))
+        weights = data.draw(st.lists(st.floats(min_value=0.01, max_value=1.0),
+                                     min_size=len(support), max_size=len(support)))
+        node = UncertainNode(support=np.asarray(support), probabilities=np.asarray(weights))
+        points = np.arange(n)
+        plain = node.expected_distances(metric, points)
+        trunc = node.expected_truncated_distances(metric, points, tau)
+        assert np.all(trunc <= plain + 1e-9)
+        assert np.all(trunc >= np.maximum(plain - tau, 0.0) - 1e-9)
 
 
 class TestCompressedGraphProperties:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.metrics import EuclideanMetric
 from repro.uncertain import UncertainNode
 
 
@@ -68,6 +69,23 @@ class TestExpectedDistances:
         plain = two_point_node.expected_distances(tiny_metric, pts)
         trunc = two_point_node.expected_truncated_distances(tiny_metric, pts, 1.0)
         assert np.all(trunc <= plain + 1e-12)
+
+    def test_relaxed_triangle_inequality(self, rng):
+        # Lemma 5.12: L_tau(u1,u2) + L_tau(u2,u3) >= L_{2 tau}(u1,u3).  On a
+        # deterministic node rho_tau is exactly L_tau, so each row below is
+        # the truncated distance the center-g protocol computes.
+        metric = EuclideanMetric(rng.normal(scale=5.0, size=(20, 2)))
+        tau = 1.0
+        points = np.arange(len(metric))
+        nodes = [UncertainNode.deterministic(u) for u in points]
+        l_tau = np.stack([n.expected_truncated_distances(metric, points, tau) for n in nodes])
+        l_2tau = np.stack(
+            [n.expected_truncated_distances(metric, points, 2 * tau) for n in nodes]
+        )
+        assert np.array_equal(l_tau, np.maximum(metric.full_matrix() - tau, 0.0))
+        for mid in points:
+            lhs = l_tau[:, [mid]] + l_tau[[mid], :]
+            assert np.all(lhs >= l_2tau - 1e-9)
 
     def test_deterministic_node_matches_metric(self, tiny_metric):
         node = UncertainNode.deterministic(2)
