@@ -245,16 +245,20 @@ def event_loop_coordinator_and_the_cluster_service(points, k, t) -> None:
 def fault_tolerance_and_recovery(points, k, t) -> None:
     """Fault tolerance and recovery.
 
-    Real runners die.  By default the cluster backend is *fail fast* — the
-    first runner death raises a ``DeadHostError`` naming the host, its
-    in-flight tasks and the last committed state epoch per site.  Passing a
-    ``RetryPolicy`` makes rounds fault tolerant instead::
+    Real runners die.  By default the cluster backend is *fail fast* (a
+    zero retry budget) — the first runner death raises a ``DeadHostError``
+    naming the host, its in-flight tasks and the last committed state epoch
+    per site.  Building the pool with a ``RetryPolicy`` makes rounds fault
+    tolerant instead; the policy belongs to the pool, not to a run::
 
-        from repro.cluster import RetryPolicy
+        from repro.cluster import ClusterBackend, RetryPolicy
 
         result = partial_kmedian(
-            points, k=3, t=30, backend="cluster:3",
-            retry=RetryPolicy(max_retries=1, heartbeat_timeout=5.0),
+            points, k=3, t=30,
+            backend=ClusterBackend(
+                n_hosts=3,
+                retry=RetryPolicy(max_retries=1, heartbeat_timeout=5.0),
+            ),
         )
 
     A death is detected promptly (socket EOF / send error) or, for a runner

@@ -1,7 +1,7 @@
 """Distributed-memory cluster backend with wire-level byte accounting.
 
-The star-network simulator charges every message a semantic *word* count but
-historically delivered payloads by reference inside one process.  This
+The star-network simulator charges every message a semantic *word* count;
+the in-process backends hand payloads over inside one process.  This
 subsystem closes the loop on the paper's communication claims: a
 :class:`~repro.cluster.backend.ClusterBackend` spawns one long-lived runner
 process per simulated host, ships site tasks and payloads over real
@@ -29,12 +29,14 @@ Select it like any other backend::
 Results are bit-identical to ``backend="serial"`` for a fixed seed — the
 wire is an execution detail; the word ledger never changes.
 
-With a :class:`~repro.cluster.recovery.RetryPolicy` installed the backend is
-also fault tolerant: a runner death mid-round (socket error or heartbeat
-timeout) is recovered by re-pinning the dead host's sites deterministically
+Built with ``retry=RetryPolicy(max_retries=N)``, the pool is also fault
+tolerant: up to N runner deaths mid-round (socket error or heartbeat
+timeout) are recovered by re-pinning the dead host's sites deterministically
 to survivors and replaying their dispatch logs — still bit-identical, with
 the replay bytes accounted under ``replay_*`` frame kinds and a
-:class:`~repro.cluster.wire.RecoveryEvent` in the ledger.  A deterministic
+:class:`~repro.cluster.wire.RecoveryEvent` in the ledger.  The default
+budget is zero: the first death raises
+:class:`~repro.cluster.recovery.DeadHostError`.  A deterministic
 :class:`~repro.cluster.recovery.FaultPlan` (or the ``REPRO_FAULT_PLAN``
 environment variable) injects failures for tests and drills.
 """

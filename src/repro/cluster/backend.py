@@ -37,26 +37,29 @@ claims honest:
   individual entries over the wire only on explicit access.  Later rounds
   therefore pay wire cost only for what actually changed.
 
-Tasks return futures (:meth:`submit_tasks` / :meth:`submit_site_pairs`), the
-substrate of async round scheduling: the coordinator consumes completed
-results in submission order while other hosts are still computing.
+Tasks return futures (:meth:`submit_tasks` / :meth:`submit_site_pairs`);
+the round scheduler joins them at a barrier
+(:func:`repro.runtime.tasks.run_site_tasks`).
 
-**Fault tolerance** is opt-in via ``retry=RetryPolicy(...)``.  By default a
-runner that dies mid-round fails all of its in-flight futures with a
+**Fault tolerance** is a property of the pool, set where it is built
+(``retry=RetryPolicy(...)``), and has one code path.  Every site dispatch
+is appended to its site's dispatch log
+(:class:`~repro.cluster.recovery.SiteLog`) and placed by one function.  A
+runner death is *classified* against the policy's retry budget.  Within
+the budget, the dead host's sites re-pin to survivors deterministically and
+each log replays from record 0 (re-shipping the sticky half, rewriting
+state-token epochs positionally and carrying the same RNG streams over);
+the replayed state is verified against the recorded digests and the round
+resumes.  Results are bit-identical to the no-failure run, and every replay
+frame is accounted in the wire ledger under ``replay_*`` kinds next to a
+:class:`~repro.cluster.wire.RecoveryEvent` recording the re-pin map.  The
+default budget is zero, which is fail fast: placement never routes around
+a dead host, and the death fails its in-flight futures with a
 :class:`~repro.cluster.recovery.DeadHostError` naming the host, its
-in-flight tasks and its last committed state epochs; sockets and the
-scratch directory are cleaned up by :meth:`close` even then.  With recovery
-enabled, death is *classified* instead: the backend keeps a per-site
-dispatch log (:class:`~repro.cluster.recovery.SiteLog`), re-pins the dead
-host's sites to survivors deterministically, replays each log from record 0
-(re-shipping the sticky half, rewriting state-token epochs positionally and
-carrying the same RNG streams over), verifies the replayed state against the
-recorded digests, and resumes the round — results are bit-identical to the
-no-failure run, and every replay frame is accounted in the wire ledger under
-``replay_*`` kinds next to a :class:`~repro.cluster.wire.RecoveryEvent`
-recording the re-pin map.  An optional heartbeat timeout catches runners
-that are wedged but still connected, and a
-:class:`~repro.cluster.recovery.FaultPlan` (or the ``REPRO_FAULT_PLAN``
+in-flight tasks and its sites' last committed state epochs.  Sockets and the
+scratch directory are cleaned up by :meth:`close` either way.  An optional
+heartbeat timeout catches runners that are wedged but still connected, and
+a :class:`~repro.cluster.recovery.FaultPlan` (or the ``REPRO_FAULT_PLAN``
 environment knob) injects deterministic faults for tests and CI.
 """
 
@@ -99,7 +102,6 @@ from repro.runtime.backends import ExecutionBackend, default_worker_count
 from repro.runtime.state import (
     RemoteStateProxy,
     STATE_TOKEN_TAG,
-    is_state_digest,
     is_state_token,
     materialize_state,
 )
@@ -119,10 +121,10 @@ class _Pending:
         # routes the result's payload-cache decode and telemetry absorption
         # to the owning job's isolated accounting.
         "job",
-        # Recovery book-keeping (None on fail-fast backends): the site log +
-        # record a "site" frame belongs to, the (fn, payload, index) of a
-        # re-dispatchable "task" frame, the (key, keys) of a re-issuable
-        # state pull, and the fault-plan dispatch ordinal for after-triggers.
+        # Recovery book-keeping: the site log + record a "site" frame
+        # belongs to, the (fn, payload, index) of a re-dispatchable "task"
+        # frame, the (key, keys) of a re-issuable state pull, and the
+        # fault-plan dispatch ordinal for after-triggers.
         "site_log", "record_index", "task_fn", "task_payload", "task_index",
         "pull_info", "fault_ordinal",
     )
@@ -164,11 +166,11 @@ class _Host:
         self.lock = threading.Lock()
         self.dead: Optional[str] = None
         #: Shared bookkeeping for this host's death, created by ``_mark_dead``
-        #: when recovery is on: whichever thread replays one of the host's
-        #: site logs (the recovery thread, or a racing dispatch/pull that got
-        #: the log lock first) records its re-pin and frame count here, and
-        #: the recovery thread emits the merged event.  Guarded by the
-        #: backend's ``_retry_lock``.
+        #: when the death is within the retry budget: whichever thread
+        #: replays one of the host's site logs (the recovery thread, or a
+        #: racing dispatch/pull that got the log lock first) records its
+        #: re-pin and frame count here, and the recovery thread emits the
+        #: merged event.  Guarded by the backend's ``_retry_lock``.
         self.recovery_stats: Optional[Dict[str, Any]] = None
         #: Monotonic instant of the last frame (result or heartbeat) this
         #: host's socket produced; the heartbeat monitor compares it against
@@ -232,8 +234,8 @@ class ClusterBackend(ExecutionBackend):
         #: Per-frame-kind codec choices; runners resolve the same policy from
         #: the environment they inherit, so both directions agree.
         self.wire_policy = WirePolicy.from_env()
-        #: How runner death is treated: ``None`` resolves to the historical
-        #: fail-fast contract; a :class:`RetryPolicy` opts into recovery.
+        #: How runner death is treated, for the life of the pool: ``None``
+        #: is the zero budget (fail fast).
         self.retry = resolve_retry_policy(retry)
         #: Deterministic fault injection; defaults to the ``REPRO_FAULT_PLAN``
         #: environment knob (``None`` when unset — no faults).
@@ -248,20 +250,20 @@ class ClusterBackend(ExecutionBackend):
         #: runner-side copy is evicted or cleared.
         self._live_state: Dict[Any, "weakref.ref[RemoteStateProxy]"] = {}
         self._state_lock = threading.Lock()
-        #: resident_key -> replayable dispatch log (recovery-enabled backends
-        #: only; fail-fast backends never pay the logging cost).
+        #: resident_key -> replayable dispatch log, one per resident key.
         self._site_logs: Dict[Any, SiteLog] = {}
         self._logs_lock = threading.Lock()
         self._failures = 0
         self._retry_lock = threading.Lock()
-        #: Terminal reason once the retry budget is exhausted: every later
-        #: replay attempt raises it instead of recovering.
+        #: Terminal reason once the retry budget is exhausted (at the first
+        #: death for a zero budget): every later replay attempt raises it
+        #: instead of recovering.
         self._exhausted: Optional[str] = None
         #: The single selector loop multiplexing every runner channel; one
         #: daemon thread regardless of ``n_hosts``.
         self._loop: Optional[EventLoop] = None
-        #: Periodic heartbeat-silence check registered on the loop (only when
-        #: the retry policy configures a timeout).
+        #: Periodic heartbeat-silence check registered on the loop at start
+        #: (only when the retry policy configures a timeout).
         self._monitor_timer: Optional[TimerHandle] = None
         self._recovery_threads: List[threading.Thread] = []
         #: Telemetry session of the current run (a driver's ``trace=``
@@ -347,19 +349,6 @@ class ClusterBackend(ExecutionBackend):
             if rss > tracer.metrics.gauges.get(peak_key, 0.0):
                 tracer.gauge(peak_key, rss)
 
-    def set_retry_policy(self, retry: Optional[RetryPolicy]) -> None:
-        """Install a retry policy (the ``retry=`` driver argument lands here).
-
-        Takes effect immediately for death handling and replay.  The
-        heartbeat *send* interval is inherited by runner processes at spawn
-        time, so a ``heartbeat_timeout`` set after the pool started detects
-        silent hosts only between frames of already-running work — construct
-        the backend with ``retry=`` when long single tasks must be guarded.
-        """
-        self.retry = resolve_retry_policy(retry)
-        if self._hosts is not None:
-            self._ensure_monitor()
-
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -373,8 +362,8 @@ class ClusterBackend(ExecutionBackend):
         """``host_id -> death reason`` for every host observed dead.
 
         Empty for a healthy (or never-started, or closed) pool.  The
-        cluster service uses this to retire a fail-fast pool whose hosts
-        died instead of handing the wreck to the next admitted job.
+        cluster service uses this to retire a pool whose hosts died instead
+        of handing the wreck to the next admitted job.
         """
         if self._hosts is None:
             return {}
@@ -482,19 +471,12 @@ class ClusterBackend(ExecutionBackend):
                 on_error=lambda exc, host=host: self._on_channel_error(host, exc),
             )
         loop.start()
-        self._ensure_monitor()
-        return hosts
-
-    def _ensure_monitor(self) -> None:
-        """Register the heartbeat-silence check when the policy asks for one."""
-        loop = self._loop
         timeout = self.retry.heartbeat_timeout
-        if timeout is None or self._hosts is None or loop is None:
-            return
-        if self._monitor_timer is not None:
-            self._monitor_timer.cancel()
-        interval = max(0.05, min(timeout / 4.0, 0.25))
-        self._monitor_timer = loop.call_every(interval, self._check_heartbeats)
+        if timeout is not None:
+            self._monitor_timer = loop.call_every(
+                max(0.05, min(timeout / 4.0, 0.25)), self._check_heartbeats
+            )
+        return hosts
 
     def _check_heartbeats(self) -> None:
         """Kill hosts that go silent past the heartbeat timeout with work in flight.
@@ -508,7 +490,7 @@ class ClusterBackend(ExecutionBackend):
         """
         timeout = self.retry.heartbeat_timeout
         hosts = self._hosts
-        if timeout is None or hosts is None:
+        if hosts is None:
             return
         now = time.monotonic()
         for host in hosts:
@@ -618,23 +600,36 @@ class ClusterBackend(ExecutionBackend):
                 entry.future.set_exception(RuntimeError(reason))
 
     def _mark_dead(self, host: _Host, detail: str) -> None:
-        """Classify one runner death: fail fast, or hand off to recovery.
+        """Classify one runner death against the retry budget.
 
         Idempotent — the first caller (reader EOF, sender EPIPE, heartbeat
         monitor, fatal frame) claims the death under the host lock and drains
-        the pending map; later callers return immediately.  The death reason
-        names the in-flight task ids, their rounds and the host's last
-        committed state epoch per site, so a terminal failure is diagnosable
-        from its message alone.
+        the pending map; later callers return immediately.  A death within
+        the budget hands the drained work to a recovery thread.  The death
+        past it (the first one, for a zero budget) fails that work with a
+        :class:`DeadHostError` whose reason names the in-flight task ids,
+        their rounds and the host's last committed state epoch per site, so
+        a terminal failure is diagnosable from its message alone.
         """
+        policy = self.retry
         with host.lock:
             if host.dead is not None:
                 return
             # Placeholder until the full reason is assembled below: anything
             # racing a submission in this window still sees a host-naming
             # message.
-            host.dead = f"cluster host {host.host_id} died mid-round ({detail})"
-            if self.retry.enabled and host.recovery_stats is None:
+            placeholder = f"cluster host {host.host_id} died mid-round ({detail})"
+            with self._retry_lock:
+                self._failures += 1
+                recover = (
+                    self._hosts is not None and self._failures <= policy.max_retries
+                )
+                if not recover:
+                    # Set before ``dead``: whoever observes this death also
+                    # observes that it is terminal, so nothing adopts work
+                    # into a recovery that will never run.
+                    self._exhausted = placeholder
+            if recover:
                 # Created together with the death claim so a dispatch that
                 # races the recovery thread to a site-log replay always has
                 # somewhere to record its contribution.
@@ -642,6 +637,7 @@ class ClusterBackend(ExecutionBackend):
                     "repin": {}, "frames": 0, "wire": None, "tracer": None,
                     "round": 0, "closed": False, "emitted": False,
                 }
+            host.dead = placeholder
             pending = sorted(host.pending.items())
             host.pending.clear()
         exitcode = None
@@ -659,42 +655,36 @@ class ClusterBackend(ExecutionBackend):
             f"code {exitcode}); in-flight tasks: [{inflight}]; last committed "
             f"state epoch by site: {{{self._committed_epoch_note(host)}}}"
         )
-        host.dead = reason
-        policy = self.retry
-        recover = policy.enabled and self._hosts is not None
         if recover:
-            with self._retry_lock:
-                self._failures += 1
-                if self._failures > policy.max_retries:
-                    self._exhausted = (
-                        f"{reason}; retry budget exhausted "
-                        f"({policy.max_retries} host failure(s) already recovered)"
-                    )
-                    recover = False
-        if not recover:
-            terminal = self._exhausted or reason
-            task_ids = tuple(f"{entry.kind}#{seq}" for seq, entry in pending)
-            for seq, entry in pending:
-                self._clear_log_pending(entry)
-                if not entry.future.done():
-                    entry.future.set_exception(
-                        DeadHostError(
-                            terminal,
-                            host_id=host.host_id,
-                            round_index=entry.round_index,
-                            epoch=self._log_epoch_for(entry),
-                            task_ids=task_ids,
-                        )
-                    )
+            host.dead = reason
+            # Recovery runs off-thread: _mark_dead runs on the event-loop
+            # thread, which must keep serving the surviving hosts.
+            thread = threading.Thread(
+                target=self._recover_host, args=(host, pending, reason),
+                name=f"repro-cluster-recovery-{host.host_id}", daemon=True,
+            )
+            self._recovery_threads.append(thread)
+            thread.start()
             return
-        # Recovery runs off-thread: _mark_dead is called from reader/sender/
-        # monitor threads whose loops must keep serving the surviving hosts.
-        thread = threading.Thread(
-            target=self._recover_host, args=(host, pending, reason),
-            name=f"repro-cluster-recovery-{host.host_id}", daemon=True,
-        )
-        self._recovery_threads.append(thread)
-        thread.start()
+        if policy.max_retries:
+            reason = (
+                f"{reason}; retry budget exhausted "
+                f"({policy.max_retries} host failure(s) already recovered)"
+            )
+        self._exhausted = host.dead = reason
+        task_ids = tuple(f"{entry.kind}#{seq}" for seq, entry in pending)
+        for seq, entry in pending:
+            self._clear_log_pending(entry)
+            if not entry.future.done():
+                entry.future.set_exception(
+                    DeadHostError(
+                        reason,
+                        host_id=host.host_id,
+                        round_index=entry.round_index,
+                        epoch=self._log_epoch_for(entry),
+                        task_ids=task_ids,
+                    )
+                )
 
     # ------------------------------------------------------------------
     # Recovery: re-pinning and state-epoch replay
@@ -706,16 +696,9 @@ class ClusterBackend(ExecutionBackend):
         for (job, site_id), key in sorted(host.resident_by_site.items()):
             with self._logs_lock:
                 log = self._site_logs.get(key)
-            epoch: Optional[int] = log.epoch if log is not None else None
-            if epoch is None:
-                with self._state_lock:
-                    ref = self._live_state.get(key)
-                proxy = ref() if ref is not None else None
-                if proxy is not None:
-                    epoch = proxy.epoch
-            if epoch is not None:
+            if log is not None:
                 label = f"site {site_id}" if not job else f"{job}/site {site_id}"
-                notes.append(f"{label}: epoch {epoch}")
+                notes.append(f"{label}: epoch {log.epoch}")
         return "; ".join(notes) or "none"
 
     @staticmethod
@@ -740,41 +723,26 @@ class ClusterBackend(ExecutionBackend):
             return None
         return hosts[host_id]
 
-    def _repin_target(self, site_id: int) -> _Host:
-        """Deterministic placement for a site: default pin, else survivors.
+    def _place(self, index: int, what: str) -> _Host:
+        """Deterministic placement for site id or task index ``index``.
 
-        The default ``site_id % n_hosts`` pin wins while its host lives;
-        once dead, the site re-pins to ``alive[site_id % len(alive)]`` —
-        a pure function of the site id and the set of dead hosts, so two
-        coordinators observing the same deaths re-pin identically.
+        The default ``index % n_hosts`` pin wins while its host lives.  Once
+        it died, a pool with a retry budget routes to
+        ``alive[index % len(alive)]`` — a pure function of the index and the
+        set of dead hosts, so two coordinators observing the same deaths
+        place identically.  A zero budget never routes around a dead host:
+        the dead default comes back, and the dispatch fails with its death.
         """
         hosts = self._hosts
         if hosts is None:
             raise RuntimeError("the cluster backend is closed")
-        default = hosts[site_id % len(hosts)]
-        if default.dead is None:
-            return default
-        alive = [h for h in hosts if h.dead is None]
-        if not alive:
-            raise DeadHostError(
-                f"no surviving cluster hosts to re-pin site {site_id} to "
-                f"(last death: {default.dead})",
-                host_id=default.host_id,
-            )
-        return alive[site_id % len(alive)]
-
-    def _repin_target_index(self, index: int) -> _Host:
-        """Deterministic placement for structure-free task ``index``."""
-        hosts = self._hosts
-        if hosts is None:
-            raise RuntimeError("the cluster backend is closed")
         default = hosts[index % len(hosts)]
-        if default.dead is None:
+        if default.dead is None or not self.retry.max_retries:
             return default
         alive = [h for h in hosts if h.dead is None]
         if not alive:
             raise DeadHostError(
-                f"no surviving cluster hosts to re-dispatch task {index} to "
+                f"no surviving cluster hosts to re-pin {what} {index} to "
                 f"(last death: {default.dead})",
                 host_id=default.host_id,
             )
@@ -792,7 +760,7 @@ class ClusterBackend(ExecutionBackend):
         host = self._host_by_id(log.location)
         if host is not None and host.dead is None:
             return host
-        target = self._repin_target(log.site_id)
+        target = self._place(log.site_id, "site")
         self._replay_log_locked(log, target)
         return target
 
@@ -836,17 +804,16 @@ class ClusterBackend(ExecutionBackend):
         the regular site-result converter, and any still-live state proxy is
         rebound to the new location.  Returns the number of replayed frames.
         """
-        if self._exhausted is not None:
+        # Placement hands a zero budget the dead host itself; a spent budget
+        # refuses any further replay.  Either way the site's last committed
+        # epoch goes on the error.
+        refusal, dead_id = target.dead, target.host_id
+        if refusal is None:
+            refusal, dead_id = self._exhausted, log.location
+        if refusal is not None:
             raise DeadHostError(
-                self._exhausted, host_id=log.location, epoch=log.epoch
-            )
-        if not self.retry.enabled:
-            dead = self._host_by_id(log.location)
-            raise DeadHostError(
-                dead.dead if dead is not None and dead.dead is not None
-                else f"cluster host {log.location} is gone",
-                host_id=log.location,
-                epoch=log.epoch,
+                refusal, host_id=dead_id, epoch=log.epoch,
+                round_index=log.records[-1].round_index if log.records else None,
             )
         origin = self._host_by_id(log.location)
         pending = log.pending
@@ -862,71 +829,35 @@ class ClusterBackend(ExecutionBackend):
                 # on the target that is whatever epoch the previous replay
                 # just returned.
                 state = (STATE_TOKEN_TAG, epoch, state[2], state[3])
-            evict: List[Any] = []
-            sticky = None
-            if log.key not in target.resident_keys:
-                sticky = log.sticky
-                stale = target.resident_by_site.get((log.job, log.site_id))
-                if stale is not None and stale != log.key:
-                    self._detach_resident_key(stale)
-                    evict.append(stale)
-                    target.resident_keys.discard(stale)
-                    with self._logs_lock:
-                        self._site_logs.pop(stale, None)
-                target.resident_keys.add(log.key)
-                target.resident_by_site[(log.job, log.site_id)] = log.key
-            dyn = {
-                "site_id": rec.site_id,
-                "fn": rec.fn,
-                "args": rec.args,
-                "kwargs": rec.kwargs,
-                "state": state,
-                "rng": decode_payload(rec.rng_bytes),
-                "inbox": rec.inbox,
-            }
             is_final = index == final_index and resolve is not None
-            if is_final and rec.traced:
-                dyn["trace"] = True
-            if log.job:
-                dyn["ns"] = log.job
             convert = None
             if is_final:
                 convert = self._site_result_converter(
                     target, log.key, log.site_id, rec.wire, rec.round_index,
                     rec.tracer, log.job,
                 )
-
-            def build_replay(seq, target=target, key=log.key, sticky=sticky,
-                             dyn=dyn, evict=evict):
-                if evict:
-                    target.payload_cache(log.job).clear()
-                return ("site", seq, key, sticky, dyn, evict)
-
             if rec.tracer is not None:
                 rec.tracer.inc("recovery.replayed_frames")
             future = self._submit_frame(
-                target, build_replay,
+                target,
+                self._site_frame(
+                    target, log, rec, state, decode_payload(rec.rng_bytes),
+                    traced=is_final and rec.traced,
+                ),
                 wire=rec.wire, round_index=rec.round_index, kind="replay",
                 convert=convert, tracer=rec.tracer, job=log.job,
             )
             replayed += 1
             result = future.result()  # raises if the target died too
             if is_final:
-                proxy = result.state
-                new_epoch = getattr(proxy, "epoch", None)
-                new_sizes = dict(getattr(proxy, "sizes", None) or {})
-                if new_epoch is not None:
-                    self._verify_replay_digest(log, index, new_epoch, new_sizes)
-                    log.digests[index] = (int(new_epoch), new_sizes)
-                    epoch = int(new_epoch)
+                epoch, sizes = result.state.epoch, result.state.sizes
+            else:
+                _, epoch, sizes = result["state"]
+            self._verify_replay_digest(log, index, epoch, sizes)
+            if is_final:
+                log.digests[index] = (epoch, dict(sizes))
                 if not resolve.done():
                     resolve.set_result(result)
-            else:
-                state_out = result["state"]
-                if is_state_digest(state_out):
-                    _, new_epoch, new_sizes = state_out
-                    self._verify_replay_digest(log, index, new_epoch, dict(new_sizes))
-                    epoch = int(new_epoch)
         log.epoch = epoch
         log.location = target.host_id
         if origin is not None and origin.recovery_stats is not None:
@@ -974,7 +905,6 @@ class ClusterBackend(ExecutionBackend):
         replayed copies.  Any failure here fails the affected futures with a
         :class:`DeadHostError` — never silently.
         """
-        policy = self.retry
         repin: Dict[int, int] = {}
         replayed = 0
         tracer = next((e.tracer for _, e in pending if e.tracer is not None), None)
@@ -982,8 +912,6 @@ class ClusterBackend(ExecutionBackend):
         round_hint = max((e.round_index for _, e in pending), default=0)
         t0 = tracer.clock() if tracer is not None else 0.0
         try:
-            if policy.backoff_s > 0:
-                time.sleep(policy.backoff_s)
             site_entries: List[_Pending] = []
             pull_entries: List[_Pending] = []
             for seq, entry in pending:
@@ -1027,12 +955,12 @@ class ClusterBackend(ExecutionBackend):
                         # flight — the run may well dispatch to this site next
                         # round, and the ledger must show the death (exactly
                         # one recovery event plus replay frames) no matter how
-                        # the reader thread races that dispatch.
+                        # the event loop races that dispatch.
                         log.location = None
                         continue
                     # Replay contributions (re-pin, frame count, round/wire/
                     # tracer evidence) land in ``host.recovery_stats``.
-                    self._replay_log_locked(log, self._repin_target(site_id))
+                    self._replay_log_locked(log, self._place(site_id, "site"))
             for entry in site_entries:
                 if not entry.future.done():  # pragma: no cover - defensive
                     entry.future.set_exception(
@@ -1043,7 +971,17 @@ class ClusterBackend(ExecutionBackend):
                         )
                     )
             for entry in pull_entries:
-                self._reissue_pull(entry, reason)
+                # Follows the site log to the replayed copy of the state.
+                key, keys = entry.pull_info
+                try:
+                    value = self._pull_state_entries(
+                        host, key, None, keys, entry.wire, entry.round_index,
+                        entry.tracer, entry.job,
+                    )
+                except Exception as exc:  # noqa: BLE001 - relayed to the waiter
+                    entry.future.set_exception(exc)
+                else:
+                    entry.future.set_result(value)
         except BaseException as exc:  # noqa: BLE001 - relayed to every waiter
             error = exc if isinstance(exc, DeadHostError) else DeadHostError(
                 f"recovery of cluster host {host.host_id} failed: {exc!r} "
@@ -1106,31 +1044,15 @@ class ClusterBackend(ExecutionBackend):
             )
 
     def _redispatch_task(self, entry: _Pending) -> None:
-        """Re-dispatch one in-flight structure-free task to a survivor."""
-        target = self._repin_target_index(entry.task_index)
-        fn, payload = entry.task_fn, entry.task_payload
-        traced = entry.tracer is not None
-        job = entry.job
+        """Re-dispatch one in-flight structure-free task to a survivor.
 
-        def build(seq, target=target):
-            counts: Dict[str, int] = {}
-            encoded = target.payload_cache(job).encode(payload, counts=counts)
-            if job:
-                return ("task", seq, fn, encoded, traced, job)
-            if traced:
-                return ("task", seq, fn, encoded, True)
-            return ("task", seq, fn, encoded)
-
-        if entry.tracer is not None:
-            entry.tracer.inc("recovery.replayed_frames")
-        future = self._submit_frame(
-            target, build,
-            wire=entry.wire, round_index=entry.round_index, kind="replay_task",
-            convert=entry.convert, tracer=entry.tracer, job=job,
-            entry_extra={
-                "task_fn": fn, "task_payload": payload,
-                "task_index": entry.task_index,
-            },
+        Its host died, so placement routes it around the dead host and the
+        frame is accounted as a ``replay_task``.
+        """
+        future = self._dispatch_task(
+            entry.task_fn, entry.task_payload, entry.task_index,
+            wire=entry.wire, round_index=entry.round_index,
+            tracer=entry.tracer, job=entry.job,
         )
         self._bridge_future(future, entry.future)
 
@@ -1176,7 +1098,7 @@ class ClusterBackend(ExecutionBackend):
     def _adopt_raced_task(self, host: _Host, entry: _Pending) -> None:
         """Adopt a task whose registration raced ``host``'s death.
 
-        The reader thread can observe a death before the dispatching thread
+        The event loop can observe a death before the dispatching thread
         registers its entry, so ``_recover_host`` saw nothing in flight and
         may already have finished.  The frame never touched the wire.  Route
         it to a survivor through the regular re-dispatch path, with
@@ -1189,45 +1111,6 @@ class ClusterBackend(ExecutionBackend):
         except DeadHostError as exc:
             if not entry.future.done():
                 entry.future.set_exception(exc)
-
-    def _reissue_pull(self, entry: _Pending, reason: str) -> None:
-        """Re-issue one in-flight state pull against the replayed resident copy."""
-        key, keys = entry.pull_info
-        with self._logs_lock:
-            log = self._site_logs.get(key)
-        if log is None:
-            entry.future.set_exception(
-                DeadHostError(
-                    f"{reason}; resident state {key!r} has no dispatch log to "
-                    "replay its entries from",
-                    host_id=None,
-                    round_index=entry.round_index,
-                )
-            )
-            return
-        with log.lock:
-            target = self._ensure_located_locked(log)
-            epoch = log.epoch
-        if target is None:  # pragma: no cover - a pull implies a dispatch
-            entry.future.set_exception(
-                DeadHostError(
-                    f"{reason}; resident state {key!r} was never dispatched",
-                    round_index=entry.round_index,
-                )
-            )
-            return
-        if entry.tracer is not None:
-            entry.tracer.inc("recovery.replayed_frames")
-        future = self._submit_frame(
-            target,
-            lambda seq, key=key, epoch=epoch, keys=keys: (
-                "pull_state", seq, key, epoch, list(keys)
-            ),
-            wire=entry.wire, round_index=entry.round_index, kind="replay_pull",
-            convert=None, tracer=entry.tracer, job=entry.job,
-            entry_extra={"pull_info": (key, list(keys))},
-        )
-        self._bridge_future(future, entry.future)
 
     @staticmethod
     def _bridge_future(source: Future, destination: Future) -> None:
@@ -1260,11 +1143,10 @@ class ClusterBackend(ExecutionBackend):
                     except OSError:  # pragma: no cover - already gone
                         pass
             elif action.op == "disconnect":
+                # Shut down, not close: the event loop still watches the
+                # descriptor, reads EOF on it and classifies the death.
                 if host.channel is not None:
-                    try:
-                        host.channel.close()
-                    except OSError:  # pragma: no cover - already closed
-                        pass
+                    host.channel.shutdown()
             elif action.op == "delay":
                 time.sleep(action.seconds)
 
@@ -1293,7 +1175,7 @@ class ClusterBackend(ExecutionBackend):
     def _handle_frame(
         self, host: _Host, frame: Tuple, n_bytes: int, raw_bytes: int, codec: str
     ) -> None:
-        """Process one received frame — the event-loop twin of the old reader body."""
+        """Process one received frame on the event-loop thread."""
         host.last_seen = time.monotonic()
         tag = frame[0]
         if tag == "hb":
@@ -1328,7 +1210,7 @@ class ClusterBackend(ExecutionBackend):
         if entry is None:  # pragma: no cover - defensive
             return
         plan = self.fault_plan
-        if plan is not None and plan.has_io_actions:
+        if plan is not None and plan.has_io_actions and entry.kind != "control":
             # Loop-dispatch trigger point: the Nth reply frame the event
             # loop handles for this host, in arrival order — which the
             # single loop serialises, so an io-triggered kill/stall/
@@ -1388,14 +1270,8 @@ class ClusterBackend(ExecutionBackend):
             except BaseException as decode_exc:  # noqa: BLE001 - relayed
                 entry.future.set_exception(decode_exc)
                 return
-        digest = None
-        if entry.site_log is not None and isinstance(value, dict):
-            # Commit the record's state digest to its site log before the
-            # future resolves: replay verification reads it, and a waiter
-            # observing the result must observe the checkpoint too.
-            state = value.get("state")
-            if is_state_digest(state):
-                digest = (state[1], state[2])
+        # A site result's state slot is its (tag, epoch, sizes) digest.
+        digest = value["state"] if entry.site_log is not None else None
         extras = frame[3] if len(frame) > 3 else None
         if extras:
             timer = extras.get("timer")
@@ -1416,11 +1292,11 @@ class ClusterBackend(ExecutionBackend):
             self._clear_log_pending(entry)
             entry.future.set_exception(convert_exc)
             return
-        if entry.site_log is not None:
-            if digest is not None:
-                entry.site_log.note_result(entry.record_index, digest[0], digest[1])
-            else:  # pragma: no cover - keyed dispatches always digest
-                self._clear_log_pending(entry)
+        if digest is not None:
+            # Commit the record's state digest to its site log before the
+            # future resolves: replay verification reads it, and a waiter
+            # observing the result must observe the checkpoint too.
+            entry.site_log.note_result(entry.record_index, digest[1], digest[2])
         entry.future.set_result(value)
 
     # ------------------------------------------------------------------
@@ -1499,20 +1375,19 @@ class ClusterBackend(ExecutionBackend):
                 if host.dead is not None:
                     if on_dead == "raise":
                         raise _HostDied(host.dead)
-                    if (entry.task_fn is not None and self.retry.enabled
-                            and self._exhausted is None):
-                        # The reader observed the death before this entry was
-                        # registered, so _recover_host never saw it.  The
-                        # frame never touched the wire; adopt it into the
-                        # death's recovery outside the locks.
+                    if entry.task_fn is not None and self._exhausted is None:
+                        # The event loop observed a recoverable death
+                        # before this entry was registered, so
+                        # _recover_host never saw it.  The frame never
+                        # touched the wire; adopt it into the death's
+                        # recovery outside the locks.
                         died = True
                     else:
                         future.set_exception(
                             DeadHostError(
-                                self._exhausted or host.dead,
+                                host.dead,
                                 host_id=host.host_id,
                                 round_index=round_index,
-                                epoch=self._log_epoch_for(entry),
                             )
                         )
                         return future
@@ -1582,10 +1457,39 @@ class ClusterBackend(ExecutionBackend):
         payloads = list(payloads)
         if not payloads:
             return []
-        traced = tracer is not None and tracer.enabled
-        hosts = self._ensure_started()
+        self._ensure_started()
+        return [
+            self._dispatch_task(
+                fn, payload, index,
+                wire=wire, round_index=round_index, tracer=tracer, job=job,
+            )
+            for index, payload in enumerate(payloads)
+        ]
 
-        def build_task(seq: int, host: _Host, payload: Any) -> Tuple:
+    def _dispatch_task(
+        self, fn, payload, index: int, *, wire, round_index: int, tracer,
+        job: str,
+    ) -> Future:
+        """Place and submit one structure-free task.
+
+        The pending entry remembers ``(fn, payload, index)``, so a task lost
+        with its host re-dispatches through this same function.
+        """
+        host = self._place(index, "task")
+        default = self._host_by_id(index % self.n_hosts)
+        traced = tracer is not None and tracer.enabled
+        kind = "task"
+        if host is not default:
+            # Routed around a dead host: account the frame as a replay (it
+            # exists on this host *because of* the death) and make sure the
+            # death itself is on the ledger — the recovery thread may have
+            # closed empty-handed if the host died with nothing in flight.
+            kind = "replay_task"
+            self._note_death_observed(default, wire, tracer, round_index)
+            if traced:
+                tracer.inc("recovery.replayed_frames")
+
+        def build_task(seq: int) -> Tuple:
             # Runs under the host's encode lock (see _submit_frame), so the
             # digests this encode registers are enqueued in cache order.
             counts: Dict[str, int] = {}
@@ -1605,39 +1509,12 @@ class ClusterBackend(ExecutionBackend):
                 return ("task", seq, fn, encoded, True)
             return ("task", seq, fn, encoded)
 
-        recovery = self.retry.enabled
-        futures = []
-        for index, payload in enumerate(payloads):
-            # Recovery keeps the same deterministic default placement but
-            # routes around hosts that already died; it also remembers the
-            # (fn, payload, index) so an in-flight loss re-dispatches.
-            host = self._repin_target_index(index) if recovery else hosts[index % len(hosts)]
-            kind = "task"
-            if recovery:
-                default = hosts[index % len(hosts)]
-                if default.dead is not None:
-                    # Routed around a dead host: account the frame as a
-                    # replay (it exists on this host *because of* the death)
-                    # and make sure the death itself is on the ledger — the
-                    # recovery thread may have closed empty-handed if the
-                    # host died with nothing in flight.
-                    kind = "replay_task"
-                    self._note_death_observed(default, wire, tracer, round_index)
-                    if traced:
-                        tracer.inc("recovery.replayed_frames")
-            extra = (
-                {"task_fn": fn, "task_payload": payload, "task_index": index}
-                if recovery else None
-            )
-            futures.append(
-                self._submit_frame(
-                    host,
-                    lambda seq, host=host, payload=payload: build_task(seq, host, payload),
-                    wire=wire, round_index=round_index, kind=kind, convert=None,
-                    tracer=tracer, job=job, entry_extra=extra,
-                )
-            )
-        return futures
+        return self._submit_frame(
+            host, build_task,
+            wire=wire, round_index=round_index, kind=kind, convert=None,
+            tracer=tracer, job=job,
+            entry_extra={"task_fn": fn, "task_payload": payload, "task_index": index},
+        )
 
     def submit_site_pairs(
         self,
@@ -1659,188 +1536,148 @@ class ClusterBackend(ExecutionBackend):
         epoch token plus the coordinator's write overlay; otherwise (first
         round, residency cleared, foreign proxy) the full dict is shipped
         and the runner adopts it.
+
+        Every dispatch appends a
+        :class:`~repro.cluster.recovery.SiteDispatchRecord` to the key's
+        :class:`~repro.cluster.recovery.SiteLog` before its frame is built.
+        A key whose host died is replayed onto its placement under the log
+        lock before anything new is dispatched for it; on a zero or spent
+        budget the dispatch's future fails with :class:`DeadHostError`
+        instead.
         """
         pairs = list(pairs)
         if not pairs:
             return []
-        traced = tracer is not None and tracer.enabled
-        hosts = self._ensure_started()
-        recovery = self.retry.enabled
+        self._ensure_started()
         futures = []
         for task, ctx in pairs:
-            key = getattr(ctx, "resident_key", None)
-            if recovery and key is not None:
-                futures.append(
-                    self._submit_site_recoverable(
-                        task, ctx, key, wire, round_index, tracer, traced, job
-                    )
+            try:
+                future = self._dispatch_site(
+                    task, ctx, wire=wire, round_index=round_index,
+                    tracer=tracer, job=job,
                 )
-                continue
-            host = hosts[ctx.site_id % len(hosts)]
-            evict: List[Any] = []
-            if key is not None and key in host.resident_keys:
-                if traced:
-                    tracer.inc("cluster.resident_hit")
-                sticky = None
-            else:
-                if traced and key is not None:
-                    tracer.inc("cluster.resident_miss")
-                sticky = (ctx.shard, ctx.local_metric)
-                if key is not None:
-                    # A fresh key for an already-seen site slot means a new
-                    # protocol run took it over: the superseded entry is
-                    # evicted remotely, so a shared warm pool never grows
-                    # its runner memory with dead runs' metrics.  Slots are
-                    # per job namespace, so concurrent jobs with identical
-                    # site ids never evict each other.
-                    stale = host.resident_by_site.get((job, ctx.site_id))
-                    if stale is not None and stale != key:
-                        # Materialise the old run's proxy (if it is still
-                        # alive) before its runner-side copy disappears.
-                        self._detach_resident_key(stale)
-                        evict.append(stale)
-                        host.resident_keys.discard(stale)
-                    host.resident_keys.add(key)
-                    host.resident_by_site[(job, ctx.site_id)] = key
-            state = self._encode_dispatch_state(ctx.state, key)
-            if traced:
-                tracer.inc(
-                    "cluster.state_token" if is_state_token(state) else "cluster.state_ship"
-                )
-            dyn = {
-                "site_id": ctx.site_id,
-                "fn": task.fn,
-                "args": task.args,
-                "kwargs": task.kwargs,
-                "state": state,
-                "rng": ctx.rng,
-                "inbox": ctx.inbox,
-            }
-            if traced:
-                # Only traced dispatches carry the extra key, so untraced
-                # frames stay byte-identical to an untraced build.
-                dyn["trace"] = True
-            if job:
-                # The namespace rides inside dyn (service-admitted jobs
-                # only), telling the runner which per-job payload cache the
-                # frame's eviction clears; default-namespace frames keep
-                # their historical bytes.
-                dyn["ns"] = job
-            convert = self._site_result_converter(
-                host, key, ctx.site_id, wire, round_index, tracer, job
-            )
-
-            def build_site(seq, host=host, key=key, sticky=sticky, dyn=dyn, evict=evict):
-                if evict:
-                    # Slot eviction ends payload residency with it: clearing
-                    # the mirror here — under the encode lock, at the same
-                    # frame that tells the runner to evict — keeps both
-                    # ends' caches symmetric in frame order.
-                    host.payload_cache(job).clear()
-                return ("site", seq, key, sticky, dyn, evict)
-
-            futures.append(
-                self._submit_frame(
-                    host, build_site,
-                    wire=wire, round_index=round_index, kind="site",
-                    convert=convert, tracer=tracer, job=job,
-                )
-            )
+            except DeadHostError as exc:
+                future = Future()
+                future.set_exception(exc)
+            futures.append(future)
         return futures
 
-    def _submit_site_recoverable(
-        self, task, ctx, key, wire, round_index, tracer, traced, job: str = ""
+    def _dispatch_site(
+        self, task, ctx, *, wire, round_index: int, tracer, job: str
     ) -> Future:
-        """The recovery-enabled twin of the ``submit_site_pairs`` loop body.
-
-        Identical placement, residency and state handling, plus the
-        checkpoint: every dispatch appends a
-        :class:`~repro.cluster.recovery.SiteDispatchRecord` to the key's
-        :class:`~repro.cluster.recovery.SiteLog` *before* the frame is built,
-        and a dead location is replayed onto the deterministic re-pin target
-        under the log lock before anything new is dispatched there.
-        """
+        """Log, place and submit one site task (see :meth:`submit_site_pairs`)."""
+        traced = tracer is not None and tracer.enabled
+        key = ctx.resident_key
         with self._logs_lock:
             log = self._site_logs.get(key)
             if log is None:
-                log = SiteLog(key, ctx.site_id, (ctx.shard, ctx.local_metric), job)
-                self._site_logs[key] = log
+                log = self._site_logs[key] = SiteLog(
+                    key, ctx.site_id, (ctx.shard, ctx.local_metric), job
+                )
         with log.lock:
-            target = self._ensure_located_locked(log)
-            if target is None:
-                target = self._repin_target(ctx.site_id)
+            target = self._ensure_located_locked(log) or self._place(
+                ctx.site_id, "site"
+            )
             default = self._host_by_id(ctx.site_id % self.n_hosts)
-            if default is not None and default.dead is not None:
-                # Placement routed around (or replayed off) a dead host:
-                # make sure the death is on the ledger even if its recovery
-                # thread closed with nothing in flight to evidence it.
+            if target is not default:
+                # Placement routed around (or replayed off) a dead host: make
+                # sure the death is on the ledger even if its recovery thread
+                # closed with nothing in flight to evidence it.
                 self._note_death_observed(default, wire, tracer, round_index)
-            evict: List[Any] = []
-            if key in target.resident_keys:
-                if traced:
-                    tracer.inc("cluster.resident_hit")
-                sticky = None
-            else:
-                if traced:
-                    tracer.inc("cluster.resident_miss")
-                sticky = (ctx.shard, ctx.local_metric)
-                stale = target.resident_by_site.get((job, ctx.site_id))
-                if stale is not None and stale != key:
-                    self._detach_resident_key(stale)
-                    evict.append(stale)
-                    target.resident_keys.discard(stale)
-                    with self._logs_lock:
-                        self._site_logs.pop(stale, None)
-                target.resident_keys.add(key)
-                target.resident_by_site[(job, ctx.site_id)] = key
             state = self._encode_dispatch_state(ctx.state, key)
             if traced:
                 tracer.inc(
-                    "cluster.state_token" if is_state_token(state) else "cluster.state_ship"
+                    "cluster.resident_hit" if key in target.resident_keys
+                    else "cluster.resident_miss"
+                )
+                tracer.inc(
+                    "cluster.state_token" if is_state_token(state)
+                    else "cluster.state_ship"
                 )
             record = SiteDispatchRecord(
                 round_index, ctx.site_id, task.fn, task.args, task.kwargs,
                 encode_payload(ctx.rng), ctx.inbox, state, traced, wire, tracer,
             )
             index = log.append(record)
-            dyn = {
-                "site_id": ctx.site_id,
-                "fn": task.fn,
-                "args": task.args,
-                "kwargs": task.kwargs,
-                "state": state,
-                "rng": ctx.rng,
-                "inbox": ctx.inbox,
-            }
-            if traced:
-                dyn["trace"] = True
-            if job:
-                dyn["ns"] = job
-
-            def build_site(seq, target=target, key=key, sticky=sticky,
-                           dyn=dyn, evict=evict):
-                if evict:
-                    target.payload_cache(job).clear()
-                return ("site", seq, key, sticky, dyn, evict)
-
-            convert = self._site_result_converter(
-                target, key, ctx.site_id, wire, round_index, tracer, job
-            )
             try:
                 return self._submit_frame(
-                    target, build_site,
+                    target,
+                    self._site_frame(target, log, record, state, ctx.rng, traced),
                     wire=wire, round_index=round_index, kind="site",
-                    convert=convert, tracer=tracer, job=job, on_dead="raise",
+                    convert=self._site_result_converter(
+                        target, key, ctx.site_id, wire, round_index, tracer, job
+                    ),
+                    tracer=tracer, job=job, on_dead="raise",
                     entry_extra={"site_log": log, "record_index": index},
                 )
             except _HostDied:
                 # The target died between placement and registration.  The
                 # record is already in the log; replaying it (from record 0,
-                # on a fresh re-pin target) both rebuilds the resident state
-                # and produces this dispatch's result.
+                # on the placement the death leaves) both rebuilds the
+                # resident state and produces this dispatch's result.
                 adopted: Future = Future()
-                self._replay_log_locked(log, self._repin_target(ctx.site_id), adopted)
+                self._replay_log_locked(log, self._place(ctx.site_id, "site"), adopted)
                 return adopted
+
+    def _site_frame(
+        self, host: _Host, log: SiteLog, record: SiteDispatchRecord,
+        state: Any, rng: Any, traced: bool,
+    ) -> Callable[[int], Tuple]:
+        """Claim ``log``'s resident slot on ``host``; return its frame builder.
+
+        Used by first dispatch and replay alike.  The sticky half ships only
+        when the host does not hold the key yet.  A fresh key for an
+        already-seen ``(job, site)`` slot means a new protocol run took the
+        slot over: the superseded key is evicted remotely (its live proxy
+        materialised first, its dispatch log dropped), so a shared warm pool
+        never grows runner memory or site logs with dead runs.  Slots are
+        per job namespace, so concurrent jobs with identical site ids never
+        evict each other.
+        """
+        key = log.key
+        sticky = None
+        evict: List[Any] = []
+        if key not in host.resident_keys:
+            sticky = log.sticky
+            stale = host.resident_by_site.get((log.job, log.site_id))
+            if stale is not None and stale != key:
+                self._detach_resident_key(stale)
+                evict.append(stale)
+                host.resident_keys.discard(stale)
+                with self._logs_lock:
+                    self._site_logs.pop(stale, None)
+            host.resident_keys.add(key)
+            host.resident_by_site[(log.job, log.site_id)] = key
+        dyn = {
+            "site_id": record.site_id,
+            "fn": record.fn,
+            "args": record.args,
+            "kwargs": record.kwargs,
+            "state": state,
+            "rng": rng,
+            "inbox": record.inbox,
+        }
+        if traced:
+            # Only traced dispatches carry the extra key, so untraced
+            # frames stay byte-identical to an untraced build.
+            dyn["trace"] = True
+        if log.job:
+            # The namespace rides inside dyn (service-admitted jobs only),
+            # telling the runner which per-job payload cache the frame's
+            # eviction clears; default-namespace frames keep their
+            # historical bytes.
+            dyn["ns"] = log.job
+
+        def build_site(seq: int) -> Tuple:
+            if evict:
+                # Slot eviction ends payload residency with it: clearing
+                # the mirror here — under the encode lock, at the same
+                # frame that tells the runner to evict — keeps both ends'
+                # caches symmetric in frame order.
+                host.payload_cache(log.job).clear()
+            return ("site", seq, key, sticky, dyn, evict)
+
+        return build_site
 
     # ------------------------------------------------------------------
     # Resident mutable state
@@ -1878,8 +1715,8 @@ class ClusterBackend(ExecutionBackend):
     ) -> Callable[[dict], Any]:
         """Build the wire->SiteTaskResult decoder for one dispatched site task.
 
-        Runs on the reader thread when the result frame arrives; a state
-        digest in the frame becomes a :class:`RemoteStateProxy` registered
+        Runs on the event-loop thread when the result frame arrives; the
+        frame's state digest becomes a :class:`RemoteStateProxy` registered
         as the key's current-epoch view.
         """
         from repro.runtime.tasks import Outgoing, SiteTaskResult
@@ -1892,26 +1729,23 @@ class ClusterBackend(ExecutionBackend):
                 )
                 for kind, blob, words, n_bytes, n_encoded in result["outbox"]
             ]
-            state = result["state"]
-            if is_state_digest(state) and key is not None:
-                _, epoch, sizes = state
-                proxy = RemoteStateProxy(
-                    resident_key=key,
-                    site_id=site_id,
-                    epoch=epoch,
-                    sizes=sizes,
-                    fetch=lambda keys: self._pull_state_entries(
-                        host, key, epoch, keys, wire, round_index, tracer, job
-                    ),
-                    owner=self,
-                )
-                with self._state_lock:
-                    self._live_state[key] = weakref.ref(proxy)
-                state = proxy
+            _, epoch, sizes = result["state"]
+            proxy = RemoteStateProxy(
+                resident_key=key,
+                site_id=site_id,
+                epoch=epoch,
+                sizes=sizes,
+                fetch=lambda keys: self._pull_state_entries(
+                    host, key, epoch, keys, wire, round_index, tracer, job
+                ),
+                owner=self,
+            )
+            with self._state_lock:
+                self._live_state[key] = weakref.ref(proxy)
             return SiteTaskResult(
                 site_id=result["site_id"],
                 value=result["value"],
-                state=state,
+                state=proxy,
                 timer=result["timer"],
                 rng=result["rng"],
                 outbox=outbox,
@@ -1923,7 +1757,7 @@ class ClusterBackend(ExecutionBackend):
         self,
         host: _Host,
         key: Any,
-        epoch: int,
+        epoch: Optional[int],
         keys: Sequence[str],
         wire: Optional[WireLedger],
         round_index: int,
@@ -1936,11 +1770,12 @@ class ClusterBackend(ExecutionBackend):
         produced the digest, so the ledger stays an honest account of every
         byte the protocol's state handling moved.
 
-        When the owning host has died, a recovery-enabled backend redirects
-        the fault to the replayed copy of the state (replaying the site's
-        dispatch log first if recovery has not reached it yet); a fail-fast
-        backend raises :class:`DeadHostError` naming the host, the epoch and
-        the entries that just became unreachable.
+        When the owning host has died, the pull follows the site's dispatch
+        log to the replayed copy of the state (replaying the log onto its
+        placement first if recovery has not reached it yet) and is charged
+        as a ``replay_pull`` frame.  A zero or spent retry budget refuses
+        the replay, so the read raises :class:`DeadHostError` naming the
+        host and the site's last committed epoch.
         """
         hosts = self._hosts
         if hosts is None or host not in hosts:
@@ -1949,87 +1784,42 @@ class ClusterBackend(ExecutionBackend):
                 "cluster backend holding them was closed (pull_state() first)"
             )
         keys = list(keys)
-        recovery = self.retry.enabled
-        if host.dead is not None:
-            if recovery:
-                return self._pull_redirected(
-                    host, key, keys, wire, round_index, tracer, job
+        kind = "state_pull"
+        while True:
+            if host.dead is not None:
+                with self._logs_lock:
+                    log = self._site_logs.get(key)
+                located = None
+                if log is not None:
+                    with log.lock:
+                        located = self._ensure_located_locked(log)
+                        epoch = log.epoch
+                if located is None:
+                    raise DeadHostError(
+                        f"state entries {keys!r} of {key!r} are unreachable and "
+                        f"there is no dispatch log to replay: {host.dead}",
+                        host_id=host.host_id, round_index=round_index,
+                    )
+                host, kind = located, "replay_pull"
+            if tracer is not None and tracer.enabled:
+                tracer.inc("cluster.state_pulls")
+                if kind == "replay_pull":
+                    tracer.inc("recovery.replayed_frames")
+                tracer.event(
+                    "state_pull", host=host.host_id, round=round_index,
+                    epoch=epoch, keys=len(keys),
                 )
-            raise DeadHostError(
-                f"state entries {keys!r} of {key!r} at epoch {epoch} are "
-                f"unreachable: {host.dead}",
-                host_id=host.host_id, round_index=round_index, epoch=epoch,
-            )
-        if tracer is not None and tracer.enabled:
-            tracer.inc("cluster.state_pulls")
-            tracer.event(
-                "state_pull", host=host.host_id, round=round_index,
-                epoch=epoch, keys=len(keys),
-            )
-        try:
-            future = self._submit_frame(
-                host,
-                lambda seq: ("pull_state", seq, key, epoch, keys),
-                wire=wire, round_index=round_index, kind="state_pull", convert=None,
-                tracer=tracer, job=job,
-                on_dead="raise" if recovery else "fail",
-                entry_extra={"pull_info": (key, keys)} if recovery else None,
-            )
-        except _HostDied:
-            # The host died between the liveness check and registration.
-            return self._pull_redirected(
-                host, key, keys, wire, round_index, tracer, job
-            )
-        return future.result()
-
-    def _pull_redirected(
-        self,
-        dead_host: _Host,
-        key: Any,
-        keys: List[str],
-        wire: Optional[WireLedger],
-        round_index: int,
-        tracer=None,
-        job: str = "",
-    ) -> Dict[str, Any]:
-        """Fault state entries from the replayed copy after the owner died.
-
-        The site's dispatch log tells recovery where the state lives now (or
-        gets replayed onto the deterministic re-pin target right here, under
-        the log lock, if recovery has not reached this site yet).  The pull
-        is charged to the wire as a ``replay_pull`` frame — recovery bytes,
-        accounted like every other byte.
-        """
-        with self._logs_lock:
-            log = self._site_logs.get(key)
-        if log is None:
-            raise DeadHostError(
-                f"state entries {keys!r} of {key!r} are unreachable and there "
-                f"is no dispatch log to replay: {dead_host.dead}",
-                host_id=dead_host.host_id, round_index=round_index,
-            )
-        with log.lock:
-            target = self._ensure_located_locked(log)
-            epoch = log.epoch
-        if target is None:
-            raise DeadHostError(
-                f"state entries {keys!r} of {key!r} are unreachable and its "
-                f"dispatch log is empty: {dead_host.dead}",
-                host_id=dead_host.host_id, round_index=round_index,
-            )
-        if tracer is not None and tracer.enabled:
-            tracer.inc("cluster.state_pulls")
-            tracer.event(
-                "state_pull", host=target.host_id, round=round_index,
-                epoch=epoch, keys=len(keys),
-            )
-        future = self._submit_frame(
-            target,
-            lambda seq: ("pull_state", seq, key, epoch, keys),
-            wire=wire, round_index=round_index, kind="replay_pull", convert=None,
-            tracer=tracer, job=job, entry_extra={"pull_info": (key, keys)},
-        )
-        return future.result()
+            try:
+                future = self._submit_frame(
+                    host,
+                    lambda seq, epoch=epoch: ("pull_state", seq, key, epoch, keys),
+                    wire=wire, round_index=round_index, kind=kind, convert=None,
+                    tracer=tracer, job=job, on_dead="raise",
+                    entry_extra={"pull_info": (key, keys)},
+                )
+            except _HostDied:
+                continue  # died between the liveness check and registration
+            return future.result()
 
     def _detach_resident_key(self, key: Any) -> None:
         """Forget a key's proxy registration, materialising it if still alive.
@@ -2106,10 +1896,12 @@ class ClusterBackend(ExecutionBackend):
                 continue
             host.resident_keys.clear()
             host.resident_by_site.clear()
+            # Its own kind: neither a fault plan's dispatch ordinals nor
+            # its io ordinals count a control frame.
             futures.append(
                 self._submit_frame(
                     host, lambda seq, host=host: build_clear(seq, host),
-                    wire=None, round_index=0, kind="task", convert=None,
+                    wire=None, round_index=0, kind="control", convert=None,
                 )
             )
         for future in futures:

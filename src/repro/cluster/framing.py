@@ -586,12 +586,16 @@ class FrameChannel:
                 self._out.popleft()
         return True
 
-    def close(self) -> None:
-        """Close the underlying socket (idempotent)."""
+    def shutdown(self) -> None:
+        """Drop the connection but keep the descriptor: both ends read EOF."""
         try:
             self._sock.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+
+    def close(self) -> None:
+        """Close the underlying socket (idempotent)."""
+        self.shutdown()
         self._sock.close()
 
 

@@ -298,9 +298,9 @@ class EventLoop:
             try:
                 events = self._selector.select(self._select_timeout())
             except OSError:
-                # A registered fd was closed out from under the selector (a
-                # fault-plan "disconnect" from a dispatching thread).  Sweep
-                # the registrations for dead fds and keep serving the rest.
+                # A registered fd was closed out from under the selector.
+                # Sweep the registrations for dead fds and keep serving the
+                # rest.
                 self._sweep_closed()
                 continue
             for key, mask in events:

@@ -14,10 +14,10 @@ This module holds the coordinator-side vocabulary of that story:
 
 * :class:`DeadHostError` — the typed terminal failure, carrying the host id,
   round and last committed state epoch so callers can log something useful.
-* :class:`RetryPolicy` — how many host deaths a run tolerates, backoff, an
-  optional heartbeat timeout for wedged-but-connected runners, and
-  ``fail_fast=True`` restoring the historical die-with-the-runner behaviour
-  (the default for a bare :class:`~repro.cluster.backend.ClusterBackend`).
+* :class:`RetryPolicy` — how many host deaths a pool tolerates and an
+  optional heartbeat timeout for wedged-but-connected runners.  Fail fast
+  is the zero budget, the default of a bare
+  :class:`~repro.cluster.backend.ClusterBackend`.
 * :class:`FaultPlan` / :class:`FaultAction` — a deterministic fault-injection
   harness: *kill host H before task T of round R*, stall a runner (SIGSTOP,
   exercising the heartbeat path), drop a connection, or delay frames.  Plans
@@ -25,16 +25,18 @@ This module holds the coordinator-side vocabulary of that story:
   environment knob, so CI can run the whole cluster suite under injected
   faults without touching a single test.
 * :class:`SiteLog` / :class:`SiteDispatchRecord` — the per-``resident_key``
-  dispatch log the backend checkpoints each round: everything needed to
-  rebuild a dead host's resident site state on a survivor (fn/args/kwargs,
-  the pickled RNG stream, the inbox, the exact state slot that was shipped —
-  epoch token with its write overlay, or the full dict) plus the
-  ``(epoch, sizes)`` digest of every completed record for replay
-  verification.
+  dispatch log the backend appends every site dispatch to, whatever the
+  budget: everything needed to rebuild a dead host's resident site state
+  on a survivor (fn/args/kwargs, the pickled RNG stream, the inbox, the
+  exact state slot that was shipped — epoch token with its write overlay,
+  or the full dict) plus the ``(epoch, sizes)`` digest of every completed
+  record for replay verification.
 
 The heavy machinery — death classification, re-pinning, replay — lives in
 :class:`~repro.cluster.backend.ClusterBackend`, which owns the sockets and
-threads these records describe.
+threads these records describe.  It has one dispatch path; the budget is
+read only where a death is classified and where placement would route
+around a dead host.
 """
 
 from __future__ import annotations
@@ -83,50 +85,39 @@ class DeadHostError(RuntimeError):
 class RetryPolicy:
     """How a :class:`~repro.cluster.backend.ClusterBackend` treats runner death.
 
+    The policy belongs to the pool: pass it where the pool is built
+    (``ClusterBackend(retry=...)`` or ``ClusterService(retry=...)``).
+
     ``max_retries`` bounds the number of host deaths one backend instance
-    absorbs before failing terminally (each death consumes one retry,
-    whatever the number of sites re-pinned).  ``backoff_s`` sleeps before a
-    recovery attempt — pointless in tests, kind to a production scheduler.
+    absorbs (each death consumes one retry, whatever the number of sites
+    re-pinned).  A death within the budget re-pins the dead host's sites
+    to survivors and replays their dispatch logs; the death past it fails
+    its in-flight work with :class:`DeadHostError`.  Zero, the default of a
+    bare backend, is fail fast: the first death is terminal, later
+    dispatches to the dead host fail, and survivors keep serving.
     ``heartbeat_timeout`` (seconds, ``None`` disables) additionally detects
     runners that are *silent but connected* — wedged, SIGSTOPped, swapping —
     by killing any host whose socket has produced no frame or heartbeat for
     that long while work is in flight; runners send unsolicited heartbeats
     every ``timeout / 4`` seconds so a long-running task never looks dead.
-    ``fail_fast=True`` restores the historical behaviour (death fails the
-    run), which is also what plain ``ClusterBackend()`` defaults to —
-    recovery is opt-in via ``retry=RetryPolicy(...)``.
     """
 
     max_retries: int = 1
-    backoff_s: float = 0.0
     heartbeat_timeout: Optional[float] = None
-    fail_fast: bool = False
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_s < 0:
-            raise ValueError(f"backoff_s must be >= 0, got {self.backoff_s}")
         if self.heartbeat_timeout is not None and self.heartbeat_timeout <= 0:
             raise ValueError(
                 f"heartbeat_timeout must be > 0 or None, got {self.heartbeat_timeout}"
             )
 
-    @property
-    def enabled(self) -> bool:
-        """True when runner death triggers recovery instead of failure."""
-        return not self.fail_fast and self.max_retries > 0
-
-
-#: The historical contract: a dead runner fails the run.  This is what a
-#: backend constructed without ``retry=`` uses.
-FAIL_FAST = RetryPolicy(max_retries=0, fail_fast=True)
-
 
 def resolve_retry_policy(retry: Optional[RetryPolicy]) -> RetryPolicy:
-    """Normalise a user-supplied ``retry`` argument (``None`` → fail fast)."""
+    """Normalise a user-supplied ``retry`` argument (``None`` → zero budget)."""
     if retry is None:
-        return FAIL_FAST
+        return RetryPolicy(max_retries=0)
     if isinstance(retry, RetryPolicy):
         return retry
     raise TypeError(
@@ -427,7 +418,6 @@ class SiteLog:
 
 __all__ = [
     "DeadHostError",
-    "FAIL_FAST",
     "FAULT_PLAN_ENV",
     "FaultAction",
     "FaultPlan",

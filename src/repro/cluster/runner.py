@@ -75,7 +75,7 @@ resolved from the runner's (inherited) environment — site/task replies get
 the compressing codec, state pulls and control frames stay uncompressed —
 so both directions of a channel agree on codecs without negotiation.
 
-When the coordinator's retry policy sets a heartbeat timeout (or a telemetry
+When the pool's retry policy sets a heartbeat timeout (or a telemetry
 session asks for runner resource samples), the runner is spawned with
 :data:`~repro.cluster.recovery.HEARTBEAT_INTERVAL_ENV` in its environment
 and a daemon thread sends unsolicited ``("hb", host_id, n[, sample])``
@@ -211,8 +211,7 @@ def _execute_site(
         # its cache.
         _cache_for(payloads, dyn.get("ns", "")).clear()
     if sticky is not None:
-        if resident_key is not None:
-            resident[resident_key] = sticky
+        resident[resident_key] = sticky
     else:
         if resident_key not in resident:
             raise RuntimeError(
@@ -263,25 +262,20 @@ def _execute_site(
                 n_encoded = len(blob)
             outbox.append((out.kind, blob, out.words, len(blob), n_encoded))
 
-        if resident_key is not None:
-            # The mutable state stays where it was produced; the coordinator
-            # gets a digest (keys, per-entry pickled sizes, the new epoch)
-            # and faults entries individually through "pull_state" on
-            # demand.  The sizes are measured with the same encoder a fault
-            # would use, so the digest prices each entry at its true wire
-            # cost.
-            previous = resident_state.get(resident_key)
-            epoch = (previous[0] if previous is not None else 0) + 1
-            resident_state[resident_key] = (epoch, ctx.state)
-            sizes = {key: len(encode_payload(value_)) for key, value_ in ctx.state.items()}
-            state_field: Any = (STATE_DIGEST_TAG, epoch, sizes)
-        else:
-            state_field = ctx.state
+        # The mutable state stays where it was produced; the coordinator
+        # gets a digest (keys, per-entry pickled sizes, the new epoch) and
+        # faults entries individually through "pull_state" on demand.  The
+        # sizes are measured with the same encoder a fault would use, so the
+        # digest prices each entry at its true wire cost.
+        previous = resident_state.get(resident_key)
+        epoch = (previous[0] if previous is not None else 0) + 1
+        resident_state[resident_key] = (epoch, ctx.state)
+        sizes = {key: len(encode_payload(value_)) for key, value_ in ctx.state.items()}
 
     result = {
         "site_id": ctx.site_id,
         "value": value,
-        "state": state_field,
+        "state": (STATE_DIGEST_TAG, epoch, sizes),
         "timer": ctx.timer,
         "rng": ctx.rng,
         "outbox": outbox,

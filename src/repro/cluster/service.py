@@ -50,9 +50,10 @@ Two front doors:
 
 Lanes — the job namespaces — are recycled smallest-first, so a steady
 stream of jobs reuses the same few namespaces (and the pool's site slots
-behave exactly like a warm pool being reused run after run).  A fail-fast
-pool whose hosts died is retired when its last job releases: the next
-checkout gets a fresh pool instead of the wreck.
+behave exactly like a warm pool being reused run after run).  The pool's
+retry policy is the service's ``retry=``, shared by every job.  A pool
+whose hosts died is retired when its last job releases: the next checkout
+gets a fresh pool instead of the wreck.
 """
 
 from __future__ import annotations
@@ -119,10 +120,6 @@ class ServiceBackend(ExecutionBackend):
         return [future.result() for future in self.submit_ordered(fn, items)]
 
     # -- run-lifecycle hooks, scoped to this job --------------------------
-
-    def set_retry_policy(self, retry: Optional[RetryPolicy]) -> None:
-        """Retry policies govern the shared hosts, so they land pool-wide."""
-        self._pool.set_retry_policy(retry)
 
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
         self._pool.set_job_telemetry(self.job, telemetry)
@@ -240,8 +237,8 @@ class ClusterService:
     def _ensure_pool_locked(self) -> ClusterBackend:
         pool = self._pool
         if pool is not None and not self._active and pool.dead_hosts():
-            # A fail-fast pool whose hosts died is a wreck: retire it while
-            # nothing is running and start the next job on a fresh pool.
+            # A pool whose hosts died is a wreck: retire it while nothing
+            # is running and start the next job on a fresh pool.
             self._pool = None
             pool.close()
             pool = None
@@ -291,8 +288,8 @@ class ClusterService:
         """Return a job's lane and budget reservation (idempotent via close).
 
         Detaches the job's heartbeat accounting and telemetry session, and
-        retires a fail-fast pool whose hosts died once its last job is
-        gone — the next admission starts a fresh pool.
+        retires a pool whose hosts died once its last job is gone — the
+        next admission starts a fresh pool.
         """
         pool = backend._pool
         pool.detach_run_accounting(job=backend.job)

@@ -4,7 +4,7 @@ Every protocol of the paper has the same two-round star-network shape, and
 every driver needs the same execution scaffolding around its rounds: a
 scratch directory for spilled cost shards, the run's tracer (watched live
 when ``trace=`` is a telemetry session), a root ``run`` span, and an
-execution backend carrying the retry policy and the telemetry session.
+execution backend carrying the telemetry session.
 :func:`protocol_run` owns all of it, and its signature and docstring are
 the one place the run options are declared and documented.  Drivers keep
 only their algorithm parameters and forward ``**options`` unchanged, so an
@@ -14,15 +14,12 @@ unknown option name raises ``TypeError`` here.
 from __future__ import annotations
 
 from contextlib import contextmanager, nullcontext
-from typing import TYPE_CHECKING, Any, Iterator, Optional, Union
+from typing import Any, Iterator, Optional, Union
 
 from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget, shard_scratch
 from repro.obs.live import TelemetrySession
 from repro.obs.trace import TraceLike, Tracer, resolve_tracer, trace_run
 from repro.runtime.backends import BackendLike, ExecutionBackend, backend_scope
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.cluster.recovery import RetryPolicy
 
 
 class ProtocolRun:
@@ -41,7 +38,6 @@ class ProtocolRun:
         memory_budget: Optional[int],
         workdir: Optional[str],
         backend: BackendLike,
-        retry: Any,
         session: Optional[TelemetrySession],
     ):
         self.tracer = tracer
@@ -49,7 +45,6 @@ class ProtocolRun:
         self.memory_budget = memory_budget
         self.workdir = workdir
         self._backend = backend
-        self._retry = retry
         self._session = session
 
     def local_kwargs(self, local_solver_kwargs: Optional[dict]) -> dict:
@@ -70,10 +65,8 @@ class ProtocolRun:
         samples must not land on this run's books.
         """
         with backend_scope(self._backend) as backend:
-            # Only cluster backends have hosts to lose and runners to
-            # sample; in-process backends have neither hook.
-            if self._retry is not None and hasattr(backend, "set_retry_policy"):
-                backend.set_retry_policy(self._retry)
+            # Only cluster backends have runners to sample; in-process
+            # backends have no telemetry hook.
             watched = self._session is not None and hasattr(backend, "set_telemetry")
             if watched:
                 backend.set_telemetry(self._session)
@@ -92,7 +85,6 @@ def protocol_run(
     backend: BackendLike = None,
     memory_budget: MemoryBudgetLike = None,
     trace: Union[TraceLike, TelemetrySession] = False,
-    retry: Optional["RetryPolicy"] = None,
 ) -> Iterator[ProtocolRun]:
     """Open the scopes of one protocol run and yield a :class:`ProtocolRun`.
 
@@ -137,15 +129,10 @@ def protocol_run(
         heartbeat frames) and mid-run Prometheus/JSONL snapshots.
         ``False`` (default) adds no per-task work.  Any other value raises
         ``TypeError``.
-    retry:
-        A :class:`~repro.cluster.recovery.RetryPolicy` that makes the
-        cluster backend fault tolerant.  When a runner dies mid-round
-        (socket error or heartbeat timeout), its sites are re-pinned
-        deterministically to survivors and their dispatch logs replayed;
-        only the wire ledger shows the extra ``replay_*`` bytes.  ``None``
-        (default) fails fast with
-        :class:`~repro.cluster.recovery.DeadHostError`.  In-process
-        backends have no hosts to lose and ignore the policy.
+
+    Fault tolerance is not a run option.  It belongs to the pool and is set
+    where the pool is built: ``ClusterBackend(retry=RetryPolicy(...))`` or
+    ``ClusterService(retry=...)``.  Every run on that pool shares it.
     """
     budget = resolve_memory_budget(memory_budget)
     session = trace if isinstance(trace, TelemetrySession) else None
@@ -154,7 +141,7 @@ def protocol_run(
     with shard_scratch(budget) as workdir, watch, trace_run(
         tracer, "run", algorithm=algorithm, objective=objective
     ):
-        yield ProtocolRun(tracer, budget, workdir, backend, retry, session)
+        yield ProtocolRun(tracer, budget, workdir, backend, session)
 
 
 __all__ = ["ProtocolRun", "protocol_run"]

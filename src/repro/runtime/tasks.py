@@ -103,7 +103,8 @@ class SiteContext:
         self.timer = Timer()
         self.outbox: List[Outgoing] = []
         #: Cache identity of (shard, local_metric) for runner-resident state
-        #: on the cluster backend; ``None`` disables caching for this context.
+        #: on the cluster backend (the site's ``resident_key``; ``None`` on
+        #: the runner's own copy, which never dispatches).
         self.resident_key = resident_key
         #: Span/counter recorder for this task's execution (``None`` when the
         #: run is untraced, so the hot path allocates nothing).
@@ -221,20 +222,21 @@ def run_site_tasks(
 
     Recovery contract
     -----------------
-    On a cluster backend with a retry policy enabled
-    (:class:`~repro.cluster.recovery.RetryPolicy`), a runner death during the
-    join is transparent: each site's dispatches are checkpointed in a
-    coordinator-side log, the dead host's sites are re-pinned
+    On a cluster backend, each site's dispatches are logged on the
+    coordinator, and the pool's retry budget
+    (:class:`~repro.cluster.recovery.RetryPolicy`, set where the pool is
+    built) decides what a runner death during the join does.  Within the
+    budget the death is transparent: the dead host's sites are re-pinned
     deterministically to survivors, their logs are replayed from record 0
     (full state + RNG carry-over travel with record 0, so the replay is
     bit-identical, which recovery asserts against the state digests), and
     the futures resolve as if nothing happened — same results, same merge
     order, same ledger words.  Only the wire ledger differs: replay traffic
     appears under ``replay_*`` frame kinds plus a
-    :class:`~repro.cluster.wire.RecoveryEvent` per handled death.  Once the
-    retry budget is exhausted (or on a fail-fast backend), the join raises
-    :class:`~repro.cluster.recovery.DeadHostError` naming the host, round,
-    in-flight tasks and last committed state epochs.
+    :class:`~repro.cluster.wire.RecoveryEvent` per handled death.  Past the
+    budget (at the first death, for the default zero budget), the join
+    raises :class:`~repro.cluster.recovery.DeadHostError` naming the host,
+    round, in-flight tasks and last committed state epochs.
     """
     tasks = list(tasks)
     seen = set()
@@ -258,7 +260,7 @@ def run_site_tasks(
             state=site.state,
             rng=task.rng,
             inbox=site.drain_inbox(),
-            resident_key=getattr(site, "resident_key", None),
+            resident_key=site.resident_key,
             trace=TraceBuffer(origin=f"site-{site.site_id}") if tracer.enabled else None,
         )
         pairs.append((task, ctx))

@@ -5,6 +5,7 @@ import os
 import numpy as np
 import pytest
 
+from repro import partial_kmedian
 from repro.cluster import ClusterBackend, WireLedger
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
@@ -213,9 +214,10 @@ class TestSiteTasks:
         assert dispatch[2] < dispatch[1]          # cached
         assert dispatch[3] > dispatch[2]          # cache dropped: sticky re-shipped
 
-    def test_shared_pool_evicts_superseded_resident_state(self, cluster2):
-        """Fresh protocol runs reuse site slots: runner-resident memory is
-        bounded by live slots, not by the number of runs served."""
+    def test_shared_pool_evicts_superseded_resident_state(self, cluster2, small_workload):
+        """Fresh protocol runs reuse site slots: runner-resident memory and
+        the coordinator's site logs are bounded by live slots, not by the
+        number of runs served."""
         for _ in range(2):
             network = _make_network()
             network.next_round()
@@ -224,11 +226,20 @@ class TestSiteTasks:
                 [SiteTask(i, _ping_task, args=(1.0,)) for i in range(network.n_sites)],
                 backend=cluster2,
             )
+        for seed in range(2):
+            partial_kmedian(
+                small_workload.points, 3, 15, n_sites=3, seed=seed, backend=cluster2
+            )
         # One resident key per (host, site slot) — superseded keys are gone.
         for host in cluster2._hosts:
             assert len(host.resident_keys) == len(host.resident_by_site)
         total_slots = sum(len(h.resident_by_site) for h in cluster2._hosts)
         assert sum(len(h.resident_keys) for h in cluster2._hosts) == total_slots == 3
+        # Every dispatch is logged, one log per live resident key.
+        assert len(cluster2._site_logs) == total_slots
+        cluster2.clear_resident()
+        assert not cluster2._site_logs
+        assert not any(h.resident_keys for h in cluster2._hosts)
 
     def test_deterministic_repeat_run_bytes(self):
         # Raw bytes are the run-invariant column: the per-run uuid resident

@@ -1,15 +1,18 @@
 """Fault-tolerant rounds: detection, re-pinning, replay, budgets, accounting.
 
-The recovery subsystem's contract (see :mod:`repro.cluster.recovery`): with a
-:class:`RetryPolicy` installed, a runner death mid-round — crash, socket
+The recovery subsystem's contract (see :mod:`repro.cluster.recovery`): on a
+pool built with a retry budget, a runner death mid-round — crash, socket
 error or heartbeat silence — is recovered by deterministically re-pinning
 the dead host's sites onto survivors and replaying their dispatch logs, and
-the run's results stay bit-identical to a failure-free run.  Every fault
+the run's results stay bit-identical to a failure-free run.  The default
+zero budget fails fast with a :class:`DeadHostError`.  Every fault
 here is injected through the deterministic :class:`FaultPlan` harness (or a
 direct signal on the runner process), never timing races.
 """
 
+import dataclasses
 import os
+import random
 import signal
 import time
 
@@ -18,7 +21,7 @@ import pytest
 
 from repro import partial_kmedian
 from repro.cluster import ClusterBackend, DeadHostError, FaultPlan, RetryPolicy
-from repro.cluster.recovery import FAIL_FAST, resolve_retry_policy
+from repro.cluster.recovery import resolve_retry_policy
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.runtime import SiteTask, run_site_tasks
@@ -65,28 +68,25 @@ def _run_rounds(backend, n_rounds=2, n_sites=3):
 
 class TestRetryPolicy:
     def test_default_backend_is_fail_fast(self):
-        backend = ClusterBackend(n_hosts=1)
-        try:
-            assert backend.retry.fail_fast
-            assert not backend.retry.enabled
-        finally:
-            backend.close()
+        """Fail fast is the zero budget, the default of a bare backend."""
+        assert ClusterBackend().retry == RetryPolicy(max_retries=0)
 
     def test_policy_defaults_enable_recovery(self):
         policy = RetryPolicy()
         assert policy.max_retries == 1
-        assert policy.enabled
+        assert policy.heartbeat_timeout is None
+        assert [f.name for f in dataclasses.fields(RetryPolicy)] == [
+            "max_retries", "heartbeat_timeout",
+        ]
 
     def test_validation(self):
         with pytest.raises(ValueError):
             RetryPolicy(max_retries=-1)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-0.1)
-        with pytest.raises(ValueError):
             RetryPolicy(heartbeat_timeout=0.0)
 
     def test_resolve(self):
-        assert resolve_retry_policy(None) is FAIL_FAST
+        assert resolve_retry_policy(None) == RetryPolicy(max_retries=0)
         policy = RetryPolicy(max_retries=3)
         assert resolve_retry_policy(policy) is policy
         with pytest.raises(TypeError):
@@ -118,6 +118,28 @@ class TestFaultPlan:
         assert plan is not None and plan.actions[0].op == "kill"
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         assert FaultPlan.from_env() is None
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["kill host=0 round=0 task=2 when=before", "kill host=0 task=2 when=io"],
+        ids=["before", "io"],
+    )
+    def test_control_frames_never_shift_a_trigger_point(self, spec):
+        """``clear_resident()`` is control traffic: the kill waits for task 2."""
+        plan = FaultPlan.parse(spec)
+        backend = ClusterBackend(n_hosts=1, fault_plan=plan)
+        try:
+            assert backend.map_ordered(abs, [-1]) == [1]
+            backend.clear_resident()
+            assert not plan.actions[0].fired
+            if plan.actions[0].when == "before":
+                with pytest.raises(DeadHostError):
+                    backend.map_ordered(abs, [-2])
+            else:
+                assert backend.map_ordered(abs, [-2]) == [2]
+            assert plan.actions[0].fired
+        finally:
+            backend.close()
 
     def test_delay_plan_never_changes_results(self):
         """A recurring delay fault is pure latency — results stay identical."""
@@ -230,6 +252,26 @@ class TestSiteRecovery:
         assert len(events) == 1 and events[0]["host"] == 1
         assert_counters_equal_ledger(result)
 
+    def test_fail_fast_site_death_names_its_committed_epoch(self):
+        backend = ClusterBackend(
+            n_hosts=2,
+            fault_plan=FaultPlan.parse("kill host=0 round=2 task=1 when=before"),
+        )
+        network = _make_network(n_sites=2)
+        tasks = [SiteTask(i, _stateful_task, args=(2.0,)) for i in range(2)]
+        try:
+            network.next_round()
+            run_site_tasks(network, tasks, backend=backend)
+            committed = network.sites[0].state.epoch
+            network.next_round()
+            with pytest.raises(DeadHostError) as excinfo:
+                run_site_tasks(network, tasks, backend=backend)
+        finally:
+            backend.close()
+        assert committed == 1
+        error = excinfo.value
+        assert (error.host_id, error.round_index, error.epoch) == (0, 2, committed)
+
     def test_proxy_fault_after_death_raises_dead_host_error(self):
         backend = ClusterBackend(n_hosts=1)
         try:
@@ -266,7 +308,7 @@ class TestHeartbeat:
     def test_stalled_runner_fail_fast_raises_heartbeat_error(self):
         backend = ClusterBackend(
             n_hosts=1,
-            retry=RetryPolicy(max_retries=0, heartbeat_timeout=1.0, fail_fast=True),
+            retry=RetryPolicy(max_retries=0, heartbeat_timeout=1.0),
             fault_plan=FaultPlan.parse("stall host=0 round=0 task=1 when=before"),
         )
         try:
@@ -290,3 +332,50 @@ class TestCloseEscalation:
         # to SIGKILL within its bounded timeout rather than hang.
         assert time.monotonic() - t0 < 15.0
         assert process.poll() is not None
+
+
+#: Twelve fixed fault schedules drawn from a seeded RNG: op x host x round x
+#: dispatch ordinal x trigger point.
+SWEEP = random.Random(17).sample(
+    [
+        f"{op} host={host} round={round_} task={task} when={when}"
+        for op in ("kill", "disconnect")
+        for host in range(3)
+        for round_ in (1, 2)
+        for task in (1, 2)
+        for when in ("before", "after", "io")
+    ],
+    12,
+)
+
+
+class TestFaultSweep:
+    """Every schedule ends bit-identical to serial or with a DeadHostError."""
+
+    @pytest.mark.parametrize("budget", [0, 1])
+    def test_seeded_schedules_end_identical_or_dead(self, budget):
+        points = np.random.default_rng(1).normal(size=(120, 2))
+        serial = partial_kmedian(points, 3, 9, n_sites=4, seed=11)
+        outcomes = []
+        for spec in SWEEP:
+            plan = FaultPlan.parse(spec)
+            backend = ClusterBackend(
+                n_hosts=3, retry=RetryPolicy(max_retries=budget), fault_plan=plan
+            )
+            try:
+                result = partial_kmedian(
+                    points, 3, 9, n_sites=4, seed=11, backend=backend
+                )
+            except DeadHostError:
+                outcomes.append("dead")
+                continue
+            finally:
+                backend.close()
+            np.testing.assert_array_equal(result.centers, serial.centers, err_msg=spec)
+            assert result.cost == serial.cost, spec
+            assert result.ledger.words_by_kind() == serial.ledger.words_by_kind(), spec
+            outcomes.append("recovered" if plan.actions[0].fired else "untouched")
+        # The sweep must actually hit hosts: a zero budget fails on some
+        # schedule, and a budget of one recovers every single death.
+        assert ("dead" in outcomes) == (budget == 0), outcomes
+        assert "recovered" in outcomes or budget == 0, outcomes

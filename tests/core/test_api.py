@@ -10,6 +10,7 @@ from repro import (
     uncertain_partial_kcenter_g,
     uncertain_partial_kmedian,
 )
+from repro.cluster import RetryPolicy
 
 
 class TestDeterministicDrivers:
@@ -91,7 +92,10 @@ FRONT_DOORS = [
 class TestRemovedKnobs:
     @pytest.mark.parametrize(
         "knob",
-        [("async_rounds", True), ("transport", "pickle"), ("telemetry", True), ("prefetch", False)],
+        [
+            ("async_rounds", True), ("transport", "pickle"), ("telemetry", True),
+            ("prefetch", False), ("retry", RetryPolicy(max_retries=1)),
+        ],
         ids=lambda knob: knob[0],
     )
     @pytest.mark.parametrize("driver", FRONT_DOORS, ids=lambda driver: driver.__name__)

@@ -12,10 +12,10 @@ from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import SerialBackend
 
 
-def test_the_four_run_options():
+def test_the_three_run_options():
     params = inspect.signature(protocol_run).parameters.values()
     options = [p.name for p in params if p.kind is inspect.Parameter.KEYWORD_ONLY]
-    assert options == ["backend", "memory_budget", "trace", "retry"]
+    assert options == ["backend", "memory_budget", "trace"]
 
 
 def test_untraced_run_defaults():
