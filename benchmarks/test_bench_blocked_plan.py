@@ -1,11 +1,13 @@
-"""Fused reduction plans + prefetch — pass counts, tile stats and wall-clock.
+"""Fused reduction plans — pass counts, tile stats and wall-clock.
 
 This is the first machine-readable entry in the perf trajectory: it measures
 the fused k-center radius probe (one streaming pass seeds every radius guess
 of a probe batch, the greedy then only re-reads newly covered rows) against
 the classic phrasing (one full ``count_within`` stream per greedy step), and
 writes ``BENCH_blocked_plan.json`` with the pass counts, the plan's tile
-statistics and the measured wall-clock of both paths.
+statistics and the measured wall-clock of both paths.  A second case
+solves the same instance from a memmap shard under the budget and checks
+it is bit-identical to the dense solve.
 
 Pass counts come from :class:`~repro.metrics.plan.CountingSource`, so the
 before/after *pass* ratio is deterministic and asserted; wall-clock numbers
@@ -74,7 +76,7 @@ def _fused_probe(matrix, radii, weights, k):
     from repro.sequential.kcenter_outliers import _probe_batch
 
     _probe_batch(matrix, weights, k, np.asarray(radii, dtype=float), 3.0,
-                 memory_budget=BUDGET, prefetch=False)
+                 memory_budget=BUDGET)
 
 
 @pytest.mark.paper_experiment("blocked_plan")
@@ -99,7 +101,7 @@ def test_fused_probe_pass_counts_and_wall_clock(benchmark, probe_workload):
     assert old_passes >= N_RADII * K  # k re-streams per radius at minimum
 
     # Tile statistics of the fused gains plan itself.
-    plan = ReductionPlan(matrix, memory_budget=BUDGET, prefetch=False)
+    plan = ReductionPlan(matrix, memory_budget=BUDGET)
     plan.add_count_within(radii, weights=weights)
     plan.execute()
     assert plan.stats.passes == pytest.approx(1.0)
@@ -163,7 +165,7 @@ def test_fused_probe_pass_counts_and_wall_clock(benchmark, probe_workload):
 
 
 @pytest.mark.paper_experiment("blocked_plan")
-def test_fused_kcenter_end_to_end_parity_and_prefetch(benchmark, probe_workload, tmp_path):
+def test_fused_kcenter_memmap_parity(benchmark, probe_workload, tmp_path):
     """End-to-end fused solve on a memmap shard: parity + recorded wall-clock."""
     matrix, _, _ = probe_workload
     shard = MemmapCostShard.create(matrix.shape, workdir=str(tmp_path))
@@ -173,9 +175,7 @@ def test_fused_kcenter_end_to_end_parity_and_prefetch(benchmark, probe_workload,
     dense_sol = kcenter_with_outliers(matrix, K, T)
 
     def fused_run():
-        return kcenter_with_outliers(
-            mm, K, T, memory_budget=BUDGET, prefetch=True, probe_batch=3
-        )
+        return kcenter_with_outliers(mm, K, T, memory_budget=BUDGET, probe_batch=3)
 
     sol = benchmark.pedantic(fused_run, rounds=2, iterations=1)
     np.testing.assert_array_equal(dense_sol.centers, sol.centers)

@@ -144,7 +144,7 @@ def test_cluster_bytes_per_word(
             clustered = run(cluster_pool)
             # One extra traced run per protocol: the byte measurements above
             # stay untraced (the committed baseline's frames), while the trace
-            # supplies the cache/prefetch/state counters the report layer
+            # supplies the cache/plan/state counters the report layer
             # surfaces.
             traced = run(cluster_pool, trace=True)
         peak_rss[name] = sampler.peak_rss()

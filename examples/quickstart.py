@@ -53,7 +53,7 @@ def main() -> None:
     fault_tolerance_and_recovery(workload.points, k, t)
     wire_codecs_and_content_addressed_payloads(workload.points, k, t)
     memory_budgets_and_out_of_core_shards(workload.points, k, t)
-    fused_plans_and_prefetch(workload.points, k, t)
+    fused_plans(workload.points, k, t)
     observability(workload.points, k, t)
     live_telemetry(workload.points, k, t)
 
@@ -404,8 +404,8 @@ def memory_budgets_and_out_of_core_shards(points, k, t) -> None:
         )
 
 
-def fused_plans_and_prefetch(points, k, t) -> None:
-    """Fused plans and prefetch.
+def fused_plans(points, k, t) -> None:
+    """Fused plans.
 
     A memory budget makes every reduction *stream*, and streaming twice
     costs twice.  ``repro.metrics.plan.ReductionPlan`` fuses several
@@ -421,30 +421,25 @@ def fused_plans_and_prefetch(points, k, t) -> None:
         plan.execute()                  # one pass, cache-sized tiles
         h_max.value, h_count.value      # bitwise == the standalone calls
 
-    Tiles are sized to ``min(memory_budget, cache_target)`` (column strips
-    when a ``count_within`` op is present, so the Fortran-order summation —
-    and therefore the bits — never depends on the tiling), and memmap-backed
-    tiles are **double-buffered**: a background thread loads tile ``i+1``
-    while the ops consume tile ``i``.  The knob is ``prefetch=`` — ``None``
-    (auto: on exactly when the matrix streams from disk), ``True`` or
-    ``False`` — on every sequential solver and reduction plan; a protocol
-    run leaves it on auto unless ``local_solver_kwargs`` or
-    ``coordinator_solver_kwargs`` set it.  The k-center coordinator leans
-    on both: a whole batch of radius guesses is seeded from one fused pass
-    and the greedy then only re-reads newly covered rows, instead of
-    re-streaming the matrix ``k`` times per guess.  Results are bit-identical in every
-    configuration; the knobs trade only wall-clock.
+    Tiles are sized by one rule, ``effective_tile_bytes(memory_budget)``:
+    one dense tile without a budget, at most
+    ``min(memory_budget, DEFAULT_CACHE_TARGET)`` bytes with one.  A plan
+    with a ``count_within`` op streams column strips, so the Fortran-order
+    summation — and therefore the bits — never depends on the tiling.  The
+    k-center coordinator leans on this: a whole batch of radius guesses is
+    seeded from one fused pass and the greedy then only re-reads newly
+    covered rows, instead of re-streaming the matrix ``k`` times per guess.
+    Results are bit-identical for every budget; the budget trades only
+    wall-clock for memory.
     """
-    print("\nfused plans + prefetch (same seed => identical results)")
-    for prefetch in (False, True):
-        result = partial_kcenter(
-            points, k=k, t=t, n_sites=4, seed=7, memory_budget="64KB",
-            coordinator_solver_kwargs={"prefetch": prefetch},
-        )
-        print(
-            f"  prefetch={prefetch!s:<5}: cost {result.cost:9.1f}, "
-            f"words {result.total_words:6.0f}"
-        )
+    print("\nfused plans (spilled k-center sites)")
+    result = partial_kcenter(
+        points, k=k, t=t, n_sites=4, seed=7, memory_budget="64KB"
+    )
+    print(
+        f"  memory_budget=64KB: cost {result.cost:9.1f}, "
+        f"words {result.total_words:6.0f}"
+    )
 
 
 def observability(points, k, t) -> None:
@@ -470,7 +465,7 @@ def observability(points, k, t) -> None:
                                              # task/rpc seconds, sent/recv
                                              # bytes, bytes by frame kind
         protocol_summary(result)             # words, wire bytes per word,
-                                             # cache/prefetch/state counters
+                                             # cache/plan/state counters
         write_chrome_trace(result.trace, "trace.json")  # open in
                                              # chrome://tracing or
                                              # https://ui.perfetto.dev
@@ -481,7 +476,7 @@ def observability(points, k, t) -> None:
     surface what the lower layers did: ``cluster.resident_hit/miss``
     (runner-resident shard+metric), ``cluster.state_pulls`` (lazy state
     faults), ``plan.executions``/``plan.tiles`` (fused passes),
-    ``prefetch.hit/miss`` (double-buffered tiles), ``blocked.spills``.
+    ``blocked.spills``.
     """
     from repro.obs import protocol_summary, render_round_report
 

@@ -64,7 +64,6 @@ class _StrippedSolution:
         weights: Optional[np.ndarray],
         *,
         memory_budget=None,
-        prefetch: Optional[bool] = None,
     ) -> ClusterSolution:
         """Re-derive the cached solution (bit-identical to the original)."""
         if self.zero_cost:
@@ -84,7 +83,6 @@ class _StrippedSolution:
             weights,
             objective=self.objective,
             memory_budget=memory_budget,
-            prefetch=prefetch,
         )
         solution.metadata.update(
             {"method": "rebuilt_from_strip", "solve_t": float(self.solve_t)}
@@ -273,7 +271,6 @@ class SitePreclustering:
                 self.cost_matrix,
                 self.weights,
                 memory_budget=solver_kwargs.get("memory_budget"),
-                prefetch=solver_kwargs.get("prefetch"),
             )
             self.solutions[q] = cached
         if cached is not None:

@@ -113,8 +113,7 @@ def protocol_run(
         Byte cap (int or ``"64MB"``-style string) on any single distance or
         cost block a party materialises.  Larger cost matrices stream from
         disk shards in a per-run scratch directory that is removed when the
-        run ends.  ``None`` (default) keeps the dense path.  Disk-backed
-        matrices are read with double-buffered background tile prefetch.
+        run ends.  ``None`` (default) keeps the dense path.
     trace:
         ``True`` records spans, events and counters of the coordinator and
         the runners on one timeline, on a :class:`~repro.obs.trace.Tracer`

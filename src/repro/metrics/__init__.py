@@ -17,20 +17,21 @@ has no class here: the center-g protocol reads its expected form
 
 :mod:`repro.metrics.blocked` adds the memory discipline: blocked iteration
 and reductions over any metric (or explicit cost matrix) under a byte
-budget, plus disk-backed :class:`MemmapCostShard` spill for matrices that
-must outlive the budget.  :mod:`repro.metrics.plan` adds the scheduling on
-top: :class:`ReductionPlan` fuses several reductions into one streaming
-pass over cache-aware tiles, double-buffering memmap-backed tiles with a
-background prefetch thread.  All blocked and fused results are
-bit-identical to the dense path.
+budget, with every tile sized by one rule (:func:`effective_tile_bytes`),
+plus disk-backed :class:`MemmapCostShard` spill for matrices that must
+outlive the budget.  :mod:`repro.metrics.plan` adds the scheduling on top:
+:class:`ReductionPlan` fuses several reductions into one streaming pass.
+All blocked and fused results are bit-identical to the dense path.
 """
 
 from repro.metrics.base import MetricSpace, SubsetMetric
 from repro.metrics.blocked import (
+    DEFAULT_CACHE_TARGET,
     DEFAULT_REDUCTION_BUDGET,
     MemmapCostShard,
     argmin_per_row,
     count_within,
+    effective_tile_bytes,
     iter_blocks,
     materialize,
     materialize_rows,
@@ -40,13 +41,7 @@ from repro.metrics.blocked import (
     reduce_min_positive,
     resolve_memory_budget,
 )
-from repro.metrics.plan import (
-    DEFAULT_CACHE_TARGET,
-    PlanStats,
-    ReductionPlan,
-    effective_tile_bytes,
-    is_memmap_backed,
-)
+from repro.metrics.plan import PlanStats, ReductionPlan
 from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.matrix import MatrixMetric
 from repro.metrics.graph import GraphMetric
@@ -72,7 +67,6 @@ __all__ = [
     "PlanStats",
     "ReductionPlan",
     "effective_tile_bytes",
-    "is_memmap_backed",
     "EuclideanMetric",
     "MatrixMetric",
     "GraphMetric",

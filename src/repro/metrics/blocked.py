@@ -8,7 +8,8 @@ streaming layer that fixes that:
 
 * :func:`iter_blocks` — tile a ``rows x cols`` slab of any *block source*
   (a :class:`~repro.metrics.base.MetricSpace`-like object with ``pairwise``,
-  or an explicit 2-D array) into tiles of at most ``memory_budget`` bytes;
+  or an explicit 2-D array) into tiles of at most
+  :func:`effective_tile_bytes` bytes;
 * blocked reductions — :func:`reduce_max`, :func:`reduce_min_positive`,
   :func:`reduce_min_per_row`, :func:`argmin_per_row`, :func:`count_within` —
   which never hold more than one tile;
@@ -37,7 +38,10 @@ bytes, or a string like ``"64MB"`` (binary units: KB = 2**10, MB = 2**20,
 GB = 2**30).  Budgets bound the *transient* tile, not O(1) per-row/column
 state; a budget smaller than one row still works (the tile degenerates to a
 single row, or to a column sliver for the 2-D tilers) and still returns
-bit-identical results.
+bit-identical results.  One rule sizes every tile
+(:func:`effective_tile_bytes`): without a budget there is one dense tile,
+and with one a tile holds at most ``min(budget, DEFAULT_CACHE_TARGET)``
+bytes, so a generous budget still streams cache-sized pieces.
 
 Shard handles
 -------------
@@ -52,12 +56,12 @@ completes; direct callers should pass ``workdir=`` and clean up themselves.
 
 from __future__ import annotations
 
-import atexit
 import os
 import shutil
 import tempfile
 import uuid
 from contextlib import contextmanager
+from multiprocessing.util import Finalize
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -108,6 +112,23 @@ def resolve_memory_budget(budget: MemoryBudgetLike) -> Optional[int]:
     if value < 1:
         raise ValueError(f"memory budget must be at least 1 byte, got {budget!r}")
     return int(value)
+
+
+#: Cache target for tile sizing: tiles larger than this thrash caches long
+#: before they hit the memory budget, so budgeted tiles are clamped to
+#: ``min(memory_budget, DEFAULT_CACHE_TARGET)``.  4 MiB sits comfortably
+#: inside the L2/L3 of anything the suite runs on while keeping tile-loop
+#: overhead low.
+DEFAULT_CACHE_TARGET = 4 * 2**20
+
+
+def effective_tile_bytes(memory_budget: MemoryBudgetLike) -> Optional[int]:
+    """Byte cap for one tile: ``None`` (one dense tile) without a budget,
+    otherwise the smaller of the budget and :data:`DEFAULT_CACHE_TARGET`."""
+    budget = resolve_memory_budget(memory_budget)
+    if budget is None:
+        return None
+    return min(budget, DEFAULT_CACHE_TARGET)
 
 
 def contiguous_slice(indices: np.ndarray) -> Optional[slice]:
@@ -234,16 +255,16 @@ def iter_blocks(
     Yields ``(row_slice, col_slice, block)`` where the slices index into the
     *given* ``rows`` / ``cols`` sequences (or ``range(len(source))`` when
     omitted) and ``block`` is the corresponding tile of distances/costs, at
-    most ``memory_budget`` bytes large.  ``memory_budget=None`` yields a
-    single tile — the legacy dense evaluation.
+    most :func:`effective_tile_bytes` bytes large.  ``memory_budget=None``
+    yields a single tile — the legacy dense evaluation.
     """
     n_rows_total, n_cols_total = _source_shape(source)
     row_idx = _resolve_axis(source, rows, n_rows_total)
     col_idx = _resolve_axis(source, cols, n_cols_total)
     if row_idx.size == 0 or col_idx.size == 0:
         return  # an empty slab has no tiles (reductions fall back to their defaults)
-    budget = resolve_memory_budget(memory_budget)
-    row_chunk, col_chunk = _tile_shape(row_idx.size, col_idx.size, budget, itemsize)
+    tile_bytes = effective_tile_bytes(memory_budget)
+    row_chunk, col_chunk = _tile_shape(row_idx.size, col_idx.size, tile_bytes, itemsize)
     for r0 in range(0, row_idx.size, row_chunk):
         r1 = min(r0 + row_chunk, row_idx.size)
         for c0 in range(0, col_idx.size, col_chunk):
@@ -255,34 +276,18 @@ def iter_blocks(
 # ----------------------------------------------------------------------
 # Blocked reductions — thin wrappers over single-op ReductionPlans.
 #
-# The plan executor (repro.metrics.plan) owns the tiling: under a budget
-# the tile is additionally clamped to a cache target, and memmap-backed
-# sources are double-buffered by a background prefetch thread
-# (``prefetch=None`` means auto).  All of that is invisible in the
-# results: every reduction is bitwise identical for every budget, tile
-# shape and prefetch setting, exactly as before.
+# The plan executor (repro.metrics.plan) owns the tiling, sized by
+# effective_tile_bytes like every other tile.  Every reduction is bitwise
+# identical for every budget and tile shape.
 # ----------------------------------------------------------------------
 
 
-def _single_op_plan(
-    source: Any,
-    rows,
-    cols,
-    memory_budget: MemoryBudgetLike,
-    prefetch,
-):
+def _single_op_plan(source: Any, rows, cols, memory_budget: MemoryBudgetLike):
     # Imported lazily: plan.py imports this module's tiling helpers at load
     # time, so the reverse import must wait until both are initialised.
-    from repro.metrics.plan import DEFAULT_CACHE_TARGET, ReductionPlan
+    from repro.metrics.plan import ReductionPlan
 
-    budget = resolve_memory_budget(memory_budget)
-    # ``None`` keeps the documented legacy behaviour (one dense tile);
-    # budgeted calls get cache-aware tiles.
-    cache_target = DEFAULT_CACHE_TARGET if budget is not None else None
-    return ReductionPlan(
-        source, rows, cols,
-        memory_budget=budget, cache_target=cache_target, prefetch=prefetch,
-    )
+    return ReductionPlan(source, rows, cols, memory_budget=memory_budget)
 
 
 def reduce_max(
@@ -291,10 +296,9 @@ def reduce_max(
     cols: Optional[Sequence[int]] = None,
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> float:
     """Maximum over the ``rows x cols`` slab (0.0 when the slab is empty)."""
-    plan = _single_op_plan(source, rows, cols, memory_budget, prefetch)
+    plan = _single_op_plan(source, rows, cols, memory_budget)
     handle = plan.add_max()
     plan.execute()
     return handle.value
@@ -306,10 +310,9 @@ def reduce_min_positive(
     cols: Optional[Sequence[int]] = None,
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> float:
     """Minimum strictly positive entry of the slab (0.0 when there is none)."""
-    plan = _single_op_plan(source, rows, cols, memory_budget, prefetch)
+    plan = _single_op_plan(source, rows, cols, memory_budget)
     handle = plan.add_min_positive()
     plan.execute()
     return handle.value
@@ -321,10 +324,9 @@ def reduce_min_per_row(
     cols: Optional[Sequence[int]] = None,
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> np.ndarray:
     """Per-row minimum over the columns, as a ``(n_rows,)`` array."""
-    plan = _single_op_plan(source, rows, cols, memory_budget, prefetch)
+    plan = _single_op_plan(source, rows, cols, memory_budget)
     handle = plan.add_min_per_row()
     plan.execute()
     return handle.value
@@ -336,7 +338,6 @@ def argmin_per_row(
     cols: Optional[Sequence[int]] = None,
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-row ``(min value, argmin column position)`` over the columns.
 
@@ -345,7 +346,7 @@ def argmin_per_row(
     are scanned left to right and only a *strictly* smaller value displaces
     the incumbent.
     """
-    plan = _single_op_plan(source, rows, cols, memory_budget, prefetch)
+    plan = _single_op_plan(source, rows, cols, memory_budget)
     handle = plan.add_argmin_per_row()
     plan.execute()
     return handle.value
@@ -359,7 +360,6 @@ def count_within(
     *,
     weights: Optional[np.ndarray] = None,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> np.ndarray:
     """Per-column (weighted) count of entries ``<= threshold``.
 
@@ -371,7 +371,7 @@ def count_within(
     panel shape, and even numpy's pairwise summation takes a different path
     for strided columns).  Transient memory is ``O(n_rows * col_chunk)``.
     """
-    plan = _single_op_plan(source, rows, cols, memory_budget, prefetch)
+    plan = _single_op_plan(source, rows, cols, memory_budget)
     handle = plan.add_count_within(threshold, weights=weights)
     plan.execute()
     return handle.value
@@ -473,14 +473,20 @@ def transport_spill_dir() -> str:
     handle while being *pickled* (e.g. ``SitePreclustering.__getstate__``)
     have no protocol-run scratch directory in scope — pickling can happen
     anywhere.  They spill here instead: one lazily created directory per
-    process, removed at interpreter exit.  Both sides of every runtime
-    backend share the local filesystem, and memmaps opened before the
-    removal stay readable on POSIX (the inode lives until unmapped).
+    process, removed when the process exits.  The removal is a
+    ``multiprocessing`` finalizer rather than an ``atexit`` hook because a
+    process-pool worker leaves through ``os._exit``, which skips ``atexit``
+    but still runs these finalizers.  Both sides of every runtime backend
+    share the local filesystem, and memmaps opened before the removal stay
+    readable on POSIX (the inode lives until unmapped).
     """
     global _TRANSPORT_SPILL_DIR
     if _TRANSPORT_SPILL_DIR is None:
         _TRANSPORT_SPILL_DIR = tempfile.mkdtemp(prefix="repro-transport-spill-")
-        atexit.register(shutil.rmtree, _TRANSPORT_SPILL_DIR, ignore_errors=True)
+        Finalize(
+            None, shutil.rmtree, args=(_TRANSPORT_SPILL_DIR,),
+            kwargs={"ignore_errors": True}, exitpriority=0,
+        )
     return _TRANSPORT_SPILL_DIR
 
 
@@ -619,6 +625,7 @@ def materialize(
 
 
 __all__ = [
+    "DEFAULT_CACHE_TARGET",
     "DEFAULT_REDUCTION_BUDGET",
     "MemoryBudgetLike",
     "MemmapCostShard",
@@ -626,6 +633,7 @@ __all__ = [
     "as_block_source",
     "contiguous_slice",
     "count_within",
+    "effective_tile_bytes",
     "iter_blocks",
     "materialize",
     "materialize_rows",

@@ -1,39 +1,29 @@
-"""Fused reduction plans with cache-aware tiles and double-buffered prefetch.
+"""Fused reduction plans over cache-sized tiles.
 
 :mod:`repro.metrics.blocked` made every reduction run in ``O(budget)``
 memory, but it pays for that in *streaming passes*: each call re-reads the
 cost matrix, so a hot loop issuing a max, a handful of ``count_within``
 thresholds and a per-row argmin streams the same tiles three-plus times.
-This module is the scheduling layer on top:
-
-* :class:`ReductionPlan` — register several reductions against one
-  ``rows x cols`` slab and execute them in a **single streaming pass**;
-  every tile is loaded exactly once and handed to every registered op.
-* **Cache-aware tile shapes** — tiles are sized to the smaller of the
-  memory budget and a cache target (default
-  :data:`DEFAULT_CACHE_TARGET`), so a generous budget no longer produces
-  one enormous cache-hostile tile.
-* **Double-buffered prefetch** — for memmap-backed sources a background
-  thread loads tile ``i+1`` while the ops consume tile ``i``
-  (:class:`_TilePrefetcher`); the knob is ``prefetch=None`` (auto: on for
-  memmap sources), ``True`` or ``False``.  The memory budget covers the
-  *whole* buffer chain (queued copies + in-flight + consumer tile): when
-  prefetch engages, tiles shrink by ``PREFETCH_DEPTH + 2`` so the pass
-  still peaks within the budget.
+This module is the scheduling layer on top: :class:`ReductionPlan`
+registers several reductions against one ``rows x cols`` slab and executes
+them in a **single streaming pass**; every tile is loaded exactly once and
+handed to every registered op.  Tiles follow the one sizing rule of
+:func:`repro.metrics.blocked.effective_tile_bytes`: one dense tile without
+a budget, at most ``min(memory_budget, DEFAULT_CACHE_TARGET)`` bytes with
+one.
 
 Bitwise parity
 --------------
 A fused plan must return *bitwise* the same results as the equivalent
 sequence of standalone :mod:`repro.metrics.blocked` calls, for every
-budget, tile shape and prefetch setting.  The ops inherit the blocked
-layer's structural guarantees: ``min``/``max``/``argmin`` commute with
-tiling exactly, and a :meth:`ReductionPlan.add_count_within` op forces the
-plan into **column-strip orientation** (full-height, column-contiguous
-tiles) so each column is summed over all rows in a single Fortran-order
+budget and tile shape.  The ops inherit the blocked layer's structural
+guarantees: ``min``/``max``/``argmin`` commute with tiling exactly, and a
+:meth:`ReductionPlan.add_count_within` op forces the plan into
+**column-strip orientation** (full-height, column-contiguous tiles) so
+each column is summed over all rows in a single Fortran-order
 ``np.add.reduce`` — the same accumulation discipline the standalone
 ``count_within`` uses, and the reason its result does not depend on the
-strip width.  Prefetching only moves *where* a tile is materialised, never
-what it contains.
+strip width.
 
 Block sources
 -------------
@@ -45,9 +35,6 @@ use the latter to prove pass counts deterministically.
 
 from __future__ import annotations
 
-import queue
-import threading
-import time
 from dataclasses import dataclass
 from typing import Any, List, Optional, Sequence, Tuple, Union
 
@@ -59,50 +46,9 @@ from repro.metrics.blocked import (
     _resolve_axis,
     _source_shape,
     _tile_shape,
-    resolve_memory_budget,
+    effective_tile_bytes,
 )
 from repro.obs.trace import active_collector
-
-#: Cache target for tile sizing: tiles larger than this thrash caches long
-#: before they hit the memory budget, so the planner clamps tile bytes to
-#: ``min(memory_budget, cache_target)``.  4 MiB sits comfortably inside the
-#: L2/L3 of anything the suite runs on while keeping tile-loop overhead low.
-DEFAULT_CACHE_TARGET = 4 * 2**20
-
-#: Tiles the background prefetcher may hold at once (the consumer's tile
-#: plus one in flight is classic double buffering; one extra slot keeps the
-#: producer busy across the hand-off).
-PREFETCH_DEPTH = 2
-
-PrefetchLike = Optional[bool]
-
-
-def effective_tile_bytes(
-    memory_budget: MemoryBudgetLike,
-    cache_target: Optional[int] = DEFAULT_CACHE_TARGET,
-) -> Optional[int]:
-    """Byte cap for one tile: the smaller of the budget and the cache target.
-
-    ``None`` for both means no tiling (one dense tile — the legacy
-    behaviour of the blocked layer when no budget is set).
-    """
-    budget = resolve_memory_budget(memory_budget)
-    if budget is None:
-        return None if cache_target is None else int(cache_target)
-    if cache_target is None:
-        return budget
-    return min(budget, int(cache_target))
-
-
-def is_memmap_backed(array: Any) -> bool:
-    """Whether ``array`` (or any ancestor in its view chain) is an ``np.memmap``."""
-    candidate = array
-    while candidate is not None:
-        if isinstance(candidate, np.memmap):
-            return True
-        candidate = getattr(candidate, "base", None)
-    return False
-
 
 # ----------------------------------------------------------------------
 # Reduction ops.  Each op sees every tile exactly once (``update``) and
@@ -207,7 +153,7 @@ class _CountWithinOp:
         # The plan guarantees full-height column strips (needs_full_rows):
         # every column is summed over a contiguous run of all rows exactly
         # as the standalone count_within does, so the result is bitwise
-        # independent of the strip width, the budget and the prefetcher.
+        # independent of the strip width and the budget.
         for pos, threshold in enumerate(self._thresholds):
             mask = block <= threshold
             if self._w is None:
@@ -253,7 +199,6 @@ class PlanStats:
     bytes_streamed: int = 0
     passes: float = 0.0  # cells / slab cells: 1.0 == each tile read exactly once
     n_ops: int = 0
-    prefetch: bool = False
 
     def as_dict(self) -> dict:
         return {
@@ -265,7 +210,6 @@ class PlanStats:
             "bytes_streamed": int(self.bytes_streamed),
             "passes": float(self.passes),
             "n_ops": int(self.n_ops),
-            "prefetch": bool(self.prefetch),
         }
 
 
@@ -310,91 +254,6 @@ class CountingSource:
         self.cell_counts[:] = 0
 
 
-_DONE = object()
-_ERROR = "__tile_prefetch_error__"
-
-
-class _TilePrefetcher:
-    """Double-buffered background tile loader.
-
-    A single daemon thread loads tiles in plan order and parks them in a
-    bounded queue (:data:`PREFETCH_DEPTH` slots), so the consumer works on
-    tile ``i`` while tile ``i+1`` pages in.  Order is preserved (one
-    producer, FIFO queue), so results cannot depend on the prefetcher.
-    Exceptions raised by the loader surface in the consumer; if the
-    consumer abandons iteration, the producer observes the cancellation
-    event and exits instead of blocking forever on a full queue.
-    """
-
-    def __init__(
-        self,
-        loader,
-        tiles: List[Tuple[slice, slice]],
-        depth: int = PREFETCH_DEPTH,
-        collector=None,
-    ):
-        self._loader = loader
-        self._tiles = tiles
-        self._queue: "queue.Queue" = queue.Queue(maxsize=max(1, depth))
-        self._cancelled = threading.Event()
-        #: Optional metrics sink (a tracer or trace buffer): the consumer
-        #: loop counts hits (tile already queued), misses (consumer had to
-        #: block on the producer) and the blocked wait time.
-        self._collector = collector
-        self._thread = threading.Thread(
-            target=self._produce, name="repro-tile-prefetch", daemon=True
-        )
-
-    def _offer(self, item) -> bool:
-        while not self._cancelled.is_set():
-            try:
-                self._queue.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                continue
-        return False
-
-    def _produce(self) -> None:
-        try:
-            for rs, cs in self._tiles:
-                block = self._loader(rs, cs)
-                if not self._offer((rs, cs, block)):
-                    return
-            self._offer(_DONE)
-        except BaseException as exc:  # re-raised in the consumer
-            self._offer((_ERROR, exc))
-
-    def __iter__(self):
-        self._thread.start()
-        collector = self._collector
-        try:
-            while True:
-                if collector is None:
-                    item = self._queue.get()
-                else:
-                    try:
-                        item = self._queue.get_nowait()
-                        collector.inc("prefetch.hit")
-                    except queue.Empty:
-                        waited = time.perf_counter()
-                        item = self._queue.get()
-                        collector.inc("prefetch.miss")
-                        collector.inc("prefetch.wait_s", time.perf_counter() - waited)
-                if item is _DONE:
-                    return
-                if isinstance(item, tuple) and len(item) == 2 and item[0] is _ERROR:
-                    raise item[1]
-                yield item
-        finally:
-            self._cancelled.set()
-            try:
-                while True:
-                    self._queue.get_nowait()
-            except queue.Empty:
-                pass
-            self._thread.join(timeout=5.0)
-
-
 class ReductionPlan:
     """Fuse several reductions over one slab into a single streaming pass.
 
@@ -410,15 +269,9 @@ class ReductionPlan:
     rows, cols:
         Index subsets of the slab (default: everything).
     memory_budget:
-        Byte cap on the transient tile (``None``: unbudgeted).
-    cache_target:
-        Cache-locality cap on the tile; the effective tile size is
-        ``min(memory_budget, cache_target)`` (see
-        :func:`effective_tile_bytes`).  ``None`` disables the clamp.
-    prefetch:
-        ``None`` (auto: background prefetch iff the source is
-        memmap-backed and the plan has more than one tile), ``True`` or
-        ``False``.  Results are bitwise identical either way.
+        Byte cap on the transient tile (``None``: one dense tile); tiles
+        are at most ``min(memory_budget, DEFAULT_CACHE_TARGET)`` bytes
+        (see :func:`~repro.metrics.blocked.effective_tile_bytes`).
     """
 
     def __init__(
@@ -428,16 +281,13 @@ class ReductionPlan:
         cols: Optional[Sequence[int]] = None,
         *,
         memory_budget: MemoryBudgetLike = None,
-        cache_target: Optional[int] = DEFAULT_CACHE_TARGET,
-        prefetch: PrefetchLike = None,
         itemsize: int = 8,
     ):
         self._source = source
         n_rows_total, n_cols_total = _source_shape(source)
         self._row_idx = _resolve_axis(source, rows, n_rows_total)
         self._col_idx = _resolve_axis(source, cols, n_cols_total)
-        self._tile_bytes = effective_tile_bytes(memory_budget, cache_target)
-        self._prefetch = prefetch
+        self._tile_bytes = effective_tile_bytes(memory_budget)
         self._itemsize = int(itemsize)
         self._ops: List[Any] = []
         self._handles: List[PlanHandle] = []
@@ -462,29 +312,18 @@ class ReductionPlan:
             return "cols"
         return "rows"
 
-    def _prefetch_intent(self) -> bool:
-        """Whether prefetch would engage if the plan has multiple tiles."""
-        if self._prefetch is None:
-            return is_memmap_backed(self._source)
-        return bool(self._prefetch)
-
     def _op_tile_bytes(self) -> Optional[int]:
         """Tile byte cap shrunk by the worst per-op transient multiplier.
 
         Ops run sequentially per tile, so the peak transient is the tile
         plus the hungriest op's scratch (masks, Fortran products) — not the
-        sum over ops.  When prefetch will engage, the budget must also
-        cover the whole double buffer — up to :data:`PREFETCH_DEPTH`
-        queued copies plus the producer's in-flight tile plus the
-        consumer's — so the tile shrinks by that factor too.  Shrinking
-        keeps the whole pass inside the budget; results never depend on
-        the tile size.
+        sum over ops.  Shrinking keeps the whole pass inside the budget;
+        results never depend on the tile size.
         """
         if self._tile_bytes is None:
             return None
         overhead = max((op.tile_overhead for op in self._ops), default=0)
-        buffered = (PREFETCH_DEPTH + 2) if self._prefetch_intent() else 1
-        return max(1, self._tile_bytes // ((1 + overhead) * buffered))
+        return max(1, self._tile_bytes // (1 + overhead))
 
     def _tile_plan(self) -> Tuple[List[Tuple[slice, slice]], Tuple[int, int]]:
         """The ordered tile list and the (nominal) tile shape."""
@@ -553,19 +392,6 @@ class ReductionPlan:
 
     # -- execution -----------------------------------------------------
 
-    def _use_prefetch(self, n_tiles: int) -> bool:
-        return n_tiles > 1 and self._prefetch_intent()
-
-    def _load(self, rs: slice, cs: slice, force_copy: bool) -> np.ndarray:
-        block = _get_block(self._source, self._row_idx[rs], self._col_idx[cs])
-        if force_copy and is_memmap_backed(block):
-            # Slicing a memmap yields a *lazy* view; an unconditional copy
-            # in the producer thread makes the page-in happen there, not in
-            # the consumer.  (np.ascontiguousarray would be a no-op for the
-            # already-C-contiguous row tiles — it shares their memory.)
-            block = np.array(block, order="C", copy=True)
-        return block
-
     def execute(self) -> "ReductionPlan":
         """Stream the slab once, feeding every tile to every registered op."""
         if self._executed:
@@ -573,19 +399,9 @@ class ReductionPlan:
         self._executed = True
         collector = active_collector()
         tiles, (tile_rows, tile_cols) = self._tile_plan()
-        use_prefetch = self._use_prefetch(len(tiles))
-        if use_prefetch:
-            iterator = iter(
-                _TilePrefetcher(
-                    lambda rs, cs: self._load(rs, cs, True), tiles,
-                    collector=collector,
-                )
-            )
-        else:
-            iterator = ((rs, cs, self._load(rs, cs, False)) for rs, cs in tiles)
-
         cells = 0
-        for rs, cs, block in iterator:
+        for rs, cs in tiles:
+            block = _get_block(self._source, self._row_idx[rs], self._col_idx[cs])
             cells += block.size
             for op in self._ops:
                 op.update(rs, cs, block)
@@ -600,7 +416,6 @@ class ReductionPlan:
             bytes_streamed=cells * self._itemsize,
             passes=(cells / slab_cells) if slab_cells else 0.0,
             n_ops=len(self._ops),
-            prefetch=use_prefetch,
         )
         if collector is not None:
             # First-class counters replacing the test suite's ad hoc
@@ -610,8 +425,6 @@ class ReductionPlan:
             collector.inc("plan.tiles", len(tiles))
             collector.inc("plan.cells", cells)
             collector.inc("plan.bytes_streamed", cells * self._itemsize)
-            if use_prefetch:
-                collector.inc("plan.prefetched_executions")
         for handle in self._handles:
             handle._finalize()
         return self
@@ -619,12 +432,7 @@ class ReductionPlan:
 
 __all__ = [
     "CountingSource",
-    "DEFAULT_CACHE_TARGET",
-    "PREFETCH_DEPTH",
     "PlanHandle",
     "PlanStats",
-    "PrefetchLike",
     "ReductionPlan",
-    "effective_tile_bytes",
-    "is_memmap_backed",
 ]

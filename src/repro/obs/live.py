@@ -66,7 +66,6 @@ def build_snapshot(tracer: Any, *, label: Optional[str] = None) -> Dict[str, Any
     for key, hit, miss in (
         ("cluster.resident_hit_rate", "cluster.resident_hit", "cluster.resident_miss"),
         ("cluster.payload_hit_rate", "cluster.payload_hit", "cluster.payload_miss"),
-        ("prefetch.hit_rate", "prefetch.hit", "prefetch.miss"),
     ):
         rate = _hit_rate(counters.get(hit, 0.0), counters.get(miss, 0.0))
         if rate is not None:

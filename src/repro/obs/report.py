@@ -30,8 +30,6 @@ SUMMARY_COUNTERS = (
     "cluster.payload_miss",
     "plan.executions",
     "plan.tiles",
-    "prefetch.hit",
-    "prefetch.miss",
     "recovery.host_failures",
     "recovery.repinned_sites",
     "recovery.replayed_frames",
@@ -186,8 +184,6 @@ def render_protocol_summary(results: Dict[str, Any], *, title: Optional[str] = N
                 "resident_miss": summary["cluster.resident_miss"],
                 "payload_hit": summary["cluster.payload_hit"],
                 "payload_miss": summary["cluster.payload_miss"],
-                "prefetch_hit": summary["prefetch.hit"],
-                "prefetch_miss": summary["prefetch.miss"],
             }
         )
     return format_table(rows, title=title or "Per-protocol summary")

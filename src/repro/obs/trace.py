@@ -33,12 +33,13 @@ Zero overhead when off
     touches RNG streams or payloads).
 
 Ambient collector
-    Deep layers (the tile ``ReductionPlan``, the prefetcher) cannot thread a
-    tracer argument through every call.  They look up the thread-local
-    :func:`active_collector` — a ``Tracer`` or ``TraceBuffer`` installed by
-    :func:`collector_scope` — and bump counters on it, so plan executions
-    inside a runner land in that frame's buffer and coordinator-side plans
-    land in the run tracer, without any API change in the metrics layer.
+    Deep layers (the tile ``ReductionPlan``, the shard spill in
+    ``materialize_rows``) cannot thread a tracer argument through every
+    call.  They look up the thread-local :func:`active_collector` — a
+    ``Tracer`` or ``TraceBuffer`` installed by :func:`collector_scope` —
+    and bump counters on it, so plan executions inside a runner land in
+    that frame's buffer and coordinator-side plans land in the run tracer,
+    without any API change in the metrics layer.
 """
 
 from __future__ import annotations

@@ -34,7 +34,6 @@ def nearest_center_distances(
     centers: Sequence[int],
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-demand nearest open center.
 
@@ -45,16 +44,13 @@ def nearest_center_distances(
     A blocked per-row argmin (:func:`repro.metrics.blocked.argmin_per_row`
     over the open-center columns): under a ``memory_budget`` the transient
     footprint stays ``O(budget)`` even when ``cost_matrix`` is a disk-backed
-    memmap, and the result is bit-identical for every budget.  ``prefetch``
-    double-buffers memmap tiles (``None`` = auto) without changing the
-    result.
+    memmap, and the result is bit-identical for every budget.
     """
     centers = np.asarray(centers, dtype=int)
     if centers.size == 0:
         raise ValueError("at least one center is required")
     unit, arg = argmin_per_row(
-        as_block_source(cost_matrix), None, centers,
-        memory_budget=memory_budget, prefetch=prefetch,
+        as_block_source(cost_matrix), None, centers, memory_budget=memory_budget
     )
     return unit, centers[arg]
 
@@ -125,7 +121,6 @@ def assign_with_outliers(
     objective: str = "median",
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> ClusterSolution:
     """Assign demands to their nearest open center, excluding up to ``t`` weight.
 
@@ -145,9 +140,6 @@ def assign_with_outliers(
     memory_budget:
         Byte cap on the transient nearest-center blocks (see
         :func:`nearest_center_distances`); bit-identical for every budget.
-    prefetch:
-        Background tile prefetch knob, forwarded to the nearest-center
-        sweep; never changes the result.
     """
     obj = validate_objective(objective)
     source = as_block_source(cost_matrix)
@@ -156,9 +148,7 @@ def assign_with_outliers(
     if w.shape != (n,):
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
 
-    unit, nearest = nearest_center_distances(
-        source, centers, memory_budget=memory_budget, prefetch=prefetch
-    )
+    unit, nearest = nearest_center_distances(source, centers, memory_budget=memory_budget)
     dropped, cost = trim_outliers(unit, w, t, obj)
 
     assignment = nearest.copy()
@@ -184,12 +174,10 @@ def solution_cost(
     objective: str = "median",
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> float:
     """Cost of the best assignment to ``centers`` with ``t`` outlier weight excluded."""
     return assign_with_outliers(
-        cost_matrix, centers, t, weights, objective,
-        memory_budget=memory_budget, prefetch=prefetch,
+        cost_matrix, centers, t, weights, objective, memory_budget=memory_budget
     ).cost
 
 

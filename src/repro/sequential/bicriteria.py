@@ -61,7 +61,6 @@ def bicriteria_solve(
     weights: Optional[np.ndarray] = None,
     rng: RngLike = None,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
     **solver_kwargs,
 ) -> ClusterSolution:
     """Solve the weighted partial clustering problem with one relaxed budget.
@@ -87,9 +86,6 @@ def bicriteria_solve(
         Byte cap on transient blocks, forwarded to the concrete solver (the
         cost matrix itself may be a read-only memmap shard); results are
         bit-identical for every budget.
-    prefetch:
-        Background tile prefetch knob, forwarded to the concrete solver;
-        never changes the result.
     solver_kwargs:
         Extra keyword arguments forwarded to the concrete solver.
     """
@@ -104,7 +100,6 @@ def bicriteria_solve(
             t_used,
             weights=weights,
             memory_budget=memory_budget,
-            prefetch=prefetch,
             **solver_kwargs,
         )
     else:
@@ -116,7 +111,6 @@ def bicriteria_solve(
             objective=obj,
             rng=rng,
             memory_budget=memory_budget,
-            prefetch=prefetch,
             **solver_kwargs,
         )
     solution.metadata.update(

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.metrics.base import MetricSpace
-from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget
-from repro.metrics.plan import effective_tile_bytes
+from repro.metrics.blocked import MemoryBudgetLike, effective_tile_bytes
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -58,19 +57,19 @@ class GonzalezResult:
 
 
 def _distances_from_chunked(
-    metric: MetricSpace, i: int, cols: np.ndarray, budget: Optional[int]
+    metric: MetricSpace, i: int, cols: np.ndarray, tile_bytes: Optional[int]
 ) -> np.ndarray:
-    """One traversal sweep, evaluated in column chunks of at most ``budget`` bytes.
+    """One traversal sweep, evaluated in column chunks of at most ``tile_bytes``.
 
     ``distances_from`` is computed independently per target point, so
     chunking is bit-identical to the one-shot call; only the transient
-    gather inside the metric shrinks.  Budgeted chunks are additionally
-    clamped to the planner's cache target, so a generous budget still
-    sweeps in cache-resident pieces.
+    gather inside the metric shrinks.  ``tile_bytes`` comes from
+    :func:`~repro.metrics.blocked.effective_tile_bytes`, so a generous
+    budget still sweeps in cache-resident pieces.
     """
-    if budget is None:
+    if tile_bytes is None:
         return metric.distances_from(i, cols)
-    chunk = max(1, effective_tile_bytes(budget) // 8)
+    chunk = max(1, tile_bytes // 8)
     out = np.empty(cols.size, dtype=float)
     for c0 in range(0, cols.size, chunk):
         c1 = min(c0 + chunk, cols.size)
@@ -125,13 +124,13 @@ def gonzalez(
     radii = np.empty(m, dtype=float)
     coverage = np.empty(m, dtype=float)
 
-    budget = resolve_memory_budget(memory_budget)
+    tile_bytes = effective_tile_bytes(memory_budget)
     ordering[0] = idx[start]
     radii[0] = np.inf
     # ``dist_to_chosen`` holds the true distance of every point to the prefix;
     # ``selection`` is the same array with already-chosen points masked out so
     # that ties at distance zero (duplicate points) never re-select a point.
-    dist_to_chosen = _distances_from_chunked(metric, int(idx[start]), idx, budget)
+    dist_to_chosen = _distances_from_chunked(metric, int(idx[start]), idx, tile_bytes)
     selection = dist_to_chosen.copy()
     selection[start] = -np.inf
     coverage[0] = float(dist_to_chosen.max()) if n > 1 else 0.0
@@ -140,7 +139,7 @@ def gonzalez(
         nxt = int(np.argmax(selection))
         ordering[r] = idx[nxt]
         radii[r] = float(dist_to_chosen[nxt])
-        new_dist = _distances_from_chunked(metric, int(idx[nxt]), idx, budget)
+        new_dist = _distances_from_chunked(metric, int(idx[nxt]), idx, tile_bytes)
         np.minimum(dist_to_chosen, new_dist, out=dist_to_chosen)
         np.minimum(selection, new_dist, out=selection)
         selection[nxt] = -np.inf

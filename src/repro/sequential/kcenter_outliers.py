@@ -30,9 +30,9 @@ module fuses and amortises those passes:
   of full passes drops from ``O(k log #radii)`` to
   ``O(log_{probe_batch+1} #radii)``.
 
-The gains are budget- and prefetch-invariant (they inherit ``count_within``'s
+The gains are budget-invariant (they inherit ``count_within``'s
 column-contiguous summation), so for a *fixed* ``probe_batch`` results are
-bit-identical across memory budgets and prefetch settings.  Two caveats:
+bit-identical across memory budgets.  Two caveats:
 the incremental downdating is a different (exact in real arithmetic, not
 bitwise) summation order than recomputing gains from scratch, so selections
 may differ from the pre-fused implementation in floating-point near-ties;
@@ -56,9 +56,8 @@ from repro.metrics.blocked import (
     as_block_source,
     count_within,
     iter_blocks,
-    resolve_memory_budget,
 )
-from repro.metrics.plan import DEFAULT_CACHE_TARGET, PrefetchLike, ReductionPlan
+from repro.metrics.plan import ReductionPlan
 from repro.sequential.assignment import assign_with_outliers
 from repro.sequential.solution import ClusterSolution
 
@@ -118,7 +117,6 @@ def probe_gains(
     weights: np.ndarray,
     *,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: PrefetchLike = None,
 ) -> np.ndarray:
     """Initial greedy gains for a batch of radius guesses in one fused pass.
 
@@ -128,13 +126,7 @@ def probe_gains(
     whole batch instead of once per radius.
     """
     radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    budget = resolve_memory_budget(memory_budget)
-    plan = ReductionPlan(
-        source,
-        memory_budget=budget,
-        cache_target=DEFAULT_CACHE_TARGET if budget is not None else None,
-        prefetch=prefetch,
-    )
+    plan = ReductionPlan(source, memory_budget=memory_budget)
     handle = plan.add_count_within(radii, weights=weights)
     plan.execute()
     return np.atleast_2d(handle.value)
@@ -147,7 +139,6 @@ def _greedy_cover(
     radius: float,
     expansion: float,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: PrefetchLike = None,
     gain0: Optional[np.ndarray] = None,
 ) -> tuple:
     """One run of the greedy disk cover at a fixed radius guess.
@@ -166,14 +157,13 @@ def _greedy_cover(
     additional matrix's worth of cells — the classic phrasing re-streams
     all ``n x m`` cells on every one of the ``k`` steps.  The downdates
     inherit ``count_within``'s column-contiguous summation, so the result
-    is bit-identical for every ``memory_budget`` and prefetch setting.
+    is bit-identical for every ``memory_budget``.
     """
     n, _ = _source_shape(source)
     remaining = weights.astype(float).copy()
     if gain0 is None:
         gain0 = count_within(
-            source, radius, weights=remaining,
-            memory_budget=memory_budget, prefetch=prefetch,
+            source, radius, weights=remaining, memory_budget=memory_budget
         )
     gain = np.array(gain0, dtype=float, copy=True)
     centers = []
@@ -189,7 +179,7 @@ def _greedy_cover(
         if newly.size:
             gain = gain - count_within(
                 source, radius, rows=newly, weights=remaining[newly],
-                memory_budget=memory_budget, prefetch=prefetch,
+                memory_budget=memory_budget,
             )
             remaining[newly] = 0.0
     return np.asarray(centers, dtype=int), float(remaining.sum())
@@ -202,20 +192,17 @@ def _probe_batch(
     radii: np.ndarray,
     expansion: float,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: PrefetchLike = None,
 ) -> List[tuple]:
     """Run the greedy cover for every radius of one probe batch.
 
     One fused pass (:func:`probe_gains`) seeds all the greedies; each greedy
     then only touches chosen-center columns and newly covered rows.
     """
-    gains = probe_gains(
-        source, radii, weights, memory_budget=memory_budget, prefetch=prefetch
-    )
+    gains = probe_gains(source, radii, weights, memory_budget=memory_budget)
     return [
         _greedy_cover(
             source, weights, k, float(radius), expansion,
-            memory_budget=memory_budget, prefetch=prefetch, gain0=gains[pos],
+            memory_budget=memory_budget, gain0=gains[pos],
         )
         for pos, radius in enumerate(np.atleast_1d(radii))
     ]
@@ -230,7 +217,6 @@ def kcenter_with_outliers(
     expansion: float = 3.0,
     max_candidates: int = 256,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: PrefetchLike = None,
     probe_batch: int = 3,
 ) -> ClusterSolution:
     """Weighted ``(k, t)``-center with outliers via the Charikar greedy.
@@ -255,10 +241,6 @@ def kcenter_with_outliers(
     memory_budget:
         Byte cap on transient blocks (the cost matrix itself may be a
         read-only memmap); results are bit-identical for every budget.
-    prefetch:
-        Double-buffered background tile prefetch for memmap-backed
-        matrices: ``None`` (auto), ``True`` or ``False``.  Never changes
-        the result.
     probe_batch:
         Number of radius guesses evaluated per fused streaming pass during
         the feasibility search (≥ 1).  A larger batch trades a wider fused
@@ -307,15 +289,13 @@ def kcenter_with_outliers(
         # One fused pass seeds every probe of the round; the greedies then
         # run lazily in ascending order — everything past the first feasible
         # probe would be discarded anyway, so it is never evaluated.
-        gains = probe_gains(
-            source, radii[mids], w, memory_budget=memory_budget, prefetch=prefetch
-        )
+        gains = probe_gains(source, radii[mids], w, memory_budget=memory_budget)
         probe_rounds += 1
         first_feasible = None
         for pos, mid in enumerate(mids):
             centers, uncovered = _greedy_cover(
                 source, w, k, float(radii[mid]), expansion,
-                memory_budget=memory_budget, prefetch=prefetch, gain0=gains[pos],
+                memory_budget=memory_budget, gain0=gains[pos],
             )
             if _feasible(uncovered):
                 first_feasible = pos
@@ -333,16 +313,14 @@ def kcenter_with_outliers(
         # No radius guess was feasible (can only happen with an aggressive
         # candidate subsample); fall back to the largest radius greedy.
         best_centers, _ = _greedy_cover(
-            source, w, k, float(radii[-1]), expansion,
-            memory_budget=memory_budget, prefetch=prefetch,
+            source, w, k, float(radii[-1]), expansion, memory_budget=memory_budget
         )
         if best_centers.size == 0:
             best_centers = np.asarray([0], dtype=int)
         feasible_at = radii.size - 1
 
     solution = assign_with_outliers(
-        source, best_centers, t, w, objective="center",
-        memory_budget=memory_budget, prefetch=prefetch,
+        source, best_centers, t, w, objective="center", memory_budget=memory_budget
     )
     solution.metadata.update(
         {

@@ -15,8 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget
-from repro.metrics.plan import effective_tile_bytes
+from repro.metrics.blocked import MemoryBudgetLike, effective_tile_bytes
 from repro.sequential.solution import ClusterSolution
 from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.validation import check_points_array
@@ -50,11 +49,11 @@ def _closest_sq_distances(
     most that many bytes (per-row results, so bit-identical across budgets).
     """
     n, k = points.shape[0], centers.shape[0]
-    budget = resolve_memory_budget(memory_budget)
-    # Budgeted chunks are clamped to the planner's cache target: the (n, k)
-    # block is produced per row, so any chunk size is bit-identical and a
+    tile_bytes = effective_tile_bytes(memory_budget)
+    # Budgeted chunks are clamped to the cache target: the (n, k) block is
+    # produced per row, so any chunk size is bit-identical and a
     # cache-resident chunk is simply faster.
-    chunk = n if budget is None else max(1, effective_tile_bytes(budget) // max(1, k * 8))
+    chunk = n if tile_bytes is None else max(1, tile_bytes // max(1, k * 8))
     best = np.empty(n, dtype=float)
     idx = np.empty(n, dtype=int)
     for r0 in range(0, n, max(1, chunk)):
@@ -172,8 +171,8 @@ def trimmed_lloyd_kmeans(
     assert best_centers is not None
     # Snap continuous centers to the nearest input point if requested.
     if snap_to_points:
-        budget = resolve_memory_budget(memory_budget)
-        chunk = n if budget is None else max(1, effective_tile_bytes(budget) // max(1, k * 8))
+        tile_bytes = effective_tile_bytes(memory_budget)
+        chunk = n if tile_bytes is None else max(1, tile_bytes // max(1, k * 8))
         best_sq = np.full(k, np.inf)
         center_indices = np.zeros(k, dtype=int)
         for r0 in range(0, n, max(1, chunk)):

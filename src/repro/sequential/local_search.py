@@ -109,7 +109,6 @@ def local_search_partial(
     min_relative_gain: float = 1e-4,
     rng: RngLike = None,
     memory_budget: MemoryBudgetLike = None,
-    prefetch: Optional[bool] = None,
 ) -> ClusterSolution:
     """Outlier-trimmed single-swap local search for weighted ``(k, t)``-median/means.
 
@@ -144,9 +143,6 @@ def local_search_partial(
         already streams the matrix column by column — its working set is
         ``O(n k)`` vectors, never ``O(n^2)`` — so a disk-backed memmap cost
         matrix is paged, not copied.  Results are budget-independent.
-    prefetch:
-        Background tile prefetch knob for the final assignment pass
-        (``None`` = auto for memmap matrices); never changes the result.
     """
     obj = validate_objective(objective)
     if obj == "center":
@@ -220,8 +216,7 @@ def local_search_partial(
         current_cost = trimmed_cost(first_val)
 
     solution = assign_with_outliers(
-        cost_matrix, centers, t, w, objective=obj,
-        memory_budget=memory_budget, prefetch=prefetch
+        cost_matrix, centers, t, w, objective=obj, memory_budget=memory_budget
     )
     solution.metadata.update(
         {

@@ -4,7 +4,7 @@ The acceptance bar for the observability layer: a ``trace=True`` run on
 ``cluster:3`` yields (a) a tracer whose wire byte counters equal the
 :class:`~repro.cluster.wire.WireLedger` exactly, (b) runner spans
 rebased onto the coordinator timeline inside the rpc windows that carried
-them, (c) resident-cache / state / prefetch counters per protocol — while
+them, (c) resident-cache / state / plan counters per protocol — while
 ``trace=False`` stays bit-identical to an untraced serial run.  The runner
 Timer merge (``runner_timers()``) rides the same result-frame extras and is
 asserted here too.
@@ -171,10 +171,10 @@ class TestClusterTimeline:
         assert {"coordinator", "host-0", "host-1", "host-2"} <= names
 
 
-class TestPrefetchCounters:
-    def test_spilled_run_counts_prefetch_and_plan_traffic(self, small_workload, cluster3):
+class TestPlanCounters:
+    def test_spilled_run_counts_plan_traffic(self, small_workload, cluster3):
         # A tiny budget forces site cost matrices onto disk shards, which
-        # auto-enables the tile prefetcher inside every runner.
+        # every runner then reads through reduction plans.
         base = partial_kmedian(
             small_workload.points, 3, 15, n_sites=3, seed=42, memory_budget="8KB"
         )
@@ -188,11 +188,8 @@ class TestPrefetchCounters:
         assert tracer.counter("plan.executions") > 0
         assert tracer.counter("plan.tiles") > 0
         assert tracer.counter("blocked.spills") > 0
-        hits = tracer.counter("prefetch.hit")
-        misses = tracer.counter("prefetch.miss")
-        assert hits + misses > 0
         summary = protocol_summary(traced)
-        assert summary["prefetch.hit"] == hits
+        assert summary["plan.tiles"] == tracer.counter("plan.tiles")
 
 
 class TestRunnerTimers:

@@ -8,6 +8,7 @@ transparently re-solves after a strip — bit-identically, which is what every
 test here ultimately asserts.
 """
 
+import os
 import pickle
 
 import numpy as np
@@ -19,8 +20,10 @@ from repro.core.preclustering import (
     _StrippedSolution,
     precluster_site,
 )
+from repro.metrics import blocked
 from repro.metrics.cost_matrix import build_cost_matrix
 from repro.metrics.euclidean import EuclideanMetric
+from repro.runtime.backends import ProcessPoolBackend
 
 
 @pytest.fixture(scope="module")
@@ -41,6 +44,13 @@ def precluster(site_costs):
 
 def _roundtrip(obj):
     return pickle.loads(pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
+
+
+def _worker_spill_dir(_):
+    # A forked worker inherits its parent's directory (the parent removes
+    # that one); forget it so the worker creates, and must remove, its own.
+    blocked._TRANSPORT_SPILL_DIR = None
+    return blocked.transport_spill_dir()
 
 
 def _assert_same_solution(a, b):
@@ -145,3 +155,13 @@ class TestDenseSpill:
                 precluster.solution_for(q, 4, "median"),
                 restored.solution_for(q, 4, "median"),
             )
+
+    def test_pool_worker_removes_its_spill_dir_on_exit(self):
+        # Pool workers leave through os._exit, which skips atexit hooks.
+        backend = ProcessPoolBackend(max_workers=1)
+        try:
+            (path,) = backend.map_ordered(_worker_spill_dir, [None])
+            assert os.path.isdir(path)
+        finally:
+            backend.close()
+        assert not os.path.exists(path)

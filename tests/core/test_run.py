@@ -35,8 +35,8 @@ def test_budget_scratch_and_solver_defaults():
         workdir = run.workdir
         assert run.local_kwargs(None) == {"memory_budget": 1024}
         # Caller-supplied solver kwargs win over the run defaults.
-        assert run.local_kwargs({"memory_budget": 7, "prefetch": True}) == {
-            "memory_budget": 7, "prefetch": True,
+        assert run.local_kwargs({"memory_budget": 7, "max_iter": 5}) == {
+            "memory_budget": 7, "max_iter": 5,
         }
     assert not os.path.exists(workdir)
 

@@ -13,6 +13,7 @@ import pytest
 
 from repro.metrics import EuclideanMetric, MatrixMetric, build_cost_matrix
 from repro.metrics.blocked import (
+    DEFAULT_CACHE_TARGET,
     MemmapCostShard,
     argmin_per_row,
     contiguous_slice,
@@ -91,6 +92,16 @@ class TestIterBlocks:
         tiles = list(iter_blocks(euclid))
         assert len(tiles) == 1
         np.testing.assert_array_equal(tiles[0][2], euclid.full_matrix())
+
+    def test_budget_above_cache_target_yields_cache_sized_tiles(self):
+        # An 8 MiB slab of zeros that occupies one float: under a 1 GiB
+        # budget iter_blocks tiles it like a plan does, in pieces of at
+        # most DEFAULT_CACHE_TARGET bytes.
+        slab = np.broadcast_to(0.0, (1024, 1024))
+        tiles = list(iter_blocks(slab, memory_budget=1 << 30))
+        assert len(tiles) > 1
+        assert all(block.nbytes <= DEFAULT_CACHE_TARGET for _, _, block in tiles)
+        assert sum(block.size for _, _, block in tiles) == slab.size
 
     def test_array_source_and_subsets(self, euclid):
         dense = euclid.full_matrix()

@@ -2,8 +2,9 @@
 
 The acceptance bar mirrors ``tests/metrics/test_blocked.py``: every fused
 plan must be *bitwise* identical to the equivalent sequence of standalone
-blocked reductions — for dense arrays, budgeted tiles, memmap-backed shards,
-and with the prefetcher on or off.  On top of parity, the pass-count tests
+blocked reductions — for dense arrays, explicit block sources, budgeted
+tiles and memmap-backed shards read whole, in contiguous windows or at
+scattered indices.  On top of parity, the pass-count tests
 prove (via :class:`~repro.metrics.plan.CountingSource`, deterministically —
 no wall-clock) that a fused plan reads each tile exactly once where the
 standalone sequence reads the slab once per reduction.
@@ -14,20 +15,16 @@ import pytest
 
 from repro.metrics import EuclideanMetric
 from repro.metrics.blocked import (
+    DEFAULT_CACHE_TARGET,
     MemmapCostShard,
     argmin_per_row,
     count_within,
+    effective_tile_bytes,
     reduce_max,
     reduce_min_per_row,
     reduce_min_positive,
 )
-from repro.metrics.plan import (
-    DEFAULT_CACHE_TARGET,
-    CountingSource,
-    ReductionPlan,
-    effective_tile_bytes,
-    is_memmap_backed,
-)
+from repro.metrics.plan import CountingSource, ReductionPlan
 
 BUDGETS = [None, 1 << 30, 4096, 256, 64, 8]  # 64 and 8 are below one row
 
@@ -52,8 +49,8 @@ def memmap_matrix(matrix, tmp_path):
     return shard.finalize()
 
 
-def _full_plan(source, *, radii, weights, budget, prefetch):
-    plan = ReductionPlan(source, memory_budget=budget, prefetch=prefetch)
+def _full_plan(source, rows=None, cols=None, *, radii, weights, budget):
+    plan = ReductionPlan(source, rows, cols, memory_budget=budget)
     handles = {
         "max": plan.add_max(),
         "min_positive": plan.add_min_positive(),
@@ -67,35 +64,42 @@ def _full_plan(source, *, radii, weights, budget, prefetch):
 
 
 class TestEffectiveTileBytes:
+    """One rule: no budget is one dense tile, a budget is clamped to the
+    cache target."""
+
     def test_none_none(self):
-        assert effective_tile_bytes(None, None) is None
+        assert effective_tile_bytes(None) is None
 
     def test_budget_only(self):
-        assert effective_tile_bytes(1024, None) == 1024
+        assert effective_tile_bytes(1024) == 1024
 
     def test_cache_only(self):
-        assert effective_tile_bytes(None) == DEFAULT_CACHE_TARGET
+        assert effective_tile_bytes(1 << 30) == DEFAULT_CACHE_TARGET
 
     def test_min_of_both(self):
-        assert effective_tile_bytes(1 << 30) == DEFAULT_CACHE_TARGET
+        assert effective_tile_bytes(DEFAULT_CACHE_TARGET - 1) == DEFAULT_CACHE_TARGET - 1
+        assert effective_tile_bytes(DEFAULT_CACHE_TARGET + 1) == DEFAULT_CACHE_TARGET
         assert effective_tile_bytes(512) == 512
 
     def test_string_budget(self):
-        assert effective_tile_bytes("1KB", None) == 1024
+        assert effective_tile_bytes("1KB") == 1024
+        assert effective_tile_bytes("1GB") == DEFAULT_CACHE_TARGET
 
 
 class TestFusedParity:
     """Fused results must be bitwise equal to the standalone sequence."""
 
     @pytest.mark.parametrize("budget", BUDGETS)
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_array_source(self, matrix, budget, prefetch):
+    @pytest.mark.parametrize("block_source", [False, True])
+    def test_array_source(self, matrix, budget, block_source):
+        # ``block_source`` serves the same matrix through the explicit
+        # ``get_block`` protocol (gathered copies) instead of array slices;
+        # the load path must be invisible in the values.
         rng = np.random.default_rng(5)
         weights = rng.uniform(0.1, 3.0, size=matrix.shape[0])
         radii = np.quantile(matrix, [0.2, 0.5, 0.9])
-        plan, handles = _full_plan(
-            matrix, radii=radii, weights=weights, budget=budget, prefetch=prefetch
-        )
+        source = CountingSource(matrix) if block_source else matrix
+        plan, handles = _full_plan(source, radii=radii, weights=weights, budget=budget)
         assert handles["max"].value == reduce_max(matrix, memory_budget=budget)
         assert handles["min_positive"].value == reduce_min_positive(matrix, memory_budget=budget)
         np.testing.assert_array_equal(
@@ -117,6 +121,8 @@ class TestFusedParity:
         # count_within forces full-height column strips.
         assert plan.orientation == "cols"
         assert plan.stats.passes == pytest.approx(1.0)
+        if block_source:
+            assert source.cells_read == matrix.size
 
     @pytest.mark.parametrize("budget", [None, 4096, 64])
     def test_metric_source(self, euclid, budget):
@@ -131,27 +137,35 @@ class TestFusedParity:
         np.testing.assert_array_equal(positions, exp_positions)
 
     @pytest.mark.parametrize("budget", [4096, 256, 64])
-    @pytest.mark.parametrize("prefetch", [None, False, True])
-    def test_memmap_source(self, matrix, memmap_matrix, budget, prefetch):
-        weights = np.linspace(0.5, 2.0, matrix.shape[0])
+    @pytest.mark.parametrize("contiguous", [None, False, True])
+    def test_memmap_source(self, matrix, memmap_matrix, budget, contiguous):
+        # ``contiguous`` picks the slab: None is the whole matrix, True a
+        # contiguous window (sliced memmap views), False scattered rows and
+        # columns (an ``np.ix_`` gather per tile).
+        if contiguous is None:
+            rows = cols = None
+        elif contiguous:
+            rows, cols = np.arange(5, 50), np.arange(3, 33)
+        else:
+            rows, cols = np.arange(0, matrix.shape[0], 2), np.arange(1, matrix.shape[1], 2)
+        n_rows = matrix.shape[0] if rows is None else rows.size
+        weights = np.linspace(0.5, 2.0, n_rows)
         radii = np.quantile(matrix, [0.3, 0.7])
         plan, handles = _full_plan(
-            memmap_matrix, radii=radii, weights=weights, budget=budget, prefetch=prefetch
+            memmap_matrix, rows, cols, radii=radii, weights=weights, budget=budget
         )
-        # Parity against the *dense in-RAM* standalone calls: the memmap, the
-        # budget and the prefetcher must all be invisible in the values.
-        assert handles["max"].value == reduce_max(matrix)
+        # Parity against the *dense in-RAM* standalone calls: the memmap,
+        # the index pattern and the budget must all be invisible in the values.
+        assert handles["max"].value == reduce_max(matrix, rows, cols)
         np.testing.assert_array_equal(
-            handles["min_per_row"].value, reduce_min_per_row(matrix)
+            handles["min_per_row"].value, reduce_min_per_row(matrix, rows, cols)
         )
         for pos, radius in enumerate(radii):
             np.testing.assert_array_equal(
                 handles["count"].value[pos],
-                count_within(matrix, float(radius), weights=weights),
+                count_within(matrix, float(radius), rows, cols, weights=weights),
             )
-        # Auto-prefetch engages for multi-tile memmap plans.
-        if prefetch is None and plan.stats.n_tiles > 1:
-            assert plan.stats.prefetch
+        assert plan.stats.n_tiles > 1
 
     def test_rows_cols_subsets(self, matrix):
         rows = [3, 4, 5, 9, 11]
@@ -179,7 +193,7 @@ class TestPassCounts:
 
     def test_fused_plan_reads_each_tile_exactly_once(self, matrix):
         source = CountingSource(matrix)
-        plan = ReductionPlan(source, memory_budget=2048, prefetch=False)
+        plan = ReductionPlan(source, memory_budget=2048)
         plan.add_max()
         plan.add_argmin_per_row()
         plan.add_count_within([0.5, 1.5, 2.5], weights=np.ones(matrix.shape[0]))
@@ -202,22 +216,20 @@ class TestPassCounts:
         assert source.cells_read == 5 * matrix.size
         assert source.cell_counts.min() == 5
 
-    def test_prefetch_does_not_change_pass_count(self, matrix):
-        source = CountingSource(matrix)
-        plan = ReductionPlan(source, memory_budget=2048, prefetch=True)
-        plan.add_count_within([1.0, 2.0])
-        plan.execute()
-        assert source.cells_read == matrix.size
-        assert plan.stats.prefetch
-
 
 class TestTileShapes:
-    def test_tiles_respect_budget_and_cache(self, matrix):
-        plan = ReductionPlan(matrix, memory_budget=1 << 30, cache_target=2048)
-        plan.add_max()
-        plan.execute()
-        # Cache target caps the tile even under a huge budget.
-        assert plan.stats.tile_rows * plan.stats.tile_cols * 8 <= 2048
+    def test_tiles_respect_budget_and_cache(self):
+        # An 8 MiB slab of zeros that occupies one float: the cache target
+        # caps the tile even under a huge budget, and a budget below the
+        # cache target caps it in turn.
+        slab = np.broadcast_to(0.0, (1024, 1024))
+        for budget, cap in ((1 << 30, DEFAULT_CACHE_TARGET), (2048, 2048)):
+            plan = ReductionPlan(slab, memory_budget=budget)
+            plan.add_max()
+            plan.execute()
+            assert plan.stats.tile_rows * plan.stats.tile_cols * 8 <= cap
+            assert plan.stats.n_tiles > 1
+            assert plan.stats.passes == pytest.approx(1.0)
 
     def test_count_plans_use_column_strips(self, matrix):
         plan = ReductionPlan(matrix, memory_budget=4096)
@@ -232,21 +244,10 @@ class TestTileShapes:
         plan.execute()
         assert plan.stats.orientation == "rows"
 
-    def test_prefetch_buffers_fit_inside_the_budget(self, memmap_matrix):
-        """With prefetch, up to PREFETCH_DEPTH queued copies + the in-flight
-        tile + the consumer's tile coexist; the budget covers them all."""
-        from repro.metrics.plan import PREFETCH_DEPTH
-
-        budget = 4096
-        plan = ReductionPlan(memmap_matrix, memory_budget=budget, prefetch=True)
-        plan.add_max()  # overhead-0 op: the buffer chain is the whole story
-        plan.execute()
-        tile_bytes = plan.stats.tile_rows * plan.stats.tile_cols * 8
-        assert tile_bytes * (PREFETCH_DEPTH + 2) <= budget
-        assert plan.stats.prefetch
-
-    def test_unbudgeted_uncached_plan_is_one_tile(self, matrix):
-        plan = ReductionPlan(matrix, memory_budget=None, cache_target=None)
+    def test_unbudgeted_uncached_plan_is_one_tile(self):
+        # No budget means one dense tile, even for a slab far above the
+        # cache target.
+        plan = ReductionPlan(np.broadcast_to(0.0, (1024, 1024)), memory_budget=None)
         plan.add_max()
         plan.execute()
         assert plan.stats.n_tiles == 1
@@ -278,42 +279,3 @@ class TestPlanLifecycle:
         with pytest.raises(ValueError, match="weights"):
             plan.add_count_within(1.0, weights=np.ones(3))
 
-
-class TestPrefetcher:
-    def test_loader_error_propagates_to_consumer(self):
-        class Exploding:
-            shape = (8, 8)
-
-            def __init__(self):
-                self.calls = 0
-
-            def get_block(self, rows, cols):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("disk on fire")
-                return np.zeros((len(rows), len(cols)))
-
-        plan = ReductionPlan(Exploding(), memory_budget=64, prefetch=True)
-        plan.add_argmin_per_row()
-        with pytest.raises(RuntimeError, match="disk on fire"):
-            plan.execute()
-
-    def test_prefetch_load_copies_memmap_tiles(self, matrix, memmap_matrix):
-        """The producer must materialise memmap tiles, not park lazy views.
-
-        Row tiles of a C-order memmap are themselves C-contiguous views, so
-        a naive ``ascontiguousarray`` would be a no-op and the page-in
-        would silently move back into the consumer.
-        """
-        plan = ReductionPlan(memmap_matrix, memory_budget=2048, prefetch=True)
-        plan.add_argmin_per_row()  # rows orientation: contiguous row tiles
-        block = plan._load(slice(0, 4), slice(0, matrix.shape[1]), True)
-        assert not np.shares_memory(block, memmap_matrix)
-        assert not is_memmap_backed(block)
-        np.testing.assert_array_equal(block, matrix[:4])
-
-    def test_is_memmap_backed(self, matrix, memmap_matrix):
-        assert not is_memmap_backed(matrix)
-        assert is_memmap_backed(memmap_matrix)
-        # A view of a memmap is still memmap-backed.
-        assert is_memmap_backed(np.asarray(memmap_matrix)[2:5])

@@ -124,7 +124,6 @@ class TestProtocolSummary:
         assert summary["n_spans"] == len(traced_kmedian.trace.spans)
         # The fixed counter columns are present even when the layer never ran.
         assert summary["cluster.resident_hit"] == 0.0
-        assert summary["prefetch.hit"] == 0.0
 
     def test_render_protocol_summary(self, traced_kmedian):
         text = render_protocol_summary({"kmedian": traced_kmedian})

@@ -3,10 +3,10 @@
 Two properties are locked down here:
 
 * **Parity** — the fused/batched/incremental search is bit-identical across
-  memory budgets, memmap-backed matrices, prefetch settings and probe-batch
-  sizes (the batched binary search lands on the same smallest feasible
-  candidate radius as the one-at-a-time search under the analysis's
-  monotonicity assumption).
+  memory budgets, memmap-backed matrices and probe-batch sizes (the
+  batched binary search lands on the same smallest feasible candidate
+  radius as the one-at-a-time search under the analysis's monotonicity
+  assumption).
 * **Pass counts** — via :class:`~repro.metrics.plan.CountingSource`
   (deterministic; no wall-clock): one fused probe reads each tile of the
   cost matrix exactly once, where the classic phrasing re-streams the slab
@@ -55,15 +55,12 @@ class TestFusedParity:
         other = kcenter_with_outliers(cost_matrix, 3, 15, memory_budget=budget)
         _assert_same_solution(base, other)
 
-    @pytest.mark.parametrize("prefetch", [False, True])
-    def test_memmap_and_prefetch_parity(self, cost_matrix, tmp_path, prefetch):
+    def test_memmap_parity(self, cost_matrix, tmp_path):
         shard = MemmapCostShard.create(cost_matrix.shape, workdir=str(tmp_path))
         shard.write_rows(slice(0, cost_matrix.shape[0]), cost_matrix)
         mm = shard.finalize()
         base = kcenter_with_outliers(cost_matrix, 3, 15)
-        other = kcenter_with_outliers(
-            mm, 3, 15, memory_budget=4096, prefetch=prefetch
-        )
+        other = kcenter_with_outliers(mm, 3, 15, memory_budget=4096)
         _assert_same_solution(base, other)
 
     @pytest.mark.parametrize("probe_batch", [1, 2, 5])
@@ -122,7 +119,7 @@ class TestPassCounts:
         weights = np.ones(cost_matrix.shape[0])
 
         source = CountingSource(cost_matrix)
-        probe_gains(source, radii, weights, memory_budget=2048, prefetch=False)
+        probe_gains(source, radii, weights, memory_budget=2048)
         assert source.cells_read == cost_matrix.size
         assert source.cell_counts.min() == 1
         assert source.cell_counts.max() == 1
