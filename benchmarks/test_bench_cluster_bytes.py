@@ -9,12 +9,11 @@ bytes-per-word ratio — the honest conversion factor between the paper's
 accounting and what a wire would actually carry (pickle framing, dtype
 width, dispatch overhead and all).
 
-Since the wire path grew codec frames and content-addressed payloads, every
-row carries the raw/encoded split: ``total_bytes``/``bytes_per_word`` are
-what physically crossed the sockets (compressed frames, digest-collapsed
-payloads), ``total_raw_bytes``/``raw_bytes_per_word`` what the same frames
-would have cost uncompressed, and ``compression`` their ratio — the
-benchmark's compression column.
+Since the wire path grew codec frames, every row carries the raw/encoded
+split: ``total_bytes``/``bytes_per_word`` are what physically crossed the
+sockets (compressed frames), ``total_raw_bytes``/``raw_bytes_per_word``
+what the same frames would have cost uncompressed, and ``compression``
+their ratio — the benchmark's compression column.
 
 Wall-clock is recorded through pytest-benchmark but never asserted (the CI
 box is 1-core and the runners are subprocesses).  Byte counts, by contrast,
@@ -208,20 +207,20 @@ def test_cluster_bytes_per_word(
             )
 
     measured = {row["protocol"]: row for row in rows}
-    # Content-addressed payloads collapse center_g's repeated collapse-matrix
-    # shipping: the protocol that used to cost ~2,800 bytes/word must now
+    # center_g's sites hold their own nodes and keep their per-tau state
+    # resident, so the protocol that used to cost ~2,800 bytes/word must
     # price within the same band as kcenter's plain site rounds.
     assert (
         measured["center_g"]["bytes_per_word"]
         <= 2.0 * measured["kcenter"]["bytes_per_word"]
-    ), "center_g's payload residency regressed: its bytes/word left kcenter's band"
-    # And the codec layer must actually earn its column: result frames of
-    # the site protocols and center_g's task replies compress >= 2x.
+    ), "center_g's site residency regressed: its bytes/word left kcenter's band"
+    # And the codec layer must actually earn its column: site result frames
+    # compress >= 2x.
     for name, kind in (
         ("kmedian", "site_result"),
         ("kcenter", "site_result"),
         ("no_shipping", "site_result"),
-        ("center_g", "task_result"),
+        ("center_g", "site_result"),
     ):
         ratio = detail[name]["wire"]["compression_by_kind"][kind]
         assert ratio >= 2.0, (

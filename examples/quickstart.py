@@ -51,7 +51,7 @@ def main() -> None:
     running_on_a_cluster_backend(workload.points, k, t)
     event_loop_coordinator_and_the_cluster_service(workload.points, k, t)
     fault_tolerance_and_recovery(workload.points, k, t)
-    wire_codecs_and_content_addressed_payloads(workload.points, k, t)
+    wire_codecs(workload.points, k, t)
     memory_budgets_and_out_of_core_shards(workload.points, k, t)
     fused_plans(workload.points, k, t)
     observability(workload.points, k, t)
@@ -203,9 +203,8 @@ def event_loop_coordinator_and_the_cluster_service(points, k, t) -> None:
       runs once the pool is otherwise idle, so oversized work degrades
       to serial instead of deadlocking.
     * **Isolation is total**: each job gets a lane namespace that keys
-      the content-addressed payload caches, runner-resident site state,
-      heartbeat accounting and telemetry routing on both ends of every
-      socket.  Each job's result — centers, cost, word ledger, *and*
+      its runner-resident site state, heartbeat accounting and telemetry
+      routing.  Each job's result — centers, cost, word ledger, *and*
       its private wire ledger — is bit-identical to the same run on a
       standalone pool, no matter what runs next to it.
     * ``REPRO_CLUSTER_SERVICE=1`` routes every ``backend="cluster:N"``
@@ -275,8 +274,8 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
        records re-apply each round's task with its recorded RNG stream and
        write overlay), verifying the rebuilt state against the original
        state digests;
-    3. **re-dispatches** the in-flight tasks and re-issues in-flight state
-       faults against the replayed copies.
+    3. **resolves** each in-flight site task with its replayed last record
+       and re-issues in-flight state faults against the replayed copies.
 
     The run then continues — **bit-identically**: same centers, cost and
     word ledger as a failure-free run.  Only the wire ledger shows the
@@ -318,16 +317,16 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
     print(f"  replayed frames / bytes     : {event['replayed_frames']} / {replay_bytes}")
 
 
-def wire_codecs_and_content_addressed_payloads(points, k, t) -> None:
-    """Wire codecs and content-addressed payloads.
+def wire_codecs(points, k, t) -> None:
+    """Wire codecs.
 
-    The cluster backend's wire path is three composable layers, and each
-    one shows up separately in the accounting:
+    The cluster backend's wire path is two composable layers, and each one
+    shows up separately in the accounting:
 
     * **Codec frames** — every frame is pickled (protocol 5, numpy buffers
       out of band, so decode is zero-copy) and its body optionally
       compressed.  The default :class:`repro.cluster.WirePolicy`
-      compresses site/task frames with the best available codec (zstd via
+      compresses site frames with the best available codec (zstd via
       the ``zstd`` extra — ``pip install .[zstd]`` — else stdlib zlib) and
       leaves latency-sensitive ``state_pull``/control frames uncompressed.
       ``REPRO_WIRE_CODEC=none|zlib|zstd`` overrides the compressible
@@ -335,13 +334,6 @@ def wire_codecs_and_content_addressed_payloads(points, k, t) -> None:
       override never changes results, only bytes.  Compression is kept
       per frame only when it shrinks, so incompressible payloads never
       grow.
-    * **Content-addressed payloads** — every large ``run_tasks`` payload
-      component is digested (16-byte blake2b of its pickle) and cached on
-      *both* ends of each runner socket.  The first crossing ships the
-      bytes, every later crossing of the same content — either direction —
-      ships the digest.  center_g's per-tau collapse matrices, re-shipped
-      every round before, now cost ~16 bytes after round 1; the tracer's
-      ``cluster.payload_hit``/``payload_miss`` counters say how often.
     * **Honest accounting** — every wire record carries the raw/encoded
       pair, so nothing the codecs save is hidden::
 

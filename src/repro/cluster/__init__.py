@@ -4,13 +4,13 @@ The star-network simulator charges every message a semantic *word* count;
 the in-process backends hand payloads over inside one process.  This
 subsystem closes the loop on the paper's communication claims: a
 :class:`~repro.cluster.backend.ClusterBackend` spawns one long-lived runner
-process per simulated host, ships site tasks and payloads over real
-length-prefixed socket connections (:mod:`repro.cluster.framing`), keeps
-each site's shard, local metric *and mutable round state* resident on its
-runner across rounds (state returns as a digest and is faulted lazily — see
-:mod:`repro.runtime.state`), ships repeated task payload components as
-content-addressed digests (:mod:`repro.cluster.payloads`), compresses the
-bulky frame kinds under a per-kind codec policy
+process per simulated host, ships site tasks — the one task shape every
+protocol runs as, the uncertain ones included — over real length-prefixed
+socket connections (:mod:`repro.cluster.framing`), keeps each site's shard,
+its view of the input (local metric, or its uncertain nodes) *and its
+mutable round state* resident on its runner across rounds (state returns as
+a digest and is faulted lazily — see :mod:`repro.runtime.state`),
+compresses the bulky frame kinds under a per-kind codec policy
 (:class:`~repro.cluster.framing.WirePolicy` — pickle protocol 5 with
 out-of-band numpy buffers, zlib or zstd frame compression), and
 records the exact bytes every frame occupied — raw *and* encoded — in a
@@ -50,7 +50,6 @@ from repro.cluster.framing import (
     encode_payload,
     resolve_codec,
 )
-from repro.cluster.payloads import PayloadCache
 from repro.cluster.recovery import DeadHostError, FaultAction, FaultPlan, RetryPolicy
 from repro.cluster.service import ClusterJob, ClusterService, ServiceBackend, shared_service
 from repro.cluster.wire import RecoveryEvent, WireLedger, WireRecord
@@ -63,7 +62,6 @@ __all__ = [
     "FaultAction",
     "FaultPlan",
     "FrameChannel",
-    "PayloadCache",
     "RecoveryEvent",
     "RetryPolicy",
     "ServiceBackend",

@@ -16,30 +16,28 @@ claims honest:
   each buffered site-to-coordinator payload individually so the
   communication ledger can stamp per-message ``n_bytes`` (plus its
   codec-priced ``n_bytes_encoded``) next to the semantic word counts.
-* **Codec frames + content-addressed payloads.**  Frames are encoded under
-  a :class:`~repro.cluster.framing.WirePolicy` (site/task traffic
-  compressed, latency-sensitive state pulls and control frames not; the
+* **Codec frames.**  Frames are encoded under a
+  :class:`~repro.cluster.framing.WirePolicy` (site traffic compressed,
+  latency-sensitive state pulls and control frames not; the
   ``REPRO_WIRE_CODEC`` environment override reaches the runners through
-  their inherited environment), and every structure-free task payload and
-  result is content-addressed against a per-host
-  :class:`~repro.cluster.payloads.PayloadCache` mirrored on the runner —
-  repeated payload content (center_g's collapse matrices and
-  round-tripped state dicts) crosses the wire once per pool lifetime and
-  costs a 16-byte digest afterwards.
+  their inherited environment).
 * **Resident site state.**  A site's heavy immutable half — its shard and
-  local metric — is shipped once per protocol run and kept resident on its
-  runner (sites are pinned to hosts by ``site_id % n_hosts``).  The
-  *mutable* half gets the same treatment: after a site task completes, its
-  ``ctx.state`` stays on the runner and only a digest (keys, per-entry
-  pickled sizes, a state epoch) crosses back; the next dispatch ships an
-  epoch token instead of the dict, and the coordinator's ``Site.state``
-  becomes a :class:`~repro.runtime.state.RemoteStateProxy` that faults
-  individual entries over the wire only on explicit access.  Later rounds
-  therefore pay wire cost only for what actually changed.
+  its view of the input (local metric, or its uncertain nodes) — is
+  shipped once per protocol run and kept resident on its runner (sites are
+  pinned to hosts by ``site_id % n_hosts``).  The *mutable* half gets the
+  same treatment: after a site task completes, its ``ctx.state`` stays on
+  the runner and only a digest (keys, per-entry pickled sizes, a state
+  epoch) crosses back; the next dispatch ships an epoch token instead of
+  the dict, and the coordinator's ``Site.state`` becomes a
+  :class:`~repro.runtime.state.RemoteStateProxy` that faults individual
+  entries over the wire only on explicit access.  Later rounds therefore
+  pay wire cost only for what actually changed.
 
-Tasks return futures (:meth:`submit_tasks` / :meth:`submit_site_pairs`);
-the round scheduler joins them at a barrier
-(:func:`repro.runtime.tasks.run_site_tasks`).
+Site tasks are the only work the pool runs: :meth:`submit_site_pairs`
+returns one future per site task, and the round scheduler
+(:func:`repro.runtime.tasks.run_site_tasks`) joins them at a barrier.
+Every protocol, the uncertain ones included, keeps its sites' input and
+state resident, logs every dispatch and replays it on recovery in one way.
 
 **Fault tolerance** is a property of the pool, set where it is built
 (``retry=RetryPolicy(...)``), and has one code path.  Every site dispatch
@@ -86,7 +84,6 @@ from repro.cluster.framing import (
     encode_payload,
 )
 from repro.cluster.loop import EventLoop, TimerHandle
-from repro.cluster.payloads import PayloadCache
 from repro.cluster.recovery import (
     DeadHostError,
     FaultPlan,
@@ -118,15 +115,12 @@ class _Pending:
     __slots__ = (
         "future", "wire", "round_index", "kind", "convert", "tracer", "t_send",
         # Job namespace the frame belongs to ("" for direct backend use):
-        # routes the result's payload-cache decode and telemetry absorption
-        # to the owning job's isolated accounting.
+        # a re-issued state pull stays on the owning job's books.
         "job",
         # Recovery book-keeping: the site log + record a "site" frame
-        # belongs to, the (fn, payload, index) of a re-dispatchable "task"
-        # frame, the (key, keys) of a re-issuable state pull, and the
+        # belongs to, the (key, keys) of a re-issuable state pull, and the
         # fault-plan dispatch ordinal for after-triggers.
-        "site_log", "record_index", "task_fn", "task_payload", "task_index",
-        "pull_info", "fault_ordinal",
+        "site_log", "record_index", "pull_info", "fault_ordinal",
     )
 
     def __init__(self, future, wire, round_index, kind, convert, job=""):
@@ -142,9 +136,6 @@ class _Pending:
         self.t_send = 0.0
         self.site_log = None
         self.record_index = None
-        self.task_fn = None
-        self.task_payload = None
-        self.task_index = None
         self.pull_info = None
         self.fault_ordinal = None
 
@@ -186,15 +177,8 @@ class _Host:
         #: The job namespace ("" for direct backend use) keeps concurrent
         #: jobs' identical site ids from evicting each other's state.
         self.resident_by_site: Dict[Tuple[str, int], Any] = {}
-        #: Coordinator-side mirrors of the runner's content-addressed payload
-        #: caches, one per job namespace.  Membership stays symmetric because
-        #: both ends apply the same store-on-VAL rule at each frame, in FIFO
-        #: frame order — and per-job caches keep one job's hits independent
-        #: of what another job shipped.
-        self.payloads: Dict[str, PayloadCache] = {}
-        #: Serialises frame encode + enqueue: a frame encoded *after* another
-        #: must also be enqueued after it, or a payload REF could cross the
-        #: socket before the VAL that defined it.
+        #: Serialises frame encode + enqueue, so a host's frames cross its
+        #: socket in the order their send records reach the wire ledger.
         self.encode_lock = threading.Lock()
         #: ``(wire, tracer, round_index, job)`` captured atomically by the
         #: last dispatch to this host, so the event loop can account heartbeat
@@ -205,13 +189,6 @@ class _Host:
         self.hb_account: Tuple[Optional[WireLedger], Optional[Any], int, str] = (
             None, None, 0, "",
         )
-
-    def payload_cache(self, job: str = "") -> PayloadCache:
-        """The content-addressed payload cache mirror for one job namespace."""
-        cache = self.payloads.get(job)
-        if cache is None:
-            cache = self.payloads[job] = PayloadCache()
-        return cache
 
 
 class ClusterBackend(ExecutionBackend):
@@ -626,8 +603,10 @@ class ClusterBackend(ExecutionBackend):
                 )
                 if not recover:
                     # Set before ``dead``: whoever observes this death also
-                    # observes that it is terminal, so nothing adopts work
-                    # into a recovery that will never run.
+                    # observes that it is terminal, so no replay starts on a
+                    # spent budget — and a refused replay names the budget.
+                    if policy.max_retries:
+                        placeholder += "; retry budget exhausted"
                     self._exhausted = placeholder
             if recover:
                 # Created together with the death claim so a dispatch that
@@ -723,30 +702,30 @@ class ClusterBackend(ExecutionBackend):
             return None
         return hosts[host_id]
 
-    def _place(self, index: int, what: str) -> _Host:
-        """Deterministic placement for site id or task index ``index``.
+    def _place(self, site_id: int) -> _Host:
+        """Deterministic placement for site ``site_id``.
 
-        The default ``index % n_hosts`` pin wins while its host lives.  Once
-        it died, a pool with a retry budget routes to
-        ``alive[index % len(alive)]`` — a pure function of the index and the
-        set of dead hosts, so two coordinators observing the same deaths
+        The default ``site_id % n_hosts`` pin wins while its host lives.
+        Once it died, a pool with a retry budget routes to
+        ``alive[site_id % len(alive)]`` — a pure function of the site id and
+        the set of dead hosts, so two coordinators observing the same deaths
         place identically.  A zero budget never routes around a dead host:
         the dead default comes back, and the dispatch fails with its death.
         """
         hosts = self._hosts
         if hosts is None:
             raise RuntimeError("the cluster backend is closed")
-        default = hosts[index % len(hosts)]
+        default = hosts[site_id % len(hosts)]
         if default.dead is None or not self.retry.max_retries:
             return default
         alive = [h for h in hosts if h.dead is None]
         if not alive:
             raise DeadHostError(
-                f"no surviving cluster hosts to re-pin {what} {index} to "
+                f"no surviving cluster hosts to re-pin site {site_id} to "
                 f"(last death: {default.dead})",
                 host_id=default.host_id,
             )
-        return alive[index % len(alive)]
+        return alive[site_id % len(alive)]
 
     def _ensure_located_locked(self, log: SiteLog) -> Optional[_Host]:
         """A live host holding ``log``'s resident state (caller holds log.lock).
@@ -760,7 +739,7 @@ class ClusterBackend(ExecutionBackend):
         host = self._host_by_id(log.location)
         if host is not None and host.dead is None:
             return host
-        target = self._place(log.site_id, "site")
+        target = self._place(log.site_id)
         self._replay_log_locked(log, target)
         return target
 
@@ -895,7 +874,7 @@ class ClusterBackend(ExecutionBackend):
 
     def _recover_host(self, host: _Host, pending: List[Tuple[int, _Pending]],
                       reason: str) -> None:
-        """Recover one dead host: re-pin, replay, re-dispatch, account.
+        """Recover one dead host: re-pin, replay, account.
 
         Runs on its own thread.  Order matters: frames that need no site-log
         lock resolve first (failing another recovery's in-flight replay
@@ -919,8 +898,6 @@ class ClusterBackend(ExecutionBackend):
                     continue
                 if entry.kind == "site" and entry.site_log is not None:
                     site_entries.append(entry)
-                elif entry.kind in ("task", "replay_task") and entry.task_fn is not None:
-                    self._redispatch_task(entry)
                 elif entry.kind in ("state_pull", "replay_pull") and entry.pull_info is not None:
                     pull_entries.append(entry)
                 else:
@@ -960,7 +937,7 @@ class ClusterBackend(ExecutionBackend):
                         continue
                     # Replay contributions (re-pin, frame count, round/wire/
                     # tracer evidence) land in ``host.recovery_stats``.
-                    self._replay_log_locked(log, self._place(site_id, "site"))
+                    self._replay_log_locked(log, self._place(site_id))
             for entry in site_entries:
                 if not entry.future.done():  # pragma: no cover - defensive
                     entry.future.set_exception(
@@ -1020,7 +997,7 @@ class ClusterBackend(ExecutionBackend):
                     tracer = hb_tracer
                 round_hint = max(round_hint, hb_round)
             if stats is not None:
-                # Later contributors (a task registration that raced the
+                # Later contributors (a dispatch that routes around the
                 # death after this merge) emit the event themselves iff we
                 # are not about to.
                 stats["closed"] = True
@@ -1043,30 +1020,17 @@ class ClusterBackend(ExecutionBackend):
                 repinned=len(repin), replayed=replayed,
             )
 
-    def _redispatch_task(self, entry: _Pending) -> None:
-        """Re-dispatch one in-flight structure-free task to a survivor.
-
-        Its host died, so placement routes it around the dead host and the
-        frame is accounted as a ``replay_task``.
-        """
-        future = self._dispatch_task(
-            entry.task_fn, entry.task_payload, entry.task_index,
-            wire=entry.wire, round_index=entry.round_index,
-            tracer=entry.tracer, job=entry.job,
-        )
-        self._bridge_future(future, entry.future)
-
     def _note_death_observed(
         self, host: _Host, wire, tracer, round_index: int
     ) -> None:
         """Make sure ``host``'s death shows in the ledger exactly once.
 
-        Called by any dispatch that *observes* a death — a registration that
-        raced it, or a later placement that routes around the dead host.
-        Contributes this dispatch's round/wire/tracer to the death's shared
-        bookkeeping if the recovery thread has not merged yet (it emits the
-        single merged event), or emits the recovery event here if the
-        thread closed without ledger evidence (nothing was in flight and
+        Called by any site dispatch that *observes* a death: its placement
+        routes around (or replays off) the dead host.  Contributes this
+        dispatch's round/wire/tracer to the death's shared bookkeeping if
+        the recovery thread has not merged yet (it emits the single merged
+        event), or emits the recovery event here if the thread closed
+        without ledger evidence (nothing was in flight and
         nothing was resident, so it had no wire to record on).  The
         ``emitted`` flag under ``_retry_lock`` keeps the event unique.
         """
@@ -1094,38 +1058,6 @@ class ClusterBackend(ExecutionBackend):
                     "host_death", host=host.host_id,
                     round=round_index, repinned=0, replayed=0,
                 )
-
-    def _adopt_raced_task(self, host: _Host, entry: _Pending) -> None:
-        """Adopt a task whose registration raced ``host``'s death.
-
-        The event loop can observe a death before the dispatching thread
-        registers its entry, so ``_recover_host`` saw nothing in flight and
-        may already have finished.  The frame never touched the wire.  Route
-        it to a survivor through the regular re-dispatch path, with
-        :meth:`_note_death_observed` keeping the death visible in the
-        ledger.
-        """
-        self._note_death_observed(host, entry.wire, entry.tracer, entry.round_index)
-        try:
-            self._redispatch_task(entry)
-        except DeadHostError as exc:
-            if not entry.future.done():
-                entry.future.set_exception(exc)
-
-    @staticmethod
-    def _bridge_future(source: Future, destination: Future) -> None:
-        """Resolve ``destination`` with whatever ``source`` produces."""
-
-        def _copy(done: Future) -> None:
-            if destination.done():
-                return
-            exc = done.exception()
-            if exc is not None:
-                destination.set_exception(exc)
-            else:
-                destination.set_result(done.result())
-
-        source.add_done_callback(_copy)
 
     def _apply_faults(self, host: _Host, actions) -> None:
         """Execute matched fault-plan actions against one host."""
@@ -1216,10 +1148,9 @@ class ClusterBackend(ExecutionBackend):
             # single loop serialises, so an io-triggered kill/stall/
             # disconnect lands at a reproducible point of the I/O schedule
             # regardless of how dispatch threads interleaved.
-            io_kind = "site" if entry.kind == "site" else "task"
             self._apply_faults(
                 host,
-                plan.take(host.host_id, entry.round_index, io_kind,
+                plan.take(host.host_id, entry.round_index,
                           plan.next_io_ordinal(host.host_id), "io"),
             )
         t_recv = entry.tracer.clock() if entry.tracer is not None else 0.0
@@ -1238,10 +1169,9 @@ class ClusterBackend(ExecutionBackend):
             )
         if plan is not None and entry.fault_ordinal is not None:
             # After-trigger point: the frame's result has arrived.
-            match_kind = "site" if entry.kind == "site" else "task"
             self._apply_faults(
                 host,
-                plan.take(host.host_id, entry.round_index, match_kind,
+                plan.take(host.host_id, entry.round_index,
                           entry.fault_ordinal, "after"),
             )
         if tag == "exc":
@@ -1255,21 +1185,6 @@ class ClusterBackend(ExecutionBackend):
             entry.future.set_exception(exc)
             return
         value = frame[2]
-        if tag == "res" and entry.kind in ("task", "replay_task"):
-            # Task results are content-addressed by the runner exactly
-            # like dispatch payloads; resolve refs against this host's
-            # mirror (storing fresh VALs) before the converter runs.
-            try:
-                counts: Dict[str, int] = {}
-                value = host.payload_cache(entry.job).decode(value, counts=counts)
-                if entry.tracer is not None:
-                    if counts.get("hit"):
-                        entry.tracer.inc("cluster.payload_hit", counts["hit"])
-                    if counts.get("miss"):
-                        entry.tracer.inc("cluster.payload_miss", counts["miss"])
-            except BaseException as decode_exc:  # noqa: BLE001 - relayed
-                entry.future.set_exception(decode_exc)
-                return
         # A site result's state slot is its (tag, epoch, sizes) digest.
         digest = value["state"] if entry.site_log is not None else None
         extras = frame[3] if len(frame) > 3 else None
@@ -1320,21 +1235,21 @@ class ClusterBackend(ExecutionBackend):
         """Encode, register and enqueue one frame; returns its future.
 
         ``entry_extra`` lands on the pending entry's recovery slots (site
-        log + record, re-dispatchable task, re-issuable pull).  ``on_dead``
-        chooses what a registration racing the host's death does: ``"fail"``
-        (default) resolves the future with the death, ``"raise"`` throws
+        log + record, re-issuable pull).  ``on_dead`` chooses what a
+        registration racing the host's death does: ``"fail"`` (default)
+        resolves the future with the death, ``"raise"`` throws
         :class:`_HostDied` so the caller can re-target and replay.
         """
         future: Future = Future()
         fault_ordinal: Optional[int] = None
         plan = self.fault_plan
-        if plan is not None and kind in ("site", "task"):
+        if plan is not None and kind == "site":
             # Before-trigger point: counted and applied before any byte of
             # the frame exists, so a "kill ... when=before" death is observed
             # by dispatch or by the reader — genuinely mid-round.
             fault_ordinal = plan.next_ordinal(host.host_id, round_index)
             self._apply_faults(
-                host, plan.take(host.host_id, round_index, kind, fault_ordinal, "before")
+                host, plan.take(host.host_id, round_index, fault_ordinal, "before")
             )
         with self._submit_lock:
             self._seq += 1
@@ -1343,9 +1258,7 @@ class ClusterBackend(ExecutionBackend):
         # just this task (the stream never sees a byte of it), and the wire
         # ledger is complete the moment the future resolves — the event
         # loop only ever flushes already-accounted bytes.  The host's
-        # encode lock serialises encode+enqueue as one step: frame builders
-        # may register payload digests in the host's cache, and a REF must
-        # never be enqueued ahead of the VAL that defined it.
+        # encode lock serialises encode+enqueue as one step.
         codec = self.wire_policy.codec_for(kind)
         with host.encode_lock:
             try:
@@ -1370,42 +1283,29 @@ class ClusterBackend(ExecutionBackend):
             if tracer is not None and tracer.enabled:
                 entry.tracer = tracer
                 entry.t_send = tracer.clock()
-            died = False
             with host.lock:
                 if host.dead is not None:
                     if on_dead == "raise":
                         raise _HostDied(host.dead)
-                    if entry.task_fn is not None and self._exhausted is None:
-                        # The event loop observed a recoverable death
-                        # before this entry was registered, so
-                        # _recover_host never saw it.  The frame never
-                        # touched the wire; adopt it into the death's
-                        # recovery outside the locks.
-                        died = True
-                    else:
-                        future.set_exception(
-                            DeadHostError(
-                                host.dead,
-                                host_id=host.host_id,
-                                round_index=round_index,
-                            )
+                    future.set_exception(
+                        DeadHostError(
+                            host.dead, host_id=host.host_id, round_index=round_index,
                         )
-                        return future
-                else:
-                    if not host.pending:
-                        # Idle -> busy: the silence window the heartbeat
-                        # monitor measures starts now, not at the last old
-                        # frame.
-                        host.last_seen = time.monotonic()
-                    host.pending[seq] = entry
-                    if entry.site_log is not None:
-                        # Atomic with registration: either _mark_dead's drain
-                        # sees this entry (and replay resolves it via the
-                        # log), or the death was observed above — never an
-                        # orphaned record.
-                        entry.site_log.pending = (entry.record_index, entry)
-                        entry.site_log.location = host.host_id
-            if not died and wire is not None:
+                    )
+                    return future
+                if not host.pending:
+                    # Idle -> busy: the silence window the heartbeat monitor
+                    # measures starts now, not at the last old frame.
+                    host.last_seen = time.monotonic()
+                host.pending[seq] = entry
+                if entry.site_log is not None:
+                    # Atomic with registration: either _mark_dead's drain
+                    # sees this entry (and replay resolves it via the log),
+                    # or the death was observed above — never an orphaned
+                    # record.
+                    entry.site_log.pending = (entry.record_index, entry)
+                    entry.site_log.location = host.host_id
+            if wire is not None:
                 # Captured as one tuple so the event loop accounting a
                 # heartbeat sees a *consistent* (ledger, tracer) pair — the
                 # pair this run's frames use — never a ledger from one run
@@ -1417,104 +1317,15 @@ class ClusterBackend(ExecutionBackend):
                     n_bytes=frame.n_bytes, raw_bytes=frame.raw_bytes,
                     codec=frame.codec, tracer=entry.tracer,
                 )
-            if not died:
-                # Queue the encoded bytes on the channel (still under the
-                # encode lock, so byte order matches cache order) and ask
-                # the event loop to flush them; backpressure lives in the
-                # channel's own send buffer, not a thread-fed queue.
-                host.channel.queue_frame(frame)
-                loop = self._loop
-                if loop is not None:
-                    loop.notify_write(host.channel)
-        if died:
-            # Outside the dead host's encode lock: the re-dispatch encodes
-            # against the survivor's cache under that host's own lock.
-            self._adopt_raced_task(host, entry)
+            # Queue the encoded bytes on the channel (still under the encode
+            # lock, so byte order matches ledger order) and ask the event
+            # loop to flush them; backpressure lives in the channel's own
+            # send buffer, not a thread-fed queue.
+            host.channel.queue_frame(frame)
+            loop = self._loop
+            if loop is not None:
+                loop.notify_write(host.channel)
         return future
-
-    def submit_tasks(
-        self,
-        fn: Callable[[Any], Any],
-        payloads: Sequence[Any],
-        *,
-        wire: Optional[WireLedger] = None,
-        round_index: int = 0,
-        tracer=None,
-        job: str = "",
-    ) -> List[Future]:
-        """Ship structure-free tasks to the runners, one future per payload.
-
-        Payload ``i`` runs on host ``i % n_hosts`` — deterministic placement,
-        so repeated runs exchange identical frame sequences.  Each payload is
-        content-addressed against its host's
-        :class:`~repro.cluster.payloads.PayloadCache` mirror at dispatch
-        time: components the runner already holds collapse to their digests
-        (``cluster.payload_hit``), fresh ones ship once and register on both
-        ends.  A ``tracer`` (traced runs only) records wire spans and byte
-        counters, and asks the runner — via a fifth frame slot the untraced
-        dispatch never carries — to trace the task body.
-        """
-        payloads = list(payloads)
-        if not payloads:
-            return []
-        self._ensure_started()
-        return [
-            self._dispatch_task(
-                fn, payload, index,
-                wire=wire, round_index=round_index, tracer=tracer, job=job,
-            )
-            for index, payload in enumerate(payloads)
-        ]
-
-    def _dispatch_task(
-        self, fn, payload, index: int, *, wire, round_index: int, tracer,
-        job: str,
-    ) -> Future:
-        """Place and submit one structure-free task.
-
-        The pending entry remembers ``(fn, payload, index)``, so a task lost
-        with its host re-dispatches through this same function.
-        """
-        host = self._place(index, "task")
-        default = self._host_by_id(index % self.n_hosts)
-        traced = tracer is not None and tracer.enabled
-        kind = "task"
-        if host is not default:
-            # Routed around a dead host: account the frame as a replay (it
-            # exists on this host *because of* the death) and make sure the
-            # death itself is on the ledger — the recovery thread may have
-            # closed empty-handed if the host died with nothing in flight.
-            kind = "replay_task"
-            self._note_death_observed(default, wire, tracer, round_index)
-            if traced:
-                tracer.inc("recovery.replayed_frames")
-
-        def build_task(seq: int) -> Tuple:
-            # Runs under the host's encode lock (see _submit_frame), so the
-            # digests this encode registers are enqueued in cache order.
-            counts: Dict[str, int] = {}
-            encoded = host.payload_cache(job).encode(payload, counts=counts)
-            if traced:
-                if counts.get("hit"):
-                    tracer.inc("cluster.payload_hit", counts["hit"])
-                if counts.get("miss"):
-                    tracer.inc("cluster.payload_miss", counts["miss"])
-            # A job namespace rides as a sixth slot (with the trace flag
-            # pinned into the fifth) so the runner serves the matching
-            # per-job cache; default-namespace frames keep their historical
-            # shapes byte for byte.
-            if job:
-                return ("task", seq, fn, encoded, traced, job)
-            if traced:
-                return ("task", seq, fn, encoded, True)
-            return ("task", seq, fn, encoded)
-
-        return self._submit_frame(
-            host, build_task,
-            wire=wire, round_index=round_index, kind=kind, convert=None,
-            tracer=tracer, job=job,
-            entry_extra={"task_fn": fn, "task_payload": payload, "task_index": index},
-        )
 
     def submit_site_pairs(
         self,
@@ -1575,9 +1386,7 @@ class ClusterBackend(ExecutionBackend):
                     key, ctx.site_id, (ctx.shard, ctx.local_metric), job
                 )
         with log.lock:
-            target = self._ensure_located_locked(log) or self._place(
-                ctx.site_id, "site"
-            )
+            target = self._ensure_located_locked(log) or self._place(ctx.site_id)
             default = self._host_by_id(ctx.site_id % self.n_hosts)
             if target is not default:
                 # Placement routed around (or replayed off) a dead host: make
@@ -1616,7 +1425,7 @@ class ClusterBackend(ExecutionBackend):
                 # on the placement the death leaves) both rebuilds the
                 # resident state and produces this dispatch's result.
                 adopted: Future = Future()
-                self._replay_log_locked(log, self._place(ctx.site_id, "site"), adopted)
+                self._replay_log_locked(log, self._place(ctx.site_id), adopted)
                 return adopted
 
     def _site_frame(
@@ -1661,23 +1470,7 @@ class ClusterBackend(ExecutionBackend):
             # Only traced dispatches carry the extra key, so untraced
             # frames stay byte-identical to an untraced build.
             dyn["trace"] = True
-        if log.job:
-            # The namespace rides inside dyn (service-admitted jobs only),
-            # telling the runner which per-job payload cache the frame's
-            # eviction clears; default-namespace frames keep their
-            # historical bytes.
-            dyn["ns"] = log.job
-
-        def build_site(seq: int) -> Tuple:
-            if evict:
-                # Slot eviction ends payload residency with it: clearing
-                # the mirror here — under the encode lock, at the same
-                # frame that tells the runner to evict — keeps both ends'
-                # caches symmetric in frame order.
-                host.payload_cache(log.job).clear()
-            return ("site", seq, key, sticky, dyn, evict)
-
-        return build_site
+        return lambda seq: ("site", seq, key, sticky, dyn, evict)
 
     # ------------------------------------------------------------------
     # Resident mutable state
@@ -1853,24 +1646,24 @@ class ClusterBackend(ExecutionBackend):
             out[host.host_id] = snapshot
         return out
 
-    def submit_ordered(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> List[Future]:
-        return self.submit_tasks(fn, list(items))
-
     def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return [future.result() for future in self.submit_ordered(fn, items)]
+        """Refuse generic callables: the pool runs site tasks only."""
+        raise TypeError(
+            f"{type(self).__name__} runs site tasks only: dispatch a round "
+            "with repro.runtime.run_site_tasks"
+        )
+
+    submit_ordered = map_ordered
 
     def clear_resident(self) -> None:
         """Drop all runner-resident site state (frees memory on shared pools).
 
         Everything resident goes: the sticky ``(shard, local_metric)``
-        copies, the mutable per-site state *and* the content-addressed
-        payload caches on both ends.  Live state proxies are materialised
-        first — their remaining entries are pulled to the coordinator — so a
-        mid-run clear loses nothing: the next dispatch simply re-ships the
-        full context (sticky half, state dict, payload bytes) and results
-        stay bit-identical.
+        copies and the mutable per-site state.  Live state proxies are
+        materialised first — their remaining entries are pulled to the
+        coordinator — so a mid-run clear loses nothing: the next dispatch
+        simply re-ships the full context (sticky half, state dict) and
+        results stay bit-identical.
         """
         if self._hosts is None:
             return
@@ -1882,14 +1675,6 @@ class ClusterBackend(ExecutionBackend):
             # Dispatch logs checkpoint *resident* state; once nothing is
             # resident there is nothing left to replay.
             self._site_logs.clear()
-
-        def build_clear(seq: int, host: _Host) -> Tuple:
-            # Clearing the mirror under the encode lock, at the exact frame
-            # that clears the runner, keeps cache membership symmetric:
-            # frames encoded after this one re-ship their payload bytes.
-            host.payloads.clear()
-            return ("clear_resident", seq)
-
         futures = []
         for host in self._hosts:
             if host.dead is not None:
@@ -1900,7 +1685,7 @@ class ClusterBackend(ExecutionBackend):
             # its io ordinals count a control frame.
             futures.append(
                 self._submit_frame(
-                    host, lambda seq, host=host: build_clear(seq, host),
+                    host, lambda seq: ("clear_resident", seq),
                     wire=None, round_index=0, kind="control", convert=None,
                 )
             )

@@ -88,9 +88,9 @@ MIN_COMPRESS_BYTES = 256
 def encode_payload(obj: Any) -> bytes:
     """Serialise one object as a standalone pickle (no out-of-band buffers).
 
-    This is the *component* encoder: outbox payloads, resident-state entry
-    sizes and content-addressed payload digests all price an object by these
-    bytes, independent of whatever frame later carries it.
+    This is the *component* encoder: outbox payloads and resident-state
+    entry sizes both price an object by these bytes, independent of
+    whatever frame later carries it.
     """
     return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
 
@@ -279,21 +279,19 @@ def encode_frame(obj: Any, codec: Union[str, Codec, None] = None) -> EncodedFram
 # ---------------------------------------------------------------------------
 
 #: Frame kinds whose payloads are worth compressing: site dispatch/result
-#: (shard + metric shipping) and structure-free task traffic.  State pulls
-#: are latency-sensitive faults and control frames are tiny — both stay
+#: (shard + metric shipping) and their replays.  State pulls are
+#: latency-sensitive faults and control frames are tiny — both stay
 #: uncompressed.
-COMPRESSIBLE_KINDS = ("site", "task", "replay", "replay_task")
+COMPRESSIBLE_KINDS = ("site", "replay")
 
 _DEFAULT_POLICY: Dict[str, str] = {
     "site": "auto",
-    "task": "auto",
     "state_pull": "none",
     "control": "none",
     # Recovery traffic mirrors the kinds it replays: re-executed site
-    # dispatches and re-dispatched tasks compress like the originals,
-    # re-issued state pulls stay latency-sensitive and uncompressed.
+    # dispatches compress like the originals, re-issued state pulls stay
+    # latency-sensitive and uncompressed.
     "replay": "auto",
-    "replay_task": "auto",
     "replay_pull": "none",
     # Heartbeats are a tiny tuple (plus, with telemetry on, one small
     # resource-sample dict) sent on a liveness deadline — never worth a
@@ -311,7 +309,7 @@ WIRE_CODEC_ENV = "REPRO_WIRE_CODEC"
 
 @dataclass(frozen=True)
 class WirePolicy:
-    """Maps base frame kinds (``site``/``task``/``state_pull``/``control``)
+    """Maps base frame kinds (``site``/``state_pull``/``control``)
     to the codec their frames are encoded with, in both directions."""
 
     codecs: Mapping[str, Codec]

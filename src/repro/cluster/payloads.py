@@ -1,77 +1,10 @@
-"""Content-addressed payload residency for structure-free task frames.
-
-PR 4/5 made *site* state runner-resident: the sticky ``(shard, metric)``
-half ships once and mutable state crosses as digests.  Structure-free
-:func:`repro.runtime.run_tasks` payloads bypassed all of it — center_g's
-collapse matrices re-crossed the wire on every dispatch.  This module
-extends the same amortisation to generic payloads by *content addressing*
-them: every sufficiently large payload component is priced by its
-standalone pickled bytes, keyed by a digest of those bytes, and cached on
-**both ends** of a channel.  The first crossing carries the bytes (and both
-ends store them); every later crossing of the same content — in either
-direction — carries only the 16-byte digest.
-
-The scheme is symmetric and order-driven, which is what makes it work
-without negotiation:
-
-* :meth:`PayloadCache.encode` walks a payload (dicts up to
-  :data:`ENCODE_DEPTH` levels; anything else is one component), pickles
-  each component, and replaces it with a ``(VAL, digest, blob)`` tuple on
-  first sight or a ``(REF, digest)`` tuple when the digest is already
-  cached.  Components under :data:`MIN_COMPONENT_BYTES` stay inline — the
-  tuple overhead cannot win there.
-* :meth:`PayloadCache.decode` is the inverse: a ``VAL`` stores the blob
-  and unpickles it, a ``REF`` unpickles the cached blob.  Decodes always
-  produce *fresh* objects (a cache hit re-unpickles the stored bytes), so
-  a task mutating its payload never corrupts the cache.
-* Every ``VAL`` additionally registers an *alias* digest: the digest of
-  ``dumps(loads(blob))``.  Re-pickling a decoded object graph is not
-  byte-identical to the original pickle (string-memoization accidents of
-  the live graph disappear after a round trip), but it *is* a stable
-  fixpoint — so when a decoded component is later re-encoded on either
-  end, its digest lands on the alias and the crossing still collapses to
-  a ``REF``.  Both ends compute the alias from the same blob at the same
-  frame, so membership stays symmetric.
-
-Because frames on one channel are strictly FIFO and both ends update the
-cache at the frame's encode/decode point, a ``REF`` can never arrive before
-its ``VAL`` did — provided the sender serialises encode+enqueue (the
-backend holds a per-host lock across that window).  The caches are dropped
-together with the runner-resident state (``clear_resident`` and warm-pool
-slot eviction), so a shared pool's memory stays bounded and a re-dispatch
-after eviction honestly re-ships its bytes.
-
-This is the coordinator/runner twin of the resident-state digests in
-:mod:`repro.runtime.state`, applied at the serialization layer: protocols
-don't change at all, their repeated payloads just stop costing wire bytes.
-"""
+"""Content digest of a pickled payload."""
 
 from __future__ import annotations
 
 import hashlib
-import threading
-from typing import Any, Dict, MutableMapping, Optional
 
-from repro.cluster.framing import decode_payload, encode_payload
-
-#: First element of an encoded component carrying its bytes (first crossing).
-PAYLOAD_VAL_TAG = "__repro_payload_val__"
-
-#: First element of an encoded component referencing already-cached bytes.
-PAYLOAD_REF_TAG = "__repro_payload_ref__"
-
-#: Components whose standalone pickle is smaller than this stay inline:
-#: below ~1 KiB the digest tuple plus cache bookkeeping costs more than the
-#: bytes it could ever save.
-MIN_COMPONENT_BYTES = 1024
-
-#: How deep :meth:`PayloadCache.encode` walks nested dicts before treating
-#: the remainder as one component.  Depth 3 splits a ``run_tasks`` payload
-#: dict, a ``state`` dict nested inside it *and* a per-key map nested in
-#: that (center_g's per-tau precluster dict) into individually cacheable
-#: components, so one mutated entry doesn't force its siblings back onto
-#: the wire.
-ENCODE_DEPTH = 3
+# Kept only because perfbench's traced pass times it by this module path.
 
 
 def payload_digest(blob: bytes) -> bytes:
@@ -79,141 +12,4 @@ def payload_digest(blob: bytes) -> bytes:
     return hashlib.blake2b(blob, digest_size=16).digest()
 
 
-def is_payload_val(obj: Any) -> bool:
-    """True for a ``(VAL, digest, blob)`` encoded component."""
-    return (
-        type(obj) is tuple
-        and len(obj) == 3
-        and obj[0] == PAYLOAD_VAL_TAG
-        and type(obj[1]) is bytes
-        and type(obj[2]) is bytes
-    )
-
-
-def is_payload_ref(obj: Any) -> bool:
-    """True for a ``(REF, digest)`` encoded component."""
-    return type(obj) is tuple and len(obj) == 2 and obj[0] == PAYLOAD_REF_TAG and type(obj[1]) is bytes
-
-
-class PayloadCache:
-    """Digest-addressed store of pickled payload components for one channel.
-
-    The coordinator keeps one per host, mirroring the cache the host's
-    runner keeps — both ends apply the same store-on-VAL rule at encode
-    *and* decode time, so membership stays identical without any cache
-    -control traffic.  ``counts`` (when given) is a mutable mapping whose
-    ``"hit"``/``"miss"`` entries are incremented per component decision,
-    the backend's hook for the ``cluster.payload_hit``/``_miss`` counters.
-    """
-
-    def __init__(self) -> None:
-        self._store: Dict[bytes, bytes] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._store)
-
-    def stored_bytes(self) -> int:
-        """Total pickled bytes currently resident in the cache."""
-        with self._lock:
-            return sum(len(blob) for blob in self._store.values())
-
-    def clear(self) -> None:
-        """Drop every cached component (mirror of ``clear_resident``)."""
-        with self._lock:
-            self._store.clear()
-
-    # ------------------------------------------------------------------
-    # Encode / decode
-    # ------------------------------------------------------------------
-
-    def _register_alias(self, blob: bytes) -> None:
-        """Register the round-trip digest of ``blob`` (see module docstring).
-
-        ``dumps(loads(blob))`` is a stable fixpoint of pickling, so this is
-        the digest the component will re-encode to after crossing a channel;
-        both ends call this at the component's VAL frame, keeping the alias
-        resident symmetrically.
-        """
-        roundtrip = encode_payload(decode_payload(blob))
-        alias = payload_digest(roundtrip)
-        with self._lock:
-            self._store.setdefault(alias, roundtrip)
-
-    def _encode_component(self, value: Any, counts: Optional[MutableMapping[str, int]]) -> Any:
-        blob = encode_payload(value)
-        if len(blob) < MIN_COMPONENT_BYTES:
-            return value
-        digest = payload_digest(blob)
-        with self._lock:
-            known = digest in self._store
-            if not known:
-                self._store[digest] = blob
-        if counts is not None:
-            counts["hit" if known else "miss"] = counts.get("hit" if known else "miss", 0) + 1
-        if known:
-            return (PAYLOAD_REF_TAG, digest)
-        self._register_alias(blob)
-        return (PAYLOAD_VAL_TAG, digest, blob)
-
-    def _encode_value(self, value: Any, depth: int, counts) -> Any:
-        if isinstance(value, dict) and depth > 0:
-            return {k: self._encode_value(v, depth - 1, counts) for k, v in value.items()}
-        return self._encode_component(value, counts)
-
-    def encode(
-        self, payload: Any, *, counts: Optional[MutableMapping[str, int]] = None
-    ) -> Any:
-        """Content-address one outbound payload.
-
-        Returns a structure the peer's :meth:`decode` inverts exactly;
-        components already known to both ends are replaced by their digest.
-        """
-        return self._encode_value(payload, ENCODE_DEPTH, counts)
-
-    def _decode_value(self, value: Any, counts) -> Any:
-        if isinstance(value, dict):
-            return {k: self._decode_value(v, counts) for k, v in value.items()}
-        if is_payload_val(value):
-            _, digest, blob = value
-            with self._lock:
-                self._store.setdefault(digest, blob)
-            self._register_alias(blob)
-            if counts is not None:
-                counts["miss"] = counts.get("miss", 0) + 1
-            return decode_payload(blob)
-        if is_payload_ref(value):
-            _, digest = value
-            with self._lock:
-                blob = self._store.get(digest)
-            if blob is None:
-                raise RuntimeError(
-                    f"payload reference {digest.hex()} is not resident on this end "
-                    "of the channel (cache cleared out of order?)"
-                )
-            if counts is not None:
-                counts["hit"] = counts.get("hit", 0) + 1
-            return decode_payload(blob)
-        return value
-
-    def decode(
-        self, payload: Any, *, counts: Optional[MutableMapping[str, int]] = None
-    ) -> Any:
-        """Inverse of :meth:`encode`, resolving refs against the cache.
-
-        Every decode unpickles fresh objects — two decodes of the same
-        digest never alias, so callers may mutate results freely.
-        """
-        return self._decode_value(payload, counts)
-
-
-__all__ = [
-    "ENCODE_DEPTH",
-    "MIN_COMPONENT_BYTES",
-    "PAYLOAD_REF_TAG",
-    "PAYLOAD_VAL_TAG",
-    "PayloadCache",
-    "is_payload_ref",
-    "is_payload_val",
-    "payload_digest",
-]
+__all__ = ["payload_digest"]

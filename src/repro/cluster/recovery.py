@@ -130,7 +130,6 @@ def resolve_retry_policy(retry: Optional[RetryPolicy]) -> RetryPolicy:
 # ---------------------------------------------------------------------------
 
 _FAULT_OPS = ("kill", "stall", "disconnect", "delay")
-_MATCH_KINDS = ("site", "task")
 
 
 @dataclass
@@ -138,17 +137,17 @@ class FaultAction:
     """One injected fault: *do <op> at a matching dispatch/result point*.
 
     Trigger points are the backend's own accounting points: ``when="before"``
-    fires as a matching frame is dispatched (before any byte is queued),
-    ``when="after"`` as its result is processed, and ``when="io"`` fires on
-    the event-loop thread at an exact *loop-dispatch ordinal* — ``task`` then
-    counts the reply frames the coordinator's selector loop has handled for
-    that host (in arrival order, which the single loop serialises), so a
-    kill/stall/disconnect lands at a reproducible point of the I/O schedule
-    no matter how dispatch threads interleave.  For ``before``/``after``,
-    ``task`` is the 1-based ordinal of site/task dispatches to that
-    ``(host, round)`` — deterministic because placement and submission order
-    are.  Unset fields match anything.  One-shot by default; ``delay`` recurs
-    unless ``once=true`` is given.
+    fires as a matching site frame is dispatched (before any byte is
+    queued), ``when="after"`` as its result is processed, and ``when="io"``
+    fires on the event-loop thread at an exact *loop-dispatch ordinal* —
+    ``task`` then counts the reply frames the coordinator's selector loop
+    has handled for that host (in arrival order, which the single loop
+    serialises), so a kill/stall/disconnect lands at a reproducible point of
+    the I/O schedule no matter how dispatch threads interleave.  For
+    ``before``/``after``, ``task`` is the 1-based ordinal of site dispatches
+    to that ``(host, round)`` — deterministic because placement and
+    submission order are.  Unset fields match anything.  One-shot by
+    default; ``delay`` recurs unless ``once=true`` is given.
     """
 
     op: str
@@ -156,7 +155,6 @@ class FaultAction:
     round_index: Optional[int] = None
     task: Optional[int] = None
     when: str = "before"
-    kind: Optional[str] = None
     seconds: float = 0.0
     once: bool = True
     fired: bool = False
@@ -168,14 +166,10 @@ class FaultAction:
             raise ValueError(
                 f"when must be 'before', 'after' or 'io', got {self.when!r}"
             )
-        if self.kind is not None and self.kind not in _MATCH_KINDS:
-            raise ValueError(f"kind must be one of {_MATCH_KINDS}, got {self.kind!r}")
         if self.op == "delay" and self.seconds <= 0:
             raise ValueError("delay requires seconds > 0")
 
-    def matches(
-        self, host: int, round_index: int, kind: str, ordinal: int, when: str
-    ) -> bool:
+    def matches(self, host: int, round_index: int, ordinal: int, when: str) -> bool:
         if self.fired and self.once:
             return False
         if self.when != when:
@@ -183,8 +177,6 @@ class FaultAction:
         if self.host is not None and host != self.host:
             return False
         if self.round_index is not None and round_index != self.round_index:
-            return False
-        if self.kind is not None and kind != self.kind:
             return False
         if self.task is not None and ordinal != self.task:
             return False
@@ -199,19 +191,18 @@ class FaultPlan:
         kill host=2 round=2 task=1 when=before
         stall host=1 round=0 task=1
         disconnect host=0 round=1 when=after
-        delay kind=site seconds=0.002
+        delay seconds=0.002
 
     Keys: ``host`` / ``round`` / ``task`` (ints; ``task`` is the 1-based
     dispatch ordinal within that host and round), ``when`` (``before`` |
-    ``after`` | ``io``, default ``before``), ``kind`` (``site`` | ``task``),
-    ``seconds`` (float, ``delay`` only), ``once`` (``true`` | ``false``).
-    The plan is thread-safe; dispatch ordinals are counted per
-    ``(host, round)`` over site/task frames only, so control traffic never
-    shifts a trigger point.  ``when=io`` ordinals are counted separately, per
-    host, over the reply frames the coordinator's event loop handles for that
-    host (heartbeats and control chatter excluded) — the loop serialises
-    per-host frame handling, so an io trigger point is race-free by
-    construction.
+    ``after`` | ``io``, default ``before``), ``seconds`` (float, ``delay``
+    only), ``once`` (``true`` | ``false``).  The plan is thread-safe;
+    dispatch ordinals are counted per ``(host, round)`` over site frames
+    only, so control traffic never shifts a trigger point.  ``when=io``
+    ordinals are counted separately, per host, over the reply frames the
+    coordinator's event loop handles for that host (heartbeats and control
+    chatter excluded) — the loop serialises per-host frame handling, so an
+    io trigger point is race-free by construction.
     """
 
     def __init__(self, actions: Sequence[FaultAction]):
@@ -245,8 +236,6 @@ class FaultPlan:
                     fields["round_index"] = int(value)
                 elif key == "when":
                     fields["when"] = value.lower()
-                elif key == "kind":
-                    fields["kind"] = value.lower()
                 elif key == "seconds":
                     fields["seconds"] = float(value)
                 elif key == "once":
@@ -267,7 +256,7 @@ class FaultPlan:
         return cls.parse(spec) if spec else None
 
     def next_ordinal(self, host: int, round_index: int) -> int:
-        """Count (and return) one more site/task dispatch to ``(host, round)``."""
+        """Count (and return) one more site dispatch to ``(host, round)``."""
         with self._lock:
             key = (host, round_index)
             self._ordinals[key] = self._ordinals.get(key, 0) + 1
@@ -285,13 +274,13 @@ class FaultPlan:
         return any(action.when == "io" for action in self.actions)
 
     def take(
-        self, host: int, round_index: int, kind: str, ordinal: int, when: str
+        self, host: int, round_index: int, ordinal: int, when: str
     ) -> List[FaultAction]:
         """Matching actions for one trigger point, consuming one-shot ones."""
         out: List[FaultAction] = []
         with self._lock:
             for action in self.actions:
-                if action.matches(host, round_index, kind, ordinal, when):
+                if action.matches(host, round_index, ordinal, when):
                     action.fired = True
                     out.append(action)
         return out
@@ -391,8 +380,8 @@ class SiteLog:
         self.site_id = site_id
         self.sticky = sticky
         #: Job namespace the key belongs to (``""`` for direct backend use);
-        #: replay frames re-encode against the same per-job payload cache and
-        #: slot map the original dispatches used.
+        #: replay frames claim the same per-job resident slot the original
+        #: dispatches used.
         self.job = job
         self.records: List[SiteDispatchRecord] = []
         self.digests: List[Optional[Tuple[int, Dict[str, int]]]] = []

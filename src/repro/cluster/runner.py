@@ -3,34 +3,15 @@
 One runner is spawned per simulated host.  It connects back to the
 coordinator over a unix-domain socket, announces itself, then serves
 dispatch frames until it is told to shut down (or its socket dies with the
-coordinator).  The task shapes are:
-
-``("task", seq, fn, payload[, trace[, ns]])``
-    A structure-free task (:func:`repro.runtime.run_tasks`): evaluate
-    ``fn(payload)`` and reply ``("res", seq, value, extras)``.  Both the
-    dispatched payload and the reply value are *content-addressed*
-    (:class:`~repro.cluster.payloads.PayloadCache`): large components
-    arrive either as ``(VAL, digest, blob)`` — stored in the runner's
-    payload cache, mirrored coordinator-side — or as ``(REF, digest)``
-    tuples resolved against it, so repeated payload content (center_g's
-    collapse matrices, the state dicts its rounds bounce back and forth)
-    crosses the socket once per pool lifetime.  The optional sixth ``ns``
-    slot names the job namespace of a :class:`~repro.cluster.service.
-    ClusterService` job sharing this pool: each namespace gets its own
-    payload cache on both ends (one job's cache hits never depend on what
-    another job shipped), and frames without the slot use the default
-    ``""`` namespace — byte-identical to the historical shape.  The ``extras`` dict always
-    carries a per-frame ``Timer`` with the runner's own overhead labels
-    (``cluster:task``, plus ``cluster:encode`` for the payload
-    decode/encode work) and — when the optional ``trace`` flag is truthy —
-    a picklable :class:`~repro.obs.trace.TraceBuffer` of spans/counters the
-    task recorded, which the coordinator absorbs onto its trace timeline.
+coordinator).  It serves four frame shapes:
 
 ``("site", seq, resident_key, sticky, dyn, evict)``
-    One site's share of a protocol round.  ``sticky`` is the site's heavy
-    immutable half — ``(shard, local_metric)`` — shipped **once** per
+    One site's share of a protocol round — the only task shape the cluster
+    runs.  ``sticky`` is the site's heavy immutable half — ``(shard,
+    local_metric)``, where the local metric is the site's view of its input
+    (its points' metric, or its uncertain nodes) — shipped **once** per
     protocol run and kept resident under ``resident_key``; later rounds send
-    ``sticky=None`` and the runner reuses its cached copy, so the metric is
+    ``sticky=None`` and the runner reuses its cached copy, so the view is
     never re-pickled round after round.  ``evict`` lists superseded keys to
     drop (a new run reusing the site slot), bounding resident memory by the
     number of live site slots.  ``dyn`` carries the per-round payload (task
@@ -42,20 +23,18 @@ coordinator).  The task shapes are:
     applied on top.  After the task runs, the new state stays resident under
     ``resident_key`` at ``epoch + 1`` and the reply carries only a
     :data:`~repro.runtime.state.STATE_DIGEST_TAG` digest (keys, per-entry
-    pickled sizes, the new epoch) — never the dict itself.  A service job's
-    site frames carry their namespace as ``dyn["ns"]`` (absent for the
-    default namespace), scoping the evict-time payload-cache drop to that
-    job's cache.  The reply
+    pickled sizes, the new epoch) — never the dict itself.  The reply
     ``("site_res", seq, result, extras)`` also encodes every buffered
     site-to-coordinator payload *individually*, so the coordinator learns
     the exact serialized size of each semantic message (the ``n_bytes`` it
-    stamps on the communication ledger).  ``extras`` mirrors the generic
-    task reply: the frame's runner-overhead ``Timer`` plus, when
-    ``dyn["trace"]`` is set, the task's
-    :class:`~repro.obs.trace.TraceBuffer`.  The site's own timer
-    additionally gains a ``cluster:encode`` label (outbox/digest encoding is
-    genuine site-side work), so cluster site timers carry the serial labels
-    plus ``cluster:*`` extras.
+    stamps on the communication ledger).  ``extras`` carries the frame's
+    runner-overhead ``Timer`` (``cluster:task``, ``cluster:encode``) plus,
+    when ``dyn["trace"]`` is set, the task's
+    :class:`~repro.obs.trace.TraceBuffer`, which the coordinator absorbs
+    onto its trace timeline.  The site's own timer additionally gains a
+    ``cluster:encode`` label (outbox/digest encoding is genuine site-side
+    work), so cluster site timers carry the serial labels plus
+    ``cluster:*`` extras.
 
 ``("pull_state", seq, resident_key, epoch, keys)``
     Fault individual resident-state entries back to the coordinator (lazy
@@ -64,15 +43,15 @@ coordinator).  The task shapes are:
     not silently newer data.  Reply ``("res", seq, {key: value})``.
 
 ``("clear_resident", seq)``
-    Drop every resident entry — the sticky halves, the mutable state *and*
-    the content-addressed payload cache.  Warm-pool slot eviction (a site
-    frame naming superseded keys in ``evict``) drops the payload cache
-    too: residency of any stripe ends together, so a re-dispatch after
-    eviction honestly re-ships its bytes.
+    Drop every resident entry — the sticky halves and the mutable state.
+    Reply ``("res", seq, None)``.
+
+``("shutdown",)``
+    Reply ``("bye", host_id)`` and exit.
 
 Every reply frame is encoded under the :class:`~repro.cluster.framing.WirePolicy`
-resolved from the runner's (inherited) environment — site/task replies get
-the compressing codec, state pulls and control frames stay uncompressed —
+resolved from the runner's (inherited) environment — site replies get the
+compressing codec, state pulls and control frames stay uncompressed —
 so both directions of a channel agree on codecs without negotiation.
 
 When the pool's retry policy sets a heartbeat timeout (or a telemetry
@@ -109,57 +88,11 @@ import traceback
 from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy, encode_payload
-from repro.cluster.payloads import PayloadCache
 from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
 from repro.obs.sampler import read_resource_sample, resource_samples_enabled
 from repro.obs.trace import TraceBuffer, collector_scope
 from repro.runtime.state import STATE_DIGEST_TAG, is_state_token
 from repro.utils.timing import Timer
-
-
-def _cache_for(payloads: Dict[str, PayloadCache], ns: str) -> PayloadCache:
-    """The payload cache of one job namespace (``""`` = the default run)."""
-    cache = payloads.get(ns)
-    if cache is None:
-        cache = payloads[ns] = PayloadCache()
-    return cache
-
-
-def _execute_generic(
-    frame: Tuple, host_id: int, payloads: Dict[str, PayloadCache]
-) -> Tuple:
-    """Evaluate a ``("task", ...)`` frame; returns the response frame."""
-    _, seq, fn, payload = frame[:4]
-    trace_on = len(frame) > 4 and bool(frame[4])
-    cache = _cache_for(payloads, frame[5] if len(frame) > 5 else "")
-    frame_timer = Timer()
-    with frame_timer.measure("cluster:encode"):
-        payload = cache.decode(payload)
-    if trace_on:
-        buffer = TraceBuffer(origin=f"host-{host_id}")
-        with collector_scope(buffer):
-            with buffer.span("task", fn=getattr(fn, "__name__", str(fn))):
-                with frame_timer.measure("cluster:task"):
-                    value = fn(payload)
-        extras: Dict[str, Any] = {"timer": frame_timer, "trace": buffer}
-    else:
-        with frame_timer.measure("cluster:task"):
-            value = fn(payload)
-        extras = {"timer": frame_timer}
-    # Content-address the reply the same way the dispatch arrived: state
-    # dicts a later round ships back (center_g's round 2) then cost only
-    # their digests in both directions.
-    with frame_timer.measure("cluster:encode"):
-        try:
-            value = cache.encode(value)
-        except Exception as exc:
-            # Content addressing pickles each component up front, so an
-            # unpicklable result fails here rather than at the socket —
-            # relay it under the same label the send path uses.
-            raise RuntimeError(
-                f"task result could not be serialized: {exc!r}"
-            ) from exc
-    return ("res", seq, value, extras)
 
 
 def _resolve_state(resident_key, dyn_state, resident_state: Dict[Any, Tuple[int, dict]]):
@@ -190,7 +123,6 @@ def _execute_site(
     resident: Dict[Any, Tuple],
     resident_state: Dict[Any, Tuple[int, dict]],
     host_id: int,
-    payloads: Dict[str, PayloadCache],
     result_codec: Codec,
 ) -> Tuple:
     """Evaluate a ``("site", ...)`` frame against the resident caches."""
@@ -203,13 +135,6 @@ def _execute_site(
         # number of live site slots, not the number of runs served.
         resident.pop(stale_key, None)
         resident_state.pop(stale_key, None)
-    if evict:
-        # Slot eviction ends payload residency too (the coordinator clears
-        # its mirror at the same frame, so membership stays symmetric); a
-        # re-dispatch after eviction re-ships its bytes.  Scoped to the
-        # dispatching job's namespace: another job sharing the pool keeps
-        # its cache.
-        _cache_for(payloads, dyn.get("ns", "")).clear()
     if sticky is not None:
         resident[resident_key] = sticky
     else:
@@ -320,7 +245,7 @@ def _exception_frame(seq: int, exc: BaseException) -> Tuple:
 #: Reply codec per dispatch tag: answers travel under the same base kind's
 #: codec as their request, so the coordinator's ledger prices both
 #: directions of a kind consistently.
-_REPLY_KIND = {"task": "task", "site": "site", "pull_state": "state_pull"}
+_REPLY_KIND = {"site": "site", "pull_state": "state_pull"}
 
 
 def _heartbeat_interval() -> float:
@@ -367,7 +292,6 @@ def serve(channel: FrameChannel, host_id: int) -> None:
     """Serve dispatch frames until shutdown or coordinator disconnect."""
     resident: Dict[Any, Tuple] = {}
     resident_state: Dict[Any, Tuple[int, dict]] = {}
-    payloads: Dict[str, PayloadCache] = {}
     policy = WirePolicy.from_env()
     send_lock = threading.Lock()
     stop = threading.Event()
@@ -417,17 +341,14 @@ def serve(channel: FrameChannel, host_id: int) -> None:
             if tag == "clear_resident":
                 resident.clear()
                 resident_state.clear()
-                payloads.clear()
                 send(("res", frame[1], None))
                 continue
             seq = frame[1]
             codec = policy.codec_for(_REPLY_KIND.get(tag, "control"))
             try:
-                if tag == "task":
-                    response = _execute_generic(frame, host_id, payloads)
-                elif tag == "site":
+                if tag == "site":
                     response = _execute_site(
-                        frame, resident, resident_state, host_id, payloads, codec
+                        frame, resident, resident_state, host_id, codec
                     )
                 elif tag == "pull_state":
                     response = _execute_pull_state(frame, resident_state)

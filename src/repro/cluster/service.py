@@ -5,16 +5,13 @@ ClusterBackend` warm pool and admits multiple concurrent clustering runs
 against it.  Each admitted job gets a :class:`ServiceBackend` — a thin
 :class:`~repro.runtime.backends.ExecutionBackend` view of the shared pool
 that stamps every dispatch with the job's private *namespace*, so the
-pool's content-addressed payload caches, resident site state, heartbeat
-accounting and telemetry routing stay fully isolated between jobs:
+pool's resident site state, heartbeat accounting and telemetry routing
+stay fully isolated between jobs:
 
-* **Payload caches** are per-namespace on both ends of the wire (see the
-  ``ns`` frame slot in :mod:`repro.cluster.runner`): one job's cache hits
-  never depend on what another job shipped, so each job's wire ledger is
-  bit-identical to the ledger of the same run on a standalone pool.
 * **Resident site state** is keyed by ``(namespace, site slot)``; the
   existing warm-pool slot-eviction machinery gives each lane the same
-  reuse semantics a standalone warm pool has.
+  reuse semantics a standalone warm pool has, so a job's results and word
+  ledger are bit-identical to the same run on a standalone pool.
 * **Wire ledgers and tracers** are per-run objects the job's own driver
   passes down — the service never mixes them; heartbeat accounting
   captured for one job is detached at that job's end only
@@ -63,7 +60,7 @@ import heapq
 import itertools
 import threading
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.recovery import RetryPolicy
@@ -75,10 +72,10 @@ class ServiceBackend(ExecutionBackend):
     """One admitted job's view of the shared warm pool.
 
     Implements the same dispatch surface as
-    :class:`~repro.cluster.backend.ClusterBackend` — the round scheduler
-    duck-types it identically — but stamps every frame with the job's
-    namespace and scopes the run-lifecycle hooks (telemetry, heartbeat
-    accounting detach, close) to this job only.  :meth:`close` releases
+    :class:`~repro.cluster.backend.ClusterBackend` — site tasks only, which
+    the round scheduler duck-types identically — but stamps every frame
+    with the job's namespace and scopes the run-lifecycle hooks (telemetry,
+    heartbeat accounting detach, close) to this job only.  :meth:`close` releases
     the job's admission slot; it never closes the shared pool.
     """
 
@@ -97,13 +94,6 @@ class ServiceBackend(ExecutionBackend):
 
     # -- dispatch: the ClusterBackend surface, namespaced -----------------
 
-    def submit_tasks(self, fn, payloads, *, wire=None, round_index=0,
-                     tracer=None) -> List[Future]:
-        return self._pool.submit_tasks(
-            fn, payloads, wire=wire, round_index=round_index, tracer=tracer,
-            job=self.job,
-        )
-
     def submit_site_pairs(self, pairs, *, wire=None, round_index=0,
                           tracer=None) -> List[Future]:
         return self._pool.submit_site_pairs(
@@ -111,13 +101,8 @@ class ServiceBackend(ExecutionBackend):
             job=self.job,
         )
 
-    def submit_ordered(self, fn: Callable[[Any], Any],
-                       items: Sequence[Any]) -> List[Future]:
-        return self.submit_tasks(fn, list(items))
-
-    def map_ordered(self, fn: Callable[[Any], Any],
-                    items: Sequence[Any]) -> List[Any]:
-        return [future.result() for future in self.submit_ordered(fn, items)]
+    map_ordered = ClusterBackend.map_ordered
+    submit_ordered = ClusterBackend.map_ordered
 
     # -- run-lifecycle hooks, scoped to this job --------------------------
 

@@ -38,8 +38,7 @@ from typing import Any, Dict, List, Optional
 #: state proxies); a protocol whose rounds never read heavy state records
 #: none.  ``replay_*`` kinds exist only on runs that recovered from a runner
 #: death: ``replay`` frames re-execute a dead host's site dispatch log on a
-#: survivor, ``replay_task`` re-dispatches its in-flight structure-free
-#: tasks and ``replay_pull`` re-issues its in-flight state faults — the
+#: survivor and ``replay_pull`` re-issues its in-flight state faults — the
 #: byte cost of recovery, accounted as honestly as the rest of the wire.
 #: ``hb`` frames are runner liveness heartbeats (``recv`` only — runners
 #: send them unsolicited), which also carry one resource sample each when
@@ -48,14 +47,10 @@ from typing import Any, Dict, List, Optional
 FRAME_KINDS = (
     "site_dispatch",
     "site_result",
-    "task_dispatch",
-    "task_result",
     "state_pull_dispatch",
     "state_pull_result",
     "replay_dispatch",
     "replay_result",
-    "replay_task_dispatch",
-    "replay_task_result",
     "replay_pull_dispatch",
     "replay_pull_result",
     "hb",
@@ -78,8 +73,8 @@ class WireRecord:
         coordinator).
     kind:
         Frame label — one of :data:`FRAME_KINDS`.  ``site_*`` frames carry a
-        protocol round's site tasks, ``task_*`` frames structure-free tasks,
-        and ``state_pull_*`` frames the resident-state faults of a lazy
+        protocol round's site tasks and ``state_pull_*`` frames the
+        resident-state faults of a lazy
         :class:`~repro.runtime.state.RemoteStateProxy` (an entry of a site's
         runner-resident mutable state crossing back on explicit access).
     n_bytes:

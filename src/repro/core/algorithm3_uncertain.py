@@ -12,10 +12,11 @@ runs unchanged on the compressed instance.  Whenever a node would be shipped
 instead of the full distribution, keeping the communication at
 ``Õ((sk + t) B)`` rather than ``Õ((sk + t) I)`` (Theorem 5.6).
 
-Site-local phases (collapse + preclustering, and the round-2 summary build)
-run through :func:`repro.runtime.run_tasks`, so they fan out to any
-execution backend; the coordinator merges per-site contributions in site-id
-order, keeping results and ledger word counts backend-invariant.
+Both per-site phases (collapse + preclustering, and the round-2 summary
+build) are :class:`repro.runtime.SiteTask`s over a
+:class:`~repro.distributed.network.StarNetwork` whose sites hold only their
+own nodes, exactly as Algorithm 1 runs, so the protocol runs unchanged — and
+bit-identically — on any :mod:`repro.runtime` execution backend.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from repro.core.allocation import allocate_outlier_budget
 from repro.core.preclustering import precluster_site
 from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
-from repro.distributed.messages import CommunicationLedger, Message, COORDINATOR
+from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
 from repro.metrics.blocked import materialize, memmap_handle
-from repro.runtime.tasks import run_tasks
+from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.sequential.bicriteria import bicriteria_solve
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
 from repro.uncertain.collapse import collapse_nodes
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 
 
 def _local_compressed_costs(
@@ -73,94 +73,80 @@ def _local_compressed_costs(
     )
 
 
-def _uncertain_round1(payload: dict) -> dict:
-    """Site phase of round 1: collapse the shard and precluster its compressed graph."""
-    uncertain = payload["uncertain"]
-    shard = payload["shard"]
-    objective = payload["objective"]
-    rng = payload["rng"]
-    ground = uncertain.ground_metric
-    timer = Timer()
-    with timer.measure("collapse"):
-        nodes = [uncertain.nodes[int(j)] for j in shard]
-        anchors, collapse = collapse_nodes(nodes, ground, objective)
-    with timer.measure("precluster"):
+def _round1_task(
+    ctx, objective, k, t, rho, local_center_factor, local_kwargs,
+    memory_budget=None, workdir=None,
+):
+    """Site phase of round 1: collapse the site's nodes, ship the cost profile.
+
+    Returns the site's total collapse cost and its cost-matrix storage
+    kind, for the result metadata.
+    """
+    nodes = ctx.local_metric
+    ground = nodes.ground_metric
+    with ctx.timer.measure("collapse"):
+        anchors, collapse = collapse_nodes(nodes.nodes, ground, objective)
+    with ctx.timer.measure("precluster"):
         costs = _local_compressed_costs(
-            anchors, collapse, ground, objective,
-            payload.get("memory_budget"), payload.get("workdir"),
+            anchors, collapse, ground, objective, memory_budget, workdir
         )
-        local_k = min(payload["local_center_factor"] * payload["k"], shard.size)
+        local_k = min(local_center_factor * k, ctx.n_points)
         precluster = precluster_site(
-            costs, local_k, payload["t"],
+            costs, local_k, t,
             objective="means" if objective == "means" else "median",
-            rho=payload["rho"], rng=rng, **payload["local_kwargs"],
+            rho=rho, rng=ctx.rng, **local_kwargs,
         )
-    return {
-        "state": {
-            "shard": shard,
-            "anchors": anchors,
-            "collapse": collapse,
-            "precluster": precluster,
-            "local_k": local_k,
-            "cost_storage": "memmap" if memmap_handle(costs) else "dense",
-        },
-        "timer": timer,
-        "rng": rng,
-    }
+    ctx.state["anchors"] = anchors
+    ctx.state["collapse"] = collapse
+    ctx.state["precluster"] = precluster
+    ctx.state["local_k"] = local_k
+    ctx.send_to_coordinator("cost_profile", precluster.profile, words=precluster.profile.words)
+    return float(collapse.sum()), "memmap" if memmap_handle(costs) else "dense"
 
 
-def _uncertain_round2(payload: dict) -> dict:
-    """Site phase of round 2: local solve at the allocation, summary demands out."""
-    state = payload["state"]
-    objective = payload["objective"]
-    t_i = payload["t_i"]
-    B = payload["B"]
-    rng = payload["rng"]
-    site_id = payload["site_id"]
-    timer = Timer()
-    demand_anchor: List[int] = []
-    demand_offset: List[float] = []
-    demand_weight: List[float] = []
-    demand_origin: List[tuple] = []
-    with timer.measure("round2"):
-        precluster = state["precluster"]
+def _round2_task(ctx, objective, words_per_point, local_kwargs):
+    """Site phase of round 2: local solve at the allocation, summary demands out.
+
+    Ships one demand per local center (its anchor, weighted by the nodes
+    attached) and one per local outlier (its anchor and collapse cost,
+    Algorithm 3 line 4).  Returns what the uncharged output step needs:
+    ``t_used``, the member nodes and their costs of each center demand, and
+    the node of each outlier demand.
+    """
+    t_i = int(ctx.messages("allocation")[0].payload["t_i"])
+    with ctx.timer.measure("round2"):
+        precluster = ctx.state["precluster"]
+        anchors = ctx.state["anchors"]
         t_used = int(round(precluster.profile.snap_up_to_vertex(t_i)))
-        t_used = min(t_used, state["shard"].size)
+        t_used = min(t_used, ctx.n_points)
         solution = precluster.solution_for(
-            t_used, state["local_k"], "means" if objective == "means" else "median",
-            rng=rng, **payload["local_kwargs"],
+            t_used, ctx.state["local_k"], "means" if objective == "means" else "median",
+            rng=ctx.rng, **local_kwargs,
         )
-        state["t_i"] = t_used
-        state["solution"] = solution
-
-        # Local centers: facility index -> the anchor ground point; weight
-        # = number of nodes attached.
-        center_weights = solution.center_weights()
-        words = 0.0
-        for c_local, weight in sorted(center_weights.items()):
-            anchor_point = int(state["anchors"][int(c_local)])
-            demand_anchor.append(anchor_point)
-            demand_offset.append(0.0)
-            demand_weight.append(float(weight))
-            demand_origin.append((site_id, "center", int(c_local)))
-            words += B + 1  # the point plus its count
-        # Local outliers: ship (y_j, l_j) per node (Algorithm 3, line 4).
-        for j_local in solution.outlier_indices:
-            demand_anchor.append(int(state["anchors"][int(j_local)]))
-            demand_offset.append(float(state["collapse"][int(j_local)]))
-            demand_weight.append(1.0)
-            demand_origin.append((site_id, "outlier", int(j_local)))
-            words += B + 1
-    return {
-        "state": state,
-        "timer": timer,
-        "rng": rng,
-        "words": words,
-        "demand_anchor": demand_anchor,
-        "demand_offset": demand_offset,
-        "demand_weight": demand_weight,
-        "demand_origin": demand_origin,
-    }
+        collapse = ctx.state["collapse"]
+        center_weights = sorted(solution.center_weights().items())
+        centers = [int(c) for c, _ in center_weights]
+        outliers = [int(j) for j in solution.outlier_indices]
+        demands = {
+            "anchor": np.asarray([anchors[j] for j in centers + outliers], dtype=int),
+            "offset": np.asarray(
+                [0.0] * len(centers) + [collapse[j] for j in outliers], dtype=float
+            ),
+            "weight": np.asarray(
+                [w for _, w in center_weights] + [1.0] * len(outliers), dtype=float
+            ),
+        }
+        members = []
+        for c_local in centers:
+            members_local = np.flatnonzero(solution.assignment == c_local)
+            members.append((
+                ctx.to_global(members_local),
+                precluster.cost_matrix[members_local, c_local],
+            ))
+    # The point plus its count (centers) or its collapse cost (outliers).
+    words = float((words_per_point + 1) * (len(centers) + len(outliers)))
+    ctx.send_to_coordinator("local_solution", demands, words=words)
+    return {"t_used": t_used, "centers": members, "outliers": ctx.to_global(outliers)}
 
 
 def distributed_uncertain_clustering(
@@ -186,9 +172,9 @@ def distributed_uncertain_clustering(
         As in :func:`repro.core.algorithm1.distributed_partial_median`.
     options:
         Run options, documented once on :func:`repro.core.run.protocol_run`.
-        The coordinator holds the per-site state and re-ships it with each
-        round's payload, so the cluster backend's runner-resident site state
-        does not apply here; the wire ledger reports that traffic honestly.
+        On the cluster backend each site's nodes ship once per run, and its
+        collapse data and precluster, with the cached compressed-graph cost
+        matrix, stay on the site's runner between the two rounds.
 
     Returns
     -------
@@ -203,115 +189,91 @@ def distributed_uncertain_clustering(
     if epsilon <= 0 or rho <= 1:
         raise ValueError("epsilon must be positive and rho > 1")
 
-    uncertain = instance.uncertain
-    ground = uncertain.ground_metric
+    ground = instance.ground_metric
     k, t = instance.k, instance.t
-    B = instance.words_per_point()
-    s = instance.n_sites
+    network = StarNetwork(instance)
     generator = ensure_rng(rng)
-    site_rngs = spawn_rngs(generator, s)
-    ledger = CommunicationLedger()
-    site_timers = [Timer() for _ in range(s)]
-    coord_timer = Timer()
+    site_rngs = spawn_rngs(generator, network.n_sites)
 
     with protocol_run("algorithm3_uncertain", objective, **options) as run:
+        network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
         mem_budget = run.memory_budget
         with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1: collapse + compressed-graph preclustering profiles.
             # --------------------------------------------------------------
-            round1 = run_tasks(
-                _uncertain_round1,
+            network.next_round()
+            round1 = run_site_tasks(
+                network,
                 [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "objective": objective,
-                        "k": k,
-                        "t": t,
-                        "rho": rho,
-                        "local_center_factor": local_center_factor,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": run.workdir,
-                    }
-                    for i in range(s)
+                    SiteTask(
+                        i,
+                        _round1_task,
+                        args=(
+                            objective, k, t, rho, local_center_factor, local_kwargs,
+                            mem_budget, run.workdir,
+                        ),
+                        rng=site_rngs[i],
+                    )
+                    for i in range(network.n_sites)
                 ],
                 backend=backend,
-                ledger=ledger,
-                round_index=1,
-                tracer=run.tracer,
             )
-            site_state: List[dict] = []
-            for i, out in enumerate(round1):
-                site_state.append(out["state"])
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                profile = out["state"]["precluster"].profile
-                ledger.record(Message(i, COORDINATOR, 1, "cost_profile", profile.words, profile))
+            site_rngs = [r.rng for r in round1]
 
-            with coord_timer.measure("allocation"), run.tracer.span("allocation"):
-                marginals = [st["precluster"].profile.marginals() for st in site_state]
+            with network.coordinator.timer.measure("allocation"), run.tracer.span("allocation"):
+                marginals = [
+                    network.coordinator.messages_from(i, "cost_profile")[0].payload.marginals()
+                    for i in range(network.n_sites)
+                ]
                 budget = int(math.floor(rho * t))
                 allocation = allocate_outlier_budget(marginals, budget)
 
             # --------------------------------------------------------------
             # Round 2: allocations out; centers, counts and collapsed outliers back.
             # --------------------------------------------------------------
-            for i in range(s):
-                ledger.record(
-                    Message(COORDINATOR, i, 2, "allocation", 3, {"t_i": int(allocation.t_allocated[i])})
+            network.next_round()
+            for site in network.sites:
+                network.send_to_site(
+                    site.site_id,
+                    "allocation",
+                    {"t_i": int(allocation.t_allocated[site.site_id])},
+                    words=3,
                 )
-            round2 = run_tasks(
-                _uncertain_round2,
+            round2 = run_site_tasks(
+                network,
                 [
-                    {
-                        "site_id": i,
-                        "state": site_state[i],
-                        "objective": objective,
-                        "t_i": int(allocation.t_allocated[i]),
-                        "B": B,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                    }
-                    for i in range(s)
+                    SiteTask(
+                        i,
+                        _round2_task,
+                        args=(objective, instance.words_per_point(), local_kwargs),
+                        rng=site_rngs[i],
+                    )
+                    for i in range(network.n_sites)
                 ],
                 backend=backend,
-                ledger=ledger,
-                round_index=2,
-                tracer=run.tracer,
             )
-            demand_anchor: List[int] = []      # ground point each coordinator demand sits at
-            demand_offset: List[float] = []    # additive collapse offset of the demand
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []    # (site, kind, payload) for mapping back
-            for i, out in enumerate(round2):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_offset.extend(out["demand_offset"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
+            demands = [
+                network.coordinator.messages_from(i, "local_solution")[0].payload
+                for i in range(network.n_sites)
+            ]
 
         # ------------------------------------------------------------------
         # Coordinator: weighted clustering on the received compressed summary.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), run.tracer.span("final_solve"):
-            demand_anchor_arr = np.asarray(demand_anchor, dtype=int)
-            demand_offset_arr = np.asarray(demand_offset, dtype=float)
-            demand_weight_arr = np.asarray(demand_weight, dtype=float)
-            facility_points = np.unique(demand_anchor_arr)
+        with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
+            demand_anchor = np.concatenate([d["anchor"] for d in demands])
+            demand_offset = np.concatenate([d["offset"] for d in demands])
+            demand_weight = np.concatenate([d["weight"] for d in demands])
+            facility_points = np.unique(demand_anchor)
             cost_matrix = materialize(
                 ground,
-                demand_anchor_arr,
+                demand_anchor,
                 facility_points,
                 transform=lambda block, rs: (
                     (block * block if objective == "means" else block)
-                    + demand_offset_arr[rs][:, None]
+                    + demand_offset[rs][:, None]
                 ),
                 memory_budget=mem_budget,
                 workdir=run.workdir,
@@ -320,7 +282,7 @@ def distributed_uncertain_clustering(
             coordinator_kwargs = dict(coordinator_solver_kwargs or {})
             if objective == "center":
                 coordinator_solution = kcenter_with_outliers(
-                    cost_matrix, k, t, weights=demand_weight_arr,
+                    cost_matrix, k, t, weights=demand_weight,
                     memory_budget=mem_budget, **coordinator_kwargs
                 )
                 outlier_budget = float(t)
@@ -332,7 +294,7 @@ def distributed_uncertain_clustering(
                     epsilon=epsilon,
                     relax="outliers",
                     objective="means" if objective == "means" else "median",
-                    weights=demand_weight_arr,
+                    weights=demand_weight,
                     rng=generator,
                     memory_budget=mem_budget,
                     **coordinator_kwargs,
@@ -349,43 +311,44 @@ def distributed_uncertain_clustering(
         dropped = (
             coordinator_solution.dropped_weight
             if coordinator_solution.dropped_weight is not None
-            else np.zeros(demand_anchor_arr.size)
+            else np.zeros(demand_anchor.size)
         )
-        assignment_arr = coordinator_solution.assignment
-        for idx, (site_id, kind, payload) in enumerate(demand_origin):
-            target = int(facility_points[assignment_arr[idx]]) if assignment_arr[idx] >= 0 else -1
-            state = site_state[site_id]
-            if kind == "outlier":
-                node_global = int(state["shard"][int(payload)])
+        targets = [
+            int(facility_points[a]) if a >= 0 else -1 for a in coordinator_solution.assignment
+        ]
+        idx = 0
+        for result in round2:
+            # A precluster center demand: distribute the attached nodes,
+            # dropping the farthest first.
+            for members, member_costs in result.value["centers"]:
+                target = targets[idx]
+                n_drop = int(round(float(dropped[idx]))) if target >= 0 else members.size
+                n_drop = min(n_drop, members.size)
+                drop_positions = set(np.argsort(-member_costs, kind="stable")[:n_drop].tolist())
+                for pos, node in enumerate(members):
+                    if pos in drop_positions or target < 0:
+                        node_outliers.append(int(node))
+                    else:
+                        node_assignment[int(node)] = target
+                idx += 1
+            for node in result.value["outliers"]:
+                target = targets[idx]
                 if target < 0:
-                    node_outliers.append(node_global)
+                    node_outliers.append(int(node))
                 else:
-                    node_assignment[node_global] = target
-                continue
-            # A precluster center demand: distribute the attached nodes.
-            c_local = int(payload)
-            members_local = np.flatnonzero(state["solution"].assignment == c_local)
-            member_costs = state["precluster"].cost_matrix[members_local, c_local]
-            n_drop = int(round(float(dropped[idx]))) if target >= 0 else members_local.size
-            n_drop = min(n_drop, members_local.size)
-            drop_positions = set(np.argsort(-member_costs, kind="stable")[:n_drop].tolist())
-            for pos, j_local in enumerate(members_local):
-                node_global = int(state["shard"][int(j_local)])
-                if pos in drop_positions or target < 0:
-                    node_outliers.append(node_global)
-                else:
-                    node_assignment[node_global] = target
+                    node_assignment[int(node)] = target
+                idx += 1
 
         return DistributedResult(
             centers=centers_global,
             outlier_budget=outlier_budget,
             objective=objective,
             cost=float(coordinator_solution.cost),
-            ledger=ledger,
-            rounds=2,
+            ledger=network.ledger,
+            rounds=network.current_round,
             outliers=np.asarray(sorted(set(node_outliers)), dtype=int),
-            site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
-            coordinator_time=float(sum(coord_timer.totals.values())),
+            site_time=network.site_times(),
+            coordinator_time=network.coordinator_time(),
             coordinator_solution=coordinator_solution,
             trace=run.trace,
             metadata={
@@ -393,12 +356,12 @@ def distributed_uncertain_clustering(
                 "epsilon": float(epsilon),
                 "rho": float(rho),
                 "t_allocated": allocation.t_allocated.tolist(),
-                "t_used": [int(state["t_i"]) for state in site_state],
+                "t_used": [int(r.value["t_used"]) for r in round2],
                 "node_assignment": node_assignment,
-                "n_coordinator_demands": int(demand_anchor_arr.size),
-                "collapse_cost_total": float(sum(float(st["collapse"].sum()) for st in site_state)),
+                "n_coordinator_demands": int(demand_anchor.size),
+                "collapse_cost_total": float(sum(r.value[0] for r in round1)),
                 "memory_budget": mem_budget,
-                "cost_matrix_storage": [st.get("cost_storage") for st in site_state],
+                "cost_matrix_storage": [r.value[1] for r in round1],
             },
         )
 

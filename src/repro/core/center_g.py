@@ -19,10 +19,11 @@ weighted ``(k, (1+eps)t)``-center solve.  Total communication
 ``Õ(s k B + t I + s log Delta)`` over 2 rounds (Theorem 5.14).
 
 The three site-local phases (distance extremes, per-``tau`` preclustering
-sweep, ``tau_hat`` summary build) run through
-:func:`repro.runtime.run_tasks` and fan out to any execution backend; the
-per-``tau`` sweep dominates local time, so it is also where parallel
-backends pay off most.
+sweep, ``tau_hat`` summary build) are :class:`repro.runtime.SiteTask`s over
+a :class:`~repro.distributed.network.StarNetwork` whose sites hold only
+their own nodes, so the protocol runs bit-identically on any
+:mod:`repro.runtime` execution backend; the per-``tau`` sweep dominates
+local time, so it is also where parallel backends pay off most.
 """
 
 from __future__ import annotations
@@ -36,14 +37,14 @@ from repro.core.allocation import allocate_outlier_budget
 from repro.core.preclustering import precluster_site
 from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
-from repro.distributed.messages import COORDINATOR, CommunicationLedger, Message
+from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
 from repro.metrics.blocked import DEFAULT_REDUCTION_BUDGET, materialize_rows
 from repro.metrics.plan import ReductionPlan
-from repro.runtime.tasks import run_tasks
+from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
+from repro.uncertain.nodes import UncertainNode
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
-from repro.utils.timing import Timer
 
 
 def truncation_grid(d_min: float, d_max: float, base: float = 2.0, extra_steps: int = 2) -> np.ndarray:
@@ -60,7 +61,24 @@ def truncation_grid(d_min: float, d_max: float, base: float = 2.0, extra_steps: 
     return (d_min / 18.0) * base ** np.arange(n_steps + 1)
 
 
-def _extremes_task(payload: dict) -> dict:
+def _truncated_costs(nodes, support, tau, memory_budget=None, workdir=None):
+    """A site's node-by-support ``rho_{6 tau}`` expected-cost matrix.
+
+    Row-blocked build: each node's expected-cost row is computed in one
+    call regardless of budget (bit-identical), spilling to a disk shard
+    when the matrix exceeds the budget.
+    """
+    local = np.arange(nodes.n_nodes)
+    return materialize_rows(
+        lambda rs: nodes.expected_cost_matrix(local[rs], support, tau=6.0 * float(tau)),
+        local.size,
+        support.size,
+        memory_budget=memory_budget,
+        workdir=workdir,
+    )
+
+
+def _extremes_task(ctx, memory_budget=None):
     """Site phase of round 1a: local distance extremes (O(1) words per site).
 
     One *fused* blocked pass: the ``|support|^2`` distance matrix the old
@@ -68,143 +86,94 @@ def _extremes_task(payload: dict) -> dict:
     most the memory budget — and both extremes consume every tile of the
     single streaming pass (values are budget-independent either way).
     """
-    uncertain = payload["uncertain"]
-    shard = payload["shard"]
-    budget = payload.get("memory_budget") or DEFAULT_REDUCTION_BUDGET
-    timer = Timer()
-    support = uncertain.support_union(shard)
-    with timer.measure("extremes"):
+    nodes = ctx.local_metric
+    support = nodes.support_union()
+    with ctx.timer.measure("extremes"):
         plan = ReductionPlan(
-            uncertain.ground_metric, support, support, memory_budget=budget
+            nodes.ground_metric, support, support,
+            memory_budget=memory_budget or DEFAULT_REDUCTION_BUDGET,
         )
         h_min = plan.add_min_positive()
         h_max = plan.add_max()
         plan.execute()
-        d_min_i, d_max_i = h_min.value, h_max.value
-    return {"timer": timer, "extremes": (d_min_i, d_max_i)}
+    ctx.send_to_coordinator("extremes", (h_min.value, h_max.value), words=2)
 
 
-def _tau_sweep_task(payload: dict) -> dict:
-    """Site phase of round 1b: precluster the shard under every truncation radius."""
-    uncertain = payload["uncertain"]
-    shard = payload["shard"]
-    taus = payload["taus"]
-    rng = payload["rng"]
-    timer = Timer()
-    support = uncertain.support_union(shard)
+def _tau_sweep_task(
+    ctx, taus, k, t, rho, local_center_factor, local_kwargs,
+    memory_budget=None, workdir=None,
+):
+    """Site phase of round 1b: precluster the site's nodes under every truncation radius."""
+    nodes = ctx.local_metric
+    support = nodes.support_union()
+    local_k = min(local_center_factor * k, ctx.n_points)
     preclusters: Dict[float, object] = {}
-    mem_budget = payload.get("memory_budget")
-    workdir = payload.get("workdir")
-    with timer.measure("precluster"):
+    with ctx.timer.measure("precluster"):
         for tau in taus:
-            # Row-blocked build: each node's expected-cost row is computed in
-            # one call regardless of budget (bit-identical), spilling to a
-            # disk shard when the matrix exceeds the budget.
-            tau_scaled = 6.0 * float(tau)
-            costs = materialize_rows(
-                lambda rs: uncertain.expected_cost_matrix(
-                    shard[rs], support, tau=tau_scaled
-                ),
-                shard.size,
-                support.size,
-                memory_budget=mem_budget,
-                workdir=workdir,
-            )
-            local_k = min(payload["local_center_factor"] * payload["k"], shard.size)
+            costs = _truncated_costs(nodes, support, tau, memory_budget, workdir)
             preclusters[float(tau)] = precluster_site(
-                costs, local_k, payload["t"], objective="median", rho=payload["rho"],
-                rng=rng, **payload["local_kwargs"],
+                costs, local_k, t, objective="median", rho=rho, rng=ctx.rng,
+                **local_kwargs,
             )
-    # The per-tau collapse matrices re-derive bit-identically from
-    # (uncertain, shard, tau): round 2 rebuilds the one it actually uses,
-    # so none of them crosses a transport (SitePreclustering.__getstate__).
-    # In-process backends never pickle the state and keep the matrices.
+    # The per-tau matrices re-derive bit-identically from (nodes, support,
+    # tau): round 2 rebuilds the one it uses if the state crossed a
+    # transport (SitePreclustering.__getstate__), so none of them does.
     for pre in preclusters.values():
         pre.rebuild_matrix = True
-    words = float(sum(p.profile.words for p in preclusters.values()))
-    return {
-        "state": {"shard": shard, "support": support, "preclusters": preclusters, "local_k": local_k},
-        "timer": timer,
-        "rng": rng,
-        "words": words,
-        "profiles": {float(tau): p.profile for tau, p in preclusters.items()},
-    }
+    ctx.state["support"] = support
+    ctx.state["preclusters"] = preclusters
+    ctx.state["local_k"] = local_k
+    profiles = {tau: pre.profile for tau, pre in preclusters.items()}
+    ctx.send_to_coordinator(
+        "tau_profiles", profiles, words=float(sum(p.words for p in profiles.values()))
+    )
 
 
-def _center_g_round2(payload: dict) -> dict:
-    """Site phase of round 2: ship the ``tau_hat`` precluster (outlier nodes in full)."""
-    uncertain = payload["uncertain"]
-    state = payload["state"]
-    tau_hat = payload["tau_hat"]
-    t_i = payload["t_i"]
-    B = payload["B"]
-    node_words = payload["node_words"]
-    rng = payload["rng"]
-    site_id = payload["site_id"]
-    timer = Timer()
-    demand_anchor: List[int] = []
-    demand_node: List[Optional[int]] = []
-    demand_weight: List[float] = []
-    demand_origin: List[tuple] = []
-    facility_candidates: List[np.ndarray] = []
-    with timer.measure("round2"):
-        precluster = state["preclusters"][tau_hat]
+def _round2_task(
+    ctx, words_per_point, node_words, local_kwargs, memory_budget=None, workdir=None
+):
+    """Site phase of round 2: ship the ``tau_hat`` precluster (outlier nodes in full).
+
+    Returns what the uncharged output step needs: the member nodes of each
+    center demand and the node of each outlier demand.
+    """
+    allocation = ctx.messages("allocation")[0].payload
+    tau_hat, t_i = float(allocation["tau"]), int(allocation["t_i"])
+    nodes = ctx.local_metric
+    with ctx.timer.measure("round2"):
+        precluster = ctx.state["preclusters"][tau_hat]
+        support = ctx.state["support"]
         if precluster.cost_matrix is None:
-            # The sweep dropped the matrix in transit (rebuild_matrix):
-            # re-derive the tau_hat collapse matrix from the resident
-            # inputs, bit-identically to the round-1b build.
-            shard = state["shard"]
-            support = state["support"]
-            costs = materialize_rows(
-                lambda rs: uncertain.expected_cost_matrix(
-                    shard[rs], support, tau=6.0 * float(tau_hat)
-                ),
-                shard.size,
-                support.size,
-                memory_budget=payload.get("memory_budget"),
-                workdir=payload.get("workdir"),
-            )
+            # The state crossed a transport without its matrices
+            # (rebuild_matrix): re-derive the tau_hat one, bit-identically
+            # to the round-1b build.
+            costs = _truncated_costs(nodes, support, tau_hat, memory_budget, workdir)
             if not isinstance(costs, np.memmap):
                 costs = np.asarray(costs, dtype=float)
             precluster.cost_matrix = costs
         t_used = int(round(precluster.profile.snap_up_to_vertex(t_i)))
-        t_used = min(t_used, state["shard"].size)
+        t_used = min(t_used, ctx.n_points)
         solution = precluster.solution_for(
-            t_used, state["local_k"], "median", rng=rng, **payload["local_kwargs"]
+            t_used, ctx.state["local_k"], "median", rng=ctx.rng, **local_kwargs
         )
-        state["t_i"] = t_used
-        state["solution"] = solution
-        words = 0.0
-        center_weights = solution.center_weights()
-        support = state["support"]
-        for c_local, weight in sorted(center_weights.items()):
-            point = int(support[int(c_local)])
-            demand_anchor.append(point)
-            demand_node.append(None)
-            demand_weight.append(float(weight))
-            demand_origin.append((site_id, "center", int(c_local)))
-            facility_candidates.append(np.asarray([point]))
-            words += B + 1
-        for j_local in solution.outlier_indices:
-            node_global = int(state["shard"][int(j_local)])
-            node = uncertain.nodes[node_global]
-            demand_anchor.append(-1)
-            demand_node.append(node_global)
-            demand_weight.append(1.0)
-            demand_origin.append((site_id, "outlier", int(j_local)))
-            facility_candidates.append(node.support)
-            words += node_words
-    return {
-        "state": state,
-        "timer": timer,
-        "rng": rng,
-        "words": words,
-        "demand_anchor": demand_anchor,
-        "demand_node": demand_node,
-        "demand_weight": demand_weight,
-        "demand_origin": demand_origin,
-        "facility_candidates": facility_candidates,
-    }
+        center_weights = sorted(solution.center_weights().items())
+        outliers = [int(j) for j in solution.outlier_indices]
+        demands = {
+            "anchor": np.asarray([support[c] for c, _ in center_weights], dtype=int),
+            "weight": np.asarray(
+                [w for _, w in center_weights] + [1.0] * len(outliers), dtype=float
+            ),
+            "nodes": [nodes.nodes[j] for j in outliers],
+        }
+        members = [
+            ctx.to_global(np.flatnonzero(solution.assignment == c))
+            for c, _ in center_weights
+        ]
+    # A center is its point plus its count; an outlier node is its whole
+    # distribution (I words).
+    words = float((words_per_point + 1) * len(center_weights) + node_words * len(outliers))
+    ctx.send_to_coordinator("local_solution", demands, words=words)
+    return {"centers": members, "outliers": ctx.to_global(outliers)}
 
 
 def distributed_uncertain_center_g(
@@ -238,167 +207,144 @@ def distributed_uncertain_center_g(
         (``12`` in Lemma 5.10).
     options:
         Run options, documented once on :func:`repro.core.run.protocol_run`.
-        On the cluster backend the components each per-``tau`` round repeats
-        (shards, collapse matrices, round-1 state) ship once as
-        content-addressed digests (:mod:`repro.cluster.payloads`).
+        On the cluster backend each site's nodes ship once per run, and its
+        per-``tau`` preclusters, with their cost matrices, stay on the
+        site's runner between the rounds.
     """
     if epsilon <= 0 or rho <= 1:
         raise ValueError("epsilon must be positive and rho > 1")
-    uncertain = instance.uncertain
-    ground = uncertain.ground_metric
+    ground = instance.ground_metric
     k, t = instance.k, instance.t
-    B = instance.words_per_point()
-    s = instance.n_sites
+    network = StarNetwork(instance)
     generator = ensure_rng(rng)
-    site_rngs = spawn_rngs(generator, s)
-    ledger = CommunicationLedger()
-    site_timers = [Timer() for _ in range(s)]
-    coord_timer = Timer()
+    site_rngs = spawn_rngs(generator, network.n_sites)
+    coordinator = network.coordinator
 
     with protocol_run("algorithm4_center_g", "center-g", **options) as run:
+        network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
         mem_budget = run.memory_budget
         with run.backend() as backend:
             # --------------------------------------------------------------
             # Round 1a: every party reports its local distance extremes (O(s) words).
             # --------------------------------------------------------------
-            extremes = run_tasks(
-                _extremes_task,
+            network.next_round()
+            run_site_tasks(
+                network,
                 [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "memory_budget": mem_budget,
-                    }
-                    for i in range(s)
+                    SiteTask(i, _extremes_task, args=(mem_budget,))
+                    for i in range(network.n_sites)
                 ],
                 backend=backend,
-                ledger=ledger,
-                round_index=1,
-                tracer=run.tracer,
             )
-            for i, out in enumerate(extremes):
-                site_timers[i].merge(out["timer"])
-                ledger.record(Message(i, COORDINATOR, 1, "extremes", 2, out["extremes"]))
-            d_min = min(out["extremes"][0] for out in extremes if out["extremes"][0] > 0)
-            d_max = max(out["extremes"][1] for out in extremes)
+            extremes = [
+                coordinator.messages_from(i, "extremes")[0].payload
+                for i in range(network.n_sites)
+            ]
+            d_min = min(lo for lo, _ in extremes if lo > 0)
+            d_max = max(hi for _, hi in extremes)
             taus = truncation_grid(d_min, d_max, base=tau_base)
 
             # --------------------------------------------------------------
-            # Round 1b: per-tau compressed preclustering profiles.
+            # Round 1b (same round): per-tau compressed preclustering profiles.
             # --------------------------------------------------------------
-            sweeps = run_tasks(
-                _tau_sweep_task,
+            sweeps = run_site_tasks(
+                network,
                 [
-                    {
-                        "uncertain": uncertain,
-                        "shard": instance.shard(i),
-                        "taus": taus,
-                        "k": k,
-                        "t": t,
-                        "rho": rho,
-                        "local_center_factor": local_center_factor,
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": run.workdir,
-                    }
-                    for i in range(s)
+                    SiteTask(
+                        i,
+                        _tau_sweep_task,
+                        args=(
+                            taus, k, t, rho, local_center_factor, local_kwargs,
+                            mem_budget, run.workdir,
+                        ),
+                        rng=site_rngs[i],
+                    )
+                    for i in range(network.n_sites)
                 ],
                 backend=backend,
-                ledger=ledger,
-                round_index=1,
-                tracer=run.tracer,
             )
-            site_state: List[dict] = []
-            for i, out in enumerate(sweeps):
-                site_state.append(out["state"])
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                ledger.record(Message(i, COORDINATOR, 1, "tau_profiles", out["words"], out["profiles"]))
+            site_rngs = [r.rng for r in sweeps]
+            tau_profiles = [
+                coordinator.messages_from(i, "tau_profiles")[0].payload
+                for i in range(network.n_sites)
+            ]
 
             # Coordinator: parametric search for tau_hat (Algorithm 4, line 6).
-            with coord_timer.measure("tau_search"), run.tracer.span("tau_search"):
+            with coordinator.timer.measure("tau_search"), run.tracer.span("tau_search"):
                 budget = int(math.floor(rho * t))
                 tau_hat = float(taus[-1])
                 allocation_hat = None
                 for tau in taus:
-                    profiles = [site_state[i]["preclusters"][float(tau)].profile for i in range(s)]
+                    profiles = [p[float(tau)] for p in tau_profiles]
                     allocation = allocate_outlier_budget([p.marginals() for p in profiles], budget)
                     total_cost = float(
-                        sum(profiles[i](int(allocation.t_allocated[i])) for i in range(s))
+                        sum(profiles[i](int(allocation.t_allocated[i]))
+                            for i in range(network.n_sites))
                     )
                     if total_cost <= cost_budget_factor * float(tau):
                         tau_hat = float(tau)
                         allocation_hat = allocation
                         break
                 if allocation_hat is None:
-                    profiles = [site_state[i]["preclusters"][float(taus[-1])].profile for i in range(s)]
+                    profiles = [p[float(taus[-1])] for p in tau_profiles]
                     allocation_hat = allocate_outlier_budget([p.marginals() for p in profiles], budget)
 
             # --------------------------------------------------------------
             # Round 2: tau_hat + allocations out; preclusters (with full outlier
             # node distributions) back.
             # --------------------------------------------------------------
-            for i in range(s):
-                ledger.record(
-                    Message(COORDINATOR, i, 2, "allocation", 2,
-                            {"tau": tau_hat, "t_i": int(allocation_hat.t_allocated[i])})
+            network.next_round()
+            for site in network.sites:
+                network.send_to_site(
+                    site.site_id,
+                    "allocation",
+                    {"tau": tau_hat, "t_i": int(allocation_hat.t_allocated[site.site_id])},
+                    words=2,
                 )
-            round2 = run_tasks(
-                _center_g_round2,
+            round2 = run_site_tasks(
+                network,
                 [
-                    {
-                        "uncertain": uncertain,
-                        "site_id": i,
-                        "state": site_state[i],
-                        "tau_hat": tau_hat,
-                        "t_i": int(allocation_hat.t_allocated[i]),
-                        "B": B,
-                        "node_words": instance.node_words(),
-                        "local_kwargs": local_kwargs,
-                        "rng": site_rngs[i],
-                        "memory_budget": mem_budget,
-                        "workdir": run.workdir,
-                    }
-                    for i in range(s)
+                    SiteTask(
+                        i,
+                        _round2_task,
+                        args=(
+                            instance.words_per_point(), instance.node_words(), local_kwargs,
+                            mem_budget, run.workdir,
+                        ),
+                        rng=site_rngs[i],
+                    )
+                    for i in range(network.n_sites)
                 ],
                 backend=backend,
-                ledger=ledger,
-                round_index=2,
-                tracer=run.tracer,
             )
-            demand_anchor: List[int] = []
-            demand_node: List[Optional[int]] = []   # global node id when the demand is a shipped node
-            demand_weight: List[float] = []
-            demand_origin: List[tuple] = []
-            facility_candidates: List[np.ndarray] = []
-            for i, out in enumerate(round2):
-                site_state[i] = out["state"]
-                site_timers[i].merge(out["timer"])
-                site_rngs[i] = out["rng"]
-                demand_anchor.extend(out["demand_anchor"])
-                demand_node.extend(out["demand_node"])
-                demand_weight.extend(out["demand_weight"])
-                demand_origin.extend(out["demand_origin"])
-                facility_candidates.extend(out["facility_candidates"])
-                ledger.record(Message(i, COORDINATOR, 2, "local_solution", out["words"], None))
+            demands = [
+                coordinator.messages_from(i, "local_solution")[0].payload
+                for i in range(network.n_sites)
+            ]
 
         # ------------------------------------------------------------------
         # Coordinator: weighted (k, (1+eps)t)-center over what it received.
         # ------------------------------------------------------------------
-        with coord_timer.measure("final_solve"), run.tracer.span("final_solve"):
-            facility_points = np.unique(np.concatenate(facility_candidates))
-            n_demands = len(demand_anchor)
+        with coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
+            # Demands in arrival order: each site's center anchors (ground
+            # points), then its outlier nodes (full distributions).
+            demand_rows = [
+                demand for d in demands for demand in (*d["anchor"].tolist(), *d["nodes"])
+            ]
+            facility_points = np.unique(np.concatenate(
+                [d["anchor"] for d in demands]
+                + [node.support for d in demands for node in d["nodes"]]
+            ))
+            n_demands = len(demand_rows)
 
             def _demand_rows(row_slice: slice) -> np.ndarray:
                 block = np.empty((row_slice.stop - row_slice.start, facility_points.size))
-                for pos, row in enumerate(range(row_slice.start, row_slice.stop)):
-                    if demand_node[row] is None:
-                        block[pos] = ground.pairwise([demand_anchor[row]], facility_points)[0]
+                for pos, demand in enumerate(demand_rows[row_slice]):
+                    if isinstance(demand, UncertainNode):
+                        block[pos] = demand.expected_distances(ground, facility_points)
                     else:
-                        node = uncertain.nodes[int(demand_node[row])]
-                        block[pos] = node.expected_distances(ground, facility_points)
+                        block[pos] = ground.pairwise([demand], facility_points)[0]
                 return block
 
             # Row-blocked (each demand row is computed in one call regardless of
@@ -408,7 +354,7 @@ def distributed_uncertain_center_g(
                 _demand_rows, n_demands, facility_points.size,
                 memory_budget=mem_budget, workdir=run.workdir,
             )
-            weights_arr = np.asarray(demand_weight, dtype=float)
+            weights_arr = np.concatenate([d["weight"] for d in demands])
             outlier_budget = float(math.floor((1.0 + epsilon) * t + 1e-9))
             coordinator_solution = kcenter_with_outliers(
                 cost_matrix, k, outlier_budget, weights=weights_arr,
@@ -420,44 +366,46 @@ def distributed_uncertain_center_g(
         # Output: per-node assignment (uncharged output step).
         node_assignment: Dict[int, int] = {}
         node_outliers: List[int] = []
-        assignment_arr = coordinator_solution.assignment
         dropped = (
             coordinator_solution.dropped_weight
             if coordinator_solution.dropped_weight is not None
             else np.zeros(n_demands)
         )
-        for idx, (site_id, kind, payload) in enumerate(demand_origin):
-            target = int(facility_points[assignment_arr[idx]]) if assignment_arr[idx] >= 0 else -1
-            state = site_state[site_id]
-            if kind == "outlier":
-                node_global = int(state["shard"][int(payload)])
+        targets = [
+            int(facility_points[a]) if a >= 0 else -1 for a in coordinator_solution.assignment
+        ]
+        idx = 0
+        for result in round2:
+            for members in result.value["centers"]:
+                # The center objective never partially drops aggregated
+                # weight, so a center demand is either fully served or
+                # fully dropped.
+                target = targets[idx]
+                fully_dropped = target < 0 or dropped[idx] >= weights_arr[idx] - 1e-9
+                for node in members:
+                    if fully_dropped:
+                        node_outliers.append(int(node))
+                    else:
+                        node_assignment[int(node)] = target
+                idx += 1
+            for node in result.value["outliers"]:
+                target = targets[idx]
                 if target < 0:
-                    node_outliers.append(node_global)
+                    node_outliers.append(int(node))
                 else:
-                    node_assignment[node_global] = target
-                continue
-            c_local = int(payload)
-            members_local = np.flatnonzero(state["solution"].assignment == c_local)
-            # The center objective never partially drops aggregated weight, so a
-            # center demand is either fully served or fully dropped.
-            fully_dropped = target < 0 or dropped[idx] >= weights_arr[idx] - 1e-9
-            for j_local in members_local:
-                node_global = int(state["shard"][int(j_local)])
-                if fully_dropped:
-                    node_outliers.append(node_global)
-                else:
-                    node_assignment[node_global] = target
+                    node_assignment[int(node)] = target
+                idx += 1
 
         return DistributedResult(
             centers=centers_global,
             outlier_budget=outlier_budget,
             objective="center-g",
             cost=float(coordinator_solution.cost),
-            ledger=ledger,
-            rounds=2,
+            ledger=network.ledger,
+            rounds=network.current_round,
             outliers=np.asarray(sorted(set(node_outliers)), dtype=int),
-            site_time={i: float(sum(site_timers[i].totals.values())) for i in range(s)},
-            coordinator_time=float(sum(coord_timer.totals.values())),
+            site_time=network.site_times(),
+            coordinator_time=network.coordinator_time(),
             coordinator_solution=coordinator_solution,
             trace=run.trace,
             metadata={

@@ -10,7 +10,6 @@ used for the budget allocation.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Sequence, Union
 
@@ -33,9 +32,8 @@ from repro.utils.rng import RngLike, ensure_rng
 #: A dense cost matrix whose pickled size would exceed this many bytes is
 #: spilled to a :class:`~repro.metrics.blocked.MemmapCostShard` when a
 #: :class:`SitePreclustering` crosses a transport, so the transport carries a
-#: filename instead of ``n_i^2`` floats.  Override with the
-#: ``REPRO_TRANSPORT_SPILL_BYTES`` environment variable.
-TRANSPORT_SPILL_THRESHOLD = int(os.environ.get("REPRO_TRANSPORT_SPILL_BYTES", 256 * 1024))
+#: filename instead of ``n_i^2`` floats.
+TRANSPORT_SPILL_THRESHOLD = 256 * 1024
 
 
 @dataclass

@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.base import MetricSpace
+from repro.metrics.base import MetricSpace, SubsetMetric
 from repro.utils.validation import check_k_t
 
 
@@ -73,6 +73,10 @@ class DistributedInstance:
     def shard(self, site: int) -> np.ndarray:
         """Global indices held by ``site``."""
         return self.shards[site]
+
+    def site_view(self, site: int) -> SubsetMetric:
+        """What ``site`` holds: the metric restricted to its own points."""
+        return SubsetMetric(self.metric, self.shards[site])
 
     def site_of_point(self) -> np.ndarray:
         """Array mapping each global point index in the instance to its site.
@@ -173,6 +177,10 @@ class UncertainDistributedInstance:
     def shard(self, site: int) -> np.ndarray:
         """Node indices held by ``site``."""
         return self.shards[site]
+
+    def site_view(self, site: int):
+        """What ``site`` holds: its own nodes, over the shared ground metric."""
+        return self.uncertain.node_subset(self.shards[site])
 
     def words_per_point(self) -> int:
         """The paper's ``B`` (words to transmit one ground point)."""

@@ -14,31 +14,32 @@ the paper's "Local Time" columns.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Union
 from uuid import uuid4
 
 import numpy as np
 
-from repro.distributed.instance import DistributedInstance
+from repro.distributed.instance import DistributedInstance, UncertainDistributedInstance
 from repro.distributed.messages import COORDINATOR, CommunicationLedger, Message
-from repro.metrics.base import MetricSpace, SubsetMetric
 from repro.utils.timing import Timer
 
 
 class Site:
     """A site in the coordinator model.
 
-    A site owns a shard of global point indices and may evaluate distances
-    among its own points (``local_metric``) or between its points and points
-    that have been communicated to it.  The inbox holds messages delivered by
-    the coordinator in the current round.
+    A site owns a shard of global indices and the view of the input it
+    holds (``local_metric``, local indices ``0..n_i-1``): the metric
+    restricted to its own points for a :class:`DistributedInstance`, its own
+    uncertain nodes for an :class:`UncertainDistributedInstance`.  It may
+    evaluate distances among its own points or to points that have been
+    communicated to it.  The inbox holds messages delivered by the
+    coordinator in the current round.
     """
 
-    def __init__(self, site_id: int, metric: MetricSpace, shard: np.ndarray):
+    def __init__(self, site_id: int, shard: np.ndarray, local_metric: Any):
         self.site_id = int(site_id)
         self.shard = np.asarray(shard, dtype=int)
-        self._metric = metric
-        self._local_metric = SubsetMetric(metric, self.shard)
+        self.local_metric = local_metric
         self.inbox: List[Message] = []
         self.timer = Timer()
         #: Mutable per-round state.  Starts as a plain dict; after a round
@@ -55,17 +56,12 @@ class Site:
 
     @property
     def n_points(self) -> int:
-        """Number of points held by the site (the paper's ``n_i``)."""
+        """Number of points (or nodes) held by the site (the paper's ``n_i``)."""
         return int(self.shard.size)
 
-    @property
-    def local_metric(self) -> SubsetMetric:
-        """Metric restricted to the site's own points (local indices ``0..n_i-1``)."""
-        return self._local_metric
-
     def to_global(self, local_indices) -> np.ndarray:
-        """Map site-local indices to global point indices."""
-        return self._local_metric.to_parent(local_indices)
+        """Map site-local indices to global indices."""
+        return self.shard[np.asarray(local_indices, dtype=int)]
 
     def receive(self, message: Message) -> None:
         """Deliver a message into the site's inbox."""
@@ -111,10 +107,13 @@ class StarNetwork:
     delivers the payload.  Rounds are advanced explicitly by the protocol.
     """
 
-    def __init__(self, instance: DistributedInstance):
+    def __init__(
+        self, instance: Union[DistributedInstance, UncertainDistributedInstance]
+    ):
         self.instance = instance
         self.sites = [
-            Site(i, instance.metric, shard) for i, shard in enumerate(instance.shards)
+            Site(i, instance.shard(i), instance.site_view(i))
+            for i in range(instance.n_sites)
         ]
         self.coordinator = Coordinator()
         self.ledger = CommunicationLedger()

@@ -5,9 +5,9 @@ the same counters and gauges observable *while the run executes*:
 
 :func:`build_snapshot`
     One point-in-time view of a tracer — every counter and gauge it holds,
-    plus derived gauges (resident/payload cache hit rates, compression
-    ratio) that are cheap to compute once per snapshot but wasteful to
-    maintain per increment.
+    plus derived gauges (resident-state hit rate, compression ratio) that
+    are cheap to compute once per snapshot but wasteful to maintain per
+    increment.
 
 Sinks
     :class:`JsonlSink` appends each snapshot as one JSON line;
@@ -53,8 +53,8 @@ def build_snapshot(tracer: Any, *, label: Optional[str] = None) -> Dict[str, Any
     """One point-in-time view of a tracer's counters and gauges.
 
     Adds derived gauges no layer maintains incrementally:
-    ``cluster.resident_hit_rate`` / ``cluster.payload_hit_rate`` (cache
-    effectiveness so far) and ``wire.compression`` (raw/encoded bytes ratio).
+    ``cluster.resident_hit_rate`` (resident-state cache effectiveness so
+    far) and ``wire.compression`` (raw/encoded bytes ratio).
     Safe to call from any thread; dict copies are atomic under the GIL and a
     snapshot is allowed to be ~one increment stale.
     """
@@ -63,13 +63,11 @@ def build_snapshot(tracer: Any, *, label: Optional[str] = None) -> Dict[str, Any
     gauges = dict(metrics.gauges) if metrics is not None else {}
 
     derived: Dict[str, float] = {}
-    for key, hit, miss in (
-        ("cluster.resident_hit_rate", "cluster.resident_hit", "cluster.resident_miss"),
-        ("cluster.payload_hit_rate", "cluster.payload_hit", "cluster.payload_miss"),
-    ):
-        rate = _hit_rate(counters.get(hit, 0.0), counters.get(miss, 0.0))
-        if rate is not None:
-            derived[key] = rate
+    rate = _hit_rate(
+        counters.get("cluster.resident_hit", 0.0), counters.get("cluster.resident_miss", 0.0)
+    )
+    if rate is not None:
+        derived["cluster.resident_hit_rate"] = rate
     encoded = counters.get("wire.bytes_encoded", 0.0)
     if encoded > 0:
         derived["wire.compression"] = counters.get("wire.bytes", 0.0) / encoded

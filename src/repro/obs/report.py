@@ -26,8 +26,6 @@ SUMMARY_COUNTERS = (
     "cluster.state_token",
     "cluster.state_ship",
     "cluster.state_pulls",
-    "cluster.payload_hit",
-    "cluster.payload_miss",
     "plan.executions",
     "plan.tiles",
     "recovery.host_failures",
@@ -95,9 +93,9 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
         if span.name == "rpc":
             r = row(span.tags.get("round", 0), span.tags.get("host"))
             r["rpc_s"] += span.duration
-            if span.tags.get("kind") in ("site", "task"):
+            if span.tags.get("kind") == "site":
                 r["tasks"] += 1
-        elif span.name in ("site_task", "task") and "round" in span.tags:
+        elif span.name == "site_task" and "round" in span.tags:
             host = span.tags.get("host")
             r = row(span.tags["round"], host)
             r["task_s"] += span.duration
@@ -182,8 +180,6 @@ def render_protocol_summary(results: Dict[str, Any], *, title: Optional[str] = N
                 "bytes_per_word": summary["bytes_per_word"],
                 "resident_hit": summary["cluster.resident_hit"],
                 "resident_miss": summary["cluster.resident_miss"],
-                "payload_hit": summary["cluster.payload_hit"],
-                "payload_miss": summary["cluster.payload_miss"],
             }
         )
     return format_table(rows, title=title or "Per-protocol summary")

@@ -65,7 +65,6 @@ from repro.runtime.tasks import (
     SiteTask,
     SiteTaskResult,
     run_site_tasks,
-    run_tasks,
 )
 
 __all__ = [
@@ -89,5 +88,4 @@ __all__ = [
     "SiteTask",
     "SiteTaskResult",
     "run_site_tasks",
-    "run_tasks",
 ]

@@ -24,7 +24,9 @@ On a :class:`~repro.cluster.backend.ClusterBackend` the pairs are shipped
 through :meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`
 instead: payloads cross real sockets, the network ledger's wire ledger
 records every frame's bytes, and uplink messages come back stamped with the
-serialized size of their payload (``Message.n_bytes``).
+serialized size of their payload (``Message.n_bytes``).  Site tasks are the
+only work a cluster backend runs: every protocol, the uncertain ones
+included, is a sequence of rounds of this one task shape.
 
 State ownership follows the :mod:`repro.runtime.state` contract: the merged
 ``site.state`` is a *mutable mapping*, not necessarily the dict the task
@@ -78,7 +80,8 @@ class SiteContext:
     The context mirrors the :class:`~repro.distributed.network.Site` interface
     that protocol code relies on (``site_id``, ``shard``, ``local_metric``,
     ``state``, ``to_global``) so per-site phase functions read the same
-    whether they run inline or in a worker.  Transmissions go through
+    whether they run inline or in a worker.  ``local_metric`` is the site's
+    view of its input: a metric over its points, or its uncertain nodes.  Transmissions go through
     :meth:`send_to_coordinator`, which buffers them for deterministic replay
     into the ledger after the task joins.
     """
@@ -116,8 +119,8 @@ class SiteContext:
         return int(self.shard.size)
 
     def to_global(self, local_indices) -> np.ndarray:
-        """Map site-local indices to global point indices."""
-        return self.local_metric.to_parent(local_indices)
+        """Map site-local indices to global indices."""
+        return self.shard[np.asarray(local_indices, dtype=int)]
 
     def messages(self, kind: Optional[str] = None) -> List[Message]:
         """Messages delivered to this site this round (optionally of one kind)."""
@@ -323,95 +326,10 @@ def run_site_tasks(
     return results
 
 
-class _TracedCall:
-    """Picklable wrapper running a payload task under a fresh trace buffer.
-
-    Returns ``(value, buffer)`` so the coordinator can absorb the buffer;
-    ``fn`` and its result are untouched, keeping traced and untraced runs
-    bit-identical.
-    """
-
-    def __init__(self, fn: Callable[[Any], Any]):
-        self.fn = fn
-
-    def __call__(self, indexed_payload: Tuple[int, Any]) -> Tuple[Any, TraceBuffer]:
-        index, payload = indexed_payload
-        buffer = TraceBuffer(origin=f"task-{index}")
-        with collector_scope(buffer):
-            with buffer.span("task", index=index,
-                             fn=getattr(self.fn, "__name__", str(self.fn))):
-                value = self.fn(payload)
-        return value, buffer
-
-
-def run_tasks(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    *,
-    backend: BackendLike = None,
-    ledger=None,
-    round_index: int = 0,
-    tracer=None,
-) -> List[Any]:
-    """Evaluate ``fn`` over independent payloads on a backend, in order.
-
-    The structure-free sibling of :func:`run_site_tasks`, used by protocols
-    that manage their own ledger and timers (the uncertain Algorithms 3 and
-    4).  ``fn`` must be a module-level callable and each payload picklable
-    for the process and cluster backends.
-
-    ``ledger`` (a :class:`~repro.distributed.messages.CommunicationLedger`)
-    and ``round_index`` give a wire-capable backend somewhere to account the
-    frames it exchanges; in-process backends ignore both.  ``tracer`` (a
-    :class:`~repro.obs.trace.Tracer`) records a round span, per-task spans
-    and absorb events; ``None`` (the default) traces nothing.
-    """
-    payloads = list(payloads)
-    tracer = tracer or NULL_TRACER
-    with backend_scope(backend) as exec_backend:
-        with tracer.span("round", round=round_index, tasks=len(payloads),
-                         fn=getattr(fn, "__name__", str(fn)),
-                         backend=type(exec_backend).__name__):
-            t_dispatch = tracer.clock()
-            if tracer.enabled:
-                tracer.gauge("progress.round", round_index)
-                tracer.gauge("progress.tasks_in_flight", len(payloads))
-            traced_inline = False
-            submit_tasks = getattr(exec_backend, "submit_tasks", None)
-            if submit_tasks is not None:
-                wire = ledger.ensure_wire() if ledger is not None else None
-                extra = {"tracer": tracer} if tracer.enabled else {}
-                futures = submit_tasks(fn, payloads, round_index=round_index,
-                                       wire=wire, **extra)
-            elif tracer.enabled:
-                traced_inline = True
-                futures = exec_backend.submit_ordered(
-                    _TracedCall(fn), list(enumerate(payloads))
-                )
-            else:
-                futures = exec_backend.submit_ordered(fn, payloads)
-            _barrier_check(futures)
-            results: List[Any] = []
-            for index, future in enumerate(futures):
-                result = future.result()
-                if traced_inline:
-                    result, buffer = result
-                    tracer.absorb(buffer, window=(t_dispatch, tracer.clock()),
-                                  tags={"round": round_index})
-                if tracer.enabled:
-                    tracer.event("absorb", index=index, round=round_index)
-                    tracer.inc("progress.tasks_done")
-                    tracer.gauge("progress.tasks_in_flight",
-                                 len(payloads) - len(results) - 1)
-                results.append(result)
-            return results
-
-
 __all__ = [
     "Outgoing",
     "SiteContext",
     "SiteTask",
     "SiteTaskResult",
     "run_site_tasks",
-    "run_tasks",
 ]

@@ -1,4 +1,4 @@
-"""Tests for the ClusterBackend: registry, generic tasks, resident state, bytes."""
+"""Tests for the ClusterBackend: registry, site rounds, resident state, bytes."""
 
 import os
 
@@ -17,8 +17,8 @@ from repro.runtime import (
     register_backend,
     resolve_backend,
     run_site_tasks,
-    run_tasks,
 )
+from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -106,54 +106,54 @@ class TestRegistry:
 
 
 class TestGenericTasks:
-    def test_map_ordered_matches_serial(self, cluster2):
-        items = list(range(7))
-        assert cluster2.map_ordered(_square, items) == [x * x for x in items]
+    """Plain callables run as one round of site tasks (``run_site_round``)."""
 
     def test_empty_batch(self):
         backend = ClusterBackend(n_hosts=2)
         try:
-            assert backend.map_ordered(_square, []) == []
-            assert backend.socket_dir is None  # empty batches never spawn hosts
+            network = _make_network()
+            network.next_round()
+            assert run_site_tasks(network, [], backend=backend) == []
+            assert backend.socket_dir is None  # empty rounds never spawn hosts
         finally:
             backend.close()
 
     def test_original_exception_type_surfaces(self, cluster2):
         with pytest.raises(KeyError, match="payload 2 failed on purpose"):
-            cluster2.map_ordered(_raise_key_error, [2, 3])
-        # The runner survives a task failure and serves the next batch.
-        assert cluster2.map_ordered(_square, [6]) == [36]
-
-    def test_run_tasks_records_wire_bytes(self, cluster2):
-        from repro.distributed import CommunicationLedger
-
-        ledger = CommunicationLedger()
-        out = run_tasks(
-            _square, [1, 2, 3], backend=cluster2, ledger=ledger, round_index=4
-        )
-        assert out == [1, 4, 9]
-        wire = ledger.wire
-        assert wire is not None
-        assert wire.total_bytes() > 0
-        assert set(wire.bytes_by_round()) == {4}
-        assert set(wire.bytes_by_kind()) == {"task_dispatch", "task_result"}
+            run_site_round(cluster2, _raise_key_error, [2, 3])
+        # The runner survives a task failure and serves the next round.
+        assert run_site_round(cluster2, _square, [6]) == [36]
 
     def test_numpy_payloads_cross_the_wire(self, cluster2):
         arrays = [np.full((10, 10), i, dtype=float) for i in range(3)]
-        out = cluster2.map_ordered(_square, arrays)
+        out = run_site_round(cluster2, _square, arrays)
         for i, result in enumerate(out):
             np.testing.assert_array_equal(result, arrays[i] * arrays[i])
 
     def test_unpicklable_result_fails_task_not_host(self, cluster2):
         with pytest.raises(RuntimeError, match="could not be serialized"):
-            cluster2.map_ordered(_return_unpicklable, [1])
+            run_site_round(cluster2, _return_unpicklable, [1])
         # The runner relayed the failure instead of dying with it.
-        assert cluster2.map_ordered(_square, [3]) == [9]
+        assert run_site_round(cluster2, _square, [3]) == [9]
 
     def test_unpicklable_dispatch_fails_task_not_host(self, cluster2):
         with pytest.raises(RuntimeError, match="could not be serialized"):
-            cluster2.map_ordered(_square, [lambda: 1])
-        assert cluster2.map_ordered(_square, [4]) == [16]
+            run_site_round(cluster2, _square, [lambda: 1])
+        assert run_site_round(cluster2, _square, [4]) == [16]
+
+    def test_map_ordered_raises_type_error(self, cluster2):
+        """Site tasks are the only work a cluster pool or service lane runs."""
+        from repro.cluster import ClusterService
+
+        with ClusterService(n_hosts=1) as service:
+            lane = service.checkout()
+            try:
+                for backend in (cluster2, lane):
+                    for method in (backend.map_ordered, backend.submit_ordered):
+                        with pytest.raises(TypeError, match="run_site_tasks"):
+                            method(_square, [1])
+            finally:
+                lane.close()
 
 
 class TestSiteTasks:
@@ -265,7 +265,7 @@ class TestSiteTasks:
 class TestLifecycle:
     def test_close_removes_socket_dir_and_is_idempotent(self):
         backend = ClusterBackend(n_hosts=1)
-        assert backend.map_ordered(_square, [3]) == [9]
+        assert run_site_round(backend, _square, [3]) == [9]
         socket_dir = backend.socket_dir
         assert socket_dir is not None and os.path.exists(socket_dir)
         backend.close()
@@ -276,8 +276,8 @@ class TestLifecycle:
     def test_backend_restarts_after_close(self):
         backend = ClusterBackend(n_hosts=1)
         try:
-            assert backend.map_ordered(_square, [2]) == [4]
+            assert run_site_round(backend, _square, [2]) == [4]
             backend.close()
-            assert backend.map_ordered(_square, [5]) == [25]
+            assert run_site_round(backend, _square, [5]) == [25]
         finally:
             backend.close()

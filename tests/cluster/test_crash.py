@@ -12,6 +12,7 @@ from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
 from repro.runtime import SiteTask, backend_scope, run_site_tasks
+from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -51,7 +52,7 @@ class TestCrashPropagation:
         backend = ClusterBackend(n_hosts=1)
         try:
             with pytest.raises(RuntimeError, match="cluster host 0"):
-                backend.map_ordered(_kill_runner, [1])
+                run_site_round(backend, _kill_runner, [1])
         finally:
             backend.close()
 
@@ -59,9 +60,9 @@ class TestCrashPropagation:
         backend = ClusterBackend(n_hosts=1)
         try:
             with pytest.raises(RuntimeError, match="cluster host 0"):
-                backend.map_ordered(_kill_runner, [1])
+                run_site_round(backend, _kill_runner, [1])
             with pytest.raises(RuntimeError, match="cluster host 0"):
-                backend.map_ordered(_square, [2])
+                run_site_round(backend, _square, [2])
         finally:
             backend.close()
 
@@ -90,7 +91,7 @@ class TestCrashPropagation:
         clean RuntimeError naming the host instead of hanging."""
         backend = ClusterBackend(n_hosts=2)
         try:
-            backend.map_ordered(_square, [1, 2])  # spawn the hosts
+            run_site_round(backend, _square, [1, 2])  # spawn the hosts
             victim = backend._hosts[0]
             victim.process.kill()
             victim.process.wait(timeout=10)
@@ -107,10 +108,9 @@ class TestCrashPropagation:
     def test_surviving_hosts_keep_serving(self):
         backend = ClusterBackend(n_hosts=2)
         try:
-            # Item index picks the host: index 1 -> host 1 dies, host 0 lives.
+            # Site id picks the host: site 1 -> host 1 dies, host 0 lives.
             with pytest.raises(RuntimeError, match="cluster host 1"):
-                backend.map_ordered(_kill_runner_if_odd, [0, 1])
-            futures = backend.submit_tasks(_square, [8])  # index 0 -> host 0
-            assert futures[0].result() == 64
+                run_site_round(backend, _kill_runner_if_odd, [0, 1])
+            assert run_site_round(backend, _square, [8]) == [64]  # site 0 -> host 0
         finally:
             backend.close()

@@ -153,7 +153,8 @@ class TestWirePolicy:
         assert policy.codec_for("control") is NONE_CODEC
         # "auto" resolves to the best available compressor.
         assert policy.codec_for("site").name in ("zlib", "zstd")
-        assert policy.codec_for("task").name in ("zlib", "zstd")
+        assert policy.codec_for("replay").name in ("zlib", "zstd")
+        assert policy.codec_for("replay_pull") is NONE_CODEC
 
     def test_unknown_kind_is_uncompressed(self):
         assert WirePolicy.from_env({}).codec_for("mystery") is NONE_CODEC
@@ -161,7 +162,7 @@ class TestWirePolicy:
     def test_env_override_applies_to_compressible_kinds_only(self):
         policy = WirePolicy.from_env({WIRE_CODEC_ENV: "none"})
         assert policy.codec_for("site") is NONE_CODEC
-        assert policy.codec_for("task") is NONE_CODEC
+        assert policy.codec_for("replay") is NONE_CODEC
         policy = WirePolicy.from_env({WIRE_CODEC_ENV: "zlib"})
         assert policy.codec_for("site") is ZLIB_CODEC
         assert policy.codec_for("state_pull") is NONE_CODEC

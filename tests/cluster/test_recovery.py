@@ -25,7 +25,7 @@ from repro.cluster.recovery import resolve_retry_policy
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.runtime import SiteTask, run_site_tasks
-from tests.helpers import assert_counters_equal_ledger
+from tests.helpers import assert_counters_equal_ledger, run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -96,12 +96,11 @@ class TestRetryPolicy:
 class TestFaultPlan:
     def test_parse_round_trips_fields(self):
         plan = FaultPlan.parse(
-            "kill host=1 round=2 task=3 when=after kind=site; "
-            "delay kind=task seconds=0.5 once=true"
+            "kill host=1 round=2 task=3 when=after; delay seconds=0.5 once=true"
         )
         kill, delay = plan.actions
         assert (kill.op, kill.host, kill.round_index, kill.task) == ("kill", 1, 2, 3)
-        assert (kill.when, kill.kind) == ("after", "site")
+        assert kill.when == "after"
         assert (delay.op, delay.seconds, delay.once) == ("delay", 0.5, True)
 
     def test_parse_rejects_bad_specs(self):
@@ -111,6 +110,9 @@ class TestFaultPlan:
             FaultPlan.parse("kill host=x")
         with pytest.raises(ValueError):
             FaultPlan.parse("kill when=sometimes")
+        # Only site frames are dispatched, so there is no kind to filter on.
+        with pytest.raises(ValueError, match="unknown fault key 'kind'"):
+            FaultPlan.parse("delay kind=site seconds=0.002")
 
     def test_from_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_FAULT_PLAN", "kill host=0 task=1")
@@ -121,7 +123,7 @@ class TestFaultPlan:
 
     @pytest.mark.parametrize(
         "spec",
-        ["kill host=0 round=0 task=2 when=before", "kill host=0 task=2 when=io"],
+        ["kill host=0 round=1 task=2 when=before", "kill host=0 task=2 when=io"],
         ids=["before", "io"],
     )
     def test_control_frames_never_shift_a_trigger_point(self, spec):
@@ -129,14 +131,14 @@ class TestFaultPlan:
         plan = FaultPlan.parse(spec)
         backend = ClusterBackend(n_hosts=1, fault_plan=plan)
         try:
-            assert backend.map_ordered(abs, [-1]) == [1]
+            assert run_site_round(backend, abs, [-1]) == [1]
             backend.clear_resident()
             assert not plan.actions[0].fired
             if plan.actions[0].when == "before":
                 with pytest.raises(DeadHostError):
-                    backend.map_ordered(abs, [-2])
+                    run_site_round(backend, abs, [-2])
             else:
-                assert backend.map_ordered(abs, [-2]) == [2]
+                assert run_site_round(backend, abs, [-2]) == [2]
             assert plan.actions[0].fired
         finally:
             backend.close()
@@ -144,25 +146,25 @@ class TestFaultPlan:
     def test_delay_plan_never_changes_results(self):
         """A recurring delay fault is pure latency — results stay identical."""
         backend = ClusterBackend(
-            n_hosts=2, fault_plan=FaultPlan.parse("delay kind=task seconds=0.001")
+            n_hosts=2, fault_plan=FaultPlan.parse("delay seconds=0.001")
         )
         try:
-            assert backend.map_ordered(_double, [1, 2, 3, 4]) == [2, 4, 6, 8]
+            assert run_site_round(backend, _double, [1, 2, 3, 4]) == [2, 4, 6, 8]
         finally:
             backend.close()
 
 
 class TestTaskRecovery:
-    def test_kill_before_dispatch_recovers_map_ordered(self):
+    def test_kill_before_dispatch_recovers_the_round(self):
         backend = ClusterBackend(
             n_hosts=2,
             retry=RetryPolicy(max_retries=1),
-            fault_plan=FaultPlan.parse("kill host=1 round=0 task=1 when=before"),
+            fault_plan=FaultPlan.parse("kill host=1 round=1 task=1 when=before"),
         )
         try:
-            assert backend.map_ordered(_double, [10, 11, 12, 13]) == [20, 22, 24, 26]
-            # The dead host stays dead; later batches keep working on survivors.
-            assert backend.map_ordered(_double, [5, 6]) == [10, 12]
+            assert run_site_round(backend, _double, [10, 11, 12, 13]) == [20, 22, 24, 26]
+            # The dead host stays dead; later rounds keep working on survivors.
+            assert run_site_round(backend, _double, [5, 6]) == [10, 12]
         finally:
             backend.close()
 
@@ -171,8 +173,8 @@ class TestTaskRecovery:
             n_hosts=2,
             retry=RetryPolicy(max_retries=1),
             fault_plan=FaultPlan.parse(
-                "kill host=0 round=0 task=1 when=before; "
-                "kill host=1 round=0 task=1 when=before"
+                "kill host=0 round=1 task=1 when=before; "
+                "kill host=1 round=1 task=1 when=before"
             ),
         )
         try:
@@ -183,23 +185,23 @@ class TestTaskRecovery:
                 DeadHostError,
                 match="retry budget exhausted|no surviving cluster hosts",
             ):
-                backend.map_ordered(_double, [1, 2, 3, 4])
+                run_site_round(backend, _double, [1, 2, 3, 4])
         finally:
             backend.close()
 
     def test_fail_fast_error_names_tasks_round_and_epochs(self):
         backend = ClusterBackend(
             n_hosts=1,
-            fault_plan=FaultPlan.parse("kill host=0 round=0 task=1 when=before"),
+            fault_plan=FaultPlan.parse("kill host=0 round=1 task=1 when=before"),
         )
         try:
             with pytest.raises(DeadHostError) as excinfo:
-                backend.map_ordered(_double, [1])
+                run_site_round(backend, _double, [1])
         finally:
             backend.close()
         message = str(excinfo.value)
         assert "died mid-round" in message
-        assert "in-flight tasks:" in message and "task seq" in message
+        assert "in-flight tasks:" in message and "site seq" in message
         assert "last committed state epoch" in message
         assert excinfo.value.host_id == 0
 
@@ -309,11 +311,11 @@ class TestHeartbeat:
         backend = ClusterBackend(
             n_hosts=1,
             retry=RetryPolicy(max_retries=0, heartbeat_timeout=1.0),
-            fault_plan=FaultPlan.parse("stall host=0 round=0 task=1 when=before"),
+            fault_plan=FaultPlan.parse("stall host=0 round=1 task=1 when=before"),
         )
         try:
             with pytest.raises(DeadHostError, match="heartbeat"):
-                backend.map_ordered(_double, [1])
+                run_site_round(backend, _double, [1])
         finally:
             backend.close()
 
@@ -322,7 +324,7 @@ class TestCloseEscalation:
     def test_close_kills_a_stalled_runner(self):
         backend = ClusterBackend(n_hosts=1)
         try:
-            assert backend.map_ordered(_double, [1]) == [2]
+            assert run_site_round(backend, _double, [1]) == [2]
             process = backend._hosts[0].process
             process.send_signal(signal.SIGSTOP)
         finally:

@@ -14,7 +14,7 @@ import pytest
 
 from repro import partial_kmedian
 from repro.cluster import ClusterBackend
-from repro.cluster.wire import FRAME_KINDS, WireLedger
+from repro.cluster.wire import FRAME_KINDS
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
@@ -231,74 +231,6 @@ class TestClearResident:
             np.testing.assert_array_equal(
                 proxy["big"], np.full(4096, float(site_id))
             )
-
-
-def _payload_task(payload):
-    """Structure-free task body for the payload-residency tests below."""
-    return float(np.sum(payload["arr"]))
-
-
-class TestPayloadCacheLifecycle:
-    """Content-addressed payload residency dies with the slot it rode in on.
-
-    The coordinator mirrors each runner's :class:`PayloadCache`; both ends
-    must drop it together on ``clear_resident()`` and on warm-pool slot
-    eviction — a surviving runner-side copy would satisfy REFs for bytes
-    the accounting says were never re-shipped.
-    """
-
-    #: 32 KiB of incompressible (random) floats: the dispatch that ships it
-    #: stays ~raw-sized, the digest-only dispatch is two orders smaller.
-    _ARR = np.random.default_rng(7).normal(size=4096)
-
-    def _dispatch_once(self, backend, payload):
-        wire = WireLedger()
-        futures = backend.submit_tasks(_payload_task, [payload], wire=wire)
-        return futures[0].result(), wire.bytes_by_kind()["task_dispatch"]
-
-    def test_repeat_dispatch_collapses_to_digest(self, cluster2):
-        payload = {"arr": self._ARR, "tag": "lifecycle"}
-        v1, first = self._dispatch_once(cluster2, payload)
-        v2, second = self._dispatch_once(cluster2, payload)
-        assert v1 == v2 == float(np.sum(self._ARR))
-        assert first > 30_000
-        assert second < 2_048
-
-    def test_clear_resident_drops_both_payload_caches(self, cluster2):
-        payload = {"arr": self._ARR, "tag": "lifecycle-clear"}
-        self._dispatch_once(cluster2, payload)
-        def cached_entries(host):
-            # host.payloads maps job namespace -> PayloadCache; the default
-            # run lives under "".  Count entries across every namespace.
-            return sum(len(cache) for cache in host.payloads.values())
-
-        assert any(cached_entries(host) for host in cluster2._hosts)
-        cluster2.clear_resident()
-        assert all(cached_entries(host) == 0 for host in cluster2._hosts)
-        # The runner's copy died with the mirror: the re-dispatch ships the
-        # full bytes again (a stale runner cache would satisfy a REF and
-        # the dispatch would stay digest-sized).
-        value, reshipped = self._dispatch_once(cluster2, payload)
-        assert value == float(np.sum(self._ARR))
-        assert reshipped > 30_000
-
-    def test_slot_eviction_drops_payload_cache_and_reships(self, cluster2):
-        payload = {"arr": self._ARR, "tag": "lifecycle-evict"}
-        self._dispatch_once(cluster2, payload)
-        _, resident = self._dispatch_once(cluster2, payload)
-        assert resident < 2_048  # digest-only while residency lasts
-        # Two fresh protocol runs take over the hosts' site slots in turn;
-        # the second run's keys supersede the first's, and that eviction
-        # frame ends payload residency on both ends with the slot.
-        _two_rounds(cluster2)
-        _two_rounds(cluster2)
-        assert all(
-            sum(len(cache) for cache in host.payloads.values()) == 0
-            for host in cluster2._hosts
-        )
-        value, after = self._dispatch_once(cluster2, payload)
-        assert value == float(np.sum(self._ARR))
-        assert after > 30_000
 
 
 class TestKmedianDispatchCeiling:

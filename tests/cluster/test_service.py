@@ -4,7 +4,7 @@ Covers the service tentpole's acceptance surface:
 
 * concurrent jobs on one shared warm pool are bit-identical to their
   serial-backend runs, with disjoint wire ledgers and no cross-job
-  payload-cache or resident-state leakage;
+  resident-state leakage;
 * FIFO admission keyed on ``memory_budget`` admits >= 4 concurrent jobs
   and never starves an oversized job;
 * the coordinator runs **zero per-host threads** — one selector loop
@@ -27,9 +27,10 @@ from repro.cluster import (
     ClusterService,
     FaultPlan,
     RetryPolicy,
-    WireLedger,
 )
+from repro.distributed.messages import CommunicationLedger
 from repro.obs.sampler import read_resource_sample
+from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -41,10 +42,6 @@ def _double(x):
 def _slow_double(x):
     time.sleep(0.05)  # keep later tasks in flight when an io fault fires
     return x * 2
-
-
-def _payload_sum(payload):
-    return float(np.sum(payload["arr"]))
 
 
 def _points(seed=0, n=240):
@@ -109,34 +106,6 @@ class TestConcurrentJobs:
             j2.result(180), partial_kcenter(pts, 3, 8, n_sites=4, seed=5)
         )
 
-    def test_no_cross_job_payload_cache_leakage(self, service2):
-        """Identical payload bytes shipped by job A must re-ship for job B.
-
-        Payload caches are per job namespace on both ends: a digest-only
-        dispatch for B after A shipped the same content would mean B's wire
-        ledger lies about the bytes its run moved.
-        """
-        payload = {"arr": np.random.default_rng(9).normal(size=4096)}
-
-        def shipped(backend):
-            wire = WireLedger()
-            value = backend.submit_tasks(_payload_sum, [payload], wire=wire)[0].result()
-            return value, wire.bytes_by_kind()["task_dispatch"]
-
-        a = service2.checkout(label="cache-a")
-        b = service2.checkout(label="cache-b")
-        try:
-            assert a.job != b.job
-            _, first_a = shipped(a)
-            _, again_a = shipped(a)
-            assert first_a > 30_000        # full bytes on first contact
-            assert again_a < 2_048         # digest-only within the job...
-            _, first_b = shipped(b)
-            assert first_b > 30_000        # ...but never across jobs
-        finally:
-            a.close()
-            b.close()
-
     def test_resident_state_keyed_by_job_namespace(self, service2):
         """Two concurrent protocol runs keep per-job site slots on the pool."""
         pts = _points(6)
@@ -163,7 +132,7 @@ class TestAdmission:
 
             def job(backend):
                 started.wait()  # all four must be admitted simultaneously
-                return backend.map_ordered(_double, [1, 2, 3, 4])
+                return run_site_round(backend, _double, [1, 2, 3, 4])
 
             jobs = [
                 svc.submit(job, memory_budget="16MB", label=f"j{i}")
@@ -198,7 +167,7 @@ class TestAdmission:
         with ClusterService(n_hosts=1, capacity=10) as svc:
             backend = svc.checkout(memory_budget="64MB", label="oversized")
             try:
-                assert backend.map_ordered(_double, [7]) == [14]
+                assert run_site_round(backend, _double, [7]) == [14]
             finally:
                 backend.close()
 
@@ -228,7 +197,7 @@ class TestEventLoopShape:
 
         backend = ClusterBackend(n_hosts=3)
         try:
-            assert backend.map_ordered(_double, [1, 2, 3, 4, 5, 6]) == [
+            assert run_site_round(backend, _double, [1, 2, 3, 4, 5, 6]) == [
                 2, 4, 6, 8, 10, 12,
             ]
             new_threads = [
@@ -253,7 +222,7 @@ class TestEventLoopShape:
 
     def test_service_jobs_share_one_loop_thread(self, service2):
         jobs = [
-            service2.submit(lambda b: b.map_ordered(_double, [1, 2, 3]))
+            service2.submit(lambda b: run_site_round(b, _double, [1, 2, 3]))
             for _ in range(3)
         ]
         for j in jobs:
@@ -268,9 +237,9 @@ class TestIoFaults:
     def test_io_trigger_fires_at_exact_loop_ordinal(self):
         """A when=io kill lands while the loop handles host 0's 2nd reply.
 
-        The task sleeps, so host 0's later tasks are still in flight at the
-        trigger point: the kill forces a real re-dispatch, and the futures
-        can only resolve after recovery ran.
+        The task sleeps, so host 0's later site tasks are still in flight
+        at the trigger point: the kill forces a real replay, and the round
+        can only join after recovery ran.
         """
         plan = FaultPlan.parse("kill host=0 when=io task=2")
         assert plan.has_io_actions
@@ -278,14 +247,12 @@ class TestIoFaults:
             n_hosts=2, retry=RetryPolicy(max_retries=1), fault_plan=plan
         )
         try:
-            wire = WireLedger()
-            futures = backend.submit_tasks(
-                _slow_double, list(range(8)), wire=wire
-            )
-            assert [f.result() for f in futures] == [x * 2 for x in range(8)]
+            ledger = CommunicationLedger()
+            values = run_site_round(backend, _slow_double, range(8), ledger=ledger)
+            assert values == [x * 2 for x in range(8)]
             assert plan.actions[0].fired
             assert backend.dead_hosts() == {0: backend.dead_hosts()[0]}
-            events = wire.summary()["recovery"]
+            events = ledger.wire.summary()["recovery"]
             assert len(events) == 1 and events[0]["host"] == 0
         finally:
             backend.close()
@@ -297,8 +264,8 @@ class TestIoFaults:
         assert plan.next_io_ordinal(1) == 2
         assert plan.next_io_ordinal(0) == 2
         # The only io action matches host 1's 3rd loop-handled reply, ever.
-        assert plan.take(1, 0, "task", 2, "io") == []
-        assert len(plan.take(1, 5, "task", 3, "io")) == 1
+        assert plan.take(1, 0, 2, "io") == []
+        assert len(plan.take(1, 5, 3, "io")) == 1
 
     def test_io_fault_protocol_run_stays_bit_identical(self):
         pts = _points(11, n=180)
@@ -322,7 +289,7 @@ class TestBrokenPoolRetirement:
             backend = svc.checkout(label="doomed")
             pool = backend._pool
             with pytest.raises(RuntimeError, match="cluster host 0"):
-                backend.map_ordered(_die, [1])
+                run_site_round(backend, _die, [1])
             assert pool.dead_hosts()
             backend.close()
             # The wreck was retired with its scratch dir; the next checkout
@@ -331,6 +298,6 @@ class TestBrokenPoolRetirement:
             fresh = svc.checkout(label="replacement")
             try:
                 assert fresh._pool is not pool
-                assert fresh.map_ordered(_double, [4]) == [8]
+                assert run_site_round(fresh, _double, [4]) == [8]
             finally:
                 fresh.close()

@@ -28,8 +28,7 @@ from repro.core.algorithm1_modified import distributed_partial_median_no_shippin
 from repro.distributed.messages import CommunicationLedger
 from repro.obs.live import TelemetrySession
 from repro.obs.trace import Tracer
-from repro.runtime.tasks import run_tasks
-from tests.helpers import assert_counters_equal_ledger
+from tests.helpers import assert_counters_equal_ledger, run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -57,7 +56,7 @@ def _assert_same_result(base, other):
 
 @pytest.fixture(scope="module")
 def live_run(tmp_path_factory):
-    """One slow structure-free round on cluster:3 with the full plane on.
+    """One slow round of site tasks on cluster:3 with the full plane on.
 
     Heartbeats every 20ms against a 0.4s task guarantee mid-run liveness
     traffic on every host; the snapshot thread writes JSONL rows at the
@@ -78,9 +77,9 @@ def live_run(tmp_path_factory):
     ledger = CommunicationLedger()
     try:
         with session.watch(tracer):
-            results = run_tasks(
-                _sleep_task, [(i, SLEEP_S) for i in range(3)],
-                backend=backend, ledger=ledger, round_index=1, tracer=tracer,
+            results = run_site_round(
+                backend, _sleep_task, [(i, SLEEP_S) for i in range(3)],
+                tracer=tracer, ledger=ledger,
             )
     finally:
         backend.close()

@@ -92,9 +92,9 @@ class TestTracedClusterParity:
         )
         _assert_same_result(base, traced)
         assert_counters_equal_ledger(traced)
-        # Structure-free tasks cross as task frames, counted all the same.
-        assert traced.trace.counter("wire.bytes.task_dispatch") > 0
-        assert traced.trace.counter("wire.bytes.task_result") > 0
+        # Its rounds cross as site frames, like every other protocol's.
+        assert traced.trace.counter("wire.bytes.site_dispatch") > 0
+        assert traced.trace.counter("wire.bytes.site_result") > 0
 
     def test_center_g(self, small_uncertain_workload, cluster3):
         base = uncertain_partial_kcenter_g(

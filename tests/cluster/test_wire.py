@@ -70,7 +70,7 @@ class TestRawEncodedSplit:
         )
         wire.record(round_index=1, host=0, direction="recv", kind="site_result", n_bytes=40)
         wire.record(
-            round_index=2, host=1, direction="send", kind="task_dispatch",
+            round_index=2, host=1, direction="send", kind="replay_dispatch",
             n_bytes=50, raw_bytes=100, codec="zlib",
         )
         return wire
@@ -89,7 +89,7 @@ class TestRawEncodedSplit:
         assert wire.total_bytes() == 190
         assert wire.total_raw_bytes() == 390
         assert wire.raw_bytes_by_kind() == {
-            "site_dispatch": 250, "site_result": 40, "task_dispatch": 100,
+            "site_dispatch": 250, "site_result": 40, "replay_dispatch": 100,
         }
         assert wire.raw_bytes_by_direction() == {"send": 350, "recv": 40}
 
@@ -98,7 +98,7 @@ class TestRawEncodedSplit:
         ratios = wire.compression_by_kind()
         assert ratios["site_dispatch"] == 2.5
         assert ratios["site_result"] == 1.0
-        assert ratios["task_dispatch"] == 2.0
+        assert ratios["replay_dispatch"] == 2.0
         assert wire.compression_ratio() == pytest.approx(390 / 190)
 
     def test_summary_has_raw_and_compression(self):
@@ -106,7 +106,7 @@ class TestRawEncodedSplit:
         assert summary["raw_bytes"] == 390
         assert summary["compression"] == pytest.approx(390 / 190)
         assert summary["raw_by_kind"]["site_dispatch"] == 250
-        assert summary["compression_by_kind"]["task_dispatch"] == 2.0
+        assert summary["compression_by_kind"]["replay_dispatch"] == 2.0
         assert summary["raw_by_direction"] == {"send": 350, "recv": 40}
 
     def test_record_mirrors_into_tracer_counters(self):
@@ -118,7 +118,7 @@ class TestRawEncodedSplit:
                     n_bytes=40, tracer=tracer)
         wire.record(round_index=2, host=1, direction="send", kind="replay_dispatch",
                     n_bytes=30, raw_bytes=70, codec="zlib", tracer=tracer)
-        wire.record(round_index=2, host=1, direction="recv", kind="replay_task_result",
+        wire.record(round_index=2, host=1, direction="recv", kind="replay_pull_result",
                     n_bytes=20, tracer=tracer)
         wire.record(round_index=2, host=1, direction="recv", kind="hb", n_bytes=9)
         assert tracer.metrics.counters == {
@@ -128,8 +128,8 @@ class TestRawEncodedSplit:
             "wire.bytes.site_dispatch": 250, "wire.bytes_encoded.site_dispatch": 100,
             "wire.bytes.site_result": 40, "wire.bytes_encoded.site_result": 40,
             "wire.bytes.replay_dispatch": 70, "wire.bytes_encoded.replay_dispatch": 30,
-            "wire.bytes.replay_task_result": 20,
-            "wire.bytes_encoded.replay_task_result": 20,
+            "wire.bytes.replay_pull_result": 20,
+            "wire.bytes_encoded.replay_pull_result": 20,
             # Encoded bytes of the replay* frames only.
             "recovery.replay_bytes": 50,
         }
@@ -228,7 +228,7 @@ class TestLedgerIndices:
     def test_merge_carries_wire_ledgers(self):
         a, b = CommunicationLedger(), CommunicationLedger()
         b.ensure_wire().record(
-            round_index=1, host=0, direction="send", kind="task_dispatch", n_bytes=77
+            round_index=1, host=0, direction="send", kind="site_dispatch", n_bytes=77
         )
         a.merge(b)
         assert a.total_bytes() == 77

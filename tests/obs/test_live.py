@@ -40,8 +40,8 @@ class TestBuildSnapshot:
         snapshot = build_snapshot(make_tracer())
         assert snapshot["gauges"]["cluster.resident_hit_rate"] == pytest.approx(0.75)
         assert snapshot["gauges"]["wire.compression"] == pytest.approx(2.0)
-        # No payload counters -> no payload hit-rate gauge (absent, not NaN).
-        assert "cluster.payload_hit_rate" not in snapshot["gauges"]
+        # No resident counters -> no hit-rate gauge (absent, not NaN).
+        assert "cluster.resident_hit_rate" not in build_snapshot(Tracer())["gauges"]
 
     def test_label_and_clock(self):
         snapshot = build_snapshot(make_tracer(), label="bench")

@@ -253,9 +253,9 @@ class TestRoundReportOrder:
             wire.record(round_index=1, host=host, direction="send",
                         kind="site_dispatch", n_bytes=10)
         wire.record(round_index=2, host=3, direction="send",
-                    kind="task_dispatch", n_bytes=10)
-        # A task span without a host tag: work that ran on the coordinator.
-        tracer.add_span("task", 0.0, 0.1, round=1)
+                    kind="site_dispatch", n_bytes=10)
+        # A site-task span without a host tag: work that ran in-process.
+        tracer.add_span("site_task", 0.0, 0.1, round=1)
         rows = round_report(_fake_cluster_result(tracer, wire))
         assert [(r["round"], r["host"]) for r in rows] == [
             (1, "-"), (1, 0), (1, 1), (1, 2), (1, 10), (1, 11), (2, 3),

@@ -103,6 +103,26 @@ class TestClusterProtocolParity:
         _assert_cluster_bytes(base, other)
         assert base.metadata["tau_hat"] == other.metadata["tau_hat"]
 
+    @pytest.mark.parametrize(
+        "protocol", [uncertain_partial_kmedian, uncertain_partial_kcenter_g],
+        ids=["uncertain_kmedian", "center_g"],
+    )
+    def test_uncertain_uplink_is_accounted(self, small_uncertain_workload, protocol):
+        """The uncertain protocols' uplink is stamped like every other protocol's.
+
+        Each site-to-coordinator message crossed a socket carrying its real
+        payload, so the ledger knows its wire size.
+        """
+        result = protocol(
+            small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42,
+            backend="cluster:2",
+        )
+        uplink = [m for m in result.ledger.messages if m.to_coordinator]
+        assert uplink
+        for message in uplink:
+            assert message.payload is not None, message.kind
+            assert message.n_bytes is not None and message.n_bytes > 0, message.kind
+
     def test_cluster_spec_string(self, small_workload, cluster3):
         """``backend="cluster:3"`` (fresh pool) matches the shared instance."""
         base = partial_kmedian(
@@ -131,11 +151,11 @@ class TestRecoveryParity:
 
     PLAN = "kill host=2 round=1 task=1 when=after"
 
-    def _run_with_kill(self, fn, *args, plan=None, **kwargs):
+    def _run_with_kill(self, fn, *args, **kwargs):
         backend = ClusterBackend(
             n_hosts=3,
             retry=RetryPolicy(max_retries=1),
-            fault_plan=FaultPlan.parse(plan or self.PLAN),
+            fault_plan=FaultPlan.parse(self.PLAN),
         )
         try:
             result = fn(*args, backend=backend, **kwargs)
@@ -174,12 +194,9 @@ class TestRecoveryParity:
         base = uncertain_partial_kmedian(
             small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42, backend="serial"
         )
-        # Algorithm 3 fans out structure-free tasks (no resident site state),
-        # so the kill fires *before* the dispatch: the in-flight task is what
-        # recovery re-dispatches (the ``replay_task`` path).
         other = self._run_with_kill(
             uncertain_partial_kmedian, small_uncertain_workload.instance, 3, 6,
-            n_sites=3, seed=42, plan="kill host=2 round=1 task=1 when=before",
+            n_sites=3, seed=42,
         )
         _assert_same_result(base, other)
         assert base.metadata["node_assignment"] == other.metadata["node_assignment"]

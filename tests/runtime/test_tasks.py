@@ -6,7 +6,7 @@ import pytest
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
-from repro.runtime import SiteTask, run_site_tasks, run_tasks
+from repro.runtime import SiteTask, run_site_tasks
 from repro.utils.rng import spawn_rngs
 
 ALL_BACKENDS = ["serial", "thread", "process"]
@@ -119,24 +119,3 @@ class TestRunSiteTasks:
         network = _make_network()
         with pytest.raises(ValueError, match="multiple tasks"):
             run_site_tasks(network, [SiteTask(0, _rng_task), SiteTask(0, _rng_task)])
-
-
-def _double(payload):
-    return payload * 2
-
-
-def _fail_on_two(payload):
-    if payload == 2:
-        raise KeyError("payload two")
-    return payload
-
-
-class TestRunTasks:
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_plain_map(self, backend):
-        assert run_tasks(_double, [1, 2, 3], backend=backend) == [2, 4, 6]
-
-    @pytest.mark.parametrize("backend", ALL_BACKENDS)
-    def test_exception_propagates(self, backend):
-        with pytest.raises(KeyError, match="payload two"):
-            run_tasks(_fail_on_two, [1, 2, 3], backend=backend)
