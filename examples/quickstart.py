@@ -129,20 +129,20 @@ def running_on_a_cluster_backend(points, k, t) -> None:
     ``ctx.state`` (for kmedian, the precluster with its cached
     ``n_i x n_i`` cost matrix) stays resident on the runner, and the result
     frame carries only a *digest* — the entry keys, each entry's pickled
-    size, and a state epoch.  The next round's dispatch ships an epoch
-    token instead of re-pickling the dict, so round >= 2 dispatches cost
-    kilobytes where they used to cost the whole precluster.
+    size, and a state epoch — which recovery uses to check a replayed
+    copy.  The next round's dispatch ships an epoch token instead of
+    re-pickling the dict, so round >= 2 dispatches cost kilobytes where
+    they used to cost the whole precluster.
 
-    On the coordinator, ``Site.state`` becomes a lazy
-    :class:`repro.runtime.RemoteStateProxy`: reading an entry faults
-    exactly that entry over the wire (recorded as ``state_pull_*`` frames
-    in the wire ledger), writes ride along with the next dispatch token,
-    ``state.pull_state()`` materialises everything (detaching the proxy
-    from the wire), ``state.evict()`` drops the local read cache, and
-    ``ClusterBackend.clear_resident()`` pulls live proxies before dropping
-    both resident halves — so even a mid-run clear stays bit-identical.
-    In-process backends still hand the state dict back directly; protocol
-    results are identical either way.
+    As in the paper's coordinator model, the coordinator knows only what
+    the sites send it: drivers build their results from the sites'
+    messages and their tasks' return values, and never read site state.
+    On the cluster backend ``Site.state`` is an opaque
+    :class:`repro.runtime.ResidentState` handle (resident key, site id,
+    epoch); only the site's own next dispatch uses it.  In-process
+    backends hand the state dict back; protocol results are identical
+    either way.  Without a fault, a run's frames are site dispatches and
+    site results (plus runner heartbeats), nothing else.
 
     Results are bit-identical to ``"serial"`` in every configuration: same
     centers, same cost, same word ledger.  Only ``total_bytes`` (and
@@ -328,7 +328,7 @@ def wire_codecs(points, k, t) -> None:
       compressed.  The default :class:`repro.cluster.WirePolicy`
       compresses site frames with the best available codec (zstd via
       the ``zstd`` extra — ``pip install .[zstd]`` — else stdlib zlib) and
-      leaves latency-sensitive ``state_pull``/control frames uncompressed.
+      leaves heartbeat frames uncompressed.
       ``REPRO_WIRE_CODEC=none|zlib|zstd`` overrides the compressible
       kinds; an unavailable zstd silently falls back to zlib, so the
       override never changes results, only bytes.  Compression is kept
@@ -466,9 +466,9 @@ def observability(points, k, t) -> None:
     the tracer's ``wire.bytes*`` counters (raw and encoded, per direction
     and per frame kind), so mid-run snapshots see the bytes too.  Counters
     surface what the lower layers did: ``cluster.resident_hit/miss``
-    (runner-resident shard+metric), ``cluster.state_pulls`` (lazy state
-    faults), ``plan.executions``/``plan.tiles`` (fused passes),
-    ``blocked.spills``.
+    (runner-resident shard+metric), ``cluster.state_token/ship`` (state
+    referenced by epoch or shipped whole), ``plan.executions``/
+    ``plan.tiles`` (fused passes), ``blocked.spills``.
     """
     from repro.obs import protocol_summary, render_round_report
 

@@ -79,7 +79,6 @@ def one_round_protocol(
                 )
             summary = summarize_local_solution(site, solution)
         summaries.append(summary)
-        site.state["local_solution"] = solution
         network.send_to_coordinator(
             site.site_id,
             "local_solution",
@@ -120,9 +119,7 @@ def one_round_protocol(
         metadata={
             "algorithm": "one_round_baseline",
             "epsilon": float(epsilon),
-            "t_shipped_per_site": [
-                int(s.state["local_solution"].outlier_indices.size) for s in network.sites
-            ],
+            "t_shipped_per_site": [int(s.outlier_points.size) for s in summaries],
             "n_coordinator_demands": int(combine.demand_points.size),
             "realized_assignment": combine.realized_assignment,
         },

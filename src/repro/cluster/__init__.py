@@ -9,7 +9,8 @@ protocol runs as, the uncertain ones included — over real length-prefixed
 socket connections (:mod:`repro.cluster.framing`), keeps each site's shard,
 its view of the input (local metric, or its uncertain nodes) *and its
 mutable round state* resident on its runner across rounds (state returns as
-a digest and is faulted lazily — see :mod:`repro.runtime.state`),
+a digest, and the coordinator holds only a handle — see
+:mod:`repro.runtime.state`),
 compresses the bulky frame kinds under a per-kind codec policy
 (:class:`~repro.cluster.framing.WirePolicy` — pickle protocol 5 with
 out-of-band numpy buffers, zlib or zstd frame compression), and

@@ -17,21 +17,20 @@ claims honest:
   communication ledger can stamp per-message ``n_bytes`` (plus its
   codec-priced ``n_bytes_encoded``) next to the semantic word counts.
 * **Codec frames.**  Frames are encoded under a
-  :class:`~repro.cluster.framing.WirePolicy` (site traffic compressed,
-  latency-sensitive state pulls and control frames not; the
-  ``REPRO_WIRE_CODEC`` environment override reaches the runners through
-  their inherited environment).
+  :class:`~repro.cluster.framing.WirePolicy` (site and replay frames
+  compressed; the ``REPRO_WIRE_CODEC`` environment override reaches the
+  runners through their inherited environment).
 * **Resident site state.**  A site's heavy immutable half — its shard and
   its view of the input (local metric, or its uncertain nodes) — is
   shipped once per protocol run and kept resident on its runner (sites are
   pinned to hosts by ``site_id % n_hosts``).  The *mutable* half gets the
   same treatment: after a site task completes, its ``ctx.state`` stays on
   the runner and only a digest (keys, per-entry pickled sizes, a state
-  epoch) crosses back; the next dispatch ships an epoch token instead of
-  the dict, and the coordinator's ``Site.state`` becomes a
-  :class:`~repro.runtime.state.RemoteStateProxy` that faults individual
-  entries over the wire only on explicit access.  Later rounds therefore
-  pay wire cost only for what actually changed.
+  epoch) crosses back; the coordinator's ``Site.state`` becomes an opaque
+  :class:`~repro.runtime.state.ResidentState` handle, and the next dispatch
+  ships an epoch token instead of the dict.  The coordinator never reads
+  site state: drivers get what they need from the sites' messages and
+  their tasks' return values.
 
 Site tasks are the only work the pool runs: :meth:`submit_site_pairs`
 returns one future per site task, and the round scheduler
@@ -96,13 +95,7 @@ from repro.cluster.recovery import (
 from repro.cluster.wire import WireLedger
 from repro.obs.sampler import RESOURCE_SAMPLE_ENV
 from repro.runtime.backends import ExecutionBackend, default_worker_count
-from repro.runtime.state import (
-    RemoteStateProxy,
-    STATE_TOKEN_TAG,
-    is_state_token,
-    materialize_state,
-)
-from repro.utils.timing import Timer
+from repro.runtime.state import ResidentState, STATE_TOKEN_TAG, is_state_token
 
 
 class _HostDied(Exception):
@@ -114,30 +107,25 @@ class _Pending:
 
     __slots__ = (
         "future", "wire", "round_index", "kind", "convert", "tracer", "t_send",
-        # Job namespace the frame belongs to ("" for direct backend use):
-        # a re-issued state pull stays on the owning job's books.
-        "job",
         # Recovery book-keeping: the site log + record a "site" frame
-        # belongs to, the (key, keys) of a re-issuable state pull, and the
-        # fault-plan dispatch ordinal for after-triggers.
-        "site_log", "record_index", "pull_info", "fault_ordinal",
+        # belongs to, and the fault-plan dispatch ordinal for after-triggers.
+        "site_log", "record_index", "fault_ordinal",
     )
 
-    def __init__(self, future, wire, round_index, kind, convert, job=""):
+    def __init__(self, future, wire, round_index, kind, convert,
+                 site_log, record_index, fault_ordinal):
         self.future = future
         self.wire = wire
         self.round_index = round_index
         self.kind = kind
         self.convert = convert
-        self.job = job
         #: Set only on traced runs: the run tracer plus the dispatch instant
         #: (tracer clock), bracketing the frame's wire span on receipt.
         self.tracer = None
         self.t_send = 0.0
-        self.site_log = None
-        self.record_index = None
-        self.pull_info = None
-        self.fault_ordinal = None
+        self.site_log = site_log
+        self.record_index = record_index
+        self.fault_ordinal = fault_ordinal
 
 
 class _Host:
@@ -159,7 +147,7 @@ class _Host:
         #: Shared bookkeeping for this host's death, created by ``_mark_dead``
         #: when the death is within the retry budget: whichever thread
         #: replays one of the host's site logs (the recovery thread, or a
-        #: racing dispatch/pull that got the log lock first) records its
+        #: racing dispatch that got the log lock first) records its
         #: re-pin and frame count here, and the recovery thread emits the
         #: merged event.  Guarded by the backend's ``_retry_lock``.
         self.recovery_stats: Optional[Dict[str, Any]] = None
@@ -167,9 +155,6 @@ class _Host:
         #: host's socket produced; the heartbeat monitor compares it against
         #: the policy's timeout while work is in flight.
         self.last_seen = 0.0
-        #: Accumulated runner-side frame overhead (``cluster:*`` labels from
-        #: result-frame extras).  Touched only by the event-loop thread.
-        self.runner_timer = Timer()
         self.resident_keys: Set[Any] = set()
         #: (job, site_id) -> resident key currently cached on the runner for
         #: that slot; a new key for the same slot evicts the old one remotely,
@@ -222,11 +207,10 @@ class ClusterBackend(ExecutionBackend):
         self._seq = 0
         self._submit_lock = threading.Lock()
         self._start_lock = threading.Lock()
-        #: resident_key -> weakref of the *current-epoch* proxy for that
-        #: key's mutable state; used to materialise proxies before their
-        #: runner-side copy is evicted or cleared.
-        self._live_state: Dict[Any, "weakref.ref[RemoteStateProxy]"] = {}
-        self._state_lock = threading.Lock()
+        #: resident_key -> weakref of the key's current state handle: the
+        #: only handle a dispatch may reference, and the sign that a site
+        #: still holds the state, so recovery must replay it.
+        self._handles: Dict[Any, "weakref.ref[ResidentState]"] = {}
         #: resident_key -> replayable dispatch log, one per resident key.
         self._site_logs: Dict[Any, SiteLog] = {}
         self._logs_lock = threading.Lock()
@@ -504,11 +488,9 @@ class ClusterBackend(ExecutionBackend):
         if self._monitor_timer is not None:
             self._monitor_timer.cancel()
             self._monitor_timer = None
-        with self._state_lock:
-            # Runner-resident state dies with the runners; attached proxies
-            # raise a "backend is closed" error on their next fault instead
-            # of silently re-spawning a pool that never held their state.
-            self._live_state.clear()
+        # Runner-resident state dies with the runners: a handle dispatched
+        # after close is no longer current and fails its dispatch.
+        self._handles.clear()
         if loop is not None:
             loop.stop()
         if hosts is not None:
@@ -690,11 +672,10 @@ class ClusterBackend(ExecutionBackend):
     def _log_epoch_for(self, entry: _Pending) -> Optional[int]:
         return entry.site_log.epoch if entry.site_log is not None else None
 
-    def _has_live_proxy(self, key: Any) -> bool:
-        with self._state_lock:
-            ref = self._live_state.get(key)
-        proxy = ref() if ref is not None else None
-        return proxy is not None and not proxy.detached
+    def _live_handle(self, key: Any) -> Optional[ResidentState]:
+        """The key's current state handle, if a site still holds it."""
+        ref = self._handles.get(key)
+        return ref() if ref is not None else None
 
     def _host_by_id(self, host_id: Optional[int]) -> Optional[_Host]:
         hosts = self._hosts
@@ -780,8 +761,9 @@ class ClusterBackend(ExecutionBackend):
         sequence and each replayed digest verified against the recorded one.
         Historical results are discarded; the final record resolves the
         original in-flight future (``log.pending`` or ``adopt_final``) via
-        the regular site-result converter, and any still-live state proxy is
-        rebound to the new location.  Returns the number of replayed frames.
+        the regular site-result converter, or else moves the site's current
+        state handle to the replayed epoch.  Returns the number of replayed
+        frames.
         """
         # Placement hands a zero budget the dead host itself; a spent budget
         # refuses any further replay.  Either way the site's last committed
@@ -807,14 +789,8 @@ class ClusterBackend(ExecutionBackend):
                 # Record i's token referenced the epoch record i-1 produced;
                 # on the target that is whatever epoch the previous replay
                 # just returned.
-                state = (STATE_TOKEN_TAG, epoch, state[2], state[3])
+                state = (STATE_TOKEN_TAG, epoch)
             is_final = index == final_index and resolve is not None
-            convert = None
-            if is_final:
-                convert = self._site_result_converter(
-                    target, log.key, log.site_id, rec.wire, rec.round_index,
-                    rec.tracer, log.job,
-                )
             if rec.tracer is not None:
                 rec.tracer.inc("recovery.replayed_frames")
             future = self._submit_frame(
@@ -824,24 +800,23 @@ class ClusterBackend(ExecutionBackend):
                     traced=is_final and rec.traced,
                 ),
                 wire=rec.wire, round_index=rec.round_index, kind="replay",
-                convert=convert, tracer=rec.tracer, job=log.job,
+                convert=None, tracer=rec.tracer, job=log.job,
             )
             replayed += 1
             result = future.result()  # raises if the target died too
-            if is_final:
-                epoch, sizes = result.state.epoch, result.state.sizes
-            else:
-                _, epoch, sizes = result["state"]
+            _, epoch, sizes = result["state"]
             self._verify_replay_digest(log, index, epoch, sizes)
             if is_final:
                 log.digests[index] = (epoch, dict(sizes))
                 if not resolve.done():
-                    resolve.set_result(result)
+                    resolve.set_result(
+                        self._site_result_converter(log.key, log.site_id)(result)
+                    )
         log.epoch = epoch
         log.location = target.host_id
         if origin is not None and origin.recovery_stats is not None:
-            # Whoever replayed this log — the recovery thread, or a dispatch/
-            # pull that beat it to the log lock — contributes to the death's
+            # Whoever replayed this log — the recovery thread, or a dispatch
+            # that beat it to the log lock — contributes to the death's
             # shared bookkeeping; the recovery thread emits the merged event.
             with self._retry_lock:
                 stats = origin.recovery_stats
@@ -853,23 +828,12 @@ class ClusterBackend(ExecutionBackend):
                         stats["wire"] = log.records[-1].wire
                     if stats["tracer"] is None:
                         stats["tracer"] = log.records[-1].tracer
-        if pending is None and adopt_final is None:
-            # Every record was already complete: the run may still hold a
-            # live proxy over the old location — point it at the replayed
-            # copy (same content, new host, new epoch).
-            with self._state_lock:
-                ref = self._live_state.get(log.key)
-            proxy = ref() if ref is not None else None
-            if proxy is not None and not proxy.detached and proxy.owner() is self:
-                rec = log.records[final_index]
-                proxy.rebind(
-                    lambda keys, host=target, key=log.key, epoch=epoch, rec=rec:
-                        self._pull_state_entries(
-                            host, key, epoch, keys, rec.wire, rec.round_index,
-                            rec.tracer, log.job,
-                        ),
-                    epoch=epoch,
-                )
+        handle = self._live_handle(log.key)
+        if resolve is None and handle is not None:
+            # Every record was already complete: the site's handle names the
+            # old copy's epoch — move it to the replayed copy's, so its next
+            # dispatch token references the state the target now holds.
+            handle.epoch = epoch
         return replayed
 
     def _recover_host(self, host: _Host, pending: List[Tuple[int, _Pending]],
@@ -880,9 +844,8 @@ class ClusterBackend(ExecutionBackend):
         lock resolve first (failing another recovery's in-flight replay
         frames promptly — that thread owns the log lock we would otherwise
         wait on), then every site log located on the dead host replays onto
-        its re-pin target, then in-flight state pulls re-issue against the
-        replayed copies.  Any failure here fails the affected futures with a
-        :class:`DeadHostError` — never silently.
+        its re-pin target.  Any failure here fails the affected futures with
+        a :class:`DeadHostError` — never silently.
         """
         repin: Dict[int, int] = {}
         replayed = 0
@@ -892,14 +855,11 @@ class ClusterBackend(ExecutionBackend):
         t0 = tracer.clock() if tracer is not None else 0.0
         try:
             site_entries: List[_Pending] = []
-            pull_entries: List[_Pending] = []
             for seq, entry in pending:
                 if entry.future.done():
                     continue
                 if entry.kind == "site" and entry.site_log is not None:
                     site_entries.append(entry)
-                elif entry.kind in ("state_pull", "replay_pull") and entry.pull_info is not None:
-                    pull_entries.append(entry)
                 else:
                     entry.future.set_exception(
                         DeadHostError(
@@ -920,11 +880,11 @@ class ClusterBackend(ExecutionBackend):
                     if (
                         host.hb_account[0] is None
                         and log.pending is None
-                        and not self._has_live_proxy(key)
+                        and self._live_handle(key) is None
                     ):
-                        # Nothing waits on this state, nobody can read it, and
-                        # no run is accounting against this host (the
-                        # dispatch-time (wire, tracer) pair is cleared by
+                        # Nothing waits on this state, no site holds its
+                        # handle, and no run is accounting against this host
+                        # (the dispatch-time (wire, tracer) pair is cleared by
                         # ``detach_run_accounting`` when a run ends): skip the
                         # replay, let the next dispatch re-ship the full
                         # context through the ordinary miss path.  While a run
@@ -947,18 +907,6 @@ class ClusterBackend(ExecutionBackend):
                             round_index=entry.round_index,
                         )
                     )
-            for entry in pull_entries:
-                # Follows the site log to the replayed copy of the state.
-                key, keys = entry.pull_info
-                try:
-                    value = self._pull_state_entries(
-                        host, key, None, keys, entry.wire, entry.round_index,
-                        entry.tracer, entry.job,
-                    )
-                except Exception as exc:  # noqa: BLE001 - relayed to the waiter
-                    entry.future.set_exception(exc)
-                else:
-                    entry.future.set_result(value)
         except BaseException as exc:  # noqa: BLE001 - relayed to every waiter
             error = exc if isinstance(exc, DeadHostError) else DeadHostError(
                 f"recovery of cluster host {host.host_id} failed: {exc!r} "
@@ -971,8 +919,8 @@ class ClusterBackend(ExecutionBackend):
                     entry.future.set_exception(error)
             return
         with self._retry_lock:
-            # Merge replay contributions — including those from dispatches or
-            # pulls that beat this thread to a site-log replay, which would
+            # Merge replay contributions — including those from dispatches
+            # that beat this thread to a site-log replay, which would
             # otherwise leave the event empty.  Pass 2 above blocked on every
             # log's lock, so all replays of this host's logs are recorded.
             stats = host.recovery_stats
@@ -1142,7 +1090,7 @@ class ClusterBackend(ExecutionBackend):
         if entry is None:  # pragma: no cover - defensive
             return
         plan = self.fault_plan
-        if plan is not None and plan.has_io_actions and entry.kind != "control":
+        if plan is not None and plan.has_io_actions:
             # Loop-dispatch trigger point: the Nth reply frame the event
             # loop handles for this host, in arrival order — which the
             # single loop serialises, so an io-triggered kill/stall/
@@ -1188,18 +1136,14 @@ class ClusterBackend(ExecutionBackend):
         # A site result's state slot is its (tag, epoch, sizes) digest.
         digest = value["state"] if entry.site_log is not None else None
         extras = frame[3] if len(frame) > 3 else None
-        if extras:
-            timer = extras.get("timer")
-            if timer is not None:
-                host.runner_timer.merge(timer)
-            if entry.tracer is not None:
-                buffer = extras.get("trace")
-                if buffer is not None:
-                    entry.tracer.absorb(
-                        buffer,
-                        window=(entry.t_send, t_recv),
-                        tags={"round": entry.round_index, "host": host.host_id},
-                    )
+        if extras and entry.tracer is not None:
+            buffer = extras.get("trace")
+            if buffer is not None:
+                entry.tracer.absorb(
+                    buffer,
+                    window=(entry.t_send, t_recv),
+                    tags={"round": entry.round_index, "host": host.host_id},
+                )
         try:
             if entry.convert is not None:
                 value = entry.convert(value)
@@ -1229,13 +1173,14 @@ class ClusterBackend(ExecutionBackend):
         convert: Optional[Callable[[Any], Any]],
         tracer=None,
         job: str = "",
-        entry_extra: Optional[Dict[str, Any]] = None,
+        site_log: Optional[SiteLog] = None,
+        record_index: Optional[int] = None,
         on_dead: str = "fail",
     ) -> Future:
         """Encode, register and enqueue one frame; returns its future.
 
-        ``entry_extra`` lands on the pending entry's recovery slots (site
-        log + record, re-issuable pull).  ``on_dead`` chooses what a
+        ``site_log`` and ``record_index`` name the dispatch record a site
+        frame carries, for recovery.  ``on_dead`` chooses what a
         registration racing the host's death does: ``"fail"`` (default)
         resolves the future with the death, ``"raise"`` throws
         :class:`_HostDied` so the caller can re-target and replay.
@@ -1275,11 +1220,10 @@ class ClusterBackend(ExecutionBackend):
             # sets ``dead`` before draining ``pending``, so either this entry
             # lands in the drain or the death is observed here — never an
             # unresolved future.
-            entry = _Pending(future, wire, round_index, kind, convert, job)
-            entry.fault_ordinal = fault_ordinal
-            if entry_extra:
-                for slot, value in entry_extra.items():
-                    setattr(entry, slot, value)
+            entry = _Pending(
+                future, wire, round_index, kind, convert,
+                site_log, record_index, fault_ordinal,
+            )
             if tracer is not None and tracer.enabled:
                 entry.tracer = tracer
                 entry.t_send = tracer.clock()
@@ -1342,11 +1286,12 @@ class ClusterBackend(ExecutionBackend):
         ``(shard, local_metric)`` sticky half is shipped only the first time
         the host sees the context's ``resident_key`` — later rounds reuse the
         runner-resident copy.  Mutable state gets the same residency: when
-        ``ctx.state`` is the :class:`~repro.runtime.state.RemoteStateProxy`
-        this backend produced for the same key, the dispatch carries only an
-        epoch token plus the coordinator's write overlay; otherwise (first
-        round, residency cleared, foreign proxy) the full dict is shipped
-        and the runner adopts it.
+        ``ctx.state`` is the key's current
+        :class:`~repro.runtime.state.ResidentState` handle, the dispatch
+        carries only an epoch token; a plain dict (first round) is shipped
+        whole and the runner adopts it.  Any other handle — superseded by a
+        later round, or from a closed pool — fails its dispatch with a
+        :class:`RuntimeError` naming the key.
 
         Every dispatch appends a
         :class:`~repro.cluster.recovery.SiteDispatchRecord` to the key's
@@ -1354,7 +1299,7 @@ class ClusterBackend(ExecutionBackend):
         A key whose host died is replayed onto its placement under the log
         lock before anything new is dispatched for it; on a zero or spent
         budget the dispatch's future fails with :class:`DeadHostError`
-        instead.
+        instead.  Failures reach the caller through the site's future.
         """
         pairs = list(pairs)
         if not pairs:
@@ -1367,7 +1312,7 @@ class ClusterBackend(ExecutionBackend):
                     task, ctx, wire=wire, round_index=round_index,
                     tracer=tracer, job=job,
                 )
-            except DeadHostError as exc:
+            except RuntimeError as exc:  # DeadHostError or a stale handle
                 future = Future()
                 future.set_exception(exc)
             futures.append(future)
@@ -1413,11 +1358,9 @@ class ClusterBackend(ExecutionBackend):
                     target,
                     self._site_frame(target, log, record, state, ctx.rng, traced),
                     wire=wire, round_index=round_index, kind="site",
-                    convert=self._site_result_converter(
-                        target, key, ctx.site_id, wire, round_index, tracer, job
-                    ),
+                    convert=self._site_result_converter(key, ctx.site_id),
                     tracer=tracer, job=job, on_dead="raise",
-                    entry_extra={"site_log": log, "record_index": index},
+                    site_log=log, record_index=index,
                 )
             except _HostDied:
                 # The target died between placement and registration.  The
@@ -1437,9 +1380,9 @@ class ClusterBackend(ExecutionBackend):
         Used by first dispatch and replay alike.  The sticky half ships only
         when the host does not hold the key yet.  A fresh key for an
         already-seen ``(job, site)`` slot means a new protocol run took the
-        slot over: the superseded key is evicted remotely (its live proxy
-        materialised first, its dispatch log dropped), so a shared warm pool
-        never grows runner memory or site logs with dead runs.  Slots are
+        slot over: the superseded key is evicted remotely (its handle and
+        dispatch log dropped), so a shared warm pool never grows runner
+        memory or site logs with dead runs.  Slots are
         per job namespace, so concurrent jobs with identical site ids never
         evict each other.
         """
@@ -1450,7 +1393,7 @@ class ClusterBackend(ExecutionBackend):
             sticky = log.sticky
             stale = host.resident_by_site.get((log.job, log.site_id))
             if stale is not None and stale != key:
-                self._detach_resident_key(stale)
+                self._handles.pop(stale, None)
                 evict.append(stale)
                 host.resident_keys.discard(stale)
                 with self._logs_lock:
@@ -1479,38 +1422,24 @@ class ClusterBackend(ExecutionBackend):
     def _encode_dispatch_state(self, state: Any, key: Any) -> Any:
         """What the dispatch frame carries in its state slot.
 
-        An attached current-epoch proxy of this backend collapses to its
-        epoch token (plus the coordinator-side write overlay); anything else
-        — a plain dict, a detached proxy, a proxy of another backend —
-        materialises into a full dict the runner adopts.
+        The key's current handle becomes its ``(STATE_TOKEN_TAG, epoch)``
+        token; a plain dict ships whole.  Any other handle is refused.
         """
-        if (
-            isinstance(state, RemoteStateProxy)
-            and not state.detached
-            and state.owner() is self
-            and state.resident_key == key
-        ):
-            with self._state_lock:
-                ref = self._live_state.get(key)
-            if ref is not None and ref() is state:
-                return state.dispatch_token()
-        return materialize_state(state)
+        if not isinstance(state, ResidentState):
+            return state
+        if state.resident_key != key or self._live_handle(key) is not state:
+            raise RuntimeError(
+                f"site {state.site_id}'s state handle (epoch {state.epoch}) is not "
+                f"the current handle of resident key {key!r}: a later round "
+                "superseded it, or the pool that holds the state was closed"
+            )
+        return (STATE_TOKEN_TAG, state.epoch)
 
-    def _site_result_converter(
-        self,
-        host: _Host,
-        key: Any,
-        site_id: int,
-        wire: Optional[WireLedger],
-        round_index: int,
-        tracer=None,
-        job: str = "",
-    ) -> Callable[[dict], Any]:
+    def _site_result_converter(self, key: Any, site_id: int) -> Callable[[dict], Any]:
         """Build the wire->SiteTaskResult decoder for one dispatched site task.
 
-        Runs on the event-loop thread when the result frame arrives; the
-        frame's state digest becomes a :class:`RemoteStateProxy` registered
-        as the key's current-epoch view.
+        The frame's state digest becomes a :class:`ResidentState` handle,
+        registered as the key's current one.
         """
         from repro.runtime.tasks import Outgoing, SiteTaskResult
 
@@ -1522,129 +1451,18 @@ class ClusterBackend(ExecutionBackend):
                 )
                 for kind, blob, words, n_bytes, n_encoded in result["outbox"]
             ]
-            _, epoch, sizes = result["state"]
-            proxy = RemoteStateProxy(
-                resident_key=key,
-                site_id=site_id,
-                epoch=epoch,
-                sizes=sizes,
-                fetch=lambda keys: self._pull_state_entries(
-                    host, key, epoch, keys, wire, round_index, tracer, job
-                ),
-                owner=self,
-            )
-            with self._state_lock:
-                self._live_state[key] = weakref.ref(proxy)
+            handle = ResidentState(key, site_id, result["state"][1])
+            self._handles[key] = weakref.ref(handle)
             return SiteTaskResult(
                 site_id=result["site_id"],
                 value=result["value"],
-                state=proxy,
+                state=handle,
                 timer=result["timer"],
                 rng=result["rng"],
                 outbox=outbox,
             )
 
         return convert
-
-    def _pull_state_entries(
-        self,
-        host: _Host,
-        key: Any,
-        epoch: Optional[int],
-        keys: Sequence[str],
-        wire: Optional[WireLedger],
-        round_index: int,
-        tracer=None,
-        job: str = "",
-    ) -> Dict[str, Any]:
-        """Fault resident-state entries from a runner (a proxy read missed).
-
-        The pull frames land in the same wire ledger as the round that
-        produced the digest, so the ledger stays an honest account of every
-        byte the protocol's state handling moved.
-
-        When the owning host has died, the pull follows the site's dispatch
-        log to the replayed copy of the state (replaying the log onto its
-        placement first if recovery has not reached it yet) and is charged
-        as a ``replay_pull`` frame.  A zero or spent retry budget refuses
-        the replay, so the read raises :class:`DeadHostError` naming the
-        host and the site's last committed epoch.
-        """
-        hosts = self._hosts
-        if hosts is None or host not in hosts:
-            raise RuntimeError(
-                f"cannot fault state entries {list(keys)!r} for {key!r}: the "
-                "cluster backend holding them was closed (pull_state() first)"
-            )
-        keys = list(keys)
-        kind = "state_pull"
-        while True:
-            if host.dead is not None:
-                with self._logs_lock:
-                    log = self._site_logs.get(key)
-                located = None
-                if log is not None:
-                    with log.lock:
-                        located = self._ensure_located_locked(log)
-                        epoch = log.epoch
-                if located is None:
-                    raise DeadHostError(
-                        f"state entries {keys!r} of {key!r} are unreachable and "
-                        f"there is no dispatch log to replay: {host.dead}",
-                        host_id=host.host_id, round_index=round_index,
-                    )
-                host, kind = located, "replay_pull"
-            if tracer is not None and tracer.enabled:
-                tracer.inc("cluster.state_pulls")
-                if kind == "replay_pull":
-                    tracer.inc("recovery.replayed_frames")
-                tracer.event(
-                    "state_pull", host=host.host_id, round=round_index,
-                    epoch=epoch, keys=len(keys),
-                )
-            try:
-                future = self._submit_frame(
-                    host,
-                    lambda seq, epoch=epoch: ("pull_state", seq, key, epoch, keys),
-                    wire=wire, round_index=round_index, kind=kind, convert=None,
-                    tracer=tracer, job=job, on_dead="raise",
-                    entry_extra={"pull_info": (key, keys)},
-                )
-            except _HostDied:
-                continue  # died between the liveness check and registration
-            return future.result()
-
-    def _detach_resident_key(self, key: Any) -> None:
-        """Forget a key's proxy registration, materialising it if still alive.
-
-        Called right before the runner-side copy goes away (slot eviction,
-        :meth:`clear_resident`): a live proxy pulls its remaining entries so
-        nothing the coordinator could still read is lost; a dead proxy means
-        nobody can read the state anymore and nothing needs shipping.
-        """
-        with self._state_lock:
-            ref = self._live_state.pop(key, None)
-        proxy = ref() if ref is not None else None
-        if proxy is not None and not proxy.detached:
-            proxy.pull_state()
-
-    def runner_timers(self) -> Dict[int, Timer]:
-        """Per-host runner overhead totals merged from result-frame extras.
-
-        Every result frame carries the runner's own ``cluster:*`` timer for
-        that frame (task execution, outbox/digest encoding); the reader
-        threads fold them into one accumulating :class:`Timer` per host.
-        The returned timers are snapshots — safe to read after
-        :meth:`close`, empty when the pool never started.
-        """
-        if self._hosts is None:
-            return {}
-        out: Dict[int, Timer] = {}
-        for host in self._hosts:
-            snapshot = Timer()
-            snapshot.merge(host.runner_timer)
-            out[host.host_id] = snapshot
-        return out
 
     def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """Refuse generic callables: the pool runs site tasks only."""
@@ -1654,43 +1472,6 @@ class ClusterBackend(ExecutionBackend):
         )
 
     submit_ordered = map_ordered
-
-    def clear_resident(self) -> None:
-        """Drop all runner-resident site state (frees memory on shared pools).
-
-        Everything resident goes: the sticky ``(shard, local_metric)``
-        copies and the mutable per-site state.  Live state proxies are
-        materialised first — their remaining entries are pulled to the
-        coordinator — so a mid-run clear loses nothing: the next dispatch
-        simply re-ships the full context (sticky half, state dict) and
-        results stay bit-identical.
-        """
-        if self._hosts is None:
-            return
-        with self._state_lock:
-            keys = list(self._live_state)
-        for key in keys:
-            self._detach_resident_key(key)
-        with self._logs_lock:
-            # Dispatch logs checkpoint *resident* state; once nothing is
-            # resident there is nothing left to replay.
-            self._site_logs.clear()
-        futures = []
-        for host in self._hosts:
-            if host.dead is not None:
-                continue
-            host.resident_keys.clear()
-            host.resident_by_site.clear()
-            # Its own kind: neither a fault plan's dispatch ordinals nor
-            # its io ordinals count a control frame.
-            futures.append(
-                self._submit_frame(
-                    host, lambda seq: ("clear_resident", seq),
-                    wire=None, round_index=0, kind="control", convert=None,
-                )
-            )
-        for future in futures:
-            future.result()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "stopped" if self._hosts is None else "running"

@@ -26,8 +26,8 @@ On top of the body sits a per-frame codec: ``none`` (identity), ``zlib``
 silently falls back to zlib when the module is absent, so both ends of a
 channel agree without negotiation).  Compression is an explicit
 size-vs-decode-time tradeoff chosen per frame *kind* by a
-:class:`WirePolicy`: latency-sensitive state pulls and control frames stay
-uncompressed while shard/payload shipping is compressed.  A codec that
+:class:`WirePolicy`: site frames and their replays, which ship shards and
+payloads, are compressed; heartbeats are not.  A codec that
 fails to shrink a body (or a body under :data:`MIN_COMPRESS_BYTES`) is
 dropped for that frame — the wire never carries a frame larger than its
 raw form, and the choice is deterministic so repeated runs exchange
@@ -279,20 +279,14 @@ def encode_frame(obj: Any, codec: Union[str, Codec, None] = None) -> EncodedFram
 # ---------------------------------------------------------------------------
 
 #: Frame kinds whose payloads are worth compressing: site dispatch/result
-#: (shard + metric shipping) and their replays.  State pulls are
-#: latency-sensitive faults and control frames are tiny — both stay
-#: uncompressed.
+#: (shard + metric shipping) and their replays.
 COMPRESSIBLE_KINDS = ("site", "replay")
 
 _DEFAULT_POLICY: Dict[str, str] = {
     "site": "auto",
-    "state_pull": "none",
-    "control": "none",
-    # Recovery traffic mirrors the kinds it replays: re-executed site
-    # dispatches compress like the originals, re-issued state pulls stay
-    # latency-sensitive and uncompressed.
+    # Recovery traffic mirrors the kind it replays: re-executed site
+    # dispatches compress like the originals.
     "replay": "auto",
-    "replay_pull": "none",
     # Heartbeats are a tiny tuple (plus, with telemetry on, one small
     # resource-sample dict) sent on a liveness deadline — never worth a
     # codec pass.  Listed for documentation; ``codec_for`` would default
@@ -309,8 +303,8 @@ WIRE_CODEC_ENV = "REPRO_WIRE_CODEC"
 
 @dataclass(frozen=True)
 class WirePolicy:
-    """Maps base frame kinds (``site``/``state_pull``/``control``)
-    to the codec their frames are encoded with, in both directions."""
+    """Maps base frame kinds (``site``/``replay``/``hb``) to the codec
+    their frames are encoded with, in both directions."""
 
     codecs: Mapping[str, Codec]
 

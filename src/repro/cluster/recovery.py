@@ -28,9 +28,9 @@ This module holds the coordinator-side vocabulary of that story:
   dispatch log the backend appends every site dispatch to, whatever the
   budget: everything needed to rebuild a dead host's resident site state
   on a survivor (fn/args/kwargs, the pickled RNG stream, the inbox, the
-  exact state slot that was shipped — epoch token with its write overlay,
-  or the full dict) plus the ``(epoch, sizes)`` digest of every completed
-  record for replay verification.
+  exact state slot that was shipped — epoch token or the full dict) plus
+  the ``(epoch, sizes)`` digest of every completed record for replay
+  verification.
 
 The heavy machinery — death classification, re-pinning, replay — lives in
 :class:`~repro.cluster.backend.ClusterBackend`, which owns the sockets and
@@ -198,11 +198,11 @@ class FaultPlan:
     ``after`` | ``io``, default ``before``), ``seconds`` (float, ``delay``
     only), ``once`` (``true`` | ``false``).  The plan is thread-safe;
     dispatch ordinals are counted per ``(host, round)`` over site frames
-    only, so control traffic never shifts a trigger point.  ``when=io``
+    only, so replay traffic never shifts a trigger point.  ``when=io``
     ordinals are counted separately, per host, over the reply frames the
-    coordinator's event loop handles for that host (heartbeats and control
-    chatter excluded) — the loop serialises per-host frame handling, so an
-    io trigger point is race-free by construction.
+    coordinator's event loop handles for that host (heartbeats excluded) —
+    the loop serialises per-host frame handling, so an io trigger point is
+    race-free by construction.
     """
 
     def __init__(self, actions: Sequence[FaultAction]):
@@ -298,8 +298,7 @@ class SiteDispatchRecord:
     """Everything one site dispatch needs to be re-executed elsewhere.
 
     ``state`` is the *exact* object the original frame carried in its state
-    slot — an epoch token ``(tag, epoch, writes, deleted)`` with the
-    coordinator's write overlay, or a materialised dict.  Token epochs are
+    slot — an epoch token ``(tag, epoch)`` or the full dict.  Token epochs are
     rewritten positionally during replay (the replay target assigns its own
     monotonic epochs), which is sound because record *i*'s token always
     references the state produced by record *i-1*.  ``rng_bytes`` pins the

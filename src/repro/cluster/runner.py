@@ -3,7 +3,7 @@
 One runner is spawned per simulated host.  It connects back to the
 coordinator over a unix-domain socket, announces itself, then serves
 dispatch frames until it is told to shut down (or its socket dies with the
-coordinator).  It serves four frame shapes:
+coordinator).  It serves two frame shapes:
 
 ``("site", seq, resident_key, sticky, dyn, evict)``
     One site's share of a protocol round — the only task shape the cluster
@@ -16,43 +16,31 @@ coordinator).  It serves four frame shapes:
     drop (a new run reusing the site slot), bounding resident memory by the
     number of live site slots.  ``dyn`` carries the per-round payload (task
     function, arguments, site state, RNG stream, inbox) — where the *state*
-    slot is either a plain dict (first round, or residency was cleared) or a
-    :data:`~repro.runtime.state.STATE_TOKEN_TAG` token ``(tag, epoch,
-    writes, deleted)`` referencing the **mutable state this runner already
-    holds** from the previous round, with the coordinator's write overlay
-    applied on top.  After the task runs, the new state stays resident under
-    ``resident_key`` at ``epoch + 1`` and the reply carries only a
+    slot is either a plain dict (the site's first round) or a
+    :data:`~repro.runtime.state.STATE_TOKEN_TAG` token ``(tag, epoch)``
+    naming the **mutable state this runner already holds** from the
+    previous round.  After the task runs, the new state stays resident
+    under ``resident_key`` at ``epoch + 1`` and the reply carries only a
     :data:`~repro.runtime.state.STATE_DIGEST_TAG` digest (keys, per-entry
-    pickled sizes, the new epoch) — never the dict itself.  The reply
-    ``("site_res", seq, result, extras)`` also encodes every buffered
-    site-to-coordinator payload *individually*, so the coordinator learns
-    the exact serialized size of each semantic message (the ``n_bytes`` it
-    stamps on the communication ledger).  ``extras`` carries the frame's
-    runner-overhead ``Timer`` (``cluster:task``, ``cluster:encode``) plus,
-    when ``dyn["trace"]`` is set, the task's
+    pickled sizes, the new epoch), which recovery checks a replayed copy
+    against — never the dict itself.  The reply ``("site_res", seq, result,
+    extras)`` also encodes every buffered site-to-coordinator payload
+    *individually*, so the coordinator learns the exact serialized size of
+    each semantic message (the ``n_bytes`` it stamps on the communication
+    ledger).  ``extras`` carries, when ``dyn["trace"]`` is set, the task's
     :class:`~repro.obs.trace.TraceBuffer`, which the coordinator absorbs
-    onto its trace timeline.  The site's own timer additionally gains a
+    onto its trace timeline.  The site's own timer gains a
     ``cluster:encode`` label (outbox/digest encoding is genuine site-side
     work), so cluster site timers carry the serial labels plus
-    ``cluster:*`` extras.
-
-``("pull_state", seq, resident_key, epoch, keys)``
-    Fault individual resident-state entries back to the coordinator (lazy
-    proxy access, e.g. final solution extraction).  The epoch must match the
-    resident copy — a stale proxy faulting after a newer round is an error,
-    not silently newer data.  Reply ``("res", seq, {key: value})``.
-
-``("clear_resident", seq)``
-    Drop every resident entry — the sticky halves and the mutable state.
-    Reply ``("res", seq, None)``.
+    ``cluster:encode``.
 
 ``("shutdown",)``
     Reply ``("bye", host_id)`` and exit.
 
-Every reply frame is encoded under the :class:`~repro.cluster.framing.WirePolicy`
-resolved from the runner's (inherited) environment — site replies get the
-compressing codec, state pulls and control frames stay uncompressed —
-so both directions of a channel agree on codecs without negotiation.
+Every site reply is encoded under the ``site`` codec of the
+:class:`~repro.cluster.framing.WirePolicy` resolved from the runner's
+(inherited) environment, so both directions of a channel agree on codecs
+without negotiation.
 
 When the pool's retry policy sets a heartbeat timeout (or a telemetry
 session asks for runner resource samples), the runner is spawned with
@@ -92,14 +80,13 @@ from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
 from repro.obs.sampler import read_resource_sample, resource_samples_enabled
 from repro.obs.trace import TraceBuffer, collector_scope
 from repro.runtime.state import STATE_DIGEST_TAG, is_state_token
-from repro.utils.timing import Timer
 
 
 def _resolve_state(resident_key, dyn_state, resident_state: Dict[Any, Tuple[int, dict]]):
     """The state dict a site task runs against, honouring resident epochs."""
     if not is_state_token(dyn_state):
         return dict(dyn_state) if dyn_state else {}
-    _, epoch, writes, deleted = dyn_state
+    _, epoch = dyn_state
     entry = resident_state.get(resident_key)
     if entry is None:
         raise RuntimeError(
@@ -112,9 +99,6 @@ def _resolve_state(resident_key, dyn_state, resident_state: Dict[Any, Tuple[int,
             f"resident state for {resident_key!r} is at epoch {held_epoch}, "
             f"but the dispatch references epoch {epoch}"
         )
-    for key in deleted:
-        state.pop(key, None)
-    state.update(writes)
     return state
 
 
@@ -148,7 +132,6 @@ def _execute_site(
 
     trace_on = bool(dyn.get("trace"))
     buffer = TraceBuffer(origin=f"host-{host_id}") if trace_on else None
-    frame_timer = Timer()
     ctx = SiteContext(
         site_id=dyn["site_id"],
         shard=shard,
@@ -161,18 +144,15 @@ def _execute_site(
     if buffer is not None:
         with collector_scope(buffer):
             with buffer.span("site_task", site=ctx.site_id):
-                with frame_timer.measure("cluster:task"):
-                    value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
+                value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
     else:
-        with frame_timer.measure("cluster:task"):
-            value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
+        value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
 
     # Encoding the outbox and state digest is genuine site-side work the
     # serial path never pays; it lands in the site's own timer under a
-    # ``cluster:`` label (so cluster site timers are the serial label set
-    # plus ``cluster:*``) and in the frame timer the coordinator folds into
-    # its per-host runner totals.
-    with ctx.timer.measure("cluster:encode"), frame_timer.measure("cluster:encode"):
+    # ``cluster:`` label, so cluster site timers are the serial label set
+    # plus ``cluster:encode``.
+    with ctx.timer.measure("cluster:encode"):
         # Encode each buffered transmission separately: the byte length of
         # one payload here is exactly the n_bytes the coordinator stamps on
         # the corresponding ledger message, and running the frame's codec
@@ -188,10 +168,8 @@ def _execute_site(
             outbox.append((out.kind, blob, out.words, len(blob), n_encoded))
 
         # The mutable state stays where it was produced; the coordinator
-        # gets a digest (keys, per-entry pickled sizes, the new epoch) and
-        # faults entries individually through "pull_state" on demand.  The
-        # sizes are measured with the same encoder a fault would use, so the
-        # digest prices each entry at its true wire cost.
+        # gets a digest (keys, per-entry pickled sizes, the new epoch) that
+        # fingerprints it, so recovery can check a replayed copy.
         previous = resident_state.get(resident_key)
         epoch = (previous[0] if previous is not None else 0) + 1
         resident_state[resident_key] = (epoch, ctx.state)
@@ -205,31 +183,8 @@ def _execute_site(
         "rng": ctx.rng,
         "outbox": outbox,
     }
-    extras: Dict[str, Any] = {"timer": frame_timer}
-    if buffer is not None:
-        extras["trace"] = buffer
+    extras = {"trace": buffer} if buffer is not None else {}
     return ("site_res", seq, result, extras)
-
-
-def _execute_pull_state(frame: Tuple, resident_state: Dict[Any, Tuple[int, dict]]) -> Tuple:
-    """Fault resident-state entries back to the coordinator (lazy proxy read)."""
-    _, seq, resident_key, epoch, keys = frame
-    entry = resident_state.get(resident_key)
-    if entry is None:
-        raise RuntimeError(
-            f"runner holds no resident mutable state for {resident_key!r} "
-            "(evicted, cleared, or never produced)"
-        )
-    held_epoch, state = entry
-    if held_epoch != epoch:
-        raise RuntimeError(
-            f"resident state for {resident_key!r} advanced to epoch {held_epoch}; "
-            f"the proxy faulting epoch {epoch} is stale"
-        )
-    missing = [key for key in keys if key not in state]
-    if missing:
-        raise KeyError(missing[0])
-    return ("res", seq, {key: state[key] for key in keys})
 
 
 def _exception_frame(seq: int, exc: BaseException) -> Tuple:
@@ -240,12 +195,6 @@ def _exception_frame(seq: int, exc: BaseException) -> Tuple:
     except Exception:
         return ("exc", seq, None, tb)
     return ("exc", seq, exc, tb)
-
-
-#: Reply codec per dispatch tag: answers travel under the same base kind's
-#: codec as their request, so the coordinator's ledger prices both
-#: directions of a kind consistently.
-_REPLY_KIND = {"site": "site", "pull_state": "state_pull"}
 
 
 def _heartbeat_interval() -> float:
@@ -292,7 +241,9 @@ def serve(channel: FrameChannel, host_id: int) -> None:
     """Serve dispatch frames until shutdown or coordinator disconnect."""
     resident: Dict[Any, Tuple] = {}
     resident_state: Dict[Any, Tuple[int, dict]] = {}
-    policy = WirePolicy.from_env()
+    # Replies travel under the same base kind's codec as their request, so
+    # the coordinator's ledger prices both directions of a kind consistently.
+    site_codec = WirePolicy.from_env().codec_for("site")
     send_lock = threading.Lock()
     stop = threading.Event()
 
@@ -338,22 +289,14 @@ def serve(channel: FrameChannel, host_id: int) -> None:
                 except OSError:
                     pass
                 return
-            if tag == "clear_resident":
-                resident.clear()
-                resident_state.clear()
-                send(("res", frame[1], None))
-                continue
             seq = frame[1]
-            codec = policy.codec_for(_REPLY_KIND.get(tag, "control"))
+            codec = site_codec
             try:
-                if tag == "site":
-                    response = _execute_site(
-                        frame, resident, resident_state, host_id, codec
-                    )
-                elif tag == "pull_state":
-                    response = _execute_pull_state(frame, resident_state)
-                else:
+                if tag != "site":
                     raise RuntimeError(f"unknown frame tag {tag!r}")
+                response = _execute_site(
+                    frame, resident, resident_state, host_id, codec
+                )
             except BaseException as exc:  # noqa: BLE001 - relayed to the coordinator
                 response = _exception_frame(seq, exc)
                 codec = NONE_CODEC

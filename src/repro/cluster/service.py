@@ -112,9 +112,6 @@ class ServiceBackend(ExecutionBackend):
     def detach_run_accounting(self) -> None:
         self._pool.detach_run_accounting(job=self.job)
 
-    def runner_timers(self):
-        return self._pool.runner_timers()
-
     @property
     def n_hosts(self) -> int:
         return self._pool.n_hosts

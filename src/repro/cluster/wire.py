@@ -7,7 +7,9 @@ The :class:`WireLedger` is its physical twin: it records the bytes each
 dispatch and result frame actually occupied on a runner socket, so a run on
 the cluster backend can report words *and* bytes side by side (the
 bytes-per-word ratio is what makes transmission claims comparable to
-byte-level schemes in the literature).
+byte-level schemes in the literature).  Those frames are site dispatches
+and results (``replay_*`` when recovery re-executes a dead host's log) and
+runner heartbeats: the coordinator reads nothing else from a runner.
 
 Since the framing layer grew per-frame codecs, every record carries a
 raw/encoded *pair*: ``n_bytes`` is what physically crossed the socket
@@ -33,13 +35,12 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
 #: Frame kinds a cluster run can record, per direction: every dispatch kind
-#: pairs with its ``*_result`` response.  ``state_pull`` frames exist only
-#: when coordinator code faults runner-resident state entries (lazy site
-#: state proxies); a protocol whose rounds never read heavy state records
-#: none.  ``replay_*`` kinds exist only on runs that recovered from a runner
-#: death: ``replay`` frames re-execute a dead host's site dispatch log on a
-#: survivor and ``replay_pull`` re-issues its in-flight state faults — the
-#: byte cost of recovery, accounted as honestly as the rest of the wire.
+#: pairs with its ``*_result`` response.  ``site`` frames carry a protocol
+#: round's site tasks; the coordinator reads nothing else from a runner.
+#: ``replay_*`` kinds exist only on runs that recovered from a runner death:
+#: ``replay`` frames re-execute a dead host's site dispatch log on a
+#: survivor — the byte cost of recovery, accounted as honestly as the rest
+#: of the wire.
 #: ``hb`` frames are runner liveness heartbeats (``recv`` only — runners
 #: send them unsolicited), which also carry one resource sample each when
 #: the telemetry plane asks for it; they cross the same sockets as
@@ -47,12 +48,8 @@ from typing import Any, Dict, List, Optional
 FRAME_KINDS = (
     "site_dispatch",
     "site_result",
-    "state_pull_dispatch",
-    "state_pull_result",
     "replay_dispatch",
     "replay_result",
-    "replay_pull_dispatch",
-    "replay_pull_result",
     "hb",
 )
 
@@ -72,11 +69,7 @@ class WireRecord:
         ``"send"`` (coordinator -> runner) or ``"recv"`` (runner ->
         coordinator).
     kind:
-        Frame label — one of :data:`FRAME_KINDS`.  ``site_*`` frames carry a
-        protocol round's site tasks and ``state_pull_*`` frames the
-        resident-state faults of a lazy
-        :class:`~repro.runtime.state.RemoteStateProxy` (an entry of a site's
-        runner-resident mutable state crossing back on explicit access).
+        Frame label — one of :data:`FRAME_KINDS`.
     n_bytes:
         Wire bytes the frame physically occupied, header included — the
         codec-*encoded* size.

@@ -41,7 +41,6 @@ from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
 from repro.metrics.blocked import memmap_handle
 from repro.metrics.cost_matrix import build_cost_matrix, validate_objective
-from repro.runtime.state import snapshot_site_state
 from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
@@ -55,6 +54,7 @@ def _round1_task(
     Under a ``memory_budget`` the site's ``n_i x n_i`` cost matrix is built in
     row blocks and — when larger than the budget — streamed from a disk shard
     under ``workdir`` instead of RAM (bit-identical costs either way).
+    Returns ``(local_k, cost_storage)`` for the result metadata.
     """
     with ctx.timer.measure("precluster"):
         local_indices = np.arange(ctx.n_points)
@@ -74,12 +74,15 @@ def _round1_task(
         )
     ctx.state["precluster"] = precluster
     ctx.state["local_k"] = local_k
-    ctx.state["cost_storage"] = "memmap" if memmap_handle(local_costs) else "dense"
     ctx.send_to_coordinator("cost_profile", precluster.profile, words=precluster.profile.words)
+    return local_k, "memmap" if memmap_handle(local_costs) else "dense"
 
 
 def _round2_task(ctx, objective, words_per_point, local_kwargs):
-    """Site phase of round 2: snap the allocation and ship the local solution."""
+    """Site phase of round 2: snap the allocation and ship the local solution.
+
+    Returns ``(summary, t_used)``.
+    """
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
         precluster = ctx.state["precluster"]
@@ -95,12 +98,10 @@ def _round2_task(ctx, objective, words_per_point, local_kwargs):
             t_used, ctx.state["local_k"], objective, rng=ctx.rng, **local_kwargs
         )
         summary = summarize_local_solution(ctx, solution)
-    ctx.state["t_i"] = t_used
-    ctx.state["local_solution"] = solution
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
-    return summary
+    return summary, t_used
 
 
 def distributed_partial_median(
@@ -217,7 +218,7 @@ def distributed_partial_median(
                     {"t_i": t_i, "threshold": allocation.threshold, "exceptional": is_exceptional},
                     words=3,
                 )
-            run_site_tasks(
+            round2 = run_site_tasks(
                 network,
                 [
                     SiteTask(
@@ -236,12 +237,6 @@ def distributed_partial_median(
                 network.coordinator.messages_from(i, "local_solution")[0].payload
                 for i in range(network.n_sites)
             ]
-            # On a cluster backend site state lives on the runners and reads
-            # fault over the wire — snapshot the scalars the result metadata
-            # needs while the backend is still open.
-            site_meta = snapshot_site_state(
-                network.sites, ("t_i", "local_k", "cost_storage")
-            )
 
         with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
@@ -281,15 +276,15 @@ def distributed_partial_median(
                 "rho": float(rho),
                 "relax": relax,
                 "t_allocated": allocation.t_allocated.tolist(),
-                "t_used": [int(s["t_i"]) for s in site_meta],
+                "t_used": [int(r.value[1]) for r in round2],
                 "threshold": float(allocation.threshold),
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),
                 "realized_assignment": combine.realized_assignment,
                 "explicit_outliers": combine.explicit_outliers,
-                "local_k": [int(s["local_k"]) for s in site_meta],
+                "local_k": [int(r.value[0]) for r in round1],
                 "memory_budget": run.memory_budget,
-                "cost_matrix_storage": [s["cost_storage"] for s in site_meta],
+                "cost_matrix_storage": [r.value[1] for r in round1],
             },
         )
 

@@ -36,7 +36,6 @@ from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
 from repro.metrics.cost_matrix import validate_objective
-from repro.runtime.state import snapshot_site_state
 from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.sequential.assignment import assign_with_outliers
 from repro.sequential.solution import ClusterSolution
@@ -66,7 +65,10 @@ def combine_two_solutions(
 
 
 def _round2_no_shipping_task(ctx, objective, words_per_point, local_kwargs):
-    """Site phase of round 2: centers and counts only, never the outliers."""
+    """Site phase of round 2: centers and counts only, never the outliers.
+
+    Returns ``(summary, t_i, combined_4k)``.
+    """
     message = ctx.messages("allocation")[0].payload
     t_i = int(message["t_i"])
     is_exceptional = bool(message["exceptional"])
@@ -82,19 +84,17 @@ def _round2_no_shipping_task(ctx, objective, words_per_point, local_kwargs):
             solution = combine_two_solutions(
                 precluster.cost_matrix, sol_low, sol_high, t_i, objective
             )
-            ctx.state["combined_4k"] = True
+            combined_4k = True
         else:
             t_vertex = int(round(profile.snap_down_to_vertex(t_i)))
             solution = precluster.solution_for(t_vertex, local_k, objective, rng=ctx.rng, **local_kwargs)
-            ctx.state["combined_4k"] = False
+            combined_4k = False
         summary = summarize_local_solution(ctx, solution, ship_outliers=False)
-    ctx.state["t_i"] = t_i
-    ctx.state["local_solution"] = solution
     # Centers (B words each), counts (1 word each) and the scalar t_i.
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point) + 1
     )
-    return summary
+    return summary, t_i, combined_4k
 
 
 def distributed_partial_median_no_shipping(
@@ -183,7 +183,7 @@ def distributed_partial_median_no_shipping(
                     {"t_i": t_i, "threshold": allocation.threshold, "exceptional": is_exceptional},
                     words=3,
                 )
-            run_site_tasks(
+            round2 = run_site_tasks(
                 network,
                 [
                     SiteTask(
@@ -200,11 +200,6 @@ def distributed_partial_median_no_shipping(
                 network.coordinator.messages_from(i, "local_solution")[0].payload
                 for i in range(network.n_sites)
             ]
-            # Snapshot the metadata scalars while the backend is open: on a
-            # cluster backend these reads fault runner-resident state.
-            site_meta = snapshot_site_state(
-                network.sites, ("t_i", "combined_4k", "cost_storage")
-            )
 
         with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
@@ -222,7 +217,7 @@ def distributed_partial_median_no_shipping(
                 workdir=run.workdir,
             )
 
-        total_preclustering_ignored = int(sum(s["t_i"] for s in site_meta))
+        total_preclustering_ignored = int(sum(r.value[1] for r in round2))
         outlier_budget = math.floor((2.0 + epsilon + delta) * t + 1e-9)
         return DistributedResult(
             centers=combine.centers_global,
@@ -245,10 +240,10 @@ def distributed_partial_median_no_shipping(
                 "preclustering_ignored": total_preclustering_ignored,
                 "coordinator_dropped_weight": combine.metadata["coordinator_dropped_weight"],
                 "exceptional_site": allocation.exceptional_site,
-                "exceptional_combined_4k": [bool(s["combined_4k"]) for s in site_meta],
+                "exceptional_combined_4k": [bool(r.value[2]) for r in round2],
                 "n_coordinator_demands": int(combine.demand_points.size),
                 "memory_budget": run.memory_budget,
-                "cost_matrix_storage": [s["cost_storage"] for s in site_meta],
+                "cost_matrix_storage": [r.value[1] for r in round1],
             },
         )
 

@@ -98,7 +98,6 @@ def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
     with ctx.timer.measure("round2"):
         precluster = ctx.state["precluster"]
         summary = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget)
-    ctx.state["t_i"] = t_i
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )

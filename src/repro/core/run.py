@@ -108,7 +108,8 @@ def protocol_run(
         is left open so one warm pool can serve many runs.  On the cluster
         backend a site's shard, metric and mutable round state stay on its
         runner between rounds; only digests and epoch tokens cross the
-        wire (see :mod:`repro.runtime.state`).
+        wire, and the coordinator reads nothing but the sites' messages
+        and task return values (see :mod:`repro.runtime.state`).
     memory_budget:
         Byte cap (int or ``"64MB"``-style string) on any single distance or
         cost block a party materialises.  Larger cost matrices stream from

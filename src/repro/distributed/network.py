@@ -42,12 +42,12 @@ class Site:
         self.local_metric = local_metric
         self.inbox: List[Message] = []
         self.timer = Timer()
-        #: Mutable per-round state.  Starts as a plain dict; after a round
-        #: on a wire backend it may be a lazy mapping proxy whose entries
-        #: live on the site's runner (see :mod:`repro.runtime.state`) —
-        #: treat it as a MutableMapping, and read it while the backend is
-        #: still open (or ``pull_state()`` first).
-        self.state: Dict[str, Any] = {}
+        #: State the site's tasks carry from round to round.  The
+        #: coordinator never reads it.  Starts as a plain dict; after a round
+        #: on the cluster backend it is an opaque
+        #: :class:`~repro.runtime.state.ResidentState` handle to the dict,
+        #: which stays on the site's runner (see :mod:`repro.runtime.state`).
+        self.state: Any = {}
         # Identity of this site's immutable half (shard + local metric) for
         # runner-resident caching: unique per Site instance, so a new
         # protocol run (new StarNetwork, new Sites) never aliases stale

@@ -1,8 +1,10 @@
 """Round-by-round run reports from a trace and its ledgers.
 
 The report layer answers the paper's accounting questions from one run:
-where do a protocol's bytes go per round and host, what did each runner
-spend its wall-clock on, and how often did the caches hit.  It reads three
+where do a protocol's bytes go per round, host and frame kind (site
+frames, their replays and heartbeats: the coordinator reads nothing else
+from a runner), what did each runner spend its wall-clock on, and how
+often did the caches hit.  It reads three
 sources that a traced run ties together — the :class:`~repro.obs.trace.Tracer`
 attached to the result, the word-count
 :class:`~repro.distributed.messages.CommunicationLedger` and (on the cluster
@@ -25,7 +27,6 @@ SUMMARY_COUNTERS = (
     "cluster.resident_miss",
     "cluster.state_token",
     "cluster.state_ship",
-    "cluster.state_pulls",
     "plan.executions",
     "plan.tiles",
     "recovery.host_failures",
@@ -45,7 +46,7 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
     """Per ``(round, host)`` activity rows for a traced run.
 
     Each row combines the wire ledger's frame accounting (bytes split by
-    kind, state pulls) with the trace's timing (tasks executed, runner
+    kind) with the trace's timing (tasks executed, runner
     busy-seconds from absorbed runner spans, wire round-trip seconds from
     the coordinator's rpc spans).  In-process traced runs have no wire or
     hosts; their rows carry ``host="-"`` with task counts and busy time
@@ -71,7 +72,6 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
                 "recv_bytes": 0,
                 "raw_bytes": 0,
                 "compression": 1.0,
-                "state_pulls": 0,
                 "bytes_by_kind": {},
             }
         return rows[key]
@@ -83,8 +83,6 @@ def round_report(result: Any) -> List[Dict[str, Any]]:
             r["sent_bytes" if rec.direction == "send" else "recv_bytes"] += rec.n_bytes
             r["raw_bytes"] += rec.raw_bytes
             r["bytes_by_kind"][rec.kind] = r["bytes_by_kind"].get(rec.kind, 0) + rec.n_bytes
-            if rec.kind == "state_pull_dispatch":
-                r["state_pulls"] += 1
         for r in rows.values():
             encoded = r["sent_bytes"] + r["recv_bytes"]
             r["compression"] = (r["raw_bytes"] / encoded) if encoded else 1.0
@@ -126,7 +124,7 @@ def render_round_report(result: Any, *, title: Optional[str] = None) -> str:
         printable,
         columns=["round", "host", "tasks", "task_s", "rpc_s",
                  "sent_bytes", "recv_bytes", "raw_bytes", "compression",
-                 "state_pulls", "kinds"],
+                 "kinds"],
         title=title or "Round-by-round run report",
     )
 

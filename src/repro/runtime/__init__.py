@@ -16,14 +16,12 @@ steps synchronise.  This subsystem separates *what* a site computes from
   to a backend, joins deterministically in site order, and merges state,
   timers, RNG streams and ledger charges back into the
   :class:`~repro.distributed.network.StarNetwork`.
-* :mod:`repro.runtime.state` — the *state-ownership contract*: after a
-  round joins, ``Site.state`` is a mutable mapping, not necessarily the
-  dict itself.  In-process backends hand the dict back; the cluster
-  backend keeps mutable state resident on the runner that produced it and
-  hands back a :class:`~repro.runtime.state.RemoteStateProxy` that faults
-  entries over the wire only on explicit access (``pull_state()`` /
-  ``evict()`` for bulk control).  Protocol results are bit-identical
-  either way.
+* :mod:`repro.runtime.state` — who holds a site's state between rounds.
+  In-process backends hand the state dict back; the cluster backend keeps
+  it resident on the runner that produced it and hands back an opaque
+  :class:`~repro.runtime.state.ResidentState` handle.  The coordinator
+  reads no site state either way: drivers learn what they need from the
+  sites' messages and their tasks' return values.
 
 Every distributed protocol accepts ``backend=`` (documented with the other
 run options on :func:`repro.core.run.protocol_run`) and is bit-identical
@@ -54,11 +52,7 @@ from repro.runtime.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.runtime.state import (
-    RemoteStateProxy,
-    materialize_state,
-    snapshot_site_state,
-)
+from repro.runtime.state import ResidentState
 from repro.runtime.tasks import (
     Outgoing,
     SiteContext,
@@ -80,9 +74,7 @@ __all__ = [
     "default_worker_count",
     "effective_cpu_count",
     "resolve_backend",
-    "RemoteStateProxy",
-    "materialize_state",
-    "snapshot_site_state",
+    "ResidentState",
     "Outgoing",
     "SiteContext",
     "SiteTask",

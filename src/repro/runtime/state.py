@@ -1,294 +1,60 @@
-"""The site-state ownership contract: who holds ``ctx.state`` between rounds.
+"""Who holds a site's ``state`` between rounds.
 
 A :class:`~repro.runtime.tasks.SiteTask` mutates its site's ``ctx.state``
-dict; :func:`~repro.runtime.tasks.run_site_tasks` merges whatever comes back
-into ``Site.state`` so the next round continues where this one stopped.  The
-*contract* is deliberately weaker than "a plain dict comes back":
+dict, and :func:`~repro.runtime.tasks.run_site_tasks` stores what comes back
+in ``Site.state`` so the next round continues where this one stopped.  The
+coordinator never reads it: as in the paper's coordinator model, a driver
+learns about a site only from the site's messages and its task's return
+value.
 
-    After a round joins, ``Site.state`` is a **mutable mapping** holding the
-    site's state entries.  In-process backends (serial / thread / process)
-    satisfy it with the state dict itself; a wire backend may satisfy it
-    with a :class:`RemoteStateProxy` whose entries *live on the runner that
-    produced them* and are faulted over the wire only on explicit access.
-
-That weakening is what lets the cluster backend keep a site's mutable state
-(e.g. the precluster's cached ``n_i x n_i`` cost matrix) resident on its
-runner: the result frame carries only a :data:`STATE_DIGEST_TAG` digest —
-the entry keys, each entry's pickled size and a monotonically increasing
-*state epoch* — and the next dispatch ships a :data:`STATE_TOKEN_TAG` token
-naming that epoch instead of re-pickling the dict.  Protocol code never sees
-the difference: reads fault transparently, writes land in a local overlay
-that rides along with the next dispatch token, and results stay bit-identical
-on every backend.
-
-Coordinator-side code that reads site state after a protocol run should do so
-*while the backend is still open* (faults need the wire); the
-:func:`snapshot_site_state` helper pulls exactly the named small entries in
-one place.  :meth:`RemoteStateProxy.pull_state` materialises everything and
-detaches the proxy from the wire for callers that need the full dict.
+In-process backends (serial / thread / process) hand the state dict back.
+The cluster backend keeps it resident on the runner that produced it: the
+result frame carries a :data:`STATE_DIGEST_TAG` digest (the entry keys, each
+entry's pickled size and a monotonically increasing *state epoch*), which
+recovery uses to check a replayed copy, and ``Site.state`` becomes a
+:class:`ResidentState` handle.  The next dispatch turns the handle into a
+``(STATE_TOKEN_TAG, epoch)`` token instead of re-pickling the dict.
 """
 
 from __future__ import annotations
 
-import weakref
-from typing import Any, Callable, Dict, Iterable, Iterator, List, MutableMapping, Optional, Tuple
+from typing import Any
 
 #: Result-frame marker: ``(STATE_DIGEST_TAG, epoch, {key: pickled_bytes})``
-#: replaces the full state dict when the runner kept the state resident.
+#: stands for the state dict the runner kept resident.
 STATE_DIGEST_TAG = "__state_digest__"
 
-#: Dispatch-frame marker: ``(STATE_TOKEN_TAG, epoch, writes, deleted)`` ships
-#: an epoch reference (plus the coordinator-side write overlay) instead of
-#: the state dict the runner already holds.
+#: Dispatch-frame marker: ``(STATE_TOKEN_TAG, epoch)`` names the resident
+#: state a site task continues from instead of shipping the dict.
 STATE_TOKEN_TAG = "__state_token__"
-
-
-def is_state_digest(value: Any) -> bool:
-    """True if ``value`` is a resident-state digest from a runner result frame."""
-    return isinstance(value, tuple) and len(value) == 3 and value[0] == STATE_DIGEST_TAG
 
 
 def is_state_token(value: Any) -> bool:
     """True if ``value`` is a resident-state dispatch token."""
-    return isinstance(value, tuple) and len(value) == 4 and value[0] == STATE_TOKEN_TAG
+    return isinstance(value, tuple) and len(value) == 2 and value[0] == STATE_TOKEN_TAG
 
 
-def _rebuild_as_dict(items: Tuple[Tuple[str, Any], ...]) -> Dict[str, Any]:
-    """Pickle target for proxies: a proxy crossing a transport becomes a dict."""
-    return dict(items)
+class ResidentState:
+    """Opaque stand-in for a site's state dict that lives on a cluster runner.
 
-
-class RemoteStateProxy(MutableMapping):
-    """Coordinator-side view of site state that lives on a cluster runner.
-
-    The proxy is created from a state *digest* — entry keys, per-entry
-    pickled sizes and the state epoch — and faults individual entries over
-    the wire only when they are actually read (e.g. final solution
-    extraction reading ``state["t_i"]``).  Faulted entries are cached
-    locally; writes and deletions land in a local overlay that the next
-    dispatch ships as a delta alongside the epoch token, so the heavy
-    unread entries never leave the runner.
-
-    Reading an entry needs the owning backend to still be open (and the
-    resident epoch to still be current); :meth:`pull_state` materialises
-    everything up front and *detaches* the proxy, after which it behaves
-    like a plain local dict.  Pickling a proxy materialises it too — a
-    proxy crossing a transport boundary arrives as an ordinary dict.
+    It names the state (``resident_key``, ``site_id``, ``epoch``) and holds
+    none of it.  Only the backend that produced it reads it, and only while
+    it is the key's current handle: dispatching a superseded handle raises
+    :class:`RuntimeError`.  Recovery moves the current handle to the epoch
+    of the replayed copy.
     """
 
-    def __init__(
-        self,
-        *,
-        resident_key: Any,
-        site_id: int,
-        epoch: int,
-        sizes: Dict[str, int],
-        fetch: Callable[[List[str]], Dict[str, Any]],
-        owner: Any = None,
-    ):
+    __slots__ = ("resident_key", "site_id", "epoch", "__weakref__")
+
+    def __init__(self, resident_key: Any, site_id: int, epoch: int):
         self.resident_key = resident_key
         self.site_id = int(site_id)
         self.epoch = int(epoch)
-        #: Per-entry pickled size from the digest (the wire cost a fault
-        #: would pay); keys still resident on the runner.
-        self.sizes: Dict[str, int] = dict(sizes)
-        self._fetch = fetch
-        self._owner = weakref.ref(owner) if owner is not None else None
-        self._cache: Dict[str, Any] = {}
-        self._writes: Dict[str, Any] = {}
-        self._deleted: set = set()
-        self._detached = False
-
-    # ------------------------------------------------------------------
-    # Mapping interface
-    # ------------------------------------------------------------------
-
-    def _remote_keys(self) -> List[str]:
-        return [k for k in self.sizes if k not in self._deleted and k not in self._writes]
-
-    def __iter__(self) -> Iterator[str]:
-        yield from self._remote_keys()
-        yield from self._writes
-
-    def __len__(self) -> int:
-        return len(self._remote_keys()) + len(self._writes)
-
-    def __contains__(self, key: object) -> bool:
-        if key in self._writes:
-            return True
-        return key in self.sizes and key not in self._deleted
-
-    def __getitem__(self, key: str) -> Any:
-        if key in self._writes:
-            return self._writes[key]
-        if key in self._deleted or key not in self.sizes:
-            raise KeyError(key)
-        if key not in self._cache:
-            self._cache.update(self._fault([key]))
-        return self._cache[key]
-
-    def __setitem__(self, key: str, value: Any) -> None:
-        self._writes[key] = value
-        self._deleted.discard(key)
-
-    def __delitem__(self, key: str) -> None:
-        if key in self._writes:
-            del self._writes[key]
-            if key in self.sizes:
-                self._deleted.add(key)
-            return
-        if key in self.sizes and key not in self._deleted:
-            self._deleted.add(key)
-            self._cache.pop(key, None)
-            return
-        raise KeyError(key)
-
-    # ------------------------------------------------------------------
-    # Wire plumbing
-    # ------------------------------------------------------------------
-
-    def _fault(self, keys: List[str]) -> Dict[str, Any]:
-        if self._detached:
-            raise RuntimeError(
-                f"state entries {keys!r} of site {self.site_id} were dropped from "
-                "the detached proxy; pull_state() before evicting or clearing"
-            )
-        return self._fetch(list(keys))
-
-    @property
-    def detached(self) -> bool:
-        """True once every entry is local and the wire is no longer needed."""
-        return self._detached
-
-    def owner(self) -> Any:
-        """The backend this proxy faults through (None once collected/detached)."""
-        if self._owner is None:
-            return None
-        return self._owner()
-
-    def resident_bytes(self) -> int:
-        """Pickled bytes still resident on the runner (per the digest)."""
-        return int(sum(self.sizes[k] for k in self._remote_keys() if k not in self._cache))
-
-    def dispatch_token(self) -> Tuple[str, int, Dict[str, Any], Tuple[str, ...]]:
-        """The ``(tag, epoch, writes, deleted)`` tuple a dispatch ships
-        instead of the state dict.  Only valid while attached."""
-        if self._detached:
-            raise RuntimeError("a detached proxy has no resident epoch to reference")
-        return (STATE_TOKEN_TAG, self.epoch, dict(self._writes), tuple(sorted(self._deleted)))
-
-    def rebind(self, fetch: Callable[[List[str]], Dict[str, Any]], *, epoch: int) -> None:
-        """Point an attached proxy at a new resident copy of its state.
-
-        Recovery calls this after replaying the proxy's site log onto a
-        surviving host: the replayed copy is bit-identical (digest-verified)
-        but lives at a new host under that host's own monotonic epoch, so
-        both the fault path and the epoch a future :meth:`dispatch_token`
-        references must move together.  Locally cached entries, the write
-        overlay and deletions are untouched — they describe coordinator-side
-        intent, not the resident copy.  No-op on a detached proxy (it no
-        longer reads through any wire).
-        """
-        if self._detached:
-            return
-        self._fetch = fetch
-        self.epoch = int(epoch)
-
-    def pull_state(self) -> Dict[str, Any]:
-        """Fault every remaining entry, detach from the wire, return the dict.
-
-        After this call the proxy serves all reads and writes locally — the
-        backend may be closed, the runner may evict, nothing is lost.
-        """
-        if not self._detached:
-            missing = [k for k in self._remote_keys() if k not in self._cache]
-            if missing:
-                self._cache.update(self._fault(missing))
-            self._detached = True
-        return dict(self.items())
-
-    def prefetch(self, keys: Iterable[str]) -> None:
-        """Fault the named entries in one batched wire round-trip.
-
-        Keys that are absent, deleted, overwritten locally or already cached
-        are skipped; a detached proxy has nothing left to fetch.  Reads that
-        follow are served from the cache, so ``prefetch`` turns N
-        one-key faults into a single frame exchange.
-        """
-        if self._detached:
-            return
-        missing = [
-            k
-            for k in keys
-            if k in self.sizes
-            and k not in self._deleted
-            and k not in self._writes
-            and k not in self._cache
-        ]
-        if missing:
-            self._cache.update(self._fault(missing))
-
-    def evict(self, *keys: str) -> None:
-        """Drop locally cached faulted entries (all of them when no keys given).
-
-        Frees coordinator memory only — the authoritative copy stays on the
-        runner and re-faults on the next read.  No-op once detached (the
-        local copy *is* the authoritative one then).
-        """
-        if self._detached:
-            return
-        if keys:
-            for key in keys:
-                self._cache.pop(key, None)
-        else:
-            self._cache.clear()
-
-    def __reduce__(self):
-        # A proxy crossing a transport boundary materialises into a plain
-        # dict: the receiving side cannot fault through our socket.
-        return (_rebuild_as_dict, (tuple(self.pull_state().items()),))
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        mode = "detached" if self._detached else f"epoch={self.epoch}"
-        return (
-            f"RemoteStateProxy(site={self.site_id}, {mode}, "
-            f"keys={list(self)!r}, resident_bytes={self.resident_bytes()})"
-        )
-
-
-def materialize_state(state: Any) -> Dict[str, Any]:
-    """A plain dict from a state mapping, pulling a proxy's entries if needed."""
-    if isinstance(state, RemoteStateProxy):
-        return state.pull_state()
-    return state if isinstance(state, dict) else dict(state)
-
-
-def snapshot_site_state(sites: Iterable[Any], keys: Iterable[str]) -> List[Dict[str, Any]]:
-    """Per-site ``{key: state.get(key)}`` snapshots for the named keys.
-
-    The one-stop hook protocol drivers use to read the small state entries
-    their result metadata needs *while the execution backend is still open*:
-    on a cluster backend reads fault over the wire, which is impossible
-    after ``backend_scope`` closed the pool.  A proxy's missing entries are
-    prefetched as one batched fault per site (one frame exchange, not one
-    per key).  Missing keys snapshot as ``None``, mirroring ``dict.get``.
-    """
-    keys = list(keys)
-    out = []
-    for site in sites:
-        state = site.state
-        if isinstance(state, RemoteStateProxy):
-            state.prefetch(keys)
-        out.append({key: state.get(key) for key in keys})
-    return out
 
 
 __all__ = [
-    "RemoteStateProxy",
+    "ResidentState",
     "STATE_DIGEST_TAG",
     "STATE_TOKEN_TAG",
-    "is_state_digest",
     "is_state_token",
-    "materialize_state",
-    "snapshot_site_state",
 ]

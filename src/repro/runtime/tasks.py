@@ -28,16 +28,14 @@ serialized size of their payload (``Message.n_bytes``).  Site tasks are the
 only work a cluster backend runs: every protocol, the uncertain ones
 included, is a sequence of rounds of this one task shape.
 
-State ownership follows the :mod:`repro.runtime.state` contract: the merged
-``site.state`` is a *mutable mapping*, not necessarily the dict the task
-mutated.  In-process backends hand the dict back directly; the cluster
-backend keeps each site's mutable state resident on its runner and merges a
-:class:`~repro.runtime.state.RemoteStateProxy` built from a compact digest,
-so heavy state (a precluster's cached ``n_i x n_i`` cost matrix) never
-round-trips the wire between rounds.  Coordinator code that reads site
-state must therefore do so while the backend is still open (reads may fault
-over the wire) — or call ``pull_state()`` to materialise everything first.
-Either way, reads observe identical values on every backend.
+State ownership follows :mod:`repro.runtime.state`: the merged
+``site.state`` is what the next round's task continues from, and the
+coordinator never reads it.  In-process backends hand the dict back; the
+cluster backend keeps each site's state resident on its runner and merges
+an opaque :class:`~repro.runtime.state.ResidentState` handle, so heavy state
+(a precluster's cached ``n_i x n_i`` cost matrix) never crosses the wire
+between rounds.  A driver that needs a site's scalars after a round reads
+them from :attr:`SiteTaskResult.value`.
 
 Task functions must be module-level callables (the process backend ships
 them to workers by pickling their qualified name).
@@ -150,11 +148,15 @@ class SiteTask:
 
 @dataclass
 class SiteTaskResult:
-    """What comes back from one site task after the join."""
+    """What comes back from one site task after the join.
+
+    ``state`` is the site's state dict, or on the cluster backend a
+    :class:`~repro.runtime.state.ResidentState` handle to it.
+    """
 
     site_id: int
     value: Any
-    state: Dict[str, Any]
+    state: Any
     timer: Timer
     rng: Optional[np.random.Generator]
     outbox: List[Outgoing]

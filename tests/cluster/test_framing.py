@@ -149,12 +149,10 @@ class TestEncodeFrame:
 class TestWirePolicy:
     def test_default_policy(self):
         policy = WirePolicy.from_env({})
-        assert policy.codec_for("state_pull") is NONE_CODEC
-        assert policy.codec_for("control") is NONE_CODEC
+        assert policy.codec_for("hb") is NONE_CODEC
         # "auto" resolves to the best available compressor.
         assert policy.codec_for("site").name in ("zlib", "zstd")
         assert policy.codec_for("replay").name in ("zlib", "zstd")
-        assert policy.codec_for("replay_pull") is NONE_CODEC
 
     def test_unknown_kind_is_uncompressed(self):
         assert WirePolicy.from_env({}).codec_for("mystery") is NONE_CODEC
@@ -165,7 +163,7 @@ class TestWirePolicy:
         assert policy.codec_for("replay") is NONE_CODEC
         policy = WirePolicy.from_env({WIRE_CODEC_ENV: "zlib"})
         assert policy.codec_for("site") is ZLIB_CODEC
-        assert policy.codec_for("state_pull") is NONE_CODEC
+        assert policy.codec_for("hb") is NONE_CODEC
 
     def test_env_override_zstd_falls_back_when_absent(self):
         policy = WirePolicy.from_env({WIRE_CODEC_ENV: "zstd"})

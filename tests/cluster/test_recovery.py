@@ -121,28 +121,6 @@ class TestFaultPlan:
         monkeypatch.delenv("REPRO_FAULT_PLAN")
         assert FaultPlan.from_env() is None
 
-    @pytest.mark.parametrize(
-        "spec",
-        ["kill host=0 round=1 task=2 when=before", "kill host=0 task=2 when=io"],
-        ids=["before", "io"],
-    )
-    def test_control_frames_never_shift_a_trigger_point(self, spec):
-        """``clear_resident()`` is control traffic: the kill waits for task 2."""
-        plan = FaultPlan.parse(spec)
-        backend = ClusterBackend(n_hosts=1, fault_plan=plan)
-        try:
-            assert run_site_round(backend, abs, [-1]) == [1]
-            backend.clear_resident()
-            assert not plan.actions[0].fired
-            if plan.actions[0].when == "before":
-                with pytest.raises(DeadHostError):
-                    run_site_round(backend, abs, [-2])
-            else:
-                assert run_site_round(backend, abs, [-2]) == [2]
-            assert plan.actions[0].fired
-        finally:
-            backend.close()
-
     def test_delay_plan_never_changes_results(self):
         """A recurring delay fault is pure latency — results stay identical."""
         backend = ClusterBackend(
@@ -274,20 +252,33 @@ class TestSiteRecovery:
         error = excinfo.value
         assert (error.host_id, error.round_index, error.epoch) == (0, 2, committed)
 
-    def test_proxy_fault_after_death_raises_dead_host_error(self):
-        backend = ClusterBackend(n_hosts=1)
+    def test_death_between_rounds_replays_held_state(self):
+        """No run is accounting, but a site still holds the state's handle.
+
+        Host 1 dies while idle between two rounds: recovery must replay its
+        site's log onto host 0 (the handle moves to the replayed epoch), so
+        round 2 continues from the same state, with one recovery event.
+        """
+        backend = ClusterBackend(n_hosts=2, retry=RetryPolicy(max_retries=1))
         try:
-            network, _ = _run_rounds(backend, n_rounds=1, n_sites=1)
-            backend._hosts[0].process.kill()
-            state = network.sites[0].state
-            with pytest.raises(DeadHostError) as excinfo:
-                state["big"]
-            assert excinfo.value.host_id == 0
-            # DeadHostError stays a RuntimeError: pre-recovery callers that
-            # matched on RuntimeError("cluster host N ...") keep working.
-            assert isinstance(excinfo.value, RuntimeError)
+            network = _make_network()
+            tasks = [SiteTask(i, _stateful_task, args=(2.0,)) for i in range(3)]
+            network.next_round()
+            run_site_tasks(network, tasks, backend=backend)
+            backend._hosts[1].process.kill()
+            deadline = time.monotonic() + 30.0
+            while not network.ledger.wire.summary()["recovery"]:
+                assert time.monotonic() < deadline, "recovery event never recorded"
+                time.sleep(0.02)
+            network.next_round()
+            values = [r.value for r in run_site_tasks(network, tasks, backend=backend)]
         finally:
             backend.close()
+        _, serial_values = _run_rounds(None, n_rounds=2)
+        assert values == serial_values
+        events = network.ledger.wire.summary()["recovery"]
+        assert len(events) == 1
+        assert events[0]["host"] == 1 and events[0]["repin"] == {1: 0}
 
 
 class TestHeartbeat:

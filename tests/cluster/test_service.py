@@ -268,12 +268,19 @@ class TestIoFaults:
         assert len(plan.take(1, 5, 3, "io")) == 1
 
     def test_io_fault_protocol_run_stays_bit_identical(self):
+        """Host 1 dies as the loop handles its round-1 reply.
+
+        Its round-2 task still has to run, so the run observes the death,
+        replays the site's log and stays bit-identical.  (Host 1's round-2
+        reply is its last frame of the run: a kill there lands after the
+        run stopped needing the host.)
+        """
         pts = _points(11, n=180)
         base = partial_kmedian(pts, 3, 9, n_sites=3, seed=11)
         backend = ClusterBackend(
             n_hosts=3,
             retry=RetryPolicy(max_retries=1),
-            fault_plan=FaultPlan.parse("kill host=1 when=io task=2"),
+            fault_plan=FaultPlan.parse("kill host=1 when=io task=1"),
         )
         try:
             result = partial_kmedian(pts, 3, 9, n_sites=3, seed=11, backend=backend)

@@ -118,7 +118,7 @@ class TestRawEncodedSplit:
                     n_bytes=40, tracer=tracer)
         wire.record(round_index=2, host=1, direction="send", kind="replay_dispatch",
                     n_bytes=30, raw_bytes=70, codec="zlib", tracer=tracer)
-        wire.record(round_index=2, host=1, direction="recv", kind="replay_pull_result",
+        wire.record(round_index=2, host=1, direction="recv", kind="replay_result",
                     n_bytes=20, tracer=tracer)
         wire.record(round_index=2, host=1, direction="recv", kind="hb", n_bytes=9)
         assert tracer.metrics.counters == {
@@ -128,8 +128,8 @@ class TestRawEncodedSplit:
             "wire.bytes.site_dispatch": 250, "wire.bytes_encoded.site_dispatch": 100,
             "wire.bytes.site_result": 40, "wire.bytes_encoded.site_result": 40,
             "wire.bytes.replay_dispatch": 70, "wire.bytes_encoded.replay_dispatch": 30,
-            "wire.bytes.replay_pull_result": 20,
-            "wire.bytes_encoded.replay_pull_result": 20,
+            "wire.bytes.replay_result": 20,
+            "wire.bytes_encoded.replay_result": 20,
             # Encoded bytes of the replay* frames only.
             "recovery.replay_bytes": 50,
         }

@@ -47,16 +47,24 @@ def _assert_same_result(base, other):
         assert other.outliers is None
     else:
         np.testing.assert_array_equal(base.outliers, other.outliers)
-    assert base.metadata["t_allocated"] == other.metadata["t_allocated"]
+    # All of it: the scalars a driver gets from its sites' task return
+    # values (t_used, local_k, cost_matrix_storage, ...) included.
+    np.testing.assert_equal(base.metadata, other.metadata)
 
 
 def _assert_cluster_bytes(base, cluster_result):
-    """Wire bytes exist exactly on the cluster run; words never carry them."""
+    """Wire bytes exist exactly on the cluster run; words never carry them.
+
+    The coordinator reads only what sites send: an unfaulted run's frames
+    are site dispatches, site results and heartbeats, nothing else.
+    """
     assert base.ledger.total_bytes() == 0
     assert cluster_result.ledger.total_bytes() > 0
     assert any(v > 0 for v in cluster_result.ledger.bytes_by_round().values())
     summary = cluster_result.ledger.summary()
     assert summary["total_bytes"] == cluster_result.ledger.total_bytes()
+    kinds = {rec.kind for rec in cluster_result.ledger.wire.records}
+    assert kinds <= {"site_dispatch", "site_result", "hb"}, kinds
 
 
 class TestClusterProtocolParity:
