@@ -54,7 +54,6 @@ from repro.cluster import ClusterBackend, FaultPlan, RetryPolicy
 from repro.core.algorithm1_modified import distributed_partial_median_no_shipping
 from repro.data import gaussian_mixture_with_outliers, uncertain_nodes_from_mixture
 from repro.distributed import DistributedInstance, partition_balanced
-from repro.obs.sampler import ResourceSampler
 
 K, T = 3, 15
 N_SITES = 3
@@ -136,17 +135,13 @@ def test_cluster_bytes_per_word(
     rows = []
     detail = {}
     trace_counters = {}
-    peak_rss = {}
     for name, run in runners:
-        with ResourceSampler(0.02) as sampler:
-            base = run("serial")
-            clustered = run(cluster_pool)
-            # One extra traced run per protocol: the byte measurements above
-            # stay untraced (the committed baseline's frames), while the trace
-            # supplies the cache/plan/state counters the report layer
-            # surfaces.
-            traced = run(cluster_pool, trace=True)
-        peak_rss[name] = sampler.peak_rss()
+        base = run("serial")
+        clustered = run(cluster_pool)
+        # One extra traced run per protocol: the byte measurements above
+        # stay untraced (the committed baseline's frames), while the trace
+        # supplies the cache/plan/state counters the report layer surfaces.
+        traced = run(cluster_pool, trace=True)
         # The trace's byte counters mirror its own run's wire ledger: raw
         # sizes in wire.bytes, what crossed the sockets in wire.bytes_encoded.
         traced_wire = traced.ledger.wire
@@ -183,9 +178,6 @@ def test_cluster_bytes_per_word(
                 sum(m.n_bytes or 0 for m in clustered.ledger.messages if m.to_coordinator)
             ),
             "trace_counters": trace_counters[name],
-            # Coordinator peak RSS over this protocol's three runs, from a
-            # background ResourceSampler — the capacity-planning column.
-            "peak_rss_bytes": peak_rss[name],
         }
 
     # The committed artifact is the regression baseline (read *before* any

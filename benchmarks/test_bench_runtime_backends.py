@@ -7,7 +7,7 @@ the per-round site phase should drop from ``sum_i n_i^2`` towards
 instance under every execution backend and reports wall-clock, verifying
 that results (centers, cost, ledger words) are identical along the way.
 
-On a multi-core machine the parallel backends must beat serial wall-clock;
+On a multi-core machine the process backend must beat serial wall-clock;
 on a single-core container there is nothing to parallelise onto, so the
 speedup assertion is skipped there (the parity assertions always run).
 The core count that gates the assertion is the *effective* one — the
@@ -28,7 +28,7 @@ from repro.data import gaussian_mixture_with_outliers
 from repro.distributed import DistributedInstance, partition_balanced
 from repro.runtime import effective_cpu_count, resolve_backend
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 
 @pytest.fixture(scope="module")
@@ -57,15 +57,14 @@ def speedup_guard_verdict(n_cores: int, walls: dict, relaxed: bool = False) -> s
     Pure function of (effective cores, wall-clocks, relaxed flag) so the
     guard itself stays testable on a 1-core container, where the live
     benchmark can only ever exercise the skip path: ``"skip-cores"`` when
-    the affinity mask leaves nothing to parallelise onto, ``"pass"`` when a
-    parallel backend beat serial, ``"skip-relaxed"`` when
+    the affinity mask leaves nothing to parallelise onto, ``"pass"`` when the
+    process backend beat serial, ``"skip-relaxed"`` when
     ``REPRO_RELAXED_SPEEDUP`` excuses a shared runner that showed no
     speedup, and ``"fail"`` otherwise.
     """
     if n_cores < 2:
         return "skip-cores"
-    best_parallel = min(walls["thread"], walls["process"])
-    if best_parallel < walls["serial"]:
+    if walls["process"] < walls["serial"]:
         return "pass"
     return "skip-relaxed" if relaxed else "fail"
 
@@ -125,15 +124,15 @@ def test_runtime_backend_speedup(benchmark, runtime_instance):
         # the speedup is reported but not enforced.
         pytest.skip(f"relaxed mode: no speedup observed on {n_cores} cores: {walls}")
     assert verdict == "pass", (
-        f"expected a parallel backend to beat serial on {n_cores} cores: {walls}"
+        f"expected the process backend to beat serial on {n_cores} cores: {walls}"
     )
 
 
 class TestSpeedupGuard:
     """The guard's decision table, exercised even where the benchmark skips."""
 
-    FAST_PARALLEL = {"serial": 2.0, "thread": 1.1, "process": 1.5}
-    NO_SPEEDUP = {"serial": 1.0, "thread": 1.2, "process": 1.3}
+    FAST_PARALLEL = {"serial": 2.0, "process": 1.5}
+    NO_SPEEDUP = {"serial": 1.0, "process": 1.3}
 
     def test_single_core_skips_regardless_of_timings(self):
         assert speedup_guard_verdict(1, self.FAST_PARALLEL) == "skip-cores"

@@ -55,7 +55,6 @@ def main() -> None:
     memory_budgets_and_out_of_core_shards(workload.points, k, t)
     fused_plans(workload.points, k, t)
     observability(workload.points, k, t)
-    live_telemetry(workload.points, k, t)
 
 
 def choosing_a_backend(points, k, t) -> None:
@@ -66,8 +65,6 @@ def choosing_a_backend(points, k, t) -> None:
 
     * ``"serial"`` (default) — one Python loop; zero overhead, right for
       small instances and for debugging.
-    * ``"thread"`` — a shared-memory thread pool; wins when numpy/BLAS
-      kernels dominate site time (they release the GIL).
     * ``"process"`` — worker processes; true parallelism for the
       Python-heavy local search, plus honest payload materialisation
       (everything crossing the boundary is pickled).  Prefer this at
@@ -86,7 +83,7 @@ def choosing_a_backend(points, k, t) -> None:
     import time
 
     print("\nchoosing a backend (same seed => identical results)")
-    for backend in ("serial", "thread", "process"):
+    for backend in ("serial", "process"):
         start = time.perf_counter()
         result = partial_kmedian(points, k=k, t=t, n_sites=4, seed=7, backend=backend)
         wall = time.perf_counter() - start
@@ -203,8 +200,8 @@ def event_loop_coordinator_and_the_cluster_service(points, k, t) -> None:
       runs once the pool is otherwise idle, so oversized work degrades
       to serial instead of deadlocking.
     * **Isolation is total**: each job gets a lane namespace that keys
-      its runner-resident site state, heartbeat accounting and telemetry
-      routing.  Each job's result — centers, cost, word ledger, *and*
+      its runner-resident site state and heartbeat accounting.  Each
+      job's result — centers, cost, word ledger, *and*
       its private wire ledger — is bit-identical to the same run on a
       standalone pool, no matter what runs next to it.
     * ``REPRO_CLUSTER_SERVICE=1`` routes every ``backend="cluster:N"``
@@ -272,20 +269,16 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
     2. **replays** each moved site's dispatch log from record 0 on its new
        host (record 0 ships the full state + sticky shard/metric; later
        records re-apply each round's task with its recorded RNG stream and
-       write overlay), verifying the rebuilt state against the original
-       state digests;
-    3. **resolves** each in-flight site task with its replayed last record
-       and re-issues in-flight state faults against the replayed copies.
+       inbox), verifying the rebuilt state against the original state
+       digests;
+    3. **resolves** each in-flight site task with its replayed last record.
 
     The run then continues — **bit-identically**: same centers, cost and
     word ledger as a failure-free run.  Only the wire ledger shows the
     recovery, honestly accounted: replay traffic under ``replay_*`` frame
     kinds, plus one ``RecoveryEvent`` (host, round, reason, re-pin map) in
     ``result.ledger.wire.summary()["recovery"]``, and ``recovery.*``
-    counters on a traced run.  With ``trace=`` a telemetry session (see
-    ``live_telemetry`` below) the same ``recovery.*`` counters stream into
-    every live Prometheus/JSONL snapshot, so a mid-run scrape shows a host
-    death the moment it is handled.  When the budget is exhausted
+    counters on a traced run.  When the budget is exhausted
     (``max_retries`` host deaths already recovered), the next death is a
     clean ``DeadHostError`` with full context.
 
@@ -326,12 +319,10 @@ def wire_codecs(points, k, t) -> None:
     * **Codec frames** — every frame is pickled (protocol 5, numpy buffers
       out of band, so decode is zero-copy) and its body optionally
       compressed.  The default :class:`repro.cluster.WirePolicy`
-      compresses site frames with the best available codec (zstd via
-      the ``zstd`` extra — ``pip install .[zstd]`` — else stdlib zlib) and
-      leaves heartbeat frames uncompressed.
-      ``REPRO_WIRE_CODEC=none|zlib|zstd`` overrides the compressible
-      kinds; an unavailable zstd silently falls back to zlib, so the
-      override never changes results, only bytes.  Compression is kept
+      compresses site frames with stdlib zlib and leaves heartbeat frames
+      uncompressed.  ``REPRO_WIRE_CODEC=none|zlib`` overrides the
+      compressible kinds; the override never changes results, only
+      bytes.  Compression is kept
       per frame only when it shrinks, so incompressible payloads never
       grow.
     * **Honest accounting** — every wire record carries the raw/encoded
@@ -464,7 +455,7 @@ def observability(points, k, t) -> None:
 
     On a cluster backend the wire ledger mirrors every frame it records into
     the tracer's ``wire.bytes*`` counters (raw and encoded, per direction
-    and per frame kind), so mid-run snapshots see the bytes too.  Counters
+    and per frame kind), so the report sees the bytes too.  Counters
     surface what the lower layers did: ``cluster.resident_hit/miss``
     (runner-resident shard+metric), ``cluster.state_token/ship`` (state
     referenced by epoch or shipped whole), ``plan.executions``/
@@ -480,68 +471,6 @@ def observability(points, k, t) -> None:
         f"words {summary['total_words']:.0f}"
     )
     print("\n".join("  " + line for line in render_round_report(result).splitlines()))
-
-
-def live_telemetry(points, k, t) -> None:
-    """Live telemetry.
-
-    ``trace=True`` records a run; ``trace=`` a
-    :class:`repro.obs.TelemetrySession` records it the same way (each run
-    on its own fresh tracer, ``result.trace``) and also *watches* it,
-    running the live plane next to the protocol:
-
-    * **resource sampling** — a background sampler on the coordinator and,
-      on a cluster backend, on every runner.  Runner samples (RSS, CPU
-      seconds, thread/fd counts) piggyback on the heartbeat frames that
-      cross the sockets anyway — zero extra round trips, every heartbeat
-      byte accounted under the wire ledger's ``hb`` kind;
-    * **streaming snapshots** — a snapshot thread publishes the tracer's
-      counters and gauges mid-run to pluggable sinks: Prometheus text
-      exposition (``prometheus_path=``, a file for the node-exporter
-      textfile collector) and JSON lines (``jsonl_path=``).  Mid-run rows
-      show live ``progress.round``, ``progress.tasks_in_flight``,
-      ``wire.bytes`` and ``resource.*`` — and, on a recovered run, the
-      ``recovery.*`` counters.
-
-    The default ``trace=False`` starts none of it: one attribute read,
-    zero per-task allocations, bit-identical results.
-    """
-    import os
-    import tempfile
-
-    from repro.obs import TelemetrySession
-
-    print("\nlive telemetry (snapshots + resource samples)")
-    with tempfile.TemporaryDirectory(prefix="repro-quickstart-") as tmp:
-        session = TelemetrySession(
-            sample_interval=0.02,
-            snapshot_interval=0.05,
-            prometheus_path=os.path.join(tmp, "metrics.prom"),
-            jsonl_path=os.path.join(tmp, "snapshots.jsonl"),
-            label="quickstart",
-        )
-        result = partial_kmedian(
-            points, k=k, t=t, n_sites=3, seed=7,
-            backend="cluster:3", trace=session,
-        )
-        snapshot = session.last_snapshot
-        gauges = snapshot["gauges"]
-        runner_rss = [
-            (name.split(".")[1], value / 1e6)
-            for name, value in sorted(gauges.items())
-            if name.startswith("resource.host-") and name.endswith(".rss_bytes")
-        ]
-        hb_bytes = result.ledger.wire.bytes_by_kind().get("hb", 0)
-        with open(session.sinks[0].path) as fh:
-            n_snapshots = sum(1 for _ in fh)
-        print(f"  snapshots published     : {n_snapshots} "
-              f"(JSONL + Prometheus text, label 'quickstart')")
-        print(f"  final wire.bytes gauge  : {snapshot['counters']['wire.bytes']:.0f}")
-        print(f"  coordinator peak RSS    : {session.peak_rss / 1e6:.0f} MB")
-        print(f"  runner RSS via heartbeat: "
-              + ", ".join(f"{host} {rss:.0f} MB" for host, rss in runner_rss))
-        print(f"  heartbeat bytes (ledger): {hb_bytes} under kind 'hb'")
-        session.close()
 
 
 if __name__ == "__main__":

@@ -13,7 +13,7 @@ a digest, and the coordinator holds only a handle — see
 :mod:`repro.runtime.state`),
 compresses the bulky frame kinds under a per-kind codec policy
 (:class:`~repro.cluster.framing.WirePolicy` — pickle protocol 5 with
-out-of-band numpy buffers, zlib or zstd frame compression), and
+out-of-band numpy buffers, zlib frame compression), and
 records the exact bytes every frame occupied — raw *and* encoded — in a
 :class:`~repro.cluster.wire.WireLedger` that the semantic
 :class:`~repro.distributed.messages.CommunicationLedger` folds into its

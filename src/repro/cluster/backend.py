@@ -93,7 +93,6 @@ from repro.cluster.recovery import (
     resolve_retry_policy,
 )
 from repro.cluster.wire import WireLedger
-from repro.obs.sampler import RESOURCE_SAMPLE_ENV
 from repro.runtime.backends import ExecutionBackend, default_worker_count
 from repro.runtime.state import ResidentState, STATE_TOKEN_TAG, is_state_token
 
@@ -227,39 +226,6 @@ class ClusterBackend(ExecutionBackend):
         #: (only when the retry policy configures a timeout).
         self._monitor_timer: Optional[TimerHandle] = None
         self._recovery_threads: List[threading.Thread] = []
-        #: Telemetry session of the current run (a driver's ``trace=``
-        #: session, installed for the run's backend scope); ``None`` when
-        #: the live plane is off.  When set, runners are spawned with
-        #: resource sampling on their heartbeats.
-        self.telemetry: Optional[Any] = None
-        #: job namespace -> telemetry session for runs admitted through the
-        #: cluster service.
-        self._telemetry_by_job: Dict[str, Any] = {}
-
-    def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        """Install (or remove, with ``None``) a telemetry session.
-
-        A driver given ``trace=`` a session installs it for the run's
-        backend scope and removes it at exit.  Runner-side effects —
-        heartbeat-piggybacked resource samples and the heartbeat interval
-        itself — are inherited through the child environment at spawn time,
-        so a session installed after the pool started only gains the
-        coordinator-side features for already-running hosts; install one
-        before the first dispatch (a driver run does) to sample runners too.
-        """
-        self.telemetry = telemetry
-
-    def set_job_telemetry(self, job: str, telemetry: Optional[Any]) -> None:
-        """Install (or remove, with ``None``) one job's telemetry session.
-
-        Runner resource samples ride host-level heartbeats that belong to no
-        single job, so they land in every installed session
-        (shared-infrastructure metrics, not job data).
-        """
-        if telemetry is not None:
-            self._telemetry_by_job[job] = telemetry
-        else:
-            self._telemetry_by_job.pop(job, None)
 
     def detach_run_accounting(self, job: Optional[str] = None) -> None:
         """Stop accounting heartbeats against the current run's ledger/tracer.
@@ -280,35 +246,6 @@ class ClusterBackend(ExecutionBackend):
             with host.lock:
                 if job is None or host.hb_account[3] == job:
                     host.hb_account = (None, None, 0, "")
-
-    def _absorb_resource_sample(self, host: _Host, sample: Any) -> None:
-        """Land one heartbeat-piggybacked runner sample on the run timeline(s).
-
-        Only the event-loop thread touches these gauges, so the manual
-        running max on ``peak_rss_bytes`` is race-free.  Samples are
-        host-level truth that belongs to no single job, so every installed
-        session — the pool's own plus any per-job ones — receives them.
-        """
-        if not isinstance(sample, dict):
-            return
-        sessions = [self.telemetry] if self.telemetry is not None else []
-        for session in self._telemetry_by_job.values():
-            if not any(session is seen for seen in sessions):
-                sessions.append(session)
-        for session in sessions:
-            tracer = session.tracer
-            if tracer is None or not getattr(tracer, "enabled", False):
-                continue
-            origin = f"host-{host.host_id}"
-            tracer.event("resource_sample", origin=origin, **sample)
-            prefix = f"resource.{origin}."
-            for field in ("rss_bytes", "cpu_s", "n_threads", "n_fds"):
-                if field in sample:
-                    tracer.gauge(prefix + field, sample[field])
-            rss = sample.get("rss_bytes", -1.0)
-            peak_key = prefix + "peak_rss_bytes"
-            if rss > tracer.metrics.gauges.get(peak_key, 0.0):
-                tracer.gauge(peak_key, rss)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -344,10 +281,7 @@ class ClusterBackend(ExecutionBackend):
         (script-directory convention) is pinned to the current directory.
         When the retry policy configures a heartbeat timeout, the runner is
         asked to send unsolicited heartbeats at a quarter of it, so a host
-        busy with one long task never looks silent.  An installed telemetry
-        session *also* forces heartbeats on (at its sample interval, or the
-        retry-derived interval if that is tighter) and asks each one to
-        carry a resource sample — the runner-side feed of the live plane.
+        busy with one long task never looks silent.
         """
         entries = []
         for entry in sys.path:
@@ -355,13 +289,8 @@ class ClusterBackend(ExecutionBackend):
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(dict.fromkeys(entries))
         timeout = self.retry.heartbeat_timeout
-        interval = max(0.05, timeout / 4.0) if timeout is not None else None
-        if self.telemetry is not None:
-            wanted = max(0.01, float(self.telemetry.sample_interval))
-            interval = wanted if interval is None else min(interval, wanted)
-            env[RESOURCE_SAMPLE_ENV] = "1"
-        if interval is not None:
-            env[HEARTBEAT_INTERVAL_ENV] = f"{interval:.3f}"
+        if timeout is not None:
+            env[HEARTBEAT_INTERVAL_ENV] = f"{max(0.05, timeout / 4.0):.3f}"
         return env
 
     def _ensure_started(self) -> List[_Host]:
@@ -1076,8 +1005,6 @@ class ClusterBackend(ExecutionBackend):
                         n_bytes=n_bytes, raw_bytes=raw_bytes, codec=codec,
                         tracer=hb_tracer,
                     )
-            if len(frame) > 3 and frame[3]:
-                self._absorb_resource_sample(host, frame[3])
             return
         if tag == "bye":
             return

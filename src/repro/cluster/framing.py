@@ -21,10 +21,9 @@ receive buffer is a ``bytearray`` (and compressed bodies are decompressed
 into one), so decoded arrays stay *writable* exactly like in-band pickled
 copies would be.
 
-On top of the body sits a per-frame codec: ``none`` (identity), ``zlib``
-(stdlib) and ``zstd`` (optional — install the ``zstd`` extra; the registry
-silently falls back to zlib when the module is absent, so both ends of a
-channel agree without negotiation).  Compression is an explicit
+On top of the body sits a per-frame codec: ``none`` (identity) or ``zlib``
+(stdlib).  Both ends of a channel resolve the same policy from the same
+environment, so they agree without negotiation.  Compression is an explicit
 size-vs-decode-time tradeoff chosen per frame *kind* by a
 :class:`WirePolicy`: site frames and their replays, which ship shards and
 payloads, are compressed; heartbeats are not.  A codec that
@@ -54,14 +53,6 @@ import zlib
 from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Mapping, Optional, Tuple, Union
-
-try:  # pragma: no cover - exercised only where the optional extra is installed
-    import zstandard as _zstandard
-except ImportError:  # pragma: no cover - the fallback path is the tested one here
-    _zstandard = None
-
-#: Whether the optional zstd codec is actually usable in this interpreter.
-HAVE_ZSTD = _zstandard is not None
 
 #: Frame header: unsigned 64-bit big-endian *encoded* body length plus the
 #: one-byte wire id of the codec that encoded the body.
@@ -115,60 +106,32 @@ class Codec:
     decompress: Callable[[bytes], bytes]
 
 
-def _zstd_codec() -> Optional[Codec]:
-    if _zstandard is None:
-        return None
-    compressor = _zstandard.ZstdCompressor()
-    decompressor = _zstandard.ZstdDecompressor()
-
-    def compress(data: bytes) -> bytes:
-        return compressor.compress(data)
-
-    def decompress(data: bytes) -> bytes:
-        return decompressor.decompress(data)
-
-    return Codec(name="zstd", wire_id=2, compress=compress, decompress=decompress)
-
-
 NONE_CODEC = Codec(name="none", wire_id=0, compress=lambda d: d, decompress=lambda d: d)
 ZLIB_CODEC = Codec(name="zlib", wire_id=1, compress=zlib.compress, decompress=zlib.decompress)
-ZSTD_CODEC = _zstd_codec()
 
 _CODECS_BY_NAME: Dict[str, Codec] = {"none": NONE_CODEC, "zlib": ZLIB_CODEC}
-if ZSTD_CODEC is not None:  # pragma: no cover - requires the optional extra
-    _CODECS_BY_NAME["zstd"] = ZSTD_CODEC
 
 _CODECS_BY_ID: Dict[int, Codec] = {c.wire_id: c for c in _CODECS_BY_NAME.values()}
 
 
 def available_codecs() -> Tuple[str, ...]:
-    """Names the registry can actually resolve in this interpreter."""
+    """Names the registry can resolve."""
     return tuple(sorted(_CODECS_BY_NAME))
 
 
 def resolve_codec(name: Union[str, Codec, None]) -> Codec:
     """Resolve a codec name to a usable :class:`Codec`.
 
-    ``None`` means ``"none"``; ``"auto"`` picks the best available
-    compressor (zstd when the optional extra is installed, zlib otherwise);
-    ``"zstd"`` falls back to zlib when the module is absent — both ends of a
-    channel resolve independently from the same environment, so the fallback
-    needs no negotiation.  Unknown names raise :class:`ValueError`.
+    ``None`` means ``"none"``.  Unknown names raise :class:`ValueError`.
     """
     if isinstance(name, Codec):
         return name
     if name is None:
         return NONE_CODEC
-    label = str(name).strip().lower()
-    if label == "auto":
-        return ZSTD_CODEC if ZSTD_CODEC is not None else ZLIB_CODEC
-    if label == "zstd" and ZSTD_CODEC is None:
-        return ZLIB_CODEC
-    codec = _CODECS_BY_NAME.get(label)
+    codec = _CODECS_BY_NAME.get(str(name).strip().lower())
     if codec is None:
         raise ValueError(
-            f"unknown wire codec {name!r}; available: {', '.join(available_codecs())} "
-            "(plus 'auto')"
+            f"unknown wire codec {name!r}; available: {', '.join(available_codecs())}"
         )
     return codec
 
@@ -177,11 +140,6 @@ def codec_by_id(wire_id: int) -> Codec:
     """The codec a received frame header names; raises on undecodable ids."""
     codec = _CODECS_BY_ID.get(wire_id)
     if codec is None:
-        if wire_id == 2:
-            raise ConnectionError(
-                "received a zstd-encoded frame but the zstandard module is not "
-                "installed (install the 'zstd' extra)"
-            )
         raise ConnectionError(f"received a frame with unknown codec id {wire_id}")
     return codec
 
@@ -283,21 +241,19 @@ def encode_frame(obj: Any, codec: Union[str, Codec, None] = None) -> EncodedFram
 COMPRESSIBLE_KINDS = ("site", "replay")
 
 _DEFAULT_POLICY: Dict[str, str] = {
-    "site": "auto",
+    "site": "zlib",
     # Recovery traffic mirrors the kind it replays: re-executed site
     # dispatches compress like the originals.
-    "replay": "auto",
-    # Heartbeats are a tiny tuple (plus, with telemetry on, one small
-    # resource-sample dict) sent on a liveness deadline — never worth a
-    # codec pass.  Listed for documentation; ``codec_for`` would default
-    # unknown kinds to ``none`` anyway.
+    "replay": "zlib",
+    # Heartbeats are a tiny ``("hb", host_id, n)`` tuple sent on a liveness
+    # deadline — never worth a codec pass.  Listed for documentation;
+    # ``codec_for`` would default unknown kinds to ``none`` anyway.
     "hb": "none",
 }
 
 #: Environment variable overriding the codec of every compressible kind
-#: (``none`` / ``zlib`` / ``zstd`` / ``auto``).  The coordinator's
-#: environment is inherited by its runners, so one setting governs both
-#: directions of every channel.
+#: (``none`` / ``zlib``).  The coordinator's environment is inherited by its
+#: runners, so one setting governs both directions of every channel.
 WIRE_CODEC_ENV = "REPRO_WIRE_CODEC"
 
 
@@ -597,14 +553,12 @@ __all__ = [
     "EncodedFrame",
     "FRAME_OVERHEAD",
     "FrameChannel",
-    "HAVE_ZSTD",
     "MIN_COMPRESS_BYTES",
     "NONE_CODEC",
     "PICKLE_PROTOCOL",
     "WIRE_CODEC_ENV",
     "WirePolicy",
     "ZLIB_CODEC",
-    "ZSTD_CODEC",
     "available_codecs",
     "codec_by_id",
     "decode_body",

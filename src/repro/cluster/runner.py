@@ -42,16 +42,12 @@ Every site reply is encoded under the ``site`` codec of the
 (inherited) environment, so both directions of a channel agree on codecs
 without negotiation.
 
-When the pool's retry policy sets a heartbeat timeout (or a telemetry
-session asks for runner resource samples), the runner is spawned with
-:data:`~repro.cluster.recovery.HEARTBEAT_INTERVAL_ENV` in its environment
-and a daemon thread sends unsolicited ``("hb", host_id, n[, sample])``
+When the pool's retry policy sets a heartbeat timeout, the runner is
+spawned with :data:`~repro.cluster.recovery.HEARTBEAT_INTERVAL_ENV` in its
+environment and a daemon thread sends unsolicited ``("hb", host_id, n)``
 frames at that interval, so a runner stalled inside a long task (or wedged
-by a SIGSTOP) is distinguishable from one that is merely busy.  With
-:data:`~repro.obs.sampler.RESOURCE_SAMPLE_ENV` also set, each heartbeat
-piggybacks one :func:`~repro.obs.sampler.read_resource_sample` dict — the
-telemetry plane's runner-side RSS/CPU feed, costing zero extra round trips.
-Heartbeat frames are accounted on the coordinator's wire ledger under the
+by a SIGSTOP) is distinguishable from one that is merely busy.  Heartbeat
+frames are accounted on the coordinator's wire ledger under the
 ``hb`` kind like every other frame (liveness-only heartbeats that arrive
 before any run has attached a ledger are consumed unrecorded).  A send lock
 serialises heartbeat frames with reply frames on the socket.
@@ -77,7 +73,6 @@ from typing import Any, Dict, Optional, Tuple
 
 from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy, encode_payload
 from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
-from repro.obs.sampler import read_resource_sample, resource_samples_enabled
 from repro.obs.trace import TraceBuffer, collector_scope
 from repro.runtime.state import STATE_DIGEST_TAG, is_state_token
 
@@ -212,27 +207,14 @@ def _heartbeat_loop(
     send_lock: threading.Lock,
     stop: threading.Event,
     interval: float,
-    with_samples: bool = False,
 ) -> None:
-    """Send unsolicited liveness frames until told to stop (or the socket dies).
-
-    With ``with_samples``, each frame carries one resource sample — the
-    telemetry plane's runner-side feed, riding the liveness traffic that
-    crosses the socket anyway.  Sampling failures degrade to a plain
-    heartbeat: liveness must never depend on ``/proc`` cooperating.
-    """
+    """Send unsolicited liveness frames until told to stop (or the socket dies)."""
     n = 0
     while not stop.wait(interval):
         n += 1
-        frame: Tuple = ("hb", host_id, n)
-        if with_samples:
-            try:
-                frame = ("hb", host_id, n, read_resource_sample())
-            except Exception:  # pragma: no cover - sampling must not kill liveness
-                pass
         try:
             with send_lock:
-                channel.send(frame)
+                channel.send(("hb", host_id, n))
         except OSError:
             return  # coordinator gone; the serve loop is exiting too
 
@@ -260,8 +242,7 @@ def serve(channel: FrameChannel, host_id: int) -> None:
     if interval > 0:
         threading.Thread(
             target=_heartbeat_loop,
-            args=(channel, host_id, send_lock, stop, interval,
-                  resource_samples_enabled()),
+            args=(channel, host_id, send_lock, stop, interval),
             daemon=True,
             name=f"runner-{host_id}-heartbeat",
         ).start()

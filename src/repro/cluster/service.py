@@ -5,8 +5,8 @@ ClusterBackend` warm pool and admits multiple concurrent clustering runs
 against it.  Each admitted job gets a :class:`ServiceBackend` — a thin
 :class:`~repro.runtime.backends.ExecutionBackend` view of the shared pool
 that stamps every dispatch with the job's private *namespace*, so the
-pool's resident site state, heartbeat accounting and telemetry routing
-stay fully isolated between jobs:
+pool's resident site state and heartbeat accounting stay fully isolated
+between jobs:
 
 * **Resident site state** is keyed by ``(namespace, site slot)``; the
   existing warm-pool slot-eviction machinery gives each lane the same
@@ -16,10 +16,6 @@ stay fully isolated between jobs:
   passes down — the service never mixes them; heartbeat accounting
   captured for one job is detached at that job's end only
   (:meth:`ClusterBackend.detach_run_accounting` with ``job=``).
-* **Telemetry**: a job run with ``trace=`` a telemetry session installs
-  it as a per-job session (:meth:`ClusterBackend.set_job_telemetry`) for
-  the run's backend scope.  Host-level resource samples — shared
-  infrastructure truth — fan out to every installed session.
 
 Admission control is keyed on ``memory_budget`` (same grammar as the
 blocked-evaluation budgets: bytes, or strings like ``"64MB"`` — see
@@ -74,9 +70,9 @@ class ServiceBackend(ExecutionBackend):
     Implements the same dispatch surface as
     :class:`~repro.cluster.backend.ClusterBackend` — site tasks only, which
     the round scheduler duck-types identically — but stamps every frame
-    with the job's namespace and scopes the run-lifecycle hooks (telemetry,
-    heartbeat accounting detach, close) to this job only.  :meth:`close` releases
-    the job's admission slot; it never closes the shared pool.
+    with the job's namespace and scopes the run-lifecycle hooks (heartbeat
+    accounting detach, close) to this job only.  :meth:`close` releases the
+    job's admission slot; it never closes the shared pool.
     """
 
     name = "service"
@@ -105,9 +101,6 @@ class ServiceBackend(ExecutionBackend):
     submit_ordered = ClusterBackend.map_ordered
 
     # -- run-lifecycle hooks, scoped to this job --------------------------
-
-    def set_telemetry(self, telemetry: Optional[Any]) -> None:
-        self._pool.set_job_telemetry(self.job, telemetry)
 
     def detach_run_accounting(self) -> None:
         self._pool.detach_run_accounting(job=self.job)
@@ -269,13 +262,12 @@ class ClusterService:
     def release(self, backend: ServiceBackend) -> None:
         """Return a job's lane and budget reservation (idempotent via close).
 
-        Detaches the job's heartbeat accounting and telemetry session, and
-        retires a pool whose hosts died once its last job is gone — the
-        next admission starts a fresh pool.
+        Detaches the job's heartbeat accounting, and retires a pool whose
+        hosts died once its last job is gone — the next admission starts a
+        fresh pool.
         """
         pool = backend._pool
         pool.detach_run_accounting(job=backend.job)
-        pool.set_job_telemetry(backend.job, None)
         with self._admit:
             if self._active.pop(backend.job, None) is not None:
                 self._reserved -= backend.memory_budget or 0

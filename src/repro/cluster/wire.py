@@ -22,7 +22,8 @@ benchmark's compression column.
 On a traced run :meth:`WireLedger.record` also mirrors each frame into the
 run tracer's ``wire.bytes*`` (raw) and ``wire.bytes_encoded*`` (encoded)
 counters, in total, per direction and per kind.  The ledger is the source
-of byte numbers; the counters make them visible to mid-run snapshots.
+of byte numbers; the counters put them on the run's trace, next to its
+spans.
 
 This module is dependency-free on purpose: the communication ledger attaches
 a ``WireLedger`` lazily without importing the rest of the cluster machinery,
@@ -42,9 +43,8 @@ from typing import Any, Dict, List, Optional
 #: survivor — the byte cost of recovery, accounted as honestly as the rest
 #: of the wire.
 #: ``hb`` frames are runner liveness heartbeats (``recv`` only — runners
-#: send them unsolicited), which also carry one resource sample each when
-#: the telemetry plane asks for it; they cross the same sockets as
-#: everything else, so they are accounted like everything else.
+#: send them unsolicited); they cross the same sockets as everything else,
+#: so they are accounted like everything else.
 FRAME_KINDS = (
     "site_dispatch",
     "site_result",

@@ -2,9 +2,8 @@
 
 Every protocol of the paper has the same two-round star-network shape, and
 every driver needs the same execution scaffolding around its rounds: a
-scratch directory for spilled cost shards, the run's tracer (watched live
-when ``trace=`` is a telemetry session), a root ``run`` span, and an
-execution backend carrying the telemetry session.
+scratch directory for spilled cost shards, the run's tracer, a root ``run``
+span, and an execution backend.
 :func:`protocol_run` owns all of it, and its signature and docstring are
 the one place the run options are declared and documented.  Drivers keep
 only their algorithm parameters and forward ``**options`` unchanged, so an
@@ -13,12 +12,11 @@ unknown option name raises ``TypeError`` here.
 
 from __future__ import annotations
 
-from contextlib import contextmanager, nullcontext
-from typing import Any, Iterator, Optional, Union
+from contextlib import contextmanager
+from typing import Any, ContextManager, Iterator, Optional
 
 from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget, shard_scratch
-from repro.obs.live import TelemetrySession
-from repro.obs.trace import TraceLike, Tracer, resolve_tracer, trace_run
+from repro.obs.trace import TraceLike, resolve_tracer, trace_run
 from repro.runtime.backends import BackendLike, ExecutionBackend, backend_scope
 
 
@@ -38,14 +36,12 @@ class ProtocolRun:
         memory_budget: Optional[int],
         workdir: Optional[str],
         backend: BackendLike,
-        session: Optional[TelemetrySession],
     ):
         self.tracer = tracer
         self.trace = tracer if tracer.enabled else None
         self.memory_budget = memory_budget
         self.workdir = workdir
         self._backend = backend
-        self._session = session
 
     def local_kwargs(self, local_solver_kwargs: Optional[dict]) -> dict:
         """Site-solver kwargs: the caller's, defaulting the memory budget."""
@@ -54,27 +50,15 @@ class ProtocolRun:
             kwargs.setdefault("memory_budget", self.memory_budget)
         return kwargs
 
-    @contextmanager
-    def backend(self) -> Iterator[ExecutionBackend]:
+    def backend(self) -> ContextManager[ExecutionBackend]:
         """Open the execution backend for the site rounds.
 
         Drivers close it before the coordinator's final solve, so pool
-        shutdown and heartbeat accounting end with the last site round.
-        The run's telemetry session is installed for this scope only: a
-        caller's warm pool outlives the run, and its later heartbeat
-        samples must not land on this run's books.
+        shutdown and heartbeat accounting end with the last site round: a
+        caller's warm pool outlives the run, and its later heartbeats must
+        not land on this run's books.
         """
-        with backend_scope(self._backend) as backend:
-            # Only cluster backends have runners to sample; in-process
-            # backends have no telemetry hook.
-            watched = self._session is not None and hasattr(backend, "set_telemetry")
-            if watched:
-                backend.set_telemetry(self._session)
-            try:
-                yield backend
-            finally:
-                if watched:
-                    backend.set_telemetry(None)
+        return backend_scope(self._backend)
 
 
 @contextmanager
@@ -84,15 +68,14 @@ def protocol_run(
     *,
     backend: BackendLike = None,
     memory_budget: MemoryBudgetLike = None,
-    trace: Union[TraceLike, TelemetrySession] = False,
+    trace: TraceLike = False,
 ) -> Iterator[ProtocolRun]:
     """Open the scopes of one protocol run and yield a :class:`ProtocolRun`.
 
     ``algorithm`` and ``objective`` tag the root ``run`` span.  Scopes open
-    in this order and close in reverse: the shard scratch directory, the
-    telemetry session's watch (only when ``trace`` is a session), the root
-    ``run`` span.  The execution backend is the innermost scope; the driver
-    opens it with :meth:`ProtocolRun.backend`.
+    in this order and close in reverse: the shard scratch directory, then
+    the root ``run`` span.  The execution backend is the innermost scope,
+    opened with :meth:`ProtocolRun.backend`.
 
     Options
     -------
@@ -101,9 +84,9 @@ def protocol_run(
 
     backend:
         Where the per-site phases run: ``None``/``"serial"`` (default),
-        ``"thread"``, ``"process"``, ``"cluster"`` (one runner process per
-        host, payloads over real sockets in byte-accounted frames), any of
-        those with a worker count (``"thread:4"``, ``"cluster:3"``), or an
+        ``"process"``, ``"cluster"`` (one runner process per host, payloads
+        over real sockets in byte-accounted frames), either of the last two
+        with a worker count (``"process:4"``, ``"cluster:3"``), or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance, which
         is left open so one warm pool can serve many runs.  On the cluster
         backend a site's shard, metric and mutable round state stay on its
@@ -122,26 +105,20 @@ def protocol_run(
         :func:`repro.obs.render_round_report`, export it with
         :func:`repro.obs.write_chrome_trace`).  On a cluster backend its
         ``wire.bytes*`` counters mirror the wire ledger frame by frame.
-        Pass an existing tracer to share one timeline across runs.  A
-        :class:`~repro.obs.live.TelemetrySession` records like ``True``
-        (each run gets its own fresh tracer) and also watches the run live:
-        coordinator and runner resource sampling (runner samples ride
-        heartbeat frames) and mid-run Prometheus/JSONL snapshots.
-        ``False`` (default) adds no per-task work.  Any other value raises
-        ``TypeError``.
+        Pass an existing :class:`~repro.obs.trace.Tracer` to share one
+        timeline across runs.  ``False``/``None`` (default) adds no
+        per-task work.  Any other value raises ``TypeError``.
 
     Fault tolerance is not a run option.  It belongs to the pool and is set
     where the pool is built: ``ClusterBackend(retry=RetryPolicy(...))`` or
     ``ClusterService(retry=...)``.  Every run on that pool shares it.
     """
     budget = resolve_memory_budget(memory_budget)
-    session = trace if isinstance(trace, TelemetrySession) else None
-    tracer = Tracer() if session is not None else resolve_tracer(trace)
-    watch = session.watch(tracer) if session is not None else nullcontext()
-    with shard_scratch(budget) as workdir, watch, trace_run(
+    tracer = resolve_tracer(trace)
+    with shard_scratch(budget) as workdir, trace_run(
         tracer, "run", algorithm=algorithm, objective=objective
     ):
-        yield ProtocolRun(tracer, budget, workdir, backend, session)
+        yield ProtocolRun(tracer, budget, workdir, backend)
 
 
 __all__ = ["ProtocolRun", "protocol_run"]

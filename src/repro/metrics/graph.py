@@ -7,13 +7,15 @@ similarity graphs over documents).
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import networkx as nx
 import numpy as np
 
 from repro.metrics.base import MetricSpace
 from repro.metrics.matrix import MatrixMetric
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 
 class GraphMetric(MetricSpace):
@@ -22,9 +24,14 @@ class GraphMetric(MetricSpace):
     Distances are materialised eagerly into a dense matrix (the library
     targets instances of at most a few thousand points, matching the paper's
     ``Õ(n_i^2)`` local running times).
+
+    Needs networkx, which the rest of the package does not: install the
+    ``graph`` extra (``pip install .[graph]``).
     """
 
     def __init__(self, graph: nx.Graph, *, weight: str = "weight", words_per_point: int = 1):
+        import networkx as nx
+
         if graph.number_of_nodes() == 0:
             raise ValueError("graph must have at least one node")
         if not nx.is_connected(graph):

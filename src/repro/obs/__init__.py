@@ -1,4 +1,4 @@
-"""repro.obs — run tracing, live telemetry, and round-by-round run reports.
+"""repro.obs — run tracing and round-by-round run reports.
 
 The observability substrate every layer of a run reports through: a
 :class:`~repro.obs.trace.Tracer` with spans/events/counters on one
@@ -9,36 +9,20 @@ from the trace and the run's ledgers, and a Chrome/Perfetto
 the tracer is attached to the result as ``result.trace``.  On a cluster
 backend the trace's ``wire.bytes*`` counters are the
 :class:`~repro.cluster.wire.WireLedger`'s own records, mirrored as each
-frame is recorded, so mid-run snapshots see the bytes too.
+frame is recorded.
 
-``trace=`` is the one observability option.  Passing a
-:class:`~repro.obs.live.TelemetrySession` instead of ``True`` also watches
-the run live: background resource sampling on the coordinator and (over
-heartbeat frames) every runner (:mod:`~repro.obs.sampler`) and mid-run
-metric snapshots to Prometheus/JSONL sinks (:mod:`~repro.obs.live`).
+``trace=`` is the one observability option: ``False``/``None`` (off),
+``True`` (a fresh tracer per run) or an existing
+:class:`~repro.obs.trace.Tracer` to share one timeline across runs.
 """
 
 from repro.obs.export import to_chrome_trace, write_chrome_trace
-from repro.obs.live import (
-    JsonlSink,
-    LiveMetrics,
-    PrometheusFileSink,
-    TelemetrySession,
-    build_snapshot,
-    prometheus_text,
-)
 from repro.obs.report import (
     SUMMARY_COUNTERS,
     protocol_summary,
     render_protocol_summary,
     render_round_report,
     round_report,
-)
-from repro.obs.sampler import (
-    RESOURCE_SAMPLE_ENV,
-    ResourceSampler,
-    read_resource_sample,
-    resource_samples_enabled,
 )
 from repro.obs.trace import (
     NULL_TRACER,
@@ -57,30 +41,20 @@ from repro.obs.trace import (
 
 __all__ = [
     "NULL_TRACER",
-    "RESOURCE_SAMPLE_ENV",
     "SUMMARY_COUNTERS",
     "EventRecord",
-    "JsonlSink",
-    "LiveMetrics",
     "MetricsRegistry",
     "NullTracer",
-    "PrometheusFileSink",
-    "ResourceSampler",
     "SpanRecord",
-    "TelemetrySession",
     "TraceBuffer",
     "TraceLike",
     "Tracer",
     "active_collector",
-    "build_snapshot",
     "collector_scope",
-    "prometheus_text",
     "protocol_summary",
-    "read_resource_sample",
     "render_protocol_summary",
     "render_round_report",
     "resolve_tracer",
-    "resource_samples_enabled",
     "round_report",
     "to_chrome_trace",
     "trace_run",

@@ -90,7 +90,6 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
         "displayTimeUnit": "ms",
         "otherData": {
             "counters": {k: v for k, v in sorted(tracer.metrics.counters.items())},
-            "gauges": {k: v for k, v in sorted(tracer.metrics.gauges.items())},
         },
     }
 

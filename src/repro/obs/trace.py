@@ -6,9 +6,9 @@ for it (``Timer`` labels, the word-count ``CommunicationLedger``, the
 physical ``WireLedger``).  This module adds the layer that ties them
 together: a :class:`Tracer` records *spans* (named intervals with tags) and
 *events* on a single monotonic timeline, plus a :class:`MetricsRegistry` of
-counters and gauges, cheap enough to thread through every hot path.  It
-does not count wire bytes itself: the ``WireLedger`` mirrors each frame it
-records into the tracer's ``wire.bytes*`` counters.
+counters, cheap enough to thread through every hot path.  It does not
+count wire bytes itself: the ``WireLedger`` mirrors each frame it records
+into the tracer's ``wire.bytes*`` counters.
 
 Three design points carry the module:
 
@@ -94,23 +94,19 @@ class EventRecord:
 
 
 class MetricsRegistry:
-    """Named counters (monotone adds) and gauges (last-write-wins).
+    """Named counters (monotone adds).
 
     Picklable and mergeable: runner-side registries fold into the
-    coordinator's with :meth:`merge` (counters add, gauges overwrite).
-    Reading an unset counter returns ``0.0`` so report code can list a fixed
-    set of counters without caring which layers ran.
+    coordinator's with :meth:`merge` (counters add).  Reading an unset
+    counter returns ``0.0`` so report code can list a fixed set of counters
+    without caring which layers ran.
     """
 
     def __init__(self) -> None:
         self.counters: Dict[str, float] = {}
-        self.gauges: Dict[str, float] = {}
 
     def inc(self, name: str, value: float = 1.0) -> None:
         self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
 
     def counter(self, name: str) -> float:
         return self.counters.get(name, 0.0)
@@ -118,13 +114,9 @@ class MetricsRegistry:
     def merge(self, other: "MetricsRegistry") -> None:
         for name, value in other.counters.items():
             self.counters[name] = self.counters.get(name, 0.0) + value
-        self.gauges.update(other.gauges)
-
-    def as_dict(self) -> Dict[str, Dict[str, float]]:
-        return {"counters": dict(self.counters), "gauges": dict(self.gauges)}
 
     def __bool__(self) -> bool:
-        return bool(self.counters or self.gauges)
+        return bool(self.counters)
 
 
 class TraceBuffer:
@@ -163,9 +155,6 @@ class TraceBuffer:
 
     def inc(self, name: str, value: float = 1.0) -> None:
         self.metrics.inc(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        self.metrics.gauge(name, value)
 
     # -- introspection ------------------------------------------------------
 
@@ -239,10 +228,6 @@ class Tracer:
     def inc(self, name: str, value: float = 1.0) -> None:
         with self._lock:
             self.metrics.inc(name, value)
-
-    def gauge(self, name: str, value: float) -> None:
-        with self._lock:
-            self.metrics.gauge(name, value)
 
     def counter(self, name: str) -> float:
         """Current value of a counter (0.0 if never bumped)."""
@@ -381,9 +366,6 @@ class NullTracer:
     def inc(self, name: str, value: float = 1.0) -> None:
         return None
 
-    def gauge(self, name: str, value: float) -> None:
-        return None
-
     def counter(self, name: str) -> float:
         return 0.0
 
@@ -417,10 +399,7 @@ def resolve_tracer(trace: Any) -> Any:
         return Tracer()
     if isinstance(trace, (Tracer, NullTracer)):
         return trace
-    raise TypeError(
-        "trace must be a bool, a Tracer or a TelemetrySession, "
-        f"got {type(trace).__name__}"
-    )
+    raise TypeError(f"trace must be a bool or a Tracer, got {type(trace).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@ steps synchronise.  This subsystem separates *what* a site computes from
 *where* it runs:
 
 * :mod:`repro.runtime.backends` — the execution strategies.
-  :class:`SerialBackend` (the reference loop), :class:`ThreadPoolBackend`
-  (shared memory, GIL-releasing numpy kernels run concurrently) and
+  :class:`SerialBackend` (the reference loop) and
   :class:`ProcessPoolBackend` (true parallelism; everything crosses the
-  boundary through pickle).
+  boundary through pickle).  The cluster backend
+  (:class:`~repro.cluster.backend.ClusterBackend`, spec ``"cluster"``) runs
+  one runner process per simulated host over real sockets.
 * :mod:`repro.runtime.tasks` — :class:`SiteTask` / :class:`SiteContext` and
   the scheduler :func:`run_site_tasks`, which fans a round's site tasks out
   to a backend, joins deterministically in site order, and merges state,
@@ -44,7 +45,6 @@ from repro.runtime.backends import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     available_backends,
     backend_scope,
     default_worker_count,
@@ -68,7 +68,6 @@ __all__ = [
     "register_backend",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "backend_scope",
     "default_worker_count",

@@ -1,20 +1,15 @@
 """Execution backends: where site-local computation actually runs.
 
 A backend is a strategy for evaluating a batch of independent callables —
-one per site — and returning their results in submission order.  Three
-are provided:
+one per site — and returning their results in submission order.  Two are
+provided here (the cluster backend, one runner process per simulated host,
+lives in :mod:`repro.cluster`):
 
 ``SerialBackend``
     The reference implementation: a plain Python loop in the calling
     process, in submission (site-id) order.  Zero overhead, always
     available, and the behaviour every other backend must reproduce
     bit-for-bit.
-
-``ThreadPoolBackend``
-    A :class:`concurrent.futures.ThreadPoolExecutor`.  Site tasks share the
-    interpreter, so speedup comes from numpy/BLAS kernels releasing the GIL
-    during distance and linear-algebra work; task payloads are shared by
-    reference (no serialisation).
 
 ``ProcessPoolBackend``
     A :class:`concurrent.futures.ProcessPoolExecutor`.  Every task and its
@@ -32,7 +27,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import Executor, Future, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
@@ -126,26 +121,28 @@ class SerialBackend(ExecutionBackend):
         return [fn(item) for item in items]
 
 
-class _PooledBackend(ExecutionBackend):
-    """Shared plumbing for executor-based backends (lazy pool creation)."""
+class ProcessPoolBackend(ExecutionBackend):
+    """Fan site tasks out to worker processes (tasks must be picklable).
+
+    The pool is created lazily, on the first submitted task.
+    """
+
+    name = "process"
 
     def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers or default_worker_count()
-        self._executor: Optional[Executor] = None
-
-    def _make_executor(self) -> Executor:  # pragma: no cover - overridden
-        raise NotImplementedError
+        self._executor: Optional[ProcessPoolExecutor] = None
 
     def submit_ordered(
         self, fn: Callable[[Any], Any], items: Sequence[Any]
     ) -> List[Future]:
         items = list(items)
-        # Even a single task goes through the pool: the process backend's
-        # isolation/pickling guarantee must not silently vary with batch size.
+        # Even a single task goes through the pool: the isolation/pickling
+        # guarantee must not silently vary with batch size.
         if items and self._executor is None:
-            self._executor = self._make_executor()
+            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
         return [self._executor.submit(fn, item) for item in items]
 
     def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
@@ -160,26 +157,6 @@ class _PooledBackend(ExecutionBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(max_workers={self.max_workers})"
-
-
-class ThreadPoolBackend(_PooledBackend):
-    """Fan site tasks out to a shared-memory thread pool."""
-
-    name = "thread"
-
-    def _make_executor(self) -> Executor:
-        return ThreadPoolExecutor(
-            max_workers=self.max_workers, thread_name_prefix="repro-site"
-        )
-
-
-class ProcessPoolBackend(_PooledBackend):
-    """Fan site tasks out to worker processes (tasks must be picklable)."""
-
-    name = "process"
-
-    def _make_executor(self) -> Executor:
-        return ProcessPoolExecutor(max_workers=self.max_workers)
 
 
 _BACKEND_FACTORIES: Dict[str, BackendFactory] = {}
@@ -241,7 +218,6 @@ def _service_factory(workers: Optional[int]) -> ExecutionBackend:
 
 
 register_backend("serial", _serial_factory)
-register_backend("thread", lambda workers: ThreadPoolBackend(max_workers=workers))
 register_backend("process", lambda workers: ProcessPoolBackend(max_workers=workers))
 register_backend("cluster", _cluster_factory)
 register_backend("service", _service_factory)
@@ -251,7 +227,7 @@ def resolve_backend(backend: BackendLike) -> ExecutionBackend:
     """Normalise a backend spec into an :class:`ExecutionBackend` instance.
 
     Accepts ``None`` (serial), a registered name — optionally with a worker
-    count, e.g. ``"thread:4"`` or ``"cluster:3"`` — or an existing backend
+    count, e.g. ``"process:4"`` or ``"cluster:3"`` — or an existing backend
     instance (returned unchanged, so pools can be shared across protocol
     runs).
     """
@@ -313,7 +289,6 @@ __all__ = [
     "backend_scope",
     "ExecutionBackend",
     "SerialBackend",
-    "ThreadPoolBackend",
     "ProcessPoolBackend",
     "default_worker_count",
     "effective_cpu_count",

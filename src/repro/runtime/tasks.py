@@ -216,7 +216,7 @@ def run_site_tasks(
         At most one :class:`SiteTask` per site.
     backend:
         ``None`` / a registered backend name (optionally ``"name:workers"``,
-        e.g. ``"thread:4"`` or ``"cluster:3"``) or an
+        e.g. ``"process:4"`` or ``"cluster:3"``) or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance.
 
     Returns
@@ -274,11 +274,6 @@ def run_site_tasks(
         with tracer.span("round", round=round_index, tasks=len(tasks),
                          backend=type(exec_backend).__name__):
             t_dispatch = tracer.clock()
-            if tracer.enabled:
-                # Progress gauges a live snapshot reads mid-run; the null
-                # tracer path stays allocation-free.
-                tracer.gauge("progress.round", round_index)
-                tracer.gauge("progress.tasks_in_flight", len(tasks))
             submit_site_pairs = getattr(exec_backend, "submit_site_pairs", None)
             if submit_site_pairs is not None:
                 # Wire-capable backend (cluster): payloads cross real sockets
@@ -312,9 +307,6 @@ def run_site_tasks(
                             tags={"round": round_index},
                         )
                     tracer.event("absorb", site=result.site_id, round=round_index)
-                    tracer.inc("progress.tasks_done")
-                    tracer.gauge("progress.tasks_in_flight",
-                                 len(tasks) - len(results) - 1)
                 for out in result.outbox:
                     network.send_to_coordinator(
                         result.site_id,

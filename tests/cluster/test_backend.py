@@ -11,8 +11,8 @@ from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
 from repro.runtime import (
+    ProcessPoolBackend,
     SiteTask,
-    ThreadPoolBackend,
     available_backends,
     register_backend,
     resolve_backend,
@@ -77,9 +77,9 @@ class TestRegistry:
         assert "cluster" in available_backends()
         assert "service" in available_backends()
 
-    def test_thread_spec_sets_workers(self):
-        backend = resolve_backend("thread:4")
-        assert isinstance(backend, ThreadPoolBackend)
+    def test_process_spec_sets_workers(self):
+        backend = resolve_backend("process:4")
+        assert isinstance(backend, ProcessPoolBackend)
         assert backend.max_workers == 4
         backend.close()
 
@@ -89,9 +89,9 @@ class TestRegistry:
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="not an integer"):
-            resolve_backend("thread:x")
+            resolve_backend("process:x")
         with pytest.raises(ValueError, match=">= 1"):
-            resolve_backend("thread:0")
+            resolve_backend("process:0")
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu:4")
 

@@ -9,7 +9,7 @@ Covers the service tentpole's acceptance surface:
   and never starves an oversized job;
 * the coordinator runs **zero per-host threads** — one selector loop
   multiplexes every runner channel — and ``close()`` leaks neither
-  threads nor file descriptors (sampler fd accounting);
+  threads nor file descriptors (``/proc/self/fd`` count);
 * ``when=io`` faults fire at exact loop-dispatch ordinals and recovery
   keeps results bit-identical.
 """
@@ -29,7 +29,6 @@ from repro.cluster import (
     RetryPolicy,
 )
 from repro.distributed.messages import CommunicationLedger
-from repro.obs.sampler import read_resource_sample
 from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
@@ -189,11 +188,16 @@ class TestAdmission:
             svc.checkout()
 
 
+def _open_fds():
+    """Open file descriptors of this process."""
+    return len(os.listdir("/proc/self/fd"))
+
+
 class TestEventLoopShape:
     def test_zero_per_host_threads_and_clean_close(self):
         """cluster:3 runs one loop thread total, and close() leaks nothing."""
         before_threads = set(threading.enumerate())
-        before_fds = read_resource_sample()["n_fds"]
+        before_fds = _open_fds()
 
         backend = ClusterBackend(n_hosts=3)
         try:
@@ -215,10 +219,9 @@ class TestEventLoopShape:
         # All sockets, the selector and its wakeup pair are gone; give the
         # kernel a beat to reap the runner processes' pipe ends.
         deadline = time.monotonic() + 5.0
-        while (read_resource_sample()["n_fds"] > before_fds
-               and time.monotonic() < deadline):
+        while _open_fds() > before_fds and time.monotonic() < deadline:
             time.sleep(0.05)
-        assert read_resource_sample()["n_fds"] <= before_fds
+        assert _open_fds() <= before_fds
 
     def test_service_jobs_share_one_loop_thread(self, service2):
         jobs = [

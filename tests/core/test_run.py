@@ -7,7 +7,6 @@ import threading
 import pytest
 
 from repro.core.run import protocol_run
-from repro.obs.live import TelemetrySession
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import SerialBackend
 
@@ -42,7 +41,7 @@ def test_budget_scratch_and_solver_defaults():
 
 
 def test_trace_mapping():
-    """``trace=`` maps off / on / a shared tracer / a session; nothing else."""
+    """``trace=`` maps off / on / a shared tracer; nothing else."""
     before = set(threading.enumerate())
     for off in (False, None):
         with protocol_run("algorithm1", "median", trace=off) as run:
@@ -55,18 +54,6 @@ def test_trace_mapping():
     shared = Tracer()
     with protocol_run("algorithm1", "median", trace=shared) as run:
         assert run.tracer is shared and run.trace is shared
-
-    # A session records like ``True`` and watches each run's fresh tracer.
-    session = TelemetrySession(sample_interval=0.01, snapshot_interval=60.0)
-    tracers = []
-    for _ in range(2):
-        with protocol_run("algorithm1", "median", trace=session) as run:
-            assert run.tracer.enabled and run.trace is run.tracer
-            assert session.tracer is run.tracer
-            tracers.append(run.tracer)
-    assert tracers[0] is not tracers[1]
-    assert session.peak_rss > 0 and session.last_snapshot is not None
-    session.close()
 
     for bad in ("yes", 1, object()):
         with pytest.raises(TypeError, match="trace must be"):

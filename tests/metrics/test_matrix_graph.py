@@ -1,9 +1,14 @@
 """Tests for MatrixMetric and GraphMetric."""
 
+import os
+import subprocess
+import sys
+
 import networkx as nx
 import numpy as np
 import pytest
 
+import repro
 from repro.metrics import GraphMetric, MatrixMetric
 
 
@@ -105,3 +110,18 @@ class TestGraphMetric:
         metric = GraphMetric(self._path_graph())
         block = metric.pairwise([0, 1], [2, 3])
         assert block.shape == (2, 2)
+
+
+def test_package_imports_without_networkx():
+    """Only ``GraphMetric`` needs networkx (the ``graph`` extra): the package
+    and the cluster runner import with it blocked."""
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        "import sys; sys.modules['networkx'] = None; "
+        "import repro, repro.cluster.runner"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr

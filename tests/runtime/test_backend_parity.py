@@ -1,7 +1,7 @@
 """Backend parity: every protocol must be bit-identical across backends.
 
-The acceptance bar for the runtime subsystem: for a fixed seed, serial,
-thread and process backends (and the pickle transport) return the same
+The acceptance bar for the runtime subsystem: for a fixed seed, serial
+and process backends (and the pickle transport) return the same
 centers, the same cost and the same ledger word counts — parallelism and
 payload materialisation are pure execution details.
 """
@@ -16,9 +16,9 @@ from repro import (
     uncertain_partial_kmedian,
 )
 from repro.core.algorithm1_modified import distributed_partial_median_no_shipping
-from repro.runtime import ProcessPoolBackend, ThreadPoolBackend
+from repro.runtime import ProcessPoolBackend
 
-PARALLEL_BACKENDS = ["thread", "process"]
+PARALLEL_BACKENDS = ["process"]
 
 
 def _assert_same_result(base, other):
@@ -57,7 +57,7 @@ class TestDeterministicProtocolParity:
 
     def test_backend_instance_is_shared_across_runs(self, small_workload):
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
-        with ThreadPoolBackend(max_workers=2) as pool:
+        with ProcessPoolBackend(max_workers=2) as pool:
             first = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42, backend=pool)
             second = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42, backend=pool)
         _assert_same_result(base, first)

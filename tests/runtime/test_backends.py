@@ -8,14 +8,13 @@ from repro.runtime import (
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    ThreadPoolBackend,
     backend_scope,
     default_worker_count,
     effective_cpu_count,
     resolve_backend,
 )
 
-ALL_BACKENDS = ["serial", "thread", "process"]
+ALL_BACKENDS = ["serial", "process"]
 
 
 class TestEffectiveCpuCount:
@@ -50,7 +49,7 @@ class TestResolveBackend:
 
     @pytest.mark.parametrize(
         "name, cls",
-        [("serial", SerialBackend), ("thread", ThreadPoolBackend), ("process", ProcessPoolBackend)],
+        [("serial", SerialBackend), ("process", ProcessPoolBackend)],
     )
     def test_names(self, name, cls):
         backend = resolve_backend(name)
@@ -75,7 +74,7 @@ class TestResolveBackend:
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
-            ThreadPoolBackend(max_workers=0)
+            ProcessPoolBackend(max_workers=0)
 
     def test_default_worker_count_positive(self):
         assert default_worker_count() >= 1
@@ -104,7 +103,7 @@ class TestMapOrdered:
                 backend.map_ordered(_explode, [3, 4])
 
     def test_pool_is_reused_across_batches(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         try:
             backend.map_ordered(_square, [1, 2, 3])
             pool = backend._executor
@@ -115,7 +114,7 @@ class TestMapOrdered:
         assert backend._executor is None
 
     def test_close_is_idempotent(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         backend.map_ordered(_square, [1, 2])
         backend.close()
         backend.close()
@@ -123,13 +122,13 @@ class TestMapOrdered:
 
 class TestBackendScope:
     def test_owned_backend_is_closed(self):
-        with backend_scope("thread") as backend:
+        with backend_scope("process") as backend:
             backend.map_ordered(_square, [1, 2, 3])
             assert backend._executor is not None
         assert backend._executor is None
 
     def test_caller_owned_backend_stays_open(self):
-        backend = ThreadPoolBackend(max_workers=2)
+        backend = ProcessPoolBackend(max_workers=2)
         try:
             with backend_scope(backend) as scoped:
                 assert scoped is backend
@@ -139,7 +138,7 @@ class TestBackendScope:
             backend.close()
 
     def test_context_manager_protocol(self):
-        with ThreadPoolBackend(max_workers=2) as backend:
+        with ProcessPoolBackend(max_workers=2) as backend:
             assert isinstance(backend, ExecutionBackend)
             backend.map_ordered(_square, [1, 2])
         assert backend._executor is None

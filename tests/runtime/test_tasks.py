@@ -9,7 +9,7 @@ from repro.metrics.euclidean import EuclideanMetric
 from repro.runtime import SiteTask, run_site_tasks
 from repro.utils.rng import spawn_rngs
 
-ALL_BACKENDS = ["serial", "thread", "process"]
+ALL_BACKENDS = ["serial", "process"]
 
 
 def _make_network(n_sites=3):
