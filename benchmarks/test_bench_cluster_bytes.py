@@ -65,6 +65,10 @@ N_HOSTS = 2  # deliberately != n_sites: placement is site_id % n_hosts
 #: round-trip (a 10-20x blow-up for kmedian / no_shipping).
 BASELINE_HEADROOM = 2.0
 
+#: Floor on the raw/encoded ratio of every protocol's site result frames:
+#: the codec must earn its column where it runs.
+SITE_RESULT_COMPRESSION_FLOOR = 1.5
+
 
 def _committed_baseline() -> dict:
     """protocol -> committed benchmark row (the regression baseline)."""
@@ -174,9 +178,6 @@ def test_cluster_bytes_per_word(
         detail[name] = {
             "bytes_by_round": clustered.ledger.bytes_by_round(),
             "wire": clustered.ledger.wire.summary(),
-            "uplink_payload_bytes": float(
-                sum(m.n_bytes or 0 for m in clustered.ledger.messages if m.to_coordinator)
-            ),
             "trace_counters": trace_counters[name],
         }
 
@@ -207,7 +208,8 @@ def test_cluster_bytes_per_word(
         <= 2.0 * measured["kcenter"]["bytes_per_word"]
     ), "center_g's site residency regressed: its bytes/word left kcenter's band"
     # And the codec layer must actually earn its column: site result frames
-    # compress >= 2x.
+    # compress >= 1.5x.  Each payload rides its result frame once, so zlib
+    # has no duplicate to fold.
     for name, kind in (
         ("kmedian", "site_result"),
         ("kcenter", "site_result"),
@@ -215,8 +217,9 @@ def test_cluster_bytes_per_word(
         ("center_g", "site_result"),
     ):
         ratio = detail[name]["wire"]["compression_by_kind"][kind]
-        assert ratio >= 2.0, (
-            f"{name}: {kind} frames compress only {ratio:.2f}x (expected >= 2x)"
+        assert ratio >= SITE_RESULT_COMPRESSION_FLOOR, (
+            f"{name}: {kind} frames compress only {ratio:.2f}x "
+            f"(expected >= {SITE_RESULT_COMPRESSION_FLOOR}x)"
         )
 
     # One fault-injected traced kmedian run on its own pool: a host dies

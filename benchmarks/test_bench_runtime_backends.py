@@ -27,6 +27,7 @@ from repro.core import distributed_partial_median
 from repro.data import gaussian_mixture_with_outliers
 from repro.distributed import DistributedInstance, partition_balanced
 from repro.runtime import effective_cpu_count, resolve_backend
+from tests.helpers import run_site_round
 
 BACKENDS = ["serial", "process"]
 
@@ -79,8 +80,9 @@ def test_runtime_backend_speedup(benchmark, runtime_instance):
         backend = resolve_backend(name)
         try:
             if name != "serial":
-                # Warm the pool so worker startup is not billed to the protocol.
-                backend.map_ordered(abs, [0] * backend.max_workers)
+                # Warm the pool with one no-op site round so worker startup is
+                # not billed to the protocol.
+                run_site_round(backend, abs, [0] * backend.max_workers)
             start = time.perf_counter()
             results[name] = _run(runtime_instance, backend)
             walls[name] = time.perf_counter() - start

@@ -113,10 +113,12 @@ def running_on_a_cluster_backend(points, k, t) -> None:
           summary["total_words"]   # identical to backend="serial"
           summary["total_bytes"]   # > 0: real wire traffic, per round too
 
-      Each uplink message also carries ``n_bytes`` — its payload's own
-      serialized size — so bytes-per-word ratios can be read per message
-      kind, which is what makes the paper's word counts comparable to
-      byte-level transmission schemes.
+      The bytes live in the frame ledger (``result.ledger.wire``, per
+      round, host and frame kind), counted once per frame.  A message's
+      own raw size is its pickled payload,
+      ``len(pickle.dumps(message.payload))``, on any backend — which is
+      what makes the paper's word counts comparable to byte-level
+      transmission schemes.
 
     Resident state and state digests
     --------------------------------

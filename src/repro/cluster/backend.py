@@ -10,12 +10,12 @@ claims honest:
   (``python -m repro.cluster.runner``) and inherit nothing; every byte a
   site computes on arrived through its socket.
 * **Wire-level byte accounting.**  Each dispatch and result frame's exact
-  size is recorded in the :class:`~repro.cluster.wire.WireLedger` the caller
-  supplies — the physically transmitted (codec-encoded) bytes *and* the
-  bytes the frame would have cost uncompressed — and site results encode
-  each buffered site-to-coordinator payload individually so the
-  communication ledger can stamp per-message ``n_bytes`` (plus its
-  codec-priced ``n_bytes_encoded``) next to the semantic word counts.
+  size is recorded in the run ledger's
+  :class:`~repro.cluster.wire.WireLedger` — the physically transmitted
+  (codec-encoded) bytes *and* the bytes the frame would have cost
+  uncompressed.  A site's buffered site-to-coordinator messages ride its
+  result frame as plain objects next to the task's return value, so each
+  byte is counted once, per frame.
 * **Codec frames.**  Frames are encoded under a
   :class:`~repro.cluster.framing.WirePolicy` (site and replay frames
   compressed; the ``REPRO_WIRE_CODEC`` environment override reaches the
@@ -93,7 +93,7 @@ from repro.cluster.recovery import (
     resolve_retry_policy,
 )
 from repro.cluster.wire import WireLedger
-from repro.runtime.backends import ExecutionBackend, default_worker_count
+from repro.runtime.backends import ExecutionBackend, effective_cpu_count
 from repro.runtime.state import ResidentState, STATE_TOKEN_TAG, is_state_token
 
 
@@ -190,7 +190,7 @@ class ClusterBackend(ExecutionBackend):
     ):
         if n_hosts is not None and n_hosts < 1:
             raise ValueError(f"n_hosts must be >= 1, got {n_hosts}")
-        self.n_hosts = n_hosts or default_worker_count()
+        self.n_hosts = n_hosts or effective_cpu_count()
         self.start_timeout = float(start_timeout)
         #: Per-frame-kind codec choices; runners resolve the same policy from
         #: the environment they inherit, so both directions agree.
@@ -1202,12 +1202,14 @@ class ClusterBackend(ExecutionBackend):
         self,
         pairs: Sequence[Tuple[Any, Any]],
         *,
-        wire: Optional[WireLedger] = None,
-        round_index: int = 0,
+        round_index: int,
+        ledger,
         tracer=None,
         job: str = "",
     ) -> List[Future]:
         """Ship ``(SiteTask, SiteContext)`` pairs, returning SiteTaskResult futures.
+
+        Every frame of the round is recorded in ``ledger.ensure_wire()``.
 
         Site ``s`` is pinned to host ``s % n_hosts``, and its
         ``(shard, local_metric)`` sticky half is shipped only the first time
@@ -1228,6 +1230,7 @@ class ClusterBackend(ExecutionBackend):
         budget the dispatch's future fails with :class:`DeadHostError`
         instead.  Failures reach the caller through the site's future.
         """
+        wire = ledger.ensure_wire()
         pairs = list(pairs)
         if not pairs:
             return []
@@ -1372,11 +1375,8 @@ class ClusterBackend(ExecutionBackend):
 
         def convert(result: dict):
             outbox = [
-                Outgoing(
-                    kind=kind, payload=decode_payload(blob), words=words,
-                    n_bytes=n_bytes, n_bytes_encoded=n_encoded,
-                )
-                for kind, blob, words, n_bytes, n_encoded in result["outbox"]
+                Outgoing(kind=kind, payload=payload, words=words)
+                for kind, payload, words in result["outbox"]
             ]
             handle = ResidentState(key, site_id, result["state"][1])
             self._handles[key] = weakref.ref(handle)
@@ -1390,15 +1390,6 @@ class ClusterBackend(ExecutionBackend):
             )
 
         return convert
-
-    def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Refuse generic callables: the pool runs site tasks only."""
-        raise TypeError(
-            f"{type(self).__name__} runs site tasks only: dispatch a round "
-            "with repro.runtime.run_site_tasks"
-        )
-
-    submit_ordered = map_ordered
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "stopped" if self._hosts is None else "running"

@@ -79,9 +79,9 @@ MIN_COMPRESS_BYTES = 256
 def encode_payload(obj: Any) -> bytes:
     """Serialise one object as a standalone pickle (no out-of-band buffers).
 
-    This is the *component* encoder: outbox payloads and resident-state
-    entry sizes both price an object by these bytes, independent of
-    whatever frame later carries it.
+    This is the *component* encoder: resident-state digests price each
+    state entry by these bytes, and a dispatch record keeps its RNG stream
+    in this form for replay, independent of whatever frame carries either.
     """
     return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
 
@@ -393,7 +393,14 @@ class FrameChannel:
         except OSError as exc:  # pragma: no cover - platform-dependent errno
             raise ConnectionError(f"socket receive failed: {exc}") from exc
         length, codec_id = _HEADER.unpack(bytes(header))
-        data = recv_exact(self._sock, length)
+        return self._decode(codec_id, recv_exact(self._sock, length))
+
+    def _decode(self, codec_id: int, data: bytearray) -> Tuple[Any, int, int, str]:
+        """Decode one received frame body and count it (see :meth:`recv`).
+
+        ``data`` is the encoded body as it crossed the socket, in a buffer
+        the decoded arrays may alias for their lifetime.
+        """
         codec = codec_by_id(codec_id)
         if codec.wire_id == NONE_CODEC.wire_id:
             body = data
@@ -401,7 +408,7 @@ class FrameChannel:
             # Decompress into a writable scratch buffer so decoded arrays
             # are mutable either way (bytes from a decompressor are not).
             body = bytearray(codec.decompress(bytes(data)))
-        n_bytes = FRAME_OVERHEAD + length
+        n_bytes = FRAME_OVERHEAD + len(data)
         raw_bytes = FRAME_OVERHEAD + len(body)
         self.bytes_received += n_bytes
         self.raw_bytes_received += raw_bytes
@@ -473,17 +480,7 @@ class FrameChannel:
             # (which the next feed would grow or the del below reclaim).
             data = bytearray(buf[offset + _HEADER.size : offset + total])
             offset += total
-            codec = codec_by_id(codec_id)
-            if codec.wire_id == NONE_CODEC.wire_id:
-                body = data
-            else:
-                body = bytearray(codec.decompress(bytes(data)))
-            n_bytes = FRAME_OVERHEAD + length
-            raw_bytes = FRAME_OVERHEAD + len(body)
-            self.bytes_received += n_bytes
-            self.raw_bytes_received += raw_bytes
-            self.frames_received += 1
-            frames.append((decode_body(body), n_bytes, raw_bytes, codec.name))
+            frames.append(self._decode(codec_id, data))
         if offset:
             del buf[:offset]
         return frames

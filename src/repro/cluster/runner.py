@@ -24,13 +24,14 @@ coordinator).  It serves two frame shapes:
     :data:`~repro.runtime.state.STATE_DIGEST_TAG` digest (keys, per-entry
     pickled sizes, the new epoch), which recovery checks a replayed copy
     against — never the dict itself.  The reply ``("site_res", seq, result,
-    extras)`` also encodes every buffered site-to-coordinator payload
-    *individually*, so the coordinator learns the exact serialized size of
-    each semantic message (the ``n_bytes`` it stamps on the communication
-    ledger).  ``extras`` carries, when ``dyn["trace"]`` is set, the task's
-    :class:`~repro.obs.trace.TraceBuffer`, which the coordinator absorbs
-    onto its trace timeline.  The site's own timer gains a
-    ``cluster:encode`` label (outbox/digest encoding is genuine site-side
+    extras)`` carries the task's return value and its buffered
+    site-to-coordinator messages as ``(kind, payload, words)`` entries,
+    payload objects included, in the one pickle of the result frame: numpy
+    arrays travel out of band, and an object the task both sends and
+    returns is pickled once.  ``extras`` carries, when ``dyn["trace"]`` is
+    set, the task's :class:`~repro.obs.trace.TraceBuffer`, which the
+    coordinator absorbs onto its trace timeline.  The site's own timer
+    gains a ``cluster:encode`` label (the state digest is genuine site-side
     work), so cluster site timers carry the serial labels plus
     ``cluster:encode``.
 
@@ -102,7 +103,6 @@ def _execute_site(
     resident: Dict[Any, Tuple],
     resident_state: Dict[Any, Tuple[int, dict]],
     host_id: int,
-    result_codec: Codec,
 ) -> Tuple:
     """Evaluate a ``("site", ...)`` frame against the resident caches."""
     from repro.runtime.tasks import SiteContext
@@ -143,25 +143,10 @@ def _execute_site(
     else:
         value = dyn["fn"](ctx, *dyn["args"], **dyn["kwargs"])
 
-    # Encoding the outbox and state digest is genuine site-side work the
-    # serial path never pays; it lands in the site's own timer under a
-    # ``cluster:`` label, so cluster site timers are the serial label set
-    # plus ``cluster:encode``.
+    # The state digest is genuine site-side work the serial path never pays;
+    # it lands in the site's own timer under a ``cluster:`` label, so
+    # cluster site timers are the serial label set plus ``cluster:encode``.
     with ctx.timer.measure("cluster:encode"):
-        # Encode each buffered transmission separately: the byte length of
-        # one payload here is exactly the n_bytes the coordinator stamps on
-        # the corresponding ledger message, and running the frame's codec
-        # over the same blob prices its *encoded* size (n_bytes_encoded) —
-        # per-message honesty for both columns of the raw/encoded split.
-        outbox = []
-        for out in ctx.outbox:
-            blob = encode_payload(out.payload)
-            if result_codec.wire_id != NONE_CODEC.wire_id:
-                n_encoded = min(len(blob), len(result_codec.compress(blob)))
-            else:
-                n_encoded = len(blob)
-            outbox.append((out.kind, blob, out.words, len(blob), n_encoded))
-
         # The mutable state stays where it was produced; the coordinator
         # gets a digest (keys, per-entry pickled sizes, the new epoch) that
         # fingerprints it, so recovery can check a replayed copy.
@@ -176,7 +161,7 @@ def _execute_site(
         "state": (STATE_DIGEST_TAG, epoch, sizes),
         "timer": ctx.timer,
         "rng": ctx.rng,
-        "outbox": outbox,
+        "outbox": [(out.kind, out.payload, out.words) for out in ctx.outbox],
     }
     extras = {"trace": buffer} if buffer is not None else {}
     return ("site_res", seq, result, extras)
@@ -275,9 +260,7 @@ def serve(channel: FrameChannel, host_id: int) -> None:
             try:
                 if tag != "site":
                     raise RuntimeError(f"unknown frame tag {tag!r}")
-                response = _execute_site(
-                    frame, resident, resident_state, host_id, codec
-                )
+                response = _execute_site(frame, resident, resident_state, host_id)
             except BaseException as exc:  # noqa: BLE001 - relayed to the coordinator
                 response = _exception_frame(seq, exc)
                 codec = NONE_CODEC

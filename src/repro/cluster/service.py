@@ -67,12 +67,12 @@ from repro.runtime.backends import ExecutionBackend
 class ServiceBackend(ExecutionBackend):
     """One admitted job's view of the shared warm pool.
 
-    Implements the same dispatch surface as
-    :class:`~repro.cluster.backend.ClusterBackend` — site tasks only, which
-    the round scheduler duck-types identically — but stamps every frame
-    with the job's namespace and scopes the run-lifecycle hooks (heartbeat
-    accounting detach, close) to this job only.  :meth:`close` releases the
-    job's admission slot; it never closes the shared pool.
+    Dispatches site tasks through the pool's
+    :meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`, but
+    stamps every frame with the job's namespace and scopes the
+    run-lifecycle hooks (heartbeat accounting detach, close) to this job
+    only.  :meth:`close` releases the job's admission slot; it never closes
+    the shared pool.
     """
 
     name = "service"
@@ -90,15 +90,12 @@ class ServiceBackend(ExecutionBackend):
 
     # -- dispatch: the ClusterBackend surface, namespaced -----------------
 
-    def submit_site_pairs(self, pairs, *, wire=None, round_index=0,
+    def submit_site_pairs(self, pairs, *, round_index, ledger,
                           tracer=None) -> List[Future]:
         return self._pool.submit_site_pairs(
-            pairs, wire=wire, round_index=round_index, tracer=tracer,
+            pairs, round_index=round_index, ledger=ledger, tracer=tracer,
             job=self.job,
         )
-
-    map_ordered = ClusterBackend.map_ordered
-    submit_ordered = ClusterBackend.map_ordered
 
     # -- run-lifecycle hooks, scoped to this job --------------------------
 

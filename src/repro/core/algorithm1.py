@@ -81,7 +81,7 @@ def _round1_task(
 def _round2_task(ctx, objective, words_per_point, local_kwargs):
     """Site phase of round 2: snap the allocation and ship the local solution.
 
-    Returns ``(summary, t_used)``.
+    Returns ``t_used``, the solved grid value the allocation snapped to.
     """
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
@@ -101,7 +101,7 @@ def _round2_task(ctx, objective, words_per_point, local_kwargs):
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
-    return summary, t_used
+    return t_used
 
 
 def distributed_partial_median(
@@ -276,7 +276,7 @@ def distributed_partial_median(
                 "rho": float(rho),
                 "relax": relax,
                 "t_allocated": allocation.t_allocated.tolist(),
-                "t_used": [int(r.value[1]) for r in round2],
+                "t_used": [int(r.value) for r in round2],
                 "threshold": float(allocation.threshold),
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),

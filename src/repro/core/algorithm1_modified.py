@@ -67,7 +67,7 @@ def combine_two_solutions(
 def _round2_no_shipping_task(ctx, objective, words_per_point, local_kwargs):
     """Site phase of round 2: centers and counts only, never the outliers.
 
-    Returns ``(summary, t_i, combined_4k)``.
+    Returns ``(t_i, combined_4k)``.
     """
     message = ctx.messages("allocation")[0].payload
     t_i = int(message["t_i"])
@@ -94,7 +94,7 @@ def _round2_no_shipping_task(ctx, objective, words_per_point, local_kwargs):
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point) + 1
     )
-    return summary, t_i, combined_4k
+    return t_i, combined_4k
 
 
 def distributed_partial_median_no_shipping(
@@ -217,7 +217,7 @@ def distributed_partial_median_no_shipping(
                 workdir=run.workdir,
             )
 
-        total_preclustering_ignored = int(sum(r.value[1] for r in round2))
+        total_preclustering_ignored = int(sum(r.value[0] for r in round2))
         outlier_budget = math.floor((2.0 + epsilon + delta) * t + 1e-9)
         return DistributedResult(
             centers=combine.centers_global,
@@ -240,7 +240,7 @@ def distributed_partial_median_no_shipping(
                 "preclustering_ignored": total_preclustering_ignored,
                 "coordinator_dropped_weight": combine.metadata["coordinator_dropped_weight"],
                 "exceptional_site": allocation.exceptional_site,
-                "exceptional_combined_4k": [bool(r.value[2]) for r in round2],
+                "exceptional_combined_4k": [bool(r.value[1]) for r in round2],
                 "n_coordinator_demands": int(combine.demand_points.size),
                 "memory_budget": run.memory_budget,
                 "cost_matrix_storage": [r.value[1] for r in round1],

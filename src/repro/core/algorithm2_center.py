@@ -101,7 +101,6 @@ def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
-    return summary
 
 
 def distributed_partial_center(

@@ -7,12 +7,14 @@ constant-factor rescaling of the paper's "bits", which is all the asymptotic
 claims need (see DESIGN.md Substitutions).
 
 Next to the semantic word counts the ledger can carry *wire* bytes: when a
-run executes on the cluster backend, every message that physically crossed a
-runner socket is stamped with its serialized size (``Message.n_bytes``) and
-the backend's frame-level :class:`~repro.cluster.wire.WireLedger` is
-attached, so :meth:`CommunicationLedger.summary` reports ``total_bytes`` /
-``bytes_by_round`` alongside the words.  On purely in-process backends no
-wire ever ran and both report 0 — words stay the backend-invariant currency.
+run executes on the cluster backend, the backend attaches its frame-level
+:class:`~repro.cluster.wire.WireLedger`, which counts every frame's bytes
+once, so :meth:`CommunicationLedger.summary` reports ``total_bytes`` /
+``bytes_by_round`` alongside the words.  A message carries no byte count of
+its own: several messages share one result frame.  Its raw size is its
+pickled payload, ``len(pickle.dumps(message.payload))``, on any backend.
+On purely in-process backends no wire ever ran and the byte views report
+0 — words stay the backend-invariant currency.
 """
 
 from __future__ import annotations
@@ -44,18 +46,8 @@ class Message:
     words:
         Number of machine words charged for the message.
     payload:
-        The actual Python object delivered to the receiver.  Not serialised —
-        the simulator only accounts for size via ``words``.
-    n_bytes:
-        Serialized (raw pickle) size of the payload when it physically
-        crossed a wire (cluster backend), ``None`` when it was delivered
-        in-process.
-    n_bytes_encoded:
-        What the same serialized payload costs under the wire codec its
-        result frame was encoded with — the per-message twin of the wire
-        ledger's raw/encoded split.  ``None`` in-process; equal to
-        ``n_bytes`` when the frame kind is uncompressed or the codec did
-        not shrink the blob.
+        The actual Python object delivered to the receiver.  The ledger
+        accounts for its size via ``words``.
     """
 
     sender: int
@@ -64,26 +56,12 @@ class Message:
     kind: str
     words: float
     payload: Any = None
-    n_bytes: Optional[int] = None
-    n_bytes_encoded: Optional[int] = None
 
     def __post_init__(self) -> None:
         if self.words < 0:
             raise ValueError(f"message word count must be non-negative, got {self.words}")
         if self.round_index < 1:
             raise ValueError(f"round_index must be >= 1, got {self.round_index}")
-        if self.n_bytes is not None and self.n_bytes < 0:
-            raise ValueError(f"message byte count must be non-negative, got {self.n_bytes}")
-        if self.n_bytes_encoded is not None:
-            if self.n_bytes_encoded < 0:
-                raise ValueError(
-                    f"encoded byte count must be non-negative, got {self.n_bytes_encoded}"
-                )
-            if self.n_bytes is not None and self.n_bytes_encoded > self.n_bytes:
-                raise ValueError(
-                    f"encoded byte count ({self.n_bytes_encoded}) cannot exceed the "
-                    f"raw serialized size ({self.n_bytes}): codecs never grow a payload"
-                )
 
     @property
     def to_coordinator(self) -> bool:
@@ -189,47 +167,21 @@ class CommunicationLedger:
     # ------------------------------------------------------------------
 
     def total_bytes(self) -> int:
-        """Total wire bytes of the run.
+        """Total wire bytes of the run, from the attached :attr:`wire` ledger.
 
-        The frame-level :attr:`wire` ledger is authoritative when attached
-        (it covers dispatch *and* result traffic, headers included);
-        otherwise the per-message ``n_bytes`` stamps are summed.  Both are 0
-        when no wire transport ran.
+        It covers dispatch *and* result traffic, headers included; 0 when
+        no wire transport ran.
         """
-        if self.wire is not None:
-            return self.wire.total_bytes()
-        return int(sum(m.n_bytes or 0 for m in self.messages))
+        return self.wire.total_bytes() if self.wire is not None else 0
 
     def bytes_by_round(self) -> Dict[int, int]:
-        """Total wire bytes per round (empty/zero when no wire transport ran)."""
-        if self.wire is not None:
-            return self.wire.bytes_by_round()
-        out: Dict[int, int] = {}
-        for m in self.messages:
-            if m.n_bytes is not None:
-                out[m.round_index] = out.get(m.round_index, 0) + m.n_bytes
-        return out
+        """Total wire bytes per round (empty when no wire transport ran)."""
+        return self.wire.bytes_by_round() if self.wire is not None else {}
 
     def total_raw_bytes(self) -> int:
         """Pre-codec twin of :meth:`total_bytes` (what the run would cost
         uncompressed); 0 when no wire transport ran."""
-        if self.wire is not None:
-            return self.wire.total_raw_bytes()
-        return int(sum(m.n_bytes or 0 for m in self.messages))
-
-    def uplink_bytes(self) -> Dict[str, int]:
-        """Raw vs codec-encoded bytes of the stamped uplink payloads.
-
-        Sums the per-message ``n_bytes``/``n_bytes_encoded`` stamps — the
-        message-level view of the compression column (the wire ledger's
-        frame totals additionally include dispatch traffic and headers).
-        """
-        raw = sum(m.n_bytes or 0 for m in self.messages)
-        encoded = sum(
-            (m.n_bytes_encoded if m.n_bytes_encoded is not None else m.n_bytes) or 0
-            for m in self.messages
-        )
-        return {"raw": int(raw), "encoded": int(encoded)}
+        return self.wire.total_raw_bytes() if self.wire is not None else 0
 
     def n_rounds(self) -> int:
         """Largest round index observed (0 if no messages were sent)."""
@@ -267,15 +219,14 @@ class CommunicationLedger:
     def summary(self) -> Dict[str, Any]:
         """Compact dictionary used by reports and benchmark output.
 
-        The byte entries follow the same precedence as :meth:`total_bytes`:
-        when a frame-level :attr:`wire` ledger is attached (a cluster run,
-        or ledgers merged from one via :meth:`merge`), ``total_bytes`` and
-        ``bytes_by_round`` come from it and cover dispatch *and* result
-        frames, headers included — so after merging a cluster ledger into
-        an in-process one the summary reports the union of both runs'
-        words alongside the cluster run's physical bytes.  ``wire`` holds
-        the attached ledger's own summary (with its per-kind and per-host
-        breakdowns) or ``None`` when no wire transport ran.
+        The byte entries come from the frame-level :attr:`wire` ledger when
+        one is attached (a cluster run, or ledgers merged from one via
+        :meth:`merge`) and cover dispatch *and* result frames, headers
+        included — so after merging a cluster ledger into an in-process one
+        the summary reports the union of both runs' words alongside the
+        cluster run's physical bytes.  ``wire`` holds the attached ledger's
+        own summary (with its per-kind and per-host breakdowns) or ``None``
+        when no wire transport ran.
         """
         return {
             "total_words": self.total_words(),
@@ -286,7 +237,6 @@ class CommunicationLedger:
             "by_round": self.words_by_round(),
             "by_direction": self.words_by_direction(),
             "bytes_by_round": self.bytes_by_round(),
-            "uplink_bytes": self.uplink_bytes(),
             "wire": self.wire.summary() if self.wire is not None else None,
         }
 

@@ -152,22 +152,9 @@ class StarNetwork:
             raise RuntimeError("call next_round() before sending messages")
 
     def send_to_coordinator(
-        self,
-        site_id: int,
-        kind: str,
-        payload: Any,
-        words: float,
-        *,
-        n_bytes: Optional[int] = None,
-        n_bytes_encoded: Optional[int] = None,
+        self, site_id: int, kind: str, payload: Any, words: float
     ) -> Message:
-        """Send ``payload`` from a site to the coordinator, charging ``words``.
-
-        ``n_bytes`` is the payload's serialized size when it physically
-        crossed a wire (cluster backend) and ``n_bytes_encoded`` its size
-        under the result frame's codec; in-process deliveries leave both
-        ``None``.
-        """
+        """Send ``payload`` from a site to the coordinator, charging ``words``."""
         self._require_started()
         if not (0 <= site_id < self.n_sites):
             raise ValueError(f"unknown site id {site_id}")
@@ -178,22 +165,12 @@ class StarNetwork:
             kind=kind,
             words=float(words),
             payload=payload,
-            n_bytes=n_bytes,
-            n_bytes_encoded=n_bytes_encoded,
         )
         self.ledger.record(message)
         self.coordinator.receive(message)
         return message
 
-    def send_to_site(
-        self,
-        site_id: int,
-        kind: str,
-        payload: Any,
-        words: float,
-        *,
-        n_bytes: Optional[int] = None,
-    ) -> Message:
+    def send_to_site(self, site_id: int, kind: str, payload: Any, words: float) -> Message:
         """Send ``payload`` from the coordinator to one site, charging ``words``."""
         self._require_started()
         if not (0 <= site_id < self.n_sites):
@@ -205,7 +182,6 @@ class StarNetwork:
             kind=kind,
             words=float(words),
             payload=payload,
-            n_bytes=n_bytes,
         )
         self.ledger.record(message)
         self.sites[site_id].receive(message)

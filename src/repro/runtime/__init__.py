@@ -6,10 +6,11 @@ traversal, aggregated distances) independently, and only the coordinator
 steps synchronise.  This subsystem separates *what* a site computes from
 *where* it runs:
 
-* :mod:`repro.runtime.backends` — the execution strategies.
-  :class:`SerialBackend` (the reference loop) and
-  :class:`ProcessPoolBackend` (true parallelism; everything crosses the
-  boundary through pickle).  The cluster backend
+* :mod:`repro.runtime.backends` — the execution strategies, each taking
+  a round's ``(SiteTask, SiteContext)`` pairs and returning one
+  :class:`SiteTaskResult` future per site.  :class:`SerialBackend` (the
+  reference loop) and :class:`ProcessPoolBackend` (true parallelism;
+  everything crosses the boundary through pickle).  The cluster backend
   (:class:`~repro.cluster.backend.ClusterBackend`, spec ``"cluster"``) runs
   one runner process per simulated host over real sockets.
 * :mod:`repro.runtime.tasks` — :class:`SiteTask` / :class:`SiteContext` and
@@ -27,9 +28,7 @@ steps synchronise.  This subsystem separates *what* a site computes from
 Every distributed protocol accepts ``backend=`` (documented with the other
 run options on :func:`repro.core.run.protocol_run`) and is bit-identical
 across backends for a fixed seed: same centers, same cost, same ledger word
-counts.  New backends plug in through
-:func:`~repro.runtime.backends.register_backend`.  Pass an instance to
-share one warm pool across many runs::
+counts.  Pass an instance to share one warm pool across many runs::
 
     from repro import partial_kmedian
     from repro.runtime import ProcessPoolBackend
@@ -40,16 +39,12 @@ share one warm pool across many runs::
 """
 
 from repro.runtime.backends import (
-    BackendFactory,
     BackendLike,
     ExecutionBackend,
     ProcessPoolBackend,
     SerialBackend,
-    available_backends,
     backend_scope,
-    default_worker_count,
     effective_cpu_count,
-    register_backend,
     resolve_backend,
 )
 from repro.runtime.state import ResidentState
@@ -62,15 +57,11 @@ from repro.runtime.tasks import (
 )
 
 __all__ = [
-    "BackendFactory",
     "BackendLike",
-    "available_backends",
-    "register_backend",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
     "backend_scope",
-    "default_worker_count",
     "effective_cpu_count",
     "resolve_backend",
     "ResidentState",

@@ -1,15 +1,16 @@
-"""Execution backends: where site-local computation actually runs.
+"""Execution backends: where a round's site tasks run.
 
-A backend is a strategy for evaluating a batch of independent callables —
-one per site — and returning their results in submission order.  Two are
-provided here (the cluster backend, one runner process per simulated host,
-lives in :mod:`repro.cluster`):
+Every backend takes one round's ``(SiteTask, SiteContext)`` pairs and
+returns one future per pair, in site order, each resolving to that site's
+:class:`~repro.runtime.tasks.SiteTaskResult`
+(:meth:`ExecutionBackend.submit_site_pairs`).  Two are provided here (the
+cluster backend, one runner process per simulated host, lives in
+:mod:`repro.cluster`):
 
 ``SerialBackend``
     The reference implementation: a plain Python loop in the calling
-    process, in submission (site-id) order.  Zero overhead, always
-    available, and the behaviour every other backend must reproduce
-    bit-for-bit.
+    process, in site order.  Zero overhead, always available, and the
+    behaviour every other backend must reproduce bit-for-bit.
 
 ``ProcessPoolBackend``
     A :class:`concurrent.futures.ProcessPoolExecutor`.  Every task and its
@@ -18,9 +19,10 @@ lives in :mod:`repro.cluster`):
     that could not have been transmitted.  True parallelism, at the price
     of serialisation overhead — the right trade at large ``n_i``.
 
-Backends evaluate eagerly and join deterministically: results come back in
-the order tasks were submitted regardless of completion order, and the
-first failing task re-raises its original exception in the caller.
+The round scheduler (:func:`repro.runtime.tasks.run_site_tasks`) joins the
+futures at a barrier and merges in site order, so results and failures are
+deterministic on every backend: the earliest site's failure re-raises its
+original exception in the caller.
 """
 
 from __future__ import annotations
@@ -29,13 +31,9 @@ import os
 from abc import ABC, abstractmethod
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 BackendLike = Union[None, str, "ExecutionBackend"]
-
-#: A registered backend constructor: receives the optional worker count from a
-#: ``"name:workers"`` spec (``None`` when the spec carried no count).
-BackendFactory = Callable[[Optional[int]], "ExecutionBackend"]
 
 
 def effective_cpu_count() -> int:
@@ -56,48 +54,37 @@ def effective_cpu_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def default_worker_count() -> int:
-    """Default pool size: the CPUs available to this process (at least 1)."""
-    return effective_cpu_count()
-
-
 class ExecutionBackend(ABC):
-    """Strategy for running a batch of independent site-local callables."""
+    """Strategy for running one round's site tasks."""
 
     name: str = "abstract"
 
     @abstractmethod
-    def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        """Evaluate ``fn`` over ``items``, returning results in input order.
+    def submit_site_pairs(
+        self,
+        pairs: Sequence[Tuple],
+        *,
+        round_index: int,
+        ledger,
+        tracer=None,
+    ) -> List[Future]:
+        """Run ``(SiteTask, SiteContext)`` pairs; one future per pair, in order.
 
-        Implementations must propagate the first raised exception to the
-        caller (in input order, so failures are deterministic too).
+        Each future resolves to the site's
+        :class:`~repro.runtime.tasks.SiteTaskResult` or raises the task's
+        original exception.  ``ledger`` is the run's
+        :class:`~repro.distributed.messages.CommunicationLedger`: a backend
+        with a wire records every frame in ``ledger.ensure_wire()``, and an
+        in-process backend leaves it alone.  ``tracer`` is the run's
+        enabled tracer, or ``None`` on an untraced run.
         """
 
-    def submit_ordered(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> List["Future"]:
-        """Submit every item, returning one future per item in input order.
+    def detach_run_accounting(self) -> None:
+        """Stop charging out-of-band traffic (heartbeats) to the finished run.
 
-        The base implementation delegates to :meth:`map_ordered` — a
-        subclass that only implements the abstract batch contract (e.g. a
-        third-party MPI pool) keeps its parallelism and its failure
-        semantics; truly incremental futures come from the subclasses that
-        override this (pools, cluster).  On a batch failure every future
-        carries the raised exception, so the join sees it at the earliest
-        index, matching ``map_ordered``'s all-or-nothing contract.
+        Called when a run's backend scope exits.  Backends without such
+        traffic have nothing to detach.
         """
-        items = list(items)
-        futures: List[Future] = [Future() for _ in items]
-        try:
-            results = self.map_ordered(fn, items)
-        except BaseException as exc:  # noqa: BLE001 - relayed via the futures
-            for future in futures:
-                future.set_exception(exc)
-        else:
-            for future, result in zip(futures, results):
-                future.set_result(result)
-        return futures
 
     def close(self) -> None:
         """Release pooled workers, if any.  Safe to call more than once."""
@@ -113,12 +100,26 @@ class ExecutionBackend(ABC):
 
 
 class SerialBackend(ExecutionBackend):
-    """Run every task inline, one after the other (the reference semantics)."""
+    """Run every task inline, one after the other (the reference semantics).
+
+    The first failing task stops the round: later sites never run, and
+    their futures carry the same failure.
+    """
 
     name = "serial"
 
-    def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        return [fn(item) for item in items]
+    def submit_site_pairs(self, pairs, *, round_index, ledger, tracer=None):
+        from repro.runtime.tasks import _execute_site_task
+
+        futures: List[Future] = [Future() for _ in pairs]
+        for index, pair in enumerate(pairs):
+            try:
+                futures[index].set_result(_execute_site_task(pair))
+            except Exception as exc:  # noqa: BLE001 - relayed via the futures
+                for future in futures[index:]:
+                    future.set_exception(exc)
+                break
+        return futures
 
 
 class ProcessPoolBackend(ExecutionBackend):
@@ -132,23 +133,18 @@ class ProcessPoolBackend(ExecutionBackend):
     def __init__(self, max_workers: Optional[int] = None):
         if max_workers is not None and max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or default_worker_count()
+        self.max_workers = max_workers or effective_cpu_count()
         self._executor: Optional[ProcessPoolExecutor] = None
 
-    def submit_ordered(
-        self, fn: Callable[[Any], Any], items: Sequence[Any]
-    ) -> List[Future]:
-        items = list(items)
+    def submit_site_pairs(self, pairs, *, round_index, ledger, tracer=None):
+        from repro.runtime.tasks import _execute_site_task
+
+        pairs = list(pairs)
         # Even a single task goes through the pool: the isolation/pickling
         # guarantee must not silently vary with batch size.
-        if items and self._executor is None:
+        if pairs and self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return [self._executor.submit(fn, item) for item in items]
-
-    def map_ordered(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
-        # Joining in submission order keeps both results and failures
-        # deterministic: the earliest-submitted failing task wins.
-        return [future.result() for future in self.submit_ordered(fn, items)]
+        return [self._executor.submit(_execute_site_task, pair) for pair in pairs]
 
     def close(self) -> None:
         if self._executor is not None:
@@ -157,29 +153,6 @@ class ProcessPoolBackend(ExecutionBackend):
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(max_workers={self.max_workers})"
-
-
-_BACKEND_FACTORIES: Dict[str, BackendFactory] = {}
-
-
-def register_backend(name: str, factory: BackendFactory, *, overwrite: bool = False) -> None:
-    """Register a backend under ``name`` so :func:`resolve_backend` finds it.
-
-    ``factory`` receives the optional worker count parsed from a
-    ``"name:workers"`` spec (``None`` when the spec is just the bare name).
-    New backends plug in here — the resolver never needs editing.
-    """
-    key = str(name).lower()
-    if not key or ":" in key:
-        raise ValueError(f"backend name must be non-empty and ':'-free, got {name!r}")
-    if key in _BACKEND_FACTORIES and not overwrite:
-        raise ValueError(f"backend {key!r} is already registered")
-    _BACKEND_FACTORIES[key] = factory
-
-
-def available_backends() -> List[str]:
-    """Sorted names of all registered backends."""
-    return sorted(_BACKEND_FACTORIES)
 
 
 def _serial_factory(workers: Optional[int]) -> ExecutionBackend:
@@ -217,19 +190,23 @@ def _service_factory(workers: Optional[int]) -> ExecutionBackend:
     return shared_service(workers).checkout()
 
 
-register_backend("serial", _serial_factory)
-register_backend("process", lambda workers: ProcessPoolBackend(max_workers=workers))
-register_backend("cluster", _cluster_factory)
-register_backend("service", _service_factory)
+#: Backend name -> constructor taking the optional worker count of a
+#: ``"name:workers"`` spec (``None`` when the spec is just the bare name).
+_FACTORIES: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
+    "serial": _serial_factory,
+    "process": lambda workers: ProcessPoolBackend(max_workers=workers),
+    "cluster": _cluster_factory,
+    "service": _service_factory,
+}
 
 
 def resolve_backend(backend: BackendLike) -> ExecutionBackend:
     """Normalise a backend spec into an :class:`ExecutionBackend` instance.
 
-    Accepts ``None`` (serial), a registered name — optionally with a worker
-    count, e.g. ``"process:4"`` or ``"cluster:3"`` — or an existing backend
-    instance (returned unchanged, so pools can be shared across protocol
-    runs).
+    Accepts ``None`` (serial), a backend name (``serial``, ``process``,
+    ``cluster`` or ``service``) — optionally with a worker count, e.g.
+    ``"process:4"`` or ``"cluster:3"`` — or an existing backend instance
+    (returned unchanged, so pools can be shared across protocol runs).
     """
     if backend is None:
         return SerialBackend()
@@ -248,10 +225,10 @@ def resolve_backend(backend: BackendLike) -> ExecutionBackend:
             if workers < 1:
                 raise ValueError(f"backend spec {backend!r} needs a worker count >= 1")
         try:
-            factory = _BACKEND_FACTORIES[name.lower()]
+            factory = _FACTORIES[name.lower()]
         except KeyError as exc:
             raise ValueError(
-                f"unknown backend {name!r}; choose from {available_backends()}"
+                f"unknown backend {name!r}; choose from {sorted(_FACTORIES)}"
             ) from exc
         return factory(workers)
     raise TypeError(f"backend must be None, a name or an ExecutionBackend, got {backend!r}")
@@ -264,34 +241,27 @@ def backend_scope(backend: BackendLike) -> Iterator[ExecutionBackend]:
     A caller-supplied :class:`ExecutionBackend` instance is yielded as-is and
     left open (the caller owns its lifetime and may be sharing the pool
     across rounds or protocol runs); a ``None``/string spec is resolved to a
-    fresh backend that is closed on exit.  Either way, backends that tie
-    out-of-band accounting to the current run (heartbeat frames against the
-    run's wire ledger — ``detach_run_accounting``) are detached on exit, so
-    a warm pool's idle traffic never lands on a finished run's books.
+    fresh backend that is closed on exit.  Either way the backend's
+    :meth:`~ExecutionBackend.detach_run_accounting` runs on exit, so a warm
+    pool's idle heartbeats never land on a finished run's books.
     """
     owned = not isinstance(backend, ExecutionBackend)
     resolved = resolve_backend(backend)
     try:
         yield resolved
     finally:
-        detach = getattr(resolved, "detach_run_accounting", None)
-        if detach is not None:
-            detach()
+        resolved.detach_run_accounting()
         if owned:
             resolved.close()
 
 
 __all__ = [
-    "BackendFactory",
     "BackendLike",
     "CLUSTER_SERVICE_ENV",
-    "available_backends",
     "backend_scope",
     "ExecutionBackend",
     "SerialBackend",
     "ProcessPoolBackend",
-    "default_worker_count",
     "effective_cpu_count",
-    "register_backend",
     "resolve_backend",
 ]

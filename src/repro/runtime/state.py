@@ -7,7 +7,7 @@ coordinator never reads it: as in the paper's coordinator model, a driver
 learns about a site only from the site's messages and its task's return
 value.
 
-In-process backends (serial / thread / process) hand the state dict back.
+In-process backends (serial / process) hand the state dict back.
 The cluster backend keeps it resident on the runner that produced it: the
 result frame carries a :data:`STATE_DIGEST_TAG` digest (the entry keys, each
 entry's pickled size and a monotonically increasing *state epoch*), which

@@ -16,17 +16,17 @@ Because a task only ever sees its own context and results are merged in a
 fixed order, a protocol run is bit-identical across backends for a fixed
 seed: same centers, same costs, same ledger word counts.
 
-Dispatch is future-based: each backend returns one future per task
-(:meth:`~repro.runtime.backends.ExecutionBackend.submit_ordered`); the join
-waits for the whole round, then merges in submission order.
-
-On a :class:`~repro.cluster.backend.ClusterBackend` the pairs are shipped
-through :meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`
-instead: payloads cross real sockets, the network ledger's wire ledger
-records every frame's bytes, and uplink messages come back stamped with the
-serialized size of their payload (``Message.n_bytes``).  Site tasks are the
-only work a cluster backend runs: every protocol, the uncertain ones
-included, is a sequence of rounds of this one task shape.
+Dispatch is future-based and has one form on every backend: the round's
+``(SiteTask, SiteContext)`` pairs go to
+:meth:`~repro.runtime.backends.ExecutionBackend.submit_site_pairs`, which
+returns one :class:`SiteTaskResult` future per site; the join waits for the
+whole round, then merges in site order.  On a
+:class:`~repro.cluster.backend.ClusterBackend` the pairs cross real
+sockets, and the run ledger's wire ledger records every frame's bytes.  A
+site's buffered messages ride its result frame as plain objects, next to
+the task's return value.  Site tasks are the only work any backend runs:
+every protocol, the uncertain ones included, is a sequence of rounds of
+this one task shape.
 
 State ownership follows :mod:`repro.runtime.state`: the merged
 ``site.state`` is what the next round's task continues from, and the
@@ -59,17 +59,13 @@ from repro.utils.timing import Timer
 class Outgoing:
     """One buffered site-to-coordinator transmission.
 
-    ``n_bytes`` is stamped by the cluster runner with the payload's
-    serialized (raw pickle) size and ``n_bytes_encoded`` with what the same
-    blob costs under the result frame's wire codec; in-process backends
-    leave both ``None``.
+    Only ``words`` is charged.  Bytes are counted per frame, in the wire
+    ledger, on backends that have a wire.
     """
 
     kind: str
     payload: Any
     words: float
-    n_bytes: Optional[int] = None
-    n_bytes_encoded: Optional[int] = None
 
 
 class SiteContext:
@@ -215,7 +211,7 @@ def run_site_tasks(
     tasks:
         At most one :class:`SiteTask` per site.
     backend:
-        ``None`` / a registered backend name (optionally ``"name:workers"``,
+        ``None`` / a backend name (optionally ``"name:workers"``,
         e.g. ``"process:4"`` or ``"cluster:3"``) or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance.
 
@@ -274,21 +270,14 @@ def run_site_tasks(
         with tracer.span("round", round=round_index, tasks=len(tasks),
                          backend=type(exec_backend).__name__):
             t_dispatch = tracer.clock()
-            submit_site_pairs = getattr(exec_backend, "submit_site_pairs", None)
-            if submit_site_pairs is not None:
-                # Wire-capable backend (cluster): payloads cross real sockets
-                # and every frame's bytes land in the run ledger's wire
-                # ledger.  The tracer rides along only when enabled so the
-                # untraced dispatch path (and its frames) stay byte-identical.
-                extra = {"tracer": tracer} if tracer.enabled else {}
-                futures = submit_site_pairs(
-                    pairs,
-                    round_index=round_index,
-                    wire=network.ledger.ensure_wire(),
-                    **extra,
-                )
-            else:
-                futures = exec_backend.submit_ordered(_execute_site_task, pairs)
+            # The tracer rides along only when enabled, so untraced
+            # dispatches (and their frames) stay byte-identical.
+            futures = exec_backend.submit_site_pairs(
+                pairs,
+                round_index=round_index,
+                ledger=network.ledger,
+                tracer=tracer if tracer.enabled else None,
+            )
             _barrier_check(futures)
 
             results: List[SiteTaskResult] = []
@@ -309,12 +298,7 @@ def run_site_tasks(
                     tracer.event("absorb", site=result.site_id, round=round_index)
                 for out in result.outbox:
                     network.send_to_coordinator(
-                        result.site_id,
-                        out.kind,
-                        out.payload,
-                        out.words,
-                        n_bytes=out.n_bytes,
-                        n_bytes_encoded=out.n_bytes_encoded,
+                        result.site_id, out.kind, out.payload, out.words
                     )
                 results.append(result)
     return results

@@ -8,8 +8,8 @@ from repro.distributed.messages import COORDINATOR
 from repro.obs.trace import Tracer
 
 
-def _msg(sender=0, receiver=COORDINATOR, round_index=1, kind="x", words=10.0, n_bytes=None):
-    return Message(sender, receiver, round_index, kind, words, n_bytes=n_bytes)
+def _msg(sender=0, receiver=COORDINATOR, round_index=1, kind="x", words=10.0):
+    return Message(sender, receiver, round_index, kind, words)
 
 
 class TestWireLedger:
@@ -140,31 +140,6 @@ class TestRawEncodedSplit:
         assert a.total_raw_bytes() == 780
 
 
-class TestMessageBytes:
-    def test_n_bytes_defaults_to_none(self):
-        assert _msg().n_bytes is None
-        assert _msg().n_bytes_encoded is None
-
-    def test_negative_n_bytes_rejected(self):
-        with pytest.raises(ValueError, match="byte count"):
-            _msg(n_bytes=-5)
-
-    def test_encoded_cannot_exceed_raw(self):
-        with pytest.raises(ValueError, match="cannot exceed"):
-            Message(0, COORDINATOR, 1, "x", 1.0, n_bytes=10, n_bytes_encoded=20)
-
-    def test_encoded_stamp_accepted(self):
-        m = Message(0, COORDINATOR, 1, "x", 1.0, n_bytes=100, n_bytes_encoded=40)
-        assert m.n_bytes_encoded == 40
-
-    def test_uplink_bytes_from_stamps(self):
-        ledger = CommunicationLedger()
-        ledger.record(Message(0, COORDINATOR, 1, "x", 1.0, n_bytes=100, n_bytes_encoded=40))
-        ledger.record(Message(0, COORDINATOR, 1, "y", 1.0, n_bytes=60))
-        assert ledger.uplink_bytes() == {"raw": 160, "encoded": 100}
-        assert ledger.summary()["uplink_bytes"] == {"raw": 160, "encoded": 100}
-
-
 class TestLedgerBytes:
     def test_zero_without_wire_transport(self):
         ledger = CommunicationLedger()
@@ -175,21 +150,14 @@ class TestLedgerBytes:
         assert summary["total_bytes"] == 0
         assert summary["bytes_by_round"] == {}
 
-    def test_message_stamps_counted_without_wire(self):
-        ledger = CommunicationLedger()
-        ledger.record(_msg(words=10, n_bytes=128))
-        ledger.record(_msg(words=5, round_index=2, n_bytes=64))
-        assert ledger.total_bytes() == 192
-        assert ledger.bytes_by_round() == {1: 128, 2: 64}
-
     def test_attached_wire_is_authoritative(self):
         ledger = CommunicationLedger()
-        ledger.record(_msg(words=10, n_bytes=128))
+        ledger.record(_msg(words=10))
         wire = ledger.ensure_wire()
         assert ledger.ensure_wire() is wire  # idempotent
         wire.record(round_index=1, host=0, direction="send", kind="site_dispatch", n_bytes=500)
         wire.record(round_index=1, host=0, direction="recv", kind="site_result", n_bytes=300)
-        # Frame traffic covers dispatch + result; it supersedes the stamps.
+        # Frame traffic covers dispatch + result, headers included.
         assert ledger.total_bytes() == 800
         assert ledger.bytes_by_round() == {1: 800}
         assert ledger.summary()["total_bytes"] == 800

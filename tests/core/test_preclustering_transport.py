@@ -24,6 +24,7 @@ from repro.metrics import blocked
 from repro.metrics.cost_matrix import build_cost_matrix
 from repro.metrics.euclidean import EuclideanMetric
 from repro.runtime.backends import ProcessPoolBackend
+from tests.helpers import run_site_round
 
 
 @pytest.fixture(scope="module")
@@ -160,7 +161,7 @@ class TestDenseSpill:
         # Pool workers leave through os._exit, which skips atexit hooks.
         backend = ProcessPoolBackend(max_workers=1)
         try:
-            (path,) = backend.map_ordered(_worker_spill_dir, [None])
+            (path,) = run_site_round(backend, _worker_spill_dir, [None])
             assert os.path.isdir(path)
         finally:
             backend.close()

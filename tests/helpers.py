@@ -15,16 +15,18 @@ def _apply(ctx, fn, item):
 def run_site_round(backend, fn, items, *, tracer=None, ledger=None):
     """Evaluate ``fn(item)`` for every item as one round of site tasks.
 
-    A test's stand-in for a generic ``map_ordered``, which cluster and
-    service backends refuse: a tiny :class:`StarNetwork` with one two-point
-    site per item runs round 1 on ``backend``, so item ``i`` runs on host
-    ``i % n_hosts``.  Returns the values in item order; a failing task
-    raises its error like ``map_ordered`` would.  ``tracer`` traces the
-    round and ``ledger`` (a ``CommunicationLedger``) records its frames.
+    Site tasks are the one kind of work every backend runs, so this is how
+    a test pushes a plain callable through a backend: a tiny
+    :class:`StarNetwork` with one two-point site per item runs round 1 on
+    ``backend``, so item ``i`` runs on site ``i`` (host ``i % n_hosts`` on a
+    cluster pool).  Returns the values in item order; the earliest failing
+    task's error is raised.  ``tracer`` traces the round and ``ledger`` (a
+    ``CommunicationLedger``) records its frames.
     """
     items = list(items)
-    metric = EuclideanMetric(np.arange(2.0 * len(items)).reshape(-1, 1))
-    shards = [[2 * i, 2 * i + 1] for i in range(len(items))]
+    n_sites = max(len(items), 1)  # an empty round still needs a network
+    metric = EuclideanMetric(np.arange(2.0 * n_sites).reshape(-1, 1))
+    shards = [[2 * i, 2 * i + 1] for i in range(n_sites)]
     network = StarNetwork(DistributedInstance.from_partition(metric, shards, 1, 0))
     network.tracer = tracer
     if ledger is not None:

@@ -9,10 +9,10 @@ from repro.runtime import (
     ProcessPoolBackend,
     SerialBackend,
     backend_scope,
-    default_worker_count,
     effective_cpu_count,
     resolve_backend,
 )
+from tests.helpers import run_site_round
 
 ALL_BACKENDS = ["serial", "process"]
 
@@ -76,38 +76,37 @@ class TestResolveBackend:
         with pytest.raises(ValueError):
             ProcessPoolBackend(max_workers=0)
 
-    def test_default_worker_count_positive(self):
-        assert default_worker_count() >= 1
-
 
 class TestMapOrdered:
+    """One round of site tasks: values in site order, first failure raised."""
+
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_results_in_submission_order(self, name):
         with backend_scope(name) as backend:
-            assert backend.map_ordered(_square, list(range(10))) == [x * x for x in range(10)]
+            assert run_site_round(backend, _square, range(10)) == [x * x for x in range(10)]
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_empty_batch(self, name):
         with backend_scope(name) as backend:
-            assert backend.map_ordered(_square, []) == []
+            assert run_site_round(backend, _square, []) == []
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_single_item(self, name):
         with backend_scope(name) as backend:
-            assert backend.map_ordered(_square, [7]) == [49]
+            assert run_site_round(backend, _square, [7]) == [49]
 
     @pytest.mark.parametrize("name", ALL_BACKENDS)
     def test_original_exception_surfaces(self, name):
         with backend_scope(name) as backend:
             with pytest.raises(ValueError, match="site task 3 failed on purpose"):
-                backend.map_ordered(_explode, [3, 4])
+                run_site_round(backend, _explode, [3, 4])
 
     def test_pool_is_reused_across_batches(self):
         backend = ProcessPoolBackend(max_workers=2)
         try:
-            backend.map_ordered(_square, [1, 2, 3])
+            run_site_round(backend, _square, [1, 2, 3])
             pool = backend._executor
-            backend.map_ordered(_square, [4, 5, 6])
+            run_site_round(backend, _square, [4, 5, 6])
             assert backend._executor is pool
         finally:
             backend.close()
@@ -115,7 +114,7 @@ class TestMapOrdered:
 
     def test_close_is_idempotent(self):
         backend = ProcessPoolBackend(max_workers=2)
-        backend.map_ordered(_square, [1, 2])
+        run_site_round(backend, _square, [1, 2])
         backend.close()
         backend.close()
 
@@ -123,7 +122,7 @@ class TestMapOrdered:
 class TestBackendScope:
     def test_owned_backend_is_closed(self):
         with backend_scope("process") as backend:
-            backend.map_ordered(_square, [1, 2, 3])
+            run_site_round(backend, _square, [1, 2, 3])
             assert backend._executor is not None
         assert backend._executor is None
 
@@ -132,7 +131,7 @@ class TestBackendScope:
         try:
             with backend_scope(backend) as scoped:
                 assert scoped is backend
-                scoped.map_ordered(_square, [1, 2, 3])
+                run_site_round(scoped, _square, [1, 2, 3])
             assert backend._executor is not None  # still warm for the next round
         finally:
             backend.close()
@@ -140,5 +139,5 @@ class TestBackendScope:
     def test_context_manager_protocol(self):
         with ProcessPoolBackend(max_workers=2) as backend:
             assert isinstance(backend, ExecutionBackend)
-            backend.map_ordered(_square, [1, 2])
+            run_site_round(backend, _square, [1, 2])
         assert backend._executor is None

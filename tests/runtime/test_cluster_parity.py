@@ -73,9 +73,6 @@ class TestClusterProtocolParity:
         other = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42, backend=cluster3)
         _assert_same_result(base, other)
         _assert_cluster_bytes(base, other)
-        # Uplink payloads crossed a real socket: each message knows its size.
-        uplink = [m for m in other.ledger.messages if m.to_coordinator]
-        assert uplink and all(m.n_bytes is not None and m.n_bytes > 0 for m in uplink)
 
     def test_kcenter(self, small_workload, cluster3):
         base = partial_kcenter(small_workload.points, 3, 15, n_sites=3, seed=42, backend="serial")
@@ -116,10 +113,10 @@ class TestClusterProtocolParity:
         ids=["uncertain_kmedian", "center_g"],
     )
     def test_uncertain_uplink_is_accounted(self, small_uncertain_workload, protocol):
-        """The uncertain protocols' uplink is stamped like every other protocol's.
+        """The uncertain protocols' uplink crosses a socket like every other's.
 
-        Each site-to-coordinator message crossed a socket carrying its real
-        payload, so the ledger knows its wire size.
+        Each site-to-coordinator message arrives carrying its real payload,
+        and the result frames that carried them are on the wire ledger.
         """
         result = protocol(
             small_uncertain_workload.instance, 3, 6, n_sites=3, seed=42,
@@ -129,7 +126,7 @@ class TestClusterProtocolParity:
         assert uplink
         for message in uplink:
             assert message.payload is not None, message.kind
-            assert message.n_bytes is not None and message.n_bytes > 0, message.kind
+        assert result.ledger.wire.bytes_by_kind()["site_result"] > 0
 
     def test_cluster_spec_string(self, small_workload, cluster3):
         """``backend="cluster:3"`` (fresh pool) matches the shared instance."""
@@ -219,3 +216,36 @@ class TestRecoveryParity:
         )
         _assert_same_result(base, other)
         assert base.metadata["tau_hat"] == other.metadata["tau_hat"]
+
+
+class TestUncompressedWireParity:
+    """With ``REPRO_WIRE_CODEC=none`` every frame is decoded zero-copy.
+
+    Result frames then hand the coordinator arrays that alias the receive
+    buffer, outbox payloads included; every protocol must still match
+    serial bit for bit.
+    """
+
+    def test_five_protocols_match_serial(
+        self, monkeypatch, small_workload, small_instance, small_uncertain_workload
+    ):
+        # Runners inherit the coordinator's environment when they spawn, at
+        # the pool's first dispatch, so the override is set before that.
+        monkeypatch.setenv("REPRO_WIRE_CODEC", "none")
+        points = small_workload.points
+        uncertain = small_uncertain_workload.instance
+        runs = [
+            lambda b: partial_kmedian(points, 3, 15, n_sites=3, seed=42, backend=b),
+            lambda b: partial_kcenter(points, 3, 15, n_sites=3, seed=42, backend=b),
+            lambda b: distributed_partial_median_no_shipping(small_instance, rng=42, backend=b),
+            lambda b: uncertain_partial_kmedian(uncertain, 3, 6, n_sites=3, seed=42, backend=b),
+            lambda b: uncertain_partial_kcenter_g(uncertain, 3, 6, n_sites=3, seed=42, backend=b),
+        ]
+        backend = ClusterBackend(n_hosts=2)
+        try:
+            for run in runs:
+                other = run(backend)
+                _assert_same_result(run("serial"), other)
+                assert {rec.codec for rec in other.ledger.wire.records} == {"none"}
+        finally:
+            backend.close()
