@@ -13,9 +13,9 @@ from repro.metrics.blocked import contiguous_slice
 class MatrixMetric(MetricSpace):
     """A finite metric given by a dense, symmetric distance matrix.
 
-    The constructor validates symmetry and zero diagonal; the (optional)
-    triangle-inequality check is quadratic per point and therefore off by
-    default, but exposed for tests.
+    The constructor validates finiteness, symmetry and zero diagonal; the
+    (optional) triangle-inequality check is quadratic per point and therefore
+    off by default, but exposed for tests.
 
     Aliasing contract: :meth:`full_matrix`, the :attr:`matrix` property and
     :meth:`pairwise` (for contiguous index ranges) return **read-only views**
@@ -30,6 +30,9 @@ class MatrixMetric(MetricSpace):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise ValueError(f"distance matrix must be square, got shape {mat.shape}")
         if validate:
+            # First: allclose(inf, inf) holds, and a NaN would read as asymmetric.
+            if not np.all(np.isfinite(mat)):
+                raise ValueError("distances must be finite (no inf or NaN entries)")
             if not np.allclose(np.diag(mat), 0.0, atol=1e-9):
                 raise ValueError("distance matrix must have zero diagonal")
             if not np.allclose(mat, mat.T, atol=1e-9):

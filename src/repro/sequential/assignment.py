@@ -55,6 +55,58 @@ def nearest_center_distances(
     return unit, centers[arg]
 
 
+def trim_rows(
+    units: np.ndarray, weights: np.ndarray, t: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The median/means greedy trim of every row of a ``(rows, n)`` block.
+
+    Row ``r`` holds the unit service costs of the ``n`` demands under one
+    candidate configuration.  The greedy visits the demands from the most to
+    the least expensive (stable order, so ties go by index) and drops
+    ``min(w, budget)`` weight from each demand of positive weight ``w`` until
+    the budget ``t`` is used up.
+
+    Returns ``(prefix, drops, costs)``: row ``r`` drops ``drops[r, j]``
+    weight of demand ``prefix[r, j]`` and serves every other demand in full,
+    at cost ``costs[r]``.  The prefix is a run of the sorted order long
+    enough to exhaust ``t`` in every row (all ``n`` demands when some row
+    cannot); a row drops nothing past the point where its budget runs out.
+
+    The remaining budget is ``np.subtract.accumulate`` over ``[t, sorted
+    weights...]``, which folds left to right like a ``budget -= take`` loop,
+    and each cost is one ``ddot`` per row through a stacked ``np.matmul``
+    (the product ``np.dot`` takes for two vectors), so every value is bitwise
+    what the one-demand-at-a-time loop computes.
+    """
+    n_rows, n = units.shape
+    budget = float(t)
+    total = float(weights.sum())
+    # First guess: as many demands as the budget covers at the mean weight.
+    if budget <= 0:
+        width = 0
+    elif budget >= total:
+        width = n
+    else:
+        width = min(n, max(1, int(np.ceil(budget * n / total))))
+    # With no budget nothing is dropped, and the order is never read.
+    order = np.argsort(-units, axis=1, kind="stable") if width else np.empty((n_rows, 0), int)
+    while True:
+        prefix = order[:, :width]
+        sorted_w = weights[prefix]
+        remaining = np.subtract.accumulate(
+            np.concatenate([np.full((n_rows, 1), budget), sorted_w], axis=1), axis=1
+        )
+        if width == n or np.all(remaining[:, -1] <= 0):
+            break
+        width = min(n, 2 * width)
+    before = remaining[:, :-1]
+    drops = np.where((before > 0) & (sorted_w > 0), np.minimum(sorted_w, before), 0.0)
+    served = np.repeat(weights[None, :], n_rows, axis=0)
+    served[np.arange(n_rows)[:, None], prefix] = sorted_w - drops
+    costs = np.matmul(served[:, None, :], units[:, :, None])[:, 0, 0]
+    return prefix, drops, costs
+
+
 def trim_outliers(
     unit_costs: np.ndarray,
     weights: np.ndarray,
@@ -66,7 +118,8 @@ def trim_outliers(
     Returns ``(dropped_weight, cost)``.  ``dropped_weight[i]`` is how much of
     demand ``i``'s weight was excluded; ``cost`` is the remaining objective
     value (weighted sum for median/means, max over not-fully-dropped demands
-    for center).
+    for center).  The median/means case is the one-row case of
+    :func:`trim_rows`.
     """
     obj = validate_objective(objective)
     unit_costs = np.asarray(unit_costs, dtype=float)
@@ -75,29 +128,20 @@ def trim_outliers(
         raise ValueError("unit_costs and weights must have the same shape")
     if np.any(weights < 0):
         raise ValueError("weights must be non-negative")
-    if t < 0:
+    if not t >= 0:
         raise ValueError("outlier budget t must be non-negative")
 
     n = unit_costs.size
     dropped = np.zeros(n, dtype=float)
-    order = np.argsort(-unit_costs, kind="stable")
-    budget = float(t)
 
     if obj in ("median", "means"):
-        for idx in order:
-            if budget <= 0:
-                break
-            w = weights[idx]
-            if w <= 0:
-                continue
-            take = min(w, budget)
-            dropped[idx] = take
-            budget -= take
-        served = weights - dropped
-        cost = float(np.dot(served, unit_costs))
-        return dropped, cost
+        prefix, drops, costs = trim_rows(unit_costs[None, :], weights, t)
+        dropped[prefix[0]] = drops[0]
+        return dropped, float(costs[0])
 
     # Center objective: only fully dropped demands leave the max.
+    order = np.argsort(-unit_costs, kind="stable")
+    budget = float(t)
     for idx in order:
         w = weights[idx]
         if w <= 0:
@@ -183,6 +227,7 @@ def solution_cost(
 
 __all__ = [
     "nearest_center_distances",
+    "trim_rows",
     "trim_outliers",
     "assign_with_outliers",
     "solution_cost",

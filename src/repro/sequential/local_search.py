@@ -3,7 +3,7 @@
 This is the practical stand-in for the Theorem 3.1 bicriteria black box (see
 the Substitutions table in ``DESIGN.md``): single-swap local search over the
 facility set, where every candidate configuration is evaluated with the
-outlier-trimmed objective of :func:`repro.sequential.assignment.trim_outliers`.
+outlier-trimmed objective of :func:`repro.sequential.assignment.trim_rows`.
 Single-swap local search is a classical constant-factor heuristic for k-median
 (Arya et al.), and trimming the ``t`` heaviest assignment costs extends it to
 the partial objective; the distributed machinery built on top only relies on
@@ -15,7 +15,11 @@ The implementation keeps the per-iteration cost low enough for the paper's
 * facilities considered for insertion are sampled each round
   (``sample_size``), so a round costs ``O(k * sample_size * n log n)``;
 * removal costs are computed from the first/second-nearest open centers, so
-  no candidate evaluation ever rescans the whole ``k``-column block.
+  no candidate evaluation ever rescans the whole ``k``-column block;
+* the ``k * sample_size`` swaps of a round are scored together, as tiles of
+  ``(rows, n)`` unit costs through one vectorised greedy trim, instead of one
+  trim call per swap.  The winner is the first largest gain in (position,
+  candidate) order, so results are bitwise those of scoring swaps one by one.
 """
 
 from __future__ import annotations
@@ -24,9 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.blocked import MemoryBudgetLike
+from repro.metrics.blocked import DEFAULT_CACHE_TARGET, MemoryBudgetLike, effective_tile_bytes
 from repro.metrics.cost_matrix import validate_objective
-from repro.sequential.assignment import assign_with_outliers, trim_outliers
+from repro.sequential.assignment import assign_with_outliers, trim_outliers, trim_rows
 from repro.sequential.solution import ClusterSolution
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -139,10 +143,13 @@ def local_search_partial(
     rng:
         Seed or generator for seeding and candidate sampling.
     memory_budget:
-        Byte cap forwarded to the final assignment pass.  The search itself
-        already streams the matrix column by column — its working set is
-        ``O(n k)`` vectors, never ``O(n^2)`` — so a disk-backed memmap cost
-        matrix is paged, not copied.  Results are budget-independent.
+        Byte cap on one tile of swap scores, and forwarded to the final
+        assignment pass.  The search reads the candidate columns one tile at
+        a time, and a tile holds at most ``effective_tile_bytes(memory_budget)``
+        bytes (:data:`~repro.metrics.blocked.DEFAULT_CACHE_TARGET` without a
+        budget), at least the ``k`` rows of one candidate.  So the working set
+        is one tile, never ``O(n^2)``, and a disk-backed memmap cost matrix is
+        paged, not copied.  Results are budget-independent.
     """
     obj = validate_objective(objective)
     if obj == "center":
@@ -171,20 +178,18 @@ def local_search_partial(
     if sample_size is None:
         sample_size = n_fac if n_fac <= 64 else 32
     sample_size = min(sample_size, n_fac)
-
-    def trimmed_cost(unit: np.ndarray) -> float:
-        _, cost = trim_outliers(unit, w, t, obj)
-        return cost
+    tile_bytes = effective_tile_bytes(memory_budget) or DEFAULT_CACHE_TARGET
 
     block = cost_matrix[:, centers]
     first_idx, first_val, second_val = _first_second_nearest(block)
-    current_cost = trimmed_cost(first_val)
+    current_cost = trim_outliers(first_val, w, t, obj)[1]
     evaluations = 1
     iterations = 0
 
     for iterations in range(1, max_iter + 1):
-        open_set = set(int(c) for c in centers)
-        closed = np.asarray([f for f in range(n_fac) if f not in open_set], dtype=int)
+        closed_mask = np.ones(n_fac, dtype=bool)
+        closed_mask[centers] = False
+        closed = np.flatnonzero(closed_mask)
         if closed.size == 0:
             break
         if closed.size > sample_size:
@@ -192,28 +197,30 @@ def local_search_partial(
         else:
             candidates = closed
 
-        best_gain = 0.0
-        best_swap = None
-        for pos in range(centers.size):
-            # Service cost of every demand if center at position ``pos`` closes.
-            without = np.where(first_idx == pos, second_val, first_val)
-            for f in candidates:
-                new_unit = np.minimum(without, cost_matrix[:, f])
-                cand_cost = trimmed_cost(new_unit)
-                evaluations += 1
-                gain = current_cost - cand_cost
-                if gain > best_gain:
-                    best_gain = gain
-                    best_swap = (pos, int(f))
+        # Row ``pos`` is every demand's service cost once center ``pos`` closes.
+        without = np.where(first_idx == np.arange(centers.size)[:, None], second_val, first_val)
+        per_tile = max(1, tile_bytes // (without.nbytes or 1))
+        gains = np.empty((centers.size, candidates.size))
+        for lo in range(0, candidates.size, per_tile):
+            columns = cost_matrix[:, candidates[lo : lo + per_tile]].T
+            swapped = np.minimum(without[:, None, :], columns[None, :, :])
+            _, _, costs = trim_rows(swapped.reshape(-1, n), w, t)
+            with np.errstate(invalid="ignore"):  # inf - inf: a NaN gain, masked below
+                gains[:, lo : lo + per_tile] = current_cost - costs.reshape(centers.size, -1)
+        evaluations += gains.size
 
-        if best_swap is None or best_gain < min_relative_gain * max(current_cost, 1e-12):
+        # The first largest gain in (position, candidate) order; NaN never wins.
+        gains[np.isnan(gains)] = -np.inf
+        best = int(np.argmax(gains))
+        best_gain = float(gains.flat[best])
+        if not best_gain > 0 or best_gain < min_relative_gain * max(current_cost, 1e-12):
             break
-        pos, f = best_swap
+        pos, j = divmod(best, candidates.size)
         centers = centers.copy()
-        centers[pos] = f
+        centers[pos] = candidates[j]
         block = cost_matrix[:, centers]
         first_idx, first_val, second_val = _first_second_nearest(block)
-        current_cost = trimmed_cost(first_val)
+        current_cost = trim_outliers(first_val, w, t, obj)[1]
 
     solution = assign_with_outliers(
         cost_matrix, centers, t, w, objective=obj, memory_budget=memory_budget

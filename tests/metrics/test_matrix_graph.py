@@ -51,6 +51,18 @@ class TestMatrixMetric:
         with pytest.raises(ValueError):
             MatrixMetric(bad)
 
+    def test_rejects_infinite(self):
+        bad = _valid_matrix()
+        bad[0, 2] = bad[2, 0] = np.inf
+        with pytest.raises(ValueError, match="finite"):
+            MatrixMetric(bad)
+
+    def test_rejects_nan(self):
+        bad = _valid_matrix()
+        bad[0, 1] = bad[1, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            MatrixMetric(bad)
+
     def test_validate_flag_skips_checks(self):
         bad = _valid_matrix()
         bad[0, 1] = 5.0
