@@ -9,10 +9,12 @@ coordinator).  It serves two frame shapes:
     One site's share of a protocol round — the only task shape the cluster
     runs.  ``sticky`` is the site's heavy immutable half — ``(shard,
     local_metric)``, where the local metric is the site's view of its input
-    (its points' metric, or its uncertain nodes) — shipped **once** per
-    protocol run and kept resident under ``resident_key``; later rounds send
-    ``sticky=None`` and the runner reuses its cached copy, so the view is
-    never re-pickled round after round.  ``evict`` lists superseded keys to
+    (for a Euclidean, matrix or graph metric, its own ``n_i`` rows and not
+    the whole input; see ``DistributedInstance.site_view``), or its
+    uncertain nodes — shipped **once** per protocol run and kept
+    resident under ``resident_key``; later rounds send ``sticky=None`` and
+    the runner reuses its cached copy, so the view is never re-pickled
+    round after round.  ``evict`` lists superseded keys to
     drop (a new run reusing the site slot), bounding resident memory by the
     number of live site slots.  ``dyn`` carries the per-round payload (task
     function, arguments, site state, RNG stream, inbox) — where the *state*

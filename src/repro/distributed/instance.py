@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.metrics.base import MetricSpace, SubsetMetric
+from repro.metrics.base import MetricSpace
 from repro.utils.validation import check_k_t
 
 
@@ -18,9 +18,9 @@ class DistributedInstance:
     Attributes
     ----------
     metric:
-        The global metric space containing every input point.  Sites only
-        ever evaluate distances among their own points and points explicitly
-        communicated to them; protocols are written to respect this.
+        The global metric space containing every input point.  The
+        coordinator reads it, and only for points the sites sent it; each
+        site holds :meth:`site_view`, a metric over its own points alone.
     shards:
         One array of global point indices per site; the arrays are disjoint.
     k, t:
@@ -74,9 +74,17 @@ class DistributedInstance:
         """Global indices held by ``site``."""
         return self.shards[site]
 
-    def site_view(self, site: int) -> SubsetMetric:
-        """What ``site`` holds: the metric restricted to its own points."""
-        return SubsetMetric(self.metric, self.shards[site])
+    def site_view(self, site: int) -> MetricSpace:
+        """What ``site`` holds: the metric restricted to its own points.
+
+        Built by :meth:`~repro.metrics.base.MetricSpace.restrict`, so for a
+        Euclidean, matrix or graph metric the site holds only its own rows
+        (``O(n_i)`` data on the wire, not the whole input), and for other
+        metrics a :class:`~repro.metrics.base.SubsetMetric` view.  Local
+        point ``i`` is global point ``shard(site)[i]``, and every distance
+        is bit-identical to the global metric's.
+        """
+        return self.metric.restrict(self.shards[site])
 
     def site_of_point(self) -> np.ndarray:
         """Array mapping each global point index in the instance to its site.

@@ -28,11 +28,13 @@ class Site:
     """A site in the coordinator model.
 
     A site owns a shard of global indices and the view of the input it
-    holds (``local_metric``, local indices ``0..n_i-1``): the metric
-    restricted to its own points for a :class:`DistributedInstance`, its own
-    uncertain nodes for an :class:`UncertainDistributedInstance`.  It may
-    evaluate distances among its own points or to points that have been
-    communicated to it.  The inbox holds messages delivered by the
+    holds (``local_metric``, local indices ``0..n_i-1``).  For a
+    :class:`DistributedInstance` that is
+    :meth:`~DistributedInstance.site_view`, a metric over the site's own
+    points alone (its rows, for a Euclidean, matrix or graph metric); for an
+    :class:`UncertainDistributedInstance`, its own uncertain nodes over the
+    shared ground metric.  The shard is the only link to global ids
+    (:meth:`to_global`).  The inbox holds messages delivered by the
     coordinator in the current round.
     """
 

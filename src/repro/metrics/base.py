@@ -109,6 +109,18 @@ class MetricSpace(abc.ABC):
         """A view of this metric restricted to ``indices`` (re-indexed from 0)."""
         return SubsetMetric(self, indices)
 
+    def restrict(self, indices: Sequence[int]) -> "MetricSpace":
+        """This metric restricted to ``indices`` (re-indexed from 0), as a site holds it.
+
+        Point ``i`` of the result is point ``indices[i]`` here, and every
+        distance is bit-identical to this metric's.  Unlike :meth:`subset`,
+        the result need not reference this metric: a metric that can copy
+        out the data of just those points returns a standalone metric, so
+        what pickles is ``O(len(indices))`` rather than the whole space.
+        The default is the :class:`SubsetMetric` view.
+        """
+        return SubsetMetric(self, indices)
+
     def validate_indices(self, indices: Sequence[int]) -> np.ndarray:
         """Check that ``indices`` are valid point indices and return them as an array."""
         idx = np.asarray(indices, dtype=int)

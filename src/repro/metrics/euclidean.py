@@ -41,6 +41,13 @@ class EuclideanMetric(MetricSpace):
     guarantee.)  The difference form is also immune to the cancellation the
     expansion suffers for near-duplicate points, and identical points get an
     exact zero without post-hoc masking.
+
+    :meth:`pairwise` is the one distance kernel: :meth:`distances_from` is
+    inherited, so a traversal sweep is the one-row block.  (A row kernel such
+    as ``einsum`` over the differences sums in another order and changes the
+    last bit from ``d = 3`` on.)  So :meth:`restrict` can hand a site a copy of
+    its own rows, and every distance the site computes is bit-identical to
+    the global metric's.
     """
 
     def __init__(self, points: np.ndarray):
@@ -84,10 +91,9 @@ class EuclideanMetric(MetricSpace):
             sq += diff
         return np.sqrt(sq, out=sq)
 
-    def distances_from(self, i: int, cols: Sequence[int]) -> np.ndarray:
-        cols = np.asarray(cols, dtype=int)
-        diff = _take_rows(self._points, cols) - self._points[i]
-        return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    def restrict(self, indices: Sequence[int]) -> "EuclideanMetric":
+        """A standalone metric over copies of the rows ``indices``."""
+        return EuclideanMetric(self._points[self.validate_indices(indices)])
 
 
 __all__ = ["EuclideanMetric"]

@@ -71,5 +71,13 @@ class GraphMetric(MetricSpace):
     def full_matrix(self) -> np.ndarray:
         return self._backend.full_matrix()
 
+    def restrict(self, indices: Sequence[int]) -> MatrixMetric:
+        """The block of ``indices`` as a :class:`MatrixMetric`.
+
+        Its entries are shortest paths in the whole graph, so the block is
+        exact even where a path leaves ``indices``.
+        """
+        return self._backend.restrict(indices)
+
 
 __all__ = ["GraphMetric"]

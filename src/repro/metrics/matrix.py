@@ -74,6 +74,17 @@ class MatrixMetric(MetricSpace):
         """The whole matrix as a read-only view (no copy; see the class docstring)."""
         return self._matrix
 
+    def restrict(self, indices: Sequence[int]) -> "MatrixMetric":
+        """A standalone metric over the ``len(indices)``-square block of ``indices``.
+
+        This metric was validated when it was built, so the block is not
+        validated again (that would cost three quadratic passes).
+        """
+        idx = self.validate_indices(indices)
+        return MatrixMetric(
+            self._matrix[np.ix_(idx, idx)], words_per_point=self._words, validate=False
+        )
+
     def check_triangle_inequality(self, atol: float = 1e-8) -> bool:
         """Exhaustively verify the triangle inequality (O(n^3); tests only)."""
         m = self._matrix

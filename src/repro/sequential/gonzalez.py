@@ -130,8 +130,12 @@ def gonzalez(
     # ``dist_to_chosen`` holds the true distance of every point to the prefix;
     # ``selection`` is the same array with already-chosen points masked out so
     # that ties at distance zero (duplicate points) never re-select a point.
-    dist_to_chosen = _distances_from_chunked(metric, int(idx[start]), idx, tile_bytes)
-    selection = dist_to_chosen.copy()
+    # Both are updated in place, so both are private copies of the first
+    # sweep: a metric may serve it as a read-only view of its own storage
+    # (``MatrixMetric`` does for a contiguous index run).
+    first_sweep = _distances_from_chunked(metric, int(idx[start]), idx, tile_bytes)
+    dist_to_chosen = first_sweep.copy()
+    selection = first_sweep.copy()
     selection[start] = -np.inf
     coverage[0] = float(dist_to_chosen.max()) if n > 1 else 0.0
 

@@ -7,6 +7,8 @@ from repro.analysis import evaluate_centers
 from repro.baselines import centralized_reference
 from repro.core import distributed_partial_center
 from repro.distributed import DistributedInstance, partition_outliers_concentrated
+from repro.metrics import MatrixMetric
+from tests.helpers import weighted_graph_metric
 
 
 @pytest.fixture(scope="module")
@@ -81,3 +83,37 @@ class TestAlgorithm2Validation:
     def test_bad_rho(self, small_center_instance):
         with pytest.raises(ValueError):
             distributed_partial_center(small_center_instance, rho=0.5)
+
+
+class TestContiguousMatrixSites:
+    """Site sweeps over a matrix-backed metric are read-only views of it.
+
+    A site holding one contiguous run of a matrix-backed metric (and every
+    site holding a compact block) traverses it through read-only views; the
+    run must not write into them.
+    """
+
+    @pytest.mark.parametrize(
+        "shards",
+        [[np.arange(60)], [np.arange(30), np.arange(30, 60)]],
+        ids=["one_site", "two_halves"],
+    )
+    def test_graph_metric(self, shards):
+        metric = weighted_graph_metric(60, seed=3)
+        before = metric.full_matrix().copy()
+        instance = DistributedInstance.from_partition(metric, shards, 3, 4, "center")
+        result = distributed_partial_center(instance, rng=0)
+        assert result.rounds == 2
+        assert result.centers.size >= 1
+        np.testing.assert_array_equal(metric.full_matrix(), before)
+
+    def test_matrix_metric_single_site(self, small_metric):
+        metric = MatrixMetric(small_metric.full_matrix())
+        n = len(metric)
+        euclid = DistributedInstance.from_partition(small_metric, [np.arange(n)], 3, 15, "center")
+        matrix = DistributedInstance.from_partition(metric, [np.arange(n)], 3, 15, "center")
+        expected = distributed_partial_center(euclid, rng=0)
+        result = distributed_partial_center(matrix, rng=0)
+        np.testing.assert_array_equal(result.centers, expected.centers)
+        assert result.cost == expected.cost
+        np.testing.assert_array_equal(result.outliers, expected.outliers)

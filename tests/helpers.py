@@ -66,3 +66,16 @@ def assert_counters_equal_ledger(result):
         if name.startswith("wire.bytes")
     }
     assert actual == expected
+
+
+def weighted_graph_metric(n, seed):
+    """A ``GraphMetric`` over a connected small-world graph with random weights."""
+    import networkx as nx
+
+    from repro.metrics import GraphMetric
+
+    rng = np.random.default_rng(seed)
+    graph = nx.connected_watts_strogatz_graph(n, min(4, n - 1), 0.3, seed=seed)
+    for u, v in graph.edges:
+        graph[u][v]["weight"] = float(rng.uniform(0.5, 3.0))
+    return GraphMetric(graph)

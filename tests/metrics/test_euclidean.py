@@ -33,7 +33,7 @@ class TestEuclideanMetric:
         cols = np.arange(len(metric))
         row = metric.distances_from(3, cols)
         block = metric.pairwise([3], cols)[0]
-        assert np.allclose(row, block)
+        np.testing.assert_array_equal(row, block)
 
     def test_self_distance_zero(self, tiny_metric):
         for i in range(len(tiny_metric)):
@@ -54,6 +54,18 @@ class TestEuclideanMetric:
         mat = metric.full_matrix()
         assert np.all(np.isfinite(mat))
         assert np.all(mat >= 0)
+
+    def test_restrict_copies_rows(self, rng):
+        metric = EuclideanMetric(rng.normal(size=(30, 5)))
+        indices = np.asarray([7, 2, 19, 3])
+        view = metric.restrict(indices)
+        assert isinstance(view, EuclideanMetric)
+        np.testing.assert_array_equal(view.points, metric.points[indices])
+        assert not np.shares_memory(view.points, metric.points)
+        assert view.words_per_point == metric.words_per_point
+        np.testing.assert_array_equal(
+            view.pairwise(np.arange(4), np.arange(4)), metric.pairwise(indices, indices)
+        )
 
     def test_from_random(self, rng):
         metric = EuclideanMetric.from_random(20, 3, rng)

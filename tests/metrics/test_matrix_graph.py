@@ -83,6 +83,16 @@ class TestMatrixMetric:
     def test_words_per_point(self):
         assert MatrixMetric(_valid_matrix(), words_per_point=4).words_per_point == 4
 
+    def test_restrict_is_the_block(self):
+        metric = MatrixMetric(_valid_matrix(), words_per_point=4)
+        view = metric.restrict([2, 0])
+        assert isinstance(view, MatrixMetric)
+        np.testing.assert_array_equal(view.matrix, [[0.0, 2.0], [2.0, 0.0]])
+        assert view.words_per_point == 4
+        assert not np.shares_memory(view.matrix, metric.matrix)
+        with pytest.raises(IndexError):
+            metric.restrict([0, 3])
+
 
 class TestGraphMetric:
     def _path_graph(self):
@@ -122,6 +132,16 @@ class TestGraphMetric:
         metric = GraphMetric(self._path_graph())
         block = metric.pairwise([0, 1], [2, 3])
         assert block.shape == (2, 2)
+
+    def test_restrict_keeps_whole_graph_paths(self):
+        # a and d are not adjacent; their restricted distance is still the
+        # shortest path through b and c.
+        metric = GraphMetric(self._path_graph(), words_per_point=3)
+        a, d = metric.node_index("a"), metric.node_index("d")
+        view = metric.restrict([a, d])
+        assert isinstance(view, MatrixMetric)
+        assert view.distance(0, 1) == 6.0
+        assert view.words_per_point == 3
 
 
 def test_package_imports_without_networkx():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.metrics import EuclideanMetric
+from repro.metrics import EuclideanMetric, MatrixMetric
 from repro.sequential import gonzalez
 from repro.sequential.gonzalez import center_witnesses
 
@@ -68,6 +68,29 @@ class TestGonzalez:
         result = gonzalez(metric, start=0)
         # The second traversed point must come from the far cluster.
         assert result.ordering[1] >= 5
+
+
+class TestReadOnlySweeps:
+    """A metric may serve a sweep as a read-only view of its own storage."""
+
+    def test_matrix_metric_contiguous_traversal(self, small_metric):
+        # Every sweep of a whole MatrixMetric is a read-only row view.
+        matrix = small_metric.full_matrix()
+        metric = MatrixMetric(matrix)
+        result = gonzalez(metric, m=5, rng=0)
+        reference = gonzalez(small_metric, m=5, rng=0)
+        np.testing.assert_array_equal(result.ordering, reference.ordering)
+        np.testing.assert_array_equal(result.radii, reference.radii)
+        np.testing.assert_array_equal(result.coverage_radius, reference.coverage_radius)
+        np.testing.assert_array_equal(metric.full_matrix(), matrix)
+
+    def test_matrix_metric_contiguous_subset(self, small_metric):
+        metric = MatrixMetric(small_metric.full_matrix())
+        indices = np.arange(20, 70)
+        result = gonzalez(metric, indices, m=8, rng=1)
+        reference = gonzalez(small_metric, indices, m=8, rng=1)
+        np.testing.assert_array_equal(result.ordering, reference.ordering)
+        np.testing.assert_array_equal(result.radii, reference.radii)
 
 
 class TestCenterWitnesses:
