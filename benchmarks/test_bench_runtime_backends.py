@@ -7,7 +7,7 @@ the per-round site phase should drop from ``sum_i n_i^2`` towards
 instance under every execution backend and reports wall-clock, verifying
 that results (centers, cost, ledger words) are identical along the way.
 
-On a multi-core machine the process backend must beat serial wall-clock;
+On a multi-core machine a warm cluster pool must beat serial wall-clock;
 on a single-core container there is nothing to parallelise onto, so the
 speedup assertion is skipped there (the parity assertions always run).
 The core count that gates the assertion is the *effective* one — the
@@ -29,7 +29,9 @@ from repro.distributed import DistributedInstance, partition_balanced
 from repro.runtime import effective_cpu_count, resolve_backend
 from tests.helpers import run_site_round
 
-BACKENDS = ["serial", "process"]
+BACKENDS = ["serial", "cluster"]
+
+pytestmark = pytest.mark.cluster
 
 
 @pytest.fixture(scope="module")
@@ -59,13 +61,13 @@ def speedup_guard_verdict(n_cores: int, walls: dict, relaxed: bool = False) -> s
     guard itself stays testable on a 1-core container, where the live
     benchmark can only ever exercise the skip path: ``"skip-cores"`` when
     the affinity mask leaves nothing to parallelise onto, ``"pass"`` when the
-    process backend beat serial, ``"skip-relaxed"`` when
+    cluster pool beat serial, ``"skip-relaxed"`` when
     ``REPRO_RELAXED_SPEEDUP`` excuses a shared runner that showed no
     speedup, and ``"fail"`` otherwise.
     """
     if n_cores < 2:
         return "skip-cores"
-    if walls["process"] < walls["serial"]:
+    if walls["cluster"] < walls["serial"]:
         return "pass"
     return "skip-relaxed" if relaxed else "fail"
 
@@ -80,9 +82,9 @@ def test_runtime_backend_speedup(benchmark, runtime_instance):
         backend = resolve_backend(name)
         try:
             if name != "serial":
-                # Warm the pool with one no-op site round so worker startup is
+                # Warm the pool with one no-op site round so runner startup is
                 # not billed to the protocol.
-                run_site_round(backend, abs, [0] * backend.max_workers)
+                run_site_round(backend, abs, [0] * backend.n_hosts)
             start = time.perf_counter()
             results[name] = _run(runtime_instance, backend)
             walls[name] = time.perf_counter() - start
@@ -126,15 +128,15 @@ def test_runtime_backend_speedup(benchmark, runtime_instance):
         # the speedup is reported but not enforced.
         pytest.skip(f"relaxed mode: no speedup observed on {n_cores} cores: {walls}")
     assert verdict == "pass", (
-        f"expected the process backend to beat serial on {n_cores} cores: {walls}"
+        f"expected the cluster pool to beat serial on {n_cores} cores: {walls}"
     )
 
 
 class TestSpeedupGuard:
     """The guard's decision table, exercised even where the benchmark skips."""
 
-    FAST_PARALLEL = {"serial": 2.0, "process": 1.5}
-    NO_SPEEDUP = {"serial": 1.0, "process": 1.3}
+    FAST_PARALLEL = {"serial": 2.0, "cluster": 1.5}
+    NO_SPEEDUP = {"serial": 1.0, "cluster": 1.3}
 
     def test_single_core_skips_regardless_of_timings(self):
         assert speedup_guard_verdict(1, self.FAST_PARALLEL) == "skip-cores"

@@ -65,32 +65,37 @@ def choosing_a_backend(points, k, t) -> None:
 
     * ``"serial"`` (default) — one Python loop; zero overhead, right for
       small instances and for debugging.
-    * ``"process"`` — worker processes; true parallelism for the
-      Python-heavy local search, plus honest payload materialisation
-      (everything crossing the boundary is pickled).  Prefer this at
-      large ``n_i`` on multi-core machines.
+    * ``"cluster:N"`` — N runner processes, each a simulated host that
+      keeps its sites' data and state; true parallelism for the
+      Python-heavy local search.  A spec starts a private pool for one run
+      and shuts it down afterwards.
 
     Results are bit-identical across backends for a fixed seed — same
     centers, same cost, same communication words — so the choice is purely
-    about wall-clock.  To amortise pool startup across many runs, pass an
-    instance instead of a name::
+    about wall-clock.  To amortise runner startup across many runs, pass a
+    warm pool instead of a name::
 
-        from repro.runtime import ProcessPoolBackend
-        with ProcessPoolBackend(max_workers=4) as pool:
+        from repro.cluster import ClusterBackend
+        with ClusterBackend(n_hosts=4) as pool:
             for seed in range(10):
                 partial_kmedian(points, k=3, t=30, seed=seed, backend=pool)
     """
     import time
 
+    from repro.cluster import ClusterBackend
+
     print("\nchoosing a backend (same seed => identical results)")
-    for backend in ("serial", "process"):
-        start = time.perf_counter()
-        result = partial_kmedian(points, k=k, t=t, n_sites=4, seed=7, backend=backend)
-        wall = time.perf_counter() - start
-        print(
-            f"  backend={backend:<8}: cost {result.cost:9.1f}, "
-            f"words {result.total_words:6.0f}, wall {wall:.2f}s"
-        )
+    with ClusterBackend(n_hosts=2) as pool:
+        # The pool starts its runners on its first run; the second is warm.
+        for label, backend in (("serial", "serial"), ("cluster:2", "cluster:2"),
+                               ("pool, 1st", pool), ("pool, 2nd", pool)):
+            start = time.perf_counter()
+            result = partial_kmedian(points, k=k, t=t, n_sites=4, seed=7, backend=backend)
+            wall = time.perf_counter() - start
+            print(
+                f"  backend={label:<10}: cost {result.cost:9.1f}, "
+                f"words {result.total_words:6.0f}, wall {wall:.2f}s"
+            )
 
 
 def running_on_a_cluster_backend(points, k, t) -> None:
@@ -99,7 +104,7 @@ def running_on_a_cluster_backend(points, k, t) -> None:
     ``backend="cluster:3"`` runs every site on its own long-lived runner
     *subprocess* — one per simulated host, started as a fresh interpreter —
     and ships tasks and payloads over real length-prefixed socket
-    connections.  That buys two things the in-process backends cannot give:
+    connections.  That buys two things the serial backend cannot give:
 
     * **distributed memory** — a runner inherits nothing, so everything a
       site computes on demonstrably arrived through its socket, and a
@@ -138,8 +143,8 @@ def running_on_a_cluster_backend(points, k, t) -> None:
     messages and their tasks' return values, and never read site state.
     On the cluster backend ``Site.state`` is an opaque
     :class:`repro.runtime.ResidentState` handle (resident key, site id,
-    epoch); only the site's own next dispatch uses it.  In-process
-    backends hand the state dict back; protocol results are identical
+    epoch); only the site's own next dispatch uses it.  The serial
+    backend hands the state dict back; protocol results are identical
     either way.  Without a fault, a run's frames are site dispatches and
     site results (plus runner heartbeats), nothing else.
 
@@ -366,15 +371,15 @@ def memory_budgets_and_out_of_core_shards(points, k, t) -> None:
       disk-backed ``np.memmap`` shards in a per-run scratch directory
       (removed when the run completes), so instances whose dense matrices
       exceed RAM still run;
-    * a shard crosses the runtime's process boundary as a *handle*
-      (path + shape), never as ``n_i^2`` bytes.
+    * a shard stays on the site that built it: on a cluster pool it is
+      part of the site's runner-resident state, never sent anywhere.
 
     Results are bit-identical for every budget — same centers, same cost,
     same communication words — so the knob trades only wall-clock for
     memory.  It composes freely with ``backend=``::
 
         partial_kmedian(points, k=3, t=30, n_sites=8,
-                        backend="process", memory_budget="256MB")
+                        backend="cluster:4", memory_budget="256MB")
     """
     print("\nmemory budgets (same seed => identical results)")
     for budget in (None, "1MB", "64KB"):

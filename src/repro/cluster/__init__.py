@@ -1,7 +1,7 @@
 """Distributed-memory cluster backend with wire-level byte accounting.
 
 The star-network simulator charges every message a semantic *word* count;
-the in-process backends hand payloads over inside one process.  This
+the serial backend hands payloads over inside one process.  This
 subsystem closes the loop on the paper's communication claims: a
 :class:`~repro.cluster.backend.ClusterBackend` spawns one long-lived runner
 process per simulated host, ships site tasks — the one task shape every

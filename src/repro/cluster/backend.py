@@ -3,8 +3,7 @@
 :class:`ClusterBackend` implements the :class:`~repro.runtime.backends.ExecutionBackend`
 interface by spawning one long-lived runner process per simulated host and
 shipping every task over a length-prefixed unix-domain socket
-(:mod:`repro.cluster.framing`).  Compared to the process pool it makes three
-claims honest:
+(:mod:`repro.cluster.framing`).  It makes these claims honest:
 
 * **Distributed memory.**  Runners start as fresh interpreters
   (``python -m repro.cluster.runner``) and inherit nothing; every byte a
@@ -25,7 +24,7 @@ claims honest:
   shipped once per protocol run and kept resident on its runner (sites are
   pinned to hosts by ``site_id % n_hosts``).  The *mutable* half gets the
   same treatment: after a site task completes, its ``ctx.state`` stays on
-  the runner and only a digest (keys, per-entry pickled sizes, a state
+  the runner and only a digest (keys, per-entry sizes, a state
   epoch) crosses back; the coordinator's ``Site.state`` becomes an opaque
   :class:`~repro.runtime.state.ResidentState` handle, and the next dispatch
   ships an epoch token instead of the dict.  The coordinator never reads
@@ -308,45 +307,51 @@ class ClusterBackend(ExecutionBackend):
         socket_dir = tempfile.mkdtemp(prefix="repro-cluster-")
         env = self._runner_environment()
         hosts: List[_Host] = []
+        listeners: List[socket.socket] = []
         try:
+            # Bind every listener and start every runner before the first
+            # accept, so the interpreters start up concurrently and the
+            # pool's start time is the slowest runner's, not their sum.
             for host_id in range(self.n_hosts):
                 host = _Host(host_id)
+                hosts.append(host)
                 path = os.path.join(socket_dir, f"h{host_id}.sock")
                 listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                listeners.append(listener)
+                listener.bind(path)
+                listener.listen(1)
+                listener.settimeout(self.start_timeout)
+                # A fresh interpreter per host (not a fork): the runner
+                # inherits no address space, so everything it computes on
+                # demonstrably arrived through its socket.
+                host.process = subprocess.Popen(
+                    [sys.executable, "-m", "repro.cluster.runner", path, str(host_id)],
+                    env=env,
+                )
+            for host, listener in zip(hosts, listeners):
                 try:
-                    listener.bind(path)
-                    listener.listen(1)
-                    listener.settimeout(self.start_timeout)
-                    # A fresh interpreter per host (not a fork): the runner
-                    # inherits no address space, so everything it computes on
-                    # demonstrably arrived through its socket.
-                    host.process = subprocess.Popen(
-                        [sys.executable, "-m", "repro.cluster.runner", path, str(host_id)],
-                        env=env,
-                    )
-                    try:
-                        conn, _ = listener.accept()
-                    except socket.timeout:
-                        exitcode = host.process.poll()
-                        raise RuntimeError(
-                            f"cluster host {host_id} failed to connect within "
-                            f"{self.start_timeout}s (exit code {exitcode})"
-                        ) from None
-                finally:
-                    listener.close()
+                    conn, _ = listener.accept()
+                except socket.timeout:
+                    exitcode = host.process.poll()
+                    raise RuntimeError(
+                        f"cluster host {host.host_id} failed to connect within "
+                        f"{self.start_timeout}s (exit code {exitcode})"
+                    ) from None
                 host.channel = FrameChannel(conn)
                 hello, _, _, _ = host.channel.recv()
-                if hello != ("hello", host_id):
+                if hello != ("hello", host.host_id):
                     raise RuntimeError(
-                        f"cluster host {host_id} sent a bad handshake: {hello!r}"
+                        f"cluster host {host.host_id} sent a bad handshake: {hello!r}"
                     )
                 host.last_seen = time.monotonic()
-                hosts.append(host)
         except BaseException:
             self._hosts = hosts  # let close() reap whatever did start
             self._socket_dir = socket_dir
             self.close()
             raise
+        finally:
+            for listener in listeners:
+                listener.close()
         self._hosts = hosts
         self._socket_dir = socket_dir
         # One selector loop multiplexes every channel: switch the sockets to
@@ -659,7 +664,7 @@ class ClusterBackend(ExecutionBackend):
         """Assert a replayed record reproduced the recorded state digest.
 
         Epochs are *not* compared — the replay target assigns its own
-        monotonic sequence — but the digest's per-entry pickled sizes are the
+        monotonic sequence — but the digest's per-entry sizes are the
         content fingerprint the original run committed, and determinism says
         they must match exactly.
         """

@@ -79,9 +79,8 @@ MIN_COMPRESS_BYTES = 256
 def encode_payload(obj: Any) -> bytes:
     """Serialise one object as a standalone pickle (no out-of-band buffers).
 
-    This is the *component* encoder: resident-state digests price each
-    state entry by these bytes, and a dispatch record keeps its RNG stream
-    in this form for replay, independent of whatever frame carries either.
+    This is the *component* encoder: a dispatch record keeps its RNG stream
+    in this form for replay, independent of whatever frame carries it.
     """
     return pickle.dumps(obj, protocol=PICKLE_PROTOCOL)
 

@@ -24,7 +24,7 @@ coordinator).  It serves two frame shapes:
     previous round.  After the task runs, the new state stays resident
     under ``resident_key`` at ``epoch + 1`` and the reply carries only a
     :data:`~repro.runtime.state.STATE_DIGEST_TAG` digest (keys, per-entry
-    pickled sizes, the new epoch), which recovery checks a replayed copy
+    sizes, the new epoch), which recovery checks a replayed copy
     against — never the dict itself.  The reply ``("site_res", seq, result,
     extras)`` carries the task's return value and its buffered
     site-to-coordinator messages as ``(kind, payload, words)`` entries,
@@ -74,10 +74,10 @@ import threading
 import traceback
 from typing import Any, Dict, Optional, Tuple
 
-from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy, encode_payload
+from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy
 from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
 from repro.obs.trace import TraceBuffer, collector_scope
-from repro.runtime.state import STATE_DIGEST_TAG, is_state_token
+from repro.runtime.state import STATE_DIGEST_TAG, is_state_token, state_entry_size
 
 
 def _resolve_state(resident_key, dyn_state, resident_state: Dict[Any, Tuple[int, dict]]):
@@ -150,12 +150,12 @@ def _execute_site(
     # cluster site timers are the serial label set plus ``cluster:encode``.
     with ctx.timer.measure("cluster:encode"):
         # The mutable state stays where it was produced; the coordinator
-        # gets a digest (keys, per-entry pickled sizes, the new epoch) that
+        # gets a digest (keys, per-entry sizes, the new epoch) that
         # fingerprints it, so recovery can check a replayed copy.
         previous = resident_state.get(resident_key)
         epoch = (previous[0] if previous is not None else 0) + 1
         resident_state[resident_key] = (epoch, ctx.state)
-        sizes = {key: len(encode_payload(value_)) for key, value_ in ctx.state.items()}
+        sizes = {key: state_entry_size(value_) for key, value_ in ctx.state.items()}
 
     result = {
         "site_id": ctx.site_id,

@@ -39,7 +39,6 @@ from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import memmap_handle
 from repro.metrics.cost_matrix import build_cost_matrix, validate_objective
 from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
@@ -75,7 +74,7 @@ def _round1_task(
     ctx.state["precluster"] = precluster
     ctx.state["local_k"] = local_k
     ctx.send_to_coordinator("cost_profile", precluster.profile, words=precluster.profile.words)
-    return local_k, "memmap" if memmap_handle(local_costs) else "dense"
+    return local_k, "memmap" if isinstance(local_costs, np.memmap) else "dense"
 
 
 def _round2_task(ctx, objective, words_per_point, local_kwargs):

@@ -32,7 +32,7 @@ from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import materialize, memmap_handle
+from repro.metrics.blocked import materialize
 from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.sequential.bicriteria import bicriteria_solve
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
@@ -101,7 +101,7 @@ def _round1_task(
     ctx.state["precluster"] = precluster
     ctx.state["local_k"] = local_k
     ctx.send_to_coordinator("cost_profile", precluster.profile, words=precluster.profile.words)
-    return float(collapse.sum()), "memmap" if memmap_handle(costs) else "dense"
+    return float(collapse.sum()), "memmap" if isinstance(costs, np.memmap) else "dense"
 
 
 def _round2_task(ctx, objective, words_per_point, local_kwargs):

@@ -115,11 +115,6 @@ def _tau_sweep_task(
                 costs, local_k, t, objective="median", rho=rho, rng=ctx.rng,
                 **local_kwargs,
             )
-    # The per-tau matrices re-derive bit-identically from (nodes, support,
-    # tau): round 2 rebuilds the one it uses if the state crossed a
-    # transport (SitePreclustering.__getstate__), so none of them does.
-    for pre in preclusters.values():
-        pre.rebuild_matrix = True
     ctx.state["support"] = support
     ctx.state["preclusters"] = preclusters
     ctx.state["local_k"] = local_k
@@ -129,9 +124,7 @@ def _tau_sweep_task(
     )
 
 
-def _round2_task(
-    ctx, words_per_point, node_words, local_kwargs, memory_budget=None, workdir=None
-):
+def _round2_task(ctx, words_per_point, node_words, local_kwargs):
     """Site phase of round 2: ship the ``tau_hat`` precluster (outlier nodes in full).
 
     Returns what the uncharged output step needs: the member nodes of each
@@ -143,14 +136,6 @@ def _round2_task(
     with ctx.timer.measure("round2"):
         precluster = ctx.state["preclusters"][tau_hat]
         support = ctx.state["support"]
-        if precluster.cost_matrix is None:
-            # The state crossed a transport without its matrices
-            # (rebuild_matrix): re-derive the tau_hat one, bit-identically
-            # to the round-1b build.
-            costs = _truncated_costs(nodes, support, tau_hat, memory_budget, workdir)
-            if not isinstance(costs, np.memmap):
-                costs = np.asarray(costs, dtype=float)
-            precluster.cost_matrix = costs
         t_used = int(round(precluster.profile.snap_up_to_vertex(t_i)))
         t_used = min(t_used, ctx.n_points)
         solution = precluster.solution_for(
@@ -310,7 +295,6 @@ def distributed_uncertain_center_g(
                         _round2_task,
                         args=(
                             instance.words_per_point(), instance.node_words(), local_kwargs,
-                            mem_budget, run.workdir,
                         ),
                         rng=site_rngs[i],
                     )

@@ -11,110 +11,16 @@ used for the budget allocation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.core.convex_hull import CostProfile
 from repro.metrics.base import MetricSpace
-from repro.metrics.blocked import (
-    MemmapCostShard,
-    memmap_handle,
-    open_memmap,
-    transport_spill_dir,
-)
-from repro.sequential.assignment import assign_with_outliers
 from repro.sequential.gonzalez import GonzalezResult, center_witnesses, gonzalez
 from repro.sequential.local_search import local_search_partial
 from repro.sequential.solution import ClusterSolution
 from repro.utils.rng import RngLike, ensure_rng
-
-#: A dense cost matrix whose pickled size would exceed this many bytes is
-#: spilled to a :class:`~repro.metrics.blocked.MemmapCostShard` when a
-#: :class:`SitePreclustering` crosses a transport, so the transport carries a
-#: filename instead of ``n_i^2`` floats.
-TRANSPORT_SPILL_THRESHOLD = 256 * 1024
-
-
-@dataclass
-class _StrippedSolution:
-    """Rebuild recipe that replaces a cached :class:`ClusterSolution` in transit.
-
-    Every solution in a precluster's cache came from one of two deterministic
-    constructions — the zero-cost branch (the whole site may be ignored) or a
-    final :func:`~repro.sequential.assignment.assign_with_outliers` pass over
-    the solver's chosen centers at a recorded outlier budget.  Both rebuild
-    bit-identically from the cost matrix the precluster already carries, so
-    only the recipe (a few integers) needs to cross a transport; the
-    assignment arrays and the solutions' own ``n x k`` sweeps are re-derived
-    on first access (:meth:`SitePreclustering.solution_for`).
-    """
-
-    centers: np.ndarray
-    solve_t: float
-    objective: str
-    n_demands: int
-    zero_cost: bool = False
-
-    def rebuild(
-        self,
-        cost_matrix: np.ndarray,
-        weights: Optional[np.ndarray],
-        *,
-        memory_budget=None,
-    ) -> ClusterSolution:
-        """Re-derive the cached solution (bit-identical to the original)."""
-        if self.zero_cost:
-            return ClusterSolution(
-                centers=np.empty(0, dtype=int),
-                assignment=np.full(self.n_demands, -1, dtype=int),
-                outlier_weight=self.solve_t,
-                cost=0.0,
-                objective=self.objective,
-                dropped_weight=np.full(self.n_demands, np.nan),
-                metadata={"method": "zero_cost", "solve_t": float(self.solve_t)},
-            )
-        solution = assign_with_outliers(
-            cost_matrix,
-            self.centers,
-            self.solve_t,
-            weights,
-            objective=self.objective,
-            memory_budget=memory_budget,
-        )
-        solution.metadata.update(
-            {"method": "rebuilt_from_strip", "solve_t": float(self.solve_t)}
-        )
-        return solution
-
-
-def _strip_solution(
-    solution: Union[ClusterSolution, _StrippedSolution],
-) -> Union[ClusterSolution, _StrippedSolution]:
-    """The transport form of one cached solution (a no-op if already stripped).
-
-    Solutions without a recorded solve budget cannot be re-derived, so they
-    travel whole — correctness never depends on the strip.
-    """
-    if isinstance(solution, _StrippedSolution):
-        return solution
-    if solution.centers.size == 0:
-        return _StrippedSolution(
-            centers=np.empty(0, dtype=int),
-            solve_t=float(solution.outlier_weight),
-            objective=solution.objective,
-            n_demands=int(solution.assignment.size),
-            zero_cost=True,
-        )
-    solve_t = solution.metadata.get("solve_t")
-    if solve_t is None:
-        return solution
-    return _StrippedSolution(
-        centers=solution.centers,
-        solve_t=float(solve_t),
-        objective=solution.objective,
-        n_demands=int(solution.assignment.size),
-    )
 
 
 def geometric_grid(t: int, rho: float = 2.0, upper: Optional[int] = None) -> np.ndarray:
@@ -176,71 +82,11 @@ class SitePreclustering:
 
     grid: np.ndarray
     costs: np.ndarray
-    solutions: Dict[int, Union[ClusterSolution, _StrippedSolution]]
+    solutions: Dict[int, ClusterSolution]
     profile: CostProfile
     cost_matrix: np.ndarray
     weights: Optional[np.ndarray] = None
     metadata: dict = field(default_factory=dict)
-    #: When True the cost matrix does not cross a transport *at all*: the
-    #: protocol that built this precluster has promised the matrix
-    #: re-derives bit-identically on the far side (center_g rebuilds its
-    #: per-tau collapse matrix from the resident ``(uncertain, shard,
-    #: tau)``).  Unpickled copies then carry ``cost_matrix=None`` until the
-    #: protocol reattaches one; :meth:`solution_for` refuses to solve
-    #: without it.
-    rebuild_matrix: bool = False
-    _spill_shard: Optional[MemmapCostShard] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-
-    def __getstate__(self) -> dict:
-        # Nothing re-derivable crosses a transport:
-        #
-        # * every cached solution collapses to its rebuild recipe
-        #   (:class:`_StrippedSolution`) — re-solved transparently and
-        #   bit-identically by :meth:`solution_for` on the other side;
-        # * a memmap-backed cost matrix crosses as a shard *handle*
-        #   (path + shape + dtype), never as n^2 bytes, and a *dense* matrix
-        #   above :data:`TRANSPORT_SPILL_THRESHOLD` is spilled to a shard
-        #   first (once — the spill is cached for repeated pickles).
-        #
-        # Both sides of a runtime backend share the local filesystem; spill
-        # files live in the process-lifetime transport scratch directory.
-        state = dict(self.__dict__)
-        state.pop("_spill_shard", None)
-        state["solutions"] = {
-            q: _strip_solution(solution) for q, solution in self.solutions.items()
-        }
-        if self.rebuild_matrix or self.cost_matrix is None:
-            # The owner re-derives the matrix bit-identically on the far
-            # side; not even a shard handle needs to cross.
-            state["cost_matrix"] = None
-            return state
-        handle = memmap_handle(self.cost_matrix)
-        if handle is None and self.cost_matrix.nbytes > TRANSPORT_SPILL_THRESHOLD:
-            shard = self._spill_shard
-            if shard is None:
-                matrix = np.ascontiguousarray(self.cost_matrix, dtype=float)
-                shard = MemmapCostShard.create(
-                    matrix.shape, workdir=transport_spill_dir(), dtype=str(matrix.dtype)
-                )
-                shard.write_rows(slice(0, matrix.shape[0]), matrix)
-                shard.finalize()
-                self._spill_shard = shard
-            handle = (shard.path, shard.shape, shard.dtype)
-        if handle is not None:
-            state["cost_matrix"] = ("__memmap_handle__",) + handle
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        cost_matrix = state.get("cost_matrix")
-        if isinstance(cost_matrix, tuple) and cost_matrix[0] == "__memmap_handle__":
-            _, path, shape, dtype = cost_matrix
-            state = dict(state)
-            state["cost_matrix"] = open_memmap(path, shape, dtype)
-        state.setdefault("_spill_shard", None)
-        state.setdefault("rebuild_matrix", False)
-        self.__dict__.update(state)
 
     def solution_for(
         self,
@@ -250,27 +96,9 @@ class SitePreclustering:
         rng: RngLike = None,
         **solver_kwargs,
     ) -> ClusterSolution:
-        """The cached local solution with ``q`` outliers, solving it if missing.
-
-        A cache entry that was stripped for transport (see
-        :meth:`__getstate__`) is rebuilt here, bit-identically, from its
-        recipe and the cost matrix — the caller cannot tell whether the
-        precluster crossed a wire in between.
-        """
+        """The cached local solution with ``q`` outliers, solving it if missing."""
         q = int(q)
         cached = self.solutions.get(q)
-        if self.cost_matrix is None and not isinstance(cached, ClusterSolution):
-            raise RuntimeError(
-                "this precluster's cost matrix was dropped in transit "
-                "(rebuild_matrix=True); reattach the re-derived matrix before solving"
-            )
-        if isinstance(cached, _StrippedSolution):
-            cached = cached.rebuild(
-                self.cost_matrix,
-                self.weights,
-                memory_budget=solver_kwargs.get("memory_budget"),
-            )
-            self.solutions[q] = cached
         if cached is not None:
             return cached
         solution = local_search_partial(
@@ -282,7 +110,6 @@ class SitePreclustering:
             rng=rng,
             **solver_kwargs,
         )
-        solution.metadata.setdefault("solve_t", float(q))
         self.solutions[q] = solution
         return solution
 
@@ -324,10 +151,7 @@ def precluster_site(
     solver_kwargs:
         Forwarded to :func:`local_search_partial`.
     """
-    # Memmap-backed matrices are kept as memmaps (an asarray view would lose
-    # the filename the shard-handle pickling in __getstate__ relies on).
-    if not isinstance(cost_matrix, np.memmap):
-        cost_matrix = np.asarray(cost_matrix, dtype=float)
+    cost_matrix = np.asarray(cost_matrix, dtype=float)
     n_local = cost_matrix.shape[0]
     generator = ensure_rng(rng)
     if grid is None:
@@ -364,10 +188,6 @@ def precluster_site(
                 **solver_kwargs,
             )
             previous_centers = solution.centers
-        # The budget this solution was actually solved at: the rebuild recipe
-        # of the transport strip (a solution may be cached under a larger q
-        # by the monotonicity repair below, so q itself is not enough).
-        solution.metadata.setdefault("solve_t", float(q))
         solutions[q] = solution
         costs[pos] = solution.cost
 

@@ -84,11 +84,13 @@ def protocol_run(
 
     backend:
         Where the per-site phases run: ``None``/``"serial"`` (default),
-        ``"process"``, ``"cluster"`` (one runner process per host, payloads
-        over real sockets in byte-accounted frames), either of the last two
-        with a worker count (``"process:4"``, ``"cluster:3"``), or an
+        ``"cluster"`` or ``"cluster:N"`` (a private pool of one runner
+        process per host for this run, payloads over real sockets in
+        byte-accounted frames), or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance, which
-        is left open so one warm pool can serve many runs.  On the cluster
+        is left open so one warm pool (a
+        :class:`~repro.cluster.backend.ClusterBackend`) can serve many
+        runs.  On the cluster
         backend a site's shard, metric and mutable round state stay on its
         runner between rounds; only digests and epoch tokens cross the
         wire, and the coordinator reads nothing but the sites' messages

@@ -13,7 +13,7 @@ once, so :meth:`CommunicationLedger.summary` reports ``total_bytes`` /
 ``bytes_by_round`` alongside the words.  A message carries no byte count of
 its own: several messages share one result frame.  Its raw size is its
 pickled payload, ``len(pickle.dumps(message.payload))``, on any backend.
-On purely in-process backends no wire ever ran and the byte views report
+On the serial backend no wire ever ran and the byte views report
 0 — words stay the backend-invariant currency.
 """
 

@@ -43,12 +43,10 @@ bit-identical results.  One rule sizes every tile
 and with one a tile holds at most ``min(budget, DEFAULT_CACHE_TARGET)``
 bytes, so a generous budget still streams cache-sized pieces.
 
-Shard handles
--------------
+Disk shards
+-----------
 :class:`MemmapCostShard` streams a site's cost matrix from an ``np.memmap``
-instead of RAM.  It pickles as a *handle* (path + shape + dtype, never the
-data), so a shard created by a worker process crosses the
-:mod:`repro.runtime` boundary for the price of a filename.  File lifetime
+instead of RAM.  The matrix stays on the site that built it.  File lifetime
 belongs to whoever owns the directory the shard lives in: the protocol
 drivers create a scratch directory per run and remove it when the run
 completes; direct callers should pass ``workdir=`` and clean up themselves.
@@ -61,7 +59,6 @@ import shutil
 import tempfile
 import uuid
 from contextlib import contextmanager
-from multiprocessing.util import Finalize
 from typing import Any, Callable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -385,12 +382,8 @@ def count_within(
 class MemmapCostShard:
     """A cost matrix streamed from a disk-backed ``np.memmap``.
 
-    The shard object is a cheap *handle*: it pickles as ``(path, shape,
-    dtype)`` — never the data — so it can cross the
-    :mod:`repro.runtime` process boundary as part of a site's state for the
-    price of a filename (both sides of a :class:`ProcessPoolBackend` see the
-    same local filesystem).  :attr:`matrix` opens the file read-only; writers
-    go through :meth:`create` / :meth:`write_rows` / :meth:`finalize`.
+    :attr:`matrix` opens the file read-only; writers go through
+    :meth:`create` / :meth:`write_rows` / :meth:`finalize`.
 
     The shard never deletes its file: lifetime belongs to the owner of the
     directory it lives in (the protocol drivers use a scratch directory per
@@ -454,40 +447,8 @@ class MemmapCostShard:
         except OSError:
             pass
 
-    def __reduce__(self):
-        # Handle-only pickling: a shard crossing a transport/process boundary
-        # costs a filename, not an n x n payload.
-        return (MemmapCostShard, (self.path, self.shape, self.dtype))
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"MemmapCostShard(path={self.path!r}, shape={self.shape})"
-
-
-_TRANSPORT_SPILL_DIR: Optional[str] = None
-
-
-def transport_spill_dir() -> str:
-    """Process-lifetime scratch directory for transport-time shard spills.
-
-    Objects that convert a dense matrix into a :class:`MemmapCostShard`
-    handle while being *pickled* (e.g. ``SitePreclustering.__getstate__``)
-    have no protocol-run scratch directory in scope — pickling can happen
-    anywhere.  They spill here instead: one lazily created directory per
-    process, removed when the process exits.  The removal is a
-    ``multiprocessing`` finalizer rather than an ``atexit`` hook because a
-    process-pool worker leaves through ``os._exit``, which skips ``atexit``
-    but still runs these finalizers.  Both sides of every runtime backend
-    share the local filesystem, and memmaps opened before the removal stay
-    readable on POSIX (the inode lives until unmapped).
-    """
-    global _TRANSPORT_SPILL_DIR
-    if _TRANSPORT_SPILL_DIR is None:
-        _TRANSPORT_SPILL_DIR = tempfile.mkdtemp(prefix="repro-transport-spill-")
-        Finalize(
-            None, shutil.rmtree, args=(_TRANSPORT_SPILL_DIR,),
-            kwargs={"ignore_errors": True}, exitpriority=0,
-        )
-    return _TRANSPORT_SPILL_DIR
 
 
 @contextmanager
@@ -506,36 +467,6 @@ def shard_scratch(memory_budget: Optional[int]) -> Iterator[Optional[str]]:
     finally:
         if workdir is not None:
             shutil.rmtree(workdir, ignore_errors=True)
-
-
-def memmap_handle(array: np.ndarray) -> Optional[Tuple[str, Tuple[int, int], str]]:
-    """The ``(path, shape, dtype)`` handle behind a memmap-backed array, if any.
-
-    Only *whole-file* mappings are representable as a handle: for a sliced or
-    otherwise offset view of a memmap the function returns ``None`` (instead
-    of a handle that would silently reopen the wrong rows), so callers fall
-    back to pickling the data itself.
-    """
-    candidate = array
-    while candidate is not None:
-        if isinstance(candidate, np.memmap) and isinstance(candidate.filename, str):
-            # Reopening by (path, shape, dtype) reproduces the array iff it
-            # is a contiguous map of the entire file from byte 0: a sliced
-            # view has fewer bytes than the file and is rejected.
-            try:
-                file_size = os.path.getsize(candidate.filename)
-            except OSError:
-                return None
-            if not array.flags["C_CONTIGUOUS"] or array.nbytes != file_size:
-                return None
-            return candidate.filename, tuple(array.shape), str(array.dtype)
-        candidate = getattr(candidate, "base", None)
-    return None
-
-
-def open_memmap(path: str, shape: Tuple[int, int], dtype: str = "float64") -> np.memmap:
-    """Reopen a shard file read-only (the inverse of :func:`memmap_handle`)."""
-    return MemmapCostShard(path, shape, dtype).matrix
 
 
 def materialize_rows(
@@ -637,13 +568,10 @@ __all__ = [
     "iter_blocks",
     "materialize",
     "materialize_rows",
-    "memmap_handle",
-    "open_memmap",
     "read_block",
     "reduce_max",
     "reduce_min_per_row",
     "reduce_min_positive",
     "resolve_memory_budget",
     "shard_scratch",
-    "transport_spill_dir",
 ]

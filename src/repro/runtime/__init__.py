@@ -8,18 +8,18 @@ steps synchronise.  This subsystem separates *what* a site computes from
 
 * :mod:`repro.runtime.backends` — the execution strategies, each taking
   a round's ``(SiteTask, SiteContext)`` pairs and returning one
-  :class:`SiteTaskResult` future per site.  :class:`SerialBackend` (the
-  reference loop) and :class:`ProcessPoolBackend` (true parallelism;
-  everything crosses the boundary through pickle).  The cluster backend
-  (:class:`~repro.cluster.backend.ClusterBackend`, spec ``"cluster"``) runs
-  one runner process per simulated host over real sockets.
+  :class:`SiteTaskResult` future per site: :class:`SerialBackend` (the
+  reference loop) and the cluster backend
+  (:class:`~repro.cluster.backend.ClusterBackend`, spec ``"cluster"``),
+  one runner process per simulated host over real sockets, which is where
+  parallel runs go.
 * :mod:`repro.runtime.tasks` — :class:`SiteTask` / :class:`SiteContext` and
   the scheduler :func:`run_site_tasks`, which fans a round's site tasks out
   to a backend, joins deterministically in site order, and merges state,
   timers, RNG streams and ledger charges back into the
   :class:`~repro.distributed.network.StarNetwork`.
 * :mod:`repro.runtime.state` — who holds a site's state between rounds.
-  In-process backends hand the state dict back; the cluster backend keeps
+  The serial backend hands the state dict back; the cluster backend keeps
   it resident on the runner that produced it and hands back an opaque
   :class:`~repro.runtime.state.ResidentState` handle.  The coordinator
   reads no site state either way: drivers learn what they need from the
@@ -31,9 +31,9 @@ across backends for a fixed seed: same centers, same cost, same ledger word
 counts.  Pass an instance to share one warm pool across many runs::
 
     from repro import partial_kmedian
-    from repro.runtime import ProcessPoolBackend
+    from repro.cluster import ClusterBackend
 
-    with ProcessPoolBackend(max_workers=4) as pool:
+    with ClusterBackend(n_hosts=4) as pool:
         for seed in range(10):
             partial_kmedian(points, k=3, t=30, seed=seed, backend=pool)
 """
@@ -41,7 +41,6 @@ counts.  Pass an instance to share one warm pool across many runs::
 from repro.runtime.backends import (
     BackendLike,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     backend_scope,
     effective_cpu_count,
@@ -60,7 +59,6 @@ __all__ = [
     "BackendLike",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "backend_scope",
     "effective_cpu_count",
     "resolve_backend",

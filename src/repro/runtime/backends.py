@@ -3,21 +3,20 @@
 Every backend takes one round's ``(SiteTask, SiteContext)`` pairs and
 returns one future per pair, in site order, each resolving to that site's
 :class:`~repro.runtime.tasks.SiteTaskResult`
-(:meth:`ExecutionBackend.submit_site_pairs`).  Two are provided here (the
-cluster backend, one runner process per simulated host, lives in
-:mod:`repro.cluster`):
+(:meth:`ExecutionBackend.submit_site_pairs`).  Two kinds exist:
 
 ``SerialBackend``
     The reference implementation: a plain Python loop in the calling
     process, in site order.  Zero overhead, always available, and the
     behaviour every other backend must reproduce bit-for-bit.
 
-``ProcessPoolBackend``
-    A :class:`concurrent.futures.ProcessPoolExecutor`.  Every task and its
-    context crosses a process boundary through pickle, which makes the
-    backend honest about message materialisation: nothing reaches a worker
-    that could not have been transmitted.  True parallelism, at the price
-    of serialisation overhead — the right trade at large ``n_i``.
+``ClusterBackend`` (:mod:`repro.cluster`, spec ``"cluster"``)
+    One long-lived runner process per simulated host, over real sockets.
+    A site's input and state stay on its runner; only its messages and
+    task results travel.  Parallel runs go through it: a ``"cluster:N"``
+    spec starts a private pool for one run, and a ``ClusterBackend``
+    instance is a warm pool shared across runs.  ``"service[:N]"`` checks
+    a job out of the process-wide shared pool.
 
 The round scheduler (:func:`repro.runtime.tasks.run_site_tasks`) joins the
 futures at a barrier and merges in site order, so results and failures are
@@ -29,7 +28,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import Future
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
@@ -112,47 +111,14 @@ class SerialBackend(ExecutionBackend):
         from repro.runtime.tasks import _execute_site_task
 
         futures: List[Future] = [Future() for _ in pairs]
-        for index, pair in enumerate(pairs):
+        for index, (task, ctx) in enumerate(pairs):
             try:
-                futures[index].set_result(_execute_site_task(pair))
+                futures[index].set_result(_execute_site_task(task, ctx))
             except Exception as exc:  # noqa: BLE001 - relayed via the futures
                 for future in futures[index:]:
                     future.set_exception(exc)
                 break
         return futures
-
-
-class ProcessPoolBackend(ExecutionBackend):
-    """Fan site tasks out to worker processes (tasks must be picklable).
-
-    The pool is created lazily, on the first submitted task.
-    """
-
-    name = "process"
-
-    def __init__(self, max_workers: Optional[int] = None):
-        if max_workers is not None and max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers or effective_cpu_count()
-        self._executor: Optional[ProcessPoolExecutor] = None
-
-    def submit_site_pairs(self, pairs, *, round_index, ledger, tracer=None):
-        from repro.runtime.tasks import _execute_site_task
-
-        pairs = list(pairs)
-        # Even a single task goes through the pool: the isolation/pickling
-        # guarantee must not silently vary with batch size.
-        if pairs and self._executor is None:
-            self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return [self._executor.submit(_execute_site_task, pair) for pair in pairs]
-
-    def close(self) -> None:
-        if self._executor is not None:
-            self._executor.shutdown(wait=True)
-            self._executor = None
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"{type(self).__name__}(max_workers={self.max_workers})"
 
 
 def _serial_factory(workers: Optional[int]) -> ExecutionBackend:
@@ -194,7 +160,6 @@ def _service_factory(workers: Optional[int]) -> ExecutionBackend:
 #: ``"name:workers"`` spec (``None`` when the spec is just the bare name).
 _FACTORIES: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
     "serial": _serial_factory,
-    "process": lambda workers: ProcessPoolBackend(max_workers=workers),
     "cluster": _cluster_factory,
     "service": _service_factory,
 }
@@ -203,9 +168,9 @@ _FACTORIES: Dict[str, Callable[[Optional[int]], ExecutionBackend]] = {
 def resolve_backend(backend: BackendLike) -> ExecutionBackend:
     """Normalise a backend spec into an :class:`ExecutionBackend` instance.
 
-    Accepts ``None`` (serial), a backend name (``serial``, ``process``,
-    ``cluster`` or ``service``) — optionally with a worker count, e.g.
-    ``"process:4"`` or ``"cluster:3"`` — or an existing backend instance
+    Accepts ``None`` (serial), a backend name (``serial``, ``cluster`` or
+    ``service``) — the last two optionally with a worker count, e.g.
+    ``"cluster:3"`` — or an existing backend instance
     (returned unchanged, so pools can be shared across protocol runs).
     """
     if backend is None:
@@ -261,7 +226,6 @@ __all__ = [
     "backend_scope",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "effective_cpu_count",
     "resolve_backend",
 ]

@@ -7,26 +7,59 @@ coordinator never reads it: as in the paper's coordinator model, a driver
 learns about a site only from the site's messages and its task's return
 value.
 
-In-process backends (serial / process) hand the state dict back.
-The cluster backend keeps it resident on the runner that produced it: the
-result frame carries a :data:`STATE_DIGEST_TAG` digest (the entry keys, each
-entry's pickled size and a monotonically increasing *state epoch*), which
-recovery uses to check a replayed copy, and ``Site.state`` becomes a
+The serial backend hands the state dict back.  The cluster backend keeps
+it resident on the runner that produced it: the result frame carries a
+:data:`STATE_DIGEST_TAG` digest (the entry keys, each entry's
+:func:`state_entry_size` and a monotonically increasing *state epoch*),
+which recovery uses to check a replayed copy, and ``Site.state`` becomes a
 :class:`ResidentState` handle.  The next dispatch turns the handle into a
 ``(STATE_TOKEN_TAG, epoch)`` token instead of re-pickling the dict.
 """
 
 from __future__ import annotations
 
+import io
+import pickle
 from typing import Any
 
-#: Result-frame marker: ``(STATE_DIGEST_TAG, epoch, {key: pickled_bytes})``
-#: stands for the state dict the runner kept resident.
+import numpy as np
+
+#: Result-frame marker: ``(STATE_DIGEST_TAG, epoch, {key: size})`` stands
+#: for the state dict the runner kept resident (sizes from
+#: :func:`state_entry_size`).
 STATE_DIGEST_TAG = "__state_digest__"
 
 #: Dispatch-frame marker: ``(STATE_TOKEN_TAG, epoch)`` names the resident
 #: state a site task continues from instead of shipping the dict.
 STATE_TOKEN_TAG = "__state_token__"
+
+
+class _SizingPickler(pickle.Pickler):
+    """Pickles every array as its dtype and shape, adding up its ``nbytes``."""
+
+    def __init__(self, sink: io.BytesIO):
+        super().__init__(sink, protocol=pickle.HIGHEST_PROTOCOL)
+        self.array_bytes = 0
+
+    def reducer_override(self, obj):
+        if isinstance(obj, np.ndarray):
+            self.array_bytes += obj.nbytes
+            return tuple, ((obj.dtype.str, obj.shape),)
+        return NotImplemented
+
+
+def state_entry_size(value: Any) -> int:
+    """The digest size of one state entry: its pickle, arrays at ``nbytes``.
+
+    Every ``np.ndarray`` (a memmap included) is priced at its ``nbytes``
+    and its data is never read or copied, so sizing a disk-backed cost
+    matrix costs neither RAM nor I/O.  Arrays of different lengths give
+    different sizes, which is what recovery's replay check compares.
+    """
+    sink = io.BytesIO()
+    pickler = _SizingPickler(sink)
+    pickler.dump(value)
+    return sink.tell() + pickler.array_bytes
 
 
 def is_state_token(value: Any) -> bool:
@@ -57,4 +90,5 @@ __all__ = [
     "STATE_DIGEST_TAG",
     "STATE_TOKEN_TAG",
     "is_state_token",
+    "state_entry_size",
 ]

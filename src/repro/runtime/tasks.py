@@ -30,15 +30,15 @@ this one task shape.
 
 State ownership follows :mod:`repro.runtime.state`: the merged
 ``site.state`` is what the next round's task continues from, and the
-coordinator never reads it.  In-process backends hand the dict back; the
+coordinator never reads it.  The serial backend hands the dict back; the
 cluster backend keeps each site's state resident on its runner and merges
 an opaque :class:`~repro.runtime.state.ResidentState` handle, so heavy state
 (a precluster's cached ``n_i x n_i`` cost matrix) never crosses the wire
 between rounds.  A driver that needs a site's scalars after a round reads
 them from :attr:`SiteTaskResult.value`.
 
-Task functions must be module-level callables (the process backend ships
-them to workers by pickling their qualified name).
+Task functions must be module-level callables (the cluster backend ships
+them to its runners by their qualified name).
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ class SiteContext:
     The context mirrors the :class:`~repro.distributed.network.Site` interface
     that protocol code relies on (``site_id``, ``shard``, ``local_metric``,
     ``state``, ``to_global``) so per-site phase functions read the same
-    whether they run inline or in a worker.  ``local_metric`` is the site's
+    whether they run inline or on a cluster runner.  ``local_metric`` is the site's
     view of its input: a metric over its points, or its uncertain nodes.  Transmissions go through
     :meth:`send_to_coordinator`, which buffers them for deterministic replay
     into the ledger after the task joins.
@@ -159,9 +159,8 @@ class SiteTaskResult:
     trace: Optional[TraceBuffer] = None
 
 
-def _execute_site_task(task_and_ctx: Tuple[SiteTask, SiteContext]) -> SiteTaskResult:
-    """Run one task against its context (in the caller or in a worker)."""
-    task, ctx = task_and_ctx
+def _execute_site_task(task: SiteTask, ctx: SiteContext) -> SiteTaskResult:
+    """Run one task against its context in the calling process."""
     if ctx.trace is not None:
         # Traced run: the buffer collects the task span plus any counters the
         # metrics layer bumps through the ambient collector, and rides back
@@ -212,14 +211,14 @@ def run_site_tasks(
         At most one :class:`SiteTask` per site.
     backend:
         ``None`` / a backend name (optionally ``"name:workers"``,
-        e.g. ``"process:4"`` or ``"cluster:3"``) or an
+        e.g. ``"cluster:3"``) or an
         :class:`~repro.runtime.backends.ExecutionBackend` instance.
 
     Returns
     -------
     list of :class:`SiteTaskResult` in submission order.  Callers that
-    carry RNG streams across rounds must adopt ``result.rng`` (under the
-    process backend the stream advanced in the worker, not in the parent).
+    carry RNG streams across rounds must adopt ``result.rng`` (on the
+    cluster backend the stream advanced on the runner, not in the caller).
 
     Recovery contract
     -----------------

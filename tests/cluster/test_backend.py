@@ -1,6 +1,9 @@
 """Tests for the ClusterBackend: backend specs, site rounds, resident state, bytes."""
 
+import glob
 import os
+import subprocess
+import tempfile
 
 import numpy as np
 import pytest
@@ -10,12 +13,7 @@ from repro.cluster import ClusterBackend
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
-from repro.runtime import (
-    ProcessPoolBackend,
-    SiteTask,
-    resolve_backend,
-    run_site_tasks,
-)
+from repro.runtime import SiteTask, resolve_backend, run_site_tasks
 from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
@@ -79,15 +77,13 @@ class TestRegistry:
         backend.close()  # never started: close must still be a no-op
 
     def test_cluster_listed(self):
-        names = r"\['cluster', 'process', 'serial', 'service'\]"
+        names = r"\['cluster', 'serial', 'service'\]"
         with pytest.raises(ValueError, match=f"choose from {names}"):
             resolve_backend("gpu")
 
-    def test_process_spec_sets_workers(self):
-        backend = resolve_backend("process:4")
-        assert isinstance(backend, ProcessPoolBackend)
-        assert backend.max_workers == 4
-        backend.close()
+    def test_process_is_an_unknown_backend(self):
+        with pytest.raises(ValueError, match="unknown backend 'process'"):
+            resolve_backend("process:2")
 
     def test_serial_rejects_worker_count(self):
         with pytest.raises(ValueError, match="serial backend"):
@@ -95,9 +91,9 @@ class TestRegistry:
 
     def test_malformed_specs_rejected(self):
         with pytest.raises(ValueError, match="not an integer"):
-            resolve_backend("process:x")
+            resolve_backend("cluster:x")
         with pytest.raises(ValueError, match=">= 1"):
-            resolve_backend("process:0")
+            resolve_backend("cluster:0")
         with pytest.raises(ValueError, match="unknown backend"):
             resolve_backend("gpu:4")
 
@@ -250,6 +246,31 @@ class TestLifecycle:
         assert not os.path.exists(socket_dir)
         assert backend.socket_dir is None
         backend.close()  # second close is a no-op
+
+    def test_failed_start_reaps_every_runner(self, tmp_path, monkeypatch):
+        """A runner that never connects fails the start and leaves nothing behind."""
+        backend = ClusterBackend(n_hosts=2, start_timeout=2)
+        env = backend._runner_environment()
+        env["PYTHONPATH"] = str(tmp_path)  # empty: no runner can import repro
+        monkeypatch.setattr(backend, "_runner_environment", lambda: env)
+        spawned = []
+        popen = subprocess.Popen
+
+        def recording_popen(*args, **kwargs):
+            spawned.append(popen(*args, **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", recording_popen)
+        socket_dirs = os.path.join(tempfile.gettempdir(), "repro-cluster-*")
+        before = set(glob.glob(socket_dirs))
+        with pytest.raises(RuntimeError, match="cluster host 0 failed to connect"):
+            backend._ensure_started()
+        # Every runner was started before the first accept, and every one
+        # was reaped by the cleanup path with the socket directory.
+        assert len(spawned) == 2
+        assert all(process.poll() is not None for process in spawned)
+        assert set(glob.glob(socket_dirs)) == before
+        assert backend.socket_dir is None
 
     def test_backend_restarts_after_close(self):
         backend = ClusterBackend(n_hosts=1)

@@ -24,6 +24,7 @@ from repro.cluster.framing import (
     recv_exact,
     resolve_codec,
 )
+from repro.metrics import MatrixMetric
 
 
 @pytest.fixture()
@@ -64,6 +65,23 @@ class TestBodyEnvelope:
 
     def test_no_buffer_objects_roundtrip(self):
         assert decode_body(bytearray(encode_body(("plain", [1, 2])))) == ("plain", [1, 2])
+
+
+class TestReadOnlyArrays:
+    @pytest.mark.parametrize("codec", [NONE_CODEC, ZLIB_CODEC], ids=["none", "zlib"])
+    @pytest.mark.parametrize("wrap", [bytes, bytearray], ids=["bytes", "bytearray"])
+    def test_matrix_metric_site_view_stays_read_only(self, codec, wrap):
+        """A site's ``MatrixMetric`` block keeps its read-only flag on the wire."""
+        idx = np.arange(48, dtype=float)
+        metric = MatrixMetric(np.abs(idx[:, None] - idx[None, :]))
+        view = metric.restrict(np.arange(8, 40))
+        frame = encode_frame(view, codec)
+        assert frame.codec == codec.name
+        back = decode_body(wrap(resolve_codec(frame.codec).decompress(frame.data)))
+        np.testing.assert_array_equal(back.matrix, view.matrix)
+        assert not back.matrix.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            back.matrix[0, 1] = 0.0
 
 
 class TestCodecRegistry:

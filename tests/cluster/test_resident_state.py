@@ -9,12 +9,16 @@ round>=2 dispatch bytes must stay near the frame floor, which
 ``test_kmedian_round2_dispatch_byte_ceiling`` pins with a fixed ceiling.
 """
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
 
 from repro import partial_kmedian
 from repro.cluster import ClusterBackend
 from repro.cluster.wire import FRAME_KINDS
+from repro.data import gaussian_mixture_with_outliers
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
@@ -155,3 +159,30 @@ class TestKmedianDispatchCeiling:
         results_bytes = _dispatch_bytes_by_round(result.ledger, "site_result")
         assert results_bytes[1] < 64 * 1024
         assert results_bytes[2] < 64 * 1024
+
+
+class TestWarmPoolFiles:
+    """Site state lives in its runner's memory: a warm pool leaves no files."""
+
+    def test_warm_pool_writes_no_file_per_job(self, tmp_path, monkeypatch):
+        # The coordinator's temp directory (which holds the pool's socket
+        # directory) is pinned first; the runners inherit TMPDIR=tmp_path.
+        tempfile.gettempdir()
+        monkeypatch.setenv("TMPDIR", str(tmp_path))
+        points = gaussian_mixture_with_outliers(
+            n_inliers=1580, n_outliers=20, n_clusters=4, dim=2, separation=12.0,
+            rng=2017,
+        ).points
+        backend = ClusterBackend(n_hosts=2)
+        try:
+            for seed in range(3):
+                # 400 points per site: each site's cost matrix is 1.28 MB.
+                partial_kmedian(points, 4, 20, n_sites=4, seed=seed, backend=backend)
+                socket_dir = os.path.join(backend.socket_dir, "")
+                files = [
+                    path for path in tmp_path.rglob("*")
+                    if path.is_file() and not str(path).startswith(socket_dir)
+                ]
+                assert files == [], f"job {seed} left files in TMPDIR: {files}"
+        finally:
+            backend.close()

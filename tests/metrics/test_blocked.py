@@ -1,12 +1,10 @@
 """Unit tests for the blocked, memory-budgeted metric layer.
 
-The acceptance bar (mirroring ``tests/runtime/test_backend_parity.py`` for
+The acceptance bar (mirroring ``tests/runtime/test_cluster_parity.py`` for
 backends): every blocked computation must be *bitwise* identical to its
 dense counterpart for every memory budget, including budgets smaller than a
 single row.
 """
-
-import pickle
 
 import numpy as np
 import pytest
@@ -21,8 +19,6 @@ from repro.metrics.blocked import (
     iter_blocks,
     materialize,
     materialize_rows,
-    memmap_handle,
-    open_memmap,
     reduce_max,
     reduce_min_per_row,
     reduce_min_positive,
@@ -333,37 +329,6 @@ class TestMemmapCostShard:
         shard, data = self._make(tmp_path, rng)
         np.testing.assert_array_equal(np.asarray(shard.matrix), data)
         assert shard.nbytes == data.nbytes
-
-    def test_pickles_as_handle_not_data(self, tmp_path, rng):
-        shard, data = self._make(tmp_path, rng)
-        blob = pickle.dumps(shard)
-        # The whole point: a shard handle costs a filename, not n^2 bytes.
-        assert len(blob) < 500 < data.nbytes
-        clone = pickle.loads(blob)
-        np.testing.assert_array_equal(np.asarray(clone.matrix), data)
-
-    def test_memmap_handle_reopen(self, tmp_path, rng):
-        shard, data = self._make(tmp_path, rng)
-        handle = memmap_handle(shard.matrix)
-        assert handle is not None
-        path, shape, dtype = handle
-        np.testing.assert_array_equal(np.asarray(open_memmap(path, shape, dtype)), data)
-        assert memmap_handle(data) is None
-
-    def test_handle_detected_through_views(self, tmp_path, rng):
-        shard, data = self._make(tmp_path, rng)
-        view = np.asarray(shard.matrix)  # base-class view of the memmap
-        assert memmap_handle(view) is not None
-
-    def test_no_handle_for_partial_views(self, tmp_path, rng):
-        """A sliced/offset view must NOT produce a handle — reopening by
-        (path, shape) would silently read the wrong rows."""
-        shard, data = self._make(tmp_path, rng)
-        mm = shard.matrix
-        assert memmap_handle(mm[2:5]) is None
-        assert memmap_handle(mm[::2]) is None
-        assert memmap_handle(mm[:, 1:]) is None
-        assert memmap_handle(mm[:]) is not None  # the full view is fine
 
     def test_unlink(self, tmp_path, rng):
         shard, _ = self._make(tmp_path, rng)

@@ -6,7 +6,6 @@ import pytest
 
 from repro.runtime import (
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     backend_scope,
     effective_cpu_count,
@@ -14,7 +13,7 @@ from repro.runtime import (
 )
 from tests.helpers import run_site_round
 
-ALL_BACKENDS = ["serial", "process"]
+ALL_BACKENDS = ["serial", pytest.param("cluster:2", marks=pytest.mark.cluster)]
 
 
 class TestEffectiveCpuCount:
@@ -47,10 +46,7 @@ class TestResolveBackend:
     def test_none_is_serial(self):
         assert isinstance(resolve_backend(None), SerialBackend)
 
-    @pytest.mark.parametrize(
-        "name, cls",
-        [("serial", SerialBackend), ("process", ProcessPoolBackend)],
-    )
+    @pytest.mark.parametrize("name, cls", [("serial", SerialBackend)])
     def test_names(self, name, cls):
         backend = resolve_backend(name)
         assert isinstance(backend, cls)
@@ -73,8 +69,8 @@ class TestResolveBackend:
             resolve_backend(42)
 
     def test_bad_worker_count(self):
-        with pytest.raises(ValueError):
-            ProcessPoolBackend(max_workers=0)
+        with pytest.raises(ValueError, match=">= 1"):
+            resolve_backend("cluster:0")
 
 
 class TestMapOrdered:
@@ -101,43 +97,31 @@ class TestMapOrdered:
             with pytest.raises(ValueError, match="site task 3 failed on purpose"):
                 run_site_round(backend, _explode, [3, 4])
 
-    def test_pool_is_reused_across_batches(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        try:
-            run_site_round(backend, _square, [1, 2, 3])
-            pool = backend._executor
-            run_site_round(backend, _square, [4, 5, 6])
-            assert backend._executor is pool
-        finally:
-            backend.close()
-        assert backend._executor is None
-
-    def test_close_is_idempotent(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        run_site_round(backend, _square, [1, 2])
-        backend.close()
-        backend.close()
-
 
 class TestBackendScope:
-    def test_owned_backend_is_closed(self):
-        with backend_scope("process") as backend:
+    """Closing belongs to whoever built the backend (checked on a spy close)."""
+
+    @pytest.fixture()
+    def closed(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(SerialBackend, "close", lambda self: calls.append(self))
+        return calls
+
+    def test_owned_backend_is_closed(self, closed):
+        with backend_scope("serial") as backend:
             run_site_round(backend, _square, [1, 2, 3])
-            assert backend._executor is not None
-        assert backend._executor is None
+            assert closed == []
+        assert closed == [backend]
 
-    def test_caller_owned_backend_stays_open(self):
-        backend = ProcessPoolBackend(max_workers=2)
-        try:
-            with backend_scope(backend) as scoped:
-                assert scoped is backend
-                run_site_round(scoped, _square, [1, 2, 3])
-            assert backend._executor is not None  # still warm for the next round
-        finally:
-            backend.close()
+    def test_caller_owned_backend_stays_open(self, closed):
+        backend = SerialBackend()
+        with backend_scope(backend) as scoped:
+            assert scoped is backend
+            run_site_round(scoped, _square, [1, 2, 3])
+        assert closed == []  # still warm for the next round
 
-    def test_context_manager_protocol(self):
-        with ProcessPoolBackend(max_workers=2) as backend:
+    def test_context_manager_protocol(self, closed):
+        with SerialBackend() as backend:
             assert isinstance(backend, ExecutionBackend)
             run_site_round(backend, _square, [1, 2])
-        assert backend._executor is None
+        assert closed == [backend]

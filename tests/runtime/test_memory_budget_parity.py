@@ -1,6 +1,6 @@
 """Blocked-vs-dense parity: every protocol must be bit-identical across budgets.
 
-Modeled on ``tests/runtime/test_backend_parity.py``: for a fixed seed, a
+Modeled on ``tests/runtime/test_cluster_parity.py``: for a fixed seed, a
 protocol run under any ``memory_budget`` — including one small enough to
 spill every site's cost matrix to a disk shard, and one smaller than a
 single matrix row — returns the same centers, the same cost and the same
@@ -122,18 +122,19 @@ class TestUncertainProtocolParity:
 
 
 class TestBudgetComposesWithRuntime:
-    def test_process_backend_ships_shard_handles(self, small_workload):
-        """Memmap shards must cross the worker boundary as handles.
+    @pytest.mark.cluster
+    def test_memmap_state_on_cluster(self, small_workload):
+        """Disk-backed site state stays on its runner between the rounds.
 
-        A site's round-1 state (holding a disk-backed cost matrix) is
-        pickled back to the parent and out to a (possibly different) worker
-        in round 2; the shard-handle pickling keeps that exchange cheap and
-        the results bit-identical to the serial dense run.
+        Each site's round-1 state holds a memmap cost matrix.  On a cluster
+        pool it stays resident on the runner that built it (the state
+        digest sizes it without reading it), and round 2 solves from it,
+        bit-identically to the serial dense run.
         """
         base = partial_kmedian(small_workload.points, 3, 15, n_sites=3, seed=42)
         other = partial_kmedian(
             small_workload.points, 3, 15, n_sites=3, seed=42,
-            backend="process", memory_budget=4096,
+            backend="cluster:2", memory_budget=4096,
         )
         _assert_same_result(base, other)
         assert other.metadata["cost_matrix_storage"] == ["memmap"] * 3

@@ -6,10 +6,10 @@ import pytest
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
-from repro.runtime import SiteTask, run_site_tasks
+from repro.runtime import ResidentState, SiteTask, run_site_tasks
 from repro.utils.rng import spawn_rngs
 
-ALL_BACKENDS = ["serial", "process"]
+ALL_BACKENDS = ["serial", pytest.param("cluster:2", marks=pytest.mark.cluster)]
 
 
 def _make_network(n_sites=3):
@@ -57,7 +57,11 @@ class TestRunSiteTasks:
         # Results come back in site order with the task's return value.
         assert [r.site_id for r in results] == [0, 1, 2]
         for site, result in zip(network.sites, results):
-            assert site.state["total"] * 2.0 == result.value
+            if isinstance(site.state, ResidentState):
+                # Cluster: the state dict stayed on the site's runner.
+                assert site.state.site_id == site.site_id
+            else:
+                assert site.state["total"] * 2.0 == result.value
             assert site.timer.count("sum") == 1
         # One charged message per site, replayed in site order.
         messages = network.ledger.filter(kind="partial_sum")
