@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+from repro.cluster import ClusterBackend
 from repro.runtime import (
     ExecutionBackend,
     SerialBackend,
@@ -96,6 +97,28 @@ class TestMapOrdered:
         with backend_scope(name) as backend:
             with pytest.raises(ValueError, match="site task 3 failed on purpose"):
                 run_site_round(backend, _explode, [3, 4])
+
+    @pytest.mark.cluster
+    def test_pool_is_reused_across_batches(self):
+        backend = ClusterBackend(n_hosts=2)
+        try:
+            run_site_round(backend, _square, [1, 2, 3])
+            runners = [host.process for host in backend._hosts]
+            run_site_round(backend, _square, [4, 5, 6])
+            assert [host.process for host in backend._hosts] == runners
+            assert all(runner.poll() is None for runner in runners)
+        finally:
+            backend.close()
+        assert backend._hosts is None
+        assert all(runner.poll() is not None for runner in runners)
+
+    @pytest.mark.cluster
+    def test_close_is_idempotent(self):
+        backend = ClusterBackend(n_hosts=2)
+        run_site_round(backend, _square, [1, 2])
+        backend.close()
+        backend.close()
+        assert backend._hosts is None
 
 
 class TestBackendScope:
