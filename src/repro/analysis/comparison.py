@@ -21,14 +21,6 @@ def approximation_ratio(cost: float, reference_cost: float) -> float:
     return float(cost / reference_cost)
 
 
-def communication_ratio(result: DistributedResult, baseline: DistributedResult) -> float:
-    """How much less (or more) the result communicates relative to a baseline."""
-    base = baseline.total_words
-    if base == 0:
-        return float("inf") if result.total_words > 0 else 1.0
-    return float(result.total_words / base)
-
-
 def summarize_result(
     metric: MetricSpace,
     result: DistributedResult,
@@ -116,7 +108,6 @@ def scaling_exponent(xs: Sequence[float], ys: Sequence[float]) -> float:
 
 __all__ = [
     "approximation_ratio",
-    "communication_ratio",
     "summarize_result",
     "compare_results",
     "scaling_exponent",

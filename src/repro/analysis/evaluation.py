@@ -95,34 +95,6 @@ def evaluate_centers(
     )
 
 
-def evaluate_assignment(
-    metric: MetricSpace,
-    assignment: Dict[int, int],
-    *,
-    objective: str = "median",
-) -> float:
-    """Cost of an explicit point-to-center assignment (no further trimming).
-
-    ``assignment`` maps point index to center index; points absent from the
-    mapping are treated as outliers and contribute nothing.
-    """
-    obj = validate_objective(objective)
-    if not assignment:
-        return 0.0
-    points = np.asarray(sorted(assignment.keys()), dtype=int)
-    centers = np.asarray([assignment[int(p)] for p in points], dtype=int)
-    costs = np.empty(points.size, dtype=float)
-    # Batch by center to keep the pairwise calls vectorised.
-    for c in np.unique(centers):
-        mask = centers == c
-        costs[mask] = metric.pairwise(points[mask], [int(c)])[:, 0]
-    if obj == "means":
-        costs = costs * costs
-    if obj == "center":
-        return float(costs.max())
-    return float(costs.sum())
-
-
 def outlier_recovery(
     reported_outliers: Sequence[int],
     true_outlier_indices: Sequence[int],
@@ -144,4 +116,4 @@ def outlier_recovery(
     return {"precision": precision, "recall": recall, "f1": f1}
 
 
-__all__ = ["EvaluatedSolution", "evaluate_centers", "evaluate_assignment", "outlier_recovery"]
+__all__ = ["EvaluatedSolution", "evaluate_centers", "outlier_recovery"]

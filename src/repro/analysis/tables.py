@@ -1,4 +1,4 @@
-"""Plain-text and markdown table formatting for benchmark output."""
+"""Plain-text table formatting for benchmark output."""
 
 from __future__ import annotations
 
@@ -51,23 +51,4 @@ def format_table(
     return "\n".join(lines)
 
 
-def format_markdown_table(
-    rows: Sequence[Dict],
-    columns: Optional[Sequence[str]] = None,
-    *,
-    float_format: str = "{:.4g}",
-) -> str:
-    """GitHub-flavoured markdown table from a list of row dictionaries."""
-    if not rows:
-        return ""
-    cols = list(columns) if columns is not None else list(rows[0].keys())
-    lines = ["| " + " | ".join(str(c) for c in cols) + " |"]
-    lines.append("|" + "|".join("---" for _ in cols) + "|")
-    for row in rows:
-        lines.append(
-            "| " + " | ".join(_stringify(row.get(c, ""), float_format) for c in cols) + " |"
-        )
-    return "\n".join(lines)
-
-
-__all__ = ["format_table", "format_markdown_table"]
+__all__ = ["format_table"]

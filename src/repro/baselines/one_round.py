@@ -36,7 +36,6 @@ def one_round_protocol(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    realize: bool = True,
 ) -> DistributedResult:
     """Run the 1-round baseline on a distributed instance (any objective).
 
@@ -96,7 +95,6 @@ def one_round_protocol(
             epsilon=epsilon,
             relax="outliers",
             rng=generator,
-            realize=realize,
             coordinator_solver_kwargs=coordinator_solver_kwargs,
         )
 
@@ -112,7 +110,7 @@ def one_round_protocol(
         cost=float(combine.coordinator_solution.cost),
         ledger=network.ledger,
         rounds=network.current_round,
-        outliers=combine.realized_outliers if realize else combine.explicit_outliers,
+        outliers=combine.realized_outliers,
         site_time=network.site_times(),
         coordinator_time=network.coordinator_time(),
         coordinator_solution=combine.coordinator_solution,

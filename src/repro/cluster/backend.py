@@ -96,6 +96,11 @@ from repro.runtime.backends import ExecutionBackend, effective_cpu_count
 from repro.runtime.state import ResidentState, STATE_TOKEN_TAG, is_state_token
 
 
+#: How long one ``accept`` waits before the start path checks whether the
+#: runner it waits for has already exited.
+_ACCEPT_POLL_S = 0.05
+
+
 class _HostDied(Exception):
     """Internal: a registration raced the target's death; the caller re-targets."""
 
@@ -320,7 +325,7 @@ class ClusterBackend(ExecutionBackend):
                 listeners.append(listener)
                 listener.bind(path)
                 listener.listen(1)
-                listener.settimeout(self.start_timeout)
+                listener.settimeout(_ACCEPT_POLL_S)
                 # A fresh interpreter per host (not a fork): the runner
                 # inherits no address space, so everything it computes on
                 # demonstrably arrived through its socket.
@@ -329,14 +334,22 @@ class ClusterBackend(ExecutionBackend):
                     env=env,
                 )
             for host, listener in zip(hosts, listeners):
-                try:
-                    conn, _ = listener.accept()
-                except socket.timeout:
-                    exitcode = host.process.poll()
-                    raise RuntimeError(
-                        f"cluster host {host.host_id} failed to connect within "
-                        f"{self.start_timeout}s (exit code {exitcode})"
-                    ) from None
+                # Wait in short slices, so a runner that exits without
+                # connecting fails the start at once; the full timeout only
+                # bounds a runner that is alive but never connects.
+                started = time.monotonic()
+                conn = None
+                while conn is None:
+                    try:
+                        conn, _ = listener.accept()
+                    except socket.timeout:
+                        exitcode = host.process.poll()
+                        waited = time.monotonic() - started
+                        if exitcode is not None or waited >= self.start_timeout:
+                            raise RuntimeError(
+                                f"cluster host {host.host_id} failed to connect within "
+                                f"{waited:.1f}s (exit code {exitcode})"
+                            ) from None
                 host.channel = FrameChannel(conn)
                 hello, _, _, _ = host.channel.recv()
                 if hello != ("hello", host.host_id):

@@ -19,7 +19,7 @@ Threading contract:
   through :meth:`call_soon` (a thread-safe command queue drained every
   iteration, with a socketpair wakeup so a sleeping ``select`` notices) and
   the convenience wrappers built on it (:meth:`notify_write`,
-  :meth:`register_channel`, :meth:`unregister_channel`).
+  :meth:`register_channel`).
 * Frame callbacks run on the loop thread.  They must not block on work the
   loop itself serves — the backend's recovery replay, which waits on
   response futures, therefore runs on its own short-lived thread exactly as
@@ -186,19 +186,6 @@ class EventLoop:
     def _do_register(self, reg: _Registration) -> None:
         self._registrations[reg.fd] = reg
         self._selector.register(reg.fd, selectors.EVENT_READ, reg)
-
-    def unregister_channel(self, channel: FrameChannel) -> None:
-        """Forget a channel without treating it as dead (thread-safe)."""
-
-        def drop() -> None:
-            for reg in list(self._registrations.values()):
-                if reg.channel is channel:
-                    self._drop_registration(reg)
-
-        if self.is_alive():
-            self.call_soon(drop)
-        else:
-            drop()
 
     def notify_write(self, channel: FrameChannel) -> None:
         """Tell the loop ``channel`` has queued bytes to flush (thread-safe)."""

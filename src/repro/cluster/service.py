@@ -325,16 +325,6 @@ class ClusterService:
 
     # -- lifecycle ---------------------------------------------------------
 
-    @property
-    def active_jobs(self) -> int:
-        with self._lock:
-            return len(self._active)
-
-    @property
-    def queued_jobs(self) -> int:
-        with self._lock:
-            return len(self._queue)
-
     def close(self) -> None:
         """Refuse new admissions, join running jobs, shut the pool down."""
         with self._admit:

@@ -26,7 +26,6 @@ from repro.core.convex_hull import CostProfile, lower_convex_hull
 from repro.core.allocation import (
     AllocationResult,
     allocate_outlier_budget,
-    optimal_allocation_dp,
 )
 from repro.core.preclustering import geometric_grid, SitePreclustering, precluster_site
 from repro.core.algorithm1 import distributed_partial_median
@@ -48,7 +47,6 @@ __all__ = [
     "lower_convex_hull",
     "AllocationResult",
     "allocate_outlier_budget",
-    "optimal_allocation_dp",
     "geometric_grid",
     "SitePreclustering",
     "precluster_site",

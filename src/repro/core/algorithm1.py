@@ -113,7 +113,6 @@ def distributed_partial_median(
     rng: RngLike = None,
     local_solver_kwargs: Optional[dict] = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    realize: bool = True,
     **options: Any,
 ) -> DistributedResult:
     """Run Algorithm 1 on a distributed instance.
@@ -142,8 +141,6 @@ def distributed_partial_median(
         Seed or generator; split deterministically across sites.
     local_solver_kwargs, coordinator_solver_kwargs:
         Extra keyword arguments for the site-local and coordinator solvers.
-    realize:
-        Also produce a full per-point assignment (output step, uncharged).
     options:
         Run options, documented once on :func:`repro.core.run.protocol_run`.
         On the cluster backend each site's precluster, with its cached
@@ -247,7 +244,6 @@ def distributed_partial_median(
                 epsilon=epsilon,
                 relax=relax,
                 rng=coord_rng,
-                realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
                 workdir=run.workdir,
@@ -264,7 +260,7 @@ def distributed_partial_median(
             cost=float(combine.coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=combine.realized_outliers if realize else combine.explicit_outliers,
+            outliers=combine.realized_outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,

@@ -211,7 +211,6 @@ def distributed_partial_median_no_shipping(
                 epsilon=epsilon,
                 relax="outliers",
                 rng=generator,
-                realize=True,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
                 workdir=run.workdir,

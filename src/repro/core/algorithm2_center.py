@@ -109,7 +109,6 @@ def distributed_partial_center(
     rho: float = 2.0,
     rng: RngLike = None,
     coordinator_solver_kwargs: Optional[dict] = None,
-    realize: bool = True,
     **options: Any,
 ) -> DistributedResult:
     """Run Algorithm 2 on a distributed instance with the center objective.
@@ -126,8 +125,6 @@ def distributed_partial_center(
     coordinator_solver_kwargs:
         Extra keyword arguments for the coordinator's
         :func:`repro.sequential.kcenter_outliers.kcenter_with_outliers`.
-    realize:
-        Also produce a full per-point assignment (output step, uncharged).
     options:
         Run options, documented once on :func:`repro.core.run.protocol_run`.
         On the cluster backend the Gonzalez traversal stays on the site's
@@ -214,7 +211,6 @@ def distributed_partial_center(
                 t,
                 objective="center",
                 rng=generator,
-                realize=realize,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
                 workdir=run.workdir,
@@ -227,7 +223,7 @@ def distributed_partial_center(
             cost=float(combine.coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=combine.realized_outliers if realize else combine.explicit_outliers,
+            outliers=combine.realized_outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,

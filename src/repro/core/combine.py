@@ -91,8 +91,8 @@ class CombineResult:
     facility_points: np.ndarray
     centers_global: np.ndarray
     explicit_outliers: np.ndarray
-    realized_assignment: Optional[Dict[int, int]] = None
-    realized_outliers: Optional[np.ndarray] = None
+    realized_assignment: Dict[int, int]
+    realized_outliers: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
@@ -162,7 +162,6 @@ def combine_preclusters(
     epsilon: float = 0.5,
     relax: str = "outliers",
     rng: RngLike = None,
-    realize: bool = True,
     coordinator_solver_kwargs: Optional[dict] = None,
     memory_budget: MemoryBudgetLike = None,
     workdir: Optional[str] = None,
@@ -183,9 +182,6 @@ def combine_preclusters(
     epsilon, relax:
         Bicriteria relaxation used for median/means (Theorem 3.1); the center
         objective always uses exactly ``t`` outliers (Algorithm 2).
-    realize:
-        Whether to also construct a per-point assignment from the member
-        lists of the summaries (output step; free of communication).
     memory_budget, workdir:
         Memory discipline for the coordinator's cost matrix (see
         :func:`repro.metrics.cost_matrix.build_cost_matrix`); results are
@@ -237,17 +233,14 @@ def combine_preclusters(
     ]
     explicit_outliers = np.asarray(sorted(set(int(p) for p in explicit)), dtype=int)
 
-    realized_assignment = None
-    realized_outliers = None
-    if realize:
-        realized_assignment, realized_outliers = _realize_assignment(
-            summaries,
-            provenance,
-            demand_points,
-            dropped,
-            coordinator_solution,
-            facility_points,
-        )
+    realized_assignment, realized_outliers = _realize_assignment(
+        summaries,
+        provenance,
+        demand_points,
+        dropped,
+        coordinator_solution,
+        facility_points,
+    )
 
     return CombineResult(
         coordinator_solution=coordinator_solution,

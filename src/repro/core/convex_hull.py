@@ -101,11 +101,6 @@ class CostProfile:
         hx, hy = lower_convex_hull(qs, costs)
         return cls(hull_qs=hx, hull_costs=hy, t_max=int(t_max))
 
-    @classmethod
-    def constant_zero(cls, t_max: int) -> "CostProfile":
-        """Profile of a site whose local cost is already zero for every ``q``."""
-        return cls(hull_qs=np.asarray([0.0]), hull_costs=np.asarray([0.0]), t_max=int(t_max))
-
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------

@@ -15,7 +15,6 @@ direct quadratic solver) and reports the piece count and per-phase timings.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,7 +32,7 @@ from repro.utils.rng import RngLike, ensure_rng
 from repro.utils.timing import timed
 
 
-def default_piece_count(n: int, k: int, t: int) -> int:
+def default_piece_count(n: int, k: int) -> int:
     """The balancing choice of Lemma 3.9 for a quadratic local solver.
 
     ``s = n^{2/3}`` balances ``s (n/s)^2`` against ``s^2``; the count is
@@ -45,7 +44,6 @@ def default_piece_count(n: int, k: int, t: int) -> int:
     s = int(round(n ** (2.0 / 3.0)))
     min_piece = max(2 * k, 8)
     s = min(s, max(1, n // min_piece))
-    _ = t
     return max(1, s)
 
 
@@ -127,7 +125,7 @@ def subquadratic_partial_clustering(
     obj = validate_objective(objective)
     n = len(metric)
     generator = ensure_rng(rng)
-    pieces = default_piece_count(n, k, t) if n_pieces is None else int(n_pieces)
+    pieces = default_piece_count(n, k) if n_pieces is None else int(n_pieces)
     if pieces < 1:
         raise ValueError(f"n_pieces must be >= 1, got {pieces}")
     pieces = min(pieces, max(1, n // max(1, min(n, 2 * k))))

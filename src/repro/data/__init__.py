@@ -11,24 +11,14 @@ from repro.data.gaussian import (
     GaussianWorkload,
     gaussian_mixture_with_outliers,
 )
-from repro.data.structured import (
-    rings_with_outliers,
-    grid_with_outliers,
-    powerlaw_clusters_with_outliers,
-)
 from repro.data.uncertain_workloads import (
     UncertainWorkload,
     uncertain_nodes_from_mixture,
-    uncertain_nodes_heavy_tailed,
 )
 
 __all__ = [
     "GaussianWorkload",
     "gaussian_mixture_with_outliers",
-    "rings_with_outliers",
-    "grid_with_outliers",
-    "powerlaw_clusters_with_outliers",
     "UncertainWorkload",
     "uncertain_nodes_from_mixture",
-    "uncertain_nodes_heavy_tailed",
 ]

@@ -129,61 +129,7 @@ def uncertain_nodes_from_mixture(
     return UncertainWorkload(instance=instance, node_labels=np.asarray(labels)[perm])
 
 
-def uncertain_nodes_heavy_tailed(
-    n_nodes: int,
-    n_clusters: int,
-    *,
-    ground_size: int = 300,
-    support_size: int = 8,
-    contamination: float = 0.1,
-    dim: int = 2,
-    separation: float = 10.0,
-    rng: RngLike = None,
-) -> UncertainWorkload:
-    """Nodes whose distributions mix a concentrated component with a far-away one.
-
-    Every node places probability ``1 - contamination`` near its true cluster
-    and ``contamination`` on uniformly random ground points, modelling heavy-
-    tailed measurement error rather than wholly outlying nodes.
-    """
-    if not (0.0 <= contamination < 1.0):
-        raise ValueError(f"contamination must be in [0, 1), got {contamination}")
-    generator = ensure_rng(rng)
-    base = uncertain_nodes_from_mixture(
-        n_nodes,
-        0,
-        n_clusters,
-        ground_size=ground_size,
-        support_size=max(2, support_size - 2),
-        dim=dim,
-        separation=separation,
-        rng=generator,
-    )
-    metric = base.instance.ground_metric
-    n_ground = len(metric)
-    nodes: List[UncertainNode] = []
-    for node in base.instance.nodes:
-        extra = generator.choice(n_ground, size=2, replace=False)
-        support = np.unique(np.concatenate([node.support, extra]))
-        probs = np.zeros(support.size, dtype=float)
-        base_pos = np.searchsorted(support, node.support)
-        probs[base_pos] = (1.0 - contamination) * node.probabilities
-        extra_pos = np.searchsorted(support, np.setdiff1d(support, node.support))
-        if extra_pos.size:
-            probs[extra_pos] += contamination / extra_pos.size
-        else:
-            probs = probs / probs.sum()
-        nodes.append(UncertainNode(support=support, probabilities=probs, name=node.name))
-    instance = UncertainInstance(
-        ground_metric=metric,
-        nodes=nodes,
-        metadata={"generator": "uncertain_nodes_heavy_tailed", "contamination": contamination},
-    )
-    return UncertainWorkload(instance=instance, node_labels=base.node_labels)
-
-
 __all__ = [
     "UncertainWorkload",
     "uncertain_nodes_from_mixture",
-    "uncertain_nodes_heavy_tailed",
 ]

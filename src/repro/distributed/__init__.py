@@ -25,7 +25,6 @@ from repro.distributed.partition import (
     partition_dirichlet,
     partition_round_robin,
     partition_outliers_concentrated,
-    partition_by_cluster,
 )
 
 __all__ = [
@@ -41,5 +40,4 @@ __all__ = [
     "partition_dirichlet",
     "partition_round_robin",
     "partition_outliers_concentrated",
-    "partition_by_cluster",
 ]

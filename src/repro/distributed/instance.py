@@ -66,10 +66,6 @@ class DistributedInstance:
         """Shard sizes ``n_i``."""
         return np.asarray([s.size for s in self.shards], dtype=int)
 
-    def all_indices(self) -> np.ndarray:
-        """All point indices, concatenated in site order."""
-        return np.concatenate(self.shards)
-
     def shard(self, site: int) -> np.ndarray:
         """Global indices held by ``site``."""
         return self.shards[site]
@@ -85,18 +81,6 @@ class DistributedInstance:
         is bit-identical to the global metric's.
         """
         return self.metric.restrict(self.shards[site])
-
-    def site_of_point(self) -> np.ndarray:
-        """Array mapping each global point index in the instance to its site.
-
-        Only valid when the shards exactly cover ``0..n-1`` (the common case);
-        otherwise a dictionary-style lookup is built from the shard arrays.
-        """
-        n = int(max(s.max() for s in self.shards)) + 1
-        owner = np.full(n, -1, dtype=int)
-        for i, shard in enumerate(self.shards):
-            owner[shard] = i
-        return owner
 
     def words_per_point(self) -> int:
         """The paper's ``B`` for this instance's metric."""

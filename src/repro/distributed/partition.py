@@ -4,16 +4,14 @@ The paper's bounds hold for *any* adversarial partition; the benchmark
 harness therefore exercises several regimes:
 
 * balanced random shards (the ``n_i ~ n/s`` case the running-time claims use),
-* skewed shards drawn from a Dirichlet distribution,
+* skewed shards drawn from a Dirichlet distribution, and
 * partitions that concentrate all planted outliers on a few sites (the
-  worst case for naive ``t_i = t`` budget splitting), and
-* partitions aligned with cluster structure (every site sees only a few of
-  the true clusters — the hardest case for purely local preclustering).
+  worst case for naive ``t_i = t`` budget splitting).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -108,45 +106,9 @@ def partition_outliers_concentrated(
     return out
 
 
-def partition_by_cluster(
-    labels: Sequence[int],
-    s: int,
-    clusters_per_site: Optional[int] = None,
-    rng: RngLike = None,
-) -> List[np.ndarray]:
-    """Partition aligned with cluster structure.
-
-    Each cluster's points are sent (mostly) to a single site chosen at
-    random, so every site sees only a subset of the true clusters.  Points
-    with label ``-1`` (planted outliers) are spread uniformly.
-    """
-    labels = np.asarray(labels, dtype=int)
-    n = labels.size
-    _validate(n, s)
-    generator = ensure_rng(rng)
-    unique = np.unique(labels[labels >= 0])
-    shards: List[List[int]] = [[] for _ in range(s)]
-    # Assign whole clusters to sites round-robin over a random cluster order.
-    cluster_order = generator.permutation(unique)
-    for pos, label in enumerate(cluster_order):
-        target = pos % s
-        shards[target].extend(np.flatnonzero(labels == label).tolist())
-    noise = generator.permutation(np.flatnonzero(labels < 0))
-    for pos, idx in enumerate(noise):
-        shards[pos % s].append(int(idx))
-    # Guarantee non-empty shards by stealing single points from the largest shard.
-    for i in range(s):
-        if not shards[i]:
-            donor = int(np.argmax([len(x) for x in shards]))
-            shards[i].append(shards[donor].pop())
-    _ = clusters_per_site  # reserved for future use; one-cluster-per-site is the default behaviour
-    return [np.sort(np.asarray(shard, dtype=int)) for shard in shards]
-
-
 __all__ = [
     "partition_balanced",
     "partition_round_robin",
     "partition_dirichlet",
     "partition_outliers_concentrated",
-    "partition_by_cluster",
 ]

@@ -6,9 +6,11 @@ pair at a time or as vectorised blocks.  Concrete implementations cover
 
 * :class:`EuclideanMetric` — points in R^d (the paper's canonical example),
 * :class:`MatrixMetric` — an explicit pairwise distance matrix,
-* :class:`GraphMetric` — shortest-path distances on a weighted graph,
-* :class:`CompressedGraphMetric` — the clique-with-tentacles graph of
-  Definition 5.2 used to cluster uncertain data.
+* :class:`GraphMetric` — shortest-path distances on a weighted graph.
+
+:class:`CompressedGraph` is the clique-with-tentacles graph of Definition 5.2
+used to cluster uncertain data; its demand-to-facility costs are not
+symmetric, so it is a cost source rather than a metric.
 
 The truncated distance ``L_tau`` of Definition 5.7 is not a metric, so it
 has no class here: the center-g protocol reads its expected form
@@ -37,7 +39,6 @@ from repro.metrics.blocked import (
     materialize_rows,
     read_block,
     reduce_max,
-    reduce_min_per_row,
     reduce_min_positive,
     resolve_memory_budget,
 )
@@ -45,8 +46,8 @@ from repro.metrics.plan import PlanStats, ReductionPlan
 from repro.metrics.euclidean import EuclideanMetric
 from repro.metrics.matrix import MatrixMetric
 from repro.metrics.graph import GraphMetric
-from repro.metrics.compressed_graph import CompressedGraph, CompressedGraphMetric
-from repro.metrics.cost_matrix import build_cost_matrix, pairwise_distances
+from repro.metrics.compressed_graph import CompressedGraph
+from repro.metrics.cost_matrix import build_cost_matrix
 
 __all__ = [
     "MetricSpace",
@@ -60,7 +61,6 @@ __all__ = [
     "materialize_rows",
     "read_block",
     "reduce_max",
-    "reduce_min_per_row",
     "reduce_min_positive",
     "resolve_memory_budget",
     "DEFAULT_CACHE_TARGET",
@@ -71,7 +71,5 @@ __all__ = [
     "MatrixMetric",
     "GraphMetric",
     "CompressedGraph",
-    "CompressedGraphMetric",
     "build_cost_matrix",
-    "pairwise_distances",
 ]

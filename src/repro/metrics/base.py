@@ -162,10 +162,6 @@ class SubsetMetric(MetricSpace):
     def words_per_point(self) -> int:
         return self._parent.words_per_point
 
-    def to_parent(self, local_indices: Sequence[int]) -> np.ndarray:
-        """Map subset-local indices back to parent indices."""
-        return self._indices[np.asarray(local_indices, dtype=int)]
-
     def distance(self, i: int, j: int) -> float:
         return self._parent.distance(int(self._indices[i]), int(self._indices[j]))
 

@@ -11,8 +11,8 @@ streaming layer that fixes that:
   or an explicit 2-D array) into tiles of at most
   :func:`effective_tile_bytes` bytes;
 * blocked reductions — :func:`reduce_max`, :func:`reduce_min_positive`,
-  :func:`reduce_min_per_row`, :func:`argmin_per_row`, :func:`count_within` —
-  which never hold more than one tile;
+  :func:`argmin_per_row`, :func:`count_within` — which never hold more than
+  one tile;
 * :func:`materialize_rows` / :func:`materialize` — build a cost matrix in
   row blocks, spilling to a disk-backed :class:`MemmapCostShard` when the
   result itself would not fit the budget.
@@ -315,20 +315,6 @@ def reduce_min_positive(
     return handle.value
 
 
-def reduce_min_per_row(
-    source: Any,
-    rows: Optional[Sequence[int]] = None,
-    cols: Optional[Sequence[int]] = None,
-    *,
-    memory_budget: MemoryBudgetLike = None,
-) -> np.ndarray:
-    """Per-row minimum over the columns, as a ``(n_rows,)`` array."""
-    plan = _single_op_plan(source, rows, cols, memory_budget)
-    handle = plan.add_min_per_row()
-    plan.execute()
-    return handle.value
-
-
 def argmin_per_row(
     source: Any,
     rows: Optional[Sequence[int]] = None,
@@ -570,7 +556,6 @@ __all__ = [
     "materialize_rows",
     "read_block",
     "reduce_max",
-    "reduce_min_per_row",
     "reduce_min_positive",
     "resolve_memory_budget",
     "shard_scratch",

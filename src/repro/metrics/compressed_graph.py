@@ -12,9 +12,8 @@ the collapse cost ``l_j = E_sigma[d(sigma(j), y_j)]`` on a *tentacle* edge
 
 Lemmas 5.3/5.4 show that the (k, t)-median problem on ``G`` (demands ``{p_j}``,
 facilities restricted to ``{y_j}``) is equivalent, up to constant factors, to
-the original uncertain clustering problem.  This module provides both the
-asymmetric demand-to-facility cost matrix the algorithms use and a symmetric
-demand-vertex metric for generic consumers.
+the original uncertain clustering problem.  This module provides the
+asymmetric demand-to-facility cost matrix the algorithms use.
 """
 
 from __future__ import annotations
@@ -110,37 +109,5 @@ class CompressedGraph:
         """Ground-point index of the facility ``y_j`` associated with node ``j``."""
         return int(self.anchor_indices[node])
 
-    def as_metric(self, words_per_point: int = 1) -> "CompressedGraphMetric":
-        """Symmetric metric over the demand vertices ``{p_j}``."""
-        return CompressedGraphMetric(self, words_per_point=words_per_point)
 
-
-class CompressedGraphMetric(MetricSpace):
-    """Metric-space view of the compressed graph restricted to demand vertices."""
-
-    def __init__(self, graph: CompressedGraph, *, words_per_point: int = 1):
-        self._graph = graph
-        self._words = int(words_per_point)
-
-    def __len__(self) -> int:
-        return self._graph.n_nodes
-
-    @property
-    def graph(self) -> CompressedGraph:
-        """The underlying compressed graph."""
-        return self._graph
-
-    @property
-    def words_per_point(self) -> int:
-        return self._words
-
-    def distance(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        return float(self._graph.demand_pairwise([i], [j])[0, 0])
-
-    def pairwise(self, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-        return self._graph.demand_pairwise(rows, cols)
-
-
-__all__ = ["CompressedGraph", "CompressedGraphMetric"]
+__all__ = ["CompressedGraph"]

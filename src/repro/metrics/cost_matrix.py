@@ -32,11 +32,6 @@ def validate_objective(objective: str) -> str:
     return obj
 
 
-def pairwise_distances(metric: MetricSpace, rows: Sequence[int], cols: Sequence[int]) -> np.ndarray:
-    """Plain distance block (no squaring) between two index sets."""
-    return metric.pairwise(rows, cols)
-
-
 def build_cost_matrix(
     metric: MetricSpace,
     demands: Sequence[int],
@@ -80,19 +75,8 @@ def build_cost_matrix(
     )
 
 
-def costs_from_distances(distances: np.ndarray, objective: str = "median") -> np.ndarray:
-    """Convert raw distances into assignment costs for the given objective."""
-    obj = validate_objective(objective)
-    distances = np.asarray(distances, dtype=float)
-    if obj == "means":
-        return distances * distances
-    return distances
-
-
 __all__ = [
     "VALID_OBJECTIVES",
     "validate_objective",
-    "pairwise_distances",
     "build_cost_matrix",
-    "costs_from_distances",
 ]

@@ -53,11 +53,6 @@ class EuclideanMetric(MetricSpace):
     def __init__(self, points: np.ndarray):
         self._points = check_points_array(points, "points")
 
-    @classmethod
-    def from_random(cls, n: int, dim: int, rng: np.random.Generator, scale: float = 1.0) -> "EuclideanMetric":
-        """Uniform random points in ``[0, scale]^dim`` — handy for tests."""
-        return cls(rng.uniform(0.0, scale, size=(n, dim)))
-
     def __len__(self) -> int:
         return self._points.shape[0]
 

@@ -85,15 +85,5 @@ class MatrixMetric(MetricSpace):
             self._matrix[np.ix_(idx, idx)], words_per_point=self._words, validate=False
         )
 
-    def check_triangle_inequality(self, atol: float = 1e-8) -> bool:
-        """Exhaustively verify the triangle inequality (O(n^3); tests only)."""
-        m = self._matrix
-        n = m.shape[0]
-        for mid in range(n):
-            # d(i, j) <= d(i, mid) + d(mid, j) for all i, j
-            if np.any(m > m[:, [mid]] + m[[mid], :] + atol):
-                return False
-        return True
-
 
 __all__ = ["MatrixMetric"]

@@ -89,20 +89,6 @@ class _MinPositiveOp:
         return self._best if np.isfinite(self._best) else 0.0
 
 
-class _MinPerRowOp:
-    tile_overhead = 0
-    needs_full_rows = False
-
-    def __init__(self, plan: "ReductionPlan"):
-        self._out = np.full(plan.n_rows, np.inf)
-
-    def update(self, rs: slice, cs: slice, block: np.ndarray) -> None:
-        np.minimum(self._out[rs], block.min(axis=1), out=self._out[rs])
-
-    def finalize(self) -> np.ndarray:
-        return self._out
-
-
 class _ArgminPerRowOp:
     tile_overhead = 0
     needs_full_rows = False
@@ -249,10 +235,6 @@ class CountingSource:
         """Cells read divided by the slab size — fractional full passes."""
         return self.cells_read / self.matrix.size
 
-    def reset(self) -> None:
-        self.loads = []
-        self.cell_counts[:] = 0
-
 
 class ReductionPlan:
     """Fuse several reductions over one slab into a single streaming pass.
@@ -367,10 +349,6 @@ class ReductionPlan:
     def add_min_positive(self) -> PlanHandle:
         """Fused :func:`repro.metrics.blocked.reduce_min_positive`."""
         return self._register(_MinPositiveOp(self))
-
-    def add_min_per_row(self) -> PlanHandle:
-        """Fused :func:`repro.metrics.blocked.reduce_min_per_row`."""
-        return self._register(_MinPerRowOp(self))
 
     def add_argmin_per_row(self) -> PlanHandle:
         """Fused :func:`repro.metrics.blocked.argmin_per_row`."""

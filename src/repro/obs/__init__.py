@@ -20,7 +20,6 @@ from repro.obs.export import to_chrome_trace, write_chrome_trace
 from repro.obs.report import (
     SUMMARY_COUNTERS,
     protocol_summary,
-    render_protocol_summary,
     render_round_report,
     round_report,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "active_collector",
     "collector_scope",
     "protocol_summary",
-    "render_protocol_summary",
     "render_round_report",
     "resolve_tracer",
     "round_report",

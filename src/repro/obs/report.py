@@ -161,32 +161,9 @@ def protocol_summary(result: Any) -> Dict[str, Any]:
     return summary
 
 
-def render_protocol_summary(results: Dict[str, Any], *, title: Optional[str] = None) -> str:
-    """Summary table across protocols: ``{label: traced DistributedResult}``."""
-    from repro.analysis import format_table
-
-    rows = []
-    for label, result in results.items():
-        summary = protocol_summary(result)
-        rows.append(
-            {
-                "protocol": label,
-                "words": summary["total_words"],
-                "wire_bytes": summary["wire_bytes_ledger"],
-                "raw_bytes": summary["wire_raw_ledger"],
-                "compression": summary["compression"],
-                "bytes_per_word": summary["bytes_per_word"],
-                "resident_hit": summary["cluster.resident_hit"],
-                "resident_miss": summary["cluster.resident_miss"],
-            }
-        )
-    return format_table(rows, title=title or "Per-protocol summary")
-
-
 __all__ = [
     "SUMMARY_COUNTERS",
     "protocol_summary",
-    "render_protocol_summary",
     "render_round_report",
     "round_report",
 ]

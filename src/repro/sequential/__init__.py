@@ -20,24 +20,20 @@ the coordinator:
 from repro.sequential.solution import ClusterSolution
 from repro.sequential.assignment import (
     assign_with_outliers,
-    solution_cost,
     nearest_center_distances,
 )
 from repro.sequential.gonzalez import GonzalezResult, gonzalez
 from repro.sequential.kcenter_outliers import kcenter_with_outliers
 from repro.sequential.local_search import local_search_partial
 from repro.sequential.bicriteria import bicriteria_solve
-from repro.sequential.lloyd import trimmed_lloyd_kmeans
 
 __all__ = [
     "ClusterSolution",
     "assign_with_outliers",
-    "solution_cost",
     "nearest_center_distances",
     "GonzalezResult",
     "gonzalez",
     "kcenter_with_outliers",
     "local_search_partial",
     "bicriteria_solve",
-    "trimmed_lloyd_kmeans",
 ]

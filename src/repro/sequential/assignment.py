@@ -210,25 +210,9 @@ def assign_with_outliers(
     )
 
 
-def solution_cost(
-    cost_matrix: np.ndarray,
-    centers: Sequence[int],
-    t: float,
-    weights: Optional[np.ndarray] = None,
-    objective: str = "median",
-    *,
-    memory_budget: MemoryBudgetLike = None,
-) -> float:
-    """Cost of the best assignment to ``centers`` with ``t`` outlier weight excluded."""
-    return assign_with_outliers(
-        cost_matrix, centers, t, weights, objective, memory_budget=memory_budget
-    ).cost
-
-
 __all__ = [
     "nearest_center_distances",
     "trim_rows",
     "trim_outliers",
     "assign_with_outliers",
-    "solution_cost",
 ]

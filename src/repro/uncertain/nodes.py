@@ -100,27 +100,10 @@ class UncertainNode:
         drawn = generator.choice(self.support, size=size, p=self.probabilities)
         return drawn if size is not None else int(drawn)
 
-    def mean_point(self, metric: MetricSpace) -> Optional[np.ndarray]:
-        """Probability-weighted mean of the support coordinates (Euclidean only)."""
-        points = getattr(metric, "points", None)
-        if points is None:
-            return None
-        return self.probabilities @ points[self.support]
-
     @classmethod
     def deterministic(cls, point: int, name: Optional[str] = None) -> "UncertainNode":
         """A node that always realises to a single ground point."""
         return cls(support=np.asarray([point]), probabilities=np.asarray([1.0]), name=name)
-
-    @classmethod
-    def uniform_over(cls, points: Sequence[int], name: Optional[str] = None) -> "UncertainNode":
-        """A node uniform over the given ground points."""
-        points = np.asarray(points, dtype=int)
-        return cls(
-            support=points,
-            probabilities=np.full(points.size, 1.0 / points.size),
-            name=name,
-        )
 
 
 __all__ = ["UncertainNode"]

@@ -9,7 +9,7 @@ decompose; it is estimated by Monte-Carlo sampling of joint realizations.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -104,13 +104,12 @@ def estimate_center_g_cost(
     centers = np.asarray([int(assignment[int(j)]) for j in nodes], dtype=int)
     maxima = np.zeros(realizations.shape[0], dtype=float)
     metric = instance.ground_metric
-    for col, (j, center) in enumerate(zip(nodes, centers)):
+    for j, center in zip(nodes, centers):
         realized = realizations[:, int(j)]
         # Distance from each realization of node j to its fixed center.
         unique_points, inverse = np.unique(realized, return_inverse=True)
         dists = metric.pairwise(unique_points, [center])[:, 0]
         np.maximum(maxima, dists[inverse], out=maxima)
-        _ = col
     return float(maxima.mean())
 
 

@@ -10,7 +10,6 @@ from repro.utils.validation import (
     check_k_t,
     check_positive_int,
     check_probability_vector,
-    require,
 )
 
 __all__ = [
@@ -21,5 +20,4 @@ __all__ = [
     "check_k_t",
     "check_positive_int",
     "check_probability_vector",
-    "require",
 ]

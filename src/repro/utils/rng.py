@@ -8,7 +8,7 @@ passing a single seed at the top.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -47,9 +47,4 @@ def spawn_rngs(seed: RngLike, n: int) -> Sequence[np.random.Generator]:
     return [np.random.default_rng(child) for child in ss.spawn(n)]
 
 
-def derive_seed(rng: np.random.Generator) -> int:
-    """Draw a fresh 63-bit integer seed from ``rng``."""
-    return int(rng.integers(0, 2**63 - 1))
-
-
-__all__ = ["RngLike", "ensure_rng", "spawn_rngs", "derive_seed"]
+__all__ = ["RngLike", "ensure_rng", "spawn_rngs"]

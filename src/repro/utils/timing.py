@@ -47,10 +47,6 @@ class Timer:
         """Number of measured blocks under ``label``."""
         return self.counts.get(label, 0)
 
-    def max_total(self) -> float:
-        """Largest accumulated total across labels (0.0 when empty)."""
-        return max(self.totals.values(), default=0.0)
-
     def as_dict(self) -> Dict[str, float]:
         """Snapshot of all accumulated totals."""
         return dict(self.totals)

@@ -7,12 +7,6 @@ from typing import Any
 import numpy as np
 
 
-def require(condition: bool, message: str) -> None:
-    """Raise :class:`ValueError` with ``message`` unless ``condition`` holds."""
-    if not condition:
-        raise ValueError(message)
-
-
 def check_positive_int(value: Any, name: str, *, allow_zero: bool = False) -> int:
     """Validate that ``value`` is a (non-negative / positive) integer and return it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
@@ -74,7 +68,6 @@ def check_points_array(points: np.ndarray, name: str = "points") -> np.ndarray:
 
 
 __all__ = [
-    "require",
     "check_positive_int",
     "check_k_t",
     "check_probability_vector",

@@ -5,9 +5,7 @@ import pytest
 
 from repro.analysis import (
     approximation_ratio,
-    communication_ratio,
     compare_results,
-    format_markdown_table,
     format_table,
     summarize_result,
 )
@@ -27,12 +25,6 @@ class TestRatios:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             approximation_ratio(-1.0, 2.0)
-
-    def test_communication_ratio(self, small_instance):
-        alg1 = distributed_partial_median(small_instance, rng=0)
-        naive = send_all_protocol(small_instance, rng=0)
-        ratio = communication_ratio(alg1, naive)
-        assert 0 < ratio < 1
 
 
 class TestScalingExponent:
@@ -94,12 +86,3 @@ class TestTables:
     def test_missing_keys_render_empty(self):
         text = format_table([{"a": 1}, {"b": 2}], columns=["a", "b"])
         assert "1" in text and "2" in text
-
-    def test_markdown_table(self):
-        rows = [{"x": 1, "y": "hello"}]
-        md = format_markdown_table(rows)
-        assert md.splitlines()[0] == "| x | y |"
-        assert "| 1 | hello |" in md
-
-    def test_markdown_empty(self):
-        assert format_markdown_table([]) == ""

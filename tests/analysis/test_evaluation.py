@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis import evaluate_assignment, evaluate_centers, outlier_recovery
+from repro.analysis import evaluate_centers, outlier_recovery
 
 
 class TestEvaluateCenters:
@@ -46,23 +46,6 @@ class TestEvaluateCenters:
             for t in (0, 5, 10, 20)
         ]
         assert all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
-
-
-class TestEvaluateAssignment:
-    def test_median(self, tiny_metric):
-        cost = evaluate_assignment(tiny_metric, {1: 0, 2: 0}, objective="median")
-        assert cost == pytest.approx(tiny_metric.distance(1, 0) + tiny_metric.distance(2, 0))
-
-    def test_center(self, tiny_metric):
-        cost = evaluate_assignment(tiny_metric, {1: 0, 6: 0}, objective="center")
-        assert cost == pytest.approx(tiny_metric.distance(6, 0))
-
-    def test_means(self, tiny_metric):
-        cost = evaluate_assignment(tiny_metric, {1: 0}, objective="means")
-        assert cost == pytest.approx(tiny_metric.distance(1, 0) ** 2)
-
-    def test_empty(self, tiny_metric):
-        assert evaluate_assignment(tiny_metric, {}) == 0.0
 
 
 class TestOutlierRecovery:

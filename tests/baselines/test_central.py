@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.baselines import centralized_reference
-from repro.sequential import solution_cost
+from repro.sequential import assign_with_outliers
 
 
 class TestCentralizedReference:
@@ -37,7 +37,9 @@ class TestCentralizedReference:
     def test_excludes_planted_outliers(self, small_metric, small_workload, small_cost_matrix):
         ref = centralized_reference(small_metric, 3, small_workload.n_outliers, objective="median", rng=0)
         # Reference cost should be far below the no-outlier cost.
-        no_outlier_cost = solution_cost(small_cost_matrix, ref.centers, 0, objective="median")
+        no_outlier_cost = assign_with_outliers(
+            small_cost_matrix, ref.centers, 0, objective="median"
+        ).cost
         assert ref.cost < no_outlier_cost
 
     def test_means_objective(self, small_metric):

@@ -3,7 +3,9 @@
 import glob
 import os
 import subprocess
+import sys
 import tempfile
+import time
 
 import numpy as np
 import pytest
@@ -248,8 +250,9 @@ class TestLifecycle:
         backend.close()  # second close is a no-op
 
     def test_failed_start_reaps_every_runner(self, tmp_path, monkeypatch):
-        """A runner that never connects fails the start and leaves nothing behind."""
-        backend = ClusterBackend(n_hosts=2, start_timeout=2)
+        """A runner that exits before connecting fails the start at once
+        (not after the 60 s start timeout) and leaves nothing behind."""
+        backend = ClusterBackend(n_hosts=2)
         env = backend._runner_environment()
         env["PYTHONPATH"] = str(tmp_path)  # empty: no runner can import repro
         monkeypatch.setattr(backend, "_runner_environment", lambda: env)
@@ -263,13 +266,34 @@ class TestLifecycle:
         monkeypatch.setattr(subprocess, "Popen", recording_popen)
         socket_dirs = os.path.join(tempfile.gettempdir(), "repro-cluster-*")
         before = set(glob.glob(socket_dirs))
+        t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="cluster host 0 failed to connect"):
             backend._ensure_started()
+        assert time.monotonic() - t0 < 10.0
         # Every runner was started before the first accept, and every one
         # was reaped by the cleanup path with the socket directory.
         assert len(spawned) == 2
         assert all(process.poll() is not None for process in spawned)
         assert set(glob.glob(socket_dirs)) == before
+        assert backend.socket_dir is None
+
+    def test_silent_runner_fails_at_start_timeout(self, monkeypatch):
+        """A runner that stays alive but never connects is bounded by the
+        start timeout, and the cleanup path reaps it."""
+        backend = ClusterBackend(n_hosts=1, start_timeout=0.5)
+        spawned = []
+        popen = subprocess.Popen
+
+        def silent_popen(args, **kwargs):
+            spawned.append(popen([sys.executable, "-c", "import time; time.sleep(60)"], **kwargs))
+            return spawned[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", silent_popen)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"host 0 failed to connect .*\(exit code None\)"):
+            backend._ensure_started()
+        assert 0.5 <= time.monotonic() - t0 < 10.0
+        assert all(process.poll() is not None for process in spawned)
         assert backend.socket_dir is None
 
     def test_backend_restarts_after_close(self):

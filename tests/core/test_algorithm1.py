@@ -129,8 +129,3 @@ class TestAlgorithm1Validation:
         )
         result = distributed_partial_median(instance, epsilon=0.5, rng=0)
         assert result.n_centers <= 3
-
-    def test_realize_false_returns_explicit_outliers(self, small_instance):
-        result = distributed_partial_median(small_instance, epsilon=0.5, rng=0, realize=False)
-        assert result.outliers is not None
-        assert result.metadata["realized_assignment"] is None

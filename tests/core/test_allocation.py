@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import CostProfile, allocate_outlier_budget, optimal_allocation_dp
-from repro.core.allocation import allocate_from_profiles
+from repro.core import CostProfile, allocate_outlier_budget
+from tests.oracle.allocation import optimal_allocation_dp
 
 
 def _profile_from_costs(costs):
@@ -94,7 +94,7 @@ class TestOptimalityAgainstDP:
             tables.append(costs)
             profiles.append(_profile_from_costs(costs))
         budget = 9
-        alloc = allocate_from_profiles(profiles, budget)
+        alloc = allocate_outlier_budget([p.marginals() for p in profiles], budget)
         greedy_cost = sum(p(int(q)) for p, q in zip(profiles, alloc.t_allocated))
         _, dp_cost = optimal_allocation_dp(tables, budget)
         assert greedy_cost == pytest.approx(dp_cost, rel=1e-9)
@@ -149,12 +149,3 @@ class TestOptimalityAgainstDP:
         t_alloc, cost = optimal_allocation_dp(tables, 5)
         np.testing.assert_array_equal(t_alloc, [0, 0])
         assert cost == pytest.approx(5.0)
-
-
-class TestAllocationFromProfiles:
-    def test_profiles_path(self):
-        p0 = _profile_from_costs(np.asarray([20.0, 10.0, 5.0, 2.5]))
-        p1 = _profile_from_costs(np.asarray([4.0, 3.0, 2.0, 1.0]))
-        alloc = allocate_from_profiles([p0, p1], budget=3)
-        assert alloc.t_allocated[0] == 3
-        assert alloc.t_allocated[1] == 0

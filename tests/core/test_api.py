@@ -95,6 +95,7 @@ class TestRemovedKnobs:
         [
             ("async_rounds", True), ("transport", "pickle"), ("telemetry", True),
             ("prefetch", False), ("retry", RetryPolicy(max_retries=1)),
+            ("realize", False),
         ],
         ids=lambda knob: knob[0],
     )

@@ -85,8 +85,7 @@ class TestCombinePreclusters:
             _summary(1, [60, 80], [40, 20], [152]),
         ]
         result = combine_preclusters(
-            small_metric, summaries, k=3, t=3, objective="median", epsilon=1.0, rng=0,
-            realize=False,
+            small_metric, summaries, k=3, t=3, objective="median", epsilon=1.0, rng=0
         )
         assert result.centers_global.size <= 3
         assert set(result.centers_global.tolist()) <= {0, 10, 60, 80, 150, 151, 152}
@@ -98,7 +97,7 @@ class TestCombinePreclusters:
             _summary(1, [60, 164], [40, 1], []),  # 164 is likely an outlier point
         ]
         result = combine_preclusters(
-            small_metric, summaries, k=2, t=1, objective="center", rng=0, realize=False
+            small_metric, summaries, k=2, t=1, objective="center", rng=0
         )
         assert result.coordinator_solution.outlier_weight <= 1 + 1e-9
 
@@ -107,8 +106,7 @@ class TestCombinePreclusters:
             _summary(0, [0], [50], [160, 161, 162, 163, 164]),
         ]
         result = combine_preclusters(
-            small_metric, summaries, k=1, t=4, objective="median", epsilon=0.25, rng=0,
-            realize=False,
+            small_metric, summaries, k=1, t=4, objective="median", epsilon=0.25, rng=0
         )
         assert set(result.explicit_outliers.tolist()) <= {160, 161, 162, 163, 164}
 

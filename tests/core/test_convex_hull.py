@@ -107,11 +107,6 @@ class TestCostProfile:
     def test_words(self, profile):
         assert profile.words == 2 * profile.n_vertices
 
-    def test_constant_zero(self):
-        prof = CostProfile.constant_zero(5)
-        assert prof(3) == 0.0
-        assert np.all(prof.marginals() == 0.0)
-
     def test_t_max_zero(self):
         prof = CostProfile.from_evaluations([0], [3.0], t_max=0)
         assert prof.marginals().size == 0

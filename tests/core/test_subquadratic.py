@@ -11,15 +11,15 @@ from repro.core.subquadratic import default_piece_count
 
 class TestDefaultPieceCount:
     def test_grows_sublinearly(self):
-        assert default_piece_count(1000, 3, 10) < 1000
-        assert default_piece_count(8000, 3, 10) > default_piece_count(1000, 3, 10)
+        assert default_piece_count(1000, 3) < 1000
+        assert default_piece_count(8000, 3) > default_piece_count(1000, 3)
 
     def test_pieces_keep_minimum_size(self):
-        s = default_piece_count(100, 10, 5)
+        s = default_piece_count(100, 10)
         assert 100 // s >= 5  # at least a handful of points per piece
 
     def test_tiny_input(self):
-        assert default_piece_count(3, 1, 0) == 1
+        assert default_piece_count(3, 1) == 1
 
 
 class TestSubquadratic:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import (
+from tests.workloads import (
     grid_with_outliers,
     powerlaw_clusters_with_outliers,
     rings_with_outliers,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data import uncertain_nodes_from_mixture, uncertain_nodes_heavy_tailed
+from repro.data import uncertain_nodes_from_mixture
 
 
 class TestUncertainFromMixture:
@@ -54,26 +54,3 @@ class TestUncertainFromMixture:
     def test_invalid(self):
         with pytest.raises(ValueError):
             uncertain_nodes_from_mixture(2, 0, 5, rng=0)
-
-
-class TestHeavyTailed:
-    def test_counts(self):
-        wl = uncertain_nodes_heavy_tailed(25, 3, rng=0)
-        assert wl.instance.n_nodes == 25
-        assert wl.n_outlier_nodes == 0
-
-    def test_distributions_normalised(self):
-        wl = uncertain_nodes_heavy_tailed(20, 3, contamination=0.2, rng=1)
-        for node in wl.instance.nodes:
-            assert node.probabilities.sum() == pytest.approx(1.0)
-
-    def test_contamination_bounds(self):
-        with pytest.raises(ValueError):
-            uncertain_nodes_heavy_tailed(10, 2, contamination=1.0)
-
-    def test_contamination_widens_support(self):
-        base = uncertain_nodes_from_mixture(20, 0, 2, support_size=4, rng=3)
-        heavy = uncertain_nodes_heavy_tailed(20, 2, support_size=6, contamination=0.2, rng=3)
-        avg_base = np.mean([n.support_size for n in base.instance.nodes])
-        avg_heavy = np.mean([n.support_size for n in heavy.instance.nodes])
-        assert avg_heavy >= avg_base - 1

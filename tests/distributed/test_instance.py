@@ -12,16 +12,6 @@ class TestDistributedInstance:
         assert small_instance.n_points == small_workload.n_points
         assert small_instance.site_sizes.sum() == small_workload.n_points
 
-    def test_all_indices_cover_everything(self, small_instance, small_workload):
-        assert np.array_equal(
-            np.sort(small_instance.all_indices()), np.arange(small_workload.n_points)
-        )
-
-    def test_site_of_point(self, small_instance):
-        owner = small_instance.site_of_point()
-        for i, shard in enumerate(small_instance.shards):
-            assert np.all(owner[shard] == i)
-
     def test_overlapping_shards_rejected(self, small_metric):
         with pytest.raises(ValueError):
             DistributedInstance.from_partition(small_metric, [[0, 1, 2], [2, 3]], 1, 0)

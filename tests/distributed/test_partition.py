@@ -5,11 +5,11 @@ import pytest
 
 from repro.distributed import (
     partition_balanced,
-    partition_by_cluster,
     partition_dirichlet,
     partition_outliers_concentrated,
     partition_round_robin,
 )
+from tests.workloads import partition_by_cluster
 
 
 def _check_is_partition(shards, n):

@@ -18,7 +18,8 @@ from repro.core import (
     distributed_partial_median_no_shipping,
 )
 from repro.data import gaussian_mixture_with_outliers
-from repro.distributed import DistributedInstance, partition_balanced, partition_by_cluster
+from repro.distributed import DistributedInstance, partition_balanced
+from tests.workloads import partition_by_cluster
 
 
 @pytest.fixture(scope="module")

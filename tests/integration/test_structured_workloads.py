@@ -11,8 +11,8 @@ import pytest
 from repro.analysis import evaluate_centers
 from repro.baselines import centralized_reference
 from repro.core import distributed_partial_center, distributed_partial_median
-from repro.data import grid_with_outliers, powerlaw_clusters_with_outliers, rings_with_outliers
 from repro.distributed import DistributedInstance, partition_dirichlet
+from tests.workloads import grid_with_outliers, powerlaw_clusters_with_outliers, rings_with_outliers
 
 
 class TestRingsWorkload:

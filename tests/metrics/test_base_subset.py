@@ -12,10 +12,6 @@ class TestSubsetMetric:
         assert len(subset) == 3
         assert subset.distance(0, 1) == pytest.approx(tiny_metric.distance(3, 4))
 
-    def test_to_parent(self, tiny_metric):
-        subset = tiny_metric.subset([6, 2, 0])
-        assert np.array_equal(subset.to_parent([0, 2]), [6, 0])
-
     def test_pairwise_matches_parent(self, tiny_metric):
         indices = [1, 3, 6]
         subset = tiny_metric.subset(indices)

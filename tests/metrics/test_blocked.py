@@ -20,7 +20,6 @@ from repro.metrics.blocked import (
     materialize,
     materialize_rows,
     reduce_max,
-    reduce_min_per_row,
     reduce_min_positive,
     resolve_memory_budget,
 )
@@ -135,13 +134,6 @@ class TestBlockedReductions:
         assert reduce_min_positive(euclid, [], None, memory_budget=budget) == 0.0
         assert list(iter_blocks(np.empty((0, 0)), memory_budget=budget)) == []
         assert reduce_max(np.empty((0, 5)), memory_budget=budget) == 0.0
-
-    @pytest.mark.parametrize("budget", BUDGETS)
-    def test_reduce_min_per_row_bitwise(self, euclid, budget):
-        dense = euclid.full_matrix()
-        cols = np.asarray([3, 1, 17, 40, 8])
-        got = reduce_min_per_row(euclid, None, cols, memory_budget=budget)
-        np.testing.assert_array_equal(got, dense[:, cols].min(axis=1))
 
     @pytest.mark.parametrize("budget", BUDGETS)
     def test_argmin_per_row_bitwise(self, euclid, budget):

@@ -59,15 +59,6 @@ class TestCompressedGraph:
         d_to_demand = simple_graph.demand_pairwise([0], [1])[0, 0]
         assert d_to_demand >= d_via_anchor
 
-    def test_as_metric(self, simple_graph):
-        metric = simple_graph.as_metric()
-        assert len(metric) == 3
-        assert metric.distance(1, 1) == 0.0
-        assert metric.distance(0, 2) == pytest.approx(
-            simple_graph.demand_pairwise([0], [2])[0, 0]
-        )
-        assert metric.graph is simple_graph
-
     def test_facility_point_index(self, simple_graph):
         assert simple_graph.facility_point_index(2) == 6
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import build_cost_matrix
-from repro.metrics.cost_matrix import costs_from_distances, validate_objective
+from repro.metrics.cost_matrix import validate_objective
 
 
 class TestValidateObjective:
@@ -37,13 +37,3 @@ class TestBuildCostMatrix:
     def test_shape(self, tiny_metric):
         costs = build_cost_matrix(tiny_metric, range(7), [0, 3, 6], "median")
         assert costs.shape == (7, 3)
-
-
-class TestCostsFromDistances:
-    def test_means_squares(self):
-        d = np.asarray([1.0, 2.0, 3.0])
-        assert np.allclose(costs_from_distances(d, "means"), d * d)
-
-    def test_median_identity(self):
-        d = np.asarray([1.0, 2.0])
-        assert np.allclose(costs_from_distances(d, "median"), d)

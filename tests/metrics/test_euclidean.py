@@ -67,11 +67,6 @@ class TestEuclideanMetric:
             view.pairwise(np.arange(4), np.arange(4)), metric.pairwise(indices, indices)
         )
 
-    def test_from_random(self, rng):
-        metric = EuclideanMetric.from_random(20, 3, rng)
-        assert len(metric) == 20
-        assert metric.dim == 3
-
     def test_diameter_and_spread(self, tiny_metric, tiny_points):
         diffs = tiny_points[:, None, :] - tiny_points[None, :, :]
         expected = float(np.sqrt((diffs**2).sum(axis=-1)).max())

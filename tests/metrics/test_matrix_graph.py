@@ -69,17 +69,6 @@ class TestMatrixMetric:
         metric = MatrixMetric(bad, validate=False)  # trusted input path
         assert metric.distance(0, 1) == pytest.approx(5.0)
 
-    def test_triangle_check(self):
-        assert MatrixMetric(_valid_matrix()).check_triangle_inequality()
-        bad = np.asarray(
-            [
-                [0.0, 1.0, 10.0],
-                [1.0, 0.0, 1.0],
-                [10.0, 1.0, 0.0],
-            ]
-        )
-        assert not MatrixMetric(bad).check_triangle_inequality()
-
     def test_words_per_point(self):
         assert MatrixMetric(_valid_matrix(), words_per_point=4).words_per_point == 4
 

@@ -21,7 +21,6 @@ from repro.metrics.blocked import (
     count_within,
     effective_tile_bytes,
     reduce_max,
-    reduce_min_per_row,
     reduce_min_positive,
 )
 from repro.metrics.plan import CountingSource, ReductionPlan
@@ -54,7 +53,6 @@ def _full_plan(source, rows=None, cols=None, *, radii, weights, budget):
     handles = {
         "max": plan.add_max(),
         "min_positive": plan.add_min_positive(),
-        "min_per_row": plan.add_min_per_row(),
         "argmin": plan.add_argmin_per_row(),
         "count": plan.add_count_within(radii, weights=weights),
         "count_scalar": plan.add_count_within(float(radii[0]), weights=weights),
@@ -102,9 +100,6 @@ class TestFusedParity:
         plan, handles = _full_plan(source, radii=radii, weights=weights, budget=budget)
         assert handles["max"].value == reduce_max(matrix, memory_budget=budget)
         assert handles["min_positive"].value == reduce_min_positive(matrix, memory_budget=budget)
-        np.testing.assert_array_equal(
-            handles["min_per_row"].value, reduce_min_per_row(matrix, memory_budget=budget)
-        )
         values, positions = handles["argmin"].value
         exp_values, exp_positions = argmin_per_row(matrix, memory_budget=budget)
         np.testing.assert_array_equal(values, exp_values)
@@ -157,9 +152,6 @@ class TestFusedParity:
         # Parity against the *dense in-RAM* standalone calls: the memmap,
         # the index pattern and the budget must all be invisible in the values.
         assert handles["max"].value == reduce_max(matrix, rows, cols)
-        np.testing.assert_array_equal(
-            handles["min_per_row"].value, reduce_min_per_row(matrix, rows, cols)
-        )
         for pos, radius in enumerate(radii):
             np.testing.assert_array_equal(
                 handles["count"].value[pos],

@@ -14,7 +14,6 @@ from repro import (
 from repro.core.algorithm1_modified import distributed_partial_median_no_shipping
 from repro.obs import (
     protocol_summary,
-    render_protocol_summary,
     render_round_report,
     round_report,
     to_chrome_trace,
@@ -124,10 +123,6 @@ class TestProtocolSummary:
         assert summary["n_spans"] == len(traced_kmedian.trace.spans)
         # The fixed counter columns are present even when the layer never ran.
         assert summary["cluster.resident_hit"] == 0.0
-
-    def test_render_protocol_summary(self, traced_kmedian):
-        text = render_protocol_summary({"kmedian": traced_kmedian})
-        assert "kmedian" in text and "bytes_per_word" in text
 
 
 class TestChromeExport:

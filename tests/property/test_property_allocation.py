@@ -4,7 +4,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import allocate_outlier_budget, optimal_allocation_dp
+from repro.core import allocate_outlier_budget
+from tests.oracle.allocation import optimal_allocation_dp
 
 
 @st.composite

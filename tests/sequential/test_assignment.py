@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sequential import assign_with_outliers, nearest_center_distances, solution_cost
+from repro.sequential import assign_with_outliers, nearest_center_distances
 from repro.sequential.assignment import trim_outliers
 
 
@@ -120,11 +120,8 @@ class TestAssignWithOutliers:
         with pytest.raises(ValueError):
             assign_with_outliers(costs, [0], 0, weights=np.ones(3))
 
-    def test_solution_cost_shortcut(self, costs):
-        assert solution_cost(costs, [0, 1], 1, objective="median") == pytest.approx(2.0)
-
     def test_cost_monotone_in_budget(self, costs):
         costs_at = [
-            solution_cost(costs, [0, 1], t, objective="median") for t in range(5)
+            assign_with_outliers(costs, [0, 1], t, objective="median").cost for t in range(5)
         ]
         assert all(a >= b - 1e-12 for a, b in zip(costs_at, costs_at[1:]))

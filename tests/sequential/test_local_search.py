@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.metrics import build_cost_matrix
-from repro.sequential import local_search_partial, solution_cost
+from repro.sequential import assign_with_outliers, local_search_partial
 from repro.sequential.local_search import plus_plus_seeding
 
 
@@ -35,13 +35,17 @@ class TestLocalSearchPartial:
 
     def test_cost_is_consistent_with_assignment(self, small_cost_matrix):
         sol = local_search_partial(small_cost_matrix, 3, 15, rng=0)
-        recomputed = solution_cost(small_cost_matrix, sol.centers, 15, objective="median")
+        recomputed = assign_with_outliers(
+            small_cost_matrix, sol.centers, 15, objective="median"
+        ).cost
         assert sol.cost == pytest.approx(recomputed, rel=1e-9)
 
     def test_beats_random_centers(self, small_cost_matrix, rng):
         sol = local_search_partial(small_cost_matrix, 3, 15, rng=1)
         random_centers = rng.choice(small_cost_matrix.shape[1], size=3, replace=False)
-        random_cost = solution_cost(small_cost_matrix, random_centers, 15, objective="median")
+        random_cost = assign_with_outliers(
+            small_cost_matrix, random_centers, 15, objective="median"
+        ).cost
         assert sol.cost <= random_cost + 1e-9
 
     def test_recovers_cluster_structure(self, small_workload, small_metric):

@@ -31,10 +31,6 @@ class TestConstruction:
         assert node.support_size == 1
         assert node.probabilities[0] == 1.0
 
-    def test_uniform_constructor(self):
-        node = UncertainNode.uniform_over([1, 2, 3, 4])
-        assert np.allclose(node.probabilities, 0.25)
-
 
 class TestExpectedDistances:
     def test_expected_distance_formula(self, two_point_node, tiny_metric):
@@ -108,8 +104,3 @@ class TestSamplingAndEncoding:
     def test_encoding_words(self, two_point_node):
         assert two_point_node.encoding_words(words_per_point=2) == pytest.approx(6.0)
         assert two_point_node.encoding_words(words_per_point=1) == pytest.approx(4.0)
-
-    def test_mean_point(self, two_point_node, tiny_metric):
-        mean = two_point_node.mean_point(tiny_metric)
-        expected = 0.25 * tiny_metric.points[0] + 0.75 * tiny_metric.points[6]
-        assert np.allclose(mean, expected)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.utils.rng import derive_seed, ensure_rng, spawn_rngs
+from repro.utils.rng import ensure_rng, spawn_rngs
 
 
 class TestEnsureRng:
@@ -57,13 +57,3 @@ class TestSpawnRngs:
         gen = np.random.default_rng(5)
         children = spawn_rngs(gen, 4)
         assert len(children) == 4
-
-
-class TestDeriveSeed:
-    def test_range(self):
-        seed = derive_seed(np.random.default_rng(0))
-        assert 0 <= seed < 2**63
-
-    def test_varies(self):
-        gen = np.random.default_rng(0)
-        assert derive_seed(gen) != derive_seed(gen)

@@ -26,13 +26,6 @@ class TestTimer:
             pass
         assert set(timer.as_dict()) == {"a", "b"}
 
-    def test_max_total(self):
-        timer = Timer()
-        assert timer.max_total() == 0.0
-        with timer.measure("a"):
-            sum(range(1000))
-        assert timer.max_total() == timer.total("a")
-
     def test_merge(self):
         a, b = Timer(), Timer()
         with a.measure("x"):

@@ -8,17 +8,7 @@ from repro.utils.validation import (
     check_points_array,
     check_positive_int,
     check_probability_vector,
-    require,
 )
-
-
-class TestRequire:
-    def test_passes(self):
-        require(True, "never raised")
-
-    def test_raises(self):
-        with pytest.raises(ValueError, match="boom"):
-            require(False, "boom")
 
 
 class TestCheckPositiveInt:

@@ -1,13 +1,17 @@
-"""Structured (non-Gaussian) workloads.
+"""Workload generators and a partitioner that only the tests use.
 
-These stress the algorithms on shapes where the mean is a poor summary
-(rings), where many near-ties exist (grids), and where cluster sizes are
-heavily skewed (power-law), all with planted outliers.  They reuse the
+The generators stress the protocols on shapes where the mean is a poor
+summary (rings), where many near-ties exist (grids), and where cluster sizes
+are heavily skewed (power-law), all with planted outliers.  They reuse the
 :class:`repro.data.gaussian.GaussianWorkload` container since the ground
 truth has the same shape (labels with ``-1`` for outliers).
+:func:`partition_by_cluster` splits such a workload so that every site sees
+only a few of the true clusters, the hardest case for local preclustering.
 """
 
 from __future__ import annotations
+
+from typing import List, Sequence
 
 import numpy as np
 
@@ -129,8 +133,32 @@ def powerlaw_clusters_with_outliers(
     return _package(generator, inliers, assignments, n_outliers, outlier_spread, centers)
 
 
-__all__ = [
-    "rings_with_outliers",
-    "grid_with_outliers",
-    "powerlaw_clusters_with_outliers",
-]
+def partition_by_cluster(
+    labels: Sequence[int], s: int, rng: RngLike = None
+) -> List[np.ndarray]:
+    """Partition aligned with cluster structure.
+
+    Each cluster's points are sent (mostly) to a single site chosen at
+    random, so every site sees only a subset of the true clusters.  Points
+    with label ``-1`` (planted outliers) are spread uniformly.
+    """
+    labels = np.asarray(labels, dtype=int)
+    if not 1 <= s <= labels.size:
+        raise ValueError(f"cannot split {labels.size} points across {s} non-empty sites")
+    generator = ensure_rng(rng)
+    unique = np.unique(labels[labels >= 0])
+    shards: List[List[int]] = [[] for _ in range(s)]
+    # Assign whole clusters to sites round-robin over a random cluster order.
+    cluster_order = generator.permutation(unique)
+    for pos, label in enumerate(cluster_order):
+        target = pos % s
+        shards[target].extend(np.flatnonzero(labels == label).tolist())
+    noise = generator.permutation(np.flatnonzero(labels < 0))
+    for pos, idx in enumerate(noise):
+        shards[pos % s].append(int(idx))
+    # Guarantee non-empty shards by stealing single points from the largest shard.
+    for i in range(s):
+        if not shards[i]:
+            donor = int(np.argmax([len(x) for x in shards]))
+            shards[i].append(shards[donor].pop())
+    return [np.sort(np.asarray(shard, dtype=int)) for shard in shards]
