@@ -293,7 +293,7 @@ def test_resident_state_amortises_repeat_rounds(benchmark, cluster_pool, cluster
     """The metric is shipped once, not once per round.
 
     Two identical no-op rounds over the same network: round 1 pays for the
-    sticky half (shard + metric view), round 2 reuses the runner-resident
+    sticky half (the site view), round 2 reuses the runner-resident
     copy and ships only the per-round scraps.  The measured dispatch ratio
     is the amortisation a multi-round protocol gets for free.
     """

@@ -108,8 +108,10 @@ def running_on_a_cluster_backend(points, k, t) -> None:
 
     * **distributed memory** — a runner inherits nothing, so everything a
       site computes on demonstrably arrived through its socket, and a
-      site's shard + local metric stay *resident* on its runner across
-      rounds (shipped once per run, never re-pickled every round);
+      site's view of its points stays *resident* on its runner across
+      rounds (shipped once per run, never re-pickled every round; it
+      carries no global id, since sites speak local ids and the
+      coordinator maps them);
     * **wire-level byte accounting** — the ledger reports the exact bytes
       every frame occupied next to the semantic word counts::
 
@@ -128,7 +130,7 @@ def running_on_a_cluster_backend(points, k, t) -> None:
     Resident state and state digests
     --------------------------------
     Everything that *lives* at a site stays at its site.  The immutable
-    half — shard + local metric — is shipped once per run; the **mutable**
+    half — the site view — is shipped once per run; the **mutable**
     half gets the same treatment: after a site task completes, its
     ``ctx.state`` (for kmedian, the precluster with its cached
     ``n_i x n_i`` cost matrix) stays resident on the runner, and the result
@@ -274,7 +276,7 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
        the site id and the set of dead hosts, so every run makes the same
        choice;
     2. **replays** each moved site's dispatch log from record 0 on its new
-       host (record 0 ships the full state + sticky shard/metric; later
+       host (record 0 ships the full state + the sticky site view; later
        records re-apply each round's task with its recorded RNG stream and
        inbox), verifying the rebuilt state against the original state
        digests;

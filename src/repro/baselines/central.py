@@ -62,8 +62,8 @@ def centralized_reference(
     Returns
     -------
     ClusterSolution
-        Centers and assignment are expressed in *global* point indices when
-        ``indices`` is None, otherwise as positions within ``indices``.
+        Centers and assignment are expressed in *global* point indices (a
+        solve on ``indices`` is relabelled through them).
     """
     obj = validate_objective(objective)
     idx = np.arange(len(metric)) if indices is None else np.asarray(indices, dtype=int)
@@ -72,7 +72,7 @@ def centralized_reference(
     if obj == "center":
         solution = kcenter_with_outliers(cost_matrix, k, t, **solver_kwargs)
         solution.metadata["reference"] = "charikar_full"
-        return _to_global(solution, idx, indices is None)
+        return solution if indices is None else solution.relabel(idx)
 
     generator = ensure_rng(rng)
     rngs = spawn_rngs(generator, max(1, n_restarts))
@@ -93,14 +93,7 @@ def centralized_reference(
     assert best is not None
     best.metadata["reference"] = "local_search_multi_restart"
     best.metadata["n_restarts"] = int(n_restarts)
-    return _to_global(best, idx, indices is None)
-
-
-def _to_global(solution: ClusterSolution, idx: np.ndarray, already_global: bool) -> ClusterSolution:
-    """Relabel a solution computed on ``idx`` back to global indices."""
-    if already_global and np.array_equal(idx, np.arange(idx.size)):
-        return solution
-    return solution.relabel(idx)
+    return best if indices is None else best.relabel(idx)
 
 
 __all__ = ["centralized_reference"]

@@ -17,7 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.combine import combine_preclusters, summarize_local_solution
+from repro.core.combine import (
+    combine_preclusters,
+    member_groups,
+    realize_output,
+    summarize_local_solution,
+)
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
@@ -51,7 +56,6 @@ def one_round_protocol(
     """
     objective = validate_objective(instance.objective)
     k, t = instance.k, instance.t
-    metric = instance.metric
     words_per_point = instance.words_per_point()
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
@@ -60,6 +64,7 @@ def one_round_protocol(
 
     network.next_round()
     summaries = []
+    outputs = []
     for site, site_rng in zip(network.sites, site_rngs):
         with site.timer.measure("local_solve"):
             local_indices = np.arange(site.n_points)
@@ -76,8 +81,13 @@ def one_round_protocol(
                 solution = local_search_partial(
                     local_costs, local_k, t_local, objective=objective, rng=site_rng, **local_kwargs
                 )
-            summary = summarize_local_solution(site, solution)
+            summary = summarize_local_solution(site.site_id, solution)
+            groups = member_groups(
+                solution.assignment, summary.center_points,
+                lambda members, c: site.local_metric.pairwise(members, [c])[:, 0],
+            )
         summaries.append(summary)
+        outputs.append((groups, summary.outlier_points))
         network.send_to_coordinator(
             site.site_id,
             "local_solution",
@@ -87,16 +97,15 @@ def one_round_protocol(
 
     with network.coordinator.timer.measure("final_solve"):
         combine = combine_preclusters(
-            metric,
+            instance,
             summaries,
-            k,
-            t,
-            objective=objective,
             epsilon=epsilon,
-            relax="outliers",
             rng=generator,
             coordinator_solver_kwargs=coordinator_solver_kwargs,
         )
+    assignment, outliers = realize_output(
+        instance.shards, outputs, combine.coordinator_solution, combine.facility_points
+    )
 
     if objective == "center":
         outlier_budget = float(t)
@@ -110,7 +119,7 @@ def one_round_protocol(
         cost=float(combine.coordinator_solution.cost),
         ledger=network.ledger,
         rounds=network.current_round,
-        outliers=combine.realized_outliers,
+        outliers=outliers,
         site_time=network.site_times(),
         coordinator_time=network.coordinator_time(),
         coordinator_solution=combine.coordinator_solution,
@@ -119,7 +128,7 @@ def one_round_protocol(
             "epsilon": float(epsilon),
             "t_shipped_per_site": [int(s.outlier_points.size) for s in summaries],
             "n_coordinator_demands": int(combine.demand_points.size),
-            "realized_assignment": combine.realized_assignment,
+            "realized_assignment": assignment,
         },
     )
 

@@ -41,14 +41,17 @@ def send_all_protocol(
 
     network.next_round()
     for site in network.sites:
+        # A site names its points by local id; the coordinator maps them.
         network.send_to_coordinator(
             site.site_id,
             "all_points",
-            site.shard,
+            np.arange(site.n_points),
             words=float(site.n_points * words_per_point),
         )
 
-    all_points = np.concatenate([m.payload for m in network.coordinator.inbox])
+    all_points = np.concatenate(
+        [instance.shards[m.sender][m.payload] for m in network.coordinator.inbox]
+    )
     with network.coordinator.timer.measure("final_solve"):
         cost_matrix = build_cost_matrix(metric, all_points, all_points, objective)
         if objective == "center":

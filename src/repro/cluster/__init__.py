@@ -6,8 +6,8 @@ subsystem closes the loop on the paper's communication claims: a
 :class:`~repro.cluster.backend.ClusterBackend` spawns one long-lived runner
 process per simulated host, ships site tasks — the one task shape every
 protocol runs as, the uncertain ones included — over real length-prefixed
-socket connections (:mod:`repro.cluster.framing`), keeps each site's shard,
-its view of the input (local metric, or its uncertain nodes) *and its
+socket connections (:mod:`repro.cluster.framing`), keeps each site's
+view of its input (local metric, or its uncertain nodes) *and its
 mutable round state* resident on its runner across rounds (state returns as
 a digest, and the coordinator holds only a handle — see
 :mod:`repro.runtime.state`),

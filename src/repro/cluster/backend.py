@@ -19,13 +19,13 @@ shipping every task over a length-prefixed unix-domain socket
   :class:`~repro.cluster.framing.WirePolicy` (site and replay frames
   compressed; the ``REPRO_WIRE_CODEC`` environment override reaches the
   runners through their inherited environment).
-* **Resident site state.**  A site's heavy immutable half — its shard and
-  its view of the input (local metric, or its uncertain nodes) — is
-  shipped once per protocol run and kept resident on its runner (sites are
-  pinned to hosts by ``site_id % n_hosts``).  The *mutable* half gets the
-  same treatment: after a site task completes, its ``ctx.state`` stays on
-  the runner and only a digest (keys, per-entry sizes, a state
-  epoch) crosses back; the coordinator's ``Site.state`` becomes an opaque
+* **Resident site state.**  A site's heavy immutable half — its site
+  view (local metric, or its uncertain nodes), which carries no global
+  id — is shipped once per protocol run and kept resident on its runner
+  (sites are pinned to hosts by ``site_id % n_hosts``).  The *mutable*
+  half gets the same treatment: after a site task completes, its
+  ``ctx.state`` stays on the runner and only a digest (keys, per-entry
+  sizes, a state epoch) crosses back; the coordinator's ``Site.state`` becomes an opaque
   :class:`~repro.runtime.state.ResidentState` handle, and the next dispatch
   ships an epoch token instead of the dict.  The coordinator never reads
   site state: drivers get what they need from the sites' messages and
@@ -1229,8 +1229,8 @@ class ClusterBackend(ExecutionBackend):
 
         Every frame of the round is recorded in ``ledger.ensure_wire()``.
 
-        Site ``s`` is pinned to host ``s % n_hosts``, and its
-        ``(shard, local_metric)`` sticky half is shipped only the first time
+        Site ``s`` is pinned to host ``s % n_hosts``, and its sticky half,
+        the site view ``ctx.local_metric``, is shipped only the first time
         the host sees the context's ``resident_key`` — later rounds reuse the
         runner-resident copy.  Mutable state gets the same residency: when
         ``ctx.state`` is the key's current
@@ -1276,7 +1276,7 @@ class ClusterBackend(ExecutionBackend):
             log = self._site_logs.get(key)
             if log is None:
                 log = self._site_logs[key] = SiteLog(
-                    key, ctx.site_id, (ctx.shard, ctx.local_metric), job
+                    key, ctx.site_id, ctx.local_metric, job
                 )
         with log.lock:
             target = self._ensure_located_locked(log) or self._place(ctx.site_id)

@@ -25,7 +25,7 @@ On top of the body sits a per-frame codec: ``none`` (identity) or ``zlib``
 (stdlib).  Both ends of a channel resolve the same policy from the same
 environment, so they agree without negotiation.  Compression is an explicit
 size-vs-decode-time tradeoff chosen per frame *kind* by a
-:class:`WirePolicy`: site frames and their replays, which ship shards and
+:class:`WirePolicy`: site frames and their replays, which ship site views and
 payloads, are compressed; heartbeats are not.  A codec that
 fails to shrink a body (or a body under :data:`MIN_COMPRESS_BYTES`) is
 dropped for that frame — the wire never carries a frame larger than its
@@ -236,7 +236,7 @@ def encode_frame(obj: Any, codec: Union[str, Codec, None] = None) -> EncodedFram
 # ---------------------------------------------------------------------------
 
 #: Frame kinds whose payloads are worth compressing: site dispatch/result
-#: (shard + metric shipping) and their replays.
+#: (site views and payloads) and their replays.
 COMPRESSIBLE_KINDS = ("site", "replay")
 
 _DEFAULT_POLICY: Dict[str, str] = {

@@ -1,7 +1,7 @@
 """Fault tolerance for the cluster backend: policies, fault injection, replay logs.
 
 The paper's protocols are round-structured and *deterministic*: a site task is
-a pure function of its sticky half (shard + local metric), the dispatched
+a pure function of its sticky half (the site view), the dispatched
 state (full dict or epoch token over the previous epoch), its RNG stream and
 its inbox.  That makes recovery a replicated-deterministic-state-machine
 problem rather than an ad-hoc patching one — the same shape as the
@@ -27,8 +27,9 @@ This module holds the coordinator-side vocabulary of that story:
 * :class:`SiteLog` / :class:`SiteDispatchRecord` — the per-``resident_key``
   dispatch log the backend appends every site dispatch to, whatever the
   budget: everything needed to rebuild a dead host's resident site state
-  on a survivor (fn/args/kwargs, the pickled RNG stream, the inbox, the
-  exact state slot that was shipped — epoch token or the full dict) plus
+  on a survivor (the site view, and per record fn/args/kwargs, the pickled
+  RNG stream, the inbox, the exact state slot that was shipped — epoch
+  token or the full dict) plus
   the ``(epoch, sizes)`` digest of every completed record for replay
   verification.
 

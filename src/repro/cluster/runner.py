@@ -7,11 +7,12 @@ coordinator).  It serves two frame shapes:
 
 ``("site", seq, resident_key, sticky, dyn, evict)``
     One site's share of a protocol round — the only task shape the cluster
-    runs.  ``sticky`` is the site's heavy immutable half — ``(shard,
-    local_metric)``, where the local metric is the site's view of its input
-    (for a Euclidean, matrix or graph metric, its own ``n_i`` rows and not
-    the whole input; see ``DistributedInstance.site_view``), or its
-    uncertain nodes — shipped **once** per protocol run and kept
+    runs.  ``sticky`` is the site's heavy immutable half, its site view: the
+    site's view of its input (for a Euclidean, matrix or graph metric, its
+    own ``n_i`` rows and not the whole input; see
+    ``DistributedInstance.site_view``), or its uncertain nodes.  It carries
+    no global id: the site names its points by local ids, and the
+    coordinator maps them.  It is shipped **once** per protocol run and kept
     resident under ``resident_key``; later rounds send ``sticky=None`` and
     the runner reuses its cached copy, so the view is never re-pickled
     round after round.  ``evict`` lists superseded keys to
@@ -122,17 +123,15 @@ def _execute_site(
         if resident_key not in resident:
             raise RuntimeError(
                 f"runner has no resident state for {resident_key!r}; the "
-                "coordinator must ship (shard, local_metric) before reusing it"
+                "coordinator must ship the site view before reusing it"
             )
         sticky = resident[resident_key]
-    shard, local_metric = sticky
 
     trace_on = bool(dyn.get("trace"))
     buffer = TraceBuffer(origin=f"host-{host_id}") if trace_on else None
     ctx = SiteContext(
         site_id=dyn["site_id"],
-        shard=shard,
-        local_metric=local_metric,
+        local_metric=sticky,
         state=_resolve_state(resident_key, dyn["state"], resident_state),
         rng=dyn["rng"],
         inbox=dyn["inbox"],

@@ -33,7 +33,12 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
-from repro.core.combine import combine_preclusters, summarize_local_solution
+from repro.core.combine import (
+    combine_preclusters,
+    member_groups,
+    realize_output,
+    summarize_local_solution,
+)
 from repro.core.preclustering import precluster_site
 from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
@@ -80,7 +85,9 @@ def _round1_task(
 def _round2_task(ctx, objective, words_per_point, local_kwargs):
     """Site phase of round 2: snap the allocation and ship the local solution.
 
-    Returns ``t_used``, the solved grid value the allocation snapped to.
+    Returns ``(t_used, groups)``: the solved grid value the allocation
+    snapped to, and the uncharged output step's member groups, each in drop
+    order (farthest from its center first).
     """
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
@@ -96,11 +103,15 @@ def _round2_task(ctx, objective, words_per_point, local_kwargs):
         solution = precluster.solution_for(
             t_used, ctx.state["local_k"], objective, rng=ctx.rng, **local_kwargs
         )
-        summary = summarize_local_solution(ctx, solution)
+        summary = summarize_local_solution(ctx.site_id, solution)
+        groups = member_groups(
+            solution.assignment, summary.center_points,
+            lambda members, c: ctx.local_metric.pairwise(members, [c])[:, 0],
+        )
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
-    return t_used
+    return t_used, groups
 
 
 def distributed_partial_median(
@@ -159,7 +170,6 @@ def distributed_partial_median(
         raise ValueError(f"relax must be 'outliers' or 'centers', got {relax!r}")
 
     k, t = instance.k, instance.t
-    metric = instance.metric
     words_per_point = instance.words_per_point()
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
@@ -236,11 +246,8 @@ def distributed_partial_median(
 
         with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
-                metric,
+                instance,
                 summaries,
-                k,
-                t,
-                objective=objective,
                 epsilon=epsilon,
                 relax=relax,
                 rng=coord_rng,
@@ -248,6 +255,12 @@ def distributed_partial_median(
                 memory_budget=run.memory_budget,
                 workdir=run.workdir,
             )
+        assignment, outliers = realize_output(
+            instance.shards,
+            [(r.value[1], s.outlier_points) for r, s in zip(round2, summaries)],
+            combine.coordinator_solution,
+            combine.facility_points,
+        )
 
         if relax == "outliers":
             outlier_budget = math.floor((1.0 + epsilon) * t + 1e-9)
@@ -260,7 +273,7 @@ def distributed_partial_median(
             cost=float(combine.coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=combine.realized_outliers,
+            outliers=outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
@@ -271,11 +284,11 @@ def distributed_partial_median(
                 "rho": float(rho),
                 "relax": relax,
                 "t_allocated": allocation.t_allocated.tolist(),
-                "t_used": [int(r.value) for r in round2],
+                "t_used": [int(r.value[0]) for r in round2],
                 "threshold": float(allocation.threshold),
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),
-                "realized_assignment": combine.realized_assignment,
+                "realized_assignment": assignment,
                 "explicit_outliers": combine.explicit_outliers,
                 "local_k": [int(r.value[0]) for r in round1],
                 "memory_budget": run.memory_budget,

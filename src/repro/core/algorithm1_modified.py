@@ -89,7 +89,7 @@ def _round2_no_shipping_task(ctx, objective, words_per_point, local_kwargs):
             t_vertex = int(round(profile.snap_down_to_vertex(t_i)))
             solution = precluster.solution_for(t_vertex, local_k, objective, rng=ctx.rng, **local_kwargs)
             combined_4k = False
-        summary = summarize_local_solution(ctx, solution, ship_outliers=False)
+        summary = summarize_local_solution(ctx.site_id, solution, ship_outliers=False)
     # Centers (B words each), counts (1 word each) and the scalar t_i.
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point) + 1
@@ -133,7 +133,6 @@ def distributed_partial_median_no_shipping(
         raise ValueError("epsilon and delta must be positive")
 
     k, t = instance.k, instance.t
-    metric = instance.metric
     words_per_point = instance.words_per_point()
     rho = 1.0 + delta
     network = StarNetwork(instance)
@@ -203,13 +202,9 @@ def distributed_partial_median_no_shipping(
 
         with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
-                metric,
+                instance,
                 summaries,
-                k,
-                t,
-                objective=objective,
                 epsilon=epsilon,
-                relax="outliers",
                 rng=generator,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,

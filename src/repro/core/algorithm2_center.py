@@ -30,7 +30,12 @@ from typing import Any, Optional
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
-from repro.core.combine import PreclusterSummary, combine_preclusters
+from repro.core.combine import (
+    PreclusterSummary,
+    combine_preclusters,
+    member_groups,
+    realize_output,
+)
 from repro.core.preclustering import precluster_site_center
 from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
@@ -41,9 +46,7 @@ from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
-def _center_summary(
-    site, traversal, k: int, t_i: int, memory_budget=None
-) -> PreclusterSummary:
+def _center_summary(ctx, traversal, k: int, t_i: int, memory_budget=None) -> tuple:
     """Precluster of one site: the first ``k + t_i`` traversal points, weighted.
 
     Every local point is attached to its nearest candidate (none is ignored —
@@ -54,32 +57,26 @@ def _center_summary(
     The nearest-candidate sweep is a blocked per-row argmin
     (:func:`repro.metrics.blocked.argmin_per_row`): the ``n_i x (k + t_i)``
     distance block is never materialised whole under a ``memory_budget``,
-    and the attachment is bit-identical for every budget.
+    and the attachment is bit-identical for every budget.  Returns the
+    summary (in local ids) and the output step's member groups, farthest
+    from their candidate first.
     """
-    n_local = site.n_points
+    n_local = ctx.n_points
     m = min(n_local, k + t_i)
-    candidates_local = traversal.ordering[:m]
-    all_local = np.arange(n_local)
+    candidates = traversal.ordering[:m]
     nearest_dist, nearest = argmin_per_row(
-        site.local_metric, all_local, candidates_local, memory_budget=memory_budget
+        ctx.local_metric, np.arange(n_local), candidates, memory_budget=memory_budget
     )
-
-    centers_global = site.to_global(candidates_local)
     weights = np.zeros(m, dtype=float)
     np.add.at(weights, nearest, 1.0)
-
-    members = {}
-    for pos, c_global in enumerate(centers_global):
-        member_local = np.flatnonzero(nearest == pos)
-        members[int(c_global)] = (site.to_global(member_local), nearest_dist[member_local])
-
-    return PreclusterSummary(
-        site_id=site.site_id,
-        center_points=centers_global,
+    summary = PreclusterSummary(
+        site_id=ctx.site_id,
+        center_points=candidates,
         center_weights=weights,
         outlier_points=np.empty(0, dtype=int),
-        members=members,
     )
+    groups = member_groups(nearest, range(m), lambda members, _: nearest_dist[members])
+    return summary, groups
 
 
 def _round1_center_task(ctx, k, t, rho, memory_budget=None):
@@ -93,14 +90,18 @@ def _round1_center_task(ctx, k, t, rho, memory_budget=None):
 
 
 def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
-    """Site phase of round 2: ship the first ``k + t_i`` traversal points."""
+    """Site phase of round 2: ship the first ``k + t_i`` traversal points.
+
+    Returns the output step's member groups.
+    """
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
         precluster = ctx.state["precluster"]
-        summary = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget)
+        summary, groups = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget)
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
+    return groups
 
 
 def distributed_partial_center(
@@ -138,7 +139,6 @@ def distributed_partial_center(
         raise ValueError(f"rho must be >= 1, got {rho}")
 
     k, t = instance.k, instance.t
-    metric = instance.metric
     words_per_point = instance.words_per_point()
     network = StarNetwork(instance)
     generator = ensure_rng(rng)
@@ -186,7 +186,7 @@ def distributed_partial_center(
                     {"t_i": t_i, "threshold": allocation.threshold},
                     words=2,
                 )
-            run_site_tasks(
+            round2 = run_site_tasks(
                 network,
                 [
                     SiteTask(
@@ -205,16 +205,19 @@ def distributed_partial_center(
 
         with network.coordinator.timer.measure("final_solve"), run.tracer.span("final_solve"):
             combine = combine_preclusters(
-                metric,
+                instance,
                 summaries,
-                k,
-                t,
-                objective="center",
                 rng=generator,
                 coordinator_solver_kwargs=coordinator_solver_kwargs,
                 memory_budget=run.memory_budget,
                 workdir=run.workdir,
             )
+        assignment, outliers = realize_output(
+            instance.shards,
+            [(r.value, s.outlier_points) for r, s in zip(round2, summaries)],
+            combine.coordinator_solution,
+            combine.facility_points,
+        )
 
         return DistributedResult(
             centers=combine.centers_global,
@@ -223,7 +226,7 @@ def distributed_partial_center(
             cost=float(combine.coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=combine.realized_outliers,
+            outliers=outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=combine.coordinator_solution,
@@ -235,7 +238,7 @@ def distributed_partial_center(
                 "threshold": float(allocation.threshold),
                 "exceptional_site": allocation.exceptional_site,
                 "n_coordinator_demands": int(combine.demand_points.size),
-                "realized_assignment": combine.realized_assignment,
+                "realized_assignment": assignment,
                 "memory_budget": run.memory_budget,
             },
         )

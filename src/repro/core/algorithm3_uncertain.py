@@ -22,11 +22,12 @@ bit-identically — on any :mod:`repro.runtime` execution backend.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
+from repro.core.combine import member_groups, realize_output
 from repro.core.preclustering import precluster_site
 from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
@@ -109,9 +110,9 @@ def _round2_task(ctx, objective, words_per_point, local_kwargs):
 
     Ships one demand per local center (its anchor, weighted by the nodes
     attached) and one per local outlier (its anchor and collapse cost,
-    Algorithm 3 line 4).  Returns what the uncharged output step needs:
-    ``t_used``, the member nodes and their costs of each center demand, and
-    the node of each outlier demand.
+    Algorithm 3 line 4).  Returns ``t_used`` and what the uncharged output
+    step needs, in local node ids: the member groups of the center demands
+    (costliest first) and the nodes of the outlier demands.
     """
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
@@ -136,17 +137,14 @@ def _round2_task(ctx, objective, words_per_point, local_kwargs):
                 [w for _, w in center_weights] + [1.0] * len(outliers), dtype=float
             ),
         }
-        members = []
-        for c_local in centers:
-            members_local = np.flatnonzero(solution.assignment == c_local)
-            members.append((
-                ctx.to_global(members_local),
-                precluster.cost_matrix[members_local, c_local],
-            ))
+        groups = member_groups(
+            solution.assignment, centers,
+            lambda members, c: precluster.cost_matrix[members, c],
+        )
     # The point plus its count (centers) or its collapse cost (outliers).
     words = float((words_per_point + 1) * (len(centers) + len(outliers)))
     ctx.send_to_coordinator("local_solution", demands, words=words)
-    return {"t_used": t_used, "centers": members, "outliers": ctx.to_global(outliers)}
+    return {"t_used": t_used, "groups": groups, "outliers": solution.outlier_indices}
 
 
 def distributed_uncertain_clustering(
@@ -303,41 +301,12 @@ def distributed_uncertain_clustering(
 
             centers_global = facility_points[coordinator_solution.centers]
 
-        # ------------------------------------------------------------------
-        # Output: expand to a per-node assignment (uncharged output step).
-        # ------------------------------------------------------------------
-        node_assignment: Dict[int, int] = {}
-        node_outliers: List[int] = []
-        dropped = (
-            coordinator_solution.dropped_weight
-            if coordinator_solution.dropped_weight is not None
-            else np.zeros(demand_anchor.size)
+        node_assignment, node_outliers = realize_output(
+            instance.shards,
+            [(r.value["groups"], r.value["outliers"]) for r in round2],
+            coordinator_solution,
+            facility_points,
         )
-        targets = [
-            int(facility_points[a]) if a >= 0 else -1 for a in coordinator_solution.assignment
-        ]
-        idx = 0
-        for result in round2:
-            # A precluster center demand: distribute the attached nodes,
-            # dropping the farthest first.
-            for members, member_costs in result.value["centers"]:
-                target = targets[idx]
-                n_drop = int(round(float(dropped[idx]))) if target >= 0 else members.size
-                n_drop = min(n_drop, members.size)
-                drop_positions = set(np.argsort(-member_costs, kind="stable")[:n_drop].tolist())
-                for pos, node in enumerate(members):
-                    if pos in drop_positions or target < 0:
-                        node_outliers.append(int(node))
-                    else:
-                        node_assignment[int(node)] = target
-                idx += 1
-            for node in result.value["outliers"]:
-                target = targets[idx]
-                if target < 0:
-                    node_outliers.append(int(node))
-                else:
-                    node_assignment[int(node)] = target
-                idx += 1
 
         return DistributedResult(
             centers=centers_global,
@@ -346,7 +315,7 @@ def distributed_uncertain_clustering(
             cost=float(coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=np.asarray(sorted(set(node_outliers)), dtype=int),
+            outliers=node_outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=coordinator_solution,

@@ -29,11 +29,12 @@ local time, so it is also where parallel backends pay off most.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
 from repro.core.allocation import allocate_outlier_budget
+from repro.core.combine import member_groups, realize_output
 from repro.core.preclustering import precluster_site
 from repro.core.run import protocol_run
 from repro.distributed.instance import UncertainDistributedInstance
@@ -127,8 +128,10 @@ def _tau_sweep_task(
 def _round2_task(ctx, words_per_point, node_words, local_kwargs):
     """Site phase of round 2: ship the ``tau_hat`` precluster (outlier nodes in full).
 
-    Returns what the uncharged output step needs: the member nodes of each
-    center demand and the node of each outlier demand.
+    Returns what the uncharged output step needs, in local node ids: the
+    member groups of the center demands and the nodes of the outlier
+    demands.  The center objective drops a demand's whole weight or none of
+    it, so the groups need no order.
     """
     allocation = ctx.messages("allocation")[0].payload
     tau_hat, t_i = float(allocation["tau"]), int(allocation["t_i"])
@@ -150,15 +153,12 @@ def _round2_task(ctx, words_per_point, node_words, local_kwargs):
             ),
             "nodes": [nodes.nodes[j] for j in outliers],
         }
-        members = [
-            ctx.to_global(np.flatnonzero(solution.assignment == c))
-            for c, _ in center_weights
-        ]
+        groups = member_groups(solution.assignment, [c for c, _ in center_weights])
     # A center is its point plus its count; an outlier node is its whole
     # distribution (I words).
     words = float((words_per_point + 1) * len(center_weights) + node_words * len(outliers))
     ctx.send_to_coordinator("local_solution", demands, words=words)
-    return {"centers": members, "outliers": ctx.to_global(outliers)}
+    return {"groups": groups, "outliers": solution.outlier_indices}
 
 
 def distributed_uncertain_center_g(
@@ -347,38 +347,12 @@ def distributed_uncertain_center_g(
             )
             centers_global = facility_points[coordinator_solution.centers]
 
-        # Output: per-node assignment (uncharged output step).
-        node_assignment: Dict[int, int] = {}
-        node_outliers: List[int] = []
-        dropped = (
-            coordinator_solution.dropped_weight
-            if coordinator_solution.dropped_weight is not None
-            else np.zeros(n_demands)
+        node_assignment, node_outliers = realize_output(
+            instance.shards,
+            [(r.value["groups"], r.value["outliers"]) for r in round2],
+            coordinator_solution,
+            facility_points,
         )
-        targets = [
-            int(facility_points[a]) if a >= 0 else -1 for a in coordinator_solution.assignment
-        ]
-        idx = 0
-        for result in round2:
-            for members in result.value["centers"]:
-                # The center objective never partially drops aggregated
-                # weight, so a center demand is either fully served or
-                # fully dropped.
-                target = targets[idx]
-                fully_dropped = target < 0 or dropped[idx] >= weights_arr[idx] - 1e-9
-                for node in members:
-                    if fully_dropped:
-                        node_outliers.append(int(node))
-                    else:
-                        node_assignment[int(node)] = target
-                idx += 1
-            for node in result.value["outliers"]:
-                target = targets[idx]
-                if target < 0:
-                    node_outliers.append(int(node))
-                else:
-                    node_assignment[int(node)] = target
-                idx += 1
 
         return DistributedResult(
             centers=centers_global,
@@ -387,7 +361,7 @@ def distributed_uncertain_center_g(
             cost=float(coordinator_solution.cost),
             ledger=network.ledger,
             rounds=network.current_round,
-            outliers=np.asarray(sorted(set(node_outliers)), dtype=int),
+            outliers=node_outliers,
             site_time=network.site_times(),
             coordinator_time=network.coordinator_time(),
             coordinator_solution=coordinator_solution,

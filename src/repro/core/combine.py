@@ -8,24 +8,30 @@ weighted partial clustering problem over their union.  Theorem 2.1 and
 Corollary 2.2 of the paper guarantee that a good solution of this induced
 weighted problem is a good solution of the original problem.
 
+Sites speak local ids only: a site holds its own points as ``0..n_i-1`` and
+names them that way in everything it sends.  The coordinator built the
+shards, so it is the only party that maps a site's local id to a global one
+(``instance.shards[site][local]``).
+
 This module holds the shared machinery:
 
 * :class:`PreclusterSummary` — what one site contributes to the induced problem;
-* :func:`combine_preclusters` — build the weighted instance, solve it with the
-  requested objective/relaxation, and map the result back to global point ids;
-* optional *realization* of a full per-point assignment (used for evaluation
-  and for the "output all outliers" claim) from the sites' member lists.  The
-  realization models the final output step and is not charged communication.
+* :func:`combine_preclusters` — map the summaries to global ids, build the
+  weighted instance and solve it with the requested objective/relaxation;
+* :func:`member_groups` and :func:`realize_output` — the uncharged output
+  step.  Each site groups its points by local center in drop order, and the
+  coordinator expands its weighted solution into a per-point assignment and
+  outlier set.  Every protocol that names its outliers realizes them here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.metrics.base import MetricSpace
+from repro.distributed.instance import DistributedInstance
 from repro.metrics.blocked import MemoryBudgetLike
 from repro.metrics.cost_matrix import build_cost_matrix, validate_objective
 from repro.sequential.bicriteria import bicriteria_solve
@@ -36,32 +42,27 @@ from repro.utils.rng import RngLike
 
 @dataclass
 class PreclusterSummary:
-    """What one site sends to the coordinator in round 2.
+    """What one site sends to the coordinator in round 2, in its local ids.
 
     Attributes
     ----------
     site_id:
         The contributing site.
     center_points:
-        Global indices of the local centers.
+        Local indices of the site's centers.
     center_weights:
         Number of local points attached to each center (including the center
         itself).
     outlier_points:
-        Global indices of the local points shipped individually (the ``t_i``
+        Local indices of the points shipped individually (the ``t_i``
         unassigned points).  May be empty for protocol variants that do not
         ship outliers (Theorem 3.8).
-    members:
-        Optional mapping ``center global id -> (member global ids, member
-        distances)`` used only to realize a per-point assignment at output
-        time; never charged as communication.
     """
 
     site_id: int
     center_points: np.ndarray
     center_weights: np.ndarray
     outlier_points: np.ndarray
-    members: Optional[Dict[int, tuple]] = None
 
     def __post_init__(self) -> None:
         self.center_points = np.asarray(self.center_points, dtype=int)
@@ -91,74 +92,102 @@ class CombineResult:
     facility_points: np.ndarray
     centers_global: np.ndarray
     explicit_outliers: np.ndarray
-    realized_assignment: Dict[int, int]
-    realized_outliers: np.ndarray
     metadata: dict = field(default_factory=dict)
 
 
-def summarize_local_solution(site, solution, *, ship_outliers: bool = True) -> PreclusterSummary:
+def summarize_local_solution(
+    site_id: int, solution: ClusterSolution, *, ship_outliers: bool = True
+) -> PreclusterSummary:
     """Package a site-local :class:`ClusterSolution` into a :class:`PreclusterSummary`.
 
-    The summary carries exactly what Algorithm 1 (line 15) transmits: the
-    local centers as global point ids, the weight attached to each, and — when
-    ``ship_outliers`` is true — the locally unassigned points.  Member lists
-    (which points sit behind each center, with their local distances) are
-    attached for the output-realization step only and are never charged.
+    The summary carries exactly what Algorithm 1 (line 15) transmits, in the
+    site's local ids: the local centers, the weight attached to each, and —
+    when ``ship_outliers`` is true — the locally unassigned points.
     """
     center_weights_map = solution.center_weights()
-    centers_local = np.asarray(sorted(center_weights_map.keys()), dtype=int)
-    centers_global = site.to_global(centers_local)
-    weights = np.asarray([center_weights_map[int(c)] for c in centers_local], dtype=float)
-    if ship_outliers and solution.outlier_indices.size:
-        outliers_global = site.to_global(solution.outlier_indices)
-    else:
-        outliers_global = np.empty(0, dtype=int)
-
-    members = {}
-    for c_local, c_global in zip(centers_local, centers_global):
-        member_local = np.flatnonzero(solution.assignment == c_local)
-        if member_local.size == 0:
-            members[int(c_global)] = (np.asarray([int(c_global)]), np.asarray([0.0]))
-            continue
-        dists = site.local_metric.pairwise(member_local, [int(c_local)])[:, 0]
-        members[int(c_global)] = (site.to_global(member_local), dists)
+    centers = np.asarray(sorted(center_weights_map.keys()), dtype=int)
+    weights = np.asarray([center_weights_map[int(c)] for c in centers], dtype=float)
+    outliers = solution.outlier_indices if ship_outliers else np.empty(0, dtype=int)
     return PreclusterSummary(
-        site_id=site.site_id,
-        center_points=centers_global,
+        site_id=site_id,
+        center_points=centers,
         center_weights=weights,
-        outlier_points=outliers_global,
-        members=members,
+        outlier_points=outliers,
     )
 
 
-def _assemble_demands(summaries: Sequence[PreclusterSummary]) -> tuple:
-    """Stack all summaries into demand arrays, remembering provenance."""
-    points: List[int] = []
-    weights: List[float] = []
-    provenance: List[tuple] = []  # (site_id, kind, center_global or point_global)
-    for summary in summaries:
-        for c, w in zip(summary.center_points, summary.center_weights):
-            points.append(int(c))
-            weights.append(float(w))
-            provenance.append((summary.site_id, "center", int(c)))
-        for p in summary.outlier_points:
-            points.append(int(p))
-            weights.append(1.0)
-            provenance.append((summary.site_id, "outlier", int(p)))
-    return (
-        np.asarray(points, dtype=int),
-        np.asarray(weights, dtype=float),
-        provenance,
-    )
+def member_groups(
+    assignment: np.ndarray,
+    centers: Sequence[int],
+    cost: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+) -> List[np.ndarray]:
+    """The local ids assigned to each center, in the order the output drops them.
+
+    Group ``i`` holds the ids ``j`` with ``assignment[j] == centers[i]``,
+    sorted by ``cost(members, centers[i])`` in descending order (a stable
+    sort, so ties keep index order); with ``cost=None`` it keeps index
+    order.  :func:`realize_output` drops a group's first members first.
+    """
+    groups = []
+    for c in centers:
+        members = np.flatnonzero(assignment == c)
+        if cost is not None and members.size > 1:
+            members = members[np.argsort(-cost(members, int(c)), kind="stable")]
+        groups.append(members)
+    return groups
+
+
+def realize_output(
+    shards: Sequence[np.ndarray],
+    outputs: Sequence[Tuple[Sequence[np.ndarray], np.ndarray]],
+    solution: ClusterSolution,
+    facility_points: np.ndarray,
+) -> Tuple[Dict[int, int], np.ndarray]:
+    """Expand the coordinator's weighted solution into a per-point output.
+
+    ``outputs[i]`` is site ``i``'s ``(groups, shipped)`` pair in its local
+    ids, where ``groups`` are its :func:`member_groups` and ``shipped`` its
+    individually shipped points, in the order its demands reached the
+    coordinator: one demand per group, then one per shipped point.
+
+    A center demand with ``d`` units of weight dropped drops the first
+    ``round(d)`` members of its group (the farthest, since groups are in
+    drop order; Remark 1 allows dropping fewer copies than the weight), and
+    all of them when the demand is unassigned.  A shipped point is an
+    outlier exactly when its own demand is unassigned.  Returns
+    ``(assignment, outliers)``: a dict from global id to global center, and
+    the sorted global outlier ids.  This models the final output step and is
+    not charged communication.
+    """
+    assign = solution.assignment
+    targets = np.where(assign >= 0, facility_points[np.maximum(assign, 0)], -1)
+    dropped = (
+        solution.dropped_weight
+        if solution.dropped_weight is not None
+        else np.zeros(assign.size)
+    ).tolist()
+    assignment: Dict[int, int] = {}
+    outliers: List[np.ndarray] = [np.empty(0, dtype=int)]
+    idx = 0
+    for shard, (groups, shipped) in zip(shards, outputs):
+        for group in groups:
+            ids = shard[group]
+            target = int(targets[idx])
+            n_drop = ids.size if target < 0 else min(int(round(dropped[idx])), ids.size)
+            outliers.append(ids[:n_drop])
+            assignment.update(dict.fromkeys(ids[n_drop:].tolist(), target))
+            idx += 1
+        ids, own = shard[shipped], targets[idx:idx + len(shipped)]
+        outliers.append(ids[own < 0])
+        assignment.update(zip(ids[own >= 0].tolist(), own[own >= 0].tolist()))
+        idx += ids.size
+    return assignment, np.unique(np.concatenate(outliers))
 
 
 def combine_preclusters(
-    metric: MetricSpace,
+    instance: DistributedInstance,
     summaries: Sequence[PreclusterSummary],
-    k: int,
-    t: float,
     *,
-    objective: str = "median",
     epsilon: float = 0.5,
     relax: str = "outliers",
     rng: RngLike = None,
@@ -166,19 +195,18 @@ def combine_preclusters(
     memory_budget: MemoryBudgetLike = None,
     workdir: Optional[str] = None,
 ) -> CombineResult:
-    """Solve the induced weighted problem at the coordinator and map back.
+    """Solve the induced weighted problem at the coordinator.
 
     Parameters
     ----------
-    metric:
-        The global metric (the coordinator may evaluate distances between
-        points it has received).
+    instance:
+        The partitioned input being solved.  Its metric (the coordinator evaluates distances only between
+        points it has received), its shards (to map each summary's local ids
+        to global ones), ``k``, ``t`` and its objective all come from here.
     summaries:
-        One :class:`PreclusterSummary` per site.
-    k, t:
-        Global center and outlier budgets of the *unrelaxed* problem.
-    objective:
-        ``"median"``, ``"means"`` or ``"center"``.
+        One :class:`PreclusterSummary` per site, in local ids.  The demands
+        keep their arrival order: per summary, the centers, then the shipped
+        points.
     epsilon, relax:
         Bicriteria relaxation used for median/means (Theorem 3.1); the center
         objective always uses exactly ``t`` outliers (Algorithm 2).
@@ -187,15 +215,26 @@ def combine_preclusters(
         :func:`repro.metrics.cost_matrix.build_cost_matrix`); results are
         bit-identical for every budget.
     """
-    obj = validate_objective(objective)
+    obj = validate_objective(instance.objective)
+    k, t = instance.k, instance.t
     solver_kwargs = dict(coordinator_solver_kwargs or {})
 
-    demand_points, demand_weights, provenance = _assemble_demands(summaries)
+    points: List[np.ndarray] = [np.empty(0, dtype=int)]
+    weights: List[np.ndarray] = [np.empty(0)]
+    shipped: List[np.ndarray] = [np.empty(0, dtype=bool)]
+    for summary in summaries:
+        shard = instance.shards[summary.site_id]
+        n_centers, n_shipped = summary.center_points.size, summary.outlier_points.size
+        points += [shard[summary.center_points], shard[summary.outlier_points]]
+        weights += [summary.center_weights, np.ones(n_shipped)]
+        shipped += [np.zeros(n_centers, dtype=bool), np.ones(n_shipped, dtype=bool)]
+    demand_points = np.concatenate(points)
     if demand_points.size == 0:
         raise ValueError("no preclustering information received from any site")
+    demand_weights = np.concatenate(weights)
     facility_points = np.unique(demand_points)
     cost_matrix = build_cost_matrix(
-        metric, demand_points, facility_points, obj,
+        instance.metric, demand_points, facility_points, obj,
         memory_budget=memory_budget, workdir=workdir,
     )
 
@@ -226,21 +265,8 @@ def combine_preclusters(
         if coordinator_solution.dropped_weight is not None
         else np.zeros(demand_points.size)
     )
-    explicit = [
-        demand_points[idx]
-        for idx in range(demand_points.size)
-        if provenance[idx][1] == "outlier" and dropped[idx] >= demand_weights[idx] - 1e-9
-    ]
-    explicit_outliers = np.asarray(sorted(set(int(p) for p in explicit)), dtype=int)
-
-    realized_assignment, realized_outliers = _realize_assignment(
-        summaries,
-        provenance,
-        demand_points,
-        dropped,
-        coordinator_solution,
-        facility_points,
-    )
+    fully_dropped = np.concatenate(shipped) & (dropped >= demand_weights - 1e-9)
+    explicit_outliers = np.unique(demand_points[fully_dropped])
 
     return CombineResult(
         coordinator_solution=coordinator_solution,
@@ -249,8 +275,6 @@ def combine_preclusters(
         facility_points=facility_points,
         centers_global=centers_global,
         explicit_outliers=explicit_outliers,
-        realized_assignment=realized_assignment,
-        realized_outliers=realized_outliers,
         metadata={
             "n_demands": int(demand_points.size),
             "n_facilities": int(facility_points.size),
@@ -259,74 +283,11 @@ def combine_preclusters(
     )
 
 
-def _realize_assignment(
-    summaries: Sequence[PreclusterSummary],
-    provenance: List[tuple],
-    demand_points: np.ndarray,
-    dropped: np.ndarray,
-    coordinator_solution: ClusterSolution,
-    facility_points: np.ndarray,
-) -> tuple:
-    """Expand the coordinator's weighted solution into a per-point assignment.
-
-    Every original point attached to a precluster center inherits that
-    center's assignment; when the coordinator dropped ``d`` units of a
-    center's weight, the ``d`` attached points farthest from the center are
-    designated outliers (Remark 1 allows dropping fewer copies; dropping the
-    farthest ones is the natural realization).  Shipped outlier points follow
-    their own demand's fate.
-    """
-    members_by_site: Dict[tuple, tuple] = {}
-    for summary in summaries:
-        if summary.members:
-            for center, info in summary.members.items():
-                members_by_site[(summary.site_id, int(center))] = info
-
-    assignment: Dict[int, int] = {}
-    outliers: List[int] = []
-    assign_arr = coordinator_solution.assignment
-
-    for idx in range(demand_points.size):
-        site_id, kind, origin = provenance[idx]
-        target = int(facility_points[assign_arr[idx]]) if assign_arr[idx] >= 0 else -1
-        if kind == "outlier":
-            if target < 0:
-                outliers.append(int(origin))
-            else:
-                assignment[int(origin)] = target
-            continue
-        # Weighted precluster center: distribute its members.
-        info = members_by_site.get((site_id, int(origin)))
-        if info is None:
-            # No member list available (e.g. no-shipping variant); only the
-            # center itself can be realized.
-            if target >= 0:
-                assignment[int(origin)] = target
-            else:
-                outliers.append(int(origin))
-            continue
-        member_ids, member_dists = info
-        member_ids = np.asarray(member_ids, dtype=int)
-        member_dists = np.asarray(member_dists, dtype=float)
-        n_drop = int(round(float(dropped[idx]))) if target >= 0 else member_ids.size
-        n_drop = min(n_drop, member_ids.size)
-        if n_drop > 0:
-            drop_order = np.argsort(-member_dists, kind="stable")[:n_drop]
-        else:
-            drop_order = np.empty(0, dtype=int)
-        drop_set = set(member_ids[drop_order].tolist())
-        for pid in member_ids:
-            pid = int(pid)
-            if pid in drop_set:
-                outliers.append(pid)
-            else:
-                assignment[pid] = target
-    return assignment, np.asarray(sorted(set(outliers)), dtype=int)
-
-
 __all__ = [
     "PreclusterSummary",
     "CombineResult",
     "combine_preclusters",
+    "member_groups",
+    "realize_output",
     "summarize_local_solution",
 ]

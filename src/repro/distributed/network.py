@@ -27,15 +27,16 @@ from repro.utils.timing import Timer
 class Site:
     """A site in the coordinator model.
 
-    A site owns a shard of global indices and the view of the input it
-    holds (``local_metric``, local indices ``0..n_i-1``).  For a
-    :class:`DistributedInstance` that is
+    A site holds the view of the input it owns (``local_metric``, local
+    indices ``0..n_i-1``).  For a :class:`DistributedInstance` that is
     :meth:`~DistributedInstance.site_view`, a metric over the site's own
     points alone (its rows, for a Euclidean, matrix or graph metric); for an
     :class:`UncertainDistributedInstance`, its own uncertain nodes over the
-    shared ground metric.  The shard is the only link to global ids
-    (:meth:`to_global`).  The inbox holds messages delivered by the
-    coordinator in the current round.
+    shared ground metric.  Its tasks see only that view and speak local ids.
+    ``shard``, the site's global indices, is coordinator-side bookkeeping:
+    the coordinator built the shards, and it alone maps a site's local ids
+    to global ones.  The inbox holds messages delivered by the coordinator
+    in the current round.
     """
 
     def __init__(self, site_id: int, shard: np.ndarray, local_metric: Any):
@@ -50,7 +51,7 @@ class Site:
         #: :class:`~repro.runtime.state.ResidentState` handle to the dict,
         #: which stays on the site's runner (see :mod:`repro.runtime.state`).
         self.state: Any = {}
-        # Identity of this site's immutable half (shard + local metric) for
+        # Identity of this site's immutable half (its site view) for
         # runner-resident caching: unique per Site instance, so a new
         # protocol run (new StarNetwork, new Sites) never aliases stale
         # remote state.
@@ -60,10 +61,6 @@ class Site:
     def n_points(self) -> int:
         """Number of points (or nodes) held by the site (the paper's ``n_i``)."""
         return int(self.shard.size)
-
-    def to_global(self, local_indices) -> np.ndarray:
-        """Map site-local indices to global indices."""
-        return self.shard[np.asarray(local_indices, dtype=int)]
 
     def receive(self, message: Message) -> None:
         """Deliver a message into the site's inbox."""
@@ -81,7 +78,6 @@ class Coordinator:
     def __init__(self):
         self.inbox: List[Message] = []
         self.timer = Timer()
-        self.state: Dict[str, Any] = {}
 
     def receive(self, message: Message) -> None:
         """Deliver a message into the coordinator's inbox."""
@@ -188,16 +184,6 @@ class StarNetwork:
         self.ledger.record(message)
         self.sites[site_id].receive(message)
         return message
-
-    def broadcast(self, kind: str, payload: Any, words_per_site: float) -> List[Message]:
-        """Send the same payload from the coordinator to every site.
-
-        Each copy is charged separately (the star network has no physical
-        broadcast), matching the paper's accounting.
-        """
-        return [
-            self.send_to_site(i, kind, payload, words_per_site) for i in range(self.n_sites)
-        ]
 
     # ------------------------------------------------------------------
     # Reporting

@@ -2,7 +2,7 @@
 
 A protocol round is an embarrassingly parallel batch of *site tasks*: each
 task runs one site's share of the round against a :class:`SiteContext` — a
-self-contained, picklable view of that site (shard, local metric, mutable
+self-contained, picklable view of that site (its site view, mutable
 state, RNG stream, inbox) — and buffers its transmissions in an outbox
 instead of touching the shared :class:`~repro.distributed.network.StarNetwork`
 directly.  :func:`run_site_tasks` fans the batch out to an execution backend,
@@ -71,19 +71,17 @@ class Outgoing:
 class SiteContext:
     """Everything a site task may touch — and nothing else.
 
-    The context mirrors the :class:`~repro.distributed.network.Site` interface
-    that protocol code relies on (``site_id``, ``shard``, ``local_metric``,
-    ``state``, ``to_global``) so per-site phase functions read the same
-    whether they run inline or on a cluster runner.  ``local_metric`` is the site's
-    view of its input: a metric over its points, or its uncertain nodes.  Transmissions go through
-    :meth:`send_to_coordinator`, which buffers them for deterministic replay
-    into the ledger after the task joins.
+    ``local_metric`` is the site's view of its input: a metric over its own
+    points, or its own uncertain nodes, indexed ``0..n_i-1``.  A site never
+    sees a global id: everything it sends names its points by these local
+    ids, and the coordinator, which built the shards, maps them.
+    Transmissions go through :meth:`send_to_coordinator`, which buffers them
+    for deterministic replay into the ledger after the task joins.
     """
 
     def __init__(
         self,
         site_id: int,
-        shard: np.ndarray,
         local_metric,
         state: Dict[str, Any],
         rng: Optional[np.random.Generator],
@@ -92,14 +90,13 @@ class SiteContext:
         trace: Optional[TraceBuffer] = None,
     ):
         self.site_id = int(site_id)
-        self.shard = shard
         self.local_metric = local_metric
         self.state = state
         self.rng = rng
         self.inbox = inbox
         self.timer = Timer()
         self.outbox: List[Outgoing] = []
-        #: Cache identity of (shard, local_metric) for runner-resident state
+        #: Cache identity of the site view for runner-resident state
         #: on the cluster backend (the site's ``resident_key``; ``None`` on
         #: the runner's own copy, which never dispatches).
         self.resident_key = resident_key
@@ -109,12 +106,8 @@ class SiteContext:
 
     @property
     def n_points(self) -> int:
-        """Number of points held by the site."""
-        return int(self.shard.size)
-
-    def to_global(self, local_indices) -> np.ndarray:
-        """Map site-local indices to global indices."""
-        return self.shard[np.asarray(local_indices, dtype=int)]
+        """Number of points (or nodes) held by the site."""
+        return len(self.local_metric)
 
     def messages(self, kind: Optional[str] = None) -> List[Message]:
         """Messages delivered to this site this round (optionally of one kind)."""
@@ -255,7 +248,6 @@ def run_site_tasks(
         site = network.sites[task.site_id]
         ctx = SiteContext(
             site_id=site.site_id,
-            shard=site.shard,
             local_metric=site.local_metric,
             state=site.state,
             rng=task.rng,

@@ -40,6 +40,10 @@ class UncertainInstance:
 
     # ------------------------------------------------------------------
 
+    def __len__(self) -> int:
+        """Number of uncertain nodes (a site's ``n_i`` when it holds this view)."""
+        return len(self.nodes)
+
     @property
     def n_nodes(self) -> int:
         """Number of uncertain nodes."""

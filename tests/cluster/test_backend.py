@@ -189,8 +189,8 @@ class TestSiteTasks:
         for rec in wire.records:
             if rec.kind == "site_dispatch":
                 dispatch_by_round[rec.round_index] += rec.n_bytes
-        # Round 1 ships (shard, local_metric); round 2 reuses the resident
-        # copy and ships only the per-round state — materially fewer bytes.
+        # Round 1 ships the site view; round 2 reuses the resident copy and
+        # ships only the per-round state — materially fewer bytes.
         assert 0 < dispatch_by_round[2] < dispatch_by_round[1]
 
     def test_shared_pool_evicts_superseded_resident_state(self, cluster2, small_workload):

@@ -2,13 +2,14 @@
 
 In the coordinator model each site starts with its own points only.  On the
 cluster backend the input reaches the sites in round 1: each site's first
-dispatch carries its sticky half, ``(shard, local_metric)``.  With a site
-metric that holds only the site's rows, that is ``n_i`` int64 ids plus
-``n_i·d`` float64 coordinates, so round 1's ``site_dispatch`` frames add up
-to at most ``8·n·(d+1)`` bytes plus a fixed per-site allowance for the
-pickle envelope, the task and its arguments.  A site metric that referenced
-the whole input would ship ``n·d`` coordinates to every site: about 20-35
-KB over the allowance per site on this instance.
+dispatch carries its sticky half, the site view.  With a site metric that
+holds only the site's rows, that is ``n_i·d`` float64 coordinates and no
+global id (sites speak local ids; the coordinator maps them), so round 1's
+``site_dispatch`` frames add up to at most ``8·n·d`` bytes plus a fixed
+per-site allowance for the pickle envelope, the task and its arguments.  A
+site metric that referenced the whole input would ship ``n·d`` coordinates
+to every site: about 20-35 KB over the allowance per site on this instance,
+and shipping each site's int64 shard would add ``8·n`` bytes in all.
 """
 
 import numpy as np
@@ -56,7 +57,7 @@ def _round1_dispatch_raw_bytes(result):
 def test_round1_dispatch_is_linear_in_n(cluster2, points, solve, n_sites):
     result = solve(points, 4, 40, n_sites=n_sites, seed=1, backend=cluster2)
     placed = _round1_dispatch_raw_bytes(result)
-    rows = 8 * N_POINTS * (DIM + 1)
+    rows = 8 * N_POINTS * DIM
     assert rows < placed <= rows + PER_SITE_ALLOWANCE * n_sites, (
         f"round-1 dispatch {placed} B for {n_sites} sites; the sites' own rows "
         f"are {rows} B, so {(placed - rows) / n_sites:.0f} B per site on top"
