@@ -270,26 +270,30 @@ def fault_tolerance_and_recovery(points, k, t) -> None:
     that is wedged rather than dead, by heartbeat silence: with
     ``heartbeat_timeout`` set, runners send unsolicited liveness frames and
     the coordinator declares a host dead when frames stop while work is in
-    flight.  Recovery then:
+    flight.  Recovery replays exactly the work the death interrupted, when
+    it is needed — a site task in flight on the dead host at once, a site
+    whose state sat idle there at its next dispatch:
 
-    1. **re-pins** the dead host's sites to survivors — a pure function of
-       the site id and the set of dead hosts, so every run makes the same
-       choice;
-    2. **replays** each moved site's dispatch log from record 0 on its new
-       host (record 0 ships the full state + the sticky site view; later
-       records re-apply each round's task with its recorded RNG stream and
-       inbox), verifying the rebuilt state against the original state
-       digests;
-    3. **resolves** each in-flight site task with its replayed last record.
+    1. **re-pins** the site to a survivor — a pure function of the site id
+       and the set of dead hosts, so every run makes the same choice;
+    2. **replays** the site's dispatch log from record 0 on its new host
+       (record 0 ships the full state + the sticky site view; later records
+       re-apply each round's task with its recorded RNG stream and inbox),
+       verifying the rebuilt state against the original state digests, and
+       starting over elsewhere if the new host dies too;
+    3. **resolves** the in-flight site task with its replayed last record.
 
     The run then continues — **bit-identically**: same centers, cost and
     word ledger as a failure-free run.  Only the wire ledger shows the
     recovery, honestly accounted: replay traffic under ``replay_*`` frame
-    kinds, plus one ``RecoveryEvent`` (host, round, reason, re-pin map) in
+    kinds, plus one ``RecoveryEvent`` (host, round, reason, this run's
+    re-pin map and replay frames) per death that interrupted the run, in
     ``result.ledger.wire.summary()["recovery"]``, and ``recovery.*``
-    counters on a traced run.  When the budget is exhausted
-    (``max_retries`` host deaths already recovered), the next death is a
-    clean ``DeadHostError`` with full context.
+    counters on a traced run.  A death that interrupts no run (one after a
+    run's last reply) shows only in the pool's ``dead_hosts()``.  When the
+    budget is exhausted (``max_retries`` host deaths already recovered),
+    the next death that interrupts work is a clean ``DeadHostError`` with
+    full context.
 
     Deterministic fault injection — the harness the recovery tests use —
     is available to drills too: a ``FaultPlan`` (or the ``REPRO_FAULT_PLAN``

@@ -31,11 +31,12 @@ Results are bit-identical to ``backend="serial"`` for a fixed seed — the
 wire is an execution detail; the word ledger never changes.
 
 Built with ``retry=RetryPolicy(max_retries=N)``, the pool is also fault
-tolerant: up to N runner deaths mid-round (socket error or heartbeat
-timeout) are recovered by re-pinning the dead host's sites deterministically
-to survivors and replaying their dispatch logs — still bit-identical, with
+tolerant: up to N runner deaths (socket error or heartbeat timeout) are
+recovered by re-pinning the dead host's sites deterministically to
+survivors and replaying their dispatch logs — still bit-identical, with
 the replay bytes accounted under ``replay_*`` frame kinds and a
-:class:`~repro.cluster.wire.RecoveryEvent` in the ledger.  The default
+:class:`~repro.cluster.wire.RecoveryEvent` in the ledger of each run the
+death interrupted.  The default
 budget is zero: the first death raises
 :class:`~repro.cluster.recovery.DeadHostError`.  A deterministic
 :class:`~repro.cluster.recovery.FaultPlan` (or the ``REPRO_FAULT_PLAN``

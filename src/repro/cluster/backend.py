@@ -40,15 +40,19 @@ state resident, logs every dispatch and replays it on recovery in one way.
 **Fault tolerance** is a property of the pool, set where it is built
 (``retry=RetryPolicy(...)``), and has one code path.  Every site dispatch
 is appended to its site's dispatch log
-(:class:`~repro.cluster.recovery.SiteLog`) and placed by one function.  A
-runner death is *classified* against the policy's retry budget.  Within
-the budget, the dead host's sites re-pin to survivors deterministically and
-each log replays from record 0 (re-shipping the sticky half, rewriting
-state-token epochs positionally and carrying the same RNG streams over);
-the replayed state is verified against the recorded digests and the round
-resumes.  Results are bit-identical to the no-failure run, and every replay
-frame is accounted in the wire ledger under ``replay_*`` kinds next to a
-:class:`~repro.cluster.wire.RecoveryEvent` recording the re-pin map.  The
+(:class:`~repro.cluster.recovery.SiteLog`); the decisions — budget, re-pin
+rule, digest checks, which ledger a death goes on — live in
+:class:`~repro.cluster.recovery.Recovery`, and this module does the I/O.
+Within the budget a death replays exactly the work it interrupted, when it
+is needed: a site task in flight on the dead host at once (on the recovery
+thread), a site whose state sat idle there at its key's next dispatch.  A
+replay re-places the site deterministically and re-executes its log from
+record 0 (re-shipping the sticky half, rewriting state-token epochs
+positionally and carrying the same RNG streams over), verifying the
+replayed state against the recorded digests, and starts over elsewhere if
+its target dies too.  Results are bit-identical to the no-failure run; the
+replay frames are accounted under ``replay_*`` kinds, next to one
+:class:`~repro.cluster.wire.RecoveryEvent` per interrupted run.  The
 default budget is zero, which is fail fast: placement never routes around
 a dead host, and the death fails its in-flight futures with a
 :class:`~repro.cluster.recovery.DeadHostError` naming the host, its
@@ -70,7 +74,6 @@ import sys
 import tempfile
 import threading
 import time
-import weakref
 from concurrent.futures import Future
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -86,9 +89,11 @@ from repro.cluster.recovery import (
     DeadHostError,
     FaultPlan,
     HEARTBEAT_INTERVAL_ENV,
+    Recovery,
     RetryPolicy,
     SiteDispatchRecord,
     SiteLog,
+    SiteLogs,
     resolve_retry_policy,
 )
 from repro.cluster.wire import WireLedger
@@ -147,13 +152,6 @@ class _Host:
         self.pending: Dict[int, _Pending] = {}
         self.lock = threading.Lock()
         self.dead: Optional[str] = None
-        #: Shared bookkeeping for this host's death, created by ``_mark_dead``
-        #: when the death is within the retry budget: whichever thread
-        #: replays one of the host's site logs (the recovery thread, or a
-        #: racing dispatch that got the log lock first) records its
-        #: re-pin and frame count here, and the recovery thread emits the
-        #: merged event.  Guarded by the backend's ``_retry_lock``.
-        self.recovery_stats: Optional[Dict[str, Any]] = None
         #: Monotonic instant of the last frame (result or heartbeat) this
         #: host's socket produced; the heartbeat monitor compares it against
         #: the policy's timeout while work is in flight.
@@ -180,7 +178,16 @@ class _Host:
 
 
 class ClusterBackend(ExecutionBackend):
-    """Run site tasks on one long-lived runner process per simulated host."""
+    """Run site tasks on one long-lived runner process per simulated host.
+
+    A runner death goes on the books of exactly the runs whose work it
+    interrupts: a run with a frame in flight to the dead host, or a run
+    whose later dispatch needs site state the host held.  Each such run's
+    wire ledger gets one :class:`~repro.cluster.wire.RecoveryEvent` for the
+    death, and a ledger whose run has returned never changes.  A death that
+    interrupts nothing — one after a run's last reply, say — is reported
+    only by :meth:`dead_hosts`.
+    """
 
     name = "cluster"
 
@@ -210,19 +217,9 @@ class ClusterBackend(ExecutionBackend):
         self._seq = 0
         self._submit_lock = threading.Lock()
         self._start_lock = threading.Lock()
-        #: resident_key -> weakref of the key's current state handle: the
-        #: only handle a dispatch may reference, and the sign that a site
-        #: still holds the state, so recovery must replay it.
-        self._handles: Dict[Any, "weakref.ref[ResidentState]"] = {}
-        #: resident_key -> replayable dispatch log, one per resident key.
-        self._site_logs: Dict[Any, SiteLog] = {}
-        self._logs_lock = threading.Lock()
-        self._failures = 0
-        self._retry_lock = threading.Lock()
-        #: Terminal reason once the retry budget is exhausted (at the first
-        #: death for a zero budget): every later replay attempt raises it
-        #: instead of recovering.
-        self._exhausted: Optional[str] = None
+        #: One replayable dispatch log per resident key.
+        self._site_logs = SiteLogs()
+        self._recovery = Recovery(self.retry)
         #: The single selector loop multiplexing every runner channel; one
         #: daemon thread regardless of ``n_hosts``.
         self._loop: Optional[EventLoop] = None
@@ -437,7 +434,7 @@ class ClusterBackend(ExecutionBackend):
             self._monitor_timer = None
         # Runner-resident state dies with the runners: a handle dispatched
         # after close is no longer current and fails its dispatch.
-        self._handles.clear()
+        self._site_logs = SiteLogs()
         if loop is not None:
             loop.stop()
         if hosts is not None:
@@ -517,7 +514,6 @@ class ClusterBackend(ExecutionBackend):
         their rounds and the host's last committed state epoch per site, so
         a terminal failure is diagnosable from its message alone.
         """
-        policy = self.retry
         with host.lock:
             if host.dead is not None:
                 return
@@ -525,26 +521,12 @@ class ClusterBackend(ExecutionBackend):
             # racing a submission in this window still sees a host-naming
             # message.
             placeholder = f"cluster host {host.host_id} died mid-round ({detail})"
-            with self._retry_lock:
-                self._failures += 1
-                recover = (
-                    self._hosts is not None and self._failures <= policy.max_retries
-                )
-                if not recover:
-                    # Set before ``dead``: whoever observes this death also
-                    # observes that it is terminal, so no replay starts on a
-                    # spent budget — and a refused replay names the budget.
-                    if policy.max_retries:
-                        placeholder += "; retry budget exhausted"
-                    self._exhausted = placeholder
-            if recover:
-                # Created together with the death claim so a dispatch that
-                # races the recovery thread to a site-log replay always has
-                # somewhere to record its contribution.
-                host.recovery_stats = {
-                    "repin": {}, "frames": 0, "wire": None, "tracer": None,
-                    "round": 0, "closed": False, "emitted": False,
-                }
+            # Classified before ``dead`` is set: whoever observes this death
+            # also observes whether it is terminal.
+            recover = (
+                self._hosts is not None
+                and self._recovery.recovers(host.host_id, placeholder)
+            )
             host.dead = placeholder
             pending = sorted(host.pending.items())
             host.pending.clear()
@@ -561,7 +543,7 @@ class ClusterBackend(ExecutionBackend):
         reason = (
             f"cluster host {host.host_id} died mid-round ({detail}; runner exit "
             f"code {exitcode}); in-flight tasks: [{inflight}]; last committed "
-            f"state epoch by site: {{{self._committed_epoch_note(host)}}}"
+            f"state epoch by site: {{{self._site_logs.epoch_note(host.resident_by_site)}}}"
         )
         if recover:
             host.dead = reason
@@ -574,12 +556,7 @@ class ClusterBackend(ExecutionBackend):
             self._recovery_threads.append(thread)
             thread.start()
             return
-        if policy.max_retries:
-            reason = (
-                f"{reason}; retry budget exhausted "
-                f"({policy.max_retries} host failure(s) already recovered)"
-            )
-        self._exhausted = host.dead = reason
+        reason = host.dead = self._recovery.terminal(reason)
         task_ids = tuple(f"{entry.kind}#{seq}" for seq, entry in pending)
         for seq, entry in pending:
             self._clear_log_pending(entry)
@@ -589,25 +566,14 @@ class ClusterBackend(ExecutionBackend):
                         reason,
                         host_id=host.host_id,
                         round_index=entry.round_index,
-                        epoch=self._log_epoch_for(entry),
+                        epoch=entry.site_log.epoch if entry.site_log else None,
                         task_ids=task_ids,
                     )
                 )
 
     # ------------------------------------------------------------------
-    # Recovery: re-pinning and state-epoch replay
+    # Recovery I/O: draining a dead host and replaying site logs
     # ------------------------------------------------------------------
-
-    def _committed_epoch_note(self, host: _Host) -> str:
-        """``site N: epoch E`` fragments for the host's resident site state."""
-        notes = []
-        for (job, site_id), key in sorted(host.resident_by_site.items()):
-            with self._logs_lock:
-                log = self._site_logs.get(key)
-            if log is not None:
-                label = f"site {site_id}" if not job else f"{job}/site {site_id}"
-                notes.append(f"{label}: epoch {log.epoch}")
-        return "; ".join(notes) or "none"
 
     @staticmethod
     def _clear_log_pending(entry: _Pending) -> None:
@@ -616,14 +582,6 @@ class ClusterBackend(ExecutionBackend):
             if pending is not None and pending[1] is entry:
                 entry.site_log.pending = None
 
-    def _log_epoch_for(self, entry: _Pending) -> Optional[int]:
-        return entry.site_log.epoch if entry.site_log is not None else None
-
-    def _live_handle(self, key: Any) -> Optional[ResidentState]:
-        """The key's current state handle, if a site still holds it."""
-        ref = self._handles.get(key)
-        return ref() if ref is not None else None
-
     def _host_by_id(self, host_id: Optional[int]) -> Optional[_Host]:
         hosts = self._hosts
         if hosts is None or host_id is None or not (0 <= host_id < len(hosts)):
@@ -631,29 +589,11 @@ class ClusterBackend(ExecutionBackend):
         return hosts[host_id]
 
     def _place(self, site_id: int) -> _Host:
-        """Deterministic placement for site ``site_id``.
-
-        The default ``site_id % n_hosts`` pin wins while its host lives.
-        Once it died, a pool with a retry budget routes to
-        ``alive[site_id % len(alive)]`` — a pure function of the site id and
-        the set of dead hosts, so two coordinators observing the same deaths
-        place identically.  A zero budget never routes around a dead host:
-        the dead default comes back, and the dispatch fails with its death.
-        """
+        """The host :meth:`Recovery.place` picks for site ``site_id``."""
         hosts = self._hosts
         if hosts is None:
             raise RuntimeError("the cluster backend is closed")
-        default = hosts[site_id % len(hosts)]
-        if default.dead is None or not self.retry.max_retries:
-            return default
-        alive = [h for h in hosts if h.dead is None]
-        if not alive:
-            raise DeadHostError(
-                f"no surviving cluster hosts to re-pin site {site_id} to "
-                f"(last death: {default.dead})",
-                host_id=default.host_id,
-            )
-        return alive[site_id % len(alive)]
+        return hosts[self._recovery.place(site_id, [host.dead for host in hosts])]
 
     def _ensure_located_locked(self, log: SiteLog) -> Optional[_Host]:
         """A live host holding ``log``'s resident state (caller holds log.lock).
@@ -667,145 +607,114 @@ class ClusterBackend(ExecutionBackend):
         host = self._host_by_id(log.location)
         if host is not None and host.dead is None:
             return host
-        target = self._place(log.site_id)
-        self._replay_log_locked(log, target)
-        return target
-
-    def _verify_replay_digest(
-        self, log: SiteLog, index: int, epoch: Any, sizes: Dict[str, int]
-    ) -> None:
-        """Assert a replayed record reproduced the recorded state digest.
-
-        Epochs are *not* compared — the replay target assigns its own
-        monotonic sequence — but the digest's per-entry sizes are the
-        content fingerprint the original run committed, and determinism says
-        they must match exactly.
-        """
-        expected = log.digests[index]
-        if expected is None:
-            return
-        tracer = log.records[index].tracer
-        if tracer is not None:
-            tracer.inc("recovery.digest_checks")
-        if dict(expected[1]) != dict(sizes):
-            raise DeadHostError(
-                f"replay of site {log.site_id} (resident key {log.key!r}) "
-                f"diverged at record {index}: replayed state digest {sizes!r} "
-                f"!= recorded digest {expected[1]!r}",
-                host_id=log.location,
-                round_index=log.records[index].round_index,
-                epoch=expected[0],
-            )
+        return self._replay_log_locked(log, host)
 
     def _replay_log_locked(
-        self, log: SiteLog, target: _Host, adopt_final: Optional[Future] = None
-    ) -> int:
-        """Re-execute a site's dispatch log on ``target`` (caller holds log.lock).
+        self, log: SiteLog, dead: _Host, adopt_final: Optional[Future] = None
+    ) -> _Host:
+        """Rebuild the state ``dead``'s death lost (caller holds log.lock).
 
-        Replays every record from 0 — the first record necessarily shipped
-        the full state dict, so a fresh host rebuilds from nothing — with
-        state-token epochs rewritten positionally to the target's own epoch
-        sequence and each replayed digest verified against the recorded one.
+        Replays every record from 0 onto the site's placement — the first
+        record necessarily shipped the full state dict, so a fresh host
+        rebuilds from nothing — with state-token epochs rewritten
+        positionally to the target's own epoch sequence and each replayed
+        digest checked; if the target dies too, re-places and starts over.
         Historical results are discarded; the final record resolves the
-        original in-flight future (``log.pending`` or ``adopt_final``) via
-        the regular site-result converter, or else moves the site's current
-        state handle to the replayed epoch.  Returns the number of replayed
-        frames.
+        original in-flight future (``log.pending`` or ``adopt_final``), or
+        else moves the site's handle to the replayed epoch.  Charges the
+        records' ledger and returns the host now holding the state.
         """
-        # Placement hands a zero budget the dead host itself; a spent budget
-        # refuses any further replay.  Either way the site's last committed
-        # epoch goes on the error.
-        refusal, dead_id = target.dead, target.host_id
-        if refusal is None:
-            refusal, dead_id = self._exhausted, log.location
-        if refusal is not None:
-            raise DeadHostError(
-                refusal, host_id=dead_id, epoch=log.epoch,
-                round_index=log.records[-1].round_index if log.records else None,
-            )
-        origin = self._host_by_id(log.location)
         pending = log.pending
         log.pending = None
         resolve = pending[1].future if pending is not None else adopt_final
-        final_index = len(log.records) - 1
-        epoch = 0
-        replayed = 0
-        for index, rec in enumerate(log.records):
-            state = rec.state
-            if is_state_token(state):
-                # Record i's token referenced the epoch record i-1 produced;
-                # on the target that is whatever epoch the previous replay
-                # just returned.
-                state = (STATE_TOKEN_TAG, epoch)
-            is_final = index == final_index and resolve is not None
-            if rec.tracer is not None:
-                rec.tracer.inc("recovery.replayed_frames")
-            future = self._submit_frame(
-                target,
-                self._site_frame(
-                    target, log, rec, state, decode_payload(rec.rng_bytes),
-                    traced=is_final and rec.traced,
-                ),
-                wire=rec.wire, round_index=rec.round_index, kind="replay",
-                convert=None, tracer=rec.tracer, job=log.job,
-            )
-            replayed += 1
-            result = future.result()  # raises if the target died too
-            _, epoch, sizes = result["state"]
-            self._verify_replay_digest(log, index, epoch, sizes)
-            if is_final:
-                log.digests[index] = (epoch, dict(sizes))
-                if not resolve.done():
-                    resolve.set_result(
-                        self._site_result_converter(log.key, log.site_id)(result)
+        last = log.records[-1]
+        tracer = last.tracer
+        t0 = tracer.clock() if tracer is not None else 0.0
+        sent = 0
+        while True:
+            target = self._place(log.site_id)
+            # Placement hands a zero budget the dead host itself; a spent
+            # budget refuses any further replay.  Either way the site's last
+            # committed epoch goes on the error.
+            refusal, dead_id = target.dead, target.host_id
+            if refusal is None:
+                refusal, dead_id = self._recovery.exhausted, dead.host_id
+            if refusal is not None:
+                raise DeadHostError(
+                    refusal, host_id=dead_id, epoch=log.epoch,
+                    round_index=last.round_index,
+                )
+            epoch = 0
+            try:
+                for index, rec in enumerate(log.records):
+                    state = rec.state
+                    if is_state_token(state):
+                        # Record i's token referenced the epoch record i-1
+                        # produced; on the target that is whatever epoch the
+                        # previous replay just returned.
+                        state = (STATE_TOKEN_TAG, epoch)
+                    is_final = rec is last and resolve is not None
+                    future = self._submit_frame(
+                        target,
+                        self._site_frame(
+                            target, log, rec, state, decode_payload(rec.rng_bytes),
+                            traced=is_final and rec.traced,
+                        ),
+                        wire=rec.wire, round_index=rec.round_index, kind="replay",
+                        convert=None, tracer=rec.tracer, job=log.job,
                     )
+                    sent += 1
+                    result = future.result()
+                    _, epoch, sizes = result["state"]
+                    log.check_replay(index, sizes)
+                    if is_final:
+                        log.digests[index] = (epoch, dict(sizes))
+                        if not resolve.done():
+                            resolve.set_result(self._site_result_converter(log)(result))
+                break
+            except (_HostDied, DeadHostError):
+                if target.dead is None:
+                    raise  # the replay diverged; the target is fine
         log.epoch = epoch
         log.location = target.host_id
-        if origin is not None and origin.recovery_stats is not None:
-            # Whoever replayed this log — the recovery thread, or a dispatch
-            # that beat it to the log lock — contributes to the death's
-            # shared bookkeeping; the recovery thread emits the merged event.
-            with self._retry_lock:
-                stats = origin.recovery_stats
-                stats["repin"][log.site_id] = target.host_id
-                stats["frames"] += replayed
-                if log.records:
-                    stats["round"] = max(stats["round"], log.records[-1].round_index)
-                    if stats["wire"] is None:
-                        stats["wire"] = log.records[-1].wire
-                    if stats["tracer"] is None:
-                        stats["tracer"] = log.records[-1].tracer
-        handle = self._live_handle(log.key)
-        if resolve is None and handle is not None:
+        if resolve is None and log.handle is not None:
             # Every record was already complete: the site's handle names the
             # old copy's epoch — move it to the replayed copy's, so its next
             # dispatch token references the state the target now holds.
-            handle.epoch = epoch
-        return replayed
+            log.handle.epoch = epoch
+        self._recovery.touch(
+            dead.host_id, dead.dead, last.wire, tracer, last.round_index,
+            site_id=log.site_id, target=target.host_id, frames=sent,
+        )
+        if tracer is not None:
+            tracer.add_span(
+                "recovery", t0, tracer.clock(), origin="coordinator",
+                host=dead.host_id, round=last.round_index,
+                site=log.site_id, frames=sent,
+            )
+        return target
 
     def _recover_host(self, host: _Host, pending: List[Tuple[int, _Pending]],
                       reason: str) -> None:
-        """Recover one dead host: re-pin, replay, account.
+        """Replay the work one death interrupted (runs on its own thread).
 
-        Runs on its own thread.  Order matters: frames that need no site-log
-        lock resolve first (failing another recovery's in-flight replay
-        frames promptly — that thread owns the log lock we would otherwise
-        wait on), then every site log located on the dead host replays onto
-        its re-pin target.  Any failure here fails the affected futures with
-        a :class:`DeadHostError` — never silently.
+        Every drained frame puts the death on its run's books.  Frames that
+        need no site-log lock resolve first (failing another recovery's
+        in-flight replay frames promptly — that thread owns the log lock we
+        would otherwise wait on, and re-places its replay), then each
+        drained site frame's log replays, resolving the frame's future.
+        Any failure here fails the affected futures with a
+        :class:`DeadHostError` — never silently.
         """
-        repin: Dict[int, int] = {}
-        replayed = 0
-        tracer = next((e.tracer for _, e in pending if e.tracer is not None), None)
-        wire = next((e.wire for _, e in pending if e.wire is not None), None)
-        round_hint = max((e.round_index for _, e in pending), default=0)
-        t0 = tracer.clock() if tracer is not None else 0.0
         try:
             site_entries: List[_Pending] = []
-            for seq, entry in pending:
+            for _, entry in pending:
+                self._recovery.touch(
+                    host.host_id, reason, entry.wire, entry.tracer, entry.round_index
+                )
                 if entry.future.done():
                     continue
-                if entry.kind == "site" and entry.site_log is not None:
+                if entry.site_log is not None:
                     site_entries.append(entry)
                 else:
                     entry.future.set_exception(
@@ -816,36 +725,12 @@ class ClusterBackend(ExecutionBackend):
                             round_index=entry.round_index,
                         )
                     )
-            for (_, site_id), key in sorted(host.resident_by_site.items()):
-                with self._logs_lock:
-                    log = self._site_logs.get(key)
-                if log is None:
-                    continue
-                with log.lock:
-                    if log.location != host.host_id:
-                        continue  # already re-pinned (racing dispatch replayed it)
-                    if (
-                        host.hb_account[0] is None
-                        and log.pending is None
-                        and self._live_handle(key) is None
-                    ):
-                        # Nothing waits on this state, no site holds its
-                        # handle, and no run is accounting against this host
-                        # (the dispatch-time (wire, tracer) pair is cleared by
-                        # ``detach_run_accounting`` when a run ends): skip the
-                        # replay, let the next dispatch re-ship the full
-                        # context through the ordinary miss path.  While a run
-                        # IS active the log replays even with nothing in
-                        # flight — the run may well dispatch to this site next
-                        # round, and the ledger must show the death (exactly
-                        # one recovery event plus replay frames) no matter how
-                        # the event loop races that dispatch.
-                        log.location = None
-                        continue
-                    # Replay contributions (re-pin, frame count, round/wire/
-                    # tracer evidence) land in ``host.recovery_stats``.
-                    self._replay_log_locked(log, self._place(site_id))
             for entry in site_entries:
+                log = entry.site_log
+                with log.lock:
+                    # A dispatch that got the lock first already replayed it.
+                    if log.location == host.host_id:
+                        self._replay_log_locked(log, host)
                 if not entry.future.done():  # pragma: no cover - defensive
                     entry.future.set_exception(
                         DeadHostError(
@@ -864,95 +749,6 @@ class ClusterBackend(ExecutionBackend):
                 self._clear_log_pending(entry)
                 if not entry.future.done():
                     entry.future.set_exception(error)
-            return
-        with self._retry_lock:
-            # Merge replay contributions — including those from dispatches
-            # that beat this thread to a site-log replay, which would
-            # otherwise leave the event empty.  Pass 2 above blocked on every
-            # log's lock, so all replays of this host's logs are recorded.
-            stats = host.recovery_stats
-            if stats is not None:
-                repin.update(stats["repin"])
-                replayed += stats["frames"]
-                round_hint = max(round_hint, stats["round"])
-                if wire is None:
-                    wire = stats["wire"]
-                if tracer is None:
-                    tracer = stats["tracer"]
-            if wire is None:
-                # Nothing in flight and nothing replayed, but a run may still
-                # be accounting against this host: fall back to the (wire,
-                # tracer) pair captured at its last dispatch so a mid-run
-                # death always shows in the ledger.  Cleared at run end by
-                # ``detach_run_accounting``, so idle warm-pool deaths stay
-                # off finished runs' books.
-                hb_wire, hb_tracer, hb_round, _ = host.hb_account
-                wire = hb_wire
-                if tracer is None:
-                    tracer = hb_tracer
-                round_hint = max(round_hint, hb_round)
-            if stats is not None:
-                # Later contributors (a dispatch that routes around the
-                # death after this merge) emit the event themselves iff we
-                # are not about to.
-                stats["closed"] = True
-                stats["emitted"] = wire is not None
-        if wire is not None:
-            wire.record_recovery(
-                host=host.host_id, round_index=round_hint, reason=reason,
-                repin=repin, replayed_frames=replayed,
-            )
-        if tracer is not None:
-            tracer.inc("recovery.host_failures")
-            tracer.inc("recovery.repinned_sites", len(repin))
-            tracer.add_span(
-                "recovery", t0, tracer.clock(), origin="coordinator",
-                host=host.host_id, round=round_hint,
-                sites=len(repin), frames=replayed,
-            )
-            tracer.event(
-                "host_death", host=host.host_id, round=round_hint,
-                repinned=len(repin), replayed=replayed,
-            )
-
-    def _note_death_observed(
-        self, host: _Host, wire, tracer, round_index: int
-    ) -> None:
-        """Make sure ``host``'s death shows in the ledger exactly once.
-
-        Called by any site dispatch that *observes* a death: its placement
-        routes around (or replays off) the dead host.  Contributes this
-        dispatch's round/wire/tracer to the death's shared bookkeeping if
-        the recovery thread has not merged yet (it emits the single merged
-        event), or emits the recovery event here if the thread closed
-        without ledger evidence (nothing was in flight and
-        nothing was resident, so it had no wire to record on).  The
-        ``emitted`` flag under ``_retry_lock`` keeps the event unique.
-        """
-        emit = False
-        with self._retry_lock:
-            stats = host.recovery_stats
-            if stats is not None:
-                if not stats["closed"]:
-                    stats["round"] = max(stats["round"], round_index)
-                    if stats["wire"] is None:
-                        stats["wire"] = wire
-                    if stats["tracer"] is None:
-                        stats["tracer"] = tracer
-                elif not stats["emitted"] and wire is not None:
-                    stats["emitted"] = True
-                    emit = True
-        if emit:
-            wire.record_recovery(
-                host=host.host_id, round_index=round_index,
-                reason=host.dead, repin={}, replayed_frames=0,
-            )
-            if tracer is not None:
-                tracer.inc("recovery.host_failures")
-                tracer.event(
-                    "host_death", host=host.host_id,
-                    round=round_index, repinned=0, replayed=0,
-                )
 
     def _apply_faults(self, host: _Host, actions) -> None:
         """Execute matched fault-plan actions against one host."""
@@ -1120,15 +916,13 @@ class ClusterBackend(ExecutionBackend):
         job: str = "",
         site_log: Optional[SiteLog] = None,
         record_index: Optional[int] = None,
-        on_dead: str = "fail",
     ) -> Future:
         """Encode, register and enqueue one frame; returns its future.
 
         ``site_log`` and ``record_index`` name the dispatch record a site
-        frame carries, for recovery.  ``on_dead`` chooses what a
-        registration racing the host's death does: ``"fail"`` (default)
-        resolves the future with the death, ``"raise"`` throws
-        :class:`_HostDied` so the caller can re-target and replay.
+        frame carries, for recovery.  A registration racing the host's
+        death throws :class:`_HostDied` before the frame reaches the wire or
+        the ledger, so the caller can re-target and replay.
         """
         future: Future = Future()
         fault_ordinal: Optional[int] = None
@@ -1174,14 +968,7 @@ class ClusterBackend(ExecutionBackend):
                 entry.t_send = tracer.clock()
             with host.lock:
                 if host.dead is not None:
-                    if on_dead == "raise":
-                        raise _HostDied(host.dead)
-                    future.set_exception(
-                        DeadHostError(
-                            host.dead, host_id=host.host_id, round_index=round_index,
-                        )
-                    )
-                    return future
+                    raise _HostDied(host.dead)
                 if not host.pending:
                     # Idle -> busy: the silence window the heartbeat monitor
                     # measures starts now, not at the last old frame.
@@ -1272,21 +1059,10 @@ class ClusterBackend(ExecutionBackend):
         """Log, place and submit one site task (see :meth:`submit_site_pairs`)."""
         traced = tracer is not None and tracer.enabled
         key = ctx.resident_key
-        with self._logs_lock:
-            log = self._site_logs.get(key)
-            if log is None:
-                log = self._site_logs[key] = SiteLog(
-                    key, ctx.site_id, ctx.local_metric, job
-                )
+        log = self._site_logs.open(key, ctx.site_id, ctx.local_metric, job)
         with log.lock:
             target = self._ensure_located_locked(log) or self._place(ctx.site_id)
-            default = self._host_by_id(ctx.site_id % self.n_hosts)
-            if target is not default:
-                # Placement routed around (or replayed off) a dead host: make
-                # sure the death is on the ledger even if its recovery thread
-                # closed with nothing in flight to evidence it.
-                self._note_death_observed(default, wire, tracer, round_index)
-            state = self._encode_dispatch_state(ctx.state, key)
+            state = self._encode_dispatch_state(ctx.state, log)
             if traced:
                 tracer.inc(
                     "cluster.resident_hit" if key in target.resident_keys
@@ -1306,9 +1082,8 @@ class ClusterBackend(ExecutionBackend):
                     target,
                     self._site_frame(target, log, record, state, ctx.rng, traced),
                     wire=wire, round_index=round_index, kind="site",
-                    convert=self._site_result_converter(key, ctx.site_id),
-                    tracer=tracer, job=job, on_dead="raise",
-                    site_log=log, record_index=index,
+                    convert=self._site_result_converter(log),
+                    tracer=tracer, job=job, site_log=log, record_index=index,
                 )
             except _HostDied:
                 # The target died between placement and registration.  The
@@ -1316,7 +1091,7 @@ class ClusterBackend(ExecutionBackend):
                 # on the placement the death leaves) both rebuilds the
                 # resident state and produces this dispatch's result.
                 adopted: Future = Future()
-                self._replay_log_locked(log, self._place(ctx.site_id), adopted)
+                self._replay_log_locked(log, target, adopted)
                 return adopted
 
     def _site_frame(
@@ -1328,8 +1103,8 @@ class ClusterBackend(ExecutionBackend):
         Used by first dispatch and replay alike.  The sticky half ships only
         when the host does not hold the key yet.  A fresh key for an
         already-seen ``(job, site)`` slot means a new protocol run took the
-        slot over: the superseded key is evicted remotely (its handle and
-        dispatch log dropped), so a shared warm pool never grows runner
+        slot over: the superseded key is evicted remotely (its dispatch log
+        and state handle dropped), so a shared warm pool never grows runner
         memory or site logs with dead runs.  Slots are
         per job namespace, so concurrent jobs with identical site ids never
         evict each other.
@@ -1341,11 +1116,9 @@ class ClusterBackend(ExecutionBackend):
             sticky = log.sticky
             stale = host.resident_by_site.get((log.job, log.site_id))
             if stale is not None and stale != key:
-                self._handles.pop(stale, None)
                 evict.append(stale)
                 host.resident_keys.discard(stale)
-                with self._logs_lock:
-                    self._site_logs.pop(stale, None)
+                self._site_logs.evict(stale)
             host.resident_keys.add(key)
             host.resident_by_site[(log.job, log.site_id)] = key
         dyn = {
@@ -1367,7 +1140,8 @@ class ClusterBackend(ExecutionBackend):
     # Resident mutable state
     # ------------------------------------------------------------------
 
-    def _encode_dispatch_state(self, state: Any, key: Any) -> Any:
+    @staticmethod
+    def _encode_dispatch_state(state: Any, log: SiteLog) -> Any:
         """What the dispatch frame carries in its state slot.
 
         The key's current handle becomes its ``(STATE_TOKEN_TAG, epoch)``
@@ -1375,15 +1149,16 @@ class ClusterBackend(ExecutionBackend):
         """
         if not isinstance(state, ResidentState):
             return state
-        if state.resident_key != key or self._live_handle(key) is not state:
+        if state.resident_key != log.key or log.handle is not state:
             raise RuntimeError(
                 f"site {state.site_id}'s state handle (epoch {state.epoch}) is not "
-                f"the current handle of resident key {key!r}: a later round "
+                f"the current handle of resident key {log.key!r}: a later round "
                 "superseded it, or the pool that holds the state was closed"
             )
         return (STATE_TOKEN_TAG, state.epoch)
 
-    def _site_result_converter(self, key: Any, site_id: int) -> Callable[[dict], Any]:
+    @staticmethod
+    def _site_result_converter(log: SiteLog) -> Callable[[dict], Any]:
         """Build the wire->SiteTaskResult decoder for one dispatched site task.
 
         The frame's state digest becomes a :class:`ResidentState` handle,
@@ -1396,12 +1171,11 @@ class ClusterBackend(ExecutionBackend):
                 Outgoing(kind=kind, payload=payload, words=words)
                 for kind, payload, words in result["outbox"]
             ]
-            handle = ResidentState(key, site_id, result["state"][1])
-            self._handles[key] = weakref.ref(handle)
+            log.handle = ResidentState(log.key, log.site_id, result["state"][1])
             return SiteTaskResult(
                 site_id=result["site_id"],
                 value=result["value"],
-                state=handle,
+                state=log.handle,
                 timer=result["timer"],
                 rng=result["rng"],
                 outbox=outbox,

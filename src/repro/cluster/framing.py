@@ -313,19 +313,13 @@ def recv_exact(sock: socket.socket, n_bytes: int) -> bytearray:
 
 
 class FrameChannel:
-    """A framed, byte-counted, codec-aware pickle channel over one socket.
+    """A framed, codec-aware pickle channel over one socket.
 
-    Counters accumulate over the channel's lifetime:
+    Every send and receive reports the frame's wire (encoded) and raw
+    (uncompressed) sizes to its caller, which records them in the run's
+    :class:`~repro.cluster.wire.WireLedger`.
 
-    ``bytes_sent`` / ``bytes_received``
-        Total wire bytes in each direction, frame headers included (the
-        *encoded* sizes — what actually crossed the socket).
-    ``raw_bytes_sent`` / ``raw_bytes_received``
-        What the same frames would have occupied uncompressed.
-    ``frames_sent`` / ``frames_received``
-        Number of frames in each direction.
-
-    Two I/O styles share those counters.  The blocking pair
+    Two I/O styles share one framing.  The blocking pair
     (:meth:`send` / :meth:`recv`) is what runners and the startup handshake
     use.  The non-blocking pair is a read/write state machine for a
     selector-driven coordinator: :meth:`feed_bytes` + :meth:`take_frames`
@@ -337,12 +331,6 @@ class FrameChannel:
 
     def __init__(self, sock: socket.socket):
         self._sock = sock
-        self.bytes_sent = 0
-        self.bytes_received = 0
-        self.raw_bytes_sent = 0
-        self.raw_bytes_received = 0
-        self.frames_sent = 0
-        self.frames_received = 0
         # Non-blocking read state: raw bytes as they arrived, reassembled
         # into frames by take_frames().
         self._in_buf = bytearray()
@@ -368,9 +356,6 @@ class FrameChannel:
         """
         codec = resolve_codec(frame.codec)
         self._sock.sendall(_HEADER.pack(len(frame.data), codec.wire_id) + frame.data)
-        self.bytes_sent += frame.n_bytes
-        self.raw_bytes_sent += frame.raw_bytes
-        self.frames_sent += 1
         return frame.n_bytes
 
     def recv(self) -> Tuple[Any, int, int, str]:
@@ -395,7 +380,7 @@ class FrameChannel:
         return self._decode(codec_id, recv_exact(self._sock, length))
 
     def _decode(self, codec_id: int, data: bytearray) -> Tuple[Any, int, int, str]:
-        """Decode one received frame body and count it (see :meth:`recv`).
+        """Decode one received frame body and size it (see :meth:`recv`).
 
         ``data`` is the encoded body as it crossed the socket, in a buffer
         the decoded arrays may alias for their lifetime.
@@ -409,9 +394,6 @@ class FrameChannel:
             body = bytearray(codec.decompress(bytes(data)))
         n_bytes = FRAME_OVERHEAD + len(data)
         raw_bytes = FRAME_OVERHEAD + len(body)
-        self.bytes_received += n_bytes
-        self.raw_bytes_received += raw_bytes
-        self.frames_received += 1
         return decode_body(body), n_bytes, raw_bytes, codec.name
 
     # ------------------------------------------------------------------
@@ -463,8 +445,7 @@ class FrameChannel:
         Returns ``(object, wire_bytes, raw_bytes, codec)`` tuples exactly
         like :meth:`recv` would, in arrival order; incomplete trailing bytes
         (a partial header, a body still crossing the socket) stay buffered
-        for the next feed.  Counters advance only for frames actually
-        decoded.
+        for the next feed.
         """
         frames: List[Tuple[Any, int, int, str]] = []
         buf = self._in_buf
@@ -487,19 +468,15 @@ class FrameChannel:
     def queue_frame(self, frame: EncodedFrame) -> int:
         """Buffer one pre-encoded frame for a later :meth:`flush_out`.
 
-        Byte accounting happens here — at queue time, matching the blocking
-        :meth:`send_frame` contract that a frame is on the channel's books
-        the moment the dispatch path hands it over.  Returns the wire bytes
-        the frame occupies.
+        Returns the wire bytes the frame occupies, like :meth:`send_frame`,
+        so the dispatch path can account the frame the moment it hands it
+        over.
         """
         codec = resolve_codec(frame.codec)
         payload = _HEADER.pack(len(frame.data), codec.wire_id) + frame.data
         with self._out_lock:
             self._out.append(memoryview(payload))
             self._out_bytes += len(payload)
-            self.bytes_sent += frame.n_bytes
-            self.raw_bytes_sent += frame.raw_bytes
-            self.frames_sent += 1
         return frame.n_bytes
 
     @property

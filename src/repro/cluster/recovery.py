@@ -1,4 +1,4 @@
-"""Fault tolerance for the cluster backend: policies, fault injection, replay logs.
+"""Fault tolerance for the cluster backend: its decisions, apart from its sockets.
 
 The paper's protocols are round-structured and *deterministic*: a site task is
 a pure function of its sticky half (the site view), the dispatched
@@ -10,7 +10,7 @@ per-site dispatch log on a surviving host reproduces the dead runner's
 resident state bit for bit, which the state digests shipped with every epoch
 let us *assert* rather than assume.
 
-This module holds the coordinator-side vocabulary of that story:
+This module holds every recovery decision; none of them needs a socket:
 
 * :class:`DeadHostError` — the typed terminal failure, carrying the host id,
   round and last committed state epoch so callers can log something useful.
@@ -30,14 +30,16 @@ This module holds the coordinator-side vocabulary of that story:
   on a survivor (the site view, and per record fn/args/kwargs, the pickled
   RNG stream, the inbox, the exact state slot that was shipped — epoch
   token or the full dict) plus
-  the ``(epoch, sizes)`` digest of every completed record for replay
-  verification.
+  the ``(epoch, sizes)`` digest of every completed record, which
+  :meth:`SiteLog.check_replay` holds a replay to.  :class:`SiteLogs` holds
+  a pool's logs.
+* :class:`Recovery` — a pool's retry budget, its re-pin rule and the event
+  book: a death goes on the books of exactly the runs whose work it
+  interrupts — a run with a frame in flight to the dead host, or a run
+  whose later dispatch needs site state the host held.
 
-The heavy machinery — death classification, re-pinning, replay — lives in
-:class:`~repro.cluster.backend.ClusterBackend`, which owns the sockets and
-threads these records describe.  It has one dispatch path; the budget is
-read only where a death is classified and where placement would route
-around a dead host.
+:class:`~repro.cluster.backend.ClusterBackend` does the I/O: it drains a dead
+host's in-flight frames, sends replay frames and waits for them.
 """
 
 from __future__ import annotations
@@ -358,8 +360,10 @@ class SiteLog:
     (``None`` while in flight), the ground truth replayed state is verified
     against.  ``location`` is the host currently holding the key's resident
     state; ``pending`` is the in-flight ``(record_index, entry)`` whose
-    original future a replay must resolve.  ``lock`` serialises replay
-    against new dispatches for the same key.
+    original future a replay must resolve.  ``handle`` is the key's current
+    :class:`~repro.runtime.state.ResidentState`, the only handle a dispatch
+    may carry.  ``lock`` serialises replay against new dispatches for the
+    same key.
     """
 
     __slots__ = (
@@ -373,6 +377,7 @@ class SiteLog:
         "location",
         "pending",
         "epoch",
+        "handle",
     )
 
     def __init__(self, key: Any, site_id: int, sticky: Any, job: str = "") -> None:
@@ -389,6 +394,7 @@ class SiteLog:
         self.location: Optional[int] = None
         self.pending: Optional[Tuple[int, Any]] = None
         self.epoch = 0
+        self.handle: Any = None
 
     def append(self, record: SiteDispatchRecord) -> int:
         """Add a dispatch record; returns its index."""
@@ -404,6 +410,176 @@ class SiteLog:
         if pending is not None and pending[0] == index:
             self.pending = None
 
+    def check_replay(self, index: int, sizes: Dict[str, int]) -> None:
+        """Raise unless replayed record ``index`` reproduced its recorded digest.
+
+        Epochs are *not* compared — the replay target assigns its own
+        monotonic sequence — but the digest's per-entry sizes are the
+        content fingerprint the original run committed, and determinism says
+        they must match exactly.
+        """
+        expected = self.digests[index]
+        if expected is None:
+            return
+        tracer = self.records[index].tracer
+        if tracer is not None:
+            tracer.inc("recovery.digest_checks")
+        if dict(expected[1]) != dict(sizes):
+            raise DeadHostError(
+                f"replay of site {self.site_id} (resident key {self.key!r}) "
+                f"diverged at record {index}: replayed state digest {sizes!r} "
+                f"!= recorded digest {expected[1]!r}",
+                host_id=self.location,
+                round_index=self.records[index].round_index,
+                epoch=expected[0],
+            )
+
+
+class SiteLogs:
+    """A pool's site logs, one per resident key, created by its first dispatch."""
+
+    def __init__(self) -> None:
+        self._logs: Dict[Any, SiteLog] = {}
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._logs)
+
+    def open(self, key: Any, site_id: int, sticky: Any, job: str) -> SiteLog:
+        """The log of ``key``, created on first use."""
+        with self._lock:
+            log = self._logs.get(key)
+            if log is None:
+                log = self._logs[key] = SiteLog(key, site_id, sticky, job)
+            return log
+
+    def evict(self, key: Any) -> None:
+        """Forget a key that a new protocol run superseded, with its handle."""
+        with self._lock:
+            self._logs.pop(key, None)
+
+    def epoch_note(self, resident_by_site: Dict[Tuple[str, int], Any]) -> str:
+        """``site N: epoch E`` fragments for one host's resident site state."""
+        notes = []
+        for (job, site_id), key in sorted(resident_by_site.items()):
+            with self._lock:
+                log = self._logs.get(key)
+            if log is not None:
+                label = f"site {site_id}" if not job else f"{job}/site {site_id}"
+                notes.append(f"{label}: epoch {log.epoch}")
+        return "; ".join(notes) or "none"
+
+
+# ---------------------------------------------------------------------------
+# Budget, re-pin rule and the recovery event book
+# ---------------------------------------------------------------------------
+
+
+class Recovery:
+    """One pool's recovery decisions: its retry budget, re-pin rule and event book.
+
+    The backend reports each host death (:meth:`recovers`), asks where a
+    site goes (:meth:`place`) and reports each piece of work a death
+    interrupted (:meth:`touch`).  A death that interrupts no run's work
+    goes on no ledger.
+    """
+
+    def __init__(self, policy: RetryPolicy) -> None:
+        self.policy = policy
+        self._lock = threading.Lock()
+        self._failures = 0
+        #: Terminal reason once the budget is spent (at the first death, for
+        #: a zero budget): every later replay attempt raises it.
+        self.exhausted: Optional[str] = None
+        #: host id -> ``[(wire ledger, its event)]`` for its recovered death.
+        self._books: Dict[int, List[Tuple[Any, Any]]] = {}
+
+    def recovers(self, host: int, reason: str) -> bool:
+        """Count host ``host``'s death against the budget; True while within it.
+
+        A recovered death opens its event book.  Past the budget (at the
+        first death, for a zero budget), :attr:`exhausted` names the death
+        before this returns, so whoever observes the death also observes
+        that no replay may start.
+        """
+        with self._lock:
+            self._failures += 1
+            if self._failures <= self.policy.max_retries:
+                self._books[host] = []
+                return True
+            self.exhausted = self._terminal(reason)
+            return False
+
+    def terminal(self, reason: str) -> str:
+        """Record the full reason of the death past the budget, and return it."""
+        with self._lock:
+            self.exhausted = self._terminal(reason)
+            return self.exhausted
+
+    def _terminal(self, reason: str) -> str:
+        if not self.policy.max_retries:
+            return reason
+        return (
+            f"{reason}; retry budget exhausted "
+            f"({self.policy.max_retries} host failure(s) already recovered)"
+        )
+
+    def place(self, site_id: int, dead: Sequence[Optional[str]]) -> int:
+        """The host for site ``site_id``; ``dead[h]`` is host h's death, or None.
+
+        The default ``site_id % n_hosts`` pin wins while its host lives.
+        Once it died, a pool with a retry budget routes to
+        ``alive[site_id % len(alive)]`` — a pure function of the site id and
+        the set of dead hosts, so two coordinators observing the same deaths
+        place identically.  A zero budget never routes around a dead host:
+        the dead default comes back, and the dispatch fails with its death.
+        """
+        default = site_id % len(dead)
+        if dead[default] is None or not self.policy.max_retries:
+            return default
+        alive = [host for host, reason in enumerate(dead) if reason is None]
+        if not alive:
+            raise DeadHostError(
+                f"no surviving cluster hosts to re-pin site {site_id} to "
+                f"(last death: {dead[default]})",
+                host_id=default,
+            )
+        return alive[site_id % len(alive)]
+
+    def touch(
+        self, host: int, reason: str, wire: Any, tracer: Any, round_index: int,
+        *, site_id: Optional[int] = None, target: Optional[int] = None,
+        frames: int = 0,
+    ) -> None:
+        """Put host ``host``'s death on ``wire``'s books.
+
+        Called per drained in-flight frame and per finished log replay (its
+        site, new host and the replay frames it sent).  The first touch of a
+        ledger appends its :class:`~repro.cluster.wire.RecoveryEvent` and
+        counts the death on ``tracer``; later touches add to that event.
+        """
+        with self._lock:
+            book = self._books[host]
+            event = next((e for w, e in book if w is wire), None)
+            first = event is None
+            if first:
+                event = wire.record_recovery(
+                    host=host, round_index=round_index, reason=reason
+                )
+                book.append((wire, event))
+            event.round_index = max(event.round_index, round_index)
+            if site_id is not None:
+                event.repin[site_id] = target
+            event.replayed_frames += frames
+        if tracer is None:
+            return
+        if first:
+            tracer.inc("recovery.host_failures")
+            tracer.event("host_death", host=host, round=round_index)
+        if site_id is not None:
+            tracer.inc("recovery.repinned_sites")
+            tracer.inc("recovery.replayed_frames", frames)
+
 
 __all__ = [
     "DeadHostError",
@@ -411,8 +587,10 @@ __all__ = [
     "FaultAction",
     "FaultPlan",
     "HEARTBEAT_INTERVAL_ENV",
+    "Recovery",
     "RetryPolicy",
     "SiteDispatchRecord",
     "SiteLog",
+    "SiteLogs",
     "resolve_retry_policy",
 ]

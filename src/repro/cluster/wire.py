@@ -103,22 +103,24 @@ class WireRecord:
             raise ValueError(f"direction must be 'send' or 'recv', got {self.direction!r}")
 
 
-@dataclass(frozen=True)
+@dataclass
 class RecoveryEvent:
-    """One recovered runner death, as the wire ledger remembers it.
+    """One recovered runner death, as one run's wire ledger remembers it.
 
-    ``repin`` is the deterministic re-pin map recovery chose —
-    ``{site_id: new_host_id}`` for every site whose resident state moved off
-    the dead host — and ``replayed_frames`` how many replay dispatches
-    rebuilding that state cost (their bytes appear under the ``replay_*``
-    kinds of the same ledger).
+    A ledger gets the event only when the death interrupted that run's
+    work, and the event lists only that run's sites and frames: ``repin``
+    maps each of its sites whose resident state moved off the dead host to
+    the new host, and ``replayed_frames`` counts the replay dispatches that
+    rebuilt the state (their bytes appear under the ``replay_*`` kinds of
+    the same ledger).  Recovery fills both in while it replays the run's
+    work; ``round_index`` is the latest round of that work.
     """
 
     host: int
     round_index: int
     reason: str
-    repin: Dict[int, int]
-    replayed_frames: int
+    repin: Dict[int, int] = field(default_factory=dict)
+    replayed_frames: int = 0
 
 
 @dataclass
@@ -126,27 +128,13 @@ class WireLedger:
     """Append-only record of every frame sent over runner sockets."""
 
     records: List[WireRecord] = field(default_factory=list)
-    #: Recovered runner deaths, in the order they were handled.  Empty on a
-    #: failure-free run.
+    #: Recovered runner deaths that interrupted this run, one event each, in
+    #: the order they first touched it.  Empty on a failure-free run.
     recovery: List[RecoveryEvent] = field(default_factory=list)
 
-    def record_recovery(
-        self,
-        *,
-        host: int,
-        round_index: int,
-        reason: str,
-        repin: Dict[int, int],
-        replayed_frames: int,
-    ) -> RecoveryEvent:
-        """Append one recovered-death event and return it."""
-        event = RecoveryEvent(
-            host=int(host),
-            round_index=int(round_index),
-            reason=str(reason),
-            repin={int(k): int(v) for k, v in repin.items()},
-            replayed_frames=int(replayed_frames),
-        )
+    def record_recovery(self, *, host: int, round_index: int, reason: str) -> RecoveryEvent:
+        """Append an empty recovered-death event and return it for filling in."""
+        event = RecoveryEvent(host=int(host), round_index=int(round_index), reason=str(reason))
         self.recovery.append(event)
         return event
 

@@ -218,15 +218,17 @@ def run_site_tasks(
     On a cluster backend, each site's dispatches are logged on the
     coordinator, and the pool's retry budget
     (:class:`~repro.cluster.recovery.RetryPolicy`, set where the pool is
-    built) decides what a runner death during the join does.  Within the
-    budget the death is transparent: the dead host's sites are re-pinned
-    deterministically to survivors, their logs are replayed from record 0
-    (full state + RNG carry-over travel with record 0, so the replay is
-    bit-identical, which recovery asserts against the state digests), and
-    the futures resolve as if nothing happened — same results, same merge
-    order, same ledger words.  Only the wire ledger differs: replay traffic
-    appears under ``replay_*`` frame kinds plus a
-    :class:`~repro.cluster.wire.RecoveryEvent` per handled death.  Past the
+    built) decides what a runner death does.  Within the budget the death
+    is transparent: each site whose task was in flight on the dead host, or
+    whose state the host held when its next task is dispatched, is
+    re-pinned deterministically to a survivor and its log is replayed from
+    record 0 (full state + RNG carry-over travel with record 0, so the
+    replay is bit-identical, which recovery asserts against the state
+    digests); the futures resolve as if nothing happened — same results,
+    same merge order, same ledger words.  Only the wire ledger differs:
+    replay traffic appears under ``replay_*`` frame kinds plus one
+    :class:`~repro.cluster.wire.RecoveryEvent` per death that interrupted
+    this network's work, listing only its sites and frames.  Past the
     budget (at the first death, for the default zero budget), the join
     raises :class:`~repro.cluster.recovery.DeadHostError` naming the host,
     round, in-flight tasks and last committed state epochs.

@@ -164,16 +164,14 @@ class TestWirePolicy:
 class TestFrameChannel:
     def test_roundtrip_and_byte_counts(self, channel_pair):
         left, right = channel_pair
-        frame = left.send(("hello", 7))
+        frame = encode_frame(("hello", 7))
+        assert left.send_frame(frame) == frame.n_bytes
         obj, received, raw, codec = right.recv()
         assert obj == ("hello", 7)
         assert codec == "none"
         # Both sides observe the identical wire size: 9-byte header + body.
         assert frame.n_bytes == received == FRAME_OVERHEAD + len(encode_body(("hello", 7)))
-        assert received == raw
-        assert left.bytes_sent == frame.n_bytes
-        assert right.bytes_received == received
-        assert left.frames_sent == right.frames_received == 1
+        assert received == raw == frame.raw_bytes
 
     def test_compressed_roundtrip_reports_raw_and_encoded(self, channel_pair):
         left, right = channel_pair
@@ -181,10 +179,9 @@ class TestFrameChannel:
         frame = left.send(obj, "zlib")
         back, n_bytes, raw_bytes, codec = right.recv()
         assert back == obj
-        assert codec == "zlib"
+        assert codec == frame.codec == "zlib"
+        # The sizes the sender and the receiver report (the ledger's pair).
         assert n_bytes == frame.n_bytes < raw_bytes == frame.raw_bytes
-        assert left.raw_bytes_sent == right.raw_bytes_received == raw_bytes
-        assert left.bytes_sent == right.bytes_received == n_bytes
 
     def test_compressed_numpy_arrays_stay_writable(self, channel_pair):
         left, right = channel_pair
@@ -196,13 +193,12 @@ class TestFrameChannel:
 
     def test_many_frames_in_order(self, channel_pair):
         left, right = channel_pair
-        for i in range(5):
-            left.send({"i": i, "blob": np.full(100, i)})
-        for i in range(5):
-            obj, _, _, _ = right.recv()
+        sent = [left.send({"i": i, "blob": np.full(100, i)}) for i in range(5)]
+        for i, frame in enumerate(sent):
+            obj, n_bytes, raw, _ = right.recv()
             assert obj["i"] == i
             np.testing.assert_array_equal(obj["blob"], np.full(100, i))
-        assert right.frames_received == 5
+            assert (n_bytes, raw) == (frame.n_bytes, frame.raw_bytes)
 
     def test_bidirectional(self, channel_pair):
         left, right = channel_pair
@@ -311,9 +307,8 @@ class TestNonBlockingReassembly:
         right.feed_bytes(wire[FRAME_OVERHEAD:])
         [(obj, n_bytes, raw, codec)] = right.take_frames()
         assert obj == ("hello", 1)
-        assert n_bytes == raw == len(wire)
+        assert n_bytes == raw == len(wire) == frame.n_bytes
         assert codec == "none"
-        assert right.frames_received == 1
 
     def test_split_compressed_body_reassembles(self, channel_pair):
         _, right = channel_pair
@@ -322,11 +317,10 @@ class TestNonBlockingReassembly:
         assert frame.codec == "zlib"
         wire = self._wire_bytes(frame)
         # Dribble the compressed body through in 7-byte slices, holding the
-        # final byte back; counters only advance when the frame decodes.
+        # final byte back; the frame decodes only once it is whole.
         for offset in range(0, len(wire) - 1, 7):
             right.feed_bytes(wire[offset : min(offset + 7, len(wire) - 1)])
         assert right.take_frames() == []
-        assert right.frames_received == 0
         right.feed_bytes(wire[-1:])
         [(back, n_bytes, raw, codec)] = right.take_frames()
         assert back == obj
@@ -340,10 +334,12 @@ class TestNonBlockingReassembly:
         # First feed ends inside frame 2's body: exactly one frame decodes.
         cut = len(wires[0]) + len(wires[1]) // 2
         right.feed_bytes(blob[:cut])
-        assert [f[0] for f in right.take_frames()] == [("msg", 0)]
+        first = right.take_frames()
+        assert [f[0] for f in first] == [("msg", 0)]
         right.feed_bytes(blob[cut:])
-        assert [f[0] for f in right.take_frames()] == [("msg", 1), ("msg", 2)]
-        assert right.frames_received == 3
+        rest = right.take_frames()
+        assert [f[0] for f in rest] == [("msg", 1), ("msg", 2)]
+        assert [f[1] for f in first + rest] == [len(w) for w in wires]
 
     def test_interleaved_frames_from_two_channels(self):
         """Byte slices of two channels' streams interleave without mixing."""
@@ -377,11 +373,9 @@ class TestNonBlockingReassembly:
     def test_queue_frame_accounts_at_queue_time_and_flushes(self, channel_pair):
         left, right = channel_pair
         frame = encode_frame({"blob": "y" * 5000}, "zlib")
-        n = left.queue_frame(frame)
-        assert n == frame.n_bytes
-        # Accounting happened at queue time, before any byte hit the socket.
-        assert left.bytes_sent == frame.n_bytes
-        assert left.raw_bytes_sent == frame.raw_bytes
+        # The wire size is reported at queue time, before any byte hit the
+        # socket.
+        assert left.queue_frame(frame) == frame.n_bytes
         assert left.pending_out == FRAME_OVERHEAD + len(frame.data)
         assert left.flush_out() is True
         assert left.pending_out == 0

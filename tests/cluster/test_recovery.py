@@ -14,6 +14,8 @@ import dataclasses
 import os
 import random
 import signal
+import sys
+import threading
 import time
 
 import numpy as np
@@ -21,7 +23,8 @@ import pytest
 
 from repro import partial_kmedian
 from repro.cluster import ClusterBackend, DeadHostError, FaultPlan, RetryPolicy
-from repro.cluster.recovery import resolve_retry_policy
+from repro.cluster.recovery import Recovery, resolve_retry_policy
+from repro.cluster.wire import RecoveryEvent, WireLedger
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.runtime import SiteTask, run_site_tasks
@@ -91,6 +94,79 @@ class TestRetryPolicy:
         assert resolve_retry_policy(policy) is policy
         with pytest.raises(TypeError):
             resolve_retry_policy(2)
+
+
+class TestRecoveryDecisions:
+    """Budget, re-pin rule and event book, driven without a pool."""
+
+    def test_budget_classifies_deaths_in_order(self):
+        recovery = Recovery(RetryPolicy(max_retries=1))
+        assert recovery.recovers(0, "first") and recovery.exhausted is None
+        assert not recovery.recovers(1, "second")
+        assert recovery.exhausted.startswith("second; retry budget exhausted")
+        assert recovery.terminal("full") == (
+            "full; retry budget exhausted (1 host failure(s) already recovered)"
+        )
+        fail_fast = Recovery(RetryPolicy(max_retries=0))
+        assert not fail_fast.recovers(0, "only") and fail_fast.exhausted == "only"
+
+    def test_repin_rule(self):
+        recovery = Recovery(RetryPolicy(max_retries=1))
+        assert recovery.place(2, [None, None, None]) == 2
+        assert recovery.place(2, [None, None, "dead"]) == 0  # alive[2 % 2]
+        assert recovery.place(1, [None, "dead", None]) == 2  # alive[1 % 2]
+        with pytest.raises(DeadHostError, match="no surviving cluster hosts"):
+            recovery.place(0, ["dead", "dead"])
+        # A zero budget never routes around a dead host.
+        assert Recovery(RetryPolicy(max_retries=0)).place(1, [None, "dead"]) == 1
+
+    def test_event_book_keeps_one_event_per_death_and_ledger(self):
+        from repro.obs.trace import Tracer
+
+        recovery = Recovery(RetryPolicy(max_retries=2))
+        a, b, tracer = WireLedger(), WireLedger(), Tracer()
+        assert recovery.recovers(1, "r1") and recovery.recovers(0, "r0")
+        recovery.touch(1, "r1", a, tracer, 1)
+        recovery.touch(1, "r1", b, None, 1)
+        recovery.touch(1, "r1", a, tracer, 2, site_id=1, target=0, frames=2)
+        recovery.touch(1, "r1", a, tracer, 1, site_id=3, target=0, frames=1)
+        recovery.touch(1, "r1", b, None, 1, site_id=1, target=0, frames=1)
+        recovery.touch(0, "r0", a, tracer, 2, site_id=1, target=2, frames=3)
+        assert a.recovery == [
+            RecoveryEvent(1, 2, "r1", {1: 0, 3: 0}, 3),
+            RecoveryEvent(0, 2, "r0", {1: 2}, 3),
+        ]
+        assert b.recovery == [RecoveryEvent(1, 1, "r1", {1: 0}, 1)]
+        assert tracer.counter("recovery.host_failures") == 2
+        assert tracer.counter("recovery.repinned_sites") == 3
+        assert tracer.counter("recovery.replayed_frames") == 6
+
+    def test_event_book_keeps_one_event_under_concurrent_touches(self):
+        recovery = Recovery(RetryPolicy(max_retries=1))
+        assert recovery.recovers(1, "r")
+        ledgers = [WireLedger() for _ in range(3)]
+
+        def touch_all(site):
+            for ledger in ledgers:
+                for _ in range(50):
+                    recovery.touch(1, "r", ledger, None, 1)
+                recovery.touch(1, "r", ledger, None, 2, site_id=site, target=0, frames=1)
+
+        threads = [threading.Thread(target=touch_all, args=(s,)) for s in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for ledger in ledgers:
+            [event] = ledger.recovery
+            assert event.repin == {s: 0 for s in range(8)}
+            assert (event.round_index, event.replayed_frames) == (2, 8)
 
 
 class TestFaultPlan:
@@ -253,11 +329,12 @@ class TestSiteRecovery:
         assert (error.host_id, error.round_index, error.epoch) == (0, 2, committed)
 
     def test_death_between_rounds_replays_held_state(self):
-        """No run is accounting, but a site still holds the state's handle.
+        """A site still holds the state's handle when its idle host dies.
 
-        Host 1 dies while idle between two rounds: recovery must replay its
-        site's log onto host 0 (the handle moves to the replayed epoch), so
-        round 2 continues from the same state, with one recovery event.
+        Host 1 dies between two rounds.  The death interrupts nothing yet,
+        so no ledger shows it; round 2's dispatch needs the state, replays
+        the site's log onto host 0 (the handle moves to the replayed epoch)
+        and continues from the same state, with one recovery event.
         """
         backend = ClusterBackend(n_hosts=2, retry=RetryPolicy(max_retries=1))
         try:
@@ -267,9 +344,10 @@ class TestSiteRecovery:
             run_site_tasks(network, tasks, backend=backend)
             backend._hosts[1].process.kill()
             deadline = time.monotonic() + 30.0
-            while not network.ledger.wire.summary()["recovery"]:
-                assert time.monotonic() < deadline, "recovery event never recorded"
+            while 1 not in backend.dead_hosts():
+                assert time.monotonic() < deadline, "host death never observed"
                 time.sleep(0.02)
+            assert network.ledger.wire.summary()["recovery"] == []
             network.next_round()
             values = [r.value for r in run_site_tasks(network, tasks, backend=backend)]
         finally:
@@ -279,6 +357,40 @@ class TestSiteRecovery:
         events = network.ledger.wire.summary()["recovery"]
         assert len(events) == 1
         assert events[0]["host"] == 1 and events[0]["repin"] == {1: 0}
+
+    def test_death_after_last_reply_changes_no_ledger(self):
+        """A death that interrupts nothing is reported only by dead_hosts().
+
+        Host 1 dies as the loop handles its last reply of the run.  The
+        returned ledger never changes, and the next run on the pool, which
+        routes around the host from its first dispatch, has no event.
+        """
+        points = np.random.default_rng(1).normal(size=(90, 2))
+        serial = partial_kmedian(points, 3, 9, n_sites=3, seed=11)
+        backend = ClusterBackend(
+            n_hosts=3,
+            retry=RetryPolicy(max_retries=1),
+            fault_plan=FaultPlan.parse("kill host=1 when=io task=2"),
+        )
+        try:
+            first = partial_kmedian(points, 3, 9, n_sites=3, seed=11, backend=backend)
+            wire = first.ledger.wire
+            snapshot = (len(wire.records), list(wire.recovery))
+            deadline = time.monotonic() + 30.0
+            while 1 not in backend.dead_hosts():
+                assert time.monotonic() < deadline, "host death never observed"
+                time.sleep(0.02)
+            second = partial_kmedian(points, 3, 9, n_sites=3, seed=11, backend=backend)
+            dead = list(backend.dead_hosts())
+        finally:
+            backend.close()  # joins the recovery threads
+        assert (len(wire.records), wire.recovery) == snapshot
+        assert snapshot[1] == []
+        assert second.ledger.wire.recovery == []
+        for result in (first, second):
+            np.testing.assert_array_equal(result.centers, serial.centers)
+            assert result.cost == serial.cost
+        assert dead == [1]
 
 
 class TestHeartbeat:
@@ -342,6 +454,22 @@ SWEEP = random.Random(17).sample(
 )
 
 
+#: Stall (heartbeat-timeout) and two-fault schedules.  Stalls fire only
+#: before a dispatch: a runner stalled while idle after its last reply is
+#: never detected, and close() then spends seconds escalating to SIGKILL.
+#: The third kills host 2 after its only reply and disconnects host 0 while
+#: site 2's state is replayed there at its round-2 dispatch; the fifth
+#: disconnects host 2 while it replays host 1's in-flight site.
+STALL_AND_TWO_FAULT_SWEEP = [
+    "stall host=1 round=1 task=1 when=before",
+    "kill host=0 round=1 task=1 when=after; kill host=1 round=2 task=1 when=before",
+    "kill host=2 round=1 task=1 when=io; disconnect host=0 round=2 task=1 when=after",
+    "stall host=0 round=1 task=2 when=before; kill host=1 round=2 task=1 when=after",
+    "kill host=1 round=1 task=1 when=before; disconnect host=2 round=1 task=1 when=after",
+    "disconnect host=0 round=2 task=2 when=before; kill host=2 round=2 task=1 when=before",
+]
+
+
 class TestFaultSweep:
     """Every schedule ends bit-identical to serial or with a DeadHostError."""
 
@@ -372,3 +500,40 @@ class TestFaultSweep:
         # schedule, and a budget of one recovers every single death.
         assert ("dead" in outcomes) == (budget == 0), outcomes
         assert "recovered" in outcomes or budget == 0, outcomes
+
+    @pytest.mark.parametrize("budget", [1, 2])
+    def test_stall_and_two_fault_schedules_end_identical_or_dead(self, budget):
+        points = np.random.default_rng(1).normal(size=(120, 2))
+        serial = partial_kmedian(points, 3, 9, n_sites=4, seed=11)
+        outcomes = []
+        for spec in STALL_AND_TWO_FAULT_SWEEP:
+            backend = ClusterBackend(
+                n_hosts=3,
+                retry=RetryPolicy(max_retries=budget, heartbeat_timeout=1.0),
+                fault_plan=FaultPlan.parse(spec),
+            )
+            try:
+                result = partial_kmedian(
+                    points, 3, 9, n_sites=4, seed=11, backend=backend
+                )
+            except DeadHostError:
+                outcomes.append("dead")
+                continue
+            finally:
+                backend.close()
+            np.testing.assert_array_equal(result.centers, serial.centers, err_msg=spec)
+            assert result.cost == serial.cost, spec
+            assert result.ledger.words_by_kind() == serial.ledger.words_by_kind(), spec
+            # Each death's event counts exactly the replay frames it caused.
+            wire = result.ledger.wire
+            replays = sum(1 for rec in wire.records if rec.kind == "replay_dispatch")
+            assert sum(e.replayed_frames for e in wire.recovery) == replays, spec
+            outcomes.append(len(wire.recovery))
+        # A lone stall is one recovered death.  Budget 2 recovers every
+        # two-fault schedule (both deaths of the second and third always
+        # interrupt the run); budget 1 fails at least one.
+        assert outcomes[0] == 1, outcomes
+        if budget == 2:
+            assert "dead" not in outcomes and outcomes[1:3] == [2, 2], outcomes
+        else:
+            assert "dead" in outcomes[1:], outcomes

@@ -11,7 +11,9 @@ Covers the service tentpole's acceptance surface:
   multiplexes every runner channel — and ``close()`` leaks neither
   threads nor file descriptors (``/proc/self/fd`` count);
 * ``when=io`` faults fire at exact loop-dispatch ordinals and recovery
-  keeps results bit-identical.
+  keeps results bit-identical;
+* a runner death on the shared pool goes on each interrupted job's own
+  wire ledger, listing only that job's sites and replay frames.
 """
 
 import os
@@ -28,7 +30,11 @@ from repro.cluster import (
     FaultPlan,
     RetryPolicy,
 )
+from repro.distributed.instance import DistributedInstance
 from repro.distributed.messages import CommunicationLedger
+from repro.distributed.network import StarNetwork
+from repro.metrics.euclidean import EuclideanMetric
+from repro.runtime import SiteTask, run_site_tasks
 from tests.helpers import run_site_round
 
 pytestmark = pytest.mark.cluster
@@ -49,6 +55,29 @@ def _points(seed=0, n=240):
 
 def _die(x):
     os._exit(3)  # simulate a host crash mid-task: no cleanup, no goodbye
+
+
+def _stateful_task(ctx, scale):
+    round_no = ctx.state.get("rounds", 0) + 1
+    ctx.state["rounds"] = round_no
+    if round_no == 1:
+        ctx.state["big"] = np.full(2048, float(ctx.site_id))
+    return float(np.sum(ctx.state["big"])) + ctx.site_id * scale * round_no
+
+
+def _stateful_round(network, backend):
+    """One round of ``_stateful_task`` on every site; returns the values."""
+    network.next_round()
+    tasks = [SiteTask(i, _stateful_task, args=(2.0,)) for i in range(network.n_sites)]
+    return [r.value for r in run_site_tasks(network, tasks, backend=backend)]
+
+
+def _site_network(n_sites):
+    points = np.arange(8.0 * n_sites).reshape(-1, 2)
+    shards = [np.arange(i, len(points), n_sites) for i in range(n_sites)]
+    return StarNetwork(DistributedInstance.from_partition(
+        EuclideanMetric(points), shards, 2, 1, "median"
+    ))
 
 
 def _assert_same_result(cluster_result, serial_result):
@@ -291,6 +320,41 @@ class TestIoFaults:
             backend.close()
         _assert_same_result(result, base)
         assert len(result.ledger.wire.summary()["recovery"]) == 1
+
+
+class TestRecoveryAccounting:
+    def test_shared_pool_death_goes_on_each_jobs_own_books(self):
+        """Host 1 dies between rounds while two jobs hold state on it.
+
+        Job A (4 sites) holds sites 1 and 3 there, job B (2 sites) site 1.
+        Each job's round 2 replays its own sites, and each job's ledger
+        gets one event listing only its own re-pins and replay frames.
+        """
+        with ClusterService(n_hosts=2, retry=RetryPolicy(max_retries=1)) as svc:
+            jobs = [(svc.checkout(label="a"), _site_network(4)),
+                    (svc.checkout(label="b"), _site_network(2))]
+            try:
+                for backend, network in jobs:
+                    _stateful_round(network, backend)
+                pool = jobs[0][0]._pool
+                pool._hosts[1].process.kill()
+                deadline = time.monotonic() + 30.0
+                while 1 not in pool.dead_hosts():
+                    assert time.monotonic() < deadline, "host death never observed"
+                    time.sleep(0.02)
+                values = [_stateful_round(network, backend) for backend, network in jobs]
+            finally:
+                for backend, _ in jobs:
+                    backend.close()
+        for (_, network), got, repin in zip(jobs, values, ({1: 0, 3: 0}, {1: 0})):
+            serial = _site_network(network.n_sites)
+            _stateful_round(serial, None)
+            assert got == _stateful_round(serial, None)
+            wire = network.ledger.wire
+            [event] = wire.recovery
+            assert event.host == 1 and event.repin == repin
+            replays = [r for r in wire.records if r.kind == "replay_dispatch"]
+            assert event.replayed_frames == len(replays) == len(repin)
 
 
 class TestBrokenPoolRetirement:
