@@ -313,6 +313,7 @@ def test_resident_state_amortises_repeat_rounds(benchmark, cluster_pool, cluster
                 [SiteTask(i, _witness_round_task) for i in range(N_SITES)],
                 backend=cluster_pool,
             )
+        cluster_pool.end_run(network)
         return network
 
     network = benchmark.pedantic(two_rounds, rounds=1, iterations=1)

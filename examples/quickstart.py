@@ -208,11 +208,12 @@ def event_loop_coordinator_and_the_cluster_service(points, k, t) -> None:
       ``"64MB"``-style strings).  A job bigger than the whole capacity
       runs once the pool is otherwise idle, so oversized work degrades
       to serial instead of deadlocking.
-    * **Isolation is total**: each job gets a lane namespace that keys
-      its runner-resident site state and heartbeat accounting.  Each
-      job's result — centers, cost, word ledger, *and*
-      its private wire ledger — is bit-identical to the same run on a
-      standalone pool, no matter what runs next to it.
+    * **Isolation is total**: a run owns what the pool holds for it.
+      Its runner-resident site state ends with the run, and each
+      heartbeat goes on the books of the frame its runner is executing.
+      Each job's result — centers, cost, word ledger, *and* its private
+      wire ledger — is bit-identical to the same run on a standalone
+      pool, no matter what runs next to it.
     * ``REPRO_CLUSTER_SERVICE=1`` routes every ``backend="cluster:N"``
       spec through a process-wide shared service (a ``"service"``
       backend spec is also registered), which is how CI runs the whole
@@ -241,7 +242,7 @@ def event_loop_coordinator_and_the_cluster_service(points, k, t) -> None:
         assert result.cost == serial.cost
         assert result.ledger.total_words() == serial.ledger.total_words()
         print(
-            f"  {job.label} (lane {job.job}): cost {result.cost:9.1f}, "
+            f"  {job.label}: cost {result.cost:9.1f}, "
             f"words {result.ledger.total_words():6.0f}, "
             f"bytes {result.ledger.summary()['total_bytes']:8d}  == serial"
         )

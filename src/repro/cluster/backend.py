@@ -30,6 +30,11 @@ shipping every task over a length-prefixed unix-domain socket
   ships an epoch token instead of the dict.  The coordinator never reads
   site state: drivers get what they need from the sites' messages and
   their tasks' return values.
+* **A run owns what the pool holds for it.**  Its sites' state and
+  dispatch logs live until :meth:`ClusterBackend.end_run` names its
+  network, and each runner heartbeat goes on the ledger of the frame the
+  runner is executing, so concurrent runs never touch each other's state
+  or books.
 
 Site tasks are the only work the pool runs: :meth:`submit_site_pairs`
 returns one future per site task, and the round scheduler
@@ -156,37 +161,30 @@ class _Host:
         #: host's socket produced; the heartbeat monitor compares it against
         #: the policy's timeout while work is in flight.
         self.last_seen = 0.0
+        #: Keys whose site view and state the runner holds (under ``lock``).
         self.resident_keys: Set[Any] = set()
-        #: (job, site_id) -> resident key currently cached on the runner for
-        #: that slot; a new key for the same slot evicts the old one remotely,
-        #: so runner memory is bounded by live site slots, not runs served.
-        #: The job namespace ("" for direct backend use) keeps concurrent
-        #: jobs' identical site ids from evicting each other's state.
-        self.resident_by_site: Dict[Tuple[str, int], Any] = {}
+        #: Keys of ended runs the runner still holds (under ``lock``); the
+        #: next site frame to this host carries them, and the runner drops
+        #: their state.
+        self.evict: List[Any] = []
         #: Serialises frame encode + enqueue, so a host's frames cross its
         #: socket in the order their send records reach the wire ledger.
         self.encode_lock = threading.Lock()
-        #: ``(wire, tracer, round_index, job)`` captured atomically by the
-        #: last dispatch to this host, so the event loop can account heartbeat
-        #: frames against the same ledger/tracer pair every other frame of
-        #: the run uses.  ``(None, None, 0, "")`` until the first dispatch:
-        #: heartbeats before any run are liveness-only.  The job slot lets a
-        #: finishing job detach only its own accounting.
-        self.hb_account: Tuple[Optional[WireLedger], Optional[Any], int, str] = (
-            None, None, 0, "",
-        )
 
 
 class ClusterBackend(ExecutionBackend):
     """Run site tasks on one long-lived runner process per simulated host.
 
-    A runner death goes on the books of exactly the runs whose work it
-    interrupts: a run with a frame in flight to the dead host, or a run
-    whose later dispatch needs site state the host held.  Each such run's
-    wire ledger gets one :class:`~repro.cluster.wire.RecoveryEvent` for the
-    death, and a ledger whose run has returned never changes.  A death that
-    interrupts nothing — one after a run's last reply, say — is reported
-    only by :meth:`dead_hosts`.
+    A run owns what the pool holds or receives for it: its sites' state
+    and dispatch logs, until :meth:`end_run`, and the heartbeats sent while
+    its frames execute.  A runner death goes on the books of exactly the
+    runs whose work it interrupts: a run with a frame in flight to the dead
+    host, or a run whose later dispatch needs site state the host held.
+    Each such run's wire ledger gets one
+    :class:`~repro.cluster.wire.RecoveryEvent` for the death, and a ledger
+    whose run has returned never changes.  A death that interrupts nothing
+    — one after a run's last reply, say — is reported only by
+    :meth:`dead_hosts`.
     """
 
     name = "cluster"
@@ -228,25 +226,26 @@ class ClusterBackend(ExecutionBackend):
         self._monitor_timer: Optional[TimerHandle] = None
         self._recovery_threads: List[threading.Thread] = []
 
-    def detach_run_accounting(self, job: Optional[str] = None) -> None:
-        """Stop accounting heartbeats against the current run's ledger/tracer.
+    def end_run(self, network) -> None:
+        """The run on ``network`` is over: drop what the pool holds for its sites.
 
-        Called when a run's backend scope exits (see
-        :func:`repro.runtime.backends.backend_scope`).  Taking each host
-        lock makes this a barrier: a heartbeat being recorded concurrently
-        completes first, so after this returns the finished run's ledger
-        (and the trace counters mirroring it) are frozen while the warm
-        pool's later heartbeats go back to liveness-only.  With ``job``
-        given, only hosts whose captured accounting belongs to that job are
-        detached — a finishing job on a shared service pool never freezes a
-        concurrent job's heartbeat accounting.
+        Each site's log is popped, so nothing replays it, and its key joins
+        the eviction list of the live host holding its state, which the
+        host's next site frame carries.  Each log's lock waits out a replay
+        still finishing, so the run's ledger is final when this returns.
         """
-        if self._hosts is None:
-            return
-        for host in self._hosts:
+        for site in network.sites:
+            log = self._site_logs.pop(site.resident_key)
+            if log is None:
+                continue
+            with log.lock:
+                host = self._host_by_id(log.location)
+            if host is None:
+                continue
             with host.lock:
-                if job is None or host.hb_account[3] == job:
-                    host.hb_account = (None, None, 0, "")
+                host.resident_keys.discard(log.key)
+                if host.dead is None:
+                    host.evict.append(log.key)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -530,6 +529,7 @@ class ClusterBackend(ExecutionBackend):
             host.dead = placeholder
             pending = sorted(host.pending.items())
             host.pending.clear()
+            held = list(host.resident_keys)
         exitcode = None
         if host.process is not None:
             try:
@@ -543,7 +543,7 @@ class ClusterBackend(ExecutionBackend):
         reason = (
             f"cluster host {host.host_id} died mid-round ({detail}; runner exit "
             f"code {exitcode}); in-flight tasks: [{inflight}]; last committed "
-            f"state epoch by site: {{{self._site_logs.epoch_note(host.resident_by_site)}}}"
+            f"state epoch by site: {{{self._site_logs.epoch_note(held)}}}"
         )
         if recover:
             host.dead = reason
@@ -661,7 +661,7 @@ class ClusterBackend(ExecutionBackend):
                             traced=is_final and rec.traced,
                         ),
                         wire=rec.wire, round_index=rec.round_index, kind="replay",
-                        convert=None, tracer=rec.tracer, job=log.job,
+                        convert=None, tracer=rec.tracer,
                     )
                     sent += 1
                     result = future.result()
@@ -802,23 +802,18 @@ class ClusterBackend(ExecutionBackend):
         host.last_seen = time.monotonic()
         tag = frame[0]
         if tag == "hb":
-            # Unsolicited runner heartbeat.  Accounted against the
-            # (ledger, tracer) pair the last dispatch to this host
-            # captured atomically — the same pair every other frame of
-            # the run uses.  Heartbeats arriving before any dispatch
-            # (warm pool idling between runs) are liveness-only.  Under
-            # the host lock so detach_run_accounting() can provide a
-            # barrier: once it returns, no heartbeat is being (or will
-            # be) recorded against the finished run's ledger/tracer.
+            # A heartbeat names the frame its runner is executing (None when
+            # idle) and goes on that frame's books.  It crossed the socket
+            # before that frame's reply, so the frame is still pending here.
             with host.lock:
-                hb_wire, hb_tracer, hb_round, _ = host.hb_account
-                if hb_wire is not None:
-                    hb_wire.record(
-                        round_index=hb_round, host=host.host_id,
-                        direction="recv", kind="hb",
-                        n_bytes=n_bytes, raw_bytes=raw_bytes, codec=codec,
-                        tracer=hb_tracer,
-                    )
+                entry = host.pending.get(frame[1])
+            if entry is not None and entry.wire is not None:
+                entry.wire.record(
+                    round_index=entry.round_index, host=host.host_id,
+                    direction="recv", kind="hb",
+                    n_bytes=n_bytes, raw_bytes=raw_bytes, codec=codec,
+                    tracer=entry.tracer,
+                )
             return
         if tag == "bye":
             return
@@ -906,23 +901,24 @@ class ClusterBackend(ExecutionBackend):
     def _submit_frame(
         self,
         host: _Host,
-        build_frame: Callable[[int], Tuple],
+        build_frame: Callable[[int, List[Any]], Tuple],
         *,
         wire: Optional[WireLedger],
         round_index: int,
         kind: str,
         convert: Optional[Callable[[Any], Any]],
         tracer=None,
-        job: str = "",
         site_log: Optional[SiteLog] = None,
         record_index: Optional[int] = None,
     ) -> Future:
-        """Encode, register and enqueue one frame; returns its future.
+        """Encode, register and enqueue one site frame; returns its future.
 
-        ``site_log`` and ``record_index`` name the dispatch record a site
-        frame carries, for recovery.  A registration racing the host's
-        death throws :class:`_HostDied` before the frame reaches the wire or
-        the ledger, so the caller can re-target and replay.
+        ``build_frame(seq, evict)`` builds the frame around the host's
+        eviction list, taken as the frame is encoded.  ``site_log`` and
+        ``record_index`` name the dispatch record the frame carries, for
+        recovery.  A registration racing the host's death throws
+        :class:`_HostDied` before the frame reaches the wire or the ledger,
+        so the caller can re-target and replay.
         """
         future: Future = Future()
         fault_ordinal: Optional[int] = None
@@ -945,9 +941,13 @@ class ClusterBackend(ExecutionBackend):
         # encode lock serialises encode+enqueue as one step.
         codec = self.wire_policy.codec_for(kind)
         with host.encode_lock:
+            with host.lock:
+                evict, host.evict = host.evict, []
             try:
-                frame = encode_frame(build_frame(seq), codec)
+                frame = encode_frame(build_frame(seq, evict), codec)
             except Exception as exc:  # noqa: BLE001 - relayed via the future
+                with host.lock:
+                    host.evict[:0] = evict  # the next frame carries them
                 future.set_exception(
                     RuntimeError(
                         f"task dispatch to cluster host {host.host_id} could not "
@@ -982,11 +982,6 @@ class ClusterBackend(ExecutionBackend):
                     entry.site_log.pending = (entry.record_index, entry)
                     entry.site_log.location = host.host_id
             if wire is not None:
-                # Captured as one tuple so the event loop accounting a
-                # heartbeat sees a *consistent* (ledger, tracer) pair — the
-                # pair this run's frames use — never a ledger from one run
-                # and a tracer from another.
-                host.hb_account = (wire, entry.tracer, round_index, job)
                 wire.record(
                     round_index=round_index, host=host.host_id,
                     direction="send", kind=kind + "_dispatch",
@@ -1010,7 +1005,6 @@ class ClusterBackend(ExecutionBackend):
         round_index: int,
         ledger,
         tracer=None,
-        job: str = "",
     ) -> List[Future]:
         """Ship ``(SiteTask, SiteContext)`` pairs, returning SiteTaskResult futures.
 
@@ -1024,8 +1018,9 @@ class ClusterBackend(ExecutionBackend):
         :class:`~repro.runtime.state.ResidentState` handle, the dispatch
         carries only an epoch token; a plain dict (first round) is shipped
         whole and the runner adopts it.  Any other handle — superseded by a
-        later round, or from a closed pool — fails its dispatch with a
-        :class:`RuntimeError` naming the key.
+        later round, or from an ended run or a closed pool — fails its
+        dispatch with a :class:`RuntimeError` naming the key.  The key's
+        state stays on the pool until :meth:`end_run` names its network.
 
         Every dispatch appends a
         :class:`~repro.cluster.recovery.SiteDispatchRecord` to the key's
@@ -1044,8 +1039,7 @@ class ClusterBackend(ExecutionBackend):
         for task, ctx in pairs:
             try:
                 future = self._dispatch_site(
-                    task, ctx, wire=wire, round_index=round_index,
-                    tracer=tracer, job=job,
+                    task, ctx, wire=wire, round_index=round_index, tracer=tracer,
                 )
             except RuntimeError as exc:  # DeadHostError or a stale handle
                 future = Future()
@@ -1053,13 +1047,11 @@ class ClusterBackend(ExecutionBackend):
             futures.append(future)
         return futures
 
-    def _dispatch_site(
-        self, task, ctx, *, wire, round_index: int, tracer, job: str
-    ) -> Future:
+    def _dispatch_site(self, task, ctx, *, wire, round_index: int, tracer) -> Future:
         """Log, place and submit one site task (see :meth:`submit_site_pairs`)."""
         traced = tracer is not None and tracer.enabled
         key = ctx.resident_key
-        log = self._site_logs.open(key, ctx.site_id, ctx.local_metric, job)
+        log = self._site_logs.open(key, ctx.site_id, ctx.local_metric)
         with log.lock:
             target = self._ensure_located_locked(log) or self._place(ctx.site_id)
             state = self._encode_dispatch_state(ctx.state, log)
@@ -1083,7 +1075,7 @@ class ClusterBackend(ExecutionBackend):
                     self._site_frame(target, log, record, state, ctx.rng, traced),
                     wire=wire, round_index=round_index, kind="site",
                     convert=self._site_result_converter(log),
-                    tracer=tracer, job=job, site_log=log, record_index=index,
+                    tracer=tracer, site_log=log, record_index=index,
                 )
             except _HostDied:
                 # The target died between placement and registration.  The
@@ -1097,30 +1089,15 @@ class ClusterBackend(ExecutionBackend):
     def _site_frame(
         self, host: _Host, log: SiteLog, record: SiteDispatchRecord,
         state: Any, rng: Any, traced: bool,
-    ) -> Callable[[int], Tuple]:
-        """Claim ``log``'s resident slot on ``host``; return its frame builder.
+    ) -> Callable[[int, List[Any]], Tuple]:
+        """The frame builder of one dispatch or replay of ``log`` to ``host``.
 
-        Used by first dispatch and replay alike.  The sticky half ships only
-        when the host does not hold the key yet.  A fresh key for an
-        already-seen ``(job, site)`` slot means a new protocol run took the
-        slot over: the superseded key is evicted remotely (its dispatch log
-        and state handle dropped), so a shared warm pool never grows runner
-        memory or site logs with dead runs.  Slots are
-        per job namespace, so concurrent jobs with identical site ids never
-        evict each other.
+        The sticky half ships only when the host does not hold the key yet.
         """
         key = log.key
-        sticky = None
-        evict: List[Any] = []
-        if key not in host.resident_keys:
-            sticky = log.sticky
-            stale = host.resident_by_site.get((log.job, log.site_id))
-            if stale is not None and stale != key:
-                evict.append(stale)
-                host.resident_keys.discard(stale)
-                self._site_logs.evict(stale)
+        with host.lock:
+            sticky = None if key in host.resident_keys else log.sticky
             host.resident_keys.add(key)
-            host.resident_by_site[(log.job, log.site_id)] = key
         dyn = {
             "site_id": record.site_id,
             "fn": record.fn,
@@ -1134,7 +1111,7 @@ class ClusterBackend(ExecutionBackend):
             # Only traced dispatches carry the extra key, so untraced
             # frames stay byte-identical to an untraced build.
             dyn["trace"] = True
-        return lambda seq: ("site", seq, key, sticky, dyn, evict)
+        return lambda seq, evict: ("site", seq, key, sticky, dyn, evict)
 
     # ------------------------------------------------------------------
     # Resident mutable state
@@ -1153,7 +1130,8 @@ class ClusterBackend(ExecutionBackend):
             raise RuntimeError(
                 f"site {state.site_id}'s state handle (epoch {state.epoch}) is not "
                 f"the current handle of resident key {log.key!r}: a later round "
-                "superseded it, or the pool that holds the state was closed"
+                "superseded it, or its run ended, or the pool that holds the "
+                "state was closed"
             )
         return (STATE_TOKEN_TAG, state.epoch)
 

@@ -244,7 +244,7 @@ _DEFAULT_POLICY: Dict[str, str] = {
     # Recovery traffic mirrors the kind it replays: re-executed site
     # dispatches compress like the originals.
     "replay": "zlib",
-    # Heartbeats are a tiny ``("hb", host_id, n)`` tuple sent on a liveness
+    # Heartbeats are a tiny ``("hb", seq)`` tuple sent on a liveness
     # deadline — never worth a codec pass.  Listed for documentation;
     # ``codec_for`` would default unknown kinds to ``none`` anyway.
     "hb": "none",
@@ -293,16 +293,20 @@ _RECV_CHUNK = 1 << 20
 def recv_exact(sock: socket.socket, n_bytes: int) -> bytearray:
     """Read exactly ``n_bytes`` from ``sock`` or raise :class:`ConnectionError`.
 
-    Reads straight into one pre-sized ``bytearray`` via ``recv_into`` — no
-    per-chunk allocations or joins, and short reads (the normal case for
-    multi-MB frames crossing a socket buffer) simply continue the loop.
-    The returned buffer is writable, so zero-copy decoded arrays are too.
+    Reads via ``recv_into`` into one ``bytearray``, presized up to
+    :data:`_RECV_CHUNK` and grown past it only as bytes arrive, so a
+    corrupt header claiming a huge length costs no more memory than the
+    bytes sent; short reads simply continue the loop.  The returned buffer
+    is writable, so zero-copy decoded arrays are too.
     """
-    buf = bytearray(n_bytes)
-    view = memoryview(buf)
+    buf = bytearray(min(n_bytes, _RECV_CHUNK))
     received = 0
     while received < n_bytes:
-        n = sock.recv_into(view[received:], min(n_bytes - received, _RECV_CHUNK))
+        want = min(n_bytes - received, _RECV_CHUNK)
+        if len(buf) < received + want:
+            buf.extend(bytes(received + want - len(buf)))
+        with memoryview(buf) as view:
+            n = sock.recv_into(view[received:], want)
         if n == 0:
             raise ConnectionError(
                 f"peer closed the connection mid-frame ({received}"
@@ -428,7 +432,7 @@ class FrameChannel:
             raise ConnectionError(f"socket receive failed: {exc}") from exc
         if not data:
             raise ConnectionError("peer closed the connection")
-        self._in_buf += data
+        self.feed_bytes(data)
         return len(data)
 
     def feed_bytes(self, data) -> None:

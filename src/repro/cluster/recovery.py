@@ -47,7 +47,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Environment knob holding a :meth:`FaultPlan.parse` spec; every
 #: ``ClusterBackend`` constructed without an explicit ``fault_plan`` picks it
@@ -370,7 +370,6 @@ class SiteLog:
         "key",
         "site_id",
         "sticky",
-        "job",
         "records",
         "digests",
         "lock",
@@ -380,14 +379,10 @@ class SiteLog:
         "handle",
     )
 
-    def __init__(self, key: Any, site_id: int, sticky: Any, job: str = "") -> None:
+    def __init__(self, key: Any, site_id: int, sticky: Any) -> None:
         self.key = key
         self.site_id = site_id
         self.sticky = sticky
-        #: Job namespace the key belongs to (``""`` for direct backend use);
-        #: replay frames claim the same per-job resident slot the original
-        #: dispatches used.
-        self.job = job
         self.records: List[SiteDispatchRecord] = []
         self.digests: List[Optional[Tuple[int, Dict[str, int]]]] = []
         self.lock = threading.RLock()
@@ -436,7 +431,7 @@ class SiteLog:
 
 
 class SiteLogs:
-    """A pool's site logs, one per resident key, created by its first dispatch."""
+    """A pool's site logs, one per resident key, from its first dispatch to its run's end."""
 
     def __init__(self) -> None:
         self._logs: Dict[Any, SiteLog] = {}
@@ -445,28 +440,27 @@ class SiteLogs:
     def __len__(self) -> int:
         return len(self._logs)
 
-    def open(self, key: Any, site_id: int, sticky: Any, job: str) -> SiteLog:
+    def open(self, key: Any, site_id: int, sticky: Any) -> SiteLog:
         """The log of ``key``, created on first use."""
         with self._lock:
             log = self._logs.get(key)
             if log is None:
-                log = self._logs[key] = SiteLog(key, site_id, sticky, job)
+                log = self._logs[key] = SiteLog(key, site_id, sticky)
             return log
 
-    def evict(self, key: Any) -> None:
-        """Forget a key that a new protocol run superseded, with its handle."""
+    def pop(self, key: Any) -> Optional[SiteLog]:
+        """Forget the log of ``key``, whose run ended, and return it."""
         with self._lock:
-            self._logs.pop(key, None)
+            return self._logs.pop(key, None)
 
-    def epoch_note(self, resident_by_site: Dict[Tuple[str, int], Any]) -> str:
-        """``site N: epoch E`` fragments for one host's resident site state."""
-        notes = []
-        for (job, site_id), key in sorted(resident_by_site.items()):
-            with self._lock:
-                log = self._logs.get(key)
-            if log is not None:
-                label = f"site {site_id}" if not job else f"{job}/site {site_id}"
-                notes.append(f"{label}: epoch {log.epoch}")
+    def epoch_note(self, keys: Iterable[Any]) -> str:
+        """``site N: epoch E`` fragments for the logs of one host's resident keys."""
+        with self._lock:
+            logs = [self._logs[key] for key in keys if key in self._logs]
+        notes = [
+            f"site {log.site_id}: epoch {log.epoch}"
+            for log in sorted(logs, key=lambda log: log.site_id)
+        ]
         return "; ".join(notes) or "none"
 
 

@@ -15,14 +15,14 @@ coordinator).  It serves two frame shapes:
     coordinator maps them.  It is shipped **once** per protocol run and kept
     resident under ``resident_key``; later rounds send ``sticky=None`` and
     the runner reuses its cached copy, so the view is never re-pickled
-    round after round.  ``evict`` lists superseded keys to
-    drop (a new run reusing the site slot), bounding resident memory by the
-    number of live site slots.  ``dyn`` carries the per-round payload (task
-    function, arguments, site state, RNG stream, inbox) — where the *state*
-    slot is either a plain dict (the site's first round) or a
-    :data:`~repro.runtime.state.STATE_TOKEN_TAG` token ``(tag, epoch)``
-    naming the **mutable state this runner already holds** from the
-    previous round.  After the task runs, the new state stays resident
+    round after round.  ``evict`` lists the keys of ended runs, whose site
+    views and state the runner drops before it runs the task, so what a
+    runner holds is bounded by the runs in progress.  ``dyn`` carries the
+    per-round payload (task function, arguments, site state, RNG stream,
+    inbox) — where the *state* slot is either a plain dict (the site's
+    first round) or a :data:`~repro.runtime.state.STATE_TOKEN_TAG` token
+    ``(tag, epoch)`` naming the **mutable state this runner already holds**
+    from the previous round.  After the task runs, the new state stays resident
     under ``resident_key`` at ``epoch + 1`` and the reply carries only a
     :data:`~repro.runtime.state.STATE_DIGEST_TAG` digest (keys, per-entry
     sizes, the new epoch), which recovery checks a replayed copy
@@ -48,13 +48,13 @@ without negotiation.
 
 When the pool's retry policy sets a heartbeat timeout, the runner is
 spawned with :data:`~repro.cluster.recovery.HEARTBEAT_INTERVAL_ENV` in its
-environment and a daemon thread sends unsolicited ``("hb", host_id, n)``
-frames at that interval, so a runner stalled inside a long task (or wedged
-by a SIGSTOP) is distinguishable from one that is merely busy.  Heartbeat
-frames are accounted on the coordinator's wire ledger under the
-``hb`` kind like every other frame (liveness-only heartbeats that arrive
-before any run has attached a ledger are consumed unrecorded).  A send lock
-serialises heartbeat frames with reply frames on the socket.
+environment and a daemon thread sends unsolicited ``("hb", seq)`` frames
+at that interval, so a runner stalled inside a long task (or wedged by a
+SIGSTOP) is distinguishable from one that is merely busy.  ``seq`` names
+the frame being executed (``None`` when idle), whose wire ledger records
+the heartbeat under the ``hb`` kind.  Heartbeats and replies share one
+send lock, and a reply clears ``seq`` under it, so a heartbeat naming a
+frame always crosses the socket before that frame's reply.
 
 Failures inside a task are caught and relayed as ``("exc", seq, exc, tb)``
 frames with the original exception object whenever it pickles; the runner
@@ -73,7 +73,7 @@ import pickle
 import socket
 import threading
 import traceback
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster.framing import Codec, FrameChannel, NONE_CODEC, WirePolicy
 from repro.cluster.recovery import HEARTBEAT_INTERVAL_ENV
@@ -112,9 +112,8 @@ def _execute_site(
 
     _, seq, resident_key, sticky, dyn, evict = frame
     for stale_key in evict:
-        # The coordinator names superseded keys (a new protocol run reusing
-        # this host's site slot), so resident memory stays bounded by the
-        # number of live site slots, not the number of runs served.
+        # The coordinator names the keys of ended runs, so resident memory
+        # stays bounded by the runs in progress, not the runs served.
         resident.pop(stale_key, None)
         resident_state.pop(stale_key, None)
     if sticky is not None:
@@ -189,18 +188,16 @@ def _heartbeat_interval() -> float:
 
 def _heartbeat_loop(
     channel: FrameChannel,
-    host_id: int,
+    executing: List[Optional[int]],
     send_lock: threading.Lock,
     stop: threading.Event,
     interval: float,
 ) -> None:
-    """Send unsolicited liveness frames until told to stop (or the socket dies)."""
-    n = 0
+    """Send ``("hb", executing[0])`` frames until told to stop (or the socket dies)."""
     while not stop.wait(interval):
-        n += 1
         try:
             with send_lock:
-                channel.send(("hb", host_id, n))
+                channel.send(("hb", executing[0]))
         except OSError:
             return  # coordinator gone; the serve loop is exiting too
 
@@ -214,11 +211,14 @@ def serve(channel: FrameChannel, host_id: int) -> None:
     site_codec = WirePolicy.from_env().codec_for("site")
     send_lock = threading.Lock()
     stop = threading.Event()
+    executing: List[Optional[int]] = [None]  # the seq heartbeats name
 
     def send(frame: Tuple, codec: Optional[Codec] = None) -> None:
         # All socket writes go through the send lock so heartbeat frames
-        # never interleave with a reply frame's bytes.
+        # never interleave with a reply frame's bytes; after a reply,
+        # heartbeats no longer name its frame.
         with send_lock:
+            executing[0] = None
             if codec is None:
                 channel.send(frame)
             else:
@@ -228,7 +228,7 @@ def serve(channel: FrameChannel, host_id: int) -> None:
     if interval > 0:
         threading.Thread(
             target=_heartbeat_loop,
-            args=(channel, host_id, send_lock, stop, interval),
+            args=(channel, executing, send_lock, stop, interval),
             daemon=True,
             name=f"runner-{host_id}-heartbeat",
         ).start()
@@ -256,7 +256,7 @@ def serve(channel: FrameChannel, host_id: int) -> None:
                 except OSError:
                     pass
                 return
-            seq = frame[1]
+            seq = executing[0] = frame[1]
             codec = site_codec
             try:
                 if tag != "site":

@@ -2,20 +2,18 @@
 
 A :class:`ClusterService` owns a single :class:`~repro.cluster.backend.
 ClusterBackend` warm pool and admits multiple concurrent clustering runs
-against it.  Each admitted job gets a :class:`ServiceBackend` — a thin
-:class:`~repro.runtime.backends.ExecutionBackend` view of the shared pool
-that stamps every dispatch with the job's private *namespace*, so the
-pool's resident site state and heartbeat accounting stay fully isolated
-between jobs:
+against it.  Each admitted job gets a :class:`ServiceBackend`, a thin
+:class:`~repro.runtime.backends.ExecutionBackend` view of the shared pool.
+Jobs need no isolation of their own, because the pool already keeps runs
+apart: a run owns what the pool holds for it.
 
-* **Resident site state** is keyed by ``(namespace, site slot)``; the
-  existing warm-pool slot-eviction machinery gives each lane the same
-  reuse semantics a standalone warm pool has, so a job's results and word
-  ledger are bit-identical to the same run on a standalone pool.
+* **Resident site state** is keyed by each site's resident key, unique
+  per run; it ends with its run (:meth:`ClusterBackend.end_run`), so a
+  job's results and word ledger are bit-identical to the same run on a
+  standalone pool, whatever runs beside it.
 * **Wire ledgers and tracers** are per-run objects the job's own driver
-  passes down — the service never mixes them; heartbeat accounting
-  captured for one job is detached at that job's end only
-  (:meth:`ClusterBackend.detach_run_accounting` with ``job=``).
+  passes down, and each heartbeat goes on the ledger of the frame its
+  runner is executing, so one job's heartbeats never land on another's.
 
 Admission control is keyed on ``memory_budget`` (same grammar as the
 blocked-evaluation budgets: bytes, or strings like ``"64MB"`` — see
@@ -37,26 +35,22 @@ Two front doors:
 :meth:`ClusterService.checkout`
     The blocking API behind ``REPRO_CLUSTER_SERVICE=1``: waits for
     admission and returns the :class:`ServiceBackend` directly; closing
-    the backend releases the job's lane.  This is how existing
+    the backend returns the job's admission.  This is how existing
     ``backend="cluster:N"`` call sites run through a shared service pool
     without code changes.
 
-Lanes — the job namespaces — are recycled smallest-first, so a steady
-stream of jobs reuses the same few namespaces (and the pool's site slots
-behave exactly like a warm pool being reused run after run).  The pool's
-retry policy is the service's ``retry=``, shared by every job.  A pool
-whose hosts died is retired when its last job releases: the next checkout
-gets a fresh pool instead of the wreck.
+The pool's retry policy is the service's ``retry=``, shared by every job.
+A pool whose hosts died is retired when its last job releases: the next
+checkout gets a fresh pool instead of the wreck.
 """
 
 from __future__ import annotations
 
 import atexit
-import heapq
 import itertools
 import threading
 from concurrent.futures import Future
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 from repro.cluster.backend import ClusterBackend
 from repro.cluster.recovery import RetryPolicy
@@ -67,40 +61,31 @@ from repro.runtime.backends import ExecutionBackend
 class ServiceBackend(ExecutionBackend):
     """One admitted job's view of the shared warm pool.
 
-    Dispatches site tasks through the pool's
-    :meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`, but
-    stamps every frame with the job's namespace and scopes the
-    run-lifecycle hooks (heartbeat accounting detach, close) to this job
-    only.  :meth:`close` releases the job's admission slot; it never closes
-    the shared pool.
+    Dispatches site tasks and ends runs through the pool
+    (:meth:`~repro.cluster.backend.ClusterBackend.submit_site_pairs`,
+    :meth:`~repro.cluster.backend.ClusterBackend.end_run`).  :meth:`close`
+    returns the job's admission; it never closes the shared pool.
     """
 
     name = "service"
 
     def __init__(self, service: "ClusterService", pool: ClusterBackend,
-                 job: str, label: str, memory_budget: Optional[int]):
+                 label: str, memory_budget: Optional[int]):
         self._service = service
         self._pool = pool
-        #: The job namespace every dispatch of this backend is stamped with.
-        self.job = job
         self.label = label
         #: Bytes reserved against the service capacity (None reserves zero).
         self.memory_budget = memory_budget
         self._released = False
 
-    # -- dispatch: the ClusterBackend surface, namespaced -----------------
-
     def submit_site_pairs(self, pairs, *, round_index, ledger,
                           tracer=None) -> List[Future]:
         return self._pool.submit_site_pairs(
             pairs, round_index=round_index, ledger=ledger, tracer=tracer,
-            job=self.job,
         )
 
-    # -- run-lifecycle hooks, scoped to this job --------------------------
-
-    def detach_run_accounting(self) -> None:
-        self._pool.detach_run_accounting(job=self.job)
+    def end_run(self, network) -> None:
+        self._pool.end_run(network)
 
     @property
     def n_hosts(self) -> int:
@@ -114,30 +99,26 @@ class ServiceBackend(ExecutionBackend):
         return self._pool.dead_hosts()
 
     def close(self) -> None:
-        """Release this job's admission slot (the shared pool stays warm)."""
+        """Return this job's admission (the shared pool stays warm)."""
         if self._released:
             return
         self._released = True
         self._service.release(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ServiceBackend(job={self.job!r}, label={self.label!r}, "
-                f"n_hosts={self._pool.n_hosts})")
+        return f"ServiceBackend(label={self.label!r}, n_hosts={self._pool.n_hosts})"
 
 
 class ClusterJob:
     """Handle for one queued/running service job.
 
     ``result()`` joins the job (re-raising whatever its function raised);
-    ``done()`` polls.  The namespace (:attr:`job`) is assigned at admission
-    time, so it is ``None`` while the job is still queued.
+    ``done()`` polls.
     """
 
     def __init__(self, label: str, memory_budget: Optional[int]):
         self.label = label
         self.memory_budget = memory_budget
-        #: The lane namespace, set once the job is admitted.
-        self.job: Optional[str] = None
         self._future: Future = Future()
 
     def result(self, timeout: Optional[float] = None) -> Any:
@@ -150,7 +131,7 @@ class ClusterJob:
         return self._future.exception(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "done" if self.done() else ("running" if self.job else "queued")
+        state = "done" if self.done() else "pending"
         return f"ClusterJob(label={self.label!r}, {state})"
 
 
@@ -175,11 +156,8 @@ class ClusterService:
         self._pool: Optional[ClusterBackend] = None
         #: Bytes currently reserved by admitted jobs.
         self._reserved = 0
-        #: Namespace -> the admitted backend holding that lane.
-        self._active: Dict[str, ServiceBackend] = {}
-        #: Freed lane numbers, recycled smallest-first.
-        self._free_lanes: List[int] = []
-        self._next_lane = 1
+        #: The admitted jobs' backends.
+        self._active: Set[ServiceBackend] = set()
         #: FIFO admission tickets: jobs are admitted strictly in the order
         #: their tickets were drawn, regardless of budget size.
         self._tickets = itertools.count()
@@ -197,14 +175,6 @@ class ClusterService:
         if self.capacity is None:
             return True
         return self._reserved + (budget or 0) <= self.capacity
-
-    def _allocate_lane_locked(self) -> str:
-        if self._free_lanes:
-            lane = heapq.heappop(self._free_lanes)
-        else:
-            lane = self._next_lane
-            self._next_lane += 1
-        return f"job-{lane}"
 
     def _ensure_pool_locked(self) -> ClusterBackend:
         pool = self._pool
@@ -232,7 +202,7 @@ class ClusterService:
         Admission is FIFO over every waiting ``checkout``/``submit``: the
         job at the head of the queue is admitted as soon as its
         ``memory_budget`` fits the remaining capacity (always, when the
-        pool is idle).  Close the returned backend to release the lane.
+        pool is idle).  Close the returned backend to return the admission.
         """
         budget = resolve_memory_budget(memory_budget)
         with self._admit:
@@ -248,29 +218,24 @@ class ClusterService:
                     raise RuntimeError("the cluster service is closed")
             self._queue.pop(0)
             self._reserved += budget or 0
-            lane = self._allocate_lane_locked()
             pool = self._ensure_pool_locked()
-            backend = ServiceBackend(self, pool, lane, label, budget)
-            self._active[lane] = backend
+            backend = ServiceBackend(self, pool, label, budget)
+            self._active.add(backend)
             # The head job changed: the next waiter may fit alongside us.
             self._admit.notify_all()
             return backend
 
     def release(self, backend: ServiceBackend) -> None:
-        """Return a job's lane and budget reservation (idempotent via close).
+        """Return a job's admission and budget reservation (idempotent via close).
 
-        Detaches the job's heartbeat accounting, and retires a pool whose
-        hosts died once its last job is gone — the next admission starts a
-        fresh pool.
+        Retires a pool whose hosts died once its last job is gone — the next
+        admission starts a fresh pool.
         """
         pool = backend._pool
-        pool.detach_run_accounting(job=backend.job)
         with self._admit:
-            if self._active.pop(backend.job, None) is not None:
+            if backend in self._active:
+                self._active.remove(backend)
                 self._reserved -= backend.memory_budget or 0
-                heapq.heappush(
-                    self._free_lanes, int(backend.job.rsplit("-", 1)[1])
-                )
             broken = (self._pool is pool and not self._active
                       and pool.dead_hosts())
             if broken:
@@ -306,7 +271,6 @@ class ClusterService:
             except BaseException as exc:  # noqa: BLE001 - relayed to the handle
                 job._future.set_exception(exc)
                 return
-            job.job = backend.job
             try:
                 job._future.set_result(fn(backend, *args, **kwargs))
             except BaseException as exc:  # noqa: BLE001 - relayed to the handle

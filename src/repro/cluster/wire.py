@@ -43,8 +43,8 @@ from typing import Any, Dict, List, Optional
 #: survivor — the byte cost of recovery, accounted as honestly as the rest
 #: of the wire.
 #: ``hb`` frames are runner liveness heartbeats (``recv`` only — runners
-#: send them unsolicited); they cross the same sockets as everything else,
-#: so they are accounted like everything else.
+#: send them unsolicited).  Each names the frame its runner is executing and
+#: is accounted on that frame's ledger; an idle runner's go on none.
 FRAME_KINDS = (
     "site_dispatch",
     "site_result",

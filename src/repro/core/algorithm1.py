@@ -179,7 +179,7 @@ def distributed_partial_median(
     with protocol_run("algorithm1", objective, **options) as run:
         network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
-        with run.backend() as backend:
+        with run.backend(network) as backend:
             # --------------------------------------------------------------
             # Round 1: local cost profiles.
             # --------------------------------------------------------------

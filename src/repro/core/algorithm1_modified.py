@@ -142,7 +142,7 @@ def distributed_partial_median_no_shipping(
     with protocol_run("algorithm1_no_shipping", objective, **options) as run:
         network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
-        with run.backend() as backend:
+        with run.backend(network) as backend:
             # Round 1: profiles on the finer grid.
             network.next_round()
             round1 = run_site_tasks(

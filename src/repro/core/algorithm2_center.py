@@ -146,7 +146,7 @@ def distributed_partial_center(
 
     with protocol_run("algorithm2_center", "center", **options) as run:
         network.tracer = run.trace
-        with run.backend() as backend:
+        with run.backend(network) as backend:
             # --------------------------------------------------------------
             # Round 1: Gonzalez traversals and witness curves.
             # --------------------------------------------------------------

@@ -197,7 +197,7 @@ def distributed_uncertain_clustering(
         network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
         mem_budget = run.memory_budget
-        with run.backend() as backend:
+        with run.backend(network) as backend:
             # --------------------------------------------------------------
             # Round 1: collapse + compressed-graph preclustering profiles.
             # --------------------------------------------------------------

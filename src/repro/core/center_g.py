@@ -209,7 +209,7 @@ def distributed_uncertain_center_g(
         network.tracer = run.trace
         local_kwargs = run.local_kwargs(local_solver_kwargs)
         mem_budget = run.memory_budget
-        with run.backend() as backend:
+        with run.backend(network) as backend:
             # --------------------------------------------------------------
             # Round 1a: every party reports its local distance extremes (O(s) words).
             # --------------------------------------------------------------

@@ -13,7 +13,7 @@ unknown option name raises ``TypeError`` here.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Any, ContextManager, Iterator, Optional
+from typing import Any, Iterator, Optional
 
 from repro.metrics.blocked import MemoryBudgetLike, resolve_memory_budget, shard_scratch
 from repro.obs.trace import TraceLike, resolve_tracer, trace_run
@@ -50,15 +50,20 @@ class ProtocolRun:
             kwargs.setdefault("memory_budget", self.memory_budget)
         return kwargs
 
-    def backend(self) -> ContextManager[ExecutionBackend]:
-        """Open the execution backend for the site rounds.
+    @contextmanager
+    def backend(self, network) -> Iterator[ExecutionBackend]:
+        """Open the execution backend for the site rounds of ``network``.
 
-        Drivers close it before the coordinator's final solve, so pool
-        shutdown and heartbeat accounting end with the last site round: a
-        caller's warm pool outlives the run, and its later heartbeats must
-        not land on this run's books.
+        On exit, failed runs included, the backend ends the network's run
+        (:meth:`~repro.runtime.backends.ExecutionBackend.end_run`), so a
+        caller's warm pool keeps nothing of it.  Drivers close it before
+        the coordinator's final solve.
         """
-        return backend_scope(self._backend)
+        with backend_scope(self._backend) as backend:
+            try:
+                yield backend
+            finally:
+                backend.end_run(network)
 
 
 @contextmanager

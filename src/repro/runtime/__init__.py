@@ -36,6 +36,11 @@ counts.  Pass an instance to share one warm pool across many runs::
     with ClusterBackend(n_hosts=4) as pool:
         for seed in range(10):
             partial_kmedian(points, k=3, t=30, seed=seed, backend=pool)
+
+A run's site state lives on the pool while the run does: each driver
+calls ``pool.end_run(network)`` as it ends.  A network driven by hand
+through :func:`run_site_tasks` keeps it until ``pool.end_run(network)``
+or ``pool.close()``.
 """
 
 from repro.runtime.backends import (

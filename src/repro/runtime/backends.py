@@ -78,11 +78,11 @@ class ExecutionBackend(ABC):
         enabled tracer, or ``None`` on an untraced run.
         """
 
-    def detach_run_accounting(self) -> None:
-        """Stop charging out-of-band traffic (heartbeats) to the finished run.
+    def end_run(self, network) -> None:
+        """The run on ``network`` is over; drop what you hold for its sites.
 
-        Called when a run's backend scope exits.  Backends without such
-        traffic have nothing to detach.
+        Called as a protocol run's backend scope closes, failed runs
+        included.  Backends that hold nothing for a run have nothing to drop.
         """
 
     def close(self) -> None:
@@ -150,7 +150,7 @@ def _cluster_factory(workers: Optional[int]) -> ExecutionBackend:
 
 def _service_factory(workers: Optional[int]) -> ExecutionBackend:
     # One admitted job on the process-wide shared warm pool: closing the
-    # returned backend releases the job's lane, never the pool.
+    # returned backend returns the job's admission, never the pool.
     from repro.cluster.service import shared_service
 
     return shared_service(workers).checkout()
@@ -206,16 +206,13 @@ def backend_scope(backend: BackendLike) -> Iterator[ExecutionBackend]:
     A caller-supplied :class:`ExecutionBackend` instance is yielded as-is and
     left open (the caller owns its lifetime and may be sharing the pool
     across rounds or protocol runs); a ``None``/string spec is resolved to a
-    fresh backend that is closed on exit.  Either way the backend's
-    :meth:`~ExecutionBackend.detach_run_accounting` runs on exit, so a warm
-    pool's idle heartbeats never land on a finished run's books.
+    fresh backend that is closed on exit.
     """
     owned = not isinstance(backend, ExecutionBackend)
     resolved = resolve_backend(backend)
     try:
         yield resolved
     finally:
-        resolved.detach_run_accounting()
         if owned:
             resolved.close()
 

@@ -72,8 +72,8 @@ class ResidentState:
 
     It names the state (``resident_key``, ``site_id``, ``epoch``) and holds
     none of it.  Only the backend that produced it reads it, and only while
-    it is the key's current handle: dispatching a superseded handle raises
-    :class:`RuntimeError`.  Recovery moves the current handle to the epoch
+    it is the key's current handle: dispatching a superseded handle, or one
+    whose run ended, raises :class:`RuntimeError`.  Recovery moves the current handle to the epoch
     of the replayed copy.
     """
 

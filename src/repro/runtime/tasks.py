@@ -205,7 +205,9 @@ def run_site_tasks(
     backend:
         ``None`` / a backend name (optionally ``"name:workers"``,
         e.g. ``"cluster:3"``) or an
-        :class:`~repro.runtime.backends.ExecutionBackend` instance.
+        :class:`~repro.runtime.backends.ExecutionBackend` instance.  A
+        caller's pool keeps the network's site state for its next round
+        until ``backend.end_run(network)`` or ``backend.close()``.
 
     Returns
     -------

@@ -5,18 +5,19 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 
 import numpy as np
 import pytest
 
-from repro import partial_kmedian
+from repro import partial_kcenter, partial_kmedian
 from repro.cluster import ClusterBackend
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
 from repro.runtime import SiteTask, resolve_backend, run_site_tasks
-from tests.helpers import run_site_round
+from tests.helpers import pool_holdings, run_site_round
 
 pytestmark = pytest.mark.cluster
 
@@ -194,9 +195,12 @@ class TestSiteTasks:
         assert 0 < dispatch_by_round[2] < dispatch_by_round[1]
 
     def test_shared_pool_evicts_superseded_resident_state(self, cluster2, small_workload):
-        """Fresh protocol runs reuse site slots: runner-resident memory and
-        the coordinator's site logs are bounded by live slots, not by the
-        number of runs served."""
+        """A run owns what the pool holds for it: two ended hand-driven
+        networks and two driver runs add no resident key or site log to the
+        warm pool.  Earlier tests may leave networks they never ended, so the
+        test compares against the pool as it found it."""
+        before = pool_holdings(cluster2)
+        ended = []
         for _ in range(2):
             network = _make_network()
             network.next_round()
@@ -205,17 +209,17 @@ class TestSiteTasks:
                 [SiteTask(i, _ping_task, args=(1.0,)) for i in range(network.n_sites)],
                 backend=cluster2,
             )
+            # Until its run ends, a hand-driven network keeps its state.
+            assert len(cluster2._site_logs) == before[1] + network.n_sites
+            cluster2.end_run(network)
+            ended.extend(site.resident_key for site in network.sites)
         for seed in range(2):
             partial_kmedian(
                 small_workload.points, 3, 15, n_sites=3, seed=seed, backend=cluster2
             )
-        # One resident key per (host, site slot) — superseded keys are gone.
-        for host in cluster2._hosts:
-            assert len(host.resident_keys) == len(host.resident_by_site)
-        total_slots = sum(len(h.resident_by_site) for h in cluster2._hosts)
-        assert sum(len(h.resident_keys) for h in cluster2._hosts) == total_slots == 3
-        # Every dispatch is logged, one log per live resident key.
-        assert len(cluster2._site_logs) == total_slots
+        assert pool_holdings(cluster2) == before
+        # The ended networks' evictions rode the driver runs' frames.
+        assert not {key for host in cluster2._hosts for key in host.evict} & set(ended)
 
     def test_deterministic_repeat_run_bytes(self):
         # Raw bytes are the run-invariant column: the per-run uuid resident
@@ -236,6 +240,86 @@ class TestSiteTasks:
                 backend.close()
 
         assert one_run() == one_run()
+
+
+class TestConcurrentRuns:
+    def test_two_threads_share_one_caller_owned_pool(self):
+        """Two protocols run at once on one pool, two runs each.
+
+        Each run owns its sites' state, whatever site ids the other run
+        uses: every run equals its serial run, and once both threads are
+        done the pool holds no resident key or site log of theirs.
+        """
+        points = np.random.default_rng(0).normal(size=(400, 2))
+        drivers = {"kmedian": partial_kmedian, "kcenter": partial_kcenter}
+        pool = ClusterBackend(n_hosts=2)
+        results, errors = {}, []
+
+        def drive(name):
+            try:
+                for seed in (1, 2):
+                    results[name, seed] = drivers[name](
+                        points, 4, 20, n_sites=4, seed=seed, backend=pool
+                    )
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        try:
+            before = pool_holdings(pool)
+            threads = [threading.Thread(target=drive, args=(name,)) for name in drivers]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            assert not any(thread.is_alive() for thread in threads)
+            assert errors == []
+            assert pool_holdings(pool) == before
+        finally:
+            pool.close()
+        assert len(results) == 4
+        for (name, seed), result in results.items():
+            serial = drivers[name](points, 4, 20, n_sites=4, seed=seed)
+            np.testing.assert_array_equal(result.centers, serial.centers)
+            assert result.cost == serial.cost
+            assert result.ledger.total_words() == serial.ledger.total_words()
+            np.testing.assert_array_equal(result.outliers, serial.outliers)
+
+    def test_hand_driven_networks_end_cleanly_under_thread_switching(self, cluster2):
+        """Four threads drive and end two-round networks on one pool while
+        the interpreter switches threads every microsecond: every round is
+        right, and the pool ends up holding what it held before."""
+        before = pool_holdings(cluster2)
+        errors = []
+
+        def drive():
+            try:
+                for _ in range(3):
+                    network = _make_network()
+                    for round_no in (1, 2):
+                        network.next_round()
+                        results = run_site_tasks(
+                            network,
+                            [SiteTask(i, _ping_task, args=(1.0,)) for i in range(3)],
+                            backend=cluster2,
+                        )
+                        assert [r.value for r in results] == [(3, round_no)] * 3
+                    cluster2.end_run(network)
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=drive) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert pool_holdings(cluster2) == before
 
 
 class TestLifecycle:

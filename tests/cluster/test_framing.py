@@ -1,10 +1,15 @@
 """Tests for the codec-framed pickle transport."""
 
+import itertools
 import socket
+import struct
 import threading
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cluster.framing import (
     FRAME_OVERHEAD,
@@ -24,7 +29,13 @@ from repro.cluster.framing import (
     recv_exact,
     resolve_codec,
 )
+from repro.cluster.loop import EventLoop
 from repro.metrics import MatrixMetric
+
+
+def _wire_bytes(frame):
+    """The bytes one encoded frame occupies on the socket, header included."""
+    return struct.pack(">QB", len(frame.data), resolve_codec(frame.codec).wire_id) + frame.data
 
 
 @pytest.fixture()
@@ -225,6 +236,32 @@ class TestFrameChannel:
         finally:
             b.close()
 
+    def test_huge_length_claim_then_eof_raises_connection_error(self):
+        """A header claiming 2**62 bytes allocates only what arrives."""
+        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        try:
+            a.sendall(struct.pack(">QB", 1 << 62, 0) + b"partial")
+            a.close()
+            with pytest.raises(ConnectionError, match="mid-frame"):
+                FrameChannel(b).recv()
+        finally:
+            b.close()
+
+    def test_recv_exact_grows_past_one_chunk(self):
+        """A read longer than one receive chunk grows its buffer as bytes arrive."""
+        from repro.cluster.framing import _RECV_CHUNK
+
+        a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
+        payload = np.random.default_rng(3).bytes(2 * _RECV_CHUNK + 12345)
+        thread = threading.Thread(target=a.sendall, args=(payload,))
+        thread.start()
+        try:
+            assert recv_exact(b, len(payload)) == payload
+        finally:
+            thread.join()
+            a.close()
+            b.close()
+
     def test_recv_exact_requires_full_read(self):
         a, b = socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
@@ -290,15 +327,10 @@ class TestNonBlockingReassembly:
     """The loop-facing half of the channel: feed_bytes/take_frames and the
     backpressured send queue (queue_frame/pending_out/flush_out)."""
 
-    def _wire_bytes(self, frame):
-        import struct
-
-        return struct.pack(">QB", len(frame.data), resolve_codec(frame.codec).wire_id) + frame.data
-
     def test_partial_header_yields_nothing(self, channel_pair):
         _, right = channel_pair
         frame = encode_frame(("hello", 1))
-        wire = self._wire_bytes(frame)
+        wire = _wire_bytes(frame)
         # Feed the header one byte at a time: no frame may materialise
         # before the body is complete.
         for i in range(FRAME_OVERHEAD):
@@ -315,7 +347,7 @@ class TestNonBlockingReassembly:
         obj = {"text": "q" * 20000}
         frame = encode_frame(obj, "zlib")
         assert frame.codec == "zlib"
-        wire = self._wire_bytes(frame)
+        wire = _wire_bytes(frame)
         # Dribble the compressed body through in 7-byte slices, holding the
         # final byte back; the frame decodes only once it is whole.
         for offset in range(0, len(wire) - 1, 7):
@@ -329,7 +361,7 @@ class TestNonBlockingReassembly:
 
     def test_two_frames_in_one_feed_decode_in_order(self, channel_pair):
         _, right = channel_pair
-        wires = [self._wire_bytes(encode_frame(("msg", i))) for i in range(3)]
+        wires = [_wire_bytes(encode_frame(("msg", i))) for i in range(3)]
         blob = b"".join(wires)
         # First feed ends inside frame 2's body: exactly one frame decodes.
         cut = len(wires[0]) + len(wires[1]) // 2
@@ -349,7 +381,7 @@ class TestNonBlockingReassembly:
             streams = []
             for index in range(2):
                 wires = b"".join(
-                    self._wire_bytes(encode_frame((f"ch{index}", i, "x" * 50)))
+                    _wire_bytes(encode_frame((f"ch{index}", i, "x" * 50)))
                     for i in range(4)
                 )
                 streams.append(wires)
@@ -410,3 +442,125 @@ class TestNonBlockingReassembly:
         with pytest.raises(ConnectionError):
             while right.read_ready() == -1:
                 pass
+
+
+#: Six frames for the reassembly fuzzing: numpy arrays (out of band), and
+#: alternating codecs; the compressible ones really are zlib-encoded.
+_FUZZ_OBJECTS = [
+    ("site_res", i, {
+        "arr": np.random.default_rng(i).normal(size=40 * (i + 1)),
+        "ids": np.arange(100 * i),
+        "tag": "x" * (60 * i),
+    })
+    for i in range(6)
+]
+_FUZZ_FRAMES = [
+    encode_frame(obj, codec)
+    for obj, codec in zip(_FUZZ_OBJECTS, itertools.cycle(("none", "zlib")))
+]
+_FUZZ_STREAM = b"".join(_wire_bytes(frame) for frame in _FUZZ_FRAMES)
+
+
+def _reassembler():
+    """A channel for the reassembly path alone, which never touches its socket."""
+    return FrameChannel(None)
+
+
+class TestReassemblyFuzz:
+    """Truncated, garbage and oversized input on the loop's reassembly path
+    (``feed_bytes``/``take_frames``, which ``read_ready`` feeds)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(chunks=st.lists(st.integers(min_value=1, max_value=700), min_size=1, max_size=40))
+    def test_random_chunks_reassemble_in_order(self, chunks):
+        assert {frame.codec for frame in _FUZZ_FRAMES} == {"none", "zlib"}
+        channel = _reassembler()
+        got = []
+        offset = 0
+        for size in itertools.cycle(chunks):
+            if offset >= len(_FUZZ_STREAM):
+                break
+            channel.feed_bytes(_FUZZ_STREAM[offset : offset + size])
+            offset += size
+            got.extend(channel.take_frames())
+        assert len(got) == len(_FUZZ_OBJECTS)
+        for (obj, n_bytes, raw_bytes, codec), want, frame in zip(
+            got, _FUZZ_OBJECTS, _FUZZ_FRAMES
+        ):
+            assert obj[:2] == want[:2] and obj[2]["tag"] == want[2]["tag"]
+            np.testing.assert_array_equal(obj[2]["arr"], want[2]["arr"])
+            np.testing.assert_array_equal(obj[2]["ids"], want[2]["ids"])
+            assert (n_bytes, raw_bytes, codec) == (frame.n_bytes, frame.raw_bytes, frame.codec)
+        assert len(channel._in_buf) == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        codec_id=st.sampled_from([0, 1, 2, 255]),
+        body=st.binary(max_size=300),
+        tail=st.binary(max_size=40),
+    )
+    def test_random_bytes_decode_or_raise(self, codec_id, body, tail):
+        """A frame of random bytes decodes or raises; nothing grows the buffer."""
+        data = struct.pack(">QB", len(body), codec_id) + body + tail
+        channel = _reassembler()
+        channel.feed_bytes(data)
+        try:
+            channel.take_frames()
+        except Exception:  # noqa: BLE001 - any decode error is a clean failure
+            pass
+        assert len(channel._in_buf) <= len(data)
+
+    def test_huge_length_claim_buffers_only_what_arrived(self):
+        channel = _reassembler()
+        header = struct.pack(">QB", 1 << 62, 0)
+        channel.feed_bytes(header + b"abc")
+        assert channel.take_frames() == []
+        assert len(channel._in_buf) == len(header) + 3
+
+
+class TestEventLoopIsolation:
+    def test_garbage_on_one_channel_fails_only_that_channel(self):
+        """The loop turns a decode error into that channel's one error and
+        keeps serving the other channel."""
+        loop = EventLoop()
+        pairs = [socket.socketpair(socket.AF_UNIX, socket.SOCK_STREAM) for _ in range(2)]
+        errors = {0: [], 1: []}
+        frames = {0: [], 1: []}
+        delivered = threading.Event()
+        failed = threading.Event()
+
+        def on_frames(index, batch):
+            frames[index].extend(batch)
+            delivered.set()
+
+        def on_error(index, exc):
+            errors[index].append(exc)
+            failed.set()
+
+        try:
+            for index, (_, right) in enumerate(pairs):
+                channel = FrameChannel(right)
+                channel.set_nonblocking()
+                loop.register_channel(
+                    channel,
+                    on_frames=lambda batch, index=index: on_frames(index, batch),
+                    on_error=lambda exc, index=index: on_error(index, exc),
+                )
+            loop.start()
+            # A header naming a 32-byte raw body, then 32 bytes that are no
+            # body envelope: decoding raises, and then more bytes and EOF.
+            bad = pairs[0][0]
+            bad.sendall(struct.pack(">QB", 32, 0) + b"\xff" * 32)
+            assert failed.wait(timeout=10)
+            bad.sendall(b"\x00" * 64)
+            bad.close()
+            FrameChannel(pairs[1][0]).send(("ok", 1))
+            assert delivered.wait(timeout=10)
+            time.sleep(0.1)  # room for a second error, which must not come
+            assert len(errors[0]) == 1 and errors[1] == []
+            assert frames[0] == [] and [f[0] for f in frames[1]] == [("ok", 1)]
+        finally:
+            loop.stop()
+            for left, right in pairs:
+                left.close()
+                right.close()

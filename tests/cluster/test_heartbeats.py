@@ -1,15 +1,19 @@
-"""Runner heartbeats on a real cluster: accounting, parity, and detach.
+"""Runner heartbeats on a real cluster: accounting, parity, and ownership.
 
 A pool built with ``RetryPolicy(heartbeat_timeout=...)`` has every runner
-send unsolicited ``("hb", host_id, n)`` frames at a quarter of the timeout.
-They are the liveness signal the heartbeat monitor reads, and they cross
-the same sockets as site frames, so each one a run receives lands on that
-run's wire ledger under the ``hb`` kind and in its trace's ``wire.bytes*``
-counters.  Every protocol stays bit-identical to a plain serial run, and
-once a run's backend scope exits its books are frozen: a warm pool's later
-heartbeats never land on them, on a direct backend or on a service lane.
+send unsolicited ``("hb", seq)`` frames at a quarter of the timeout.  They
+are the liveness signal the heartbeat monitor reads, and they cross the
+same sockets as site frames.  Each names the frame its runner is executing
+and lands on that frame's wire ledger under the ``hb`` kind and in its
+trace's ``wire.bytes*`` counters; an idle runner's land on no ledger.
+Every protocol stays bit-identical to a plain serial run.  A heartbeat
+naming a frame crosses the socket before that frame's reply, so a returned
+run's books are frozen: a warm pool's later heartbeats never land on them,
+on a direct backend or on a service job, and a job never gets the
+heartbeats of another job's task that it queued behind.
 """
 
+import threading
 import time
 from types import SimpleNamespace
 
@@ -55,12 +59,12 @@ def _assert_same_result(base, other):
         np.testing.assert_array_equal(base.outliers, other.outliers)
 
 
-def _traced_sleep_round(backend, n_tasks):
+def _traced_sleep_round(backend, n_tasks, seconds=SLEEP_S):
     """One traced round of sleeping site tasks; the books it was charged to."""
     tracer = Tracer()
     ledger = CommunicationLedger()
     results = run_site_round(
-        backend, _sleep_task, [(i, SLEEP_S) for i in range(n_tasks)],
+        backend, _sleep_task, [(i, seconds) for i in range(n_tasks)],
         tracer=tracer, ledger=ledger,
     )
     return SimpleNamespace(trace=tracer, ledger=ledger, results=results)
@@ -166,7 +170,7 @@ class TestHeartbeatParity:
 
 
 def _assert_books_frozen_after_scope(first_backend, later_backend, hosts):
-    """A finished run's heartbeat books stop growing on a warm pool.
+    """A returned run's heartbeat books stop growing on a warm pool.
 
     Runs a slow traced round on ``first_backend``, idles for several
     heartbeat intervals while ``hosts`` keep beating, then runs another
@@ -186,7 +190,10 @@ def _assert_books_frozen_after_scope(first_backend, later_backend, hosts):
 
 
 class TestHeartbeatsDetachWithTheRun:
+    """Once its frames have replied, a run's heartbeat books never change."""
+
     def test_warm_backend_freezes_a_finished_runs_books(self):
+        """Heartbeats of an idle warm pool name no frame and go on no books."""
         backend = ClusterBackend(n_hosts=2, retry=HEARTBEATS)
         try:
             # Starts the runners; the rounds below run on a warm pool.
@@ -196,7 +203,8 @@ class TestHeartbeatsDetachWithTheRun:
             backend.close()
 
     def test_service_lane_freezes_its_jobs_books(self):
-        """``detach_run_accounting(job=)`` ends a lane's heartbeat books."""
+        """A service job's books freeze as its frames reply, while another
+        job on the same pool keeps receiving its own heartbeats."""
         with ClusterService(n_hosts=2, retry=HEARTBEATS) as service:
             first, later = service.checkout(), service.checkout()
             try:
@@ -206,3 +214,34 @@ class TestHeartbeatsDetachWithTheRun:
             finally:
                 first.close()
                 later.close()
+
+
+class TestHeartbeatsGoOnTheExecutingFramesBooks:
+    def test_queued_job_gets_no_heartbeat_of_the_task_ahead(self):
+        """Job B's task queues behind job A's 1.5 s task on the one host.
+
+        Every heartbeat the runner sends while A's task runs names A's
+        frame, so all of them go on A's books and none on B's, although B
+        dispatched last.
+        """
+        with ClusterService(n_hosts=1, retry=HEARTBEATS) as service:
+            a, b = service.checkout(label="a"), service.checkout(label="b")
+            try:
+                run_site_round(a, _sleep_task, [(0, 0.0)])  # start the runner
+                first = {}
+                thread = threading.Thread(
+                    target=lambda: first.update(run=_traced_sleep_round(a, 1, 1.5))
+                )
+                thread.start()
+                time.sleep(0.2)
+                later = _traced_sleep_round(b, 1, 0.0)
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            finally:
+                a.close()
+                b.close()
+        assert first["run"].results == [0] and later.results == [0]
+        assert _hb_books(first["run"])[0] >= 3
+        assert _hb_books(later) == (0, 0)
+        assert_counters_equal_ledger(first["run"])
+        assert_counters_equal_ledger(later)

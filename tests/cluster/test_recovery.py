@@ -392,6 +392,31 @@ class TestSiteRecovery:
             assert result.cost == serial.cost
         assert dead == [1]
 
+    def test_recovered_pool_keeps_no_site_log_after_each_run(self):
+        """Runs after a death re-pin host 1's site; each run's end drops its logs.
+
+        Host 1 dies as the loop handles its last reply of the first run, so
+        the later runs place site 1 on host 2.  Every run equals serial,
+        and the pool keeps no site log once a run returns.
+        """
+        points = np.random.default_rng(1).normal(size=(90, 2))
+        serial = partial_kmedian(points, 3, 9, n_sites=3, seed=11)
+        backend = ClusterBackend(
+            n_hosts=3,
+            retry=RetryPolicy(max_retries=1),
+            fault_plan=FaultPlan.parse("kill host=1 when=io task=2"),
+        )
+        logs = []
+        try:
+            for _ in range(4):
+                result = partial_kmedian(points, 3, 9, n_sites=3, seed=11, backend=backend)
+                np.testing.assert_array_equal(result.centers, serial.centers)
+                assert result.cost == serial.cost
+                logs.append(len(backend._site_logs))
+        finally:
+            backend.close()
+        assert logs == [0, 0, 0, 0]
+
 
 class TestHeartbeat:
     def test_stalled_runner_times_out_and_recovers(self):

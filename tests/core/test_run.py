@@ -4,9 +4,13 @@ import inspect
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro.core.run import protocol_run
+from repro.distributed.instance import DistributedInstance
+from repro.distributed.network import StarNetwork
+from repro.metrics.euclidean import EuclideanMetric
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.runtime import SerialBackend
 
@@ -23,7 +27,10 @@ def test_untraced_run_defaults():
         assert run.trace is None
         assert run.memory_budget is None and run.workdir is None
         assert run.local_kwargs({"iters": 3}) == {"iters": 3}
-        with run.backend() as backend:
+        network = StarNetwork(DistributedInstance.from_partition(
+            EuclideanMetric(np.zeros((2, 1))), [[0], [1]], 1, 0
+        ))
+        with run.backend(network) as backend:
             assert isinstance(backend, SerialBackend)
 
 

@@ -5,7 +5,7 @@ import numpy as np
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.metrics.euclidean import EuclideanMetric
-from repro.runtime import SiteTask, run_site_tasks
+from repro.runtime import ExecutionBackend, SiteTask, run_site_tasks
 
 
 def _apply(ctx, fn, item):
@@ -20,8 +20,9 @@ def run_site_round(backend, fn, items, *, tracer=None, ledger=None):
     :class:`StarNetwork` with one two-point site per item runs round 1 on
     ``backend``, so item ``i`` runs on site ``i`` (host ``i % n_hosts`` on a
     cluster pool).  Returns the values in item order; the earliest failing
-    task's error is raised.  ``tracer`` traces the round and ``ledger`` (a
-    ``CommunicationLedger``) records its frames.
+    task's error is raised.  A backend instance then ends the network's
+    run, so a warm pool keeps nothing of it.  ``tracer`` traces the round
+    and ``ledger`` (a ``CommunicationLedger``) records its frames.
     """
     items = list(items)
     n_sites = max(len(items), 1)  # an empty round still needs a network
@@ -32,12 +33,22 @@ def run_site_round(backend, fn, items, *, tracer=None, ledger=None):
     if ledger is not None:
         network.ledger = ledger
     network.next_round()
-    results = run_site_tasks(
-        network,
-        [SiteTask(i, _apply, args=(fn, item)) for i, item in enumerate(items)],
-        backend=backend,
-    )
+    try:
+        results = run_site_tasks(
+            network,
+            [SiteTask(i, _apply, args=(fn, item)) for i, item in enumerate(items)],
+            backend=backend,
+        )
+    finally:
+        if isinstance(backend, ExecutionBackend):
+            backend.end_run(network)
     return [result.value for result in results]
+
+
+def pool_holdings(pool):
+    """What a started cluster pool holds for runs: resident keys per host, site logs."""
+    pool._ensure_started()
+    return [set(host.resident_keys) for host in pool._hosts], len(pool._site_logs)
 
 
 def assert_counters_equal_ledger(result):
