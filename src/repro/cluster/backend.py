@@ -116,16 +116,28 @@ def _task_note(kind: str, seq: int, round_index: int) -> str:
     return f"{kind} seq {seq} (round {round_index})"
 
 
+def _refused_dispatch(
+    exc: DeadHostError, kind: str, seq: int, round_index: int
+) -> DeadHostError:
+    """``exc`` as the error of a dispatch that a death refused before any
+    drain could see it: the dispatch's round, its task id and its note."""
+    return DeadHostError(
+        f"{exc}; refused dispatch: {_task_note(kind, seq, round_index)}",
+        host_id=exc.host_id, round_index=round_index, epoch=exc.epoch,
+        task_ids=(f"{kind}#{seq}",),
+    )
+
+
 class _HostDied(Exception):
     """Internal: a registration raced the target's death; the caller re-targets.
 
-    Carries the refused frame's note (:func:`_task_note`) and ``task_id``,
-    since the death's drain never saw the frame.
+    Carries the refused frame's ``seq`` and note (:func:`_task_note`), since
+    the death's drain never saw the frame.
     """
 
     def __init__(self, kind: str, seq: int, round_index: int) -> None:
         super().__init__(_task_note(kind, seq, round_index))
-        self.task_id = f"{kind}#{seq}"
+        self.seq = seq
 
 
 class _Pending:
@@ -910,6 +922,12 @@ class ClusterBackend(ExecutionBackend):
     # Submission side
     # ------------------------------------------------------------------
 
+    def _next_seq(self) -> int:
+        """A fresh frame sequence number, unique across the pool."""
+        with self._submit_lock:
+            self._seq += 1
+            return self._seq
+
     def _submit_frame(
         self,
         host: _Host,
@@ -943,9 +961,7 @@ class ClusterBackend(ExecutionBackend):
             self._apply_faults(
                 host, plan.take(host.host_id, round_index, fault_ordinal, "before")
             )
-        with self._submit_lock:
-            self._seq += 1
-            seq = self._seq
+        seq = self._next_seq()
         # Serialize on the submitting thread: an unpicklable dispatch fails
         # just this task (the stream never sees a byte of it), and the wire
         # ledger is complete the moment the future resolves — the event
@@ -1065,7 +1081,13 @@ class ClusterBackend(ExecutionBackend):
         key = ctx.resident_key
         log = self._site_log_for(ctx)
         with log.lock:
-            target = self._ensure_located_locked(log) or self._place(ctx.site_id)
+            try:
+                target = self._ensure_located_locked(log) or self._place(ctx.site_id)
+            except DeadHostError as exc:
+                # The site's host is dead and no replay may start (a zero
+                # or spent budget, or no survivor).  No frame exists for
+                # this dispatch; its error names it all the same.
+                raise _refused_dispatch(exc, "site", self._next_seq(), round_index) from None
             # Read after location: a replay moves the handle to its new epoch.
             state = ctx.state
             if isinstance(state, ResidentState):
@@ -1105,11 +1127,7 @@ class ClusterBackend(ExecutionBackend):
                     # saw this frame, so the error names it in that list's
                     # words: whichever side observed the death first, the
                     # failure names the dispatch it refused.
-                    raise DeadHostError(
-                        f"{exc}; refused dispatch: {refused}",
-                        host_id=exc.host_id, round_index=round_index,
-                        epoch=exc.epoch, task_ids=(refused.task_id,),
-                    ) from None
+                    raise _refused_dispatch(exc, "site", refused.seq, round_index) from None
                 return adopted
 
     def _site_frame(

@@ -41,12 +41,11 @@ from repro.core.run import protocol_run
 from repro.distributed.instance import DistributedInstance
 from repro.distributed.network import StarNetwork
 from repro.distributed.result import DistributedResult
-from repro.metrics.blocked import argmin_per_row
 from repro.runtime.tasks import SiteTask, run_site_tasks
 from repro.utils.rng import RngLike, ensure_rng, spawn_rngs
 
 
-def _center_summary(ctx, traversal, k: int, t_i: int, memory_budget=None) -> tuple:
+def _center_summary(ctx, traversal, k: int, t_i: int) -> tuple:
     """Precluster of one site: the first ``k + t_i`` traversal points, weighted.
 
     Every local point is attached to its nearest candidate (none is ignored —
@@ -54,19 +53,17 @@ def _center_summary(ctx, traversal, k: int, t_i: int, memory_budget=None) -> tup
     isolated points, i.e. the site's outlier suspects, but they travel as
     weighted candidates exactly like the others.
 
-    The nearest-candidate sweep is a blocked per-row argmin
-    (:func:`repro.metrics.blocked.argmin_per_row`): the ``n_i x (k + t_i)``
-    distance block is never materialised whole under a ``memory_budget``,
-    and the attachment is bit-identical for every budget.  Returns the
+    The attachment is one row-kernel sweep per candidate
+    (:meth:`repro.metrics.base.RowKernel.nearest`), bit for bit a per-row
+    argmin over the ``n_i x (k + t_i)`` distance block, which is never built:
+    transient memory is ``O(n_i)`` whatever the memory budget.  Returns the
     summary (in local ids) and the output step's member groups, farthest
     from their candidate first.
     """
-    n_local = ctx.n_points
-    m = min(n_local, k + t_i)
+    m = min(ctx.n_points, k + t_i)
     candidates = traversal.ordering[:m]
-    nearest_dist, nearest = argmin_per_row(
-        ctx.local_metric, np.arange(n_local), candidates, memory_budget=memory_budget
-    )
+    kernel = ctx.local_metric.row_kernel(np.arange(ctx.n_points))
+    nearest_dist, nearest = kernel.nearest(candidates)
     weights = np.zeros(m, dtype=float)
     np.add.at(weights, nearest, 1.0)
     summary = PreclusterSummary(
@@ -79,17 +76,19 @@ def _center_summary(ctx, traversal, k: int, t_i: int, memory_budget=None) -> tup
     return summary, groups
 
 
-def _round1_center_task(ctx, k, t, rho, memory_budget=None):
-    """Site phase of round 1: Gonzalez traversal and witness curve."""
+def _round1_center_task(ctx, k, t, rho):
+    """Site phase of round 1: Gonzalez traversal and witness curve.
+
+    The traversal stays in the site's state; only the curve is sent.
+    """
     with ctx.timer.measure("precluster"):
-        precluster = precluster_site_center(
-            ctx.local_metric, k, t, rho=rho, rng=ctx.rng, memory_budget=memory_budget
-        )
+        precluster = precluster_site_center(ctx.local_metric, k, t, rho=rho, rng=ctx.rng)
     ctx.state["precluster"] = precluster
-    ctx.send_to_coordinator("witness_curve", precluster, words=precluster.transmitted_words())
+    curve = precluster.curve
+    ctx.send_to_coordinator("witness_curve", curve, words=curve.words)
 
 
-def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
+def _round2_center_task(ctx, k, words_per_point):
     """Site phase of round 2: ship the first ``k + t_i`` traversal points.
 
     Returns the output step's member groups.
@@ -97,7 +96,7 @@ def _round2_center_task(ctx, k, words_per_point, memory_budget=None):
     t_i = int(ctx.messages("allocation")[0].payload["t_i"])
     with ctx.timer.measure("round2"):
         precluster = ctx.state["precluster"]
-        summary, groups = _center_summary(ctx, precluster.traversal, k, t_i, memory_budget)
+        summary, groups = _center_summary(ctx, precluster.traversal, k, t_i)
     ctx.send_to_coordinator(
         "local_solution", summary, words=summary.transmitted_words(words_per_point)
     )
@@ -129,9 +128,10 @@ def distributed_partial_center(
     options:
         Run options, documented once on :func:`repro.core.run.protocol_run`.
         On the cluster backend the Gonzalez traversal stays on the site's
-        runner between rounds; under a memory budget the traversal sweeps,
-        the nearest-candidate attachment and the coordinator's weighted
-        solve all run blocked.
+        runner between rounds.  The sites' traversal sweeps and
+        nearest-candidate attachment hold ``O(n_i)`` transient memory
+        whatever the budget; under a memory budget the coordinator's
+        weighted solve runs blocked.
     """
     if instance.objective != "center":
         raise ValueError("distributed_partial_center requires a center-objective instance")
@@ -156,7 +156,7 @@ def distributed_partial_center(
                 [
                     SiteTask(
                         i, _round1_center_task,
-                        args=(k, t, rho, run.memory_budget),
+                        args=(k, t, rho),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)
@@ -191,7 +191,7 @@ def distributed_partial_center(
                 [
                     SiteTask(
                         i, _round2_center_task,
-                        args=(k, words_per_point, run.memory_budget),
+                        args=(k, words_per_point),
                         rng=site_rngs[i],
                     )
                     for i in range(network.n_sites)

@@ -216,6 +216,37 @@ def precluster_site(
     )
 
 
+@dataclass(frozen=True)
+class WitnessCurve:
+    """What a site sends in round 1 of Algorithm 2: its witnesses on the grid.
+
+    ``values[r]`` is the witness at ``q = grid[r]`` (the ``q = 1`` witness
+    for ``q = 0``).  The two arrays are the ``2 * |grid|`` words the message
+    is charged, and nothing else crosses the wire.
+    """
+
+    grid: np.ndarray
+    values: np.ndarray
+
+    @property
+    def words(self) -> float:
+        """Words charged for the curve: one per grid value and one per witness."""
+        return float(2 * self.grid.size)
+
+    def marginals_from_grid(self, t: int) -> np.ndarray:
+        """Reconstruct a conservative full-length witness vector from the grid values.
+
+        For ``q`` strictly between two grid points the witness of the *lower*
+        grid point is used (an overestimate, since witnesses are
+        non-increasing), which can only allocate more budget to the site —
+        never less.  The result is non-increasing, as the allocation requires.
+        """
+        if t == 0:
+            return np.empty(0, dtype=float)
+        below = np.searchsorted(self.grid, np.arange(1, t + 1), side="right") - 1
+        return np.minimum.accumulate(self.values[np.maximum(below, 0)])
+
+
 @dataclass
 class CenterPreclustering:
     """Round-1 output of one site for the center objective (Algorithm 2).
@@ -242,31 +273,12 @@ class CenterPreclustering:
         if self.witnesses.size == 0:
             return np.zeros(self.grid.size, dtype=float)
         idx = np.clip(self.grid - 1, 0, self.witnesses.size - 1)
-        out = self.witnesses[idx]
-        out = np.where(self.grid == 0, self.witnesses[0] if self.witnesses.size else 0.0, out)
-        return out
+        return np.where(self.grid == 0, self.witnesses[0], self.witnesses[idx])
 
-    def transmitted_words(self) -> float:
-        """Words needed to transmit the gridded witness curve."""
-        return float(2 * self.grid.size)
-
-    def marginals_from_grid(self, t: int) -> np.ndarray:
-        """Reconstruct a conservative full-length witness vector from the grid values.
-
-        For ``q`` strictly between two grid points the witness of the *lower*
-        grid point is used (an overestimate, since witnesses are
-        non-increasing), which can only allocate more budget to the site —
-        never less.  The result is non-increasing, as the allocation requires.
-        """
-        if t == 0:
-            return np.empty(0, dtype=float)
-        grid_vals = self.witnesses_on_grid()
-        out = np.empty(t, dtype=float)
-        for q in range(1, t + 1):
-            pos = int(np.searchsorted(self.grid, q, side="right") - 1)
-            pos = max(pos, 0)
-            out[q - 1] = grid_vals[pos]
-        return np.minimum.accumulate(out)
+    @property
+    def curve(self) -> WitnessCurve:
+        """The round-1 message: the grid and the witnesses on it."""
+        return WitnessCurve(self.grid, self.witnesses_on_grid())
 
 
 def precluster_site_center(
@@ -277,17 +289,16 @@ def precluster_site_center(
     rho: float = 2.0,
     grid: Optional[Sequence[int]] = None,
     rng: RngLike = None,
-    memory_budget=None,
 ) -> CenterPreclustering:
     """Gonzalez traversal + witness extraction for one site (Algorithm 2, lines 1-5).
 
-    ``memory_budget`` chunks the traversal's distance sweeps (see
-    :func:`repro.sequential.gonzalez.gonzalez`); witnesses are bit-identical
-    for every budget.
+    The traversal streams one ``O(n_local)`` sweep at a time (see
+    :func:`repro.sequential.gonzalez.gonzalez`), so it takes no memory
+    budget.
     """
     n_local = len(local_metric)
     m = min(n_local, k + t + 1)
-    traversal = gonzalez(local_metric, m=m, rng=rng, memory_budget=memory_budget)
+    traversal = gonzalez(local_metric, m=m, rng=rng)
     witnesses = center_witnesses(traversal, k, t)
     if grid is None:
         grid_arr = geometric_grid(t, rho=rho)
@@ -306,6 +317,7 @@ __all__ = [
     "geometric_grid",
     "SitePreclustering",
     "precluster_site",
+    "WitnessCurve",
     "CenterPreclustering",
     "precluster_site_center",
 ]

@@ -2,7 +2,8 @@
 
 Everything in the library works against the small :class:`MetricSpace`
 interface: points are integer indices, and distances are produced either one
-pair at a time or as vectorised blocks.  Concrete implementations cover
+pair at a time, as vectorised blocks, or one row at a time against a fixed
+point set (:class:`RowKernel`).  Concrete implementations cover
 
 * :class:`EuclideanMetric` — points in R^d (the paper's canonical example),
 * :class:`MatrixMetric` — an explicit pairwise distance matrix,
@@ -26,7 +27,7 @@ outlive the budget.  :mod:`repro.metrics.plan` adds the scheduling on top:
 All blocked and fused results are bit-identical to the dense path.
 """
 
-from repro.metrics.base import MetricSpace, SubsetMetric
+from repro.metrics.base import MetricSpace, RowKernel, SubsetMetric
 from repro.metrics.blocked import (
     DEFAULT_CACHE_TARGET,
     DEFAULT_REDUCTION_BUDGET,
@@ -51,6 +52,7 @@ from repro.metrics.cost_matrix import build_cost_matrix
 
 __all__ = [
     "MetricSpace",
+    "RowKernel",
     "SubsetMetric",
     "DEFAULT_REDUCTION_BUDGET",
     "MemmapCostShard",

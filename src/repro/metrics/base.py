@@ -3,7 +3,9 @@
 A *point* is an integer index ``0 <= i < len(metric)``.  The interface is
 deliberately tiny — ``distance`` for a single pair and ``pairwise`` for a
 vectorised block — because every clustering routine in the library is written
-against these two calls.  ``words_per_point`` models the paper's ``B``
+against these two calls.  A :class:`RowKernel` (``metric.row_kernel(cols)``)
+serves one-row sweeps against a fixed point set, bit for bit the rows and
+columns of ``pairwise``.  ``words_per_point`` models the paper's ``B``
 parameter (the number of machine words needed to transmit one point), which
 the coordinator-model simulator uses for communication accounting.
 """
@@ -11,7 +13,7 @@ the coordinator-model simulator uses for communication accounting.
 from __future__ import annotations
 
 import abc
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,6 +52,15 @@ class MetricSpace(abc.ABC):
     def distances_from(self, i: int, cols: Sequence[int]) -> np.ndarray:
         """Distances from a single point ``i`` to every index in ``cols``."""
         return self.pairwise([i], cols)[0]
+
+    def row_kernel(self, cols: Sequence[int]) -> "RowKernel":
+        """A :class:`RowKernel` over the fixed point set ``cols``.
+
+        The default reads through :meth:`distances_from` and
+        :meth:`pairwise`; a metric whose per-call index work dominates a
+        one-row sweep overrides this to prepare ``cols`` once.
+        """
+        return RowKernel(self, cols)
 
     def full_matrix(self) -> np.ndarray:
         """Dense ``n x n`` distance matrix.  Only appropriate for small spaces."""
@@ -133,6 +144,55 @@ class MetricSpace(abc.ABC):
         return idx
 
 
+class RowKernel:
+    """One-row distance sweeps against a fixed point set ``cols``.
+
+    Bitwise contract, for every point ``i`` and ``j`` of the metric:
+
+    * ``row(i)`` is ``metric.pairwise([i], cols)[0]``, the distances from
+      ``i`` to ``cols``;
+    * ``column(j)`` is ``metric.pairwise(cols, [j])[:, 0]``, the distances
+      from ``cols`` to ``j``.
+
+    The two reads are each other's transpose, and they are kept apart
+    because a metric need not be symmetric to the last bit: a graph
+    metric's all-pairs Dijkstra is not, and :class:`MatrixMetric` checks
+    symmetry only to ``1e-9``.  A caller reads the orientation its
+    reference reads.  Each read returns ``len(cols)`` values, which may be
+    a read-only view of the metric's storage: copy before writing.
+    """
+
+    def __init__(self, metric: MetricSpace, cols: Sequence[int]):
+        self.metric = metric
+        self.cols = np.asarray(cols, dtype=int)
+
+    def row(self, i: int) -> np.ndarray:
+        """Distances from point ``i`` to every point of ``cols``."""
+        return self.metric.distances_from(i, self.cols)
+
+    def column(self, j: int) -> np.ndarray:
+        """Distances from every point of ``cols`` to point ``j``."""
+        return self.metric.pairwise(self.cols, [j])[:, 0]
+
+    def nearest(self, candidates: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """Per point of ``cols``: the distance to its nearest candidate and
+        that candidate's position in ``candidates``.
+
+        Bit for bit ``argmin_per_row(metric, cols, candidates)``: one
+        :meth:`column` sweep per candidate, in order, where only a strictly
+        smaller value displaces the incumbent, which is ``np.argmin``'s
+        first-occurrence rule.  Transient memory is ``O(len(cols))``.
+        """
+        values = np.full(self.cols.size, np.inf)
+        positions = np.zeros(self.cols.size, dtype=int)
+        for pos, candidate in enumerate(np.asarray(candidates, dtype=int).tolist()):
+            dist = self.column(candidate)
+            closer = dist < values
+            np.copyto(values, dist, where=closer)
+            np.copyto(positions, pos, where=closer)
+        return values, positions
+
+
 class SubsetMetric(MetricSpace):
     """A re-indexed view of a parent metric restricted to a subset of points.
 
@@ -171,4 +231,4 @@ class SubsetMetric(MetricSpace):
         return self._parent.pairwise(rows, cols)
 
 
-__all__ = ["MetricSpace", "SubsetMetric"]
+__all__ = ["MetricSpace", "RowKernel", "SubsetMetric"]

@@ -6,7 +6,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.metrics.base import MetricSpace
+from repro.metrics.base import MetricSpace, RowKernel
 from repro.metrics.blocked import contiguous_slice
 from repro.utils.validation import check_points_array
 
@@ -42,12 +42,17 @@ class EuclideanMetric(MetricSpace):
     expansion suffers for near-duplicate points, and identical points get an
     exact zero without post-hoc masking.
 
-    :meth:`pairwise` is the one distance kernel: :meth:`distances_from` is
-    inherited, so a traversal sweep is the one-row block.  (A row kernel such
-    as ``einsum`` over the differences sums in another order and changes the
-    last bit from ``d = 3`` on.)  So :meth:`restrict` can hand a site a copy of
-    its own rows, and every distance the site computes is bit-identical to
-    the global metric's.
+    :meth:`pairwise` is the one distance formula.  :meth:`distances_from`
+    is inherited (the one-row block), and :meth:`row_kernel` gathers its
+    columns' coordinates once, transposed, and applies the same subtract,
+    square, accumulate (in dimension order) and ``sqrt`` to one row at a
+    time, so ``row(i)`` equals ``pairwise([i], cols)[0]`` bit for bit.
+    The formula is symmetric to the last bit (``a - b`` is exactly
+    ``-(b - a)``), so the kernel's ``column(j)`` is its ``row(j)``.  Any
+    other summation order, such as ``einsum`` over the differences,
+    changes the last bit from ``d = 3`` on.  So :meth:`restrict` can hand
+    a site a copy of its own rows, and every distance the site computes is
+    bit-identical to the global metric's.
     """
 
     def __init__(self, points: np.ndarray):
@@ -86,9 +91,41 @@ class EuclideanMetric(MetricSpace):
             sq += diff
         return np.sqrt(sq, out=sq)
 
+    def row_kernel(self, cols: Sequence[int]) -> RowKernel:
+        """A kernel holding ``cols``' coordinates, one row per dimension."""
+        if self.dim == 0:
+            return RowKernel(self, cols)
+        return _EuclideanRowKernel(self, cols)
+
     def restrict(self, indices: Sequence[int]) -> "EuclideanMetric":
         """A standalone metric over copies of the rows ``indices``."""
         return EuclideanMetric(self._points[self.validate_indices(indices)])
+
+
+class _EuclideanRowKernel(RowKernel):
+    """:class:`RowKernel` over a gathered ``(d, len(cols))`` coordinate block.
+
+    A row starts from the first dimension's square instead of
+    ``pairwise``'s zeros: ``0.0 + x`` is ``x`` for every square ``x``.
+    """
+
+    def __init__(self, metric: EuclideanMetric, cols: Sequence[int]):
+        super().__init__(metric, cols)
+        self._points = metric.points
+        self._coords = np.ascontiguousarray(_take_rows(self._points, self.cols).T)
+        self._diff = np.empty(self.cols.size)
+
+    def row(self, i: int) -> np.ndarray:
+        point, coords, diff = self._points[i], self._coords, self._diff
+        sq = np.subtract(point[0], coords[0])
+        sq *= sq
+        for dim in range(1, coords.shape[0]):
+            np.subtract(point[dim], coords[dim], out=diff)
+            diff *= diff
+            sq += diff
+        return np.sqrt(sq, out=sq)
+
+    column = row
 
 
 __all__ = ["EuclideanMetric"]

@@ -9,9 +9,9 @@ monotone non-increasing witness of the local ``(k, q)``-center cost, which
 can be compared *globally* across sites to split the outlier budget.
 
 The traversal runs lazily against a metric: each step needs one vectorised
-"distances to the newly chosen point" call, so choosing ``m`` prefix points
-costs ``O(m * n)`` distance evaluations — the paper's ``Õ((k + t) n_i)`` site
-time when ``m = k + t``.
+"distances to the newly chosen point" sweep of the metric's row kernel, so
+choosing ``m`` prefix points costs ``O(m * n)`` distance evaluations — the
+paper's ``Õ((k + t) n_i)`` site time when ``m = k + t``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.metrics.base import MetricSpace
-from repro.metrics.blocked import MemoryBudgetLike, effective_tile_bytes
 from repro.utils.rng import RngLike, ensure_rng
 
 
@@ -56,27 +55,6 @@ class GonzalezResult:
         return self.ordering[:r]
 
 
-def _distances_from_chunked(
-    metric: MetricSpace, i: int, cols: np.ndarray, tile_bytes: Optional[int]
-) -> np.ndarray:
-    """One traversal sweep, evaluated in column chunks of at most ``tile_bytes``.
-
-    ``distances_from`` is computed independently per target point, so
-    chunking is bit-identical to the one-shot call; only the transient
-    gather inside the metric shrinks.  ``tile_bytes`` comes from
-    :func:`~repro.metrics.blocked.effective_tile_bytes`, so a generous
-    budget still sweeps in cache-resident pieces.
-    """
-    if tile_bytes is None:
-        return metric.distances_from(i, cols)
-    chunk = max(1, tile_bytes // 8)
-    out = np.empty(cols.size, dtype=float)
-    for c0 in range(0, cols.size, chunk):
-        c1 = min(c0 + chunk, cols.size)
-        out[c0:c1] = metric.distances_from(i, cols[c0:c1])
-    return out
-
-
 def gonzalez(
     metric: MetricSpace,
     indices: Optional[Sequence[int]] = None,
@@ -84,7 +62,6 @@ def gonzalez(
     *,
     start: Optional[int] = None,
     rng: RngLike = None,
-    memory_budget: MemoryBudgetLike = None,
 ) -> GonzalezResult:
     """Farthest-first traversal of ``indices`` (default: all points of ``metric``).
 
@@ -100,11 +77,14 @@ def gonzalez(
         Index (into ``indices``) of the first point; random if omitted.
     rng:
         Seed or generator used only to choose the starting point.
-    memory_budget:
-        Byte cap on each sweep's transient blocks.  The traversal already
-        streams — its state is three ``O(n)`` vectors, never a matrix — so
-        the budget only chunks the per-step distance sweeps; results are
-        bit-identical for every budget.
+
+    Each step is one sweep of ``metric.row_kernel(indices)``
+    (:class:`~repro.metrics.base.RowKernel`), bit for bit the row
+    ``metric.pairwise([chosen], indices)[0]``.  The traversal streams and
+    takes no memory budget: its state is three ``O(n)`` vectors, each
+    sweep's output is ``O(n)``, and a kernel's prepared columns are at
+    most the points' own coordinates (``d x n`` for a Euclidean metric),
+    input-sized like the vectors.
     """
     idx = np.arange(len(metric)) if indices is None else np.asarray(indices, dtype=int)
     metric.validate_indices(idx)
@@ -124,16 +104,16 @@ def gonzalez(
     radii = np.empty(m, dtype=float)
     coverage = np.empty(m, dtype=float)
 
-    tile_bytes = effective_tile_bytes(memory_budget)
+    kernel = metric.row_kernel(idx)
     ordering[0] = idx[start]
     radii[0] = np.inf
     # ``dist_to_chosen`` holds the true distance of every point to the prefix;
     # ``selection`` is the same array with already-chosen points masked out so
     # that ties at distance zero (duplicate points) never re-select a point.
     # Both are updated in place, so both are private copies of the first
-    # sweep: a metric may serve it as a read-only view of its own storage
-    # (``MatrixMetric`` does for a contiguous index run).
-    first_sweep = _distances_from_chunked(metric, int(idx[start]), idx, tile_bytes)
+    # sweep: a kernel may serve it as a read-only view of the metric's
+    # storage (``MatrixMetric`` does for a contiguous index run).
+    first_sweep = kernel.row(int(idx[start]))
     dist_to_chosen = first_sweep.copy()
     selection = first_sweep.copy()
     selection[start] = -np.inf
@@ -143,7 +123,7 @@ def gonzalez(
         nxt = int(np.argmax(selection))
         ordering[r] = idx[nxt]
         radii[r] = float(dist_to_chosen[nxt])
-        new_dist = _distances_from_chunked(metric, int(idx[nxt]), idx, tile_bytes)
+        new_dist = kernel.row(int(idx[nxt]))
         np.minimum(dist_to_chosen, new_dist, out=dist_to_chosen)
         np.minimum(selection, new_dist, out=selection)
         selection[nxt] = -np.inf
@@ -165,11 +145,8 @@ def center_witnesses(result: GonzalezResult, k: int, t: int) -> np.ndarray:
     if t < 0:
         raise ValueError(f"t must be >= 0, got {t}")
     out = np.zeros(t, dtype=float)
-    m = result.radii.size
-    for q in range(1, t + 1):
-        pos = k + q - 1
-        if pos < m:
-            out[q - 1] = result.radii[pos]
+    known = result.radii[k:k + t]
+    out[:known.size] = known
     return out
 
 

@@ -361,6 +361,39 @@ class TestSiteRecovery:
         error = excinfo.value
         assert (error.host_id, error.round_index, error.epoch) == (0, 2, committed)
 
+    def test_fail_fast_dispatch_to_a_dead_holder_names_the_dispatch(self):
+        """Host 0 dies idle between rounds on a zero budget.
+
+        Round 2's dispatch of site 0 needs the state host 0 held, and no
+        replay may start, so the dispatch is refused before any frame of it
+        exists.  The death's in-flight list was empty; the error still names
+        the refused dispatch's round and its site task, not round 1's.
+        """
+        backend = ClusterBackend(n_hosts=2)
+        network = _make_network(n_sites=2)
+        tasks = [SiteTask(i, _stateful_task, args=(2.0,)) for i in range(2)]
+        try:
+            network.next_round()
+            run_site_tasks(network, tasks, backend=backend)
+            backend._hosts[0].process.kill()
+            deadline = time.monotonic() + 30.0
+            while 0 not in backend.dead_hosts():
+                assert time.monotonic() < deadline, "host death never observed"
+                time.sleep(0.02)
+            network.next_round()
+            with pytest.raises(DeadHostError) as excinfo:
+                run_site_tasks(network, tasks, backend=backend)
+        finally:
+            backend.close()
+        error = excinfo.value
+        (task_id,) = error.task_ids
+        kind, seq = task_id.split("#")
+        assert kind == "site"
+        assert (error.host_id, error.round_index, error.epoch) == (0, 2, 1)
+        message = str(error)
+        assert "in-flight tasks: [none]" in message
+        assert f"refused dispatch: site seq {seq} (round 2)" in message
+
     def test_death_between_rounds_replays_held_state(self):
         """A site still holds the state's handle when its idle host dies.
 

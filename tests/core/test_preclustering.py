@@ -108,7 +108,7 @@ class TestPreclusterSiteCenter:
     def test_marginals_from_grid_conservative(self, small_metric):
         local = small_metric.subset(np.arange(0, 70))
         pre = precluster_site_center(local, 3, 12, rng=0)
-        reconstructed = pre.marginals_from_grid(12)
+        reconstructed = pre.curve.marginals_from_grid(12)
         assert reconstructed.shape == (12,)
         assert np.all(np.diff(reconstructed) <= 1e-9)
         # Reconstruction never underestimates the true witness.
@@ -117,7 +117,7 @@ class TestPreclusterSiteCenter:
     def test_transmitted_words_scale_with_grid(self, small_metric):
         local = small_metric.subset(np.arange(0, 70))
         pre = precluster_site_center(local, 3, 12, rho=2.0, rng=0)
-        assert pre.transmitted_words() == 2 * pre.grid.size
+        assert pre.curve.words == 2 * pre.grid.size
 
     def test_tiny_site(self, small_metric):
         local = small_metric.subset(np.arange(0, 4))

@@ -1,5 +1,7 @@
 """Reference output realizations: the coordinator-side loops that
-:func:`repro.core.combine.realize_output` replaced.
+:func:`repro.core.combine.realize_output` replaced, and the per-center scan
+that :func:`repro.core.combine.member_groups` replaced
+(:func:`member_groups_reference`).
 
 Both take global ids and a coordinator solution whose demands are, per
 site, one demand per center and then one per shipped point.  Each site is
@@ -18,9 +20,25 @@ a ``(centers, members, shipped)`` triple:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
+
+
+def member_groups_reference(
+    assignment: np.ndarray,
+    centers: Sequence[int],
+    cost: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+) -> List[np.ndarray]:
+    """One ``flatnonzero`` scan of ``assignment`` per center, each group
+    stable-sorted by descending ``cost`` (index order without one)."""
+    groups = []
+    for c in centers:
+        members = np.flatnonzero(assignment == c)
+        if cost is not None and members.size > 1:
+            members = members[np.argsort(-cost(members, int(c)), kind="stable")]
+        groups.append(members)
+    return groups
 
 
 def _targets(assignment: np.ndarray, facility_points: np.ndarray) -> List[int]:

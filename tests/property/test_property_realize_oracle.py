@@ -7,6 +7,9 @@ dict and the same outlier array as the reference loops in
 one-round baseline) for any dropped weight, and center-g's whole-or-nothing
 rule for the dropped weights its solver produces (none or all of a demand).
 Member costs are drawn from four values, so ties are common.
+:func:`~repro.core.combine.member_groups` itself must return the groups of
+the per-center scan it replaced, for any labels (``-1`` included), centers
+that no id names, and tied costs.
 """
 
 import numpy as np
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.combine import member_groups, realize_output
 from repro.sequential.solution import ClusterSolution
 from tests.oracle.realize import (
+    member_groups_reference,
     realize_members_reference,
     realize_whole_or_nothing_reference,
 )
@@ -125,3 +129,36 @@ def test_matches_whole_or_nothing_realization(case):
     )
     assert assignment == expected
     assert np.array_equal(outliers, expected_outliers)
+
+
+class TestMemberGroupsOracle:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_center_scan(self, data):
+        n = data.draw(st.integers(min_value=0, max_value=40))
+        n_labels = data.draw(st.integers(min_value=1, max_value=6))
+        # -1 marks an unassigned id; it is never a group unless named.
+        assignment = np.asarray(
+            data.draw(st.lists(st.integers(min_value=-1, max_value=n_labels - 1),
+                               min_size=n, max_size=n)),
+            dtype=int,
+        )
+        # Labels past n_labels name no id: their groups are empty.
+        centers = data.draw(st.lists(st.integers(min_value=-1, max_value=n_labels + 2),
+                                     max_size=8))
+        centers = data.draw(st.sampled_from(
+            [centers, np.asarray(centers, dtype=int), range(n_labels + 1)]
+        ))
+        costs = np.asarray(
+            data.draw(st.lists(st.integers(min_value=0, max_value=2), min_size=n, max_size=n)),
+            dtype=float,
+        )
+        cost = data.draw(st.sampled_from(
+            [None, lambda members, c: costs[members] * (c + 2)]
+        ))
+        got = member_groups(assignment, centers, cost)
+        want = member_groups_reference(assignment, centers, cost)
+        assert len(got) == len(want)
+        for group, expected in zip(got, want):
+            assert group.dtype == expected.dtype
+            np.testing.assert_array_equal(group, expected)
