@@ -31,7 +31,6 @@ from repro.data import gaussian_mixture_with_outliers
 from repro.metrics.blocked import MemmapCostShard, count_within
 from repro.metrics.plan import CountingSource, ReductionPlan
 from repro.sequential import kcenter_with_outliers
-from repro.sequential.kcenter_outliers import probe_gains
 
 K = 6
 T = 40
@@ -73,10 +72,12 @@ def _old_path_probe(matrix, radii, weights, k):
 
 
 def _fused_probe(matrix, radii, weights, k):
-    from repro.sequential.kcenter_outliers import _probe_batch
+    from repro.sequential.kcenter_outliers import _ByFacility, _greedy_cover
 
-    _probe_batch(matrix, weights, k, np.asarray(radii, dtype=float), 3.0,
-                 memory_budget=BUDGET)
+    facilities = _ByFacility(matrix, memory_budget=BUDGET)
+    seeds = facilities.round_gains(radii, weights)
+    for radius, gain in zip(radii, seeds):
+        _greedy_cover(facilities, weights, k, float(radius), 3.0, gain)
 
 
 @pytest.mark.paper_experiment("blocked_plan")

@@ -423,11 +423,13 @@ def fused_plans(points, k, t) -> None:
     ``min(memory_budget, DEFAULT_CACHE_TARGET)`` bytes with one.  A plan
     with a ``count_within`` op streams column strips, so the Fortran-order
     summation — and therefore the bits — never depends on the tiling.  The
-    k-center coordinator leans on this: a whole batch of radius guesses is
-    seeded from one fused pass and the greedy then only re-reads newly
-    covered rows, instead of re-streaming the matrix ``k`` times per guess.
-    Results are bit-identical for every budget; the budget trades only
-    wall-clock for memory.
+    k-center coordinator sums its gains the same way, but by facility: it
+    reads a facility-major copy of its matrix (or, under a budget too small
+    for the copy, facility strips, one read seeding a whole batch of radius
+    guesses), and each greedy then only re-reads newly covered rows,
+    instead of re-streaming the matrix ``k`` times per guess.  Results are
+    bit-identical for every budget; the budget trades only wall-clock for
+    memory.
     """
     print("\nfused plans (spilled k-center sites)")
     result = partial_kcenter(

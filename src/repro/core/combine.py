@@ -175,22 +175,30 @@ def realize_output(
         solution.dropped_weight
         if solution.dropped_weight is not None
         else np.zeros(assign.size)
-    ).tolist()
-    assignment: Dict[int, int] = {}
+    )
+    keys: List[np.ndarray] = [np.empty(0, dtype=int)]
+    values: List[np.ndarray] = [np.empty(0, dtype=int)]
     outliers: List[np.ndarray] = [np.empty(0, dtype=int)]
     idx = 0
     for shard, (groups, shipped) in zip(shards, outputs):
-        for group in groups:
-            ids = shard[group]
-            target = int(targets[idx])
-            n_drop = ids.size if target < 0 else min(int(round(dropped[idx])), ids.size)
-            outliers.append(ids[:n_drop])
-            assignment.update(dict.fromkeys(ids[n_drop:].tolist(), target))
-            idx += 1
-        ids, own = shard[shipped], targets[idx:idx + len(shipped)]
-        outliers.append(ids[own < 0])
-        assignment.update(zip(ids[own >= 0].tolist(), own[own >= 0].tolist()))
-        idx += ids.size
+        sizes = np.asarray([len(group) for group in groups], dtype=int)
+        members = shard[np.concatenate([np.empty(0, dtype=int), *groups])]
+        end = idx + sizes.size
+        group_targets = targets[idx:end]
+        n_drop = np.where(
+            group_targets < 0,
+            sizes,
+            np.minimum(np.round(dropped[idx:end]).astype(int), sizes),
+        )
+        # Each member's position in its group: the first n_drop are dropped.
+        position = np.arange(members.size) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        kept = position >= np.repeat(n_drop, sizes)
+        ids, own = shard[shipped], targets[end:end + len(shipped)]
+        keys += [members[kept], ids[own >= 0]]
+        values += [np.repeat(group_targets, sizes)[kept], own[own >= 0]]
+        outliers += [members[~kept], ids[own < 0]]
+        idx = end + ids.size
+    assignment = dict(zip(np.concatenate(keys).tolist(), np.concatenate(values).tolist()))
     return assignment, np.unique(np.concatenate(outliers))
 
 

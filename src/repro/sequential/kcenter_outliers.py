@@ -12,54 +12,72 @@ The radius guess is performed over the (subsampled) set of distinct
 demand-facility distances, which contains the optimal radius, so the returned
 solution is a true 3-approximation when the full candidate set is used.
 
-Streaming discipline
---------------------
-The radius search is the memory *and* pass-count hot spot: the classic
-phrasing re-streams the whole cost matrix ``k`` times per radius guess (one
-``count_within`` per greedy step) times ``O(log #radii)`` guesses.  This
-module fuses and amortises those passes:
+Reading the matrix by facility
+------------------------------
+A greedy step needs, for every facility, the uncovered demand weight within
+``r`` of it: a sum down one column of the ``(demands x facilities)``
+matrix.  The search reads the matrix by facility (:class:`_ByFacility`):
+a *strip* is a ``(facilities x demands)`` block whose row ``j`` holds every
+demand's distance to facility ``j`` contiguously, so a facility's gain is
+one contiguous ``np.add.reduce((strip <= r) * w, axis=1)``.
 
-* :func:`probe_gains` evaluates the initial per-facility gain vectors of a
-  whole *batch* of radius guesses in **one** streaming pass (a
-  :class:`~repro.metrics.plan.ReductionPlan` with a multi-threshold
-  ``count_within`` op — each tile is read exactly once for the batch);
-* the greedy never re-streams the matrix: when a center is chosen, only the
-  rows it newly covers are re-read to *incrementally* downdate the gains
-  (``O(|newly covered| x m)`` cells instead of ``O(n x m)`` per step);
-* the binary search probes ``probe_batch`` radii per round, so the number
-  of full passes drops from ``O(k log #radii)`` to
-  ``O(log_{probe_batch+1} #radii)``.
+* **The copy.**  Without a memory budget, or when the budget holds
+  :data:`_STRIP_TILES` matrices, the matrix is transposed once per solve
+  and the copy serves the whole search: every gains pass, every downdate
+  (a gather of the newly covered demands' columns) and every chosen
+  center's distances (a row view).  A pass still works through it in
+  tile-sized strips, so its temporaries stay one tile whatever the matrix
+  size.
+* **Strips.**  Otherwise each pass re-reads budget-sized facility strips of
+  the source, each a column block transposed into a contiguous workspace.
+* **Probe rounds.**  Each round of the binary search probes up to
+  ``probe_batch`` radii in ascending order and stops at the first feasible
+  one.  From the copy a probe's initial gains are computed only when its
+  greedy runs, so the probes above that one cost nothing; from the source
+  one read of the strips seeds every probe of the round (strips outer,
+  radii inner), since each read is a full pass.
+* **Incremental greedy.**  Choosing a center zeroes the weight of the
+  demands within ``expansion * r`` of it, and only those demands are read
+  again, to downdate every facility's gain.  Each demand is zeroed at most
+  once, so a greedy reads at most one more matrix's worth of cells.
 
-The gains are budget-invariant (they inherit ``count_within``'s
-column-contiguous summation), so for a *fixed* ``probe_batch`` results are
-bit-identical across memory budgets.  Two caveats:
-the incremental downdating is a different (exact in real arithmetic, not
-bitwise) summation order than recomputing gains from scratch, so selections
-may differ from the pre-fused implementation in floating-point near-ties;
-and when the greedy's feasibility happens to be *non-monotone* over the
-candidate radii (the analysis assumes it is monotone), different
-``probe_batch`` widths probe different candidate subsets and can land on
-different — equally feasible, possibly larger — radii, exactly as two
-binary searches with different probe orders would.
+A strip never splits one facility's demands, and each gain is numpy's
+pairwise sum over its demand rows in row order, the same reduction
+:func:`~repro.metrics.blocked.count_within` runs on its Fortran-order
+column strips.  So the gains, and every result, are bit-identical across
+memory budgets and strip widths.  Two caveats: the incremental downdating
+is a different (exact in real arithmetic, not bitwise) summation order
+than recomputing gains from scratch, so selections may differ from a
+from-scratch greedy in floating-point near-ties; and when the greedy's
+feasibility happens to be *non-monotone* over the candidate radii (the
+analysis assumes it is monotone), different ``probe_batch`` widths probe
+different candidate subsets and can land on different (equally feasible,
+possibly larger) radii, exactly as two binary searches with different
+probe orders would.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import Any, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.metrics.blocked import (
+    DEFAULT_CACHE_TARGET,
     MemoryBudgetLike,
     _get_block,
     _source_shape,
     as_block_source,
-    count_within,
+    effective_tile_bytes,
     iter_blocks,
+    resolve_memory_budget,
 )
-from repro.metrics.plan import ReductionPlan
 from repro.sequential.assignment import assign_with_outliers
 from repro.sequential.solution import ClusterSolution
+
+#: What one strip cell may cost in float64 tiles: the block read from the
+#: source, its contiguous transpose, the mask and the weighted product.
+_STRIP_TILES = 4
 
 
 def candidate_radii(
@@ -111,35 +129,81 @@ def candidate_radii(
     return values[np.unique(positions)]
 
 
-def probe_gains(
-    source: Any,
-    radii: Sequence[float],
-    weights: np.ndarray,
-    *,
-    memory_budget: MemoryBudgetLike = None,
-) -> np.ndarray:
-    """Initial greedy gains for a batch of radius guesses in one fused pass.
+class _ByFacility:
+    """The radius search's view of a cost matrix, read by facility.
 
-    Returns a ``(len(radii), n_facilities)`` array whose row ``i`` is
-    bitwise identical to ``count_within(source, radii[i], weights=weights)``
-    — but every tile of the cost matrix is loaded exactly *once* for the
-    whole batch instead of once per radius.
+    Holds the facility-major copy when :data:`_STRIP_TILES` copies of the
+    matrix fit ``memory_budget`` (always without one); otherwise every pass
+    re-reads strips of the source.  Either way a pass works strip by strip,
+    each at most :func:`~repro.metrics.blocked.effective_tile_bytes` (the
+    cache target without a budget) over :data:`_STRIP_TILES`, and
+    :meth:`gains` is bitwise :func:`~repro.metrics.blocked.count_within`.
     """
-    radii = np.atleast_1d(np.asarray(radii, dtype=float))
-    plan = ReductionPlan(source, memory_budget=memory_budget)
-    handle = plan.add_count_within(radii, weights=weights)
-    plan.execute()
-    return np.atleast_2d(handle.value)
+
+    def __init__(self, source: Any, memory_budget: MemoryBudgetLike = None):
+        self._source = source
+        self._n, self._m = _source_shape(source)
+        budget = resolve_memory_budget(memory_budget)
+        self._tile_bytes = effective_tile_bytes(memory_budget) or DEFAULT_CACHE_TARGET
+        self._copy: Optional[np.ndarray] = None
+        if budget is None or _STRIP_TILES * 8 * self._n * self._m <= budget:
+            every = _get_block(source, np.arange(self._n), np.arange(self._m))
+            self._copy = np.ascontiguousarray(every.T)
+
+    def _strips(self, rows: Optional[np.ndarray]) -> Iterator[Tuple[slice, np.ndarray]]:
+        """``(facility slice, strip)`` pairs covering every facility, where
+        ``strip`` is a C-contiguous ``(facilities, len(rows))`` block."""
+        n_rows = self._n if rows is None else rows.size
+        width = max(1, self._tile_bytes // (_STRIP_TILES * 8 * max(1, n_rows)))
+        for c0 in range(0, self._m, width):
+            cols = slice(c0, min(c0 + width, self._m))
+            if self._copy is not None:
+                strip = self._copy[cols]
+                yield cols, strip if rows is None else np.take(strip, rows, axis=1)
+            else:
+                every = np.arange(self._n) if rows is None else rows
+                block = _get_block(self._source, every, np.arange(cols.start, cols.stop))
+                yield cols, np.ascontiguousarray(block.T)
+
+    def gains(
+        self, radii: Any, weights: np.ndarray, rows: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Per-facility weight of the demands within each of ``radii``.
+
+        ``rows`` picks the demands (all by default) and ``weights`` align
+        with them.  Returns ``(len(radii), n_facilities)``; strips are outer
+        and radii inner, so one call reads each strip once.
+        """
+        out = np.empty((len(radii), self._m))
+        for cols, strip in self._strips(rows):
+            for pos, radius in enumerate(radii):
+                out[pos, cols] = np.add.reduce((strip <= radius) * weights, axis=1)
+        return out
+
+    def round_gains(self, radii: np.ndarray, weights: np.ndarray) -> Iterator[np.ndarray]:
+        """Each radius's gains over every demand, in order, for one probe
+        round: from the copy each is computed only when the search asks for
+        it, from the source one read of the strips computes them all."""
+        if self._copy is None:
+            yield from self.gains(radii, weights)
+        else:
+            for radius in radii:
+                yield self.gains([radius], weights)[0]
+
+    def column(self, facility: int) -> np.ndarray:
+        """Every demand's distance to ``facility``."""
+        if self._copy is not None:
+            return self._copy[facility]
+        return _get_block(self._source, np.arange(self._n), np.asarray([facility]))[:, 0]
 
 
 def _greedy_cover(
-    source: Any,
+    facilities: _ByFacility,
     weights: np.ndarray,
     k: int,
     radius: float,
     expansion: float,
-    memory_budget: MemoryBudgetLike = None,
-    gain0: Optional[np.ndarray] = None,
+    gain: Optional[np.ndarray] = None,
 ) -> tuple:
     """One run of the greedy disk cover at a fixed radius guess.
 
@@ -147,65 +211,27 @@ def _greedy_cover(
     facility columns and ``uncovered_weight`` is the demand weight not within
     ``expansion * radius`` of any chosen center.
 
-    The per-facility gains start from ``gain0`` (the fused
-    :func:`probe_gains` row; computed on demand when omitted) and are then
-    *downdated incrementally*: choosing a center zeroes the weight of the
-    demands within ``expansion * radius`` of it, and only those newly
-    zeroed rows are re-streamed (a rows-subset ``count_within``) to
-    subtract their contribution from every facility's gain.  Each row is
-    zeroed at most once, so the whole greedy re-reads at most one
-    additional matrix's worth of cells — the classic phrasing re-streams
-    all ``n x m`` cells on every one of the ``k`` steps.  The downdates
-    inherit ``count_within``'s column-contiguous summation, so the result
-    is bit-identical for every ``memory_budget``.
+    The per-facility gains start from ``gain`` (computed when omitted) and
+    are then *downdated incrementally*: choosing a center zeroes the weight
+    of the demands within ``expansion * radius`` of it, and only those newly
+    zeroed demands are read again to subtract their contribution from every
+    facility's gain.
     """
-    n, _ = _source_shape(source)
-    remaining = weights.astype(float).copy()
-    if gain0 is None:
-        gain0 = count_within(
-            source, radius, weights=remaining, memory_budget=memory_budget
-        )
-    gain = np.array(gain0, dtype=float, copy=True)
+    remaining = np.array(weights, dtype=float)
+    if gain is None:
+        gain = facilities.gains([radius], remaining)[0]
     centers = []
     outer_radius = expansion * radius
-    all_rows = np.arange(n)
     for _ in range(k):
         if not np.any(remaining > 0):
             break
         best = int(np.argmax(gain))
         centers.append(best)
-        column = _get_block(source, all_rows, np.asarray([best]))[:, 0]
-        newly = np.flatnonzero((remaining > 0) & (column <= outer_radius))
+        newly = np.flatnonzero((remaining > 0) & (facilities.column(best) <= outer_radius))
         if newly.size:
-            gain = gain - count_within(
-                source, radius, rows=newly, weights=remaining[newly],
-                memory_budget=memory_budget,
-            )
+            gain = gain - facilities.gains([radius], remaining[newly], rows=newly)[0]
             remaining[newly] = 0.0
     return np.asarray(centers, dtype=int), float(remaining.sum())
-
-
-def _probe_batch(
-    source: Any,
-    weights: np.ndarray,
-    k: int,
-    radii: np.ndarray,
-    expansion: float,
-    memory_budget: MemoryBudgetLike = None,
-) -> List[tuple]:
-    """Run the greedy cover for every radius of one probe batch.
-
-    One fused pass (:func:`probe_gains`) seeds all the greedies; each greedy
-    then only touches chosen-center columns and newly covered rows.
-    """
-    gains = probe_gains(source, radii, weights, memory_budget=memory_budget)
-    return [
-        _greedy_cover(
-            source, weights, k, float(radius), expansion,
-            memory_budget=memory_budget, gain0=gains[pos],
-        )
-        for pos, radius in enumerate(np.atleast_1d(radii))
-    ]
 
 
 def kcenter_with_outliers(
@@ -240,11 +266,17 @@ def kcenter_with_outliers(
         Cap on the number of radius guesses tried.
     memory_budget:
         Byte cap on transient blocks (the cost matrix itself may be a
-        read-only memmap); results are bit-identical for every budget.
+        read-only memmap), the search's facility-major copy included: a
+        budget too small for the copy streams facility strips instead.
+        Without a budget the copy, as large as the matrix, is kept for the
+        whole search (building it from a block source that is not an array
+        briefly holds the block read too).  Results are bit-identical for
+        every budget.
     probe_batch:
-        Number of radius guesses evaluated per fused streaming pass during
-        the feasibility search (≥ 1).  A larger batch trades a wider fused
-        ``count_within`` for fewer passes; the search result is the same
+        Number of radius guesses per round of the feasibility search
+        (≥ 1).  A round runs its greedies in ascending radius order and
+        stops at the first feasible one, so a larger batch trades more
+        greedies per round for fewer rounds; the search result is the same
         smallest feasible candidate radius either way (assuming the greedy's
         feasibility is monotone in the radius, as the analysis does).
 
@@ -255,7 +287,7 @@ def kcenter_with_outliers(
         ``t`` weight of demands (the farthest ones from the chosen centers).
     """
     source = as_block_source(cost_matrix)
-    n, n_fac = _source_shape(source)
+    n, _ = _source_shape(source)
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if t < 0:
@@ -267,18 +299,15 @@ def kcenter_with_outliers(
         raise ValueError(f"weights must have shape ({n},), got {w.shape}")
 
     radii = candidate_radii(source, max_candidates=max_candidates, memory_budget=memory_budget)
-    total_weight = float(w.sum())
-
-    def _feasible(uncovered: float) -> bool:
-        return uncovered <= t + 1e-9 or total_weight - uncovered <= 1e-12
+    facilities = _ByFacility(source, memory_budget)
 
     best_centers: Optional[np.ndarray] = None
     feasible_at: Optional[int] = None
     probe_rounds = 0
     # Batched binary search over the sorted radius guesses for the smallest
-    # feasible one: every round probes ``probe_batch`` radii whose initial
-    # gains come from a single fused pass, then narrows [lo, hi] using the
-    # monotone feasibility pattern (infeasible below, feasible above).
+    # feasible one: every round probes ``probe_batch`` radii, then narrows
+    # [lo, hi] using the monotone feasibility pattern (infeasible below,
+    # feasible above).
     lo, hi = 0, radii.size - 1
     while lo <= hi:
         if hi - lo + 1 <= probe_batch:
@@ -286,18 +315,16 @@ def kcenter_with_outliers(
         else:
             interior = np.linspace(lo, hi, probe_batch + 2)[1:-1]
             mids = sorted(set(int(np.clip(round(x), lo, hi)) for x in interior))
-        # One fused pass seeds every probe of the round; the greedies then
-        # run lazily in ascending order — everything past the first feasible
-        # probe would be discarded anyway, so it is never evaluated.
-        gains = probe_gains(source, radii[mids], w, memory_budget=memory_budget)
         probe_rounds += 1
+        # The greedies run in ascending order; everything past the first
+        # feasible probe would be discarded, so it is never evaluated.
         first_feasible = None
-        for pos, mid in enumerate(mids):
+        seeds = facilities.round_gains(radii[mids], w)
+        for pos, (mid, gain) in enumerate(zip(mids, seeds)):
             centers, uncovered = _greedy_cover(
-                source, w, k, float(radii[mid]), expansion,
-                memory_budget=memory_budget, gain0=gains[pos],
+                facilities, w, k, float(radii[mid]), expansion, gain
             )
-            if _feasible(uncovered):
+            if uncovered <= t + 1e-9:
                 first_feasible = pos
                 break
         if first_feasible is None:
@@ -312,12 +339,11 @@ def kcenter_with_outliers(
     if best_centers is None or best_centers.size == 0:
         # No radius guess was feasible (can only happen with an aggressive
         # candidate subsample); fall back to the largest radius greedy.
-        best_centers, _ = _greedy_cover(
-            source, w, k, float(radii[-1]), expansion, memory_budget=memory_budget
-        )
+        best_centers, _ = _greedy_cover(facilities, w, k, float(radii[-1]), expansion)
         if best_centers.size == 0:
             best_centers = np.asarray([0], dtype=int)
         feasible_at = radii.size - 1
+    del facilities  # the copy is done with; the assignment streams the source
 
     solution = assign_with_outliers(
         source, best_centers, t, w, objective="center", memory_budget=memory_budget
@@ -335,4 +361,4 @@ def kcenter_with_outliers(
     return solution
 
 
-__all__ = ["kcenter_with_outliers", "candidate_radii", "probe_gains"]
+__all__ = ["kcenter_with_outliers", "candidate_radii"]

@@ -1,6 +1,8 @@
 """Reference output realizations: the coordinator-side loops that
-:func:`repro.core.combine.realize_output` replaced, and the per-center scan
-that :func:`repro.core.combine.member_groups` replaced
+:func:`repro.core.combine.realize_output` replaced, the per-group loop that
+its numpy form replaced (:func:`realize_output_loop_reference`, whose dict
+key order it keeps), and the per-center scan that
+:func:`repro.core.combine.member_groups` replaced
 (:func:`member_groups_reference`).
 
 Both take global ids and a coordinator solution whose demands are, per
@@ -39,6 +41,38 @@ def member_groups_reference(
             members = members[np.argsort(-cost(members, int(c)), kind="stable")]
         groups.append(members)
     return groups
+
+
+def realize_output_loop_reference(
+    shards: Sequence[np.ndarray],
+    outputs: Sequence[tuple],
+    solution,
+    facility_points: np.ndarray,
+) -> tuple:
+    """:func:`~repro.core.combine.realize_output` one group at a time."""
+    assign = solution.assignment
+    targets = np.where(assign >= 0, facility_points[np.maximum(assign, 0)], -1)
+    dropped = (
+        solution.dropped_weight
+        if solution.dropped_weight is not None
+        else np.zeros(assign.size)
+    ).tolist()
+    assignment: Dict[int, int] = {}
+    outliers: List[np.ndarray] = [np.empty(0, dtype=int)]
+    idx = 0
+    for shard, (groups, shipped) in zip(shards, outputs):
+        for group in groups:
+            ids = shard[group]
+            target = int(targets[idx])
+            n_drop = ids.size if target < 0 else min(int(round(dropped[idx])), ids.size)
+            outliers.append(ids[:n_drop])
+            assignment.update(dict.fromkeys(ids[n_drop:].tolist(), target))
+            idx += 1
+        ids, own = shard[shipped], targets[idx:idx + len(shipped)]
+        outliers.append(ids[own < 0])
+        assignment.update(zip(ids[own >= 0].tolist(), own[own >= 0].tolist()))
+        idx += ids.size
+    return assignment, np.unique(np.concatenate(outliers))
 
 
 def _targets(assignment: np.ndarray, facility_points: np.ndarray) -> List[int]:

@@ -6,6 +6,8 @@ dict and the same outlier array as the reference loops in
 :mod:`tests.oracle.realize`: the member-dict rule (Algorithms 1-3 and the
 one-round baseline) for any dropped weight, and center-g's whole-or-nothing
 rule for the dropped weights its solver produces (none or all of a demand).
+Its dict must also list its keys in the order of the per-group loop it
+replaced (:func:`tests.oracle.realize.realize_output_loop_reference`).
 Member costs are drawn from four values, so ties are common.
 :func:`~repro.core.combine.member_groups` itself must return the groups of
 the per-center scan it replaced, for any labels (``-1`` included), centers
@@ -21,6 +23,7 @@ from repro.sequential.solution import ClusterSolution
 from tests.oracle.realize import (
     member_groups_reference,
     realize_members_reference,
+    realize_output_loop_reference,
     realize_whole_or_nothing_reference,
 )
 
@@ -79,6 +82,12 @@ def realization_cases(draw, whole_or_nothing=False):
     return layouts, shards, solution, facility_points, np.asarray(weights)
 
 
+def _assert_loop_order(assignment, outliers, shards, outputs, solution, facility_points):
+    loop, loop_outliers = realize_output_loop_reference(shards, outputs, solution, facility_points)
+    assert list(assignment.items()) == list(loop.items())
+    assert np.array_equal(outliers, loop_outliers)
+
+
 def _site(sizes, order, costs, shard, cost):
     """One site's local assignment, its output pair and the references' view of it."""
     assignment = np.full(order.size, -1)
@@ -111,6 +120,7 @@ def test_matches_member_dict_realization(case):
     assert assignment == expected
     assert np.array_equal(outliers, expected_outliers)
     assert outliers.dtype == expected_outliers.dtype
+    _assert_loop_order(assignment, outliers, shards, outputs, solution, facility_points)
 
 
 @given(case=realization_cases(whole_or_nothing=True))
@@ -129,6 +139,7 @@ def test_matches_whole_or_nothing_realization(case):
     )
     assert assignment == expected
     assert np.array_equal(outliers, expected_outliers)
+    _assert_loop_order(assignment, outliers, shards, outputs, solution, facility_points)
 
 
 class TestMemberGroupsOracle:

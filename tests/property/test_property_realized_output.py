@@ -5,7 +5,11 @@ per-node) assignment in its uncharged output step.  Each input id must be
 in exactly one of the two: assigned to a center, or named an outlier.
 Small random instances (12-40 points, 2-4 sites, k 1-3, t below n/2) make
 sites whose local solve drops a center's own point, the case where a
-center has no served members.
+center has no served members.  The point protocols also keep the paper's
+bounds: at most ``outlier_budget`` outliers named, and two rounds (one for
+the one-round baseline), on balanced sites, on sites where site 0 holds the
+``t`` points farthest from the origin, and on sites cut from the points
+sorted by x.
 """
 
 import numpy as np
@@ -22,6 +26,7 @@ from repro.distributed import (
     DistributedInstance,
     UncertainDistributedInstance,
     partition_balanced,
+    partition_outliers_concentrated,
 )
 from repro.metrics import EuclideanMetric
 
@@ -44,23 +49,40 @@ def sizes(draw):
     return n, n_sites, k, t, draw(st.integers(min_value=0, max_value=2**16))
 
 
+def partition(family, points, n_sites, t, seed):
+    n = len(points)
+    if family == "skewed":
+        farthest = np.argsort(-np.hypot(points[:, 0], points[:, 1]), kind="stable")[:t]
+        return partition_outliers_concentrated(np.isin(np.arange(n), farthest), n_sites, rng=seed)
+    if family == "cluster_aligned":
+        by_x = np.argsort(points[:, 0], kind="stable")
+        return [np.sort(shard) for shard in np.array_split(by_x, n_sites)]
+    return partition_balanced(n, n_sites, rng=seed)
+
+
 def assert_partitions(assignment, outliers, n):
     outliers = set(np.asarray(outliers).tolist())
     assert not set(assignment) & outliers
     assert set(assignment) | outliers == set(range(n))
 
 
-@given(case=sizes(), protocol=st.sampled_from(sorted(POINT_PROTOCOLS)))
-@settings(max_examples=120, deadline=None)
-def test_point_protocols_partition_the_input(case, protocol):
+@given(
+    case=sizes(),
+    protocol=st.sampled_from(sorted(POINT_PROTOCOLS)),
+    family=st.sampled_from(["balanced", "skewed", "cluster_aligned"]),
+)
+@settings(max_examples=300, deadline=None)
+def test_point_protocols_partition_the_input(case, protocol, family):
     n, n_sites, k, t, seed = case
     points = np.random.default_rng(seed).normal(scale=3.0, size=(n, 2))
     solve, objective = POINT_PROTOCOLS[protocol]
     instance = DistributedInstance.from_partition(
-        EuclideanMetric(points), partition_balanced(n, n_sites, rng=seed), k, t, objective
+        EuclideanMetric(points), partition(family, points, n_sites, t, seed), k, t, objective
     )
     result = solve(instance, rng=seed)
     assert_partitions(result.metadata["realized_assignment"], result.outliers, n)
+    assert len(result.outliers) <= result.outlier_budget
+    assert result.rounds == (1 if protocol.startswith("one_round") else 2)
 
 
 @given(case=sizes(), objective=st.sampled_from(["median", "means", "center", "center-g"]))

@@ -22,9 +22,9 @@ from repro.metrics.blocked import MemmapCostShard, count_within
 from repro.metrics.plan import CountingSource
 from repro.sequential import kcenter_with_outliers
 from repro.sequential.kcenter_outliers import (
+    _ByFacility,
     _greedy_cover,
     candidate_radii,
-    probe_gains,
 )
 
 
@@ -88,7 +88,7 @@ class TestFusedParity:
     def test_probe_gains_matches_standalone_count_within(self, cost_matrix):
         weights = np.ones(cost_matrix.shape[0])
         radii = np.quantile(cost_matrix, [0.1, 0.4, 0.8])
-        gains = probe_gains(cost_matrix, radii, weights, memory_budget=4096)
+        gains = list(_ByFacility(cost_matrix, memory_budget=4096).round_gains(radii, weights))
         for pos, radius in enumerate(radii):
             np.testing.assert_array_equal(
                 gains[pos],
@@ -119,7 +119,7 @@ class TestPassCounts:
         weights = np.ones(cost_matrix.shape[0])
 
         source = CountingSource(cost_matrix)
-        probe_gains(source, radii, weights, memory_budget=2048)
+        list(_ByFacility(source, memory_budget=2048).round_gains(radii, weights))
         assert source.cells_read == cost_matrix.size
         assert source.cell_counts.min() == 1
         assert source.cell_counts.max() == 1
@@ -139,7 +139,7 @@ class TestPassCounts:
         radius = float(np.quantile(cost_matrix, 0.5))
         source = CountingSource(cost_matrix)
         centers, _ = _greedy_cover(
-            source, np.ones(n), k, radius, 3.0, memory_budget=2048
+            _ByFacility(source, memory_budget=2048), np.ones(n), k, radius, 3.0
         )
         assert centers.size >= 1
         # gains pass (n*m) + downdates (<= n*m total) + k columns (k*n).

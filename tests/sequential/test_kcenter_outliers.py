@@ -67,6 +67,17 @@ class TestKCenterWithOutliers:
         sol_big = kcenter_with_outliers(costs, 2, 2, weights=weights)
         assert sol_big.cost == pytest.approx(0.0)
 
+    def test_a_greedy_that_covers_no_weight_is_infeasible(self):
+        # At the smallest radius only the weightless demand 0 is within
+        # reach: that greedy opens facility 0 twice and covers nothing, and
+        # the search must move on to a radius that covers the other three.
+        costs = np.asarray([[0.1, 5, 5], [5, 1, 9], [5, 9, 1], [5, 9, 1.2]])
+        sol = kcenter_with_outliers(costs, 2, 0, weights=np.asarray([0.0, 1.0, 1.0, 1.0]))
+        np.testing.assert_array_equal(sol.centers, [1, 2])
+        assert sol.cost == 1.2
+        assert sol.metadata["radius_guess"] == 1.0
+        assert sol.outlier_weight == 0.0
+
     def test_zero_outliers_still_covers(self, small_cost_matrix):
         sol = kcenter_with_outliers(small_cost_matrix, 5, 0)
         assert sol.outlier_indices.size == 0
