@@ -55,32 +55,45 @@ def nearest_center_distances(
     return unit, centers[arg]
 
 
-def _descending_prefix(units: np.ndarray, width: int) -> np.ndarray:
-    """``np.argsort(-units, axis=1, kind="stable")[:, :width]``, bit for bit.
+def _top_mask(units: np.ndarray, width: int) -> Optional[np.ndarray]:
+    """Each row's first ``width`` columns in the stable descending order, as a mask.
 
-    Selects instead of sorting whole rows: ``np.partition`` gives each row's
-    ``width``-th largest value (a value, so introselect's index order does
-    not matter); the row keeps the entries above it and its lowest-index
-    entries equal to it, and only those ``width`` columns, gathered in index
-    order, are stable-sorted, so ties keep the stable sort's index order.
-    NaN ranks above every number in ``np.partition`` but last in the stable
-    sort of ``-units``, so a row whose NaNs reach its top ``width`` keeps
-    fewer than ``width`` entries; the block then sorts whole rows, as it
-    does where that is cheaper: ``width >= n``, one row, or rows of at most
-    32 demands.
+    ``mask[r, j]`` is true exactly when ``j`` is among
+    ``np.argsort(-units[r], kind="stable")[:width]``, for ``0 < width < n``.
+    ``np.partition`` gives each row's ``width``-th largest value (a value,
+    so introselect's index order does not matter); the row keeps the
+    entries above it and its lowest-index entries equal to it.  NaN ranks
+    above every number in ``np.partition`` but last in the stable sort of
+    ``-units``, so a row whose NaNs reach its top ``width`` keeps fewer than
+    ``width`` entries; then there is no mask and this returns ``None``.
     """
-    n_rows, n = units.shape
-    if width >= n or n_rows == 1 or n <= 32:
-        return np.argsort(-units, axis=1, kind="stable")[:, :width]
-    kth = np.partition(units, n - width, axis=1)[:, n - width : n - width + 1]
+    n = units.shape[1]
+    # A fancy index copies the column, so the partitioned block is freed at once.
+    kth = np.partition(units, n - width, axis=1)[:, [n - width]]
     keep = units >= kth
     excess = np.count_nonzero(keep, axis=1) - width
     if (excess < 0).any():
-        return np.argsort(-units, axis=1, kind="stable")[:, :width]
+        return None
     if excess.any():
         # Ties straddle the boundary: drop each row's highest-index ties.
         ties = units == kth
         keep &= ~(ties & (np.cumsum(ties[:, ::-1], axis=1)[:, ::-1] <= excess[:, None]))
+    return keep
+
+
+def _descending_prefix(units: np.ndarray, width: int) -> np.ndarray:
+    """``np.argsort(-units, axis=1, kind="stable")[:, :width]``, bit for bit.
+
+    Selects instead of sorting whole rows: only the ``width`` columns of
+    each row's :func:`_top_mask`, gathered in index order, are
+    stable-sorted, so ties keep the stable sort's index order.  The block
+    sorts whole rows where there is no mask and where that is cheaper:
+    ``width >= n``, one row, or rows of at most 32 demands.
+    """
+    n_rows, n = units.shape
+    keep = None if width >= n or n_rows == 1 or n <= 32 else _top_mask(units, width)
+    if keep is None:
+        return np.argsort(-units, axis=1, kind="stable")[:, :width]
     flat = np.flatnonzero(keep)  # row-major, so each row's columns ascend
     order = np.argsort(-units.ravel()[flat].reshape(n_rows, width), axis=1, kind="stable")
     order += np.arange(0, flat.size, width)[:, None]
@@ -115,7 +128,11 @@ def trim_rows(
     weights...]``, which folds left to right like a ``budget -= take`` loop,
     and each cost is one ``ddot`` per row through a stacked ``np.matmul``
     (the product ``np.dot`` takes for two vectors), so every value is bitwise
-    what the one-demand-at-a-time loop computes.
+    what the one-demand-at-a-time loop computes (but for the sign of a
+    one-demand row's zero cost: ``np.dot`` returns a lone ``-0.0`` product
+    as it is, the ``matmul`` adds it to ``+0.0``).  A caller that needs only
+    the costs calls :func:`trim_row_costs`, which orders nothing when the
+    weights are all 1 and ``t`` is whole.
     """
     n_rows, n = units.shape
     budget = float(t)
@@ -143,6 +160,31 @@ def trim_rows(
     served[np.arange(n_rows)[:, None], prefix] = sorted_w - drops
     costs = np.matmul(served[:, None, :], units[:, :, None])[:, 0, 0]
     return prefix, drops, costs
+
+
+def trim_row_costs(units: np.ndarray, weights: np.ndarray, t: float) -> np.ndarray:
+    """``trim_rows(units, weights, t)[2]``, bit for bit: each row's trimmed cost.
+
+    When every weight is 1 and ``t`` is a whole number below ``n``, the
+    greedy drops each of a row's first ``t`` demands in the stable order
+    whole (its remaining budget is a whole number until it reaches 0), so
+    those demands are served ``1.0 - 1.0 = +0.0`` and every other demand
+    ``1.0``, whatever their order.  Then the served weights are the
+    complement of the row's :func:`_top_mask`, and the cost is the same
+    stacked ``np.matmul`` as :func:`trim_rows`'; nothing is sorted.  Every
+    other input (weighted demands, a fractional budget, NaNs in a row's top
+    ``t``) goes through :func:`trim_rows`.
+    """
+    n_rows, n = units.shape
+    budget = float(t)
+    keep = None
+    if 0 <= budget < n and budget.is_integer() and np.all(weights == 1):
+        width = int(budget)
+        keep = _top_mask(units, width) if width else np.zeros((n_rows, n), dtype=bool)
+    if keep is None:
+        return trim_rows(units, weights, t)[2]
+    served = np.logical_not(keep, out=np.empty((n_rows, n)))
+    return np.matmul(served[:, None, :], units[:, :, None])[:, 0, 0]
 
 
 def trim_outliers(
@@ -251,6 +293,7 @@ def assign_with_outliers(
 __all__ = [
     "nearest_center_distances",
     "trim_rows",
+    "trim_row_costs",
     "trim_outliers",
     "assign_with_outliers",
 ]

@@ -94,7 +94,8 @@ def candidate_radii(
     at most one quantile step of accuracy in the guess.
 
     Under a ``memory_budget`` the distinct values are collected tile by tile
-    (unique-of-uniques equals unique-of-all exactly) and merged in *batches*:
+    (unique-of-uniques equals unique-of-all, a zero radius always as
+    ``+0.0``) and merged in *batches*:
     per-tile unique sets are buffered and folded into the running set only
     once they outgrow ``max(one tile, running set)``, so the merge cost is
     amortised instead of the old ``O(u)``-per-tile ``np.union1d`` while peak
@@ -123,10 +124,13 @@ def candidate_radii(
         if pending:
             merged = np.unique(np.concatenate([merged, *pending]))
         values = merged
-    if values.size <= max_candidates:
-        return values
-    positions = np.linspace(0, values.size - 1, max_candidates).round().astype(int)
-    return values[np.unique(positions)]
+    if values.size > max_candidates:
+        positions = np.linspace(0, values.size - 1, max_candidates).round().astype(int)
+        values = values[np.unique(positions)]
+    # ``np.unique`` keeps whichever zero it meets first, and that depends on
+    # the budget's tiles; ``-0.0 + 0.0`` is ``+0.0``, so a zero radius has
+    # one sign under every budget.
+    return values + 0.0
 
 
 class _ByFacility:

@@ -3,7 +3,8 @@
 This is the practical stand-in for the Theorem 3.1 bicriteria black box (see
 the Substitutions table in ``DESIGN.md``): single-swap local search over the
 facility set, where every candidate configuration is evaluated with the
-outlier-trimmed objective of :func:`repro.sequential.assignment.trim_rows`.
+outlier-trimmed objective of :func:`repro.sequential.assignment.trim_rows`
+(through its costs-only form, :func:`~repro.sequential.assignment.trim_row_costs`).
 Single-swap local search is a classical constant-factor heuristic for k-median
 (Arya et al.), and trimming the ``t`` heaviest assignment costs extends it to
 the partial objective; the distributed machinery built on top only relies on
@@ -13,15 +14,20 @@ The implementation keeps the per-iteration cost low enough for the paper's
 ``Õ(n_i^2)`` site budget:
 
 * facilities considered for insertion are sampled each round
-  (``sample_size``), so a round scores ``k * sample_size`` swaps, and each
-  swap's trim selects the ``w`` demands its outlier budget covers (``O(n)``)
-  and stable-sorts only those, ``O(n + w log w)`` instead of ``O(n log n)``;
+  (``sample_size``), so a round scores ``k * sample_size`` swaps.  With unit
+  weights and a whole ``t`` (every site search), a swap's cost needs only
+  the set of its ``t`` most expensive demands, which ``np.partition``
+  selects in ``O(n)``, in no order; otherwise the trim stable-sorts the
+  ``w`` demands its outlier budget covers, ``O(n + w log w)`` instead of
+  ``O(n log n)``;
 * removal costs are computed from the first/second-nearest open centers, so
   no candidate evaluation ever rescans the whole ``k``-column block;
 * the ``k * sample_size`` swaps of a round are scored together, as tiles of
   ``(rows, n)`` unit costs through one vectorised greedy trim, instead of one
   trim call per swap.  The winner is the first largest gain in (position,
-  candidate) order, so results are bitwise those of scoring swaps one by one.
+  candidate) order, so results are bitwise those of scoring swaps one by one;
+* an accepted swap's cost is the one its tile scored, so only a search's
+  first configuration and its final assignment are trimmed on their own.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 
 from repro.metrics.blocked import DEFAULT_CACHE_TARGET, MemoryBudgetLike, effective_tile_bytes
 from repro.metrics.cost_matrix import validate_objective
-from repro.sequential.assignment import assign_with_outliers, trim_outliers, trim_rows
+from repro.sequential.assignment import assign_with_outliers, trim_outliers, trim_row_costs
 from repro.sequential.solution import ClusterSolution
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -187,6 +193,9 @@ def local_search_partial(
     current_cost = trim_outliers(first_val, w, t, obj)[1]
     evaluations = 1
     iterations = 0
+    # Every swap tile of the search is a view of this one buffer, so tiles do
+    # not each allocate, and page in, a block of up to ``tile_bytes``.
+    buffer = np.empty(0)
 
     for iterations in range(1, max_iter + 1):
         closed_mask = np.ones(n_fac, dtype=bool)
@@ -202,13 +211,18 @@ def local_search_partial(
         # Row ``pos`` is every demand's service cost once center ``pos`` closes.
         without = np.where(first_idx == np.arange(centers.size)[:, None], second_val, first_val)
         per_tile = max(1, tile_bytes // (without.nbytes or 1))
-        gains = np.empty((centers.size, candidates.size))
+        if buffer.size < without.size * min(per_tile, candidates.size):
+            buffer = np.empty(without.size * min(per_tile, candidates.size))
+        scored = np.empty((centers.size, candidates.size))
         for lo in range(0, candidates.size, per_tile):
             columns = cost_matrix[:, candidates[lo : lo + per_tile]].T
-            swapped = np.minimum(without[:, None, :], columns[None, :, :])
-            _, _, costs = trim_rows(swapped.reshape(-1, n), w, t)
-            with np.errstate(invalid="ignore"):  # inf - inf: a NaN gain, masked below
-                gains[:, lo : lo + per_tile] = current_cost - costs.reshape(centers.size, -1)
+            swapped = buffer[: without.size * len(columns)].reshape(centers.size, len(columns), n)
+            np.minimum(without[:, None, :], columns[None, :, :], out=swapped)
+            scored[:, lo : lo + per_tile] = trim_row_costs(swapped.reshape(-1, n), w, t).reshape(
+                centers.size, -1
+            )
+        with np.errstate(invalid="ignore"):  # inf - inf: a NaN gain, masked below
+            gains = current_cost - scored
         evaluations += gains.size
 
         # The first largest gain in (position, candidate) order; NaN never wins.
@@ -222,7 +236,10 @@ def local_search_partial(
         centers[pos] = candidates[j]
         block = cost_matrix[:, centers]
         first_idx, first_val, second_val = _first_second_nearest(block)
-        current_cost = trim_outliers(first_val, w, t, obj)[1]
+        # The winning row holds the new configuration's unit costs (``np.minimum``
+        # is exact; only a zero's sign may differ, which no later gain can
+        # tell apart), so the cost scored for it is the new current cost.
+        current_cost = float(scored.flat[best])
 
     solution = assign_with_outliers(
         cost_matrix, centers, t, w, objective=obj, memory_budget=memory_budget

@@ -1,26 +1,23 @@
 """Property tests for the row-wise greedy trim kernel against its loop form,
-and for the selection that finds each row's covering prefix."""
+for the selection that finds each row's covering prefix, and for the
+costs-only trim that scores unit-weight rows from their top-``t`` mask."""
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.sequential.assignment import _descending_prefix, trim_outliers, trim_rows
+from repro.sequential.assignment import (
+    _descending_prefix,
+    trim_outliers,
+    trim_row_costs,
+    trim_rows,
+)
 from tests.sequential.reference_solver import reference_trim
 
 
-@st.composite
-def blocks_and_weights(draw):
-    n_rows = draw(st.integers(min_value=1, max_value=8))
-    n = draw(st.integers(min_value=0, max_value=30))
-    integer_costs = draw(st.booleans())
-    values = (
-        st.integers(min_value=0, max_value=3).map(float)  # ties
-        if integer_costs
-        else st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
-    )
-    units = draw(arrays(dtype=float, shape=(n_rows, n), elements=values))
+def _weights_and_budget(draw, n):
     weights = draw(
         arrays(
             dtype=float,
@@ -34,7 +31,21 @@ def blocks_and_weights(draw):
         st.sampled_from([0.0, total, total + 1.0])
         | st.floats(min_value=0.0, max_value=total + 2.0, allow_nan=False)
     )
-    return units, weights, budget
+    return weights, budget
+
+
+@st.composite
+def blocks_and_weights(draw):
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=0, max_value=30))
+    integer_costs = draw(st.booleans())
+    values = (
+        st.integers(min_value=0, max_value=3).map(float)  # ties
+        if integer_costs
+        else st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+    )
+    units = draw(arrays(dtype=float, shape=(n_rows, n), elements=values))
+    return (units, *_weights_and_budget(draw, n))
 
 
 class TestTrimRowsMatchesLoop:
@@ -71,6 +82,9 @@ class TestTrimRowsMatchesLoop:
             np.testing.assert_allclose(drops.sum(axis=1), budget, rtol=1e-9, atol=1e-9)
 
 
+SPECIALS = [0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]
+
+
 def _stable_prefix(units, width):
     return np.argsort(-units, axis=1, kind="stable")[:, :width]
 
@@ -81,7 +95,7 @@ def blocks_with_specials(draw):
     32 demands sort whole, longer ones take the selection."""
     n_rows = draw(st.integers(min_value=1, max_value=8))
     n = draw(st.integers(min_value=1, max_value=64))
-    values = st.sampled_from([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf, np.nan]) | st.floats(
+    values = st.sampled_from(SPECIALS) | st.floats(
         min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
     )
     return draw(arrays(dtype=float, shape=(n_rows, n), elements=values))
@@ -121,3 +135,61 @@ class TestCoveringPrefix:
             _, _, costs = trim_rows(units, weights, budget)
             for row, cost in zip(units, costs):
                 assert float(cost).hex() == reference_trim(row, weights, budget)[1].hex()
+
+
+@st.composite
+def unit_weight_blocks(draw):
+    """Blocks of 1-8 rows by 1-130 demands (both sides of the 32-demand
+    rule), of tied integers with -0.0, of floats, or of floats mixed with
+    +-0.0, +-inf and NaN.  Most draws take unit weights and a whole budget
+    0..n+1; the rest take ``blocks_and_weights``' weights and budgets."""
+    n_rows = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=130))
+    floats = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+    values = draw(
+        st.sampled_from(
+            [
+                st.sampled_from([0.0, -0.0, 1.0, 2.0, 3.0]),
+                floats,
+                st.sampled_from(SPECIALS) | floats,
+            ]
+        )
+    )
+    units = draw(arrays(dtype=float, shape=(n_rows, n), elements=values))
+    if draw(st.integers(min_value=0, max_value=3)):
+        return units, np.ones(n), float(draw(st.integers(min_value=0, max_value=n + 1)))
+    return (units, *_weights_and_budget(draw, n))
+
+
+def _loop_cost_hex(row, weights, budget):
+    cost = reference_trim(row, weights, budget)[1]
+    # ``np.dot`` returns a one-demand row's lone product as it is, so a -0.0
+    # keeps its sign; the stacked ``np.matmul`` adds it to +0.0.
+    return (cost + 0.0 if row.size == 1 else cost).hex()
+
+
+def _assert_costs_match(units, weights, budget):
+    costs = [x.hex() for x in trim_row_costs(units, weights, budget)]
+    assert costs == [x.hex() for x in trim_rows(units, weights, budget)[2]]
+    assert costs == [_loop_cost_hex(row, weights, budget) for row in units]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+class TestCostsOnlyTrim:
+    """``trim_row_costs`` is ``trim_rows(...)[2]`` and the loop's cost, bit
+    for bit (``float.hex`` reads every NaN as ``nan``, so NaNs compare by
+    position), on its unit path and on the fallback."""
+
+    @given(data=unit_weight_blocks())
+    @settings(max_examples=400, deadline=None)
+    def test_costs_equal_trim_rows_and_reference_bits(self, data):
+        _assert_costs_match(*data)
+
+    def test_solver_shaped_integer_blocks(self):
+        """256x100 blocks of small integer costs, a site's swap tile, at the
+        unit-weight budgets 1..20 that take the unit path."""
+        rng = np.random.default_rng(11)
+        weights = np.ones(100)
+        for budget in range(1, 21):
+            units = rng.integers(0, 6, size=(256, 100)).astype(float)
+            _assert_costs_match(units, weights, float(budget))

@@ -24,6 +24,19 @@ class TestCandidateRadii:
         radii = candidate_radii(small_cost_matrix, max_candidates=50)
         assert np.all(np.diff(radii) >= 0)
 
+    def test_a_zero_radius_has_one_sign_under_every_budget(self):
+        """Half the zeros stored as -0.0: which zero ``np.unique`` keeps
+        depends on the budget's tiles, yet the radius guess may not."""
+        rng = np.random.default_rng(0)
+        mat = rng.integers(0, 4, size=(30, 20)).astype(float)
+        mat[(mat == 0) & (rng.random(mat.shape) < 0.5)] = -0.0
+        guesses = set()
+        for budget in (None, 64, 4096):
+            assert candidate_radii(mat, memory_budget=budget)[0].hex() == "0x0.0p+0"
+            sol = kcenter_with_outliers(mat, 8, 4, memory_budget=budget)
+            guesses.add(float(sol.metadata["radius_guess"]).hex())
+        assert guesses == {"0x0.0p+0"}
+
 
 class TestKCenterWithOutliers:
     def test_respects_budgets(self, small_cost_matrix, small_workload):

@@ -20,6 +20,10 @@ from repro.sequential import local_search_partial
 from tests.sequential.reference_solver import reference_local_search
 
 BUDGETS = [None, 64]
+#: Grid seeds from here on draw the sites' family: unit weights, a whole
+#: ``t`` in 1..n-1 and up to 70 demands, whose swap tiles ``trim_row_costs``
+#: scores from each row's top-``t`` mask.
+UNIT_SEEDS = 60
 
 
 def _assert_matches_reference(costs, k, t, weights=None, budget=None, **kwargs):
@@ -36,9 +40,12 @@ def _assert_matches_reference(costs, k, t, weights=None, budget=None, **kwargs):
 
 
 def _grid_case(seed):
-    """One seeded instance; the seed cycles through costs, weights and ``t``."""
+    """One seeded instance; the seed cycles through costs, weights and ``t``
+    (below :data:`UNIT_SEEDS`) or through costs alone (the sites' family)."""
     rng = np.random.default_rng(seed)
-    n, n_fac = int(rng.integers(1, 40)), int(rng.integers(1, 40))
+    unit = seed >= UNIT_SEEDS
+    n = int(rng.integers(2, 71) if unit else rng.integers(1, 40))
+    n_fac = int(rng.integers(1, 40))
     costs = [
         rng.integers(0, 5, size=(n, n_fac)).astype(float),  # many ties
         rng.random((n, n_fac)) * 10,
@@ -52,6 +59,8 @@ def _grid_case(seed):
     ][seed % 4]
     total = float(n if weights is None else weights.sum())
     t = [0.0, 0.5, 3.0, total, total + 2.0, rng.random() * total][seed % 6]
+    if unit:
+        weights, t = None, float(rng.integers(1, n))
     kwargs = {
         "objective": ("median", "means")[seed % 2],
         "sample_size": None if seed % 3 else int(rng.integers(1, n_fac + 1)),
@@ -64,7 +73,7 @@ def _grid_case(seed):
 
 
 @pytest.mark.parametrize("budget", BUDGETS)
-@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("seed", range(UNIT_SEEDS + 30))
 def test_seeded_grid_matches_reference(seed, budget):
     costs, k, t, weights, kwargs = _grid_case(seed)
     _assert_matches_reference(costs, k, t, weights, budget, **kwargs)
@@ -77,8 +86,10 @@ def test_site_sized_instance_matches_reference(small_cost_matrix, budget):
 
 
 @st.composite
-def solver_instances(draw):
-    n = draw(st.integers(min_value=1, max_value=14))
+def solver_instances(draw, unit_weights=False):
+    """Small weighted instances, or with ``unit_weights`` the sites' family:
+    unit weights, a whole ``t`` in 1..n-1 and up to 70 demands."""
+    n = draw(st.integers(min_value=2, max_value=70) if unit_weights else st.integers(1, 14))
     n_fac = draw(st.integers(min_value=1, max_value=10))
     integer_costs = draw(st.booleans())
     values = (
@@ -87,20 +98,23 @@ def solver_instances(draw):
         else st.floats(min_value=0.0, max_value=1e3, allow_nan=False)
     )
     costs = draw(arrays(dtype=float, shape=(n, n_fac), elements=values))
-    weights = draw(
-        st.none()
-        | arrays(
-            dtype=float,
-            shape=(n,),
-            elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])
-            | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+    if unit_weights:
+        weights, t = None, float(draw(st.integers(min_value=1, max_value=n - 1)))
+    else:
+        weights = draw(
+            st.none()
+            | arrays(
+                dtype=float,
+                shape=(n,),
+                elements=st.sampled_from([0.0, 0.5, 1.0, 2.0])
+                | st.floats(min_value=0.0, max_value=5.0, allow_nan=False),
+            )
         )
-    )
-    total = float(n if weights is None else weights.sum())
-    t = draw(
-        st.sampled_from([0.0, total, total + 1.0])
-        | st.floats(min_value=0.0, max_value=total + 1.0, allow_nan=False)
-    )
+        total = float(n if weights is None else weights.sum())
+        t = draw(
+            st.sampled_from([0.0, total, total + 1.0])
+            | st.floats(min_value=0.0, max_value=total + 1.0, allow_nan=False)
+        )
     k = draw(st.integers(min_value=1, max_value=4))
     init = draw(
         st.none()
@@ -115,8 +129,8 @@ def solver_instances(draw):
     return costs, k, t, weights, kwargs
 
 
-@given(case=solver_instances())
-@settings(max_examples=120, deadline=None)
+@given(case=solver_instances() | solver_instances(unit_weights=True))
+@settings(max_examples=200, deadline=None)
 def test_hypothesis_instances_match_reference(case):
     costs, k, t, weights, kwargs = case
     for budget in BUDGETS:

@@ -18,7 +18,13 @@ assignment, cost, dropped weights and metadata, ``radius_guess`` and
 ``probe_rounds`` included) for the runs whose coordinator solves a
 weighted k-center: Algorithm 3's center-pp, center-g, and a t = 200
 ``partial_kcenter`` under budgets that hold and that stream the solver's
-facility-major copy.  Canonical forms keep dict order out of the hash.
+facility-major copy.  Then ``partial_kmedian`` and ``partial_kmeans`` run
+under budgets whose swap tiles hold one candidate (64 B) and all of them
+(1 MB), and an ``ls/`` line hashes a direct ``local_search_partial``
+solution (centers, assignment, cost, dropped weights and metadata) on a
+150-point site matrix: unit weights at whole and fractional budgets, and
+integer and fractional weights.  Canonical forms keep dict order out of
+the hash.
 """
 
 import hashlib
@@ -52,13 +58,21 @@ def line(name, r):
           f"outliers={0 if r.outliers is None else len(r.outliers)} sha={sha(body)}", flush=True)
 
 
+def solution_body(s):
+    return [s.centers, s.assignment, s.cost, s.outlier_weight, s.dropped_weight, s.metadata]
+
+
 def coordinator_line(name, r):
     s = r.coordinator_solution
-    body = [s.centers, s.assignment, s.cost, s.outlier_weight, s.dropped_weight, s.metadata]
     radius = s.metadata.get("radius_guess")
     print(f"coord/{name} cost={float(s.cost).hex()} "
           f"radius={None if radius is None else float(radius).hex()} "
-          f"probe_rounds={s.metadata.get('probe_rounds')} sha={sha(body)}", flush=True)
+          f"probe_rounds={s.metadata.get('probe_rounds')} sha={sha(solution_body(s))}", flush=True)
+
+
+def solution_line(name, s):
+    print(f"{name} cost={float(s.cost).hex()} iterations={s.metadata.get('iterations')} "
+          f"sha={sha(solution_body(s))}", flush=True)
 
 
 def graph_metric(n, seed):
@@ -86,6 +100,7 @@ def main(tree):
     from repro.data import gaussian_mixture_with_outliers, uncertain_nodes_from_mixture
     from repro.distributed.instance import DistributedInstance
     from repro.metrics import EuclideanMetric, MatrixMetric
+    from repro.sequential import local_search_partial
 
     for name in ("kmedian_sites", "kcenter_sites"):  # both perfbench shapes
         w = WORKLOADS[name]
@@ -128,6 +143,26 @@ def main(tree):
         for budget in (None, 4096, "8MB"):
             coordinator_line(f"partial_kcenter_t200/seed{seed}/budget{budget}",
                              partial_kcenter(pts, 4, 200, n_sites=4, seed=seed, memory_budget=budget))
+    # Median and means under budgets: a swap tile holds one candidate or all.
+    for seed in (1, 2, 3):
+        pts = gaussian_mixture_with_outliers(300, 20, 3, dim=2, rng=seed).points
+        for fn in (partial_kmedian, partial_kmeans):
+            for budget in (64, 4096, "1MB"):
+                line(f"{fn.__name__}/seed{seed}/budget{budget}",
+                     fn(pts, 3, 20, n_sites=4, seed=seed, memory_budget=budget))
+    # The site search itself: unit weights at whole and fractional budgets,
+    # which take both sides of the costs-only trim, then weighted demands.
+    for seed in (1, 2, 3):
+        pts = gaussian_mixture_with_outliers(140, 10, 3, dim=2, rng=seed).points
+        costs = EuclideanMetric(pts).full_matrix()
+        rng = np.random.default_rng(seed)
+        for name, weights, t in (
+            *((f"unit/t{t}", None, t) for t in (0, 1, 20, 20.5, 149, 150)),
+            ("int/t20", rng.integers(1, 6, size=150).astype(float), 20),
+            ("frac/t20", rng.random(150) * 3, 20),
+        ):
+            solution_line(f"ls/seed{seed}/{name}",
+                          local_search_partial(costs, 4, t, weights, rng=seed))
 
 
 if __name__ == "__main__":
